@@ -43,6 +43,7 @@ use std::time::Instant;
 use envdeploy::{plan_deployment, validate_plan_with_routes, PlannerConfig};
 use envmap::score::intact_fraction;
 use envmap::{cluster_agreement, EnvConfig, EnvMapper, EnvRun, HostInput};
+use netsim::disk::fnv1a64;
 use netsim::synth::{synth, SynthFamily, SynthScenario};
 use netsim::Sim;
 use nws_bench::{f, Table};
@@ -70,18 +71,6 @@ struct Row {
     dry_run: bool,
 }
 
-/// FNV-1a over the deterministic renderings of a run's outputs.
-fn fnv1a(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Generous per-tier ceiling on `validate_ms` (roughly 10× the values the
 /// cluster-granular validator records; the old per-pair validator was
 /// ~15 000–25 000 ms at 1000 hosts, so a complexity regression trips this
@@ -101,7 +90,8 @@ fn validate_budget_ms(hosts: usize) -> f64 {
 fn fingerprint_run(run: &EnvRun, truth: &[Vec<String>], master: &str) -> (u64, f64) {
     let agreement = cluster_agreement(&run.view, truth, &[master]);
     let plan = plan_deployment(&run.view, &PlannerConfig::default());
-    (fnv1a(&[&run.view.render(), &plan.render(), &format!("{agreement:.17}")]), agreement)
+    let rendered = format!("{}{}{agreement:.17}", run.view.render(), plan.render());
+    (fnv1a64(rendered.as_bytes()), agreement)
 }
 
 /// One serial pipeline pass; returns the run, the mapping time, and the

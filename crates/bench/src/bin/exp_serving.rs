@@ -20,8 +20,10 @@
 //! Run: `cargo run --release -p nws-bench --bin exp_serving
 //! [--smoke] [out.json]`. `--smoke` is the CI configuration.
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
+use netsim::disk::fnv1a64;
 use nws::serve::{MetricsSnapshot, ServingPlane};
 use nws::shard::ShardMap;
 use nws::{Forecast, Resource, SeriesKey};
@@ -100,16 +102,11 @@ fn build_plane(shards: usize, keys: &[SeriesKey], points: usize) -> ServingPlane
 /// the shortest round-trip representation, so the fingerprint is
 /// bit-faithful to the forecast values.
 fn fingerprint(answers: &[Vec<(SeriesKey, Option<Forecast>)>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for batch in answers {
-        for (key, forecast) in batch {
-            for b in format!("{key}={forecast:?};").bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+    let mut rendered = String::new();
+    for (key, forecast) in answers.iter().flatten() {
+        write!(rendered, "{key}={forecast:?};").expect("writing to a String cannot fail");
     }
-    h
+    fnv1a64(rendered.as_bytes())
 }
 
 /// Round-robin batch composition for one wave: deterministic, covers the

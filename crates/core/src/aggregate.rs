@@ -534,7 +534,6 @@ mod tests {
             ],
             memory_of: BTreeMap::new(),
             wal_compact_kib: crate::plan::DEFAULT_WAL_COMPACT_KIB,
-            serve_shards: crate::plan::DEFAULT_SERVE_SHARDS,
         }
     }
 

@@ -34,7 +34,6 @@ pub fn render_config(plan: &DeploymentPlan) -> String {
     s.push_str(&format!("memories = {}\n", plan.memories.join(", ")));
     s.push_str(&format!("gap_ms = {}\n", plan.gap.as_millis()));
     s.push_str(&format!("wal_compact_kib = {}\n", plan.wal_compact_kib));
-    s.push_str(&format!("serve_shards = {}\n", plan.serve_shards));
     s.push_str(&format!("hosts = {}\n", plan.hosts.join(", ")));
     s.push('\n');
     for c in &plan.cliques {
@@ -68,7 +67,6 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
     let mut memories = Vec::new();
     let mut gap_ms = 500.0f64;
     let mut wal_compact_kib = crate::plan::DEFAULT_WAL_COMPACT_KIB;
-    let mut serve_shards = crate::plan::DEFAULT_SERVE_SHARDS;
     let mut hosts = Vec::new();
     let mut cliques: Vec<PlannedClique> = Vec::new();
     let mut representatives = BTreeMap::new();
@@ -130,11 +128,6 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
                         .parse()
                         .map_err(|_| format!("line {}: bad wal_compact_kib", lineno + 1))?
                 }
-                "serve_shards" => {
-                    serve_shards = value
-                        .parse()
-                        .map_err(|_| format!("line {}: bad serve_shards", lineno + 1))?
-                }
                 "hosts" => hosts = list(value),
                 _ => return Err(format!("line {}: unknown global key {key:?}", lineno + 1)),
             },
@@ -178,7 +171,6 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
         hosts,
         memory_of,
         wal_compact_kib,
-        serve_shards,
     })
 }
 
@@ -263,7 +255,6 @@ pub fn plan_to_spec_with(plan: &DeploymentPlan, host_locking: bool) -> NwsSystem
         seed: 42,
         host_locking,
         wal_compact_kib: plan.wal_compact_kib,
-        serve_shards: plan.serve_shards,
     }
 }
 
@@ -372,7 +363,6 @@ mod tests {
             hosts: vec!["a.x".into(), "b.x".into(), "c.x".into()],
             memory_of: BTreeMap::from([("c.x".to_string(), "m.x".to_string())]),
             wal_compact_kib: 128,
-            serve_shards: 4,
         }
     }
 
@@ -382,6 +372,9 @@ mod tests {
         let text = render_config(&plan);
         let parsed = parse_config(&text).unwrap();
         assert_eq!(plan, parsed);
+        // The retired shard-count key is rejected like any unknown one.
+        let old = text.replace("hosts =", "serve_shards = 4\nhosts =");
+        assert!(parse_config(&old).unwrap_err().contains("unknown global key \"serve_shards\""));
     }
 
     #[test]

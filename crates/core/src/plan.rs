@@ -88,10 +88,6 @@ impl PlannedClique {
 /// that do not override it.
 pub const DEFAULT_WAL_COMPACT_KIB: u64 = 64;
 
-/// Default forecaster serving-plane shard count carried by plans that do
-/// not override it. One shard reproduces the single-actor serving path.
-pub const DEFAULT_SERVE_SHARDS: usize = 1;
-
 /// A complete NWS deployment plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentPlan {
@@ -122,10 +118,6 @@ pub struct DeploymentPlan {
     /// plane (memory servers and the forecaster log to their host's
     /// simulated disk; see `nws::persist`).
     pub wal_compact_kib: u64,
-    /// Forecaster serving-plane shards (`nws::serve`): series are routed
-    /// clique-aligned across this many shards. Answers are shard-count
-    /// invariant; the knob trades publish/serve parallelism only.
-    pub serve_shards: usize,
 }
 
 impl DeploymentPlan {
@@ -229,7 +221,6 @@ mod tests {
             hosts: vec!["a".into(), "b".into(), "c".into(), "d".into(), "e".into()],
             memory_of: BTreeMap::new(),
             wal_compact_kib: DEFAULT_WAL_COMPACT_KIB,
-            serve_shards: DEFAULT_SERVE_SHARDS,
         }
     }
 
@@ -389,7 +380,6 @@ mod diff_tests {
             hosts: vec!["a1".into(), "a2".into(), "b1".into(), "b2".into(), "b3".into()],
             memory_of: BTreeMap::new(),
             wal_compact_kib: DEFAULT_WAL_COMPACT_KIB,
-            serve_shards: DEFAULT_SERVE_SHARDS,
         }
     }
 

@@ -204,7 +204,6 @@ pub fn plan_deployment(view: &EnvView, config: &PlannerConfig) -> DeploymentPlan
         hosts,
         memory_of,
         wal_compact_kib: crate::plan::DEFAULT_WAL_COMPACT_KIB,
-        serve_shards: crate::plan::DEFAULT_SERVE_SHARDS,
     }
 }
 

@@ -176,7 +176,9 @@ impl EnvMapper {
         EnvMapper { config }
     }
 
-    /// Run the full pipeline on the given hosts from `master`'s viewpoint.
+    /// Run the full pipeline on the given hosts from `master`'s viewpoint,
+    /// probing on the caller's live engine: its clock advances and its
+    /// cross-traffic is what the probes see.
     ///
     /// `external` is the well-known traceroute destination of the
     /// structural phase; pass `None` (or an unreachable node, as inside a
@@ -188,36 +190,7 @@ impl EnvMapper {
         master: &str,
         external: Option<&str>,
     ) -> NetResult<EnvRun> {
-        let t_start = eng.now();
-        let mut stats = ProbeStats::default();
-
-        // ---- phase 1: lookup ---------------------------------------------
-        let machines = resolve_inputs(eng.topo(), hosts)?;
-        let master_rec = master_record(&machines, master)?;
-        let external_node = resolve_external(eng.topo(), external)?;
-
-        // ---- phase 3: structural topology ---------------------------------
-        let mut chains = Vec::with_capacity(machines.len());
-        for m in &machines {
-            chains.push((
-                m.name.clone(),
-                trace_chain(eng, m, external_node, master_rec.node, &mut stats),
-            ));
-        }
-        let structural = build_tree_from_chains(&chains);
-
-        // ---- phases 4–7 + assembly ----------------------------------------
-        let flat = self.refine_all(eng, &machines, &master_rec, &structural, &mut stats, |_| None);
-        let networks = assemble_tree(flat);
-        stats.mapping_seconds = eng.now().since(t_start).as_secs();
-
-        Ok(EnvRun::new(
-            EnvView { master: master_rec.name.clone(), networks },
-            structural,
-            machines,
-            stats,
-            master_rec.name,
-        ))
+        self.run(Exec::live(eng), None, hosts, master, external)
     }
 
     /// Incrementally re-map after topology churn: re-probe only the hosts
@@ -253,72 +226,7 @@ impl EnvMapper {
         master: &str,
         external: Option<&str>,
     ) -> NetResult<EnvRun> {
-        let t_start = eng.now();
-        let mut stats = ProbeStats::default();
-
-        let machines = resolve_inputs(eng.topo(), hosts)?;
-        let master_rec = master_record(&machines, master)?;
-        let external_node = resolve_external(eng.topo(), external)?;
-
-        // Dirty set: declared dirty, plus anything the previous run never
-        // saw (joiners are dirty by definition).
-        let mut dirty_set: BTreeSet<&str> = dirty.iter().map(String::as_str).collect();
-        for m in &machines {
-            if prev.machine(&m.name).is_none() {
-                dirty_set.insert(m.name.as_str());
-            }
-        }
-
-        // ---- structural phase, incremental --------------------------------
-        // Clean hosts reuse the chain recorded in the previous tree; dirty
-        // hosts re-traceroute. Rebuilding from merged chains is
-        // bit-identical to a full rebuild over the same paths.
-        let mut prev_chain: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (chain, cluster_hosts) in prev.structural.clusters() {
-            for h in cluster_hosts {
-                prev_chain.insert(h, chain.clone());
-            }
-        }
-        let mut chains = Vec::with_capacity(machines.len());
-        for m in &machines {
-            if !dirty_set.contains(m.name.as_str()) {
-                if let Some(c) = prev_chain.get(m.name.as_str()) {
-                    chains.push((m.name.clone(), c.clone()));
-                    continue;
-                }
-            }
-            chains.push((
-                m.name.clone(),
-                trace_chain(eng, m, external_node, master_rec.node, &mut stats),
-            ));
-        }
-        let structural = build_tree_from_chains(&chains);
-
-        // ---- refinement, incremental --------------------------------------
-        // A structural cluster is spliced from the previous view iff no
-        // member is dirty and its member set is exactly a union of
-        // previous refined clusters (each previous cluster fully inside
-        // it). Everything else is re-refined from scratch.
-        let prev_flat = prev.view.flatten();
-        let mut prev_net_of: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, f) in prev_flat.iter().enumerate() {
-            for h in &f.net.hosts {
-                prev_net_of.insert(h.as_str(), i);
-            }
-        }
-        let flat = self.refine_all(eng, &machines, &master_rec, &structural, &mut stats, |refs| {
-            splice_decision(refs, &dirty_set, &prev_flat, &prev_net_of)
-        });
-        let networks = assemble_tree(flat);
-        stats.mapping_seconds = eng.now().since(t_start).as_secs();
-
-        Ok(EnvRun::new(
-            EnvView { master: master_rec.name.clone(), networks },
-            structural,
-            machines,
-            stats,
-            master_rec.name,
-        ))
+        self.run(Exec::live(eng), Some((prev, dirty)), hosts, master, external)
     }
 
     /// [`EnvMapper::map`] with the probe phases fanned out across
@@ -345,44 +253,7 @@ impl EnvMapper {
         external: Option<&str>,
         threads: usize,
     ) -> NetResult<EnvRun> {
-        let mut stats = ProbeStats::default();
-
-        // ---- phase 1: lookup (serial, cheap) ------------------------------
-        let machines = resolve_inputs(eng.topo(), hosts)?;
-        let master_rec = master_record(&machines, master)?;
-        let external_node = resolve_external(eng.topo(), external)?;
-        let (topo, routes) = eng.snapshot();
-
-        // ---- phase 3: structural topology, per-host fan-out ---------------
-        let indices: Vec<usize> = (0..machines.len()).collect();
-        let traced = trace_parallel(
-            &topo,
-            &routes,
-            &machines,
-            &indices,
-            external_node,
-            master_rec.node,
-            threads,
-            &mut stats,
-        );
-        let chains: Vec<(String, Vec<String>)> =
-            traced.into_iter().map(|(i, chain)| (machines[i].name.clone(), chain)).collect();
-        let structural = build_tree_from_chains(&chains);
-
-        // ---- phases 4–7 + assembly, per-cluster fan-out -------------------
-        let jobs = plan_clusters(&machines, &master_rec, &structural, |_| None);
-        let (flat, makespan) =
-            self.refine_parallel(&topo, &routes, master_rec.node, jobs, threads, &mut stats);
-        let networks = assemble_tree(flat);
-        stats.mapping_seconds = makespan;
-
-        Ok(EnvRun::new(
-            EnvView { master: master_rec.name.clone(), networks },
-            structural,
-            machines,
-            stats,
-            master_rec.name,
-        ))
+        self.run(Exec::snapshot(eng, threads), None, hosts, master, external)
     }
 
     /// [`EnvMapper::remap`] with the same fan-out as
@@ -402,72 +273,62 @@ impl EnvMapper {
         external: Option<&str>,
         threads: usize,
     ) -> NetResult<EnvRun> {
+        self.run(Exec::snapshot(eng, threads), Some((prev, dirty)), hosts, master, external)
+    }
+
+    /// The one ENV pipeline (paper §4.2): lookup → structural traceroutes
+    /// → refinement → assembly. `exec` is where the probes run; `prev` is
+    /// a previous run plus the hosts declared dirty since, from which
+    /// everything clean is reused instead of probed — a full map is the
+    /// incremental one with nothing to reuse.
+    fn run<M>(
+        &self,
+        mut exec: Exec<'_, M>,
+        prev: Option<(&EnvRun, &[String])>,
+        hosts: &[HostInput],
+        master: &str,
+        external: Option<&str>,
+    ) -> NetResult<EnvRun> {
         let mut stats = ProbeStats::default();
 
-        let machines = resolve_inputs(eng.topo(), hosts)?;
+        // ---- phase 1: lookup ---------------------------------------------
+        let machines = resolve_inputs(exec.topo(), hosts)?;
         let master_rec = master_record(&machines, master)?;
-        let external_node = resolve_external(eng.topo(), external)?;
-        let (topo, routes) = eng.snapshot();
+        let external_node = external.map(|name| exec.topo().resolve_host(name)).transpose()?;
+        let reuse = prev.map(|(prev, dirty)| Reuse::new(prev, dirty, &machines));
 
-        let mut dirty_set: BTreeSet<&str> = dirty.iter().map(String::as_str).collect();
-        for m in &machines {
-            if prev.machine(&m.name).is_none() {
-                dirty_set.insert(m.name.as_str());
-            }
-        }
-
-        // ---- structural phase: reuse clean chains, re-trace dirty ones ----
-        let mut prev_chain: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (chain, cluster_hosts) in prev.structural.clusters() {
-            for h in cluster_hosts {
-                prev_chain.insert(h, chain.clone());
-            }
-        }
-        let mut chains: Vec<(String, Vec<String>)> =
-            machines.iter().map(|m| (m.name.clone(), Vec::new())).collect();
-        let mut fresh_idx: Vec<usize> = Vec::new();
+        // ---- phase 3: structural topology ---------------------------------
+        // Clean hosts reuse the chain recorded in the previous tree; the
+        // rest are traced. Rebuilding from merged chains is bit-identical
+        // to a full rebuild over the same paths.
+        let mut chains: Vec<(String, Vec<String>)> = Vec::with_capacity(machines.len());
+        let mut to_trace: Vec<usize> = Vec::new();
         for (i, m) in machines.iter().enumerate() {
-            let reused = !dirty_set.contains(m.name.as_str())
-                && match prev_chain.get(m.name.as_str()) {
-                    Some(c) => {
-                        chains[i].1 = c.clone();
-                        true
-                    }
-                    None => false,
-                };
-            if !reused {
-                fresh_idx.push(i);
+            let reused = reuse.as_ref().and_then(|r| r.chain(&m.name));
+            if reused.is_none() {
+                to_trace.push(i);
             }
+            chains.push((m.name.clone(), reused.unwrap_or_default()));
         }
-        for (i, chain) in trace_parallel(
-            &topo,
-            &routes,
-            &machines,
-            &fresh_idx,
-            external_node,
-            master_rec.node,
-            threads,
-            &mut stats,
-        ) {
+        let traced = exec.trace(&machines, &to_trace, external_node, master_rec.node, &mut stats);
+        for (i, chain) in traced {
             chains[i].1 = chain;
         }
         let structural = build_tree_from_chains(&chains);
 
-        // ---- refinement: serial splice planning, parallel re-probing ------
-        let prev_flat = prev.view.flatten();
-        let mut prev_net_of: BTreeMap<&str, usize> = BTreeMap::new();
-        for (i, f) in prev_flat.iter().enumerate() {
-            for h in &f.net.hosts {
-                prev_net_of.insert(h.as_str(), i);
+        // ---- phases 4–7 + assembly ----------------------------------------
+        let mut jobs = plan_clusters(&machines, &master_rec, &structural, |refs| {
+            reuse.as_ref().and_then(|r| r.splice(refs))
+        });
+        exec.refine(master_rec.node, &mut jobs, &self.config.refine_params(), &mut stats);
+        let mut flat: Vec<FlatCluster> = Vec::new();
+        for job in jobs {
+            for rc in job.refined.expect("the executor refines every job not spliced") {
+                flat.push((job.gateways.clone(), job.routers.clone(), rc));
             }
         }
-        let jobs = plan_clusters(&machines, &master_rec, &structural, |refs| {
-            splice_decision(refs, &dirty_set, &prev_flat, &prev_net_of)
-        });
-        let (flat, makespan) =
-            self.refine_parallel(&topo, &routes, master_rec.node, jobs, threads, &mut stats);
         let networks = assemble_tree(flat);
-        stats.mapping_seconds = makespan;
+        stats.mapping_seconds = exec.mapping_seconds();
 
         Ok(EnvRun::new(
             EnvView { master: master_rec.name.clone(), networks },
@@ -477,147 +338,173 @@ impl EnvMapper {
             master_rec.name,
         ))
     }
+}
 
-    /// Phases 4–7 over every structural cluster: refine each cluster,
-    /// unless `reuse` can answer it from a previous run (the incremental
-    /// path); returns the flat (gateway chain, router chain, refined
-    /// cluster) list [`assemble_tree`] consumes.
-    fn refine_all<M>(
-        &self,
-        eng: &mut Engine<M>,
+/// Where a run's probes execute. Everything around the probes is
+/// [`EnvMapper::run`]; an executor only traces, refines, and reports the
+/// simulated time that took — which means something different on each
+/// (the caller's clock delta vs. the worker makespan), so it is the
+/// executor's to say.
+enum Exec<'e, M> {
+    /// Serially on the caller's engine. This is the executor that can map
+    /// a platform *under load* (paper §4.3, `tests/mapping_under_load.rs`):
+    /// the engine's background flows contend with the probes, and the
+    /// clock the caller keeps using has advanced by the mapping time.
+    Live { eng: &'e mut Engine<M>, t_start: SimTime },
+    /// On `threads` workers, each driving its own simulator over a shared
+    /// immutable snapshot of the quiescent platform. The run is a pure
+    /// function of the snapshot, bit-identical for any thread count (the
+    /// soundness argument of DESIGN.md §9). `makespan` is the modeled
+    /// mapping time: the maximum over workers of their summed per-cluster
+    /// simulated times.
+    Snapshot { topo: Arc<Topology>, routes: Arc<RouteTable>, threads: usize, makespan: f64 },
+}
+
+impl<'e, M> Exec<'e, M> {
+    fn live(eng: &'e mut Engine<M>) -> Self {
+        let t_start = eng.now();
+        Exec::Live { eng, t_start }
+    }
+
+    fn snapshot(eng: &Engine<M>, threads: usize) -> Self {
+        let (topo, routes) = eng.snapshot();
+        Exec::Snapshot { topo, routes, threads: threads.max(1), makespan: 0.0 }
+    }
+
+    fn topo(&self) -> &Topology {
+        match self {
+            Exec::Live { eng, .. } => eng.topo(),
+            Exec::Snapshot { topo, .. } => topo,
+        }
+    }
+
+    /// Structural traceroutes for the machines named by `indices`, as
+    /// `(machine index, outermost-first key chain)` in any order.
+    /// Traceroutes are pure path walks — they never advance the simulated
+    /// clock — so per-worker engines and round-robin assignment yield
+    /// chains bit-identical to the serial loop's.
+    fn trace(
+        &mut self,
         machines: &[MachineRecord],
-        master_rec: &MachineRecord,
-        structural: &StructNode,
-        stats: &mut ProbeStats,
-        reuse: impl FnMut(&[RefHost]) -> Option<Vec<RefinedCluster>>,
-    ) -> Vec<FlatCluster> {
-        let jobs = plan_clusters(machines, master_rec, structural, reuse);
-        let params = self.config.refine_params();
-        let mut flat: Vec<FlatCluster> = Vec::new();
-        for job in jobs {
-            let refined = match job.spliced {
-                Some(spliced) => spliced,
-                None => refine_cluster(eng, master_rec.node, &job.refs, &params, stats),
-            };
-            for rc in refined {
-                flat.push((job.gateways.clone(), job.routers.clone(), rc));
-            }
-        }
-        flat
-    }
-
-    /// Parallel phases 4–7: refine every unanswered cluster job across
-    /// `threads` workers, each driving its own simulator over the shared
-    /// snapshot. Every cluster gets a **fresh** engine at t = 0, so its
-    /// refinement is a pure function of the quiescent platform — the
-    /// result is bit-identical for any thread count and any scheduling
-    /// order (the soundness argument of DESIGN.md §9). Jobs are assigned
-    /// round-robin (`idx % threads`); results merge back in cluster-index
-    /// order, and the modeled mapping time is the makespan: the maximum
-    /// over workers of their summed per-cluster simulated times.
-    fn refine_parallel(
-        &self,
-        topo: &Arc<Topology>,
-        routes: &Arc<RouteTable>,
+        indices: &[usize],
+        external_node: Option<NodeId>,
         master_node: NodeId,
-        jobs: Vec<ClusterJob>,
-        threads: usize,
         stats: &mut ProbeStats,
-    ) -> (Vec<FlatCluster>, f64) {
-        let params = self.config.refine_params();
-        let threads = threads.max(1);
-        let n = jobs.len();
-        let mut refined: Vec<Option<Vec<RefinedCluster>>> = (0..n).map(|_| None).collect();
-        let mut makespan: f64 = 0.0;
-
-        let per_worker: Vec<Vec<RefineItem>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let topo = Arc::clone(topo);
-                    let routes = Arc::clone(routes);
-                    let jobs = &jobs;
-                    let params = &params;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut idx = w;
-                        while idx < n {
-                            if jobs[idx].spliced.is_none() {
-                                let mut eng: Sim =
-                                    Engine::from_snapshot(Arc::clone(&topo), Arc::clone(&routes));
-                                let mut st = ProbeStats::default();
-                                let rcs = refine_cluster(
-                                    &mut eng,
-                                    master_node,
-                                    &jobs[idx].refs,
-                                    params,
-                                    &mut st,
-                                );
-                                let elapsed = eng.now().since(SimTime::ZERO).as_secs();
-                                out.push((idx, rcs, st, elapsed));
-                            }
-                            idx += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("refine worker panicked")).collect()
-        });
-
-        // Merge deterministically: stats in cluster-index order, makespan
-        // as the max worker-local sum of simulated times.
-        let mut fresh: Vec<(usize, Vec<RefinedCluster>, ProbeStats)> = Vec::new();
-        for worker in per_worker {
-            let mut worker_secs = 0.0;
-            for (idx, rcs, st, elapsed) in worker {
-                worker_secs += elapsed;
-                fresh.push((idx, rcs, st));
-            }
-            makespan = makespan.max(worker_secs);
-        }
-        fresh.sort_unstable_by_key(|(idx, _, _)| *idx);
-        for (idx, rcs, st) in fresh {
-            stats.traceroutes += st.traceroutes;
-            stats.bw_probes += st.bw_probes;
-            stats.concurrent_experiments += st.concurrent_experiments;
-            refined[idx] = Some(rcs);
-        }
-
-        let mut flat: Vec<FlatCluster> = Vec::new();
-        for (job, slot) in jobs.into_iter().zip(refined) {
-            let rcs = match job.spliced {
-                Some(spliced) => spliced,
-                None => slot.expect("every fresh job was refined by a worker"),
-            };
-            for rc in rcs {
-                flat.push((job.gateways.clone(), job.routers.clone(), rc));
+    ) -> Vec<(usize, Vec<String>)> {
+        match self {
+            Exec::Live { eng, .. } => indices
+                .iter()
+                .map(|&i| (i, trace_chain(eng, &machines[i], external_node, master_node, stats)))
+                .collect(),
+            Exec::Snapshot { topo, routes, threads, .. } => {
+                let per_worker = on_workers(*threads, |w| {
+                    let mut eng: Sim = Engine::from_snapshot(Arc::clone(topo), Arc::clone(routes));
+                    let mut st = ProbeStats::default();
+                    let mut out = Vec::new();
+                    for &i in indices.iter().skip(w).step_by(*threads) {
+                        let m = &machines[i];
+                        out.push((
+                            i,
+                            trace_chain(&mut eng, m, external_node, master_node, &mut st),
+                        ));
+                    }
+                    (out, st)
+                });
+                let mut traced = Vec::with_capacity(indices.len());
+                for (out, st) in per_worker {
+                    stats.traceroutes += st.traceroutes;
+                    traced.extend(out);
+                }
+                traced
             }
         }
-        (flat, makespan)
     }
+
+    /// Phases 4–7: fill in `refined` for every job not already answered
+    /// by a splice. On a snapshot every cluster gets a **fresh** engine at
+    /// t = 0, so its refinement is a pure function of the quiescent
+    /// platform whatever the thread count or scheduling order; jobs are
+    /// assigned round-robin (`idx % threads`).
+    fn refine(
+        &mut self,
+        master_node: NodeId,
+        jobs: &mut [ClusterJob],
+        params: &RefineParams,
+        stats: &mut ProbeStats,
+    ) {
+        match self {
+            Exec::Live { eng, .. } => {
+                for job in jobs.iter_mut().filter(|j| j.refined.is_none()) {
+                    job.refined = Some(refine_cluster(eng, master_node, &job.refs, params, stats));
+                }
+            }
+            Exec::Snapshot { topo, routes, threads, makespan } => {
+                let shared = &*jobs;
+                let per_worker = on_workers(*threads, |w| {
+                    let mut out = Vec::new();
+                    for (idx, job) in shared.iter().enumerate().skip(w).step_by(*threads) {
+                        if job.refined.is_some() {
+                            continue;
+                        }
+                        let mut eng: Sim =
+                            Engine::from_snapshot(Arc::clone(topo), Arc::clone(routes));
+                        let mut st = ProbeStats::default();
+                        let rcs = refine_cluster(&mut eng, master_node, &job.refs, params, &mut st);
+                        out.push((idx, rcs, st, eng.now().since(SimTime::ZERO).as_secs()));
+                    }
+                    out
+                });
+                for worker in per_worker {
+                    let mut worker_secs = 0.0;
+                    for (idx, rcs, st, elapsed) in worker {
+                        worker_secs += elapsed;
+                        stats.traceroutes += st.traceroutes;
+                        stats.bw_probes += st.bw_probes;
+                        stats.concurrent_experiments += st.concurrent_experiments;
+                        jobs[idx].refined = Some(rcs);
+                    }
+                    *makespan = makespan.max(worker_secs);
+                }
+            }
+        }
+    }
+
+    fn mapping_seconds(&self) -> f64 {
+        match self {
+            Exec::Live { eng, t_start } => eng.now().since(*t_start).as_secs(),
+            Exec::Snapshot { makespan, .. } => *makespan,
+        }
+    }
+}
+
+/// Run `work(w)` for `w` in `0..threads` on scoped worker threads and
+/// return the results in worker order.
+fn on_workers<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (0..threads).map(|w| s.spawn(move || work(w))).collect();
+        handles.into_iter().map(|h| h.join().expect("mapping worker panicked")).collect()
+    })
 }
 
 /// A refined net ready for assembly: the gateway/router chains it hangs
 /// under plus the refined cluster itself.
 type FlatCluster = (Vec<String>, Vec<String>, RefinedCluster);
 
-/// One worker's result for one cluster job: the job index, its refined
-/// nets, the probes it issued, and the simulated seconds it consumed.
-type RefineItem = (usize, Vec<RefinedCluster>, ProbeStats, f64);
-
 /// One structural cluster's refinement work order: the gateway/router
-/// chains it hangs under, the member hosts to probe, and — on the
-/// incremental path — a pre-answered result spliced from a previous run.
+/// chains it hangs under, the member hosts to probe, and the answer —
+/// pre-filled when spliced from a previous run, otherwise filled in by
+/// the executor.
 struct ClusterJob {
     gateways: Vec<String>,
     routers: Vec<String>,
     refs: Vec<RefHost>,
-    spliced: Option<Vec<RefinedCluster>>,
+    refined: Option<Vec<RefinedCluster>>,
 }
 
 /// Turn the structural tree into an ordered list of refinement jobs.
-/// Pure planning — no probes are issued — so the serial and parallel
-/// executors consume the exact same job list in the exact same order.
+/// Pure planning — no probes are issued — so both executors consume the
+/// exact same job list in the exact same order.
 fn plan_clusters(
     machines: &[MachineRecord],
     master_rec: &MachineRecord,
@@ -647,8 +534,8 @@ fn plan_clusters(
         if refs.is_empty() {
             continue;
         }
-        let spliced = reuse(&refs);
-        jobs.push(ClusterJob { gateways, routers, refs, spliced });
+        let refined = reuse(&refs);
+        jobs.push(ClusterJob { gateways, routers, refs, refined });
     }
     jobs
 }
@@ -681,18 +568,6 @@ fn master_record(machines: &[MachineRecord], master: &str) -> NetResult<MachineR
         .find(|m| m.name == master || m.aliases.iter().any(|a| a == master))
         .cloned()
         .ok_or_else(|| NetError::NameNotFound(format!("master {master} not in host list")))
-}
-
-/// Resolve the optional external traceroute target.
-fn resolve_external(topo: &Topology, external: Option<&str>) -> NetResult<Option<NodeId>> {
-    match external {
-        Some(name) => Ok(Some(
-            topo.node_by_name(name)
-                .or_else(|| name.parse().ok().and_then(|ip| topo.node_by_ip(ip)))
-                .ok_or_else(|| NetError::NameNotFound(name.to_string()))?,
-        )),
-        None => Ok(None),
-    }
 }
 
 /// One host's structural traceroute, as an outermost-first key chain
@@ -734,99 +609,80 @@ fn trace_chain<M>(
     }
 }
 
-/// Fan traceroute chains out across `threads` workers, one shared-snapshot
-/// simulator per worker. Only the machines named by `indices` are traced
-/// (the incremental path passes just the dirty set). Traceroutes are pure
-/// path walks — they never advance the simulated clock — so per-worker
-/// engines and round-robin assignment yield chains bit-identical to the
-/// serial loop's, returned in machine-index order.
-#[allow(clippy::too_many_arguments)]
-fn trace_parallel(
-    topo: &Arc<Topology>,
-    routes: &Arc<RouteTable>,
-    machines: &[MachineRecord],
-    indices: &[usize],
-    external_node: Option<NodeId>,
-    master_node: NodeId,
-    threads: usize,
-    stats: &mut ProbeStats,
-) -> Vec<(usize, Vec<String>)> {
-    let threads = threads.max(1);
-    type TraceOut = (Vec<(usize, Vec<String>)>, ProbeStats);
-    let per_worker: Vec<TraceOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let topo = Arc::clone(topo);
-                let routes = Arc::clone(routes);
-                s.spawn(move || {
-                    let mut eng: Sim = Engine::from_snapshot(topo, routes);
-                    let mut st = ProbeStats::default();
-                    let mut out = Vec::new();
-                    let mut k = w;
-                    while k < indices.len() {
-                        let i = indices[k];
-                        out.push((
-                            i,
-                            trace_chain(
-                                &mut eng,
-                                &machines[i],
-                                external_node,
-                                master_node,
-                                &mut st,
-                            ),
-                        ));
-                        k += threads;
-                    }
-                    (out, st)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("trace worker panicked")).collect()
-    });
-
-    let mut traced: Vec<(usize, Vec<String>)> = Vec::with_capacity(indices.len());
-    for (out, st) in per_worker {
-        stats.traceroutes += st.traceroutes;
-        traced.extend(out);
-    }
-    traced.sort_unstable_by_key(|&(i, _)| i);
-    traced
+/// What an incremental run may take from the previous one instead of
+/// probing for it.
+struct Reuse<'a> {
+    /// Declared dirty, plus anything the previous run never saw (joiners
+    /// are dirty by definition).
+    dirty: BTreeSet<&'a str>,
+    /// host → its traceroute chain in the previous structural tree.
+    chain_of: BTreeMap<String, Vec<String>>,
+    flat: Vec<FlatNet<'a>>,
+    /// host → index into `flat` of the previous refined cluster holding it.
+    net_of: BTreeMap<&'a str, usize>,
 }
 
-/// The incremental path's reuse rule, shared by [`EnvMapper::remap`] and
-/// [`EnvMapper::remap_parallel`]: a structural cluster is spliced from the
-/// previous view iff no member is dirty and its member set is exactly a
-/// union of previous refined clusters (each previous cluster fully inside
-/// it). Everything else re-refines from scratch.
-fn splice_decision(
-    refs: &[RefHost],
-    dirty_set: &BTreeSet<&str>,
-    prev_flat: &[FlatNet<'_>],
-    prev_net_of: &BTreeMap<&str, usize>,
-) -> Option<Vec<RefinedCluster>> {
-    if refs.iter().any(|h| dirty_set.contains(h.name.as_str())) {
-        return None;
-    }
-    let mut net_ids: Vec<usize> = Vec::new();
-    for h in refs {
-        match prev_net_of.get(h.name.as_str()) {
-            Some(&i) => {
-                if !net_ids.contains(&i) {
-                    net_ids.push(i);
-                }
+impl<'a> Reuse<'a> {
+    fn new(prev: &'a EnvRun, dirty: &'a [String], machines: &'a [MachineRecord]) -> Self {
+        let mut dirty: BTreeSet<&str> = dirty.iter().map(String::as_str).collect();
+        for m in machines {
+            if prev.machine(&m.name).is_none() {
+                dirty.insert(m.name.as_str());
             }
-            None => return None, // previously unplaced
         }
+        let mut chain_of = BTreeMap::new();
+        for (chain, cluster_hosts) in prev.structural.clusters() {
+            for h in cluster_hosts {
+                chain_of.insert(h, chain.clone());
+            }
+        }
+        let flat = prev.view.flatten();
+        let mut net_of = BTreeMap::new();
+        for (i, f) in flat.iter().enumerate() {
+            for h in &f.net.hosts {
+                net_of.insert(h.as_str(), i);
+            }
+        }
+        Reuse { dirty, chain_of, flat, net_of }
     }
-    // Exact cover: every ref is in some previous cluster, and those
-    // clusters hold no host outside this one (sizes match because a
-    // view's clusters partition its hosts).
-    let total: usize = net_ids.iter().map(|&i| prev_flat[i].net.hosts.len()).sum();
-    if total != refs.len() {
-        return None;
+
+    /// A clean host's previous traceroute chain.
+    fn chain(&self, host: &str) -> Option<Vec<String>> {
+        if self.dirty.contains(host) {
+            return None;
+        }
+        self.chain_of.get(host).cloned()
     }
-    net_ids.sort_unstable(); // pre-order, deterministic
-    Some(net_ids.iter().map(|&i| splice_cluster(prev_flat[i].net, refs)).collect())
+
+    /// The reuse rule for refinement: a structural cluster is spliced from
+    /// the previous view iff no member is dirty and its member set is
+    /// exactly a union of previous refined clusters (each previous cluster
+    /// fully inside it). Everything else re-refines from scratch.
+    fn splice(&self, refs: &[RefHost]) -> Option<Vec<RefinedCluster>> {
+        if refs.iter().any(|h| self.dirty.contains(h.name.as_str())) {
+            return None;
+        }
+        let mut net_ids: Vec<usize> = Vec::new();
+        for h in refs {
+            match self.net_of.get(h.name.as_str()) {
+                Some(&i) => {
+                    if !net_ids.contains(&i) {
+                        net_ids.push(i);
+                    }
+                }
+                None => return None, // previously unplaced
+            }
+        }
+        // Exact cover: every ref is in some previous cluster, and those
+        // clusters hold no host outside this one (sizes match because a
+        // view's clusters partition its hosts).
+        let total: usize = net_ids.iter().map(|&i| self.flat[i].net.hosts.len()).sum();
+        if total != refs.len() {
+            return None;
+        }
+        net_ids.sort_unstable(); // pre-order, deterministic
+        Some(net_ids.iter().map(|&i| splice_cluster(self.flat[i].net, refs)).collect())
+    }
 }
 
 /// Reconstruct a previous effective network as a refined cluster, so the

@@ -127,3 +127,46 @@ fn noop_remap_is_free_and_identical() {
         assert_eq!(again.stats.total_experiments(), 0, "{}", family.name());
     }
 }
+
+/// A full map is the incremental one with nothing to reuse: on two fresh
+/// engines, both at t = 0, `remap` with every host declared dirty and
+/// `map` issue the same probes at the same instants, so the views agree
+/// to the last bit of every float and the probe bills are equal.
+#[test]
+fn all_dirty_remap_is_bit_identical_to_map() {
+    for family in SynthFamily::ALL {
+        let sc = synth(family, 11, 60);
+        let mapper = EnvMapper::new(EnvConfig::fast_batched());
+        let st = ChurnState::new(&sc, 1);
+        let (hosts, master, external) =
+            (inputs(st.hosts()), st.master.clone(), st.external.clone());
+        let fresh = || Sim::new(sc.net.topo.clone());
+
+        let prev = mapper.map(&mut fresh(), &hosts, &master, external.as_deref()).unwrap();
+        let full = mapper.map(&mut fresh(), &hosts, &master, external.as_deref()).unwrap();
+        let all_dirty = mapper
+            .remap(&mut fresh(), &prev, &hosts, st.hosts(), &master, external.as_deref())
+            .unwrap();
+
+        assert_eq!(all_dirty.view, full.view, "{}", family.name());
+        let bits = |run: &envmap::EnvRun| -> Vec<[Option<u64>; 3]> {
+            let opt = |x: Option<f64>| x.map(f64::to_bits);
+            run.view
+                .flatten()
+                .iter()
+                .map(|f| {
+                    [opt(Some(f.net.base_bw_mbps)), opt(f.net.local_bw_mbps), opt(f.net.jam_ratio)]
+                })
+                .collect()
+        };
+        assert_eq!(bits(&all_dirty), bits(&full), "{}", family.name());
+        assert_eq!(all_dirty.stats, full.stats, "{}", family.name());
+        assert_eq!(
+            all_dirty.stats.mapping_seconds.to_bits(),
+            full.stats.mapping_seconds.to_bits(),
+            "{}",
+            family.name()
+        );
+        assert!(full.stats.total_experiments() > 0);
+    }
+}

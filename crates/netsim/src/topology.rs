@@ -405,6 +405,14 @@ impl Topology {
         self.ip_table.binary_search_by_key(&ip, |&(i, _)| i).ok().map(|i| self.ip_table[i].1)
     }
 
+    /// Resolve a host given the way users give hosts — a DNS name, or a
+    /// bare dotted-quad address for a machine without one (paper §4.3).
+    pub fn resolve_host(&self, host: &str) -> NetResult<NodeId> {
+        self.node_by_name(host)
+            .or_else(|| host.parse::<Ipv4>().ok().and_then(|ip| self.node_by_ip(ip)))
+            .ok_or_else(|| NetError::NameNotFound(host.to_string()))
+    }
+
     /// The interface of node `n` bound to link `l` (used by traceroute to
     /// report the address facing the previous hop).
     pub fn iface_on_link(&self, n: NodeId, l: LinkId) -> Option<&Iface> {

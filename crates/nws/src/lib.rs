@@ -27,6 +27,7 @@
 
 pub mod clique;
 pub mod forecast;
+pub mod forecaster;
 pub mod hostload;
 pub mod memory;
 pub mod msg;
@@ -34,6 +35,7 @@ pub mod persist;
 pub mod registry;
 pub mod sensor;
 pub mod series;
+pub mod series_state;
 pub mod serve;
 pub mod shard;
 pub mod supervisor;
@@ -43,8 +45,9 @@ pub mod wal;
 pub use clique::CliqueRetarget;
 pub use forecast::{Forecast, ForecasterBattery};
 pub use msg::{NwsMsg, Resource, SeriesKey};
-pub use persist::{ForecastLog, MemoryLog, RecoveredSeries};
+pub use persist::{ForecastLog, MemoryLog};
 pub use series::{Series, SeriesPoint};
+pub use series_state::SeriesState;
 pub use serve::{MetricsSnapshot, ServingPlane, ShardSnapshot};
 pub use shard::ShardMap;
 pub use supervisor::{SupervisorConfig, SupervisorHandle, SupervisorState};

@@ -39,6 +39,7 @@ use crate::forecast::ForecasterBattery;
 use crate::memory::{MemoryStore, SeenSeqs};
 use crate::msg::{Resource, SeriesKey};
 use crate::series::Series;
+use crate::series_state::SeriesState;
 use crate::wal::{
     append_record, decode_snapshot, encode_snapshot, put_f64, put_str, put_u32, put_u64, put_u8,
     scan_wal, ByteReader,
@@ -374,55 +375,6 @@ impl MemoryLog {
 const REC_OBSERVE: u8 = 0x11;
 const REC_REWIND: u8 = 0x12;
 
-fn encode_battery(b: &mut Vec<u8>, bat: &ForecasterBattery) {
-    let (sq, ab, ns, samples) = bat.scores();
-    let states = bat.save_states();
-    put_u64(b, samples);
-    put_u32(b, states.len() as u32);
-    for (i, state) in states.iter().enumerate() {
-        put_f64(b, sq[i]);
-        put_f64(b, ab[i]);
-        put_u64(b, ns[i]);
-        put_u32(b, state.len() as u32);
-        for &v in state {
-            put_f64(b, v);
-        }
-    }
-}
-
-fn decode_battery(r: &mut ByteReader<'_>) -> Option<ForecasterBattery> {
-    let samples = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut sq = Vec::with_capacity(n);
-    let mut ab = Vec::with_capacity(n);
-    let mut ns = Vec::with_capacity(n);
-    let mut states = Vec::with_capacity(n);
-    for _ in 0..n {
-        sq.push(r.f64()?);
-        ab.push(r.f64()?);
-        ns.push(r.u64()?);
-        let len = r.u32()? as usize;
-        let mut state = Vec::with_capacity(len);
-        for _ in 0..len {
-            state.push(r.f64()?);
-        }
-        states.push(state);
-    }
-    let mut bat = ForecasterBattery::classic();
-    bat.restore_states(&states);
-    bat.restore_scores(&sq, &ab, &ns, samples);
-    Some(bat)
-}
-
-/// One recovered forecaster series: the battery and the delta-fetch
-/// watermark. The memory pid is deliberately *not* part of durable state
-/// — pids do not survive restarts; the recovered forecaster re-resolves
-/// its memory through the name server (`WhereIs`) on the next query.
-pub struct RecoveredSeries {
-    pub battery: ForecasterBattery,
-    pub last_t: f64,
-}
-
 /// Durable state of one forecaster.
 #[derive(Debug)]
 pub struct ForecastLog {
@@ -432,20 +384,19 @@ pub struct ForecastLog {
 impl ForecastLog {
     /// Rebuild every series' battery + watermark from `disk`. Same shape
     /// as [`MemoryLog::recover`], including the trailing compaction.
-    pub fn recover(disk: DiskHandle, name: &str) -> (BTreeMap<SeriesKey, RecoveredSeries>, Self) {
+    pub fn recover(disk: DiskHandle, name: &str) -> (BTreeMap<SeriesKey, SeriesState>, Self) {
         let (files, snapshot, records) = LogFiles::open(disk, name);
-        let mut state: BTreeMap<SeriesKey, RecoveredSeries> = BTreeMap::new();
+        let mut state: BTreeMap<SeriesKey, SeriesState> = BTreeMap::new();
         let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         if let Some((_, body)) = snapshot {
             let mut r = ByteReader::new(&body);
             if let Some(n) = r.u32() {
                 for _ in 0..n {
-                    let (Some(key), Some(last_t), Some(battery)) =
-                        (read_key(&mut r), r.f64(), decode_battery(&mut r))
+                    let (Some(key), Some(series)) = (read_key(&mut r), SeriesState::decode(&mut r))
                     else {
                         break;
                     };
-                    state.insert(key, RecoveredSeries { battery, last_t });
+                    state.insert(key, series);
                 }
             }
         }
@@ -455,7 +406,7 @@ impl ForecastLog {
             }
         }
         let mut log = ForecastLog { files };
-        log.compact(state.iter().map(|(k, s)| (k, &s.battery, s.last_t)));
+        log.compact(state.iter().map(|(k, s)| (k, s.battery(), s.last_t())));
         (state, log)
     }
 
@@ -497,8 +448,7 @@ impl ForecastLog {
         put_u32(&mut body, items.len() as u32);
         for (key, battery, last_t) in items {
             put_key(&mut body, key);
-            put_f64(&mut body, last_t);
-            encode_battery(&mut body, battery);
+            SeriesState::encode(&mut body, battery, last_t);
         }
         self.files.write_snapshot(&body);
         self.files.publish_snapshot();
@@ -510,7 +460,12 @@ impl ForecastLog {
     }
 }
 
-fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, RecoveredSeries>, payload: &[u8]) {
+/// Replay one forecaster WAL record through the same [`SeriesState`]
+/// calls the live `FetchReply` handler makes. Observe records are written
+/// post-guard (watermark-advancing points only) and a rewind record
+/// resets the watermark before the re-fetched older points follow, so the
+/// guarded `observe` takes every replayed point exactly as live did.
+fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, SeriesState>, payload: &[u8]) {
     let mut r = ByteReader::new(payload);
     let Some(tag) = r.u8() else { return };
     match tag {
@@ -518,32 +473,13 @@ fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, RecoveredSeries>, paylo
             let (Some(key), Some(t), Some(v)) = (read_key(&mut r), r.f64(), r.f64()) else {
                 return;
             };
-            let s = state.entry(key).or_insert_with(|| RecoveredSeries {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
-            // Observe records are only written for watermark-advancing
-            // points, so replaying them verbatim reproduces the live
-            // battery and watermark exactly.
-            s.battery.observe(v);
-            s.last_t = t;
+            state.entry(key).or_insert_with(SeriesState::fresh).observe(t, v);
         }
         REC_REWIND => {
             let Some(key) = read_key(&mut r) else { return };
-            let s = state.entry(key).or_insert_with(|| RecoveredSeries {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
-            s.battery = ForecasterBattery::classic();
-            s.last_t = f64::NEG_INFINITY;
+            state.entry(key).or_insert_with(SeriesState::fresh).rewind();
         }
         _ => {}
-    }
-}
-
-impl std::fmt::Debug for RecoveredSeries {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveredSeries").field("last_t", &self.last_t).finish_non_exhaustive()
     }
 }
 
@@ -672,31 +608,26 @@ mod tests {
         let disk = SimDisk::new("h");
         let (state, mut log) = ForecastLog::recover(disk.clone(), "fc");
         assert!(state.is_empty());
-        let mut live: BTreeMap<SeriesKey, RecoveredSeries> = BTreeMap::new();
+        let mut live: BTreeMap<SeriesKey, SeriesState> = BTreeMap::new();
         let k = key(0);
         for i in 1..=60 {
             let (t, v) = (i as f64, 40.0 + (i % 7) as f64);
-            let s = live.entry(k.clone()).or_insert_with(|| RecoveredSeries {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
-            s.battery.observe(v);
-            s.last_t = t;
+            live.entry(k.clone()).or_insert_with(SeriesState::fresh).observe(t, v);
             log.log_observe(&k, t, v);
             if i == 30 {
                 // Mid-stream compaction: snapshot + truncate.
-                log.compact(live.iter().map(|(k, s)| (k, &s.battery, s.last_t)));
+                log.compact(live.iter().map(|(k, s)| (k, s.battery(), s.last_t())));
             }
         }
         log.sync();
         disk.borrow_mut().crash();
         let (recovered, _) = ForecastLog::recover(disk, "fc");
         let (a, b) = (&recovered[&k], &live[&k]);
-        assert_eq!(a.last_t, b.last_t);
-        assert_eq!(a.battery.save_states(), b.battery.save_states());
+        assert_eq!(a.last_t(), b.last_t());
+        assert_eq!(a.battery().save_states(), b.battery().save_states());
         assert_eq!(
-            a.battery.forecast().map(|f| f.value.to_bits()),
-            b.battery.forecast().map(|f| f.value.to_bits()),
+            a.forecast().map(|f| f.value.to_bits()),
+            b.forecast().map(|f| f.value.to_bits()),
             "recovered forecast must be bit-identical"
         );
     }
@@ -714,7 +645,7 @@ mod tests {
         log.sync();
         let (state, _) = ForecastLog::recover(disk, "fc");
         let s = &state[&k];
-        assert_eq!(s.last_t, 1.0);
-        assert_eq!(s.battery.scores().3, 1, "battery restarted after rewind");
+        assert_eq!(s.last_t(), 1.0);
+        assert_eq!(s.battery().scores().3, 1, "battery restarted after rewind");
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * **Shards** ([`crate::shard::ShardMap`]) partition series across N
 //!   independent forecaster shards, clique-aligned so one clique's series
-//!   co-locate. Each shard owns the mutable per-series battery state
-//!   (20-predictor [`ForecasterBattery`] + delta watermark) for its keys.
+//!   co-locate. Each shard owns the mutable per-series [`SeriesState`]
+//!   (20-predictor battery + delta watermark) for its keys.
 //! * **Epoch publication**: [`ServingPlane::ingest_store`] pulls only the
 //!   points newer than each series' ingest watermark (O(Δ), the PR-3
 //!   delta-fetch discipline applied out-of-sim), buffering them on the
@@ -34,9 +34,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::forecast::{Forecast, ForecasterBattery};
+use crate::forecast::Forecast;
 use crate::memory::MemoryStore;
 use crate::msg::SeriesKey;
+use crate::series_state::SeriesState;
 use crate::shard::ShardMap;
 
 /// What a snapshot serves for one series: the forecast precomputed at
@@ -74,15 +75,9 @@ impl ShardSnapshot {
     }
 }
 
-/// Per-series mutable state owned by exactly one shard.
-struct SeriesSlot {
-    battery: ForecasterBattery,
-    last_t: f64,
-}
-
 /// One shard's mutable half: batteries plus the epoch's pending deltas.
 struct ShardState {
-    slots: BTreeMap<SeriesKey, SeriesSlot>,
+    slots: BTreeMap<SeriesKey, SeriesState>,
     /// Points ingested since the last publish, in ingest order (memory
     /// stores iterate key-sorted, so this order is deterministic).
     pending: Vec<(SeriesKey, Vec<(f64, f64)>)>,
@@ -97,23 +92,15 @@ impl ShardState {
     /// Observe the pending deltas and emit the new snapshot's entries.
     fn apply_and_snapshot(&mut self) -> Vec<(SeriesKey, SeriesView)> {
         for (key, points) in self.pending.drain(..) {
-            let slot = self.slots.entry(key).or_insert_with(|| SeriesSlot {
-                battery: ForecasterBattery::classic(),
-                last_t: f64::NEG_INFINITY,
-            });
+            let slot = self.slots.entry(key).or_insert_with(SeriesState::fresh);
             for (t, v) in points {
-                if t > slot.last_t {
-                    slot.last_t = t;
-                    slot.battery.observe(v);
-                }
+                slot.observe(t, v);
             }
         }
         self.pending_points = 0;
         self.slots
             .iter()
-            .map(|(k, s)| {
-                (k.clone(), SeriesView { forecast: s.battery.forecast(), last_t: s.last_t })
-            })
+            .map(|(k, s)| (k.clone(), SeriesView { forecast: s.forecast(), last_t: s.last_t() }))
             .collect()
     }
 }
@@ -450,6 +437,7 @@ impl ServingPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecast::ForecasterBattery;
     use crate::msg::Resource;
 
     fn key(i: usize) -> SeriesKey {

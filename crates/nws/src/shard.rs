@@ -16,18 +16,10 @@
 
 use std::collections::BTreeMap;
 
+use netsim::disk::fnv1a64;
+
 use crate::msg::SeriesKey;
 use crate::system::CliqueSpec;
-
-/// FNV-1a 64 — the workspace's standard deterministic string hash.
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Deterministic series → shard routing table.
 #[derive(Debug, Clone)]
@@ -69,7 +61,7 @@ impl ShardMap {
     pub fn shard_of(&self, key: &SeriesKey) -> usize {
         match self.host_shard.get(&key.src) {
             Some(&s) => s as usize,
-            None => (fnv1a64(&key.src) % self.shards as u64) as usize,
+            None => (fnv1a64(key.src.as_bytes()) % self.shards as u64) as usize,
         }
     }
 

@@ -1,462 +1,25 @@
-//! Deployment and wiring of a whole NWS system, plus the forecaster and
-//! client processes completing the query path of paper §2.1.
+//! Deployment and wiring of a whole NWS system: the specs the planner
+//! emits and [`NwsSystem`], which deploys, reconfigures, supervises and
+//! queries them on the simulator. The forecaster process and its clients
+//! live in [`crate::forecaster`].
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use netsim::disk::{DiskHandle, DiskRegistry};
-use netsim::engine::{Ctx, Engine, Process, ProcessId, TimerId};
+use netsim::disk::DiskRegistry;
+use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
 
 use crate::clique::{CliqueMembership, CliqueRetarget};
-use crate::forecast::{Forecast, ForecasterBattery};
+use crate::forecast::Forecast;
+use crate::forecaster::{BatchClient, Client, ForecasterServer};
 use crate::memory::{MemoryHandle, MemoryServer};
-use crate::msg::{NwsMsg, SeriesKey, ServerKind};
-use crate::persist::ForecastLog;
+use crate::msg::{NwsMsg, SeriesKey};
 use crate::registry::{NameServer, RegistryHandle};
 use crate::sensor::{FreeRun, HostSense, Sensor, SensorConfig};
 use crate::series::Series;
 use crate::supervisor::{SupervisorConfig, SupervisorHandle, SupervisorProc, SupervisorState};
-
-/// Persistent forecasting state for one series: the battery that has
-/// observed every point fetched so far, the newest observed timestamp
-/// (the delta-fetch watermark) and the memory server that stores the
-/// series (cached from the first directory lookup). The memory pid is
-/// `None` right after a recovery from disk — pids do not survive
-/// restarts, so a recovered series re-resolves its home through the
-/// name server on the next query.
-struct SeriesState {
-    battery: ForecasterBattery,
-    last_t: f64,
-    memory: Option<ProcessId>,
-}
-
-/// One party waiting for a key to resolve: a single-query client (owed a
-/// `QueryReply`) or one slot of a pending [`NwsMsg::QueryBatch`].
-enum Waiter {
-    Client(ProcessId),
-    BatchSlot { batch: u64, slot: usize },
-}
-
-/// The single-flight table entry for one key: every pending query —
-/// single or batched — parks here while at most **one** lookup/fetch
-/// round trip is in flight for the key. `asked` is the waiter prefix
-/// covered by that round trip; only that prefix may be answered from a
-/// negative directory reply — a waiter that queued *after* the `WhereIs`
-/// left may be asking about a series registered in the meantime, so its
-/// lookup is re-issued instead of reusing the stale negative.
-#[derive(Default)]
-struct Waiting {
-    waiters: VecDeque<Waiter>,
-    asked: usize,
-}
-
-/// A client's in-progress `QueryBatch`: answer slots fill in as each key
-/// resolves (shared with any concurrent single queries through the
-/// single-flight table); when `remaining` hits zero, one
-/// `QueryBatchReply` carries every slot back.
-struct PendingBatch {
-    client: ProcessId,
-    id: u64,
-    answers: Vec<(SeriesKey, Option<Forecast>)>,
-    remaining: usize,
-}
-
-/// The forecaster process: answers `Query` by locating the series' memory
-/// through the name server (step 2), fetching the history (step 3),
-/// running the battery and replying (step 4).
-///
-/// The query path is incremental end to end: each series keeps a
-/// persistent [`SeriesState`], so a query fetches (`FetchSince`) and
-/// observes only the points newer than the watermark — O(Δ) work and
-/// wire bytes — instead of shipping the whole ring and replaying it
-/// through a fresh 20-predictor battery. Replaying the stored ring into a
-/// fresh battery produces the bit-identical forecast (the oracle the
-/// scaling bench asserts against) as long as the ring has not evicted
-/// points the persistent battery already saw.
-pub struct ForecasterServer {
-    name: String,
-    ns: ProcessId,
-    state: BTreeMap<SeriesKey, SeriesState>,
-    waiting: BTreeMap<SeriesKey, Waiting>,
-    /// How long an in-flight lookup/fetch may go unanswered before the
-    /// waiting clients are served from the persistent battery, flagged
-    /// stale, instead of hanging (outage tolerance).
-    pub query_timeout: TimeDelta,
-    next_timeout_tag: u64,
-    /// In-flight request timeouts, both directions: key → armed timer and
-    /// timer tag → key (timer tags are plain u64s, so the reverse map
-    /// routes `on_timer` back to the series).
-    timeout_by_key: BTreeMap<SeriesKey, (TimerId, u64)>,
-    key_by_tag: BTreeMap<u64, SeriesKey>,
-    /// Stale forecasts served during outages (for tests/benches).
-    pub stale_served: u64,
-    /// Queries that joined an already in-flight lookup/fetch instead of
-    /// issuing their own (the single-flight coalescing win, for
-    /// tests/benches).
-    pub coalesced: u64,
-    /// Completed `QueryBatch` replies.
-    pub batches_served: u64,
-    /// In-progress batches by internal handle (client pids may collide on
-    /// their `id`s; the handle is ours).
-    batches: BTreeMap<u64, PendingBatch>,
-    next_batch: u64,
-    /// Watermark rewinds: times a fetch reply revealed a memory restored
-    /// to an *older* state than this forecaster had already observed, and
-    /// the battery was reset + the series re-fetched from scratch instead
-    /// of silently forecasting across the gap.
-    pub rewinds: u64,
-    /// Durable observation log, when the forecaster owns a disk.
-    log: Option<ForecastLog>,
-}
-
-impl ForecasterServer {
-    pub fn new(name: &str, ns: ProcessId) -> Self {
-        ForecasterServer {
-            name: name.to_string(),
-            ns,
-            state: BTreeMap::new(),
-            waiting: BTreeMap::new(),
-            query_timeout: TimeDelta::from_secs(5.0),
-            next_timeout_tag: 0,
-            timeout_by_key: BTreeMap::new(),
-            key_by_tag: BTreeMap::new(),
-            stale_served: 0,
-            coalesced: 0,
-            batches_served: 0,
-            batches: BTreeMap::new(),
-            next_batch: 0,
-            rewinds: 0,
-            log: None,
-        }
-    }
-
-    /// A durable forecaster: battery state and delta-fetch watermarks are
-    /// recovered from `disk` (snapshot + WAL replay, empty disk ⇒ cold
-    /// start) and every observation is logged back to it. Memory pids are
-    /// not part of the durable state — recovered series re-resolve their
-    /// memory through the name server on the next query.
-    pub fn durable(name: &str, ns: ProcessId, disk: DiskHandle) -> Self {
-        let (recovered, log) = ForecastLog::recover(disk, "forecaster");
-        let mut fc = ForecasterServer::new(name, ns);
-        fc.state = recovered
-            .into_iter()
-            .map(|(k, r)| (k, SeriesState { battery: r.battery, last_t: r.last_t, memory: None }))
-            .collect();
-        fc.log = Some(log);
-        fc
-    }
-
-    /// Tune the durable WAL's compaction threshold (bytes). No-op on a
-    /// volatile forecaster.
-    pub fn set_compact_threshold(&mut self, bytes: u64) {
-        if let Some(log) = &mut self.log {
-            log.set_compact_threshold(bytes);
-        }
-    }
-
-    fn arm_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        if self.timeout_by_key.contains_key(key) {
-            return; // one timeout covers the whole lookup+fetch round trip
-        }
-        let tag = self.next_timeout_tag;
-        self.next_timeout_tag += 1;
-        let id = ctx.set_timer(self.query_timeout, tag);
-        self.timeout_by_key.insert(key.clone(), (id, tag));
-        self.key_by_tag.insert(tag, key.clone());
-    }
-
-    fn clear_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        if let Some((id, tag)) = self.timeout_by_key.remove(key) {
-            ctx.cancel_timer(id);
-            self.key_by_tag.remove(&tag);
-        }
-    }
-
-    fn send_fetch_since(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        let st = &self.state[key];
-        let Some(memory) = st.memory else { return };
-        let f = NwsMsg::FetchSince { key: key.clone(), after: st.last_t };
-        let size = f.wire_size();
-        let _ = ctx.send(memory, size, f);
-    }
-
-    fn send_where_is(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        let q = NwsMsg::WhereIs { key: key.clone() };
-        let size = q.wire_size();
-        let _ = ctx.send(self.ns, size, q);
-    }
-
-    /// Park a waiter on `key`, starting a lookup/fetch round trip only if
-    /// none is in flight (the single-flight discipline). A known series
-    /// goes straight to its memory for the delta; a never-seen key — or
-    /// one recovered from disk with no cached memory pid — pays the
-    /// directory round trip.
-    fn enqueue(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: SeriesKey, waiter: Waiter) {
-        let w = self.waiting.entry(key.clone()).or_default();
-        w.waiters.push_back(waiter);
-        if w.asked == 0 {
-            w.asked = w.waiters.len();
-            if self.state.get(&key).is_some_and(|st| st.memory.is_some()) {
-                self.send_fetch_since(ctx, &key);
-            } else {
-                self.send_where_is(ctx, &key);
-            }
-            self.arm_timeout(ctx, &key);
-        } else {
-            self.coalesced += 1;
-        }
-    }
-
-    /// Deliver one key's answer to one waiter: a client gets its
-    /// `QueryReply` immediately; a batch slot fills in, and the batch
-    /// replies once its last slot resolves.
-    fn answer(
-        &mut self,
-        ctx: &mut Ctx<'_, NwsMsg>,
-        key: &SeriesKey,
-        w: Waiter,
-        f: &Option<Forecast>,
-    ) {
-        match w {
-            Waiter::Client(c) => {
-                let r = NwsMsg::QueryReply { key: key.clone(), forecast: f.clone() };
-                let size = r.wire_size();
-                let _ = ctx.send(c, size, r);
-            }
-            Waiter::BatchSlot { batch, slot } => {
-                let Some(b) = self.batches.get_mut(&batch) else { return };
-                b.answers[slot].1 = f.clone();
-                b.remaining -= 1;
-                if b.remaining == 0 {
-                    let b = self.batches.remove(&batch).expect("pending batch");
-                    let r = NwsMsg::QueryBatchReply { id: b.id, forecasts: b.answers };
-                    let size = r.wire_size();
-                    let _ = ctx.send(b.client, size, r);
-                    self.batches_served += 1;
-                }
-            }
-        }
-    }
-}
-
-impl Process<NwsMsg> for ForecasterServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let reg = NwsMsg::Register { name: self.name.clone(), kind: ServerKind::Forecaster };
-        let size = reg.wire_size();
-        let _ = ctx.send(self.ns, size, reg);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
-        match msg {
-            NwsMsg::Query { key } => {
-                self.enqueue(ctx, key, Waiter::Client(from));
-            }
-            NwsMsg::QueryBatch { id, keys } => {
-                if keys.is_empty() {
-                    let r = NwsMsg::QueryBatchReply { id, forecasts: Vec::new() };
-                    let size = r.wire_size();
-                    let _ = ctx.send(from, size, r);
-                    self.batches_served += 1;
-                    return;
-                }
-                let batch = self.next_batch;
-                self.next_batch += 1;
-                let remaining = keys.len();
-                let answers: Vec<(SeriesKey, Option<Forecast>)> =
-                    keys.iter().map(|k| (k.clone(), None)).collect();
-                self.batches.insert(batch, PendingBatch { client: from, id, answers, remaining });
-                // Duplicate keys in one batch share a single-flight entry
-                // (and any in-flight fetch from other queries) like every
-                // other waiter.
-                for (slot, key) in keys.into_iter().enumerate() {
-                    self.enqueue(ctx, key, Waiter::BatchSlot { batch, slot });
-                }
-            }
-            NwsMsg::WhereIsReply { key, memory } => match memory {
-                Some(mem) => {
-                    // No prefix accounting here: the eventual FetchReply
-                    // forecast is fresh enough for every waiting client,
-                    // including post-lookup joiners, and answers them all.
-                    self.state
-                        .entry(key.clone())
-                        .and_modify(|st| st.memory = Some(mem))
-                        .or_insert_with(|| SeriesState {
-                            battery: ForecasterBattery::classic(),
-                            last_t: f64::NEG_INFINITY,
-                            memory: Some(mem),
-                        });
-                    self.send_fetch_since(ctx, &key);
-                }
-                None => {
-                    // Unknown series: the negative only answers the waiters
-                    // whose query preceded the lookup. Anyone who queued
-                    // afterwards re-asks — the series may have been
-                    // registered while the reply was in flight.
-                    let mut covered = Vec::new();
-                    if let Some(w) = self.waiting.get_mut(&key) {
-                        for _ in 0..w.asked {
-                            let Some(c) = w.waiters.pop_front() else { break };
-                            covered.push(c);
-                        }
-                        if w.waiters.is_empty() {
-                            self.waiting.remove(&key);
-                            self.clear_timeout(ctx, &key);
-                        } else {
-                            w.asked = w.waiters.len();
-                            self.send_where_is(ctx, &key);
-                        }
-                    }
-                    for c in covered {
-                        self.answer(ctx, &key, c, &None);
-                    }
-                }
-            },
-            NwsMsg::FetchReply { key, points, latest } => {
-                let rewound = {
-                    let st = self.state.entry(key.clone()).or_insert_with(|| SeriesState {
-                        battery: ForecasterBattery::classic(),
-                        last_t: f64::NEG_INFINITY,
-                        memory: Some(from),
-                    });
-                    st.memory = Some(from);
-                    if st.last_t > latest {
-                        // The memory holds *less* than we have already
-                        // observed: it was restored to an older state (a
-                        // crash lost the unsynced tail). Our battery has
-                        // consumed points the store no longer remembers, so
-                        // the delta-fetch watermark is a lie — rewind the
-                        // series (reset battery + watermark) and re-fetch
-                        // from scratch rather than silently serving
-                        // forecasts across the gap. Terminates: after the
-                        // reset, `last_t` can never again exceed `latest`.
-                        st.battery = ForecasterBattery::classic();
-                        st.last_t = f64::NEG_INFINITY;
-                        true
-                    } else {
-                        for (t, v) in points {
-                            // Guard the watermark even against a duplicate
-                            // or reordered reply: each point is observed
-                            // exactly once, and only watermark-advancing
-                            // points are logged (replay fidelity).
-                            if t > st.last_t {
-                                st.last_t = t;
-                                st.battery.observe(v);
-                                if let Some(log) = self.log.as_mut() {
-                                    log.log_observe(&key, t, v);
-                                }
-                            }
-                        }
-                        false
-                    }
-                };
-                if rewound {
-                    self.rewinds += 1;
-                    if let Some(log) = self.log.as_mut() {
-                        log.log_rewind(&key);
-                        log.sync();
-                    }
-                    // Timeout stays armed; the full re-fetch's reply will
-                    // answer the waiting clients.
-                    self.send_fetch_since(ctx, &key);
-                    return;
-                }
-                if let Some(log) = self.log.as_mut() {
-                    log.sync();
-                    if log.needs_compact() {
-                        log.compact(self.state.iter().map(|(k, s)| (k, &s.battery, s.last_t)));
-                    }
-                }
-                let forecast = self.state[&key].battery.forecast();
-                self.clear_timeout(ctx, &key);
-                if let Some(w) = self.waiting.remove(&key) {
-                    for c in w.waiters {
-                        self.answer(ctx, &key, c, &forecast);
-                    }
-                }
-            }
-            NwsMsg::Ping => {
-                let pong = NwsMsg::Pong;
-                let size = pong.wire_size();
-                let _ = ctx.send(from, size, pong);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, NwsMsg>, tag: u64) {
-        let Some(key) = self.key_by_tag.remove(&tag) else { return };
-        self.timeout_by_key.remove(&key);
-        // The series' memory (or the name server) went quiet mid-request.
-        // Answer the waiting clients from the persistent battery — a stale
-        // prediction beats an error during an outage — then re-resolve the
-        // series' home through the directory: a memory restarted by the
-        // supervisor re-registers under its new pid, so the lookup heals
-        // the cached `SeriesState::memory` for the next query.
-        let stale = self.state.get(&key).and_then(|st| st.battery.forecast()).map(|mut f| {
-            f.stale = true;
-            f
-        });
-        if let Some(w) = self.waiting.remove(&key) {
-            for c in w.waiters {
-                if stale.is_some() {
-                    self.stale_served += 1;
-                }
-                self.answer(ctx, &key, c, &stale);
-            }
-        }
-        if self.state.contains_key(&key) {
-            self.send_where_is(ctx, &key);
-        }
-    }
-}
-
-/// A one-shot client: queries one series and stashes the reply.
-pub struct Client {
-    forecaster: ProcessId,
-    key: SeriesKey,
-    result: Rc<RefCell<Option<Option<Forecast>>>>,
-}
-
-impl Process<NwsMsg> for Client {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let q = NwsMsg::Query { key: self.key.clone() };
-        let size = q.wire_size();
-        let _ = ctx.send(self.forecaster, size, q);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
-        if let NwsMsg::QueryReply { forecast, .. } = msg {
-            *self.result.borrow_mut() = Some(forecast);
-        }
-    }
-}
-
-/// The answer list carried by a `QueryBatchReply`, slot-aligned with the
-/// request's keys.
-pub type BatchAnswers = Vec<(SeriesKey, Option<Forecast>)>;
-
-/// A one-shot batch client: sends one `QueryBatch` and stashes the reply.
-pub struct BatchClient {
-    forecaster: ProcessId,
-    keys: Vec<SeriesKey>,
-    result: Rc<RefCell<Option<BatchAnswers>>>,
-}
-
-impl Process<NwsMsg> for BatchClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let q = NwsMsg::QueryBatch { id: 0, keys: self.keys.clone() };
-        let size = q.wire_size();
-        let _ = ctx.send(self.forecaster, size, q);
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
-        if let NwsMsg::QueryBatchReply { forecasts, .. } = msg {
-            *self.result.borrow_mut() = Some(forecasts);
-        }
-    }
-}
 
 /// How a sensor coordinates its measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -526,12 +89,6 @@ pub struct NwsSystemSpec {
     /// snapshots its state and truncates the log. Small values bound
     /// replay work at recovery; large values amortize snapshot writes.
     pub wal_compact_kib: u64,
-    /// Shard count for the out-of-sim query-serving plane
-    /// ([`crate::serve::ServingPlane`]): series are routed clique-aligned
-    /// across this many forecaster shards. Answers are shard-count
-    /// invariant; the knob trades publication parallelism against
-    /// fan-out. 0 is treated as 1.
-    pub serve_shards: usize,
 }
 
 impl NwsSystemSpec {
@@ -553,7 +110,6 @@ impl NwsSystemSpec {
             seed: 42,
             host_locking: false,
             wal_compact_kib: 64,
-            serve_shards: 1,
         }
     }
 }
@@ -589,6 +145,79 @@ impl Process<NwsMsg> for Reconfigurer {
             let _ = ctx.send(to, size, msg);
         }
     }
+}
+
+/// Recover a durable memory server from `host`'s disk and start it with
+/// the spec's WAL compaction threshold. An empty disk recovers to an empty
+/// store, so cold start, re-adding a host that held a memory before and
+/// restarting a crashed one are the same code path — what the server
+/// knows is exactly what snapshot + WAL replay reconstructs.
+fn spawn_memory(
+    eng: &mut Engine<NwsMsg>,
+    spec: &NwsSystemSpec,
+    disks: &mut DiskRegistry,
+    nameserver: ProcessId,
+    idx: usize,
+    host: &str,
+) -> NetResult<(ProcessId, MemoryHandle)> {
+    let node = eng.topo().resolve_host(host)?;
+    let (mut mem, handle) = MemoryServer::recover(
+        &format!("memory{idx}@{host}"),
+        nameserver,
+        spec.series_capacity,
+        disks.disk(host),
+    );
+    mem.set_compact_threshold(spec.wal_compact_kib * 1024);
+    Ok((eng.add_process(node, Box::new(mem)), handle))
+}
+
+/// The memory server `s` stores to: the one it names, else the first
+/// memory host of the spec.
+fn memory_for(
+    memories: &BTreeMap<String, (ProcessId, MemoryHandle)>,
+    memory_hosts: &[String],
+    s: &SensorSpec,
+) -> NetResult<ProcessId> {
+    let host = s
+        .memory
+        .as_ref()
+        .or(memory_hosts.first())
+        .ok_or_else(|| NetError::NameNotFound("no memory hosts".to_string()))?;
+    memories
+        .get(host)
+        .map(|(p, _)| *p)
+        .ok_or_else(|| NetError::NameNotFound(format!("memory host {host}")))
+}
+
+/// The [`SensorConfig`] for `s` under `spec`; the two ordinals seed its
+/// probe jitter and its host-load model.
+fn sensor_config(
+    topo: &Topology,
+    spec: &NwsSystemSpec,
+    nameserver: ProcessId,
+    memory: ProcessId,
+    s: &SensorSpec,
+    seed_ord: u64,
+    sense_ord: u64,
+) -> NetResult<SensorConfig> {
+    let mut cfg = SensorConfig::new(&s.host, nameserver, memory);
+    cfg.probe_bytes = spec.probe_bytes;
+    cfg.seed = spec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(seed_ord);
+    cfg.host_locking = spec.host_locking;
+    if let SensorMode::FreeRunning { targets, period } = &s.mode {
+        let targets: Vec<(String, NodeId)> = targets
+            .iter()
+            .map(|t| Ok((t.clone(), topo.resolve_host(t)?)))
+            .collect::<NetResult<_>>()?;
+        cfg.free_run = Some(FreeRun { targets, period: *period });
+    }
+    if s.host_sensing {
+        cfg.host_sense = Some(HostSense {
+            period: spec.host_sense_period,
+            seed: spec.seed.wrapping_add(sense_ord),
+        });
+    }
+    Ok(cfg)
 }
 
 /// A deployed NWS system: process ids plus shared-state handles for
@@ -627,46 +256,24 @@ impl NwsSystem {
     /// Deploy the system described by `spec` onto the engine's platform.
     /// Host names are resolved against the platform DNS.
     pub fn deploy(eng: &mut Engine<NwsMsg>, spec: &NwsSystemSpec) -> NetResult<NwsSystem> {
-        let resolve = |eng: &Engine<NwsMsg>, name: &str| -> NetResult<NodeId> {
-            eng.topo()
-                .node_by_name(name)
-                .or_else(|| name.parse::<Ipv4>().ok().and_then(|ip| eng.topo().node_by_ip(ip)))
-                .ok_or_else(|| NetError::NameNotFound(name.to_string()))
-        };
-
         // Per-host disks: crash-fault draws share the spec seed so two
         // identically seeded deployments tear identical file tails.
         let mut disks = DiskRegistry::new();
         disks.set_fault_seed(spec.seed);
 
         // Name server.
-        let ns_node = resolve(eng, &spec.nameserver_host)?;
+        let ns_node = eng.topo().resolve_host(&spec.nameserver_host)?;
         let (ns, registry) = NameServer::new();
         let ns_pid = eng.add_process(ns_node, Box::new(ns));
 
-        // Memory servers — durable from the start: an empty disk recovers
-        // to an empty store, so cold start and crash recovery are the same
-        // code path.
+        // Memory servers — durable from the start.
         let mut memories = BTreeMap::new();
         for (i, host) in spec.memory_hosts.iter().enumerate() {
-            let node = resolve(eng, host)?;
-            let (mut mem, handle) = MemoryServer::recover(
-                &format!("memory{i}@{host}"),
-                ns_pid,
-                spec.series_capacity,
-                disks.disk(host),
-            );
-            mem.set_compact_threshold(spec.wal_compact_kib * 1024);
-            let pid = eng.add_process(node, Box::new(mem));
-            memories.insert(host.clone(), (pid, handle));
+            memories.insert(host.clone(), spawn_memory(eng, spec, &mut disks, ns_pid, i, host)?);
         }
-        let default_memory = memories
-            .get(&spec.memory_hosts[0])
-            .map(|(p, _)| *p)
-            .ok_or_else(|| NetError::NameNotFound("no memory hosts".to_string()))?;
 
         // Forecaster (durable, same disk plane).
-        let fc_node = resolve(eng, &spec.forecaster_host)?;
+        let fc_node = eng.topo().resolve_host(&spec.forecaster_host)?;
         let mut fc = ForecasterServer::durable(
             &format!("forecaster@{}", spec.forecaster_host),
             ns_pid,
@@ -675,19 +282,13 @@ impl NwsSystem {
         fc.set_compact_threshold(spec.wal_compact_kib * 1024);
         let fc_pid = eng.add_process(fc_node, Box::new(fc));
 
-        // Sensors: first allocate pids in spec order (two passes so cliques
-        // can reference every member's pid).
+        // Sensors, in spec order. Cliques reference every member's pid, so
+        // precompute the pid each sensor WILL get: engine pids are dense
+        // and sequential, which the Engine API guarantees.
         let mut sensor_nodes = BTreeMap::new();
         for s in &spec.sensors {
-            sensor_nodes.insert(s.host.clone(), resolve(eng, &s.host)?);
+            sensor_nodes.insert(s.host.clone(), eng.topo().resolve_host(&s.host)?);
         }
-        // Predict pids: engine assigns sequentially; rather than predicting
-        // we add placeholder-free in dependency order — memberships need
-        // pids, so compute them after adding. To keep it simple we add
-        // sensors one by one and collect pids, then construct memberships
-        // and hand them over via a second registration pass... Instead:
-        // precompute the pid each sensor WILL get (engine pids are dense
-        // and sequential), which the Engine API guarantees.
         let first_sensor_pid = ns_pid.index() as u32 + 1 + memories.len() as u32 + 1;
         let sensor_pid_of = |idx: usize| ProcessId::from_raw(first_sensor_pid + idx as u32);
 
@@ -701,18 +302,15 @@ impl NwsSystem {
                 if !c.members.contains(&s.host) {
                     continue;
                 }
-                let ring: Vec<(ProcessId, String, NodeId)> = c
-                    .members
-                    .iter()
-                    .map(|m| {
-                        let midx = spec
-                            .sensors
-                            .iter()
-                            .position(|ss| &ss.host == m)
-                            .unwrap_or_else(|| panic!("clique member {m} has no sensor"));
-                        (sensor_pid_of(midx), m.clone(), sensor_nodes[m])
-                    })
-                    .collect();
+                let mut ring = Vec::with_capacity(c.members.len());
+                for m in &c.members {
+                    let midx = spec
+                        .sensors
+                        .iter()
+                        .position(|ss| &ss.host == m)
+                        .ok_or_else(|| NetError::NameNotFound(format!("clique member {m}")))?;
+                    ring.push((sensor_pid_of(midx), m.clone(), sensor_nodes[m]));
+                }
                 memberships.push(CliqueMembership::new(
                     &c.name,
                     ring,
@@ -722,31 +320,9 @@ impl NwsSystem {
                 ));
             }
 
-            let sensor_memory = match &s.memory {
-                Some(mh) => memories
-                    .get(mh)
-                    .map(|(p, _)| *p)
-                    .ok_or_else(|| NetError::NameNotFound(format!("memory host {mh}")))?,
-                None => default_memory,
-            };
-            let mut cfg = SensorConfig::new(&s.host, ns_pid, sensor_memory);
-            cfg.probe_bytes = spec.probe_bytes;
-            cfg.seed = spec.seed.wrapping_mul(0x9e3779b9).wrapping_add(idx as u64);
-            cfg.host_locking = spec.host_locking;
-            if let SensorMode::FreeRunning { targets, period } = &s.mode {
-                let targets: Vec<(String, NodeId)> = targets
-                    .iter()
-                    .map(|t| Ok((t.clone(), resolve(eng, t)?)))
-                    .collect::<NetResult<_>>()?;
-                cfg.free_run = Some(FreeRun { targets, period: *period });
-            }
-            if s.host_sensing {
-                cfg.host_sense = Some(HostSense {
-                    period: spec.host_sense_period,
-                    seed: spec.seed.wrapping_add(idx as u64),
-                });
-            }
-
+            let memory = memory_for(&memories, &spec.memory_hosts, s)?;
+            let ord = idx as u64;
+            let cfg = sensor_config(eng.topo(), spec, ns_pid, memory, s, ord, ord)?;
             let pid = eng.add_process(node, Box::new(Sensor::new(cfg, memberships)));
             debug_assert_eq!(pid, my_pid, "sensor pid prediction broke");
             sensors.insert(s.host.clone(), pid);
@@ -786,13 +362,6 @@ impl NwsSystem {
     /// meanwhile (a clique's old token keeps circulating until the new
     /// membership absorbs or regenerates it).
     pub fn reconfigure(&mut self, eng: &mut Engine<NwsMsg>, re: &ReconfigSpec) -> NetResult<()> {
-        let resolve = |eng: &Engine<NwsMsg>, name: &str| -> NetResult<NodeId> {
-            eng.topo()
-                .node_by_name(name)
-                .or_else(|| name.parse::<Ipv4>().ok().and_then(|ip| eng.topo().node_by_ip(ip)))
-                .ok_or_else(|| NetError::NameNotFound(name.to_string()))
-        };
-
         // --- per-sensor retarget accumulation ------------------------------
         let mut removes: BTreeMap<String, Vec<String>> = BTreeMap::new();
         let mut adds: BTreeMap<String, Vec<CliqueRetarget>> = BTreeMap::new();
@@ -830,18 +399,9 @@ impl NwsSystem {
             if self.memories.contains_key(host) {
                 continue;
             }
-            let node = resolve(eng, host)?;
-            // Durable like deploy-time memories; re-adding a host that
-            // held a memory before recovers its surviving series.
-            let (mut mem, handle) = MemoryServer::recover(
-                &format!("memory{}@{host}", self.memories.len()),
-                self.nameserver,
-                self.spec.series_capacity,
-                self.disks.disk(host),
-            );
-            mem.set_compact_threshold(self.spec.wal_compact_kib * 1024);
-            let pid = eng.add_process(node, Box::new(mem));
-            self.memories.insert(host.clone(), (pid, handle));
+            let idx = self.memories.len();
+            let mem = spawn_memory(eng, &self.spec, &mut self.disks, self.nameserver, idx, host)?;
+            self.memories.insert(host.clone(), mem);
             self.spec.memory_hosts.push(host.clone());
         }
         for host in &re.memories_to_remove {
@@ -854,33 +414,14 @@ impl NwsSystem {
             if self.sensors.contains_key(&s.host) {
                 continue;
             }
-            let node = resolve(eng, &s.host)?;
-            let memory = match &s.memory {
-                Some(mh) => self
-                    .memories
-                    .get(mh)
-                    .map(|(p, _)| *p)
-                    .ok_or_else(|| NetError::NameNotFound(format!("memory host {mh}")))?,
-                None => {
-                    let first = self.spec.memory_hosts.first().cloned().unwrap_or_default();
-                    self.memories
-                        .get(&first)
-                        .map(|(p, _)| *p)
-                        .ok_or_else(|| NetError::NameNotFound("no memory hosts".to_string()))?
-                }
-            };
-            let mut cfg = SensorConfig::new(&s.host, self.nameserver, memory);
-            cfg.probe_bytes = self.spec.probe_bytes;
-            cfg.seed =
-                self.spec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(self.sensors_spawned as u64);
+            let node = eng.topo().resolve_host(&s.host)?;
+            let memory = memory_for(&self.memories, &self.spec.memory_hosts, s)?;
+            let ord = self.sensors_spawned as u64;
+            // (n, n + 1) where deploy passes (idx, idx): kept as is, the pinned
+            // event counts of every churn join and sensor heal depend on it.
+            let cfg =
+                sensor_config(eng.topo(), &self.spec, self.nameserver, memory, s, ord, ord + 1)?;
             self.sensors_spawned += 1;
-            cfg.host_locking = self.spec.host_locking;
-            if s.host_sensing {
-                cfg.host_sense = Some(HostSense {
-                    period: self.spec.host_sense_period,
-                    seed: self.spec.seed.wrapping_add(self.sensors_spawned as u64),
-                });
-            }
             // Memberships arrive via Retarget once every member's pid is
             // known; the sensor starts bare.
             let pid = eng.add_process(node, Box::new(Sensor::new(cfg, Vec::new())));
@@ -1060,11 +601,9 @@ impl NwsSystem {
         Ok(healed)
     }
 
-    /// Restart the memory server on `host` by recovering its state from
-    /// the host's simulated disk — the dead process's RAM (and its old
-    /// [`MemoryHandle`]) is gone; what the replacement knows is exactly
-    /// what the snapshot + WAL replay reconstructs — and re-point its
-    /// sensors; returns the replacement pid.
+    /// Restart the memory server on `host` from the host's simulated disk
+    /// — the dead process's RAM (and its old [`MemoryHandle`]) is gone —
+    /// and re-point its sensors; returns the replacement pid.
     fn restart_memory(&mut self, eng: &mut Engine<NwsMsg>, host: &str) -> NetResult<ProcessId> {
         let (old_pid, _) = self
             .memories
@@ -1072,20 +611,9 @@ impl NwsSystem {
             .cloned()
             .ok_or_else(|| NetError::NameNotFound(format!("memory host {host}")))?;
         eng.kill_process(old_pid); // no-op when it already crashed
-        let node = eng
-            .topo()
-            .node_by_name(host)
-            .or_else(|| host.parse::<Ipv4>().ok().and_then(|ip| eng.topo().node_by_ip(ip)))
-            .ok_or_else(|| NetError::NameNotFound(host.to_string()))?;
         let idx = self.spec.memory_hosts.iter().position(|h| h == host).unwrap_or(0);
-        let (mut mem, store) = MemoryServer::recover(
-            &format!("memory{idx}@{host}"),
-            self.nameserver,
-            self.spec.series_capacity,
-            self.disks.disk(host),
-        );
-        mem.set_compact_threshold(self.spec.wal_compact_kib * 1024);
-        let new_pid = eng.add_process(node, Box::new(mem));
+        let (new_pid, store) =
+            spawn_memory(eng, &self.spec, &mut self.disks, self.nameserver, idx, host)?;
         self.memories.insert(host.to_string(), (new_pid, store));
         // Every sensor that stores to this memory drains its buffer to the
         // replacement.
@@ -1157,14 +685,13 @@ impl NwsSystem {
         out.unwrap_or_default()
     }
 
-    /// A fresh out-of-sim serving plane for this system: `serve_shards`
-    /// forecaster shards, clique-aligned so a clique's series co-locate.
-    /// Feed it epochs with [`NwsSystem::publish_epoch`].
-    pub fn serving_plane(&self) -> crate::serve::ServingPlane {
-        let map = crate::shard::ShardMap::clique_aligned(
-            self.spec.serve_shards.max(1),
-            &self.spec.cliques,
-        );
+    /// A fresh out-of-sim serving plane for this system: `shards`
+    /// forecaster shards (0 is treated as 1), clique-aligned so a clique's
+    /// series co-locate. Answers are shard-count invariant; the count
+    /// trades publication parallelism against fan-out. Feed it epochs with
+    /// [`NwsSystem::publish_epoch`].
+    pub fn serving_plane(&self, shards: usize) -> crate::serve::ServingPlane {
+        let map = crate::shard::ShardMap::clique_aligned(shards, &self.spec.cliques);
         crate::serve::ServingPlane::new(map)
     }
 
@@ -1624,5 +1151,15 @@ mod tests {
         let (mut eng, names) = hub_engine(2);
         let spec = NwsSystemSpec::minimal("ghost.example", &[&names[0]]);
         assert!(NwsSystem::deploy(&mut eng, &spec).is_err());
+
+        // Malformed specs are errors too, never panics: a sensor with no
+        // memory host to store to, and a clique naming a host that runs
+        // no sensor.
+        let mut no_memory = NwsSystemSpec::minimal(&names[0], &[&names[0]]);
+        no_memory.memory_hosts.clear();
+        assert!(matches!(NwsSystem::deploy(&mut eng, &no_memory), Err(NetError::NameNotFound(_))));
+        let mut no_sensor = NwsSystemSpec::minimal(&names[0], &[&names[0]]);
+        no_sensor.cliques[0].members.push(names[1].clone());
+        assert!(matches!(NwsSystem::deploy(&mut eng, &no_sensor), Err(NetError::NameNotFound(_))));
     }
 }

@@ -9,13 +9,13 @@ use std::rc::Rc;
 
 use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
+use nws::forecaster::ForecasterServer;
 use nws::memory::{MemoryHandle, MemoryServer};
 use nws::msg::{NwsMsg, SeriesKey};
 use nws::registry::{NameServer, RegistryHandle};
 use nws::serve::ServingPlane;
 use nws::shard::ShardMap;
-use nws::system::ForecasterServer;
-use nws::{Forecast, Resource};
+use nws::{Forecast, NwsSystem, NwsSystemSpec, Resource};
 use proptest::prelude::*;
 
 /// Four hosts on a switch with 5 ms port latency (the `query_serving`
@@ -299,6 +299,32 @@ fn plane_answers_are_shard_invariant_and_match_the_sim() {
     let plane_answers = baseline.unwrap();
     for (sim, plane) in r.singles.iter().zip(&plane_answers) {
         assert_eq!(sim, plane, "in-sim forecaster and serving plane agree bit for bit");
+    }
+
+    // Third feed: a deployed system's own wiring — clique-aligned planes
+    // from `serving_plane`, filled by `publish_epoch` out of every memory
+    // — against that system's forecaster. The sensors are stopped first so
+    // both sides see the same stored points.
+    let net = netsim::scenarios::star_hub(3, Bandwidth::mbps(100.0));
+    let names: Vec<String> =
+        net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
+    let sys = NwsSystem::deploy(&mut eng, &NwsSystemSpec::minimal(&names[0], &refs)).unwrap();
+    sys.run_for(&mut eng, TimeDelta::from_secs(90.0));
+    for pid in sys.sensors.values() {
+        eng.kill_process(*pid);
+    }
+    sys.run_for(&mut eng, TimeDelta::from_secs(5.0));
+    let sys_keys = sys.series_keys();
+    assert!(sys_keys.len() >= 6, "every directed pair was measured");
+    let sim = sys.query_batch(&mut eng, sys_keys.clone(), TimeDelta::from_secs(10.0));
+    assert!(sim.iter().all(|(_, f)| f.is_some()));
+    for shards in [1usize, 2, 4, 8] {
+        let mut plane = sys.serving_plane(shards);
+        assert_eq!(plane.shard_map().shards(), shards);
+        assert_eq!(sys.publish_epoch(&mut plane, shards), 1);
+        assert_eq!(plane.serve_batch(&sys_keys), sim, "{shards} shards, system-fed");
     }
 }
 

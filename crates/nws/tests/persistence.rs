@@ -271,8 +271,8 @@ proptest! {
                     prop_assert_eq!(rec.len(), shadow.len());
                     for (k, s) in &shadow {
                         let r = rec.get(k).expect("series survives");
-                        prop_assert_eq!(r.last_t.to_bits(), s.1.to_bits());
-                        prop_assert_eq!(battery_bits(&r.battery), battery_bits(&s.0));
+                        prop_assert_eq!(r.last_t().to_bits(), s.1.to_bits());
+                        prop_assert_eq!(battery_bits(r.battery()), battery_bits(&s.0));
                     }
                 }
                 _ => unreachable!(),

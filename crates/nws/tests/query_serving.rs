@@ -7,10 +7,10 @@ use std::rc::Rc;
 
 use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
+use nws::forecaster::ForecasterServer;
 use nws::memory::{MemoryHandle, MemoryServer};
 use nws::msg::{NwsMsg, SeriesKey};
 use nws::registry::{NameServer, RegistryHandle};
-use nws::system::ForecasterServer;
 use nws::{Forecast, ForecasterBattery, Resource};
 
 /// Four hosts on a switch with 5 ms port latency: host→host one-way is
