@@ -264,25 +264,33 @@ pub fn plan_to_spec_with(plan: &DeploymentPlan, host_locking: bool) -> NwsSystem
 /// assignments for joining sensors and the clique gaps — staggered by the
 /// clique's index in the new plan, exactly as [`plan_to_spec`] staggers a
 /// fresh deployment, so a reconfigured system and a freshly deployed one
-/// agree on measurement frequency.
-pub fn plan_delta_to_reconfig(delta: &PlanDelta, new_plan: &DeploymentPlan) -> ReconfigSpec {
-    let gap_of = |name: &str| {
-        let i = new_plan.cliques.iter().position(|c| c.name == name).unwrap_or(0);
-        new_plan.gap * (1.0 + 0.137 * i as f64)
+/// agree on measurement frequency. A delta that starts or restarts a
+/// clique `new_plan` does not hold has no gap to give it and is an error.
+pub fn plan_delta_to_reconfig(
+    delta: &PlanDelta,
+    new_plan: &DeploymentPlan,
+) -> NetResult<ReconfigSpec> {
+    // Reversed, so that of two cliques with one name the first gives the index.
+    let index_of: BTreeMap<&str, usize> =
+        new_plan.cliques.iter().enumerate().rev().map(|(i, c)| (c.name.as_str(), i)).collect();
+    let to_spec = |c: &PlannedClique| {
+        let i = *index_of
+            .get(c.name.as_str())
+            .ok_or_else(|| NetError::NameNotFound(format!("clique {} in the new plan", c.name)))?;
+        Ok(CliqueSpec {
+            name: c.name.clone(),
+            members: c.members.clone(),
+            gap: new_plan.gap * (1.0 + 0.137 * i as f64),
+        })
     };
-    let to_spec = |c: &PlannedClique| CliqueSpec {
-        name: c.name.clone(),
-        members: c.members.clone(),
-        gap: gap_of(&c.name),
-    };
-    ReconfigSpec {
+    Ok(ReconfigSpec {
         cliques_to_stop: delta.cliques_to_stop.clone(),
         cliques_to_upsert: delta
             .cliques_to_start
             .iter()
             .chain(&delta.cliques_to_restart)
             .map(to_spec)
-            .collect(),
+            .collect::<NetResult<_>>()?,
         sensors_to_add: delta
             .sensors_to_add
             .iter()
@@ -296,7 +304,7 @@ pub fn plan_delta_to_reconfig(delta: &PlanDelta, new_plan: &DeploymentPlan) -> R
         sensors_to_remove: delta.sensors_to_remove.clone(),
         memories_to_add: delta.memories_to_add.clone(),
         memories_to_remove: delta.memories_to_remove.clone(),
-    }
+    })
 }
 
 /// Apply a plan delta to a running system — the incremental counterpart of
@@ -309,7 +317,7 @@ pub fn apply_plan_delta(
     delta: &PlanDelta,
     new_plan: &DeploymentPlan,
 ) -> NetResult<()> {
-    sys.reconfigure(eng, &plan_delta_to_reconfig(delta, new_plan))
+    sys.reconfigure(eng, &plan_delta_to_reconfig(delta, new_plan)?)
 }
 
 /// Deploy the plan onto a simulated platform — the manager run on every
@@ -462,5 +470,47 @@ mod tests {
         assert_eq!(spec.cliques.len(), 2);
         assert_eq!(spec.nameserver_host, "m.x");
         assert_eq!(spec.cliques[0].members, vec!["a.x", "b.x"]);
+    }
+
+    /// A restarted clique gets the gap of its index in the new plan; one
+    /// the new plan does not hold is an error, not clique 0's gap.
+    #[test]
+    fn reconfig_gaps_follow_the_new_plan() {
+        let plan = sample_plan();
+        let mut delta =
+            PlanDelta { cliques_to_restart: vec![plan.cliques[1].clone()], ..PlanDelta::default() };
+        let re = plan_delta_to_reconfig(&delta, &plan).unwrap();
+        assert_eq!(re.cliques_to_upsert[0].gap, plan_to_spec(&plan).cliques[1].gap);
+
+        delta.cliques_to_start.push(PlannedClique {
+            name: "not-in-plan".into(),
+            members: vec!["a.x".into(), "b.x".into()],
+            role: CliqueRole::Inter,
+            network: None,
+        });
+        assert!(matches!(plan_delta_to_reconfig(&delta, &plan), Err(NetError::NameNotFound(_))));
+    }
+
+    /// A shared configuration naming a sensor host or a memory host twice
+    /// is answered with an error, never a panic inside the deployment.
+    #[test]
+    fn duplicate_hosts_in_the_config_fail_deployment() {
+        let net = netsim::scenarios::star_hub(3, netsim::units::Bandwidth::mbps(100.0));
+        let config = |memories: &str, hosts: &str| {
+            format!(
+                "[global]\nmaster = h0.hub.net\nnameserver = h0.hub.net\n\
+                 forecaster = h0.hub.net\nmemories = {memories}\nhosts = {hosts}\n\
+                 [clique c0]\nrole = shared-local\nmembers = h1.hub.net, h2.hub.net\n"
+            )
+        };
+        let deploy = |text: String| {
+            let plan = parse_config(&text).expect("well-formed INI");
+            apply_plan_with(&mut Engine::new(net.topo.clone()), &plan, false).map(|_| ())
+        };
+        assert_eq!(deploy(config("h0.hub.net", "h1.hub.net, h2.hub.net")), Ok(()));
+        let twice = deploy(config("h0.hub.net", "h1.hub.net, h1.hub.net, h2.hub.net"));
+        assert!(matches!(twice, Err(NetError::InvalidTopology(_))), "{twice:?}");
+        let twice = deploy(config("h0.hub.net, h0.hub.net", "h1.hub.net, h2.hub.net"));
+        assert!(matches!(twice, Err(NetError::InvalidTopology(_))), "{twice:?}");
     }
 }

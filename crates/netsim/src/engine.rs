@@ -15,6 +15,7 @@
 //! crate builds its four server kinds (sensor, memory, forecaster, name
 //! server) on this interface.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -78,6 +79,13 @@ pub trait Process<M> {
     /// A message this process sent could not be delivered (firewall or
     /// disconnection).
     fn on_send_failed(&mut self, ctx: &mut Ctx<'_, M>, to: ProcessId, err: &NetError) {}
+
+    /// This process as [`Any`], so a caller holding [`Engine::process`] can
+    /// downcast to the concrete type and read its state between events.
+    /// `None` (the default) keeps the process opaque.
+    fn as_any(&self) -> Option<&dyn Any> {
+        None
+    }
 }
 
 /// Statistics counters, exposed for the benchmark harness.
@@ -753,6 +761,12 @@ impl<M> Engine<M> {
     /// (diagnostics: the crash-churn regression test asserts pruning).
     pub fn last_delivery_len(&self) -> usize {
         self.core.last_delivery.len()
+    }
+
+    /// The live process behind `pid`, for inspection between events; `None`
+    /// once it was killed (or for an id this engine never handed out).
+    pub fn process(&self, pid: ProcessId) -> Option<&dyn Process<M>> {
+        self.procs.get(pid.index())?.as_deref()
     }
 
     /// Whether a process is still alive.

@@ -16,17 +16,27 @@
 //!   race). When it fires, the member fabricates a fresh token with a
 //!   sequence jump large enough that the stale token can never catch up.
 
+use std::rc::Rc;
+
 use netsim::engine::ProcessId;
 use netsim::time::TimeDelta;
 use netsim::topology::NodeId;
+
+/// A clique's ring: (sensor pid, host name, host node) per member, in ring
+/// order. Built once per clique and shared by every member's
+/// [`CliqueMembership`] and every [`CliqueRetarget`] that carries it — a
+/// ring is never mutated after construction (a changed clique gets a new
+/// ring) and the engine is single-threaded, so an `Rc` is all the sharing
+/// needs. Per-member copies would cost Σ|c|² entries per deployment.
+pub type Ring = Rc<[(ProcessId, String, NodeId)]>;
 
 /// One sensor's view of one clique it belongs to.
 #[derive(Debug, Clone)]
 pub struct CliqueMembership {
     /// Clique name (unique per deployment plan).
     pub clique: String,
-    /// Ring order: (sensor pid, host name, host node) per member.
-    pub members: Vec<(ProcessId, String, NodeId)>,
+    /// The clique's ring, shared with its other members.
+    pub members: Ring,
     /// This sensor's position in the ring.
     pub me_idx: usize,
     /// Pause between finishing experiments and passing the token on —
@@ -41,17 +51,28 @@ pub struct CliqueMembership {
 }
 
 impl CliqueMembership {
+    /// The membership of sensor `me`; `None` when the ring does not name it.
     pub fn new(
         clique: &str,
-        members: Vec<(ProcessId, String, NodeId)>,
+        members: Ring,
         me: ProcessId,
         gap: TimeDelta,
         watchdog_base: TimeDelta,
+    ) -> Option<Self> {
+        let me_idx = members.iter().position(|(p, _, _)| *p == me)?;
+        Some(Self::at(clique, members, me_idx, gap, watchdog_base))
+    }
+
+    /// The membership of the ring's `me_idx`-th member, for a caller that
+    /// placed the member itself and need not search for it.
+    pub(crate) fn at(
+        clique: &str,
+        members: Ring,
+        me_idx: usize,
+        gap: TimeDelta,
+        watchdog_base: TimeDelta,
     ) -> Self {
-        let me_idx = members
-            .iter()
-            .position(|(p, _, _)| *p == me)
-            .expect("sensor must be a member of its own clique");
+        debug_assert!(me_idx < members.len());
         CliqueMembership {
             clique: clique.to_string(),
             members,
@@ -82,18 +103,6 @@ impl CliqueMembership {
         (self.me_idx + 1).is_multiple_of(self.members.len())
     }
 
-    /// The other members, in ring order starting after this sensor — the
-    /// experiment targets while holding the token.
-    pub fn peers(&self) -> Vec<(String, NodeId)> {
-        let k = self.members.len();
-        (1..k)
-            .map(|off| {
-                let (_, name, node) = &self.members[(self.me_idx + off) % k];
-                (name.clone(), *node)
-            })
-            .collect()
-    }
-
     /// Token acceptance rule: strictly newer sequences only.
     pub fn accepts(&self, seq: u64) -> bool {
         seq > self.last_seq
@@ -118,8 +127,8 @@ impl CliqueMembership {
 #[derive(Debug, Clone)]
 pub struct CliqueRetarget {
     pub clique: String,
-    /// Ring order: (sensor pid, host name, host node) per member.
-    pub ring: Vec<(ProcessId, String, NodeId)>,
+    /// The clique's new ring, shared by the retargets of all its members.
+    pub ring: Ring,
     pub gap: TimeDelta,
     pub watchdog: TimeDelta,
     /// Whether ring member 0 should inject an initial token (true for a
@@ -135,7 +144,7 @@ mod tests {
     use super::*;
 
     fn membership(k: usize, me: usize) -> CliqueMembership {
-        let members: Vec<(ProcessId, String, NodeId)> = (0..k)
+        let members: Ring = (0..k)
             .map(|i| (ProcessId::from_raw(i as u32), format!("h{i}.x"), NodeId::from_raw(i as u32)))
             .collect();
         CliqueMembership::new(
@@ -145,17 +154,14 @@ mod tests {
             TimeDelta::from_secs(1.0),
             TimeDelta::from_secs(10.0),
         )
+        .expect("me < k")
     }
 
     #[test]
-    fn ring_order_and_peers() {
+    fn ring_order_and_round_completion() {
         let m = membership(4, 1);
         assert_eq!(m.me_idx, 1);
         assert_eq!(m.next_member(), ProcessId::from_raw(2));
-        let peers = m.peers();
-        assert_eq!(peers.len(), 3);
-        assert_eq!(peers[0].0, "h2.x");
-        assert_eq!(peers[2].0, "h0.x");
         assert!(!m.pass_completes_round());
         let last = membership(4, 3);
         assert_eq!(last.next_member(), ProcessId::from_raw(0));
@@ -190,15 +196,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "member of its own clique")]
     fn non_member_rejected() {
-        let members = vec![(ProcessId::from_raw(0), "a".to_string(), NodeId::from_raw(0))];
-        let _ = CliqueMembership::new(
+        let members: Ring =
+            [(ProcessId::from_raw(0), "a".to_string(), NodeId::from_raw(0))].into_iter().collect();
+        let m = CliqueMembership::new(
             "c",
             members,
             ProcessId::from_raw(9),
             TimeDelta::from_secs(1.0),
             TimeDelta::from_secs(1.0),
         );
+        assert!(m.is_none());
     }
 }

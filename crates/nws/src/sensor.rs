@@ -20,6 +20,7 @@
 //!
 //! All results are `Store`d to the sensor's memory server.
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::SmallRng;
@@ -215,6 +216,11 @@ impl Sensor {
             store_retries: 0,
             stores_shed: 0,
         }
+    }
+
+    /// The live (non-retired) clique memberships, in slot order.
+    pub fn memberships(&self) -> impl Iterator<Item = &CliqueMembership> {
+        self.memberships.iter().zip(&self.retired).filter(|(_, r)| !**r).map(|(m, _)| m)
     }
 
     fn busy(&self) -> bool {
@@ -468,13 +474,13 @@ impl Sensor {
             self.retire_clique(ctx, name);
         }
         for r in add {
-            if !r.ring.iter().any(|(p, _, _)| *p == ctx.me()) {
+            let Some(membership) =
+                CliqueMembership::new(&r.clique, r.ring, ctx.me(), r.gap, r.watchdog)
+            else {
                 continue; // defensive: not addressed to this sensor
-            }
+            };
             // A restart of an existing clique retires the old membership.
-            let name = r.clique.clone();
-            self.retire_clique(ctx, &name);
-            let membership = CliqueMembership::new(&r.clique, r.ring, ctx.me(), r.gap, r.watchdog);
+            self.retire_clique(ctx, &r.clique);
             // Recycle a retired slot that carries no in-flight work, so
             // membership indexes (baked into timer tags) stay bounded by
             // the concurrent-clique count, not the retarget history.
@@ -527,6 +533,10 @@ impl Sensor {
 }
 
 impl Process<NwsMsg> for Sensor {
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         let reg = NwsMsg::Register { name: self.cfg.host_name.clone(), kind: ServerKind::Sensor };
         let size = reg.wire_size();

@@ -11,7 +11,7 @@ use netsim::disk::DiskRegistry;
 use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
 
-use crate::clique::{CliqueMembership, CliqueRetarget};
+use crate::clique::{CliqueMembership, CliqueRetarget, Ring};
 use crate::forecast::Forecast;
 use crate::forecaster::{BatchClient, Client, ForecasterServer};
 use crate::memory::{MemoryHandle, MemoryServer};
@@ -220,6 +220,22 @@ fn sensor_config(
     Ok(cfg)
 }
 
+/// Clique `c`'s ring, built once for all its members to share. `locate`
+/// gives the sensor pid and node of a member host.
+fn build_ring(
+    c: &CliqueSpec,
+    locate: impl Fn(&str) -> Option<(ProcessId, NodeId)>,
+) -> NetResult<Ring> {
+    c.members
+        .iter()
+        .map(|m| {
+            let (pid, node) =
+                locate(m).ok_or_else(|| NetError::NameNotFound(format!("clique member {m}")))?;
+            Ok((pid, m.clone(), node))
+        })
+        .collect()
+}
+
 /// A deployed NWS system: process ids plus shared-state handles for
 /// inspection by tests, benches and the deployment validator.
 pub struct NwsSystem {
@@ -269,6 +285,9 @@ impl NwsSystem {
         // Memory servers — durable from the start.
         let mut memories = BTreeMap::new();
         for (i, host) in spec.memory_hosts.iter().enumerate() {
+            if memories.contains_key(host) {
+                return Err(NetError::InvalidTopology(format!("duplicate memory host {host}")));
+            }
             memories.insert(host.clone(), spawn_memory(eng, spec, &mut disks, ns_pid, i, host)?);
         }
 
@@ -282,49 +301,45 @@ impl NwsSystem {
         fc.set_compact_threshold(spec.wal_compact_kib * 1024);
         let fc_pid = eng.add_process(fc_node, Box::new(fc));
 
-        // Sensors, in spec order. Cliques reference every member's pid, so
-        // precompute the pid each sensor WILL get: engine pids are dense
-        // and sequential, which the Engine API guarantees.
-        let mut sensor_nodes = BTreeMap::new();
-        for s in &spec.sensors {
-            sensor_nodes.insert(s.host.clone(), eng.topo().resolve_host(&s.host)?);
-        }
-        let first_sensor_pid = ns_pid.index() as u32 + 1 + memories.len() as u32 + 1;
-        let sensor_pid_of = |idx: usize| ProcessId::from_raw(first_sensor_pid + idx as u32);
-
-        let mut sensors = BTreeMap::new();
+        // Sensors, in spec order. Rings name every member's pid, so work out
+        // the pid each sensor WILL get: engine pids are dense and sequential
+        // (the Engine API guarantees it) and the forecaster was the last
+        // process added.
+        let first_sensor = fc_pid.index() + 1;
+        let sensor_pid_of = |idx: usize| ProcessId::from_raw((first_sensor + idx) as u32);
+        let mut index_of: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut nodes = Vec::with_capacity(spec.sensors.len());
         for (idx, s) in spec.sensors.iter().enumerate() {
-            let node = sensor_nodes[&s.host];
-            let my_pid = sensor_pid_of(idx);
-            // Memberships for every clique this host belongs to.
-            let mut memberships = Vec::new();
-            for c in &spec.cliques {
-                if !c.members.contains(&s.host) {
+            if index_of.insert(&s.host, idx).is_some() {
+                return Err(NetError::InvalidTopology(format!("duplicate sensor host {}", s.host)));
+            }
+            nodes.push(eng.topo().resolve_host(&s.host)?);
+        }
+
+        // One pass over the cliques hands each sensor its memberships, in
+        // spec clique order: O(sensors + Σ|c|) time and memory, the ring
+        // being shared rather than copied per member.
+        let mut memberships: Vec<Vec<CliqueMembership>> = vec![Vec::new(); spec.sensors.len()];
+        for c in &spec.cliques {
+            let ring = build_ring(c, |m| index_of.get(m).map(|&i| (sensor_pid_of(i), nodes[i])))?;
+            for (pos, (pid, _, _)) in ring.iter().enumerate() {
+                let mine = &mut memberships[pid.index() - first_sensor];
+                // A host listed twice in one clique holds one membership,
+                // at its first position.
+                if mine.last().is_some_and(|prev| Rc::ptr_eq(&prev.members, &ring)) {
                     continue;
                 }
-                let mut ring = Vec::with_capacity(c.members.len());
-                for m in &c.members {
-                    let midx = spec
-                        .sensors
-                        .iter()
-                        .position(|ss| &ss.host == m)
-                        .ok_or_else(|| NetError::NameNotFound(format!("clique member {m}")))?;
-                    ring.push((sensor_pid_of(midx), m.clone(), sensor_nodes[m]));
-                }
-                memberships.push(CliqueMembership::new(
-                    &c.name,
-                    ring,
-                    my_pid,
-                    c.gap,
-                    spec.watchdog,
-                ));
+                mine.push(CliqueMembership::at(&c.name, ring.clone(), pos, c.gap, spec.watchdog));
             }
+        }
 
+        let mut sensors = BTreeMap::new();
+        for (idx, (s, memberships)) in spec.sensors.iter().zip(memberships).enumerate() {
             let memory = memory_for(&memories, &spec.memory_hosts, s)?;
             let ord = idx as u64;
             let cfg = sensor_config(eng.topo(), spec, ns_pid, memory, s, ord, ord)?;
-            let pid = eng.add_process(node, Box::new(Sensor::new(cfg, memberships)));
-            debug_assert_eq!(pid, my_pid, "sensor pid prediction broke");
+            let pid = eng.add_process(nodes[idx], Box::new(Sensor::new(cfg, memberships)));
+            assert_eq!(pid, sensor_pid_of(idx), "sensor pid prediction broke");
             sensors.insert(s.host.clone(), pid);
         }
 
@@ -350,6 +365,11 @@ impl NwsSystem {
         &self.spec
     }
 
+    /// The live sensor process on `host`, for inspection between events.
+    pub fn sensor<'e>(&self, eng: &'e Engine<NwsMsg>, host: &str) -> Option<&'e Sensor> {
+        eng.process(*self.sensors.get(host)?)?.as_any()?.downcast_ref()
+    }
+
     /// Apply an incremental reconfiguration to the *running* system:
     /// sensors, cliques and series are retargeted in place instead of
     /// being torn down and redeployed. Memory servers and the forecaster
@@ -363,8 +383,8 @@ impl NwsSystem {
     /// membership absorbs or regenerates it).
     pub fn reconfigure(&mut self, eng: &mut Engine<NwsMsg>, re: &ReconfigSpec) -> NetResult<()> {
         // --- per-sensor retarget accumulation ------------------------------
-        let mut removes: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let mut adds: BTreeMap<String, Vec<CliqueRetarget>> = BTreeMap::new();
+        // host → (cliques to join or restart, cliques to retire)
+        let mut retargets: BTreeMap<String, (Vec<CliqueRetarget>, Vec<String>)> = BTreeMap::new();
         let old_members = |spec: &NwsSystemSpec, name: &str| -> Vec<String> {
             spec.cliques
                 .iter()
@@ -374,7 +394,7 @@ impl NwsSystem {
         };
         for name in &re.cliques_to_stop {
             for m in old_members(&self.spec, name) {
-                removes.entry(m).or_default().push(name.clone());
+                retargets.entry(m).or_default().1.push(name.clone());
             }
         }
         for c in &re.cliques_to_upsert {
@@ -382,7 +402,7 @@ impl NwsSystem {
             // staying members are retargeted by the add alone.
             for m in old_members(&self.spec, &c.name) {
                 if !c.members.contains(&m) {
-                    removes.entry(m).or_default().push(c.name.clone());
+                    retargets.entry(m).or_default().1.push(c.name.clone());
                 }
             }
         }
@@ -393,7 +413,7 @@ impl NwsSystem {
                 eng.kill_process(pid);
             }
             self.spec.sensors.retain(|s| &s.host != host);
-            removes.remove(host); // no point messaging a dead process
+            retargets.remove(host); // no point messaging a dead process
         }
         for host in &re.memories_to_add {
             if self.memories.contains_key(host) {
@@ -432,19 +452,10 @@ impl NwsSystem {
         // --- clique retargets ----------------------------------------------
         for c in &re.cliques_to_upsert {
             let started = self.spec.cliques.iter().any(|old| old.name == c.name);
-            let ring: Vec<(ProcessId, String, NodeId)> =
-                c.members
-                    .iter()
-                    .map(|m| {
-                        let pid =
-                            self.sensors.get(m).copied().ok_or_else(|| {
-                                NetError::NameNotFound(format!("clique member {m}"))
-                            })?;
-                        Ok((pid, m.clone(), eng.process_node(pid)))
-                    })
-                    .collect::<NetResult<_>>()?;
+            let ring =
+                build_ring(c, |m| self.sensors.get(m).map(|&pid| (pid, eng.process_node(pid))))?;
             for m in &c.members {
-                adds.entry(m.clone()).or_default().push(CliqueRetarget {
+                retargets.entry(m.clone()).or_default().0.push(CliqueRetarget {
                     clique: c.name.clone(),
                     ring: ring.clone(),
                     gap: c.gap,
@@ -462,18 +473,13 @@ impl NwsSystem {
         self.spec.cliques.extend(re.cliques_to_upsert.iter().cloned());
 
         // --- deliver -------------------------------------------------------
-        let mut sends: Vec<(ProcessId, NwsMsg)> = Vec::new();
-        let mut hosts: Vec<&String> = removes.keys().chain(adds.keys()).collect();
-        hosts.sort();
-        hosts.dedup();
-        for host in hosts {
-            let Some(&pid) = self.sensors.get(host) else { continue };
-            let msg = NwsMsg::Retarget {
-                add: adds.get(host).cloned().unwrap_or_default(),
-                remove: removes.get(host).cloned().unwrap_or_default(),
-            };
-            sends.push((pid, msg));
-        }
+        let sends: Vec<(ProcessId, NwsMsg)> = retargets
+            .into_iter()
+            .filter_map(|(host, (add, remove))| {
+                let pid = *self.sensors.get(&host)?;
+                Some((pid, NwsMsg::Retarget { add, remove }))
+            })
+            .collect();
         if !sends.is_empty() {
             eng.add_process(self.client_node, Box::new(Reconfigurer { sends }));
         }
@@ -1161,5 +1167,35 @@ mod tests {
         let mut no_sensor = NwsSystemSpec::minimal(&names[0], &[&names[0]]);
         no_sensor.cliques[0].members.push(names[1].clone());
         assert!(matches!(NwsSystem::deploy(&mut eng, &no_sensor), Err(NetError::NameNotFound(_))));
+
+        // So is the same host twice, as a sensor or as a memory: the second
+        // sensor would find another's pid in its rings, the second memory
+        // would shift every sensor pid the rings name.
+        let twice = NwsSystemSpec::minimal(&names[0], &[&names[0], &names[1], &names[0]]);
+        assert!(matches!(NwsSystem::deploy(&mut eng, &twice), Err(NetError::InvalidTopology(_))));
+        let mut twice = NwsSystemSpec::minimal(&names[0], &[&names[0], &names[1]]);
+        twice.memory_hosts.push(names[0].clone());
+        assert!(matches!(NwsSystem::deploy(&mut eng, &twice), Err(NetError::InvalidTopology(_))));
+    }
+
+    /// Every ring entry names the sensor that runs on the member's node,
+    /// however many processes were spawned before the first sensor.
+    #[test]
+    fn ring_pids_are_the_members_sensors() {
+        let (mut eng, names) = hub_engine(4);
+        let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+        let mut spec = NwsSystemSpec::minimal(&names[0], &refs);
+        spec.memory_hosts = names[..3].to_vec();
+        let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
+        for host in &names {
+            let sensor = sys.sensor(&eng, host).expect("deployed");
+            let m = sensor.memberships().next().expect("in clique0");
+            assert_eq!(m.members[m.me_idx].1, *host);
+            for (pid, name, node) in m.members.iter() {
+                assert_eq!(*pid, sys.sensors[name]);
+                assert_eq!(eng.process_node(*pid), *node);
+                assert_eq!(eng.topo().resolve_host(name), Ok(*node));
+            }
+        }
     }
 }
