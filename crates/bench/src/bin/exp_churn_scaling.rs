@@ -18,16 +18,15 @@
 //!   series from the master's own (never-churned) LAN must keep its
 //!   stored prefix byte-for-byte and keep growing across the transition.
 //!
-//! Hard gates: per-epoch `remap_ms` stays under a per-tier regression
-//! budget, and whenever an epoch dirties ≤ 10 % of the hosts the remap
-//! must issue ≥ 10× fewer experiments than the full map at ≥ 500 hosts
-//! (≥ 5× at the 100-host tier, where a single max-size LAN is a visible
-//! fraction of the whole platform).
+//! Hard gate on top of those: whenever an epoch dirties ≤ 10 % of the
+//! hosts the remap must issue ≥ 10× fewer experiments than the full map at
+//! ≥ 500 hosts (≥ 5× at the 100-host tier, where a single max-size LAN is
+//! a visible fraction of the whole platform). What a remap costs in
+//! wall-clock is `operate_1k`'s `envmap.remap_ms` in `BENCHMARK.json`.
 //!
 //! Run: `cargo run --release -p nws-bench --bin exp_churn_scaling
-//! [--smoke] [out.json]`. `--smoke` keeps the 100-host tier (CI).
-
-use std::time::Instant;
+//! [out.json]`. `BENCH_churn.json` is a golden file: CI regenerates and
+//! `cmp`s it.
 
 use envdeploy::{
     apply_plan, apply_plan_delta, plan_deployment, repair_plan, validate_plan_with_routes,
@@ -40,7 +39,7 @@ use netsim::synth::{synth, SynthFamily};
 use netsim::time::TimeDelta;
 use netsim::{Engine, Sim};
 use nws::{NwsMsg, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{Cell, Golden, Table};
 
 /// Fixed seed: the run is deterministic end to end.
 const SEED: u64 = 2026;
@@ -55,40 +54,11 @@ fn events_for(hosts: usize) -> usize {
     }
 }
 
-/// Generous per-epoch ceiling on `remap_ms` (~10× observed; a relapse
-/// into from-scratch mapping plus margin still trips it at the top tier).
-fn remap_budget_ms(hosts: usize) -> f64 {
-    match hosts {
-        0..=100 => 50.0,
-        101..=500 => 100.0,
-        501..=1000 => 250.0,
-        _ => 500.0,
-    }
-}
-
-struct Row {
-    family: &'static str,
-    tier: usize,
-    epoch: usize,
-    hosts_now: usize,
-    dirty: usize,
-    remap_ms: f64,
-    remap_experiments: u64,
-    full_experiments: u64,
-    probe_ratio: f64,
-    agreement: f64,
-    intact: f64,
-    delta_actions: usize,
-    validate_ms: f64,
-    witness_before: usize,
-    witness_after: usize,
-}
-
 fn inputs(names: &[String]) -> Vec<HostInput> {
     names.iter().map(|n| HostInput::new(n)).collect()
 }
 
-fn run_tier(family: SynthFamily, tier: usize, rows: &mut Vec<Row>) {
+fn run_tier(family: SynthFamily, tier: usize, rows: &mut Table) {
     let sc = synth(family, SEED, tier);
     let mut st = ChurnState::new(&sc, SEED ^ tier as u64);
     let master = st.master.clone();
@@ -139,11 +109,9 @@ fn run_tier(family: SynthFamily, tier: usize, rows: &mut Vec<Row>) {
         let current = inputs(st.hosts());
 
         // ---- remap (and the full-map differential oracle) -----------------
-        let t = Instant::now();
         let run = mapper
             .remap(&mut map_eng, &prev_run, &current, &dirty, &master, external.as_deref())
             .unwrap_or_else(|e| panic!("{} epoch {epoch}: remap failed: {e}", family.name()));
-        let remap_ms = t.elapsed().as_secs_f64() * 1e3;
         let full = mapper
             .map(&mut map_eng, &current, &master, external.as_deref())
             .unwrap_or_else(|e| panic!("{} epoch {epoch}: oracle map failed: {e}", family.name()));
@@ -181,19 +149,11 @@ fn run_tier(family: SynthFamily, tier: usize, rows: &mut Vec<Row>) {
                 frac * 100.0
             );
         }
-        assert!(
-            remap_ms <= remap_budget_ms(tier),
-            "{} epoch {epoch}: remap took {remap_ms:.1} ms, budget {:.0} ms",
-            family.name(),
-            remap_budget_ms(tier)
-        );
 
         // ---- repair + validate -------------------------------------------
         let out = repair_plan(&prev_plan, &run.view, &RepairConfig::preserving());
-        let t = Instant::now();
         let report =
             validate_plan_with_routes(&out.plan, &run.view, map_eng.topo(), map_eng.routes());
-        let validate_ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(
             report.complete && report.unresolved_hosts.is_empty(),
             "{} epoch {epoch}: repaired plan invalid\n{}",
@@ -229,23 +189,20 @@ fn run_tier(family: SynthFamily, tier: usize, rows: &mut Vec<Row>) {
             );
         }
 
-        rows.push(Row {
-            family: family.name(),
-            tier,
-            epoch,
-            hosts_now: st.hosts().len(),
-            dirty: dirty.len(),
-            remap_ms,
-            remap_experiments: remap_exp,
-            full_experiments: full_exp,
-            probe_ratio,
-            agreement,
-            intact,
-            delta_actions: out.delta.action_count(),
-            validate_ms,
-            witness_before,
-            witness_after: after.len(),
-        });
+        rows.row(vec![
+            family.name().into(),
+            tier.into(),
+            epoch.into(),
+            st.hosts().len().into(),
+            dirty.len().into(),
+            remap_exp.into(),
+            full_exp.into(),
+            Cell::Fixed(probe_ratio, 2),
+            Cell::Fixed(agreement, 6),
+            Cell::Fixed(intact, 6),
+            out.delta.action_count().into(),
+            Cell::List(vec![witness_before.into(), after.len().into()]),
+        ]);
 
         prev_run = run;
         prev_plan = out.plan;
@@ -260,118 +217,41 @@ fn run_tier(family: SynthFamily, tier: usize, rows: &mut Vec<Row>) {
     );
 }
 
-fn to_json(rows: &[Row], smoke: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"churn_scaling\",\n");
-    out.push_str("  \"generated_by\": \"exp_churn_scaling\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"epochs\": {EPOCHS},\n"));
-    out.push_str(
-        "  \"stages\": [\"mutate\", \"detect\", \"remap\", \"repair\", \"reconfigure\"],\n",
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let ratio = if r.probe_ratio.is_finite() {
-            format!("{:.2}", r.probe_ratio)
-        } else {
-            "null".to_string()
-        };
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"tier\": {}, \"epoch\": {}, \"hosts\": {}, \
-             \"dirty\": {}, \"remap_ms\": {:.3}, \"remap_experiments\": {}, \
-             \"full_map_experiments\": {}, \"probe_ratio\": {}, \"agreement\": {:.6}, \
-             \"intact\": {:.6}, \"delta_actions\": {}, \"validate_ms\": {:.3}, \
-             \"witness_points\": [{}, {}]}}{}\n",
-            r.family,
-            r.tier,
-            r.epoch,
-            r.hosts_now,
-            r.dirty,
-            r.remap_ms,
-            r.remap_experiments,
-            r.full_experiments,
-            ratio,
-            r.agreement,
-            r.intact,
-            r.delta_actions,
-            r.validate_ms,
-            r.witness_before,
-            r.witness_after,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
-    let tiers: &[usize] = if smoke { &[100] } else { &[100, 500, 1000, 2000] };
-
     println!("=== churn scaling: mutate -> detect -> remap -> repair -> reconfigure ===\n");
-    let mut rows = Vec::new();
-    for family in SynthFamily::ALL {
-        for &tier in tiers {
-            let before = rows.len();
-            run_tier(family, tier, &mut rows);
-            for r in &rows[before..] {
-                println!(
-                    "  {:>14} @ {:>4} epoch {}: dirty {:>3}, remap {:>6.2} ms \
-                     ({} of {} experiments, ratio {}), delta {} actions",
-                    r.family,
-                    r.tier,
-                    r.epoch,
-                    r.dirty,
-                    r.remap_ms,
-                    r.remap_experiments,
-                    r.full_experiments,
-                    if r.probe_ratio.is_finite() {
-                        format!("{:.1}", r.probe_ratio)
-                    } else {
-                        "inf".to_string()
-                    },
-                    r.delta_actions
-                );
-            }
-        }
-    }
-
-    let mut t = Table::new(&[
+    let mut rows = Table::new(&[
         "family",
         "tier",
         "epoch",
+        "hosts",
         "dirty",
-        "remap ms",
-        "remap exp",
-        "full exp",
-        "ratio",
+        "remap_experiments",
+        "full_map_experiments",
+        "probe_ratio",
         "agreement",
-        "delta",
+        "intact",
+        "delta_actions",
+        "witness_points",
     ]);
-    for r in &rows {
-        t.row(vec![
-            r.family.to_string(),
-            r.tier.to_string(),
-            r.epoch.to_string(),
-            r.dirty.to_string(),
-            f(r.remap_ms, 2),
-            r.remap_experiments.to_string(),
-            r.full_experiments.to_string(),
-            if r.probe_ratio.is_finite() { f(r.probe_ratio, 1) } else { "inf".to_string() },
-            f(r.agreement, 3),
-            r.delta_actions.to_string(),
-        ]);
+    for family in SynthFamily::ALL {
+        for tier in [100, 500, 1000, 2000] {
+            run_tier(family, tier, &mut rows);
+        }
     }
-    println!();
-    t.print();
-
-    std::fs::write(&out_path, to_json(&rows, smoke)).expect("write BENCH_churn.json");
-    println!("\nwrote {out_path}");
+    rows.write_golden(Golden {
+        bench: "churn_scaling",
+        bin: env!("CARGO_BIN_NAME"),
+        file: "BENCH_churn.json",
+        seed: SEED,
+        config: vec![
+            ("epochs", EPOCHS.into()),
+            (
+                "stages",
+                Cell::List(
+                    ["mutate", "detect", "remap", "repair", "reconfigure"].map(Cell::from).to_vec(),
+                ),
+            ),
+        ],
+        rows_key: "rows",
+    });
 }

@@ -1,7 +1,8 @@
-//! Engine-scaling experiment: events/sec and wall time of the flow
-//! simulator's `flow_lifecycle` workload at 16 / 128 / 1024 / 4096
-//! concurrent flows, emitted as `BENCH_simulator.json` so the perf
-//! trajectory is tracked across PRs.
+//! Engine-scaling sweep: events/sec and wall time of the flow simulator's
+//! `flow_lifecycle` workload at 16 / 128 / 1024 / 4096 concurrent flows —
+//! the flow-count sweep ROADMAP item 1 is judged by. Printed, not written:
+//! a stopwatch reading is not a golden value, and the gated number is
+//! `flow_storm`'s `work_rate` in `BENCHMARK.json`.
 //!
 //! The workload matches the Criterion `flow_lifecycle` bench: a 16-host
 //! star switch, `N` concurrent 256 KiB transfers round-robining over host
@@ -9,7 +10,7 @@
 //! completion and one ack event, each triggering a reallocation — the hot
 //! path the incremental fairness engine optimises.
 //!
-//! Run: `cargo run --release -p nws-bench --bin exp_engine_scaling [out.json]`
+//! Run: `cargo run --release -p nws-bench --bin exp_engine_scaling`
 
 use std::time::Instant;
 
@@ -18,15 +19,8 @@ use netsim::scenarios::star_switch;
 use netsim::Sim;
 use nws_bench::{f, Table};
 
-struct Point {
-    flows: usize,
-    wall_ms: f64,
-    events: u64,
-    events_per_sec: f64,
-    bytes_transferred: f64,
-}
-
-fn run_point(flows: usize) -> Point {
+/// One run: `(wall seconds, events)`.
+fn run_point(flows: usize) -> (f64, u64) {
     let net = star_switch(16, Bandwidth::mbps(100.0));
     let mut sim = Sim::new(net.topo);
     let start = Instant::now();
@@ -38,73 +32,29 @@ fn run_point(flows: usize) -> Point {
         .collect();
     sim.run_until_flows_done(&ids, TimeDelta::from_secs(36_000.0))
         .expect("lifecycle completes within the horizon");
-    let wall = start.elapsed();
+    let wall_s = start.elapsed().as_secs_f64();
     let stats = sim.stats();
     // One completion per flow plus every queue event (acks, etc.).
-    let events = stats.flows_started + stats.events_processed;
-    Point {
-        flows,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        events,
-        events_per_sec: events as f64 / wall.as_secs_f64(),
-        bytes_transferred: stats.bytes_transferred,
-    }
-}
-
-fn json_escape_free(points: &[Point]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"flow_lifecycle\",\n");
-    out.push_str("  \"generated_by\": \"exp_engine_scaling\",\n");
-    out.push_str("  \"topology\": \"star_switch_16\",\n");
-    out.push_str("  \"bytes_per_flow\": 262144,\n");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"flows\": {}, \"wall_ms\": {:.3}, \"events\": {}, \
-             \"events_per_sec\": {:.1}, \"bytes_transferred\": {:.0}}}{}\n",
-            p.flows,
-            p.wall_ms,
-            p.events,
-            p.events_per_sec,
-            p.bytes_transferred,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    (wall_s, stats.flows_started + stats.events_processed)
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_simulator.json".to_string());
     println!("=== engine scaling: flow_lifecycle on a 16-host star switch ===\n");
-
-    let mut points = Vec::new();
+    let mut t = Table::new(&["flows", "wall ms", "events", "events/sec"]);
     for flows in [16usize, 128, 1024, 4096] {
         // Warm-up run (page cache, branch predictors), then the best of
         // three measured runs — cheap noise rejection without Criterion.
         let _ = run_point(flows);
-        let mut best: Option<Point> = None;
-        for _ in 0..3 {
-            let p = run_point(flows);
-            if best.as_ref().is_none_or(|b| p.wall_ms < b.wall_ms) {
-                best = Some(p);
-            }
-        }
-        points.push(best.expect("three runs produce a best"));
-    }
-
-    let mut t = Table::new(&["flows", "wall ms", "events", "events/sec"]);
-    for p in &points {
+        let (wall_s, events) = (0..3)
+            .map(|_| run_point(flows))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("three runs produce a best");
         t.row(vec![
-            p.flows.to_string(),
-            f(p.wall_ms, 3),
-            p.events.to_string(),
-            f(p.events_per_sec, 0),
+            flows.to_string(),
+            f(wall_s * 1e3, 3),
+            events.to_string(),
+            f(events as f64 / wall_s, 0),
         ]);
     }
     t.print();
-
-    let json = json_escape_free(&points);
-    std::fs::write(&out_path, &json).expect("write BENCH_simulator.json");
-    println!("\nwrote {out_path}");
 }

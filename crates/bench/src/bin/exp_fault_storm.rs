@@ -26,8 +26,8 @@
 //! memory restart byte-for-byte, and tiers at ≤ 5 % loss keep
 //! availability ≥ 0.99.
 //!
-//! Run: `cargo run --release -p nws-bench --bin exp_fault_storm
-//! [--smoke] [out.json]`. `--smoke` keeps the 0 and 5 % tiers (CI).
+//! Run: `cargo run --release -p nws-bench --bin exp_fault_storm [out.json]`.
+//! `BENCH_faults.json` is a golden file: CI regenerates and `cmp`s it.
 
 use netsim::faults::{apply_link_fault, FaultEvent, FaultPlan, LossModel, StormConfig};
 use netsim::scenarios::star_hub;
@@ -35,8 +35,11 @@ use netsim::time::{SimTime, TimeDelta};
 use netsim::units::Bandwidth;
 use netsim::Engine;
 use nws::supervisor::SupervisorConfig;
-use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
-use nws_bench::{f, Table};
+use nws::{NwsMsg, NwsSystem, NwsSystemSpec};
+use nws_bench::{
+    dump_series, prefix_intact, supervised_until, Cell, Golden, SeriesDump, StoredRecord, Table,
+    GAP_FACTOR,
+};
 
 /// Fixed seed: the run is deterministic end to end.
 const SEED: u64 = 2026;
@@ -44,40 +47,17 @@ const HOSTS: usize = 6;
 const WARMUP_S: f64 = 60.0;
 const STORM_S: f64 = 480.0;
 const COOLDOWN_S: f64 = 60.0;
-/// A gap is an outage once it exceeds this multiple of the series' own
-/// mean cadence (clique rotations make short gaps routine).
-const GAP_FACTOR: f64 = 4.0;
 
-struct Row {
-    loss_pct: f64,
-    drops: u64,
-    dups: u64,
-    stores: u64,
-    dup_stores: u64,
-    rejected: u64,
-    crashes: usize,
+/// Everything one run observes; the determinism gate compares two whole.
+#[derive(PartialEq)]
+struct Run {
+    record: StoredRecord,
+    crashes: Vec<(Option<String>, f64)>,
     healed: usize,
-    availability: f64,
-    median_recovery_s: f64,
-    double_counted: i64,
-    prefix_intact: bool,
-    deterministic: bool,
-}
-
-/// Everything one run observes, for the bit-for-bit determinism gate.
-type Observation = (u64, u64, u64, Vec<(SeriesKey, Vec<(f64, f64)>)>);
-
-struct RunOutcome {
-    obs: Observation,
-    dup_stores: u64,
-    rejected: u64,
-    crashes: Vec<(String, f64)>,
-    healed: usize,
-    double_counted: i64,
     prefix_intact: bool,
 }
 
-fn run_storm(loss_pct: f64) -> RunOutcome {
+fn run_storm(loss_pct: f64) -> Run {
     let net = star_hub(HOSTS, Bandwidth::mbps(100.0));
     let names: Vec<String> =
         net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
@@ -96,19 +76,7 @@ fn run_storm(loss_pct: f64) -> RunOutcome {
     );
     eng.set_fault_seed(SEED ^ loss_pct.to_bits());
 
-    let check = TimeDelta::from_secs(1.0);
-    let mut healed_total = 0usize;
-    let supervised_until = |eng: &mut Engine<NwsMsg>, sys: &mut NwsSystem, t: SimTime| {
-        let mut healed = 0usize;
-        while eng.now() < t {
-            let next = (eng.now() + check).min(t);
-            eng.run_until(next);
-            healed += sys.heal(eng).unwrap().len();
-        }
-        healed
-    };
-
-    healed_total += supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S));
+    let mut healed = supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S));
 
     // The storm: loss episodes with duplication and jitter riding along,
     // plus two sensor crash/restart pairs. No link flaps in the *scored*
@@ -132,33 +100,31 @@ fn run_storm(loss_pct: f64) -> RunOutcome {
         outage: (STORM_S * 0.05, STORM_S * 0.15),
     };
     let plan = FaultPlan::storm(SEED.wrapping_add(loss_pct.to_bits()), &victims, &cfg);
-    let mem_crash_t = WARMUP_S + STORM_S * 0.5;
+    let mem_crash_t = SimTime::from_secs(WARMUP_S + STORM_S * 0.5);
 
-    let mut crashes: Vec<(String, f64)> = Vec::new();
-    let mut snapshot: Vec<(SeriesKey, Vec<(f64, f64)>)> = Vec::new();
-    let mut mem_crashed = false;
-    let crash_memory = |eng: &mut Engine<NwsMsg>,
-                        sys: &mut NwsSystem,
-                        snapshot: &mut Vec<(SeriesKey, Vec<(f64, f64)>)>| {
-        *snapshot =
-            sys.series_keys().into_iter().map(|k| (k.clone(), sys.series(&k).unwrap())).collect();
-        let (pid, _) = sys.memories[&names[0]];
-        eng.kill_process(pid);
+    let mut crashes = Vec::new();
+    // The stored record as it stood when the memory server was killed.
+    let mut witness: Option<SeriesDump> = None;
+    let mut crash_memory = |eng: &mut Engine<NwsMsg>, sys: &mut NwsSystem| {
+        let healed = supervised_until(eng, sys, mem_crash_t);
+        witness = Some(dump_series(sys));
+        eng.kill_process(sys.memories[&names[0]].0);
+        healed
     };
 
+    let mut mem_crashed = false;
     for ev in &plan.events {
         let t = SimTime::from_secs(WARMUP_S + ev.t);
-        if !mem_crashed && t.as_secs() > mem_crash_t {
-            healed_total += supervised_until(&mut eng, &mut sys, SimTime::from_secs(mem_crash_t));
-            crash_memory(&mut eng, &mut sys, &mut snapshot);
+        if !mem_crashed && t > mem_crash_t {
+            healed += crash_memory(&mut eng, &mut sys);
             mem_crashed = true;
         }
-        healed_total += supervised_until(&mut eng, &mut sys, t);
+        healed += supervised_until(&mut eng, &mut sys, t);
         match &ev.event {
             FaultEvent::Crash { host } => {
                 if let Some(&pid) = sys.sensors.get(host) {
                     eng.kill_process(pid);
-                    crashes.push((host.clone(), eng.now().as_secs()));
+                    crashes.push((Some(host.clone()), eng.now().as_secs()));
                 }
             }
             FaultEvent::Restart { .. } => {} // the supervisor's job
@@ -173,257 +139,86 @@ fn run_storm(loss_pct: f64) -> RunOutcome {
         }
     }
     if !mem_crashed {
-        healed_total += supervised_until(&mut eng, &mut sys, SimTime::from_secs(mem_crash_t));
-        crash_memory(&mut eng, &mut sys, &mut snapshot);
+        healed += crash_memory(&mut eng, &mut sys);
     }
     eng.set_default_loss(None);
-    healed_total +=
+    healed +=
         supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S + STORM_S + COOLDOWN_S));
 
-    // Score the stored record.
-    let stats = eng.stats();
-    let series: Vec<(SeriesKey, Vec<(f64, f64)>)> =
-        sys.series_keys().into_iter().map(|k| (k.clone(), sys.series(&k).unwrap())).collect();
-    let prefix_intact = snapshot.iter().all(|(k, before)| {
-        series
-            .iter()
-            .find(|(ak, _)| ak == k)
-            .map(|(_, after)| after.len() >= before.len() && after[..before.len()] == before[..])
-            .unwrap_or(false)
-    });
-    let (mut dup_stores, mut rejected, mut double_counted) = (0u64, 0u64, 0i64);
-    for (_, handle) in sys.memories.values() {
-        let st = handle.borrow();
-        let in_series: u64 = st.series.values().map(|s| s.len() as u64).sum();
-        dup_stores += st.dup_stores;
-        rejected += st.rejected;
-        double_counted += st.stores as i64 - in_series as i64 - st.rejected as i64;
-    }
-    RunOutcome {
-        obs: (sys.total_stores(), stats.messages_dropped, stats.messages_duplicated, series),
-        dup_stores,
-        rejected,
-        crashes,
-        healed: healed_total,
-        double_counted,
-        prefix_intact,
-    }
-}
-
-/// Mean over series of measured coverage: the fraction of the series'
-/// span not spent in gaps beyond `GAP_FACTOR ×` its own mean cadence.
-fn availability(series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (_, pts) in series {
-        if pts.len() < 3 {
-            continue;
-        }
-        let span = pts[pts.len() - 1].0 - pts[0].0;
-        if span <= 0.0 {
-            continue;
-        }
-        let cadence = span / (pts.len() - 1) as f64;
-        let allowed = GAP_FACTOR * cadence;
-        let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
-        sum += 1.0 - lost / span;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Median seconds from a sensor crash to that host's next stored
-/// measurement (over all crashes that had a next measurement).
-fn median_recovery(crashes: &[(String, f64)], series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
-    let mut recoveries: Vec<f64> = crashes
-        .iter()
-        .filter_map(|(host, tc)| {
-            series
-                .iter()
-                .filter(|(k, _)| &k.src == host)
-                .flat_map(|(_, pts)| pts.iter().map(|p| p.0))
-                .filter(|t| t > tc)
-                .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
-                .map(|t| t - tc)
-        })
-        .collect();
-    if recoveries.is_empty() {
-        return 0.0;
-    }
-    recoveries.sort_by(f64::total_cmp);
-    recoveries[recoveries.len() / 2]
-}
-
-fn debug_gaps(series: &[(SeriesKey, Vec<(f64, f64)>)]) {
-    let mut worst: Vec<(String, f64, f64, f64)> = Vec::new();
-    for (k, pts) in series {
-        if pts.len() < 3 {
-            worst.push((format!("{k}"), f64::INFINITY, 0.0, pts.len() as f64));
-            continue;
-        }
-        let span = pts[pts.len() - 1].0 - pts[0].0;
-        let cadence = span / (pts.len() - 1) as f64;
-        let allowed = GAP_FACTOR * cadence;
-        let maxgap = pts.windows(2).map(|w| w[1].0 - w[0].0).fold(0.0, f64::max);
-        let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
-        worst.push((format!("{k}"), lost / span, maxgap, cadence));
-    }
-    worst.sort_by(|a, b| b.1.total_cmp(&a.1));
-    for (k, lostfrac, maxgap, cadence) in worst.iter().take(12) {
-        println!("    GAP {k}: lost {lostfrac:.3}, maxgap {maxgap:.1}s, cadence {cadence:.1}s");
-    }
-}
-
-fn run_tier(loss_pct: f64) -> Row {
-    let a = run_storm(loss_pct);
-    if std::env::var("FAULT_DEBUG").is_ok() {
-        debug_gaps(&a.obs.3);
-    }
-    let b = run_storm(loss_pct);
-    let deterministic = a.obs == b.obs
-        && a.crashes == b.crashes
-        && a.healed == b.healed
-        && a.double_counted == b.double_counted;
-    let (stores, drops, dups, series) = a.obs;
-    Row {
-        loss_pct,
-        drops,
-        dups,
-        stores,
-        dup_stores: a.dup_stores,
-        rejected: a.rejected,
-        crashes: a.crashes.len(),
-        healed: a.healed,
-        availability: availability(&series),
-        median_recovery_s: median_recovery(&a.crashes, &series),
-        double_counted: a.double_counted,
-        prefix_intact: a.prefix_intact,
-        deterministic,
-    }
-}
-
-fn to_json(rows: &[Row], smoke: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"fault_storm\",\n");
-    out.push_str("  \"generated_by\": \"exp_fault_storm\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"hosts\": {HOSTS},\n"));
-    out.push_str(&format!(
-        "  \"schedule\": {{\"warmup_s\": {WARMUP_S}, \"storm_s\": {STORM_S}, \
-         \"cooldown_s\": {COOLDOWN_S}, \"gap_factor\": {GAP_FACTOR}}},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"loss_pct\": {}, \"drops\": {}, \"dups\": {}, \"stores\": {}, \
-             \"dup_stores\": {}, \"rejected\": {}, \"crashes\": {}, \"healed\": {}, \
-             \"availability\": {:.6}, \"median_recovery_s\": {:.3}, \
-             \"double_counted\": {}, \"prefix_intact\": {}, \"deterministic\": {}}}{}\n",
-            r.loss_pct,
-            r.drops,
-            r.dups,
-            r.stores,
-            r.dup_stores,
-            r.rejected,
-            r.crashes,
-            r.healed,
-            r.availability,
-            r.median_recovery_s,
-            r.double_counted,
-            r.prefix_intact,
-            r.deterministic,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let record = StoredRecord::of(&eng, &sys);
+    let prefix_intact = prefix_intact(&witness.expect("the memory crashed"), &record.series);
+    Run { record, crashes, healed, prefix_intact }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
-    let tiers: &[f64] = if smoke { &[0.0, 5.0] } else { &[0.0, 1.0, 5.0, 15.0] };
-
     println!("=== fault storms: loss tiers x crashes under supervision ===\n");
-    let mut rows = Vec::new();
-    for &loss_pct in tiers {
-        let r = run_tier(loss_pct);
-        println!(
-            "  loss {:>4.1}%: {} stores ({} dup-suppressed, {} rejected), {} drops, \
-             {} dups, {} crashes / {} healed, availability {:.4}, recovery {:.1} s",
-            r.loss_pct,
-            r.stores,
-            r.dup_stores,
-            r.rejected,
-            r.drops,
-            r.dups,
-            r.crashes,
-            r.healed,
-            r.availability,
-            r.median_recovery_s
-        );
-        rows.push(r);
-    }
-
     let mut t = Table::new(&[
-        "loss %",
-        "stores",
-        "dup stores",
+        "loss_pct",
         "drops",
         "dups",
+        "stores",
+        "dup_stores",
+        "rejected",
         "crashes",
         "healed",
-        "avail",
-        "recovery s",
-        "dbl-count",
+        "availability",
+        "median_recovery_s",
+        "double_counted",
+        "prefix_intact",
+        "deterministic",
     ]);
-    for r in &rows {
-        t.row(vec![
-            f(r.loss_pct, 1),
-            r.stores.to_string(),
-            r.dup_stores.to_string(),
-            r.drops.to_string(),
-            r.dups.to_string(),
-            r.crashes.to_string(),
-            r.healed.to_string(),
-            f(r.availability, 4),
-            f(r.median_recovery_s, 1),
-            r.double_counted.to_string(),
-        ]);
-    }
-    println!();
-    t.print();
+    for loss_pct in [0.0, 1.0, 5.0, 15.0] {
+        let run = run_storm(loss_pct);
+        let (rec, availability) = (&run.record, run.record.availability());
 
-    // Hard gates — a regression in the reliability layer fails the bench.
-    for r in &rows {
-        assert!(r.deterministic, "loss {}%: two identical runs diverged", r.loss_pct);
+        // Hard gates — a regression in the reliability layer fails the bench.
+        assert!(run == run_storm(loss_pct), "loss {loss_pct}%: two identical runs diverged");
         assert_eq!(
-            r.double_counted, 0,
-            "loss {}%: a retried or duplicated store was counted twice",
-            r.loss_pct
+            rec.double_counted, 0,
+            "loss {loss_pct}%: a retried or duplicated store was counted twice"
         );
-        assert!(r.prefix_intact, "loss {}%: memory restart rewrote stored history", r.loss_pct);
-        assert!(r.healed > 0, "loss {}%: the supervisor never healed anything", r.loss_pct);
-        if r.loss_pct <= 5.0 {
+        assert!(run.prefix_intact, "loss {loss_pct}%: memory restart rewrote stored history");
+        assert!(run.healed > 0, "loss {loss_pct}%: the supervisor never healed anything");
+        if loss_pct <= 5.0 {
             assert!(
-                r.availability >= 0.99,
-                "loss {}%: availability {:.4} < 0.99",
-                r.loss_pct,
-                r.availability
+                availability >= 0.99,
+                "loss {loss_pct}%: availability {availability:.4} < 0.99"
             );
         }
-    }
 
-    std::fs::write(&out_path, to_json(&rows, smoke)).expect("write BENCH_faults.json");
-    println!("\nwrote {out_path}");
+        t.row(vec![
+            Cell::Fixed(loss_pct, 0),
+            rec.drops.into(),
+            rec.dups.into(),
+            rec.stores.into(),
+            rec.dup_stores.into(),
+            rec.rejected.into(),
+            run.crashes.len().into(),
+            run.healed.into(),
+            Cell::Fixed(availability, 6),
+            Cell::Fixed(rec.median_recovery(&run.crashes), 3),
+            rec.double_counted.into(),
+            run.prefix_intact.into(),
+            true.into(),
+        ]);
+    }
+    t.write_golden(Golden {
+        bench: "fault_storm",
+        bin: env!("CARGO_BIN_NAME"),
+        file: "BENCH_faults.json",
+        seed: SEED,
+        config: vec![
+            ("hosts", HOSTS.into()),
+            (
+                "schedule",
+                Cell::Map(vec![
+                    ("warmup_s", Cell::Fixed(WARMUP_S, 0)),
+                    ("storm_s", Cell::Fixed(STORM_S, 0)),
+                    ("cooldown_s", Cell::Fixed(COOLDOWN_S, 0)),
+                    ("gap_factor", Cell::Fixed(GAP_FACTOR, 0)),
+                ]),
+            ),
+        ],
+        rows_key: "rows",
+    });
 }

@@ -1,9 +1,9 @@
 //! Forecaster query-serving at scale: query storms against a deployed NWS
-//! system on synthetic-family topologies, plus battery-level replay-vs-
-//! incremental cost curves, emitted as `BENCH_forecaster.json`.
+//! system on synthetic-family topologies, emitted as
+//! `BENCH_forecaster.json`.
 //!
-//! Every storm row asserts the incremental engine's *contracts*, not just
-//! its speed:
+//! Every storm row asserts the incremental engine's *contracts*; its speed
+//! is `benches/forecaster.rs` (`query_replay` vs `query_incremental`):
 //!
 //! * **bit-identity** — every served forecast equals replaying the stored
 //!   ring through a fresh battery (`ForecasterBattery::classic`), field
@@ -14,45 +14,23 @@
 //! * **directory economy** — one `WhereIs` per series ever, then cached.
 //!
 //! Run: `cargo run --release -p nws-bench --bin exp_forecast_scaling
-//! [--smoke] [out.json]`. `--smoke` keeps the 1k-query campus tier (the
-//! CI configuration).
+//! [out.json]`. `BENCH_forecaster.json` is a golden file: CI regenerates
+//! and `cmp`s it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::time::Instant;
 
 use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
 use netsim::synth::{synth, SynthFamily};
 use nws::msg::NwsMsg;
 use nws::{Forecast, ForecasterBattery, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
-use nws_bench::{f, Table};
+use nws_bench::{Cell, Golden, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 2004;
-
-struct StormRow {
-    family: &'static str,
-    hosts: usize,
-    series: usize,
-    points: usize,
-    queries: usize,
-    prime_ms: f64,
-    cold_ms: f64,
-    steady_ms: f64,
-    steady_us_per_query: f64,
-    steady_points_served: u64,
-    lookups: u64,
-    oracle_identical: bool,
-}
-
-struct BatteryRow {
-    series_len: usize,
-    replay_us: f64,
-    steady_us: f64,
-}
 
 /// Bulk-injects measurement points as `Store` messages.
 struct Injector {
@@ -107,7 +85,7 @@ impl Process<NwsMsg> for Storm {
     }
 }
 
-/// Run one storm phase to completion; returns elapsed wall milliseconds.
+/// Run one storm phase to completion.
 fn run_storm(
     eng: &mut Engine<NwsMsg>,
     node: NodeId,
@@ -115,7 +93,7 @@ fn run_storm(
     keys: &[SeriesKey],
     total: usize,
     latest: &Latest,
-) -> f64 {
+) {
     eng.add_process(
         node,
         Box::new(Storm {
@@ -126,10 +104,8 @@ fn run_storm(
             latest: latest.clone(),
         }),
     );
-    let t = Instant::now();
     let horizon = eng.now() + TimeDelta::from_secs(1e7);
     eng.run_until(horizon);
-    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// Synthetic measurement stream for one series: a seeded random walk with
@@ -144,7 +120,7 @@ fn series_values(rng: &mut SmallRng, n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn run_storm_tier(family: SynthFamily, hosts: usize, points: usize, queries: usize) -> StormRow {
+fn run_storm_tier(t: &mut Table, family: SynthFamily, hosts: usize, points: usize, queries: usize) {
     let sc = synth(family, SEED, hosts);
     let names = sc.input_names();
     let master = sc.master_name();
@@ -186,23 +162,21 @@ fn run_storm_tier(family: SynthFamily, hosts: usize, points: usize, queries: usi
         }
         streams.insert(key.clone(), values);
     }
-    let t = Instant::now();
     eng.add_process(client_node, Box::new(Injector { memory: *memory, batch }));
     eng.run_until(eng.now() + TimeDelta::from_secs(1e7));
-    let prime_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(handle.borrow().stores, (keys.len() * points) as u64);
 
     let latest: Latest = Rc::new(RefCell::new(BTreeMap::new()));
 
     // Cold sweep: first query per series pays the directory lookup and
     // the full-ring fetch.
-    let cold_ms = run_storm(&mut eng, client_node, sys.forecaster, &keys, keys.len(), &latest);
+    run_storm(&mut eng, client_node, sys.forecaster, &keys, keys.len(), &latest);
     let served_cold = handle.borrow().points_served;
     assert_eq!(served_cold, (keys.len() * points) as u64, "cold sweep ships every ring");
 
     // Steady-state storm: no new measurements → every query is a zero-
     // point delta fetch, independent of how long the rings are.
-    let steady_ms = run_storm(&mut eng, client_node, sys.forecaster, &keys, queries, &latest);
+    run_storm(&mut eng, client_node, sys.forecaster, &keys, queries, &latest);
     let steady_points_served = handle.borrow().points_served - served_cold;
     assert_eq!(steady_points_served, 0, "steady-state queries must ship zero history");
 
@@ -236,164 +210,44 @@ fn run_storm_tier(family: SynthFamily, hosts: usize, points: usize, queries: usi
     }
     assert!(oracle_identical, "incremental forecasts must be bit-identical to replay");
 
-    StormRow {
-        family: family.name(),
-        hosts,
-        series: keys.len(),
-        points,
-        queries,
-        prime_ms,
-        cold_ms,
-        steady_ms,
-        steady_us_per_query: steady_ms * 1e3 / queries as f64,
-        steady_points_served,
-        lookups,
-        oracle_identical,
-    }
-}
-
-/// Battery-level cost curves: a replay-per-query server does O(n·P) work
-/// per query; the persistent battery answers from standing state.
-fn run_battery_tiers(lens: &[usize]) -> Vec<BatteryRow> {
-    let mut rows = Vec::new();
-    for &len in lens {
-        let mut rng = SmallRng::seed_from_u64(SEED ^ len as u64);
-        let data = series_values(&mut rng, len);
-
-        let replay_iters = (200_000 / len).max(3);
-        let t = Instant::now();
-        for _ in 0..replay_iters {
-            let mut battery = ForecasterBattery::classic();
-            battery.observe_all(data.iter().copied());
-            std::hint::black_box(battery.forecast());
-        }
-        let replay_us = t.elapsed().as_secs_f64() * 1e6 / replay_iters as f64;
-
-        let mut warm = ForecasterBattery::classic();
-        warm.observe_all(data.iter().copied());
-        let steady_iters = 20_000;
-        let t = Instant::now();
-        for _ in 0..steady_iters {
-            std::hint::black_box(warm.forecast());
-        }
-        let steady_us = t.elapsed().as_secs_f64() * 1e6 / steady_iters as f64;
-
-        rows.push(BatteryRow { series_len: len, replay_us, steady_us });
-    }
-    // Steady-state cost is a function of the predictor family, not the
-    // history length: allow generous noise, reject the O(n) shape.
-    let (lo, hi) = (rows.first().unwrap(), rows.last().unwrap());
-    assert!(
-        hi.steady_us < 20.0 * lo.steady_us.max(0.05),
-        "steady-state query cost must not scale with series length: {} us @ {} vs {} us @ {}",
-        lo.steady_us,
-        lo.series_len,
-        hi.steady_us,
-        hi.series_len
-    );
-    assert!(
-        hi.replay_us > 3.0 * lo.replay_us,
-        "replay cost should grow with series length ({} us vs {} us)",
-        lo.replay_us,
-        hi.replay_us
-    );
-    rows
-}
-
-fn to_json(storm: &[StormRow], battery: &[BatteryRow], smoke: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"forecaster_scaling\",\n");
-    out.push_str("  \"generated_by\": \"exp_forecast_scaling\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str("  \"storm_rows\": [\n");
-    for (i, r) in storm.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"hosts\": {}, \"series\": {}, \"points\": {}, \
-             \"queries\": {}, \"prime_ms\": {:.3}, \"cold_ms\": {:.3}, \"steady_ms\": {:.3}, \
-             \"steady_us_per_query\": {:.3}, \"steady_points_served\": {}, \"lookups\": {}, \
-             \"oracle_identical\": {}}}{}\n",
-            r.family,
-            r.hosts,
-            r.series,
-            r.points,
-            r.queries,
-            r.prime_ms,
-            r.cold_ms,
-            r.steady_ms,
-            r.steady_us_per_query,
-            r.steady_points_served,
-            r.lookups,
-            r.oracle_identical,
-            if i + 1 < storm.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"battery_rows\": [\n");
-    for (i, r) in battery.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"series_len\": {}, \"replay_us_per_query\": {:.3}, \
-             \"steady_us_per_query\": {:.3}}}{}\n",
-            r.series_len,
-            r.replay_us,
-            r.steady_us,
-            if i + 1 < battery.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    t.row::<Cell>(vec![
+        family.name().into(),
+        hosts.into(),
+        keys.len().into(),
+        points.into(),
+        queries.into(),
+        steady_points_served.into(),
+        lookups.into(),
+        oracle_identical.into(),
+    ]);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_forecaster.json".to_string());
-
     println!("=== forecaster scaling: incremental query engine vs replay ===\n");
-
-    let tiers: Vec<(SynthFamily, usize, usize, usize)> = if smoke {
-        vec![(SynthFamily::Campus, 100, 128, 1_000)]
-    } else {
-        vec![
-            (SynthFamily::Campus, 100, 512, 1_000),
-            (SynthFamily::Campus, 100, 512, 10_000),
-            (SynthFamily::Campus, 100, 512, 100_000),
-            (SynthFamily::FatTree, 100, 512, 10_000),
-        ]
-    };
-
-    let mut storm_rows = Vec::new();
-    for (family, hosts, points, queries) in tiers {
-        let row = run_storm_tier(family, hosts, points, queries);
-        println!(
-            "  {:>9} @ {:>3} hosts, {:>3} series x {:>3} pts: {:>6} queries, \
-             steady {:>7.2} us/query, {} delta pts, oracle ok",
-            row.family,
-            row.hosts,
-            row.series,
-            row.points,
-            row.queries,
-            row.steady_us_per_query,
-            row.steady_points_served,
-        );
-        storm_rows.push(row);
+    let mut t = Table::new(&[
+        "family",
+        "hosts",
+        "series",
+        "points",
+        "queries",
+        "steady_points_served",
+        "lookups",
+        "oracle_identical",
+    ]);
+    for (family, queries) in [
+        (SynthFamily::Campus, 1_000),
+        (SynthFamily::Campus, 10_000),
+        (SynthFamily::Campus, 100_000),
+        (SynthFamily::FatTree, 10_000),
+    ] {
+        run_storm_tier(&mut t, family, 100, 512, queries);
     }
-
-    let lens: &[usize] = if smoke { &[128, 2048] } else { &[128, 512, 2048, 8192] };
-    let battery_rows = run_battery_tiers(lens);
-
-    let mut t = Table::new(&["series len", "replay us/query", "steady us/query"]);
-    for r in &battery_rows {
-        t.row(vec![r.series_len.to_string(), f(r.replay_us, 2), f(r.steady_us, 3)]);
-    }
-    println!();
-    t.print();
-
-    std::fs::write(&out_path, to_json(&storm_rows, &battery_rows, smoke))
-        .expect("write BENCH_forecaster.json");
-    println!("\nwrote {out_path}");
+    t.write_golden(Golden {
+        bench: "forecaster_scaling",
+        bin: env!("CARGO_BIN_NAME"),
+        file: "BENCH_forecaster.json",
+        seed: SEED,
+        config: Vec::new(),
+        rows_key: "storm_rows",
+    });
 }

@@ -23,17 +23,21 @@
 //! byte-identical prefix of the final record, crashing tiers actually
 //! replay bytes from disk, and availability stays ≥ 0.98.
 //!
-//! Run: `cargo run --release -p nws-bench --bin exp_recovery
-//! [--smoke] [out.json]`. `--smoke` keeps the 0- and 3-crash tiers (CI).
+//! Run: `cargo run --release -p nws-bench --bin exp_recovery [out.json]`.
+//! `BENCH_recovery.json` is a golden file: CI regenerates and `cmp`s it.
 
+use netsim::disk::DiskStats;
 use netsim::faults::LossModel;
 use netsim::scenarios::star_hub;
 use netsim::time::{SimTime, TimeDelta};
 use netsim::units::Bandwidth;
 use netsim::Engine;
 use nws::supervisor::SupervisorConfig;
-use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
-use nws_bench::{f, Table};
+use nws::{NwsMsg, NwsSystem, NwsSystemSpec};
+use nws_bench::{
+    dump_series, prefix_intact, supervised_until, Cell, Golden, SeriesDump, StoredRecord, Table,
+    GAP_FACTOR,
+};
 
 const SEED: u64 = 2027;
 const HOSTS: usize = 6;
@@ -41,48 +45,18 @@ const WARMUP_S: f64 = 60.0;
 const WINDOW_S: f64 = 300.0;
 const COOLDOWN_S: f64 = 60.0;
 const LOSS_PCT: f64 = 5.0;
-const GAP_FACTOR: f64 = 4.0;
 
-struct Row {
-    crashes: usize,
+/// Everything one run observes; the determinism gate compares two whole.
+#[derive(PartialEq)]
+struct Run {
+    record: StoredRecord,
+    crashes: Vec<(Option<String>, f64)>,
     healed: usize,
-    stores: u64,
-    dup_stores: u64,
-    rejected: u64,
-    availability: f64,
-    median_recovery_s: f64,
-    replay_bytes: u64,
-    appended_bytes: u64,
-    synced_bytes: u64,
-    torn_bytes: u64,
-    compactions: u64,
-    double_counted: i64,
-    prefix_intact: bool,
-    deterministic: bool,
-}
-
-/// Full dump of every stored series, keyed and in point order.
-type SeriesDump = Vec<(SeriesKey, Vec<(f64, f64)>)>;
-
-/// Everything one run observes, for the bit-for-bit determinism gate.
-type Observation = (u64, u64, u64, SeriesDump);
-
-struct RunOutcome {
-    obs: Observation,
-    dup_stores: u64,
-    rejected: u64,
-    crash_times: Vec<f64>,
-    healed: usize,
-    replay_bytes: u64,
-    appended_bytes: u64,
-    synced_bytes: u64,
-    torn_bytes: u64,
-    compactions: u64,
-    double_counted: i64,
+    disk: DiskStats,
     prefix_intact: bool,
 }
 
-fn run_tier_once(crashes: usize) -> RunOutcome {
+fn run_tier(crashes: usize) -> Run {
     let net = star_hub(HOSTS, Bandwidth::mbps(100.0));
     let names: Vec<String> =
         net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
@@ -106,273 +80,101 @@ fn run_tier_once(crashes: usize) -> RunOutcome {
     eng.set_fault_seed(SEED.wrapping_add(crashes as u64));
     eng.set_default_loss(Some(LossModel::lossy(LOSS_PCT / 100.0)));
 
-    let check = TimeDelta::from_secs(1.0);
-    let mut healed_total = 0usize;
-    let supervised_until = |eng: &mut Engine<NwsMsg>, sys: &mut NwsSystem, t: SimTime| {
-        let mut healed = 0usize;
-        while eng.now() < t {
-            let next = (eng.now() + check).min(t);
-            eng.run_until(next);
-            healed += sys.heal(eng).unwrap().len();
-        }
-        healed
-    };
-
-    healed_total += supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S));
+    let mut healed = supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S));
 
     // Crashes evenly spaced through the window, each preceded by a
     // witness snapshot of the whole stored record.
-    let mem_host = names[0].clone();
     let mut witnesses: Vec<SeriesDump> = Vec::new();
-    let mut crash_times: Vec<f64> = Vec::new();
+    let mut crash_times = Vec::new();
     for i in 0..crashes {
         let t = WARMUP_S + WINDOW_S * (i as f64 + 1.0) / (crashes as f64 + 1.0);
-        healed_total += supervised_until(&mut eng, &mut sys, SimTime::from_secs(t));
-        witnesses.push(
-            sys.series_keys().into_iter().map(|k| (k.clone(), sys.series(&k).unwrap())).collect(),
-        );
-        crash_times.push(eng.now().as_secs());
-        sys.crash_memory(&mut eng, &mem_host);
+        healed += supervised_until(&mut eng, &mut sys, SimTime::from_secs(t));
+        witnesses.push(dump_series(&sys));
+        crash_times.push((None, eng.now().as_secs()));
+        sys.crash_memory(&mut eng, &names[0]);
     }
-    healed_total += supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S + WINDOW_S));
+    healed += supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S + WINDOW_S));
     eng.set_default_loss(None);
-    healed_total +=
+    healed +=
         supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S + WINDOW_S + COOLDOWN_S));
 
-    // Score.
-    let stats = eng.stats();
-    let series: SeriesDump =
-        sys.series_keys().into_iter().map(|k| (k.clone(), sys.series(&k).unwrap())).collect();
-    let prefix_intact = witnesses.iter().flatten().all(|(k, before)| {
-        series
-            .iter()
-            .find(|(ak, _)| ak == k)
-            .map(|(_, after)| after.len() >= before.len() && after[..before.len()] == before[..])
-            .unwrap_or(false)
-    });
-    let (mut dup_stores, mut rejected, mut double_counted) = (0u64, 0u64, 0i64);
-    for (_, handle) in sys.memories.values() {
-        let st = handle.borrow();
-        let in_series: u64 = st.series.values().map(|s| s.len() as u64).sum();
-        dup_stores += st.dup_stores;
-        rejected += st.rejected;
-        double_counted += st.stores as i64 - in_series as i64 - st.rejected as i64;
-    }
-    let dstats = sys.disks.total_stats();
-    RunOutcome {
-        obs: (sys.total_stores(), stats.messages_dropped, stats.messages_duplicated, series),
-        dup_stores,
-        rejected,
-        crash_times,
-        healed: healed_total,
-        replay_bytes: dstats.bytes_read,
-        appended_bytes: dstats.bytes_appended,
-        synced_bytes: dstats.bytes_synced,
-        torn_bytes: dstats.bytes_torn,
-        compactions: dstats.renames,
-        double_counted,
-        prefix_intact,
-    }
-}
-
-/// Mean over series of measured coverage: the fraction of the series'
-/// span not spent in gaps beyond `GAP_FACTOR ×` its own mean cadence.
-fn availability(series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (_, pts) in series {
-        if pts.len() < 3 {
-            continue;
-        }
-        let span = pts[pts.len() - 1].0 - pts[0].0;
-        if span <= 0.0 {
-            continue;
-        }
-        let cadence = span / (pts.len() - 1) as f64;
-        let allowed = GAP_FACTOR * cadence;
-        let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
-        sum += 1.0 - lost / span;
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Median seconds from a memory crash to the first measurement the
-/// rebuilt server stored (first point anywhere with `t >` the crash).
-fn median_recovery(crash_times: &[f64], series: &[(SeriesKey, Vec<(f64, f64)>)]) -> f64 {
-    let mut recoveries: Vec<f64> = crash_times
-        .iter()
-        .filter_map(|tc| {
-            series
-                .iter()
-                .flat_map(|(_, pts)| pts.iter().map(|p| p.0))
-                .filter(|t| t > tc)
-                .fold(None, |acc: Option<f64>, t| Some(acc.map_or(t, |a| a.min(t))))
-                .map(|t| t - tc)
-        })
-        .collect();
-    if recoveries.is_empty() {
-        return 0.0;
-    }
-    recoveries.sort_by(f64::total_cmp);
-    recoveries[recoveries.len() / 2]
-}
-
-fn run_tier(crashes: usize) -> Row {
-    let a = run_tier_once(crashes);
-    let b = run_tier_once(crashes);
-    let deterministic = a.obs == b.obs
-        && a.crash_times == b.crash_times
-        && a.healed == b.healed
-        && a.replay_bytes == b.replay_bytes
-        && a.torn_bytes == b.torn_bytes;
-    let (stores, _, _, series) = &a.obs;
-    Row {
-        crashes,
-        healed: a.healed,
-        stores: *stores,
-        dup_stores: a.dup_stores,
-        rejected: a.rejected,
-        availability: availability(series),
-        median_recovery_s: median_recovery(&a.crash_times, series),
-        replay_bytes: a.replay_bytes,
-        appended_bytes: a.appended_bytes,
-        synced_bytes: a.synced_bytes,
-        torn_bytes: a.torn_bytes,
-        compactions: a.compactions,
-        double_counted: a.double_counted,
-        prefix_intact: a.prefix_intact,
-        deterministic,
-    }
-}
-
-fn to_json(rows: &[Row], smoke: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"recovery\",\n");
-    out.push_str("  \"generated_by\": \"exp_recovery\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"hosts\": {HOSTS},\n"));
-    out.push_str(&format!("  \"loss_pct\": {LOSS_PCT},\n"));
-    out.push_str(&format!(
-        "  \"schedule\": {{\"warmup_s\": {WARMUP_S}, \"window_s\": {WINDOW_S}, \
-         \"cooldown_s\": {COOLDOWN_S}, \"gap_factor\": {GAP_FACTOR}}},\n"
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"crashes\": {}, \"healed\": {}, \"stores\": {}, \"dup_stores\": {}, \
-             \"rejected\": {}, \"availability\": {:.6}, \"median_recovery_s\": {:.3}, \
-             \"replay_bytes\": {}, \"appended_bytes\": {}, \"synced_bytes\": {}, \
-             \"torn_bytes\": {}, \"compactions\": {}, \"double_counted\": {}, \
-             \"prefix_intact\": {}, \"deterministic\": {}}}{}\n",
-            r.crashes,
-            r.healed,
-            r.stores,
-            r.dup_stores,
-            r.rejected,
-            r.availability,
-            r.median_recovery_s,
-            r.replay_bytes,
-            r.appended_bytes,
-            r.synced_bytes,
-            r.torn_bytes,
-            r.compactions,
-            r.double_counted,
-            r.prefix_intact,
-            r.deterministic,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let record = StoredRecord::of(&eng, &sys);
+    let prefix_intact = witnesses.iter().all(|w| prefix_intact(w, &record.series));
+    Run { record, crashes: crash_times, healed, disk: sys.disks.total_stats(), prefix_intact }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_recovery.json".to_string());
-    let tiers: &[usize] = if smoke { &[0, 3] } else { &[0, 1, 3, 6] };
-
     println!("=== durable state plane: memory host crashes x disk recovery ===\n");
-    let mut rows = Vec::new();
-    for &crashes in tiers {
-        let r = run_tier(crashes);
-        println!(
-            "  {} crashes: {} stores ({} dup-suppressed, {} rejected), healed {}, \
-             availability {:.4}, recovery {:.1} s, replay {} B, torn {} B, {} compactions",
-            r.crashes,
-            r.stores,
-            r.dup_stores,
-            r.rejected,
-            r.healed,
-            r.availability,
-            r.median_recovery_s,
-            r.replay_bytes,
-            r.torn_bytes,
-            r.compactions
-        );
-        rows.push(r);
-    }
-
     let mut t = Table::new(&[
         "crashes",
-        "stores",
-        "dup stores",
         "healed",
-        "avail",
-        "recovery s",
-        "replay B",
-        "torn B",
+        "stores",
+        "dup_stores",
+        "rejected",
+        "availability",
+        "median_recovery_s",
+        "replay_bytes",
+        "appended_bytes",
+        "synced_bytes",
+        "torn_bytes",
         "compactions",
-        "dbl-count",
+        "double_counted",
+        "prefix_intact",
+        "deterministic",
     ]);
-    for r in &rows {
+    for crashes in [0usize, 1, 3, 6] {
+        let run = run_tier(crashes);
+        let (rec, availability) = (&run.record, run.record.availability());
+
+        // Hard gates — a regression in the durable state plane fails the bench.
+        assert!(run == run_tier(crashes), "{crashes} crashes: two identical runs diverged");
+        assert_eq!(
+            rec.double_counted, 0,
+            "{crashes} crashes: a replayed or retried store was counted twice"
+        );
+        assert!(run.prefix_intact, "{crashes} crashes: recovery rewrote stored history");
+        assert!(run.healed >= crashes, "{crashes} crashes: not every crash healed");
+        if crashes > 0 {
+            assert!(run.disk.bytes_read > 0, "{crashes} crashes: recovery never read the disk");
+        }
+        assert!(availability >= 0.98, "{crashes} crashes: availability {availability:.4} < 0.98");
+
         t.row(vec![
-            r.crashes.to_string(),
-            r.stores.to_string(),
-            r.dup_stores.to_string(),
-            r.healed.to_string(),
-            f(r.availability, 4),
-            f(r.median_recovery_s, 1),
-            r.replay_bytes.to_string(),
-            r.torn_bytes.to_string(),
-            r.compactions.to_string(),
-            r.double_counted.to_string(),
+            crashes.into(),
+            run.healed.into(),
+            rec.stores.into(),
+            rec.dup_stores.into(),
+            rec.rejected.into(),
+            Cell::Fixed(availability, 6),
+            Cell::Fixed(rec.median_recovery(&run.crashes), 3),
+            run.disk.bytes_read.into(),
+            run.disk.bytes_appended.into(),
+            run.disk.bytes_synced.into(),
+            run.disk.bytes_torn.into(),
+            run.disk.renames.into(),
+            rec.double_counted.into(),
+            run.prefix_intact.into(),
+            true.into(),
         ]);
     }
-    println!();
-    t.print();
-
-    // Hard gates — a regression in the durable state plane fails the bench.
-    for r in &rows {
-        assert!(r.deterministic, "{} crashes: two identical runs diverged", r.crashes);
-        assert_eq!(
-            r.double_counted, 0,
-            "{} crashes: a replayed or retried store was counted twice",
-            r.crashes
-        );
-        assert!(r.prefix_intact, "{} crashes: recovery rewrote stored history", r.crashes);
-        assert!(r.healed >= r.crashes, "{} crashes: not every crash healed", r.crashes);
-        if r.crashes > 0 {
-            assert!(r.replay_bytes > 0, "{} crashes: recovery never read the disk", r.crashes);
-        }
-        assert!(
-            r.availability >= 0.98,
-            "{} crashes: availability {:.4} < 0.98",
-            r.crashes,
-            r.availability
-        );
-    }
-
-    std::fs::write(&out_path, to_json(&rows, smoke)).expect("write BENCH_recovery.json");
-    println!("\nwrote {out_path}");
+    t.write_golden(Golden {
+        bench: "recovery",
+        bin: env!("CARGO_BIN_NAME"),
+        file: "BENCH_recovery.json",
+        seed: SEED,
+        config: vec![
+            ("hosts", HOSTS.into()),
+            ("loss_pct", Cell::Fixed(LOSS_PCT, 0)),
+            (
+                "schedule",
+                Cell::Map(vec![
+                    ("warmup_s", Cell::Fixed(WARMUP_S, 0)),
+                    ("window_s", Cell::Fixed(WINDOW_S, 0)),
+                    ("cooldown_s", Cell::Fixed(COOLDOWN_S, 0)),
+                    ("gap_factor", Cell::Fixed(GAP_FACTOR, 0)),
+                ]),
+            ),
+        ],
+        rows_key: "rows",
+    });
 }

@@ -1,7 +1,7 @@
 //! The whole reproduction at a glance: every paper checkpoint evaluated
-//! programmatically, one PASS/FAIL row each. This is the machine-checkable
-//! version of EXPERIMENTS.md (the individual `fig_*`/`exp_*` binaries show
-//! the full tables behind each row).
+//! programmatically, one PASS/FAIL row each (the individual `fig_*`/`exp_*`
+//! binaries show the full tables behind each row; DESIGN.md §3 says which
+//! rows stand for which binary).
 //!
 //! Run: `cargo run --release -p nws-bench --bin repro_summary`
 

@@ -4,7 +4,9 @@
 use envmap::{merge_runs, EnvConfig, EnvMapper, EnvRun, EnvView, HostInput};
 use gridml::merge::GatewayAlias;
 use netsim::scenarios::{ens_lyon, Calibration, EnsLyon};
-use netsim::Sim;
+use netsim::time::{SimTime, TimeDelta};
+use netsim::{Engine, Sim};
+use nws::{NwsMsg, NwsSystem, SeriesKey};
 
 /// The six public hosts of the outside ENV run (paper §4.2).
 pub fn outside_inputs() -> Vec<HostInput> {
@@ -73,46 +75,313 @@ pub fn map_ens_lyon() -> MappedEnsLyon {
     MappedEnsLyon { platform, outside, inside, merged }
 }
 
-/// Fixed-width table printer for experiment binaries.
+/// Every stored series, in key order, each as its `(t, value)` points.
+pub type SeriesDump = Vec<(SeriesKey, Vec<(f64, f64)>)>;
+
+/// The whole stored record of `sys`, as it stands now.
+pub fn dump_series(sys: &NwsSystem) -> SeriesDump {
+    sys.series_keys()
+        .into_iter()
+        .map(|k| {
+            let points = sys.series(&k).expect("a listed key has a series");
+            (k, points)
+        })
+        .collect()
+}
+
+/// Whether every series of `before` is a byte-identical prefix of the
+/// same series in `after`.
+pub fn prefix_intact(before: &SeriesDump, after: &SeriesDump) -> bool {
+    before.iter().all(|(key, old)| {
+        after.iter().any(|(k, new)| k == key && new.len() >= old.len() && new[..old.len()] == **old)
+    })
+}
+
+/// The stored record a fault run leaves behind; the run-twice determinism
+/// gates of `exp_fault_storm` and `exp_recovery` compare two of these whole.
+#[derive(PartialEq)]
+pub struct StoredRecord {
+    pub stores: u64,
+    pub drops: u64,
+    pub dups: u64,
+    pub dup_stores: u64,
+    pub rejected: u64,
+    /// `stores − Σ len(series) − rejected` over the memory servers: a
+    /// retry, duplicate or WAL replay counted twice shows up here.
+    pub double_counted: i64,
+    pub series: SeriesDump,
+}
+
+impl StoredRecord {
+    pub fn of(eng: &Engine<NwsMsg>, sys: &NwsSystem) -> StoredRecord {
+        let (mut dup_stores, mut rejected, mut double_counted) = (0u64, 0u64, 0i64);
+        for (_, handle) in sys.memories.values() {
+            let st = handle.borrow();
+            let in_series: u64 = st.series.values().map(|s| s.len() as u64).sum();
+            dup_stores += st.dup_stores;
+            rejected += st.rejected;
+            double_counted += st.stores as i64 - in_series as i64 - st.rejected as i64;
+        }
+        let stats = eng.stats();
+        StoredRecord {
+            stores: sys.total_stores(),
+            drops: stats.messages_dropped,
+            dups: stats.messages_duplicated,
+            dup_stores,
+            rejected,
+            double_counted,
+            series: dump_series(sys),
+        }
+    }
+
+    /// Mean over series of measured coverage: the fraction of a series'
+    /// span not spent in gaps beyond [`GAP_FACTOR`] × its own mean cadence.
+    pub fn availability(&self) -> f64 {
+        let mut sum = 0.0;
+        let mut n = 0usize;
+        for (_, pts) in &self.series {
+            if pts.len() < 3 {
+                continue;
+            }
+            let span = pts[pts.len() - 1].0 - pts[0].0;
+            if span <= 0.0 {
+                continue;
+            }
+            let cadence = span / (pts.len() - 1) as f64;
+            let allowed = GAP_FACTOR * cadence;
+            let lost: f64 = pts.windows(2).map(|w| (w[1].0 - w[0].0 - allowed).max(0.0)).sum();
+            sum += 1.0 - lost / span;
+            n += 1;
+        }
+        if n == 0 {
+            0.0
+        } else {
+            sum / n as f64
+        }
+    }
+
+    /// Median seconds from each crash `(host, t)` to the next point stored
+    /// after it — by that host's own series, or by any series when the
+    /// crash names no host (a memory crash); crashes nothing followed
+    /// are left out.
+    pub fn median_recovery(&self, crashes: &[(Option<String>, f64)]) -> f64 {
+        let mut recoveries: Vec<f64> = crashes
+            .iter()
+            .filter_map(|(host, tc)| {
+                self.series
+                    .iter()
+                    .filter(|(k, _)| host.as_ref().is_none_or(|h| &k.src == h))
+                    .flat_map(|(_, pts)| pts.iter().map(|p| p.0))
+                    .filter(|t| t > tc)
+                    .min_by(f64::total_cmp)
+                    .map(|t| t - tc)
+            })
+            .collect();
+        if recoveries.is_empty() {
+            return 0.0;
+        }
+        recoveries.sort_by(f64::total_cmp);
+        recoveries[recoveries.len() / 2]
+    }
+}
+
+/// A gap is an outage once it exceeds this multiple of the series' own
+/// mean cadence (clique rotations make short gaps routine).
+pub const GAP_FACTOR: f64 = 4.0;
+
+/// Run `eng` to `t` in one-second steps, healing whatever the supervisor
+/// reports dead after each; returns how many processes were healed.
+pub fn supervised_until(eng: &mut Engine<NwsMsg>, sys: &mut NwsSystem, t: SimTime) -> usize {
+    let mut healed = 0;
+    while eng.now() < t {
+        let next = (eng.now() + TimeDelta::from_secs(1.0)).min(t);
+        eng.run_until(next);
+        healed += sys.heal(eng).expect("heal succeeds").len();
+    }
+    healed
+}
+
+/// One typed table cell. A cell reads the same on stdout and in a golden
+/// file, except that JSON quotes strings and has no infinity.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Cell {
+    Int(i64),
+    /// A float printed with a fixed number of decimals.
+    Fixed(f64, usize),
+    Bool(bool),
+    Str(String),
+    /// A 64-bit fingerprint, as sixteen hex digits.
+    Hex(u64),
+    List(Vec<Cell>),
+    Map(Vec<(&'static str, Cell)>),
+}
+
+impl Cell {
+    /// The crate's only JSON emitter. The document (`depth` 0) puts one
+    /// key per line and a list of rows under it one row per line;
+    /// everything deeper is inline.
+    fn json(&self, depth: usize) -> String {
+        match self {
+            Cell::Int(v) => v.to_string(),
+            Cell::Fixed(v, decimals) if v.is_finite() => format!("{v:.decimals$}"),
+            Cell::Fixed(..) => "null".to_string(),
+            Cell::Bool(b) => b.to_string(),
+            Cell::Str(s) => {
+                assert!(
+                    !s.contains(['"', '\\']) && !s.chars().any(char::is_control),
+                    "{s:?} would need JSON escaping"
+                );
+                format!("\"{s}\"")
+            }
+            Cell::Hex(v) => format!("\"{v:016x}\""),
+            Cell::List(items) => {
+                let parts: Vec<String> = items.iter().map(|c| c.json(depth + 1)).collect();
+                if depth == 1 && matches!(items.first(), Some(Cell::Map(_))) {
+                    format!("[\n    {}\n  ]", parts.join(",\n    "))
+                } else {
+                    format!("[{}]", parts.join(", "))
+                }
+            }
+            Cell::Map(fields) => {
+                let parts: Vec<String> =
+                    fields.iter().map(|(k, v)| format!("\"{k}\": {}", v.json(depth + 1))).collect();
+                if depth == 0 {
+                    format!("{{\n  {}\n}}\n", parts.join(",\n  "))
+                } else {
+                    format!("{{{}}}", parts.join(", "))
+                }
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for Cell {
+    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Cell::Str(s) => out.pad(s),
+            Cell::Hex(v) => out.pad(&format!("{v:016x}")),
+            // Any depth past the document's two laid-out levels is inline.
+            other => out.pad(&other.json(2)),
+        }
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Cell {
+        Cell::Str(s)
+    }
+}
+
+impl From<&str> for Cell {
+    fn from(s: &str) -> Cell {
+        Cell::Str(s.to_string())
+    }
+}
+
+impl From<bool> for Cell {
+    fn from(b: bool) -> Cell {
+        Cell::Bool(b)
+    }
+}
+
+impl From<i64> for Cell {
+    fn from(v: i64) -> Cell {
+        Cell::Int(v)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(v: u64) -> Cell {
+        Cell::Int(i64::try_from(v).expect("a count fits i64"))
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(v: usize) -> Cell {
+        Cell::Int(i64::try_from(v).expect("a count fits i64"))
+    }
+}
+
+/// What a golden `BENCH_*.json` says about itself ahead of its rows.
+pub struct Golden {
+    pub bench: &'static str,
+    /// The generating binary (`env!("CARGO_BIN_NAME")`): CI runs whatever
+    /// the file's `generated_by` names, and with `file` it spells the
+    /// regeneration command.
+    pub bin: &'static str,
+    /// The committed file, and the default output path.
+    pub file: &'static str,
+    pub seed: u64,
+    /// The run's fixed configuration (`hosts`, `schedule`, …).
+    pub config: Vec<(&'static str, Cell)>,
+    pub rows_key: &'static str,
+}
+
+/// Rows of typed cells under fixed headers: the fixed-width stdout table
+/// of every experiment binary and, through [`Table::write_golden`], the
+/// rows of a golden file — one set of rows, so the two cannot disagree.
 pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    headers: Vec<&'static str>,
+    rows: Vec<Vec<Cell>>,
 }
 
 impl Table {
-    pub fn new(headers: &[&str]) -> Self {
-        Table { headers: headers.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
+    pub fn new(headers: &[&'static str]) -> Self {
+        Table { headers: headers.to_vec(), rows: Vec::new() }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub fn row<C: Into<Cell>>(&mut self, cells: Vec<C>) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
+        self.rows.push(cells.into_iter().map(Into::into).collect());
     }
 
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.to_string().len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        fn line<D: std::fmt::Display>(cells: &[D], widths: &[usize]) -> String {
             let cols: Vec<String> =
-                cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect();
+                cells.iter().zip(widths).map(|(c, w)| format!("{c:>w$}")).collect();
             format!("  {}\n", cols.join("  "))
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
+        }
+        let mut out = line(&self.headers, &widths);
         let total: usize = widths.iter().sum::<usize>() + 2 * widths.len() + 2;
         out.push_str(&format!("  {}\n", "-".repeat(total.saturating_sub(2))));
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
+            out.push_str(&line(row, &widths));
         }
         out
     }
 
     pub fn print(&self) {
         print!("{}", self.render());
+    }
+
+    /// Print the table, then write the same rows as the golden file `g`
+    /// describes — to the path given as the first argument, else `g.file`.
+    pub fn write_golden(&self, g: Golden) {
+        self.print();
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| Cell::Map(self.headers.iter().copied().zip(r.iter().cloned()).collect()))
+            .collect();
+        let command = format!("cargo run --release -p nws-bench --bin {} -- {}", g.bin, g.file);
+        let mut doc = vec![
+            ("bench", g.bench.into()),
+            ("generated_by", g.bin.into()),
+            ("seed", g.seed.into()),
+            ("command", command.into()),
+        ];
+        doc.extend(g.config);
+        doc.push((g.rows_key, Cell::List(rows)));
+        let path = std::env::args().nth(1).unwrap_or_else(|| g.file.to_string());
+        std::fs::write(&path, Cell::Map(doc).json(0))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path}");
     }
 }
 
@@ -136,11 +405,33 @@ mod tests {
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new(&["n", "value"]);
-        t.row(vec!["1".into(), "10.5".into()]);
-        t.row(vec!["20".into(), "3.25".into()]);
+        t.row(vec!["1", "10.5"]);
+        t.row(vec![Cell::from(20usize), Cell::Fixed(3.25, 2)]);
         let s = t.render();
         assert!(s.contains(" n"));
-        assert!(s.contains("20"));
+        assert!(s.contains("20   3.25"));
         assert_eq!(f(1.23456, 2), "1.23");
+    }
+
+    #[test]
+    fn json_puts_rows_on_lines_and_everything_deeper_inline() {
+        let row = |ratio| {
+            Cell::Map(vec![
+                ("fp", Cell::Hex(0xab)),
+                ("ratio", Cell::Fixed(ratio, 2)),
+                ("pts", Cell::List(vec![4usize.into(), 7usize.into()])),
+            ])
+        };
+        let doc = Cell::Map(vec![
+            ("bench", "x".into()),
+            ("stages", Cell::List(vec!["map".into(), "plan".into()])),
+            ("rows", Cell::List(vec![row(1.5), row(f64::INFINITY)])),
+        ]);
+        assert_eq!(
+            doc.json(0),
+            "{\n  \"bench\": \"x\",\n  \"stages\": [\"map\", \"plan\"],\n  \"rows\": [\n    \
+             {\"fp\": \"00000000000000ab\", \"ratio\": 1.50, \"pts\": [4, 7]},\n    \
+             {\"fp\": \"00000000000000ab\", \"ratio\": null, \"pts\": [4, 7]}\n  ]\n}\n"
+        );
     }
 }

@@ -120,8 +120,11 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
                 "forecaster" => forecaster = Some(value.to_string()),
                 "memories" => memories = list(value),
                 "gap_ms" => {
-                    gap_ms =
-                        value.parse().map_err(|_| format!("line {}: bad gap_ms", lineno + 1))?
+                    gap_ms = value
+                        .parse()
+                        .ok()
+                        .filter(|ms: &f64| ms.is_finite() && *ms >= 0.0)
+                        .ok_or_else(|| format!("line {}: bad gap_ms", lineno + 1))?
                 }
                 "wal_compact_kib" => {
                     wal_compact_kib = value
@@ -401,6 +404,12 @@ mod tests {
         assert!(parse_config("[global]\nmaster = m\n[clique c]\nrole = nope\n").is_err());
         assert!(parse_config("[global]\nnameserver = n\nforecaster = f\n").is_err()); // no master
         assert!(parse_config("[global]\nbroken line\n").is_err());
+        for gap in ["NaN", "inf", "-1"] {
+            assert_eq!(
+                parse_config(&format!("[global]\nmaster = m\ngap_ms = {gap}\n")),
+                Err("line 3: bad gap_ms".to_string())
+            );
+        }
         assert!(parse_config(
             "[representative x]\npair = only-one\n[global]\nmaster=m\nnameserver=n\nforecaster=f\n"
         )

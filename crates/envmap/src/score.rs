@@ -45,9 +45,9 @@ fn view_labels(view: &EnvView) -> BTreeMap<&str, usize> {
 /// sizes and `n_ij` the contingency counts, the number of *disagreeing*
 /// pairs is `Σ C(a_i,2) + Σ C(b_j,2) − 2 Σ C(n_ij,2)`. All counts are
 /// exact integers, so the result is bit-identical to the pairwise
-/// enumeration (kept as [`cluster_agreement_naive`], the differential
-/// oracle) — the pipeline fingerprints embed the formatted agreement, and
-/// those must not move.
+/// enumeration (kept as `cluster_agreement_naive`, the test-only
+/// differential oracle) — the pipeline fingerprints embed the formatted
+/// agreement, and those must not move.
 ///
 /// With many small truth clusters almost all pairs are cross-cluster, so
 /// the raw Rand index saturates near 1.0 and barely penalises
@@ -118,8 +118,8 @@ pub fn cluster_agreement(view: &EnvView, truth: &[Vec<String>], exclude: &[&str]
 /// The pre-contingency pairwise enumeration of [`cluster_agreement`] —
 /// O(n²), kept as the differential oracle (the repo's naive-vs-engine
 /// pattern).
-#[doc(hidden)]
-pub fn cluster_agreement_naive(view: &EnvView, truth: &[Vec<String>], exclude: &[&str]) -> f64 {
+#[cfg(test)]
+fn cluster_agreement_naive(view: &EnvView, truth: &[Vec<String>], exclude: &[&str]) -> f64 {
     let view_label = view_labels(view);
 
     // The scorable universe, with its truth label.

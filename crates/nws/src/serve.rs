@@ -483,16 +483,19 @@ mod tests {
     fn answers_are_worker_count_invariant() {
         let batches: Vec<Vec<SeriesKey>> =
             (0..16).map(|b| (0..8).map(|i| key(b * 8 + i)).collect()).collect();
-        let mut p1 = plane(4);
-        feed(&mut p1, 128, 20);
-        p1.publish(1);
-        let a1 = p1.serve_batches(&batches, 1);
-        let mut p8 = plane(4);
-        feed(&mut p8, 128, 20);
-        p8.publish(8);
-        let a8 = p8.serve_batches(&batches, 8);
+        let run = |workers: usize| {
+            let mut p = plane(4);
+            feed(&mut p, 128, 20);
+            p.publish(workers);
+            (p.serve_batches(&batches, workers), p.metrics())
+        };
+        let (a1, m1) = run(1);
+        let (a8, m8) = run(8);
         assert_eq!(a1, a8);
-        assert_eq!(p1.metrics(), p8.metrics());
+        assert_eq!(m1, m8);
+        assert_eq!(m1.misses, 0, "every key is resident");
+        // Run-twice determinism, metrics included.
+        assert_eq!(run(8), (a8, m8));
     }
 
     #[test]

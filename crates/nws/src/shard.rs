@@ -12,7 +12,7 @@
 //! Routing only decides *where* a series' battery lives; the battery
 //! observes the same point sequence wherever it lives, which is why the
 //! serving plane's answers are bit-identical across 1/2/4/8 shards (the
-//! hard gate in `exp_serving`).
+//! hard gate of `serve.rs`'s `answers_are_shard_count_invariant`).
 
 use std::collections::BTreeMap;
 

@@ -14,8 +14,8 @@
 //! * [`envdeploy`] — the automatic deployment planner (the paper's
 //!   contribution).
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system inventory
-//! and `EXPERIMENTS.md` for the paper-versus-measured record.
+//! See `DESIGN.md` for the system inventory; its §3 is the wiring table of
+//! the experiment binaries that regenerate the paper's figures and claims.
 
 pub use envdeploy;
 pub use envmap;
