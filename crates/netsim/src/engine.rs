@@ -1470,6 +1470,24 @@ mod tests {
     }
 
     #[test]
+    fn host_added_before_recompute_is_unreachable_not_a_panic() {
+        let (t, a, c) = two_hosts_hub();
+        let mut e: Sim = Engine::new(t);
+        let ip = "10.0.0.99".parse().unwrap();
+        let new = e.topo_mut().add_host_like("new.example.net", ip, c).unwrap();
+        // The route table predates `new`: no route either way, and no panic.
+        for (src, dst) in [(a, new), (new, a)] {
+            assert!(!e.routes().reachable(src, dst));
+            assert_eq!(
+                e.start_probe_flow(src, dst, Bytes::kib(4)),
+                Err(NetError::Unreachable { src, dst })
+            );
+        }
+        e.recompute_routes();
+        assert!(e.start_probe_flow(a, new, Bytes::kib(4)).is_ok());
+    }
+
+    #[test]
     fn stats_accumulate() {
         let (t, a, c) = two_hosts_hub();
         let mut e: Sim = Engine::new(t);

@@ -97,29 +97,51 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Sentinel in the dense predecessor table: no predecessor (the source's
-/// own entry, or an unreachable node).
+/// Sentinel in the tables below: no predecessor (the source's own entry, or
+/// an unreachable node), no row, no access link.
 const NONE: u32 = u32::MAX;
 
 /// All-sources shortest-path trees, precomputed at simulator start.
 ///
-/// Storage is one flat `u32` per ordered node pair: the dense id of the
-/// last link on the best path `src → node` (`NONE` for the source itself
-/// and for unreachable nodes). The predecessor *node* is not stored — it is
-/// recovered as `link.peer(cur)`, which is why the walking accessors take
-/// the topology. At 12+ bytes per `Option<(NodeId, LinkId)>` plus a
-/// parallel `bool` matrix, the previous array-of-struct layout cost ~13×
-/// this; the flat table keeps the 10k-host tier in the hundreds of
-/// megabytes and lets per-source rows be computed on independent workers.
+/// Only **core** nodes own a tree: every node that forwards, has ≠ 1
+/// neighbour, or whose only neighbour does not forward. Storage is one flat
+/// `u32` per ordered core pair: the dense id of the last link on the best
+/// path `src → node` (`NONE` for the source itself and for unreachable
+/// nodes). The predecessor *node* is not stored — it is recovered as
+/// `link.peer(cur)`, which is why the walking accessors take the topology.
+///
+/// A **leaf** — non-forwarding, exactly one link, to a forwarder: every
+/// plain host — keeps only that access link and borrows its gateway's row.
+/// A route is composed as *dst access link → walk of the source gateway's
+/// row → src access link*, so the table costs C² entries for C core nodes
+/// instead of n² (campus-5000: n = 6 439, C = 1 438, 158 MiB → 8 MiB), and
+/// per-source rows are computed on independent workers.
+///
+/// The composition equals a Dijkstra from the leaf itself because routing
+/// weights are finite and ≥ 0 ([`TopologyBuilder::build`] rejects anything
+/// else): the leaf's tree is its gateway's tree with every distance offset
+/// by the one access weight, and nothing relaxes back through the leaf.
+/// With integer weights (all this repo ships) the offset is exact in `f64`,
+/// so order, ties and every strict `<` are preserved and the routes are
+/// identical. With non-integer weights both answers are still shortest
+/// paths; only a near-tie inside one rounding error may break differently.
+///
+/// [`TopologyBuilder::build`]: crate::topology::TopologyBuilder::build
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    n: usize,
-    /// `prev_link[src * n + node]` = dense link id, or `NONE`.
+    /// Number of core nodes: rows and columns of `prev_link`.
+    c: usize,
+    /// `row_of[node]`: a core node's own index, a leaf's gateway's, or
+    /// `NONE` for a leaf whose access link was down.
+    row_of: Vec<u32>,
+    /// `access[node]`: a leaf's only link, or `NONE` for a core node.
+    access: Vec<u32>,
+    /// `prev_link[row * c + core index]` = dense link id, or `NONE`.
     prev_link: Vec<u32>,
 }
 
 impl RouteTable {
-    /// Run Dijkstra from every node. Weights are the links' directed
+    /// Run Dijkstra from every core node. Weights are the links' directed
     /// routing weights; intermediate nodes must be forwarders. Uses every
     /// core the process is allowed (see
     /// [`compute_with_threads`](Self::compute_with_threads)).
@@ -133,35 +155,72 @@ impl RouteTable {
     /// `threads` value — workers own disjoint row ranges of the flat table.
     pub fn compute_with_threads(topo: &Topology, threads: usize) -> Self {
         let n = topo.node_count();
-        let mut prev_link = vec![NONE; n * n];
-        let threads = threads.clamp(1, n.max(1));
-        if n > 0 {
-            let rows_per = n.div_ceil(threads);
+        let mut row_of = vec![NONE; n];
+        let mut access = vec![NONE; n];
+        // Core indices ascend with node ids, so the heap's node-id
+        // tie-break orders core nodes exactly as a whole-graph run would.
+        let mut core = Vec::new();
+        for u in (0..n as u32).map(NodeId) {
+            match *topo.neighbours(u) {
+                [(l, gw)] if !topo.node(u).forwards && topo.node(gw).forwards => {
+                    access[u.index()] = l.raw();
+                }
+                _ => {
+                    row_of[u.index()] = core.len() as u32;
+                    core.push(u);
+                }
+            }
+        }
+        let c = core.len();
+        let mut prev_link = vec![NONE; c * c];
+        let threads = threads.clamp(1, c.max(1));
+        if c > 0 {
+            let rows_per = c.div_ceil(threads);
+            let (core, core_of) = (&core, &row_of);
             std::thread::scope(|s| {
-                for (chunk_idx, rows) in prev_link.chunks_mut(rows_per * n).enumerate() {
+                for (chunk_idx, rows) in prev_link.chunks_mut(rows_per * c).enumerate() {
                     let first_src = chunk_idx * rows_per;
                     s.spawn(move || {
-                        let mut dist = vec![f64::INFINITY; n];
+                        let mut dist = vec![f64::INFINITY; c];
                         let mut heap = BinaryHeap::new();
-                        for (row_idx, row) in rows.chunks_mut(n).enumerate() {
-                            let src = NodeId((first_src + row_idx) as u32);
-                            dijkstra_row(topo, src, row, &mut dist, &mut heap);
+                        for (row_idx, row) in rows.chunks_mut(c).enumerate() {
+                            let src = core[first_src + row_idx];
+                            dijkstra_row(topo, core_of, src, row, &mut dist, &mut heap);
                         }
                     });
                 }
             });
         }
-        RouteTable { n, prev_link }
+        // A leaf whose access link is up borrows its gateway's row.
+        for (u, &l) in access.iter().enumerate().filter(|&(_, &l)| l != NONE) {
+            let link = topo.link(LinkId::from_raw(l));
+            if link.up {
+                let gw = link.peer(NodeId(u as u32)).expect("access link touches its leaf");
+                row_of[u] = row_of[gw.index()];
+            }
+        }
+        RouteTable { c, row_of, access, prev_link }
     }
 
-    #[inline]
-    fn entry(&self, src: NodeId, dst: NodeId) -> u32 {
-        self.prev_link[src.index() * self.n + dst.index()]
+    /// Bytes held by the table (rows plus the per-node maps).
+    pub fn table_bytes(&self) -> usize {
+        (self.prev_link.len() + self.row_of.len() + self.access.len()) * std::mem::size_of::<u32>()
+    }
+
+    /// The row that routes `src → dst` (`src ≠ dst`), if there is a route; a
+    /// node the table has never seen is routed to nothing.
+    fn row(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        let row = *self.row_of.get(src.index())?;
+        let col = *self.row_of.get(dst.index())?;
+        let routed = row != NONE
+            && col != NONE
+            && (row == col || self.prev_link[row as usize * self.c + col as usize] != NONE);
+        routed.then_some(row as usize)
     }
 
     /// Whether a physical route exists (ignores firewall rules).
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.entry(src, dst) != NONE
+        src == dst || self.row(src, dst).is_some()
     }
 
     /// Walk the directed route from `src` to `dst` in reverse hop order
@@ -175,15 +234,13 @@ impl RouteTable {
         src: NodeId,
         dst: NodeId,
     ) -> NetResult<HopsRev<'a>> {
-        if src != dst && !self.reachable(src, dst) {
-            return Err(NetError::Unreachable { src, dst });
-        }
-        Ok(HopsRev {
-            topo,
-            row: &self.prev_link[src.index() * self.n..(src.index() + 1) * self.n],
-            src,
-            cur: dst,
-        })
+        let row = if src == dst {
+            &[][..]
+        } else {
+            let row = self.row(src, dst).ok_or(NetError::Unreachable { src, dst })?;
+            &self.prev_link[row * self.c..(row + 1) * self.c]
+        };
+        Ok(HopsRev { topo, table: self, row, src, cur: dst })
     }
 
     /// One-way latency of the directed route, computed without allocating.
@@ -219,12 +276,6 @@ impl RouteTable {
 
     /// The directed route from `src` to `dst`.
     pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Path> {
-        if src == dst {
-            return Ok(Path { nodes: vec![src], links: vec![] });
-        }
-        if !self.reachable(src, dst) {
-            return Err(NetError::Unreachable { src, dst });
-        }
         let mut nodes = vec![dst];
         let mut links = Vec::new();
         for (p, l) in self.hops_rev(topo, src, dst)? {
@@ -237,10 +288,12 @@ impl RouteTable {
     }
 }
 
-/// One source's Dijkstra tree, written into its flat row of the table.
-/// `dist` and `heap` are caller-owned scratch reused across rows.
+/// One core source's Dijkstra tree over the core nodes, written into its
+/// flat row of the table (`core_of` is `NONE` for a leaf, which never
+/// relays). `dist` and `heap` are caller-owned scratch reused across rows.
 fn dijkstra_row(
     topo: &Topology,
+    core_of: &[u32],
     src: NodeId,
     row: &mut [u32],
     dist: &mut [f64],
@@ -248,11 +301,11 @@ fn dijkstra_row(
 ) {
     dist.fill(f64::INFINITY);
     heap.clear();
-    dist[src.index()] = 0.0;
+    dist[core_of[src.index()] as usize] = 0.0;
     heap.push(HeapEntry { dist: Dist(0.0), node: src });
 
     while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if d.0 > dist[u.index()] {
+        if d.0 > dist[core_of[u.index()] as usize] {
             continue;
         }
         // Traffic may only be relayed through forwarding nodes.
@@ -260,15 +313,16 @@ fn dijkstra_row(
             continue;
         }
         for &(link_id, v) in topo.neighbours(u) {
-            let link = topo.link(link_id);
-            if !link.up {
+            let (cv, link) = (core_of[v.index()] as usize, topo.link(link_id));
+            // A leaf relays nothing: its routes are composed from this row.
+            if cv == NONE as usize || !link.up {
                 continue;
             }
             let w = link.weight_from(u);
             let nd = d.0 + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                row[v.index()] = link_id.raw();
+            if nd < dist[cv] {
+                dist[cv] = nd;
+                row[cv] = link_id.raw();
                 heap.push(HeapEntry { dist: Dist(nd), node: v });
             }
         }
@@ -278,6 +332,8 @@ fn dijkstra_row(
 /// Allocation-free reverse walk of one route (see [`RouteTable::hops_rev`]).
 pub struct HopsRev<'a> {
     topo: &'a Topology,
+    table: &'a RouteTable,
+    /// The source's (or its gateway's) row of the table.
     row: &'a [u32],
     src: NodeId,
     cur: NodeId,
@@ -290,7 +346,16 @@ impl Iterator for HopsRev<'_> {
         if self.cur == self.src {
             return None;
         }
-        let raw = self.row[self.cur.index()];
+        let t = self.table;
+        // A leaf destination is left over its access link; core nodes follow
+        // the row until its own source, which a leaf `src` hangs off.
+        let raw = match t.access[self.cur.index()] {
+            NONE => match self.row[t.row_of[self.cur.index()] as usize] {
+                NONE => t.access[self.src.index()],
+                prev => prev,
+            },
+            access => access,
+        };
         debug_assert!(raw != NONE, "reachable implies a predecessor chain");
         let l = LinkId::from_raw(raw);
         let p = self.topo.link(l).peer(self.cur).expect("route link touches its own node");

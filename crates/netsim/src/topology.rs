@@ -865,6 +865,7 @@ impl TopologyBuilder {
 
     /// Override a link's directed routing weights. A large weight in one
     /// direction steers routes away, producing asymmetric routing.
+    /// [`build`](Self::build) rejects a NaN, infinite or negative weight.
     pub fn set_weights(&mut self, link: LinkId, weight_ab: f64, weight_ba: f64) {
         let l = &mut self.links[link.index()];
         l.weight_ab = weight_ab;
@@ -903,6 +904,16 @@ impl TopologyBuilder {
             }
             if l.a == l.b {
                 return Err(NetError::InvalidTopology(format!("self-link on {}", l.a)));
+            }
+            // Dijkstra and the route table's leaf composition need finite,
+            // non-negative weights (NaN fails both comparisons).
+            for w in [l.weight_ab, l.weight_ba] {
+                if !(w >= 0.0 && w.is_finite()) {
+                    return Err(NetError::InvalidTopology(format!(
+                        "link {:?} has routing weight {w}; weights must be finite and >= 0",
+                        l.id
+                    )));
+                }
             }
         }
 
@@ -1101,6 +1112,20 @@ mod tests {
         let a = b.host("a.x", "10.0.0.1");
         b.link(a, a, mbps(10.0), Latency::ZERO);
         assert!(matches!(b.build(), Err(NetError::InvalidTopology(_))));
+    }
+
+    #[test]
+    fn bad_routing_weight_rejected() {
+        for w in [f64::NAN, f64::INFINITY, -1.0] {
+            for (ab, ba) in [(w, 1.0), (1.0, w)] {
+                let mut b = TopologyBuilder::new();
+                let a = b.host("a.x", "10.0.0.1");
+                let r = b.router("r.x", "10.0.0.254");
+                let l = b.link_asym(a, r, mbps(10.0), mbps(100.0), Latency::ZERO);
+                b.set_weights(l, ab, ba);
+                assert!(matches!(b.build(), Err(NetError::InvalidTopology(_))), "{ab} / {ba}");
+            }
+        }
     }
 
     #[test]

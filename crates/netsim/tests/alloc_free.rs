@@ -4,6 +4,9 @@
 //! simulator must stay within a small constant allocation budget per event
 //! (map bookkeeping), never the old O(flows) clones.
 //!
+//! The route table's walks are held to the same bar: leaf and core endpoints
+//! alike, `hops_rev` and a flow start over it must not allocate.
+//!
 //! Everything runs inside a single #[test] so no concurrent test pollutes
 //! the global allocation counter.
 
@@ -11,9 +14,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use netsim::fairness::{FairEngine, FairnessModel, ResourceTable};
+use netsim::fairness::{FairEngine, FairnessModel, ResourceId, ResourceTable};
 use netsim::prelude::*;
 use netsim::routing::RouteTable;
+use netsim::scenarios::dumbbell;
 use netsim::Sim;
 
 struct CountingAlloc;
@@ -137,6 +141,50 @@ fn steady_state_reallocate_does_not_allocate() {
         delta, 0,
         "steady-state flow churn must not allocate, saw {delta} allocations \
          over 100 remove/add rounds"
+    );
+
+    // --- Route walks: strictly zero allocations -------------------------
+    // A leaf borrows its gateway's row of the route table, so a walk is
+    // composed: dst access link, core row, src access link. Each shape of
+    // walk, and the flow start the engine builds from it (intern every hop,
+    // admit, re-level), must stay off the heap.
+    // In a dumbbell the hosts are leaves of the table; the two switches and
+    // the two routers between them are its core.
+    let net = dumbbell(4, 4, Bandwidth::mbps(1000.0));
+    let (topo, left, right) = (net.topo, net.hosts[0], net.hosts[7]);
+    let (_, left_switch) = topo.neighbours(left)[0];
+    let left_router = topo.node_by_name("gwL.dumb.net").unwrap();
+    let routes = RouteTable::compute(&topo);
+    let mut fe = FairEngine::new(&topo, FairnessModel::MaxMin);
+    let mut ids: Vec<ResourceId> = Vec::new();
+    // leaf → leaf across the core, leaf → its own gateway, core → leaf.
+    let walks = [(left, right, 5), (left, left_switch, 1), (left_router, right, 3)];
+    let mut start_and_finish_each = || {
+        for (src, dst, hop_count) in walks {
+            ids.clear();
+            for (from, l) in routes.hops_rev(&topo, src, dst).unwrap() {
+                ids.push(fe.table().link_dir(l, topo.link(l).a == from));
+            }
+            assert_eq!(ids.len(), hop_count);
+            ids.sort_unstable();
+            let key = fe.add_flow(&ids, None);
+            fe.reallocate();
+            fe.remove_flow(key);
+            fe.reallocate();
+        }
+    };
+    // Warm-up: grows `ids`, the flow slot and the freelist once.
+    start_and_finish_each();
+    start_and_finish_each();
+    let before = allocations();
+    for _ in 0..100 {
+        start_and_finish_each();
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "route walks and flow starts over them must not allocate, saw {delta} \
+         allocations over 100 rounds"
     );
 
     // --- Full simulator: small constant budget per event ---------------
