@@ -12,7 +12,8 @@
 //! not a *host* crash). The primitives are the ones a write-ahead log
 //! needs:
 //!
-//! * [`SimDisk::append`] — buffered write to the tail of a file,
+//! * [`SimDisk::append`] / [`SimDisk::append_owned`] — buffered write to
+//!   the tail of a file,
 //! * [`SimDisk::fsync`] — flush a file's cached tail to stable storage,
 //! * [`SimDisk::read`] — read the full current contents (cache included),
 //! * [`SimDisk::truncate`] / [`SimDisk::rename`] / [`SimDisk::remove`] —
@@ -109,8 +110,10 @@ pub struct SimDisk {
 /// Shared handle to a host's disk.
 pub type DiskHandle = Rc<RefCell<SimDisk>>;
 
-/// FNV-1a 64-bit, used to derive a per-host fault stream from one seed
-/// (and by the WAL layers above for record checksums).
+/// FNV-1a 64-bit, bytewise. Its values are contract — they derive the
+/// per-host fault stream from one seed (so every torn-tail draw), place
+/// series on shards and fingerprint `BENCH_pipeline.json` — so it stays
+/// bytewise; the WAL's faster word-wise checksum is `nws::wal::checksum`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -148,21 +151,50 @@ impl SimDisk {
         self.rng = Some(SmallRng::seed_from_u64(seed ^ fnv1a64(self.host.as_bytes())));
     }
 
+    /// `file`'s entry, created if absent; the name is copied only then.
+    fn file_mut(&mut self, file: &str) -> &mut SimFile {
+        if !self.files.contains_key(file) {
+            self.files.insert(file.to_string(), SimFile::default());
+        }
+        self.files.get_mut(file).expect("present or just inserted")
+    }
+
     /// Buffered write to the tail of `file` (created if absent). The bytes
     /// land in the cache: they survive a process crash, not a host crash.
     pub fn append(&mut self, file: &str, data: &[u8]) {
-        self.files.entry(file.to_string()).or_default().unsynced.extend_from_slice(data);
+        self.file_mut(file).unsynced.extend_from_slice(data);
+        self.account_append(data.len());
+    }
+
+    /// [`SimDisk::append`] of a buffer the caller is done with: an empty
+    /// cached tail adopts it instead of copying. Same bytes, same stats.
+    pub fn append_owned(&mut self, file: &str, mut data: Vec<u8>) {
+        let n = data.len();
+        let tail = &mut self.file_mut(file).unsynced;
+        if tail.is_empty() {
+            *tail = data;
+        } else {
+            tail.append(&mut data);
+        }
+        self.account_append(n);
+    }
+
+    fn account_append(&mut self, n: usize) {
         self.stats.appends += 1;
-        self.stats.bytes_appended += data.len() as u64;
-        self.stats.busy_s += data.len() as f64 * self.profile.per_byte_s;
+        self.stats.bytes_appended += n as u64;
+        self.stats.busy_s += n as f64 * self.profile.per_byte_s;
     }
 
     /// Flush `file`'s cached tail to stable storage. A no-op (beyond the
     /// barrier cost) when there is nothing to flush.
     pub fn fsync(&mut self, file: &str) {
-        let f = self.files.entry(file.to_string()).or_default();
+        let f = self.file_mut(file);
         let n = f.unsynced.len();
-        f.synced.append(&mut f.unsynced);
+        if f.synced.is_empty() {
+            std::mem::swap(&mut f.synced, &mut f.unsynced);
+        } else {
+            f.synced.append(&mut f.unsynced);
+        }
         self.stats.fsyncs += 1;
         self.stats.bytes_synced += n as u64;
         self.stats.busy_s += self.profile.fsync_s + n as f64 * self.profile.per_byte_s;
@@ -197,7 +229,7 @@ impl SimDisk {
     /// Truncate `file` to empty. Metadata operation: atomic and durable
     /// (journaled-filesystem semantics), creates the file if absent.
     pub fn truncate(&mut self, file: &str) {
-        let f = self.files.entry(file.to_string()).or_default();
+        let f = self.file_mut(file);
         f.synced.clear();
         f.unsynced.clear();
         self.stats.truncates += 1;
@@ -324,6 +356,7 @@ impl DiskRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn append_then_read_round_trips_without_fsync() {
@@ -456,5 +489,55 @@ mod tests {
         d.append("wal", b"ab"); // 2 bytes * 0.5
         d.fsync("wal"); // 1.0 + 2 * 0.5
         assert!((d.stats().busy_s - 3.0).abs() < 1e-12);
+    }
+
+    /// Run `ops` — `(kind, file, length)` triples — on a fresh disk with an
+    /// armed fault stream, appending by value iff `owned`; every byte any
+    /// `read` returned, then the final stats.
+    fn run_ops(ops: &[(u8, u8, u8)], owned: bool) -> (Vec<Option<Vec<u8>>>, DiskStats) {
+        const FILES: [&str; 3] = ["a.wal", "a.snap", "a.snap.new"];
+        let d = SimDisk::new("h0");
+        let mut d = d.borrow_mut();
+        d.set_fault_seed(2004);
+        let mut seen = Vec::new();
+        for (i, &(kind, file, len)) in ops.iter().enumerate() {
+            let name = FILES[usize::from(file) % 3];
+            match kind {
+                0..=2 => {
+                    let data = vec![i as u8; usize::from(len)];
+                    // Kind 2 appends by value on the `owned` run only.
+                    if owned && kind == 2 {
+                        d.append_owned(name, data);
+                    } else {
+                        d.append(name, &data);
+                    }
+                }
+                3 => d.fsync(name),
+                4 => d.truncate(name),
+                5 => d.rename(name, FILES[(usize::from(file) + 1) % 3]),
+                6 => seen.push(d.read(name)),
+                _ => d.crash(),
+            }
+        }
+        seen.extend(FILES.map(|f| d.read(f)));
+        (seen, d.stats())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Adopting a buffer (and swapping it into an empty durable image)
+        /// is invisible: the same reads, the same torn tails, the same
+        /// stats down to `busy_s`'s bits as copying it.
+        #[test]
+        fn append_by_value_is_append_by_reference(
+            ops in proptest::collection::vec((0u8..8, 0u8..3, 0u8..40), 0..60),
+        ) {
+            let (by_ref, ref_stats) = run_ops(&ops, false);
+            let (by_val, val_stats) = run_ops(&ops, true);
+            prop_assert_eq!(by_ref, by_val);
+            prop_assert_eq!(ref_stats, val_stats);
+            prop_assert_eq!(ref_stats.busy_s.to_bits(), val_stats.busy_s.to_bits());
+        }
     }
 }

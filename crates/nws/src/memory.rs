@@ -59,7 +59,7 @@ impl SeenSeqs {
     }
 
     /// The sparse seqs above the watermark, ascending.
-    pub fn above(&self) -> impl Iterator<Item = u64> + '_ {
+    pub fn above(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.above.iter().copied()
     }
 
@@ -126,12 +126,16 @@ impl MemoryStore {
         let mut new_key = false;
         if first_time {
             self.stores += 1;
-            new_key = !self.series.contains_key(key);
-            let stored = self
-                .series
-                .entry(key.clone())
-                .or_insert_with(|| Series::new(capacity))
-                .push(t, value);
+            let stored = match self.series.get_mut(key) {
+                Some(series) => series.push(t, value),
+                None => {
+                    new_key = true;
+                    let mut series = Series::new(capacity);
+                    let stored = series.push(t, value);
+                    self.series.insert(key.clone(), series);
+                    stored
+                }
+            };
             if !stored {
                 self.rejected += 1;
             }

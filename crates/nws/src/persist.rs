@@ -41,7 +41,7 @@ use crate::msg::{Resource, SeriesKey};
 use crate::series::Series;
 use crate::series_state::SeriesState;
 use crate::wal::{
-    append_record, decode_snapshot, encode_snapshot, put_f64, put_str, put_u32, put_u64, put_u8,
+    append_record, build_snapshot, decode_snapshot, put_f64, put_str, put_u32, put_u64, put_u8,
     scan_wal, ByteReader,
 };
 
@@ -65,6 +65,8 @@ struct LogFiles {
     /// Bytes appended to the WAL since the last truncation.
     wal_bytes: u64,
     compact_threshold: u64,
+    /// The record being framed; kept so an append allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl LogFiles {
@@ -91,20 +93,22 @@ impl LogFiles {
                 next_seq: last_seq + 1,
                 wal_bytes: 0,
                 compact_threshold: DEFAULT_COMPACT_THRESHOLD,
+                frame: Vec::new(),
             },
             snapshot,
             records,
         )
     }
 
-    /// Frame and append one record; fsync when asked.
-    fn append(&mut self, payload: &[u8], fsync: bool) {
-        let mut framed = Vec::with_capacity(20 + payload.len());
-        let n = append_record(&mut framed, self.next_seq, payload);
+    /// Frame one record around the payload `encode_payload` writes and
+    /// append it; fsync when asked.
+    fn append(&mut self, fsync: bool, encode_payload: impl FnOnce(&mut Vec<u8>)) {
+        self.frame.clear();
+        let n = append_record(&mut self.frame, self.next_seq, encode_payload);
         self.next_seq += 1;
         self.wal_bytes += n as u64;
         let mut d = self.disk.borrow_mut();
-        d.append(&self.wal, &framed);
+        d.append(&self.wal, &self.frame);
         if fsync {
             d.fsync(&self.wal);
         }
@@ -118,15 +122,33 @@ impl LogFiles {
         self.wal_bytes > self.compact_threshold
     }
 
-    /// Compaction step 1: write the snapshot image to the side file and
-    /// fsync it. Crash here: the half-written `.snap.new` is never read
-    /// by recovery (only the published name is), so it is harmless.
-    fn write_snapshot(&mut self, body: &[u8]) {
-        let img = encode_snapshot(self.next_seq - 1, body);
+    /// Compaction step 1: build the snapshot image around the body
+    /// `encode_body` writes, hand it to the side file and fsync it. Crash
+    /// here: the half-written `.snap.new` is never read by recovery (only
+    /// the published name is), so it is harmless. `false`, with the disk
+    /// untouched, if the image cannot be sealed: the caller must then keep
+    /// the old snapshot and the WAL.
+    fn write_snapshot(&mut self, encode_body: impl FnOnce(&mut Vec<u8>)) -> bool {
+        // The state grows by less than the WAL records that grew it, so the
+        // published image plus the WAL is room enough not to regrow.
+        let room = self.disk.borrow().len(&self.snap) + self.wal_bytes as usize;
+        let Some(img) = build_snapshot(self.next_seq - 1, room, encode_body) else {
+            return false;
+        };
         let mut d = self.disk.borrow_mut();
         d.truncate(&self.snap_new);
-        d.append(&self.snap_new, &img);
+        d.append_owned(&self.snap_new, img);
         d.fsync(&self.snap_new);
+        true
+    }
+
+    /// All three compaction steps in order; a refused step 1 skips the
+    /// other two, so nothing is lost.
+    fn compact(&mut self, encode_body: impl FnOnce(&mut Vec<u8>)) {
+        if self.write_snapshot(encode_body) {
+            self.publish_snapshot();
+            self.truncate_wal();
+        }
     }
 
     /// Compaction step 2: atomically publish the side file. Crash before:
@@ -170,36 +192,30 @@ const REC_STORE: u8 = 1;
 const REC_FETCH: u8 = 2;
 const REC_REPLY_FAILURE: u8 = 3;
 
-fn encode_memory_store(store: &MemoryStore, capacity: usize) -> Vec<u8> {
-    let mut b = Vec::new();
-    put_u32(&mut b, capacity as u32);
-    put_u64(&mut b, store.stores);
-    put_u64(&mut b, store.fetches);
-    put_u64(&mut b, store.dup_stores);
-    put_u64(&mut b, store.reply_failures);
-    put_u64(&mut b, store.rejected);
-    put_u64(&mut b, store.points_served);
-    put_u32(&mut b, store.series.len() as u32);
+fn encode_memory_store(b: &mut Vec<u8>, store: &MemoryStore, capacity: usize) {
+    put_u32(b, capacity as u32);
+    put_u64(b, store.stores);
+    put_u64(b, store.fetches);
+    put_u64(b, store.dup_stores);
+    put_u64(b, store.reply_failures);
+    put_u64(b, store.rejected);
+    put_u64(b, store.points_served);
+    put_u32(b, store.series.len() as u32);
     for (key, s) in &store.series {
-        put_key(&mut b, key);
-        put_u32(&mut b, s.capacity() as u32);
-        put_u32(&mut b, s.len() as u32);
-        for p in s.iter() {
-            put_f64(&mut b, p.t);
-            put_f64(&mut b, p.value);
-        }
+        put_key(b, key);
+        put_u32(b, s.capacity() as u32);
+        put_u32(b, s.len() as u32);
+        s.encode_points(b);
     }
-    put_u32(&mut b, store.seen.len() as u32);
+    put_u32(b, store.seen.len() as u32);
     for (pid, seen) in &store.seen {
-        put_u32(&mut b, pid.index() as u32);
-        put_u64(&mut b, seen.watermark());
-        let above: Vec<u64> = seen.above().collect();
-        put_u32(&mut b, above.len() as u32);
-        for s in above {
-            put_u64(&mut b, s);
+        put_u32(b, pid.index() as u32);
+        put_u64(b, seen.watermark());
+        put_u32(b, seen.above().len() as u32);
+        for s in seen.above() {
+            put_u64(b, s);
         }
     }
-    b
 }
 
 fn decode_memory_store(body: &[u8]) -> Option<(MemoryStore, usize)> {
@@ -235,7 +251,8 @@ fn decode_memory_store(body: &[u8]) -> Option<(MemoryStore, usize)> {
         let pid = ProcessId::from_raw(r.u32()?);
         let watermark = r.u64()?;
         let n_above = r.u32()?;
-        let mut above = Vec::with_capacity(n_above as usize);
+        // A count the bytes left cannot back must not size a reservation.
+        let mut above = Vec::with_capacity((n_above as usize).min(r.remaining() / 8));
         for _ in 0..n_above {
             above.push(r.u64()?);
         }
@@ -302,37 +319,36 @@ impl MemoryLog {
     /// reproduces the dedup split — and fsync: the caller acks only
     /// after this returns, making "acked" imply "durable".
     pub fn log_store(&mut self, sender: ProcessId, seq: u64, key: &SeriesKey, t: f64, value: f64) {
-        let mut p = Vec::with_capacity(64);
-        put_u8(&mut p, REC_STORE);
-        put_u32(&mut p, sender.index() as u32);
-        put_u64(&mut p, seq);
-        put_key(&mut p, key);
-        put_f64(&mut p, t);
-        put_f64(&mut p, value);
-        self.files.append(&p, true);
+        self.files.append(true, |p| {
+            put_u8(p, REC_STORE);
+            put_u32(p, sender.index() as u32);
+            put_u64(p, seq);
+            put_key(p, key);
+            put_f64(p, t);
+            put_f64(p, value);
+        });
     }
 
     /// Log one served fetch (counter replay). Lazily written: fetch
     /// counters may legitimately roll back to the last fsync on a host
     /// crash — unlike stores, nothing was promised to anyone.
     pub fn log_fetch(&mut self, served: u64) {
-        let mut p = Vec::with_capacity(12);
-        put_u8(&mut p, REC_FETCH);
-        put_u64(&mut p, served);
-        self.files.append(&p, false);
+        self.files.append(false, |p| {
+            put_u8(p, REC_FETCH);
+            put_u64(p, served);
+        });
     }
 
     /// Log one bounced reply (lazy, like fetches).
     pub fn log_reply_failure(&mut self) {
-        self.files.append(&[REC_REPLY_FAILURE], false);
+        self.files.append(false, |p| put_u8(p, REC_REPLY_FAILURE));
     }
 
     /// Compaction, as three separately-callable steps so crash tests can
     /// land between them (see [`LogFiles`] docs on each step's crash
-    /// safety).
-    pub fn write_snapshot(&mut self, store: &MemoryStore) {
-        let body = encode_memory_store(store, self.capacity);
-        self.files.write_snapshot(&body);
+    /// safety). `false` if no image was written: do not publish.
+    pub fn write_snapshot(&mut self, store: &MemoryStore) -> bool {
+        self.files.write_snapshot(|b| encode_memory_store(b, store, self.capacity))
     }
 
     pub fn publish_snapshot(&mut self) {
@@ -345,9 +361,7 @@ impl MemoryLog {
 
     /// All three compaction steps in order.
     pub fn compact(&mut self, store: &MemoryStore) {
-        self.write_snapshot(store);
-        self.publish_snapshot();
-        self.truncate_wal();
+        self.files.compact(|b| encode_memory_store(b, store, self.capacity));
     }
 
     /// Compact if the WAL has outgrown the threshold.
@@ -413,21 +427,21 @@ impl ForecastLog {
     /// Log one observed point (battery fed a value, watermark advanced).
     /// Lazy append; call [`ForecastLog::sync`] once per fetch-reply batch.
     pub fn log_observe(&mut self, key: &SeriesKey, t: f64, v: f64) {
-        let mut p = Vec::with_capacity(48);
-        put_u8(&mut p, REC_OBSERVE);
-        put_key(&mut p, key);
-        put_f64(&mut p, t);
-        put_f64(&mut p, v);
-        self.files.append(&p, false);
+        self.files.append(false, |p| {
+            put_u8(p, REC_OBSERVE);
+            put_key(p, key);
+            put_f64(p, t);
+            put_f64(p, v);
+        });
     }
 
     /// Log a watermark rewind (battery reset because the memory came back
     /// with an older store than we had observed).
     pub fn log_rewind(&mut self, key: &SeriesKey) {
-        let mut p = Vec::with_capacity(32);
-        put_u8(&mut p, REC_REWIND);
-        put_key(&mut p, key);
-        self.files.append(&p, false);
+        self.files.append(false, |p| {
+            put_u8(p, REC_REWIND);
+            put_key(p, key);
+        });
     }
 
     pub fn sync(&mut self) {
@@ -443,16 +457,14 @@ impl ForecastLog {
     where
         I: Iterator<Item = (&'a SeriesKey, &'a ForecasterBattery, f64)>,
     {
-        let mut body = Vec::new();
-        let items: Vec<_> = series.collect();
-        put_u32(&mut body, items.len() as u32);
-        for (key, battery, last_t) in items {
-            put_key(&mut body, key);
-            SeriesState::encode(&mut body, battery, last_t);
-        }
-        self.files.write_snapshot(&body);
-        self.files.publish_snapshot();
-        self.files.truncate_wal();
+        self.files.compact(|body| {
+            let items: Vec<_> = series.collect();
+            put_u32(body, items.len() as u32);
+            for (key, battery, last_t) in items {
+                put_key(body, key);
+                SeriesState::encode(body, battery, last_t);
+            }
+        });
     }
 
     pub fn set_compact_threshold(&mut self, bytes: u64) {
@@ -493,7 +505,9 @@ mod tests {
     }
 
     fn snapshot_bits(store: &MemoryStore, cap: usize) -> Vec<u8> {
-        encode_memory_store(store, cap)
+        let mut b = Vec::new();
+        encode_memory_store(&mut b, store, cap);
+        b
     }
 
     #[test]
@@ -527,6 +541,21 @@ mod tests {
         let mut replayed = decoded;
         let out = replayed.apply_store(b, 5, &key(1), 9.0, 9.0, 16);
         assert!(!out.first_time, "seq 5 must still be remembered after decode");
+    }
+
+    #[test]
+    fn a_hostile_element_count_is_refused_without_reserving_for_it() {
+        // An empty store's body, then one ledger entry whose `above` claims
+        // u32::MAX seqs (32 GiB to reserve) with two behind it.
+        let mut body = snapshot_bits(&MemoryStore::default(), 16);
+        let n_seen_at = body.len() - 4;
+        body[n_seen_at..].copy_from_slice(&1u32.to_le_bytes());
+        put_u32(&mut body, 7); // pid
+        put_u64(&mut body, 0); // watermark
+        put_u32(&mut body, u32::MAX);
+        put_u64(&mut body, 3);
+        put_u64(&mut body, 4);
+        assert!(decode_memory_store(&body).is_none());
     }
 
     #[test]

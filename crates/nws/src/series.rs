@@ -25,7 +25,9 @@ impl Series {
 
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "series capacity must be positive");
-        Series { points: VecDeque::with_capacity(capacity.min(1024)), capacity }
+        // The ring grows on demand: most series of a large deployment hold
+        // a point or two, far under the bound they evict at.
+        Series { points: VecDeque::new(), capacity }
     }
 
     /// Store one measurement. Two classes of point are **rejected**
@@ -76,6 +78,22 @@ impl Series {
 
     pub fn iter(&self) -> impl Iterator<Item = SeriesPoint> + '_ {
         self.points.iter().copied()
+    }
+
+    /// Append every point, oldest first, as `t, value` little-endian IEEE-754
+    /// bit patterns (the snapshot form): the ring's two contiguous halves
+    /// are copied out in bulk rather than pushed a field at a time.
+    pub(crate) fn encode_points(&self, b: &mut Vec<u8>) {
+        let (head, tail) = self.points.as_slices();
+        let start = b.len();
+        b.resize(start + 16 * self.points.len(), 0);
+        let (dst_head, dst_tail) = b[start..].split_at_mut(16 * head.len());
+        for (half, dst) in [(head, dst_head), (tail, dst_tail)] {
+            for (p, d) in half.iter().zip(dst.chunks_exact_mut(16)) {
+                d[..8].copy_from_slice(&p.t.to_bits().to_le_bytes());
+                d[8..].copy_from_slice(&p.value.to_bits().to_le_bytes());
+            }
+        }
     }
 
     /// Points as `(t, value)` pairs (the FetchReply payload).

@@ -8,29 +8,29 @@
 //! | len: u32 LE | seq: u64 LE | crc: u64 LE | payload (len bytes) |
 //! ```
 //!
-//! `len` counts payload bytes only; `crc` is FNV-1a 64 over `seq` (LE
-//! bytes) followed by the payload, so a record torn anywhere — length
-//! header, seq, checksum or body — fails verification. [`scan_wal`] walks
-//! records front to back and stops at the first short or corrupt one:
-//! a crash-torn tail is *detected and cleanly truncated on replay*, never
-//! half-applied. Everything before the tear is intact by induction (each
-//! record's frame is self-delimiting and self-checking).
+//! `len` counts payload bytes only; `crc` is [`checksum`] over `seq` and
+//! the payload, so a record torn anywhere — length header, seq, checksum
+//! or body — fails verification. [`scan_wal`] walks records front to back
+//! and stops at the first short or corrupt one: a crash-torn tail is
+//! *detected and cleanly truncated on replay*, never half-applied.
+//! Everything before the tear is intact by induction (each record's frame
+//! is self-delimiting and self-checking).
 //!
 //! ## Snapshot container layout
 //!
 //! ```text
-//! | magic: "NWSSNAP1" | log_seq: u64 LE | len: u32 LE | crc: u64 LE | body |
+//! | magic: "NWSSNAP2" | log_seq: u64 LE | len: u32 LE | crc: u64 LE | body |
 //! ```
 //!
-//! `log_seq` is the sequence number of the last log record folded into the
-//! snapshot: replay applies only records with `seq > log_seq`, which makes
-//! the pair (snapshot, log suffix) insensitive to a crash *after* snapshot
-//! publication but *before* log truncation — the stale prefix is skipped
-//! by seq, not by luck. A snapshot that fails magic/len/crc verification
-//! (torn by a crash mid-write, before the atomic rename published it) is
-//! treated as absent.
-
-use netsim::disk::fnv1a64;
+//! `crc` is [`checksum`] over `log_seq` and the body; [`build_snapshot`]
+//! encodes the body behind a reserved header and seals it in place, so an
+//! image is written once and never copied. `log_seq` is the sequence
+//! number of the last log record folded into the snapshot: replay applies
+//! only records with `seq > log_seq`, which makes the pair (snapshot, log
+//! suffix) insensitive to a crash *after* snapshot publication but *before*
+//! log truncation — the stale prefix is skipped by seq, not by luck. A
+//! snapshot that fails magic/len/crc verification (torn by a crash
+//! mid-write, before the atomic rename published it) is treated as absent.
 
 // ---------------------------------------------------------------------------
 // Primitive little-endian codec
@@ -110,27 +110,55 @@ impl<'a> ByteReader<'a> {
     pub fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Bytes not yet consumed: all a decoded count may reserve for.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Log records
 // ---------------------------------------------------------------------------
 
-fn record_crc(seq: u64, payload: &[u8]) -> u64 {
-    let mut pre = Vec::with_capacity(8 + payload.len());
-    pre.extend_from_slice(&seq.to_le_bytes());
-    pre.extend_from_slice(payload);
-    fnv1a64(&pre)
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The durable plane's one checksum, over `seq` then `bytes`: FNV-1a's
+/// xor–multiply folded over little-endian 8-byte words (`seq` is the
+/// first), the ≤ 7 tail bytes folded singly. A multiply by an odd constant
+/// leaves a flipped bit 63 where it is, so without the rotate two flips
+/// at bit 63 of different words would cancel; the rotate carries it down
+/// to where the next multiply spreads it.
+pub fn checksum(seq: u64, bytes: &[u8]) -> u64 {
+    let fold = |h: u64, w: u64| (h ^ w).rotate_left(32).wrapping_mul(FNV_PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = fold(FNV_OFFSET, seq);
+    for w in &mut words {
+        h = fold(h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    }
+    words.remainder().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
-/// Frame one record onto the end of `buf`. Returns the framed length in
-/// bytes (header + payload), for the caller's log-size accounting.
-pub fn append_record(buf: &mut Vec<u8>, seq: u64, payload: &[u8]) -> usize {
-    put_u32(buf, payload.len() as u32);
-    put_u64(buf, seq);
-    put_u64(buf, record_crc(seq, payload));
-    buf.extend_from_slice(payload);
-    20 + payload.len()
+const RECORD_HEADER: usize = 20;
+
+/// Frame one record onto the end of `buf`: reserve the header, let
+/// `encode_payload` write the payload behind it, seal the header over the
+/// bytes where they lie. Returns the framed length (header + payload).
+pub fn append_record(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    encode_payload: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = buf.len();
+    buf.resize(start + RECORD_HEADER, 0);
+    encode_payload(buf);
+    let (header, payload) = buf[start..].split_at_mut(RECORD_HEADER);
+    let len = u32::try_from(payload.len()).expect("a WAL record is far under 4 GiB");
+    header[0..4].copy_from_slice(&len.to_le_bytes());
+    header[4..12].copy_from_slice(&seq.to_le_bytes());
+    header[12..20].copy_from_slice(&checksum(seq, payload).to_le_bytes());
+    RECORD_HEADER + payload.len()
 }
 
 /// Result of walking a log image front to back.
@@ -153,21 +181,21 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
         if rest.is_empty() {
             return WalScan { records, valid_len: pos, torn: false };
         }
-        if rest.len() < 20 {
+        if rest.len() < RECORD_HEADER {
             return WalScan { records, valid_len: pos, torn: true };
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
         let seq = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
         let crc = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
-        if rest.len() < 20 + len {
+        if rest.len() - RECORD_HEADER < len {
             return WalScan { records, valid_len: pos, torn: true };
         }
-        let payload = &rest[20..20 + len];
-        if record_crc(seq, payload) != crc {
+        let payload = &rest[RECORD_HEADER..RECORD_HEADER + len];
+        if checksum(seq, payload) != crc {
             return WalScan { records, valid_len: pos, torn: true };
         }
         records.push((seq, payload.to_vec()));
-        pos += 20 + len;
+        pos += RECORD_HEADER + len;
     }
 }
 
@@ -175,40 +203,52 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
 // Snapshot container
 // ---------------------------------------------------------------------------
 
-const SNAP_MAGIC: &[u8; 8] = b"NWSSNAP1";
+const SNAP_MAGIC: &[u8; 8] = b"NWSSNAP2";
+const SNAP_HEADER: usize = 28;
 
-fn snapshot_crc(log_seq: u64, body: &[u8]) -> u64 {
-    let mut pre = Vec::with_capacity(8 + body.len());
-    pre.extend_from_slice(&log_seq.to_le_bytes());
-    pre.extend_from_slice(body);
-    fnv1a64(&pre)
+/// Build a snapshot image in one pass, as [`append_record`] frames a
+/// record, in a buffer with room for `body_hint` bytes. `None` if the body
+/// outgrew the `u32` length field: publishing that image would replace a
+/// good snapshot with one that can never verify.
+pub fn build_snapshot(
+    log_seq: u64,
+    body_hint: usize,
+    encode_body: impl FnOnce(&mut Vec<u8>),
+) -> Option<Vec<u8>> {
+    let mut img = Vec::with_capacity(SNAP_HEADER + body_hint);
+    img.resize(SNAP_HEADER, 0);
+    encode_body(&mut img);
+    let body_len = img.len() - SNAP_HEADER;
+    seal_snapshot(&mut img, log_seq, body_len).then_some(img)
 }
 
-/// Wrap a snapshot body in the verified container.
-pub fn encode_snapshot(log_seq: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28 + body.len());
-    out.extend_from_slice(SNAP_MAGIC);
-    put_u64(&mut out, log_seq);
-    put_u32(&mut out, body.len() as u32);
-    put_u64(&mut out, snapshot_crc(log_seq, body));
-    out.extend_from_slice(body);
-    out
+/// Fill in `img`'s header for a body of `body_len` bytes (always the rest
+/// of `img`; a parameter so a test can fake 4 GiB). `false`, with `img`
+/// untouched, if `body_len` does not fit the length field.
+fn seal_snapshot(img: &mut [u8], log_seq: u64, body_len: usize) -> bool {
+    let Ok(len) = u32::try_from(body_len) else { return false };
+    let (header, body) = img.split_at_mut(SNAP_HEADER);
+    header[0..8].copy_from_slice(SNAP_MAGIC);
+    header[8..16].copy_from_slice(&log_seq.to_le_bytes());
+    header[16..20].copy_from_slice(&len.to_le_bytes());
+    header[20..28].copy_from_slice(&checksum(log_seq, body).to_le_bytes());
+    true
 }
 
 /// Verify and unwrap a snapshot image. `None` means "no usable snapshot"
 /// — missing, truncated, or corrupt — and the caller starts empty.
 pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
-    if bytes.len() < 28 || &bytes[0..8] != SNAP_MAGIC {
+    if bytes.len() < SNAP_HEADER || &bytes[0..8] != SNAP_MAGIC {
         return None;
     }
     let log_seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
     let crc = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
-    if bytes.len() != 28 + len {
+    if bytes.len() - SNAP_HEADER != len {
         return None;
     }
-    let body = &bytes[28..];
-    if snapshot_crc(log_seq, body) != crc {
+    let body = &bytes[SNAP_HEADER..];
+    if checksum(log_seq, body) != crc {
         return None;
     }
     Some((log_seq, body.to_vec()))
@@ -217,6 +257,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn record(log: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+        append_record(log, seq, |b| b.extend_from_slice(payload));
+    }
 
     #[test]
     fn primitives_round_trip() {
@@ -241,9 +285,9 @@ mod tests {
     #[test]
     fn wal_round_trips_and_reports_clean_end() {
         let mut log = Vec::new();
-        append_record(&mut log, 1, b"alpha");
-        append_record(&mut log, 2, b"");
-        append_record(&mut log, 3, b"gamma");
+        record(&mut log, 1, b"alpha");
+        record(&mut log, 2, b"");
+        record(&mut log, 3, b"gamma");
         let scan = scan_wal(&log);
         assert!(!scan.torn);
         assert_eq!(scan.valid_len, log.len());
@@ -256,9 +300,9 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_at_every_cut_point() {
         let mut log = Vec::new();
-        append_record(&mut log, 1, b"first");
+        record(&mut log, 1, b"first");
         let keep = log.len();
-        append_record(&mut log, 2, b"second record payload");
+        record(&mut log, 2, b"second record payload");
         // A cut exactly on the record boundary is a clean end, not a tear.
         let at_boundary = scan_wal(&log[..keep]);
         assert!(!at_boundary.torn);
@@ -278,9 +322,9 @@ mod tests {
     #[test]
     fn corrupt_byte_stops_the_scan() {
         let mut log = Vec::new();
-        append_record(&mut log, 1, b"first");
+        record(&mut log, 1, b"first");
         let keep = log.len();
-        append_record(&mut log, 2, b"second");
+        record(&mut log, 2, b"second");
         let flip = keep + 22; // inside the second record's payload
         log[flip] ^= 0x40;
         let scan = scan_wal(&log);
@@ -292,7 +336,7 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_rejects_damage() {
         let body = b"snapshot body bytes".to_vec();
-        let img = encode_snapshot(41, &body);
+        let img = build_snapshot(41, 0, |b| b.extend_from_slice(&body)).expect("fits");
         assert_eq!(decode_snapshot(&img), Some((41, body.clone())));
         // Truncated image: rejected.
         assert_eq!(decode_snapshot(&img[..img.len() - 1]), None);
@@ -307,5 +351,14 @@ mod tests {
         assert_eq!(decode_snapshot(&wrong), None);
         // Empty: rejected.
         assert_eq!(decode_snapshot(b""), None);
+    }
+
+    #[test]
+    fn a_body_past_the_u32_length_field_is_refused_not_wrapped() {
+        let mut img = vec![0u8; SNAP_HEADER + 5];
+        assert!(!seal_snapshot(&mut img, 41, u32::MAX as usize + 1));
+        assert_eq!(img, vec![0u8; SNAP_HEADER + 5], "a refused seal writes nothing");
+        assert!(seal_snapshot(&mut img, 41, 5));
+        assert_eq!(decode_snapshot(&img), Some((41, vec![0u8; 5])));
     }
 }

@@ -18,6 +18,11 @@
 //! three public compaction steps (snapshot write → publish → truncate)
 //! before crashing the host.
 //!
+//! The last section pins the bytes: the one-pass image builder against a
+//! test-local reference that encodes the body into its own buffer and
+//! copies it behind a header, and the checksum against every single-bit
+//! flip, truncation and same-position pair of flips.
+//!
 //! [`SimDisk`]: netsim::disk::SimDisk
 
 use netsim::disk::{DiskHandle, SimDisk};
@@ -25,6 +30,7 @@ use netsim::engine::ProcessId;
 use nws::memory::MemoryStore;
 use nws::msg::{Resource, SeriesKey};
 use nws::persist::{ForecastLog, MemoryLog};
+use nws::wal::{append_record, checksum, decode_snapshot, scan_wal};
 use nws::ForecasterBattery;
 use proptest::prelude::*;
 
@@ -279,4 +285,258 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Image bytes: the one-pass builder against a copy-behind-a-header reference
+// ---------------------------------------------------------------------------
+
+fn ref_u32(b: &mut Vec<u8>, v: usize) {
+    b.extend_from_slice(&(v as u32).to_le_bytes());
+}
+
+fn ref_u64(b: &mut Vec<u8>, v: u64) {
+    b.extend_from_slice(&v.to_le_bytes());
+}
+
+fn ref_key(b: &mut Vec<u8>, key: &SeriesKey) {
+    b.push(key.resource.index() as u8);
+    for s in [&key.src, &key.dst] {
+        ref_u32(b, s.len());
+        b.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// The memory snapshot body, one field and one point at a time.
+fn ref_memory_body(store: &MemoryStore, capacity: usize) -> Vec<u8> {
+    let mut b = Vec::new();
+    ref_u32(&mut b, capacity);
+    for counter in [
+        store.stores,
+        store.fetches,
+        store.dup_stores,
+        store.reply_failures,
+        store.rejected,
+        store.points_served,
+    ] {
+        ref_u64(&mut b, counter);
+    }
+    ref_u32(&mut b, store.series.len());
+    for (key, s) in &store.series {
+        ref_key(&mut b, key);
+        ref_u32(&mut b, s.capacity());
+        ref_u32(&mut b, s.len());
+        for p in s.iter() {
+            ref_u64(&mut b, p.t.to_bits());
+            ref_u64(&mut b, p.value.to_bits());
+        }
+    }
+    ref_u32(&mut b, store.seen.len());
+    for (pid, seen) in &store.seen {
+        ref_u32(&mut b, pid.index());
+        ref_u64(&mut b, seen.watermark());
+        let above: Vec<u64> = seen.above().collect();
+        ref_u32(&mut b, above.len());
+        for seq in above {
+            ref_u64(&mut b, seq);
+        }
+    }
+    b
+}
+
+/// The forecaster snapshot body, from the battery's public state.
+fn ref_forecast_body<'a>(
+    series: impl ExactSizeIterator<Item = (&'a SeriesKey, &'a ForecasterBattery, f64)>,
+) -> Vec<u8> {
+    let mut b = Vec::new();
+    ref_u32(&mut b, series.len());
+    for (key, battery, last_t) in series {
+        ref_key(&mut b, key);
+        ref_u64(&mut b, last_t.to_bits());
+        let (sq, ab, ns, samples) = battery.scores();
+        let states = battery.save_states();
+        ref_u64(&mut b, samples);
+        ref_u32(&mut b, states.len());
+        for (i, state) in states.iter().enumerate() {
+            ref_u64(&mut b, sq[i].to_bits());
+            ref_u64(&mut b, ab[i].to_bits());
+            ref_u64(&mut b, ns[i]);
+            ref_u32(&mut b, state.len());
+            for v in state {
+                ref_u64(&mut b, v.to_bits());
+            }
+        }
+    }
+    b
+}
+
+/// The checksum as the format defines it, over a materialised `seq‖bytes`:
+/// 8-byte little-endian words through xor, rotate, multiply; the tail
+/// bytes through FNV-1a's xor, multiply.
+fn ref_checksum(seq: u64, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut pre = seq.to_le_bytes().to_vec();
+    pre.extend_from_slice(bytes);
+    let (words, tail) = pre.split_at(pre.len() / 8 * 8);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words.chunks(8) {
+        h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).rotate_left(32).wrapping_mul(PRIME);
+    }
+    for &b in tail {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The image the old way: the finished body copied behind its header.
+fn ref_image(log_seq: u64, body: &[u8]) -> Vec<u8> {
+    let mut img = b"NWSSNAP2".to_vec();
+    ref_u64(&mut img, log_seq);
+    ref_u32(&mut img, body.len());
+    ref_u64(&mut img, ref_checksum(log_seq, body));
+    img.extend_from_slice(body);
+    img
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random stores — rings of capacity 1 to 16 pushed past their bound so
+    /// the deque wraps and `as_slices` returns two halves, series whose
+    /// only store was rejected (an empty ring), out-of-order seqs (a sparse
+    /// `above`), no series at all — snapshot to exactly the reference
+    /// image, and `decode_snapshot` gives back `log_seq` and the body.
+    #[test]
+    fn memory_image_equals_the_copying_reference(
+        log_seq in 0u64..40,
+        capacity in 1usize..=16,
+        ops in collection::vec((0u8..4, 0u8..9, 0u8..6, 0u8..=254u8), 0..160),
+    ) {
+        let mut store = MemoryStore::default();
+        let mut next_seq = [0u64; 4];
+        let mut t = 0.0f64;
+        for (sender_i, jump, key_i, arg) in ops {
+            let sender = ProcessId::from_raw(50 + u32::from(sender_i));
+            // Mostly the next seq; sometimes one a few ahead, which stays
+            // in `above` until the gap fills (it usually never does).
+            next_seq[sender_i as usize] += if jump == 0 { 3 } else { 1 };
+            t += 1.0;
+            // A series first seen with a NaN is created and left empty.
+            let v = if arg.is_multiple_of(29) { f64::NAN } else { f64::from(arg) };
+            let key = SeriesKey::link(Resource::Latency, &format!("s{key_i}.x"), "d.x");
+            // The ring bound is fixed at the series' first store.
+            let cap = 1 + (usize::from(key_i) * 5) % capacity;
+            store.apply_store(sender, next_seq[sender_i as usize], &key, t, v, cap);
+        }
+
+        let disk = SimDisk::new("h0");
+        let (_, mut log) = MemoryLog::recover(disk.clone(), "memory", capacity);
+        for _ in 0..log_seq {
+            log.log_fetch(1);
+        }
+        prop_assert!(log.write_snapshot(&store));
+        let img = disk.borrow_mut().read("memory.snap.new").expect("written");
+        let body = ref_memory_body(&store, capacity);
+        prop_assert_eq!(&img, &ref_image(log_seq, &body));
+        prop_assert_eq!(decode_snapshot(&img), Some((log_seq, body)));
+    }
+
+    /// The same for the forecaster's image.
+    #[test]
+    fn forecast_image_equals_the_copying_reference(
+        points in collection::vec((0u8..5, 0u8..=254u8), 0..80),
+    ) {
+        let disk = SimDisk::new("fh");
+        let (_, mut log) = ForecastLog::recover(disk.clone(), "forecaster");
+        let mut state: std::collections::BTreeMap<SeriesKey, (ForecasterBattery, f64)> =
+            std::collections::BTreeMap::new();
+        for (i, (key_i, arg)) in points.iter().enumerate() {
+            let k = key(*key_i);
+            let (t, v) = (i as f64, 40.0 + f64::from(*arg));
+            let s = state.entry(k.clone()).or_insert_with(|| (ForecasterBattery::classic(), t));
+            s.0.observe(v);
+            s.1 = t;
+            log.log_observe(&k, t, v);
+        }
+        log.compact(state.iter().map(|(k, s)| (k, &s.0, s.1)));
+        let img = disk.borrow_mut().read("forecaster.snap").expect("published");
+        let log_seq = points.len() as u64;
+        let body = ref_forecast_body(state.iter().map(|(k, s)| (k, &s.0, s.1)));
+        prop_assert_eq!(&img, &ref_image(log_seq, &body));
+        prop_assert_eq!(decode_snapshot(&img), Some((log_seq, body)));
+    }
+
+    /// The streaming checksum is the reference one at every length, so at
+    /// every tail (0 to 7 bytes folded singly).
+    #[test]
+    fn streaming_checksum_equals_the_materialised_reference(
+        seq in 0u64..=u64::MAX,
+        bytes in collection::vec(0u8..=255u8, 0..70),
+    ) {
+        prop_assert_eq!(checksum(seq, &bytes), ref_checksum(seq, &bytes));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Checksum strength, exhaustively
+// ---------------------------------------------------------------------------
+
+/// Every damaged copy of `good` a torn write or a flipped bit can make:
+/// each proper prefix, each single-bit flip, and each pair of flips at one
+/// bit position of two different 8-byte words of the checksummed stream
+/// (`words` are those words' byte offsets) — the pair a word-wise FNV
+/// without the rotate lets cancel at bit 63. `rejected` must hold for all.
+fn assert_all_damage_rejected(good: &[u8], words: &[usize], rejected: impl Fn(&[u8]) -> bool) {
+    for cut in 0..good.len() {
+        assert!(rejected(&good[..cut]), "truncation to {cut} bytes accepted");
+    }
+    let mut bad = good.to_vec();
+    for bit in 0..good.len() * 8 {
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert!(rejected(&bad), "flip of bit {bit} accepted");
+        bad[bit / 8] ^= 1 << (bit % 8);
+    }
+    for bit in 0..64 {
+        let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+        for (i, &a) in words.iter().enumerate() {
+            for &b in &words[i + 1..] {
+                bad[a + byte] ^= mask;
+                bad[b + byte] ^= mask;
+                assert!(rejected(&bad), "flips of bit {bit} in words at {a} and {b} accepted");
+                bad[a + byte] ^= mask;
+                bad[b + byte] ^= mask;
+            }
+        }
+    }
+}
+
+fn noise(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i as u8).wrapping_mul(151).rotate_left(3) ^ 0x5a).collect()
+}
+
+#[test]
+fn every_torn_or_flipped_record_is_rejected() {
+    let mut log = Vec::new();
+    append_record(&mut log, 7, |b| b.extend_from_slice(&noise(200)));
+    assert_eq!(scan_wal(&log).records, vec![(7, noise(200))]);
+    // `| len 4 | seq 8 | crc 8 | payload |`: the stream is seq, then payload.
+    let words: Vec<usize> = std::iter::once(4).chain((20..220).step_by(8)).collect();
+    assert_all_damage_rejected(&log, &words, |bytes| scan_wal(bytes).records.is_empty());
+}
+
+#[test]
+fn every_torn_or_flipped_image_is_rejected() {
+    let mut store = MemoryStore::default();
+    for seq in 1..=12u64 {
+        store.apply_store(ProcessId::from_raw(3), seq, &key(seq as u8), seq as f64, 7.5, 4);
+    }
+    let disk = SimDisk::new("h0");
+    let (_, mut log) = MemoryLog::recover(disk.clone(), "memory", 4);
+    log.compact(&store);
+    let img = disk.borrow_mut().read("memory.snap").expect("published");
+    assert!(decode_snapshot(&img).is_some());
+    // `| magic 8 | log_seq 8 | len 4 | crc 8 | body |`: log_seq, then body.
+    let body_words = (28..img.len() - 7).step_by(8);
+    let words: Vec<usize> = std::iter::once(8).chain(body_words).collect();
+    assert_all_damage_rejected(&img, &words, |bytes| decode_snapshot(bytes).is_none());
 }
