@@ -7,8 +7,9 @@
 //! The workload matches the Criterion `flow_lifecycle` bench: a 16-host
 //! star switch, `N` concurrent 256 KiB transfers round-robining over host
 //! pairs, run to quiescence. Per completed flow the engine processes one
-//! completion and one ack event, each triggering a reallocation — the hot
-//! path the incremental fairness engine optimises.
+//! completion, which re-levels the survivors, and one ack event; the `N`
+//! starts share an instant and cost one reallocation between them — the
+//! hot path the incremental fairness engine optimises.
 //!
 //! Run: `cargo run --release -p nws-bench --bin exp_engine_scaling`
 

@@ -1,7 +1,9 @@
 //! Orchestration of a full ENV run (paper §4.2), and of incremental
 //! *re*-runs under topology churn ([`EnvMapper::remap`]).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use gridml::Property;
@@ -135,8 +137,10 @@ pub struct EnvRun {
     /// (mirrors `Topology::node_by_name`): [`EnvRun::machine`] used to scan
     /// every record's name *and* aliases per lookup, which made per-host
     /// consumers quadratic. First machine carrying the name wins, exactly
-    /// like the old scan.
-    machine_index: HashMap<String, usize>,
+    /// like the old scan. Fixed hash keys: a run is cloned and dropped per
+    /// remap, in bucket order, and that order must not differ from one
+    /// process to the next (see netsim's `name::FixedState`).
+    machine_index: HashMap<String, usize, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl EnvRun {
@@ -148,7 +152,8 @@ impl EnvRun {
         stats: ProbeStats,
         master: String,
     ) -> Self {
-        let mut machine_index = HashMap::with_capacity(machines.len() * 2);
+        let mut machine_index =
+            HashMap::with_capacity_and_hasher(machines.len() * 2, BuildHasherDefault::default());
         for (i, m) in machines.iter().enumerate() {
             machine_index.entry(m.name.clone()).or_insert(i);
             for a in &m.aliases {

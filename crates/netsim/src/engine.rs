@@ -26,10 +26,11 @@ use crate::error::{NetError, NetResult};
 use crate::fairness::{FairEngine, FairnessModel, ResourceId};
 use crate::faults::LossModel;
 use crate::flow::{FlowId, FlowOutcome};
+use crate::name::FixedState;
 use crate::routing::RouteTable;
 use crate::time::{SimTime, TimeDelta};
 use crate::topology::{LinkId, NodeId, Topology};
-use crate::units::{Bandwidth, Bytes};
+use crate::units::Bytes;
 
 /// Identifier of a process (actor) registered with an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -220,12 +221,15 @@ pub struct Core<M> {
     /// Sum of all active flow rates, maintained incrementally so clock
     /// advances update transfer stats in O(1) instead of O(flows).
     total_rate: f64,
+    /// The flow set changed since the rates were last computed (see
+    /// [`Core::settle`]).
+    stale: bool,
     /// Reusable buffer for interned path extraction at flow start.
     res_scratch: Vec<ResourceId>,
     next_flow: u64,
     next_timer: u64,
-    finished: HashMap<FlowId, FlowOutcome>,
-    cancelled_timers: HashSet<TimerId>,
+    finished: HashMap<FlowId, FlowOutcome, FixedState>,
+    cancelled_timers: HashSet<TimerId, FixedState>,
     proc_nodes: Vec<NodeId>,
     /// TCP window used to cap flow rates at `window / RTT`; `None` models
     /// well-tuned transfers that are never window-limited.
@@ -233,14 +237,14 @@ pub struct Core<M> {
     stats: EngineStats,
     /// Owners of drained-but-not-yet-acked flows, so the ack event can
     /// notify them. `None` entries are probe flows.
-    owner_of_finished: HashMap<FlowId, Option<ProcessId>>,
+    owner_of_finished: HashMap<FlowId, Option<ProcessId>, FixedState>,
     /// Last scheduled delivery per (sender, receiver): control messages
     /// between two processes are FIFO, like the TCP connections real NWS
     /// servers keep open (a short message must not overtake a longer one
     /// sent earlier). Entries of killed processes are pruned in
     /// [`Engine::kill_process`] so crash/restart churn cannot grow the map
     /// unboundedly.
-    last_delivery: HashMap<(ProcessId, ProcessId), SimTime>,
+    last_delivery: HashMap<(ProcessId, ProcessId), SimTime, FixedState>,
     /// Fault plane (see [`crate::faults`]): armed by
     /// [`Engine::set_fault_seed`]. While armed, every cross-node send
     /// draws a fixed number of uniforms so the stream stays a function of
@@ -249,7 +253,7 @@ pub struct Core<M> {
     /// Engine-wide loss model applied to every cross-node message.
     default_loss: Option<LossModel>,
     /// Additional per-link loss models, composed along the message's path.
-    link_loss: HashMap<LinkId, LossModel>,
+    link_loss: HashMap<LinkId, LossModel, FixedState>,
 }
 
 impl<M> Core<M> {
@@ -270,12 +274,24 @@ impl<M> Core<M> {
         self.now = t;
     }
 
-    /// Recompute the fair allocation for the current flow set. Must be
-    /// called after every change to the set. Only flows whose rate actually
-    /// changed are touched: their drain is materialised under the old
-    /// rate, the aggregate rate is adjusted, and a fresh completion
-    /// projection is pushed (invalidating older heap entries via
-    /// `push_seq`). Steady-state cost: O(changed), zero heap allocation.
+    /// Bring the rates up to date with the flow set, once however many
+    /// flows started or completed at this instant: an allocation that holds
+    /// for dt = 0 carries no bytes, so only the last one at an instant is
+    /// observable. Runs before the clock moves or a completion is read, and
+    /// before anything a pending re-level depends on (capacities, the
+    /// sharing model) is changed.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.stale) {
+            self.reallocate();
+        }
+    }
+
+    /// Recompute the fair allocation for the current flow set. Only flows
+    /// whose rate actually changed are touched: their drain is
+    /// materialised under the old rate, the aggregate rate is adjusted,
+    /// and a fresh completion projection is pushed (invalidating older
+    /// heap entries via `push_seq`). Steady-state cost: O(changed), zero
+    /// heap allocation.
     fn reallocate(&mut self) {
         let now = self.now;
         self.fair.reallocate();
@@ -419,7 +435,7 @@ impl<M> Core<M> {
         });
         self.flows.insert(id, key);
         self.stats.flows_started += 1;
-        self.reallocate();
+        self.stale = true;
         Ok(id)
     }
 
@@ -446,7 +462,7 @@ impl<M> Core<M> {
         // look it up.
         self.owner_of_finished.insert(id, f.owner);
         self.push_event(ack_at, EventKind::FlowAck { flow: id });
-        self.reallocate();
+        self.stale = true;
     }
 
     pub fn now(&self) -> SimTime {
@@ -665,19 +681,20 @@ impl<M> Engine<M> {
                 fair,
                 completions: BinaryHeap::new(),
                 total_rate: 0.0,
+                stale: false,
                 res_scratch: Vec::new(),
                 next_flow: 0,
                 next_timer: 0,
-                finished: HashMap::new(),
-                cancelled_timers: HashSet::new(),
+                finished: HashMap::default(),
+                cancelled_timers: HashSet::default(),
                 proc_nodes: Vec::new(),
                 tcp_window: None,
                 stats: EngineStats::default(),
-                owner_of_finished: HashMap::new(),
-                last_delivery: HashMap::new(),
+                owner_of_finished: HashMap::default(),
+                last_delivery: HashMap::default(),
                 fault_rng: None,
                 default_loss: None,
-                link_loss: HashMap::new(),
+                link_loss: HashMap::default(),
             },
             procs: Vec::new(),
         }
@@ -690,8 +707,10 @@ impl<M> Engine<M> {
     }
 
     /// Select the bandwidth-sharing model (ablation hook; max-min default).
-    /// Takes effect on the next flow-set change, as before.
+    /// Takes effect on the next flow-set change: a re-level still owed to
+    /// earlier starts runs first, under the model they started with.
     pub fn set_fairness_model(&mut self, model: FairnessModel) {
+        self.core.settle();
         self.core.fair.set_model(model);
     }
 
@@ -787,6 +806,7 @@ impl<M> Engine<M> {
     /// shared with other engines (parallel mapping workers), the first
     /// mutation clones it — sharers keep the platform they started with.
     pub fn topo_mut(&mut self) -> &mut Topology {
+        self.core.settle();
         Arc::make_mut(&mut self.core.topo)
     }
 
@@ -797,6 +817,7 @@ impl<M> Engine<M> {
     }
 
     pub fn recompute_routes(&mut self) {
+        self.core.settle();
         self.core.routes = Arc::new(RouteTable::compute(&self.core.topo));
         // Capacity mutations through topo_mut() must reach the interned
         // tables too; like the old from-scratch allocator, they take
@@ -833,16 +854,6 @@ impl<M> Engine<M> {
 
     pub fn process_node(&self, pid: ProcessId) -> NodeId {
         self.core.proc_nodes[pid.index()]
-    }
-
-    /// Instantaneous allocated rate of an active flow (for tests).
-    pub fn flow_rate(&self, id: FlowId) -> Option<Bandwidth> {
-        self.core.flows.get(&id).map(|&key| {
-            let f = self.core.flow_slots[key as usize]
-                .as_ref()
-                .expect("flow map entry has a live slot");
-            Bandwidth::bytes_per_sec(f.rate)
-        })
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
@@ -897,6 +908,7 @@ impl<M> Engine<M> {
     /// Process one step (the earliest event or flow completion). Returns
     /// false when nothing remains.
     fn step(&mut self, limit: SimTime) -> bool {
+        self.core.settle();
         let t_ev = self.core.queue.peek().map(|e| e.time);
         let t_flow = self.core.next_completion();
         match (t_ev, t_flow) {
@@ -959,11 +971,16 @@ impl<M> Engine<M> {
     /// available). Other events keep being processed meanwhile.
     pub fn run_until_flows_done(&mut self, flows: &[FlowId], horizon: TimeDelta) -> NetResult<()> {
         let limit = self.core.now + horizon;
+        // An acked flow stays acked, so the flows before `next` are never
+        // looked at again.
+        let mut next = 0;
         loop {
-            let all_done = flows.iter().all(|f| {
+            while flows.get(next).is_some_and(|f| {
                 self.core.finished.contains_key(f) && !self.core.owner_of_finished.contains_key(f)
-            });
-            if all_done {
+            }) {
+                next += 1;
+            }
+            if next == flows.len() {
                 return Ok(());
             }
             if !self.step(limit) {
@@ -977,7 +994,7 @@ impl<M> Engine<M> {
 mod tests {
     use super::*;
     use crate::topology::{LinkMode, TopologyBuilder};
-    use crate::units::Latency;
+    use crate::units::{Bandwidth, Latency};
 
     fn two_hosts_hub() -> (Topology, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();

@@ -247,12 +247,12 @@ pub fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth>
 //   come and go, and reallocates into reusable scratch buffers — zero heap
 //   allocation in steady state.
 //
-// `FairEngine::reallocate` is algorithmically identical to
+// `FairEngine::reallocate` is arithmetically identical to
 // [`max_min_allocate`] / [`equal_share_allocate`] (same rounds, same
-// floating-point operation order, same freeze thresholds), which the
-// differential property suite below exploits: for random topologies and
-// random add/remove sequences the two must agree bit-for-bit (tested with a
-// tiny tolerance to stay robust to future refactors).
+// `delta`s, the same chain of roundings on every value, same freeze
+// thresholds), which the differential property suite below exploits: for
+// random topologies and random add/remove sequences the two must agree
+// bit-for-bit (`to_bits`).
 
 /// Dense index of a [`Resource`] within a [`ResourceTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -425,11 +425,16 @@ struct Scratch {
     /// Resources still participating in the current progressive-filling
     /// rounds; pruned as their last user freezes.
     round: Vec<ResourceId>,
-    /// Per-slot working rate.
+    /// Flows by resource, rebuilt by counting sort each call: once built,
+    /// the live keys crossing `r` are `members[start[r] - users[r]..start[r]]`.
+    start: Vec<u32>,
+    members: Vec<u32>,
+    /// Per-slot working rate, written when the flow freezes.
     work: Vec<f64>,
     /// Per-slot frozen flag.
     frozen: Vec<bool>,
-    to_freeze: Vec<u32>,
+    /// Resources that saturated in the current round.
+    saturated: Vec<ResourceId>,
     /// Slots whose committed rate changed in the last reallocate.
     changed: Vec<u32>,
 }
@@ -476,6 +481,7 @@ impl FairEngine {
             scratch: Scratch {
                 remaining: vec![0.0; n],
                 unfrozen: vec![0; n],
+                start: vec![0; n],
                 ..Scratch::default()
             },
         }
@@ -531,6 +537,7 @@ impl FairEngine {
         self.active_pos.resize(n, u32::MAX);
         self.scratch.remaining.resize(n, 0.0);
         self.scratch.unfrozen.resize(n, 0);
+        self.scratch.start.resize(n, 0);
     }
 
     pub fn flow_count(&self) -> usize {
@@ -662,20 +669,46 @@ impl FairEngine {
         }
     }
 
-    /// Progressive filling over interned resources — the same rounds, in
-    /// the same floating-point order, as [`max_min_allocate`].
+    /// Progressive filling over interned resources — the same rounds and
+    /// the same `delta`s as [`max_min_allocate`], walked from the resource
+    /// side. Every unfrozen flow holds the same sum of deltas, so one `level`
+    /// stands for all of them. A resource with `u` unfrozen users loses
+    /// `delta` `u` times a round whichever flow delivers each one, so the
+    /// chain of subtractions runs in a register — repeated, never
+    /// `u * delta`, which rounds differently. And a resource that saturates
+    /// freezes its own members through the flows-by-resource table.
     fn reallocate_max_min(&mut self) {
+        fn freeze(s: &mut Scratch, slot: &FlowSlot, k: u32, level: f64) {
+            s.frozen[k as usize] = true;
+            s.work[k as usize] = level;
+            for &r in &slot.resources {
+                s.unfrozen[r.index()] -= 1;
+            }
+        }
         let s = &mut self.scratch;
+        let mut total = 0;
         for &r in &self.active {
             s.remaining[r.index()] = self.table.capacity[r.index()];
             s.unfrozen[r.index()] = self.users[r.index()];
+            s.start[r.index()] = total;
+            total += self.users[r.index()];
         }
         s.round.clear();
         s.round.extend_from_slice(&self.active);
+        // Counting sort: each flow drops its key at its resources' cursors,
+        // which end up one past each resource's run of members.
+        s.members.resize(total as usize, 0);
+        let mut any_cap = false;
         for &k in &self.live {
-            s.work[k as usize] = 0.0;
+            let slot = &self.slots[k as usize];
             s.frozen[k as usize] = false;
+            any_cap |= slot.cap.is_finite();
+            for &r in &slot.resources {
+                s.members[s.start[r.index()] as usize] = k;
+                s.start[r.index()] += 1;
+            }
         }
+        let mut level = 0.0f64;
         let mut unfrozen_flows = self.live.len();
 
         // Each round freezes at least one flow (or bails on numerical
@@ -695,55 +728,61 @@ impl FairEngine {
                 delta = delta.min(s.remaining[r.index()] / u as f64);
                 i += 1;
             }
-            for &k in &self.live {
-                if s.frozen[k as usize] {
-                    continue;
-                }
-                let cap = self.slots[k as usize].cap;
-                if cap.is_finite() {
-                    delta = delta.min(cap - s.work[k as usize]);
+            if any_cap {
+                for &k in &self.live {
+                    if !s.frozen[k as usize] {
+                        delta = delta.min(self.slots[k as usize].cap - level);
+                    }
                 }
             }
             debug_assert!(delta.is_finite(), "unfrozen flow with no binding constraint");
             let delta = delta.max(0.0);
+            level += delta;
 
-            for &k in &self.live {
-                if s.frozen[k as usize] {
-                    continue;
+            // Saturation is decided for every resource before any flow
+            // freezes: a freeze lowers `unfrozen` on the flow's other
+            // resources, which must still lose this round's full share.
+            s.saturated.clear();
+            for &r in &s.round {
+                let mut rem = s.remaining[r.index()];
+                for _ in 0..s.unfrozen[r.index()] {
+                    rem -= delta;
                 }
-                s.work[k as usize] += delta;
-                for &r in &self.slots[k as usize].resources {
-                    s.remaining[r.index()] -= delta;
+                s.remaining[r.index()] = rem;
+                if rem <= self.table.freeze_eps[r.index()] {
+                    s.saturated.push(r);
                 }
             }
-
-            s.to_freeze.clear();
-            for &k in &self.live {
-                if s.frozen[k as usize] {
-                    continue;
-                }
-                let slot = &self.slots[k as usize];
-                let saturated = slot
-                    .resources
-                    .iter()
-                    .any(|r| s.remaining[r.index()] <= self.table.freeze_eps[r.index()]);
-                let capped = slot.cap.is_finite() && s.work[k as usize] + EPS >= slot.cap;
-                if saturated || capped {
-                    s.to_freeze.push(k);
+            let before = unfrozen_flows;
+            for i in 0..s.saturated.len() {
+                let r = s.saturated[i].index();
+                let end = s.start[r] as usize;
+                for m in end - self.users[r] as usize..end {
+                    let k = s.members[m];
+                    if !s.frozen[k as usize] {
+                        freeze(s, &self.slots[k as usize], k, level);
+                        unfrozen_flows -= 1;
+                    }
                 }
             }
-            if s.to_freeze.is_empty() {
+            if any_cap {
+                for &k in &self.live {
+                    let slot = &self.slots[k as usize];
+                    if !s.frozen[k as usize] && level + EPS >= slot.cap {
+                        freeze(s, slot, k, level);
+                        unfrozen_flows -= 1;
+                    }
+                }
+            }
+            if unfrozen_flows == before {
                 // delta was 0 without progress — numerically stuck; stop
                 // raising rates (everything keeps its current share).
-                break;
-            }
-            for ti in 0..s.to_freeze.len() {
-                let k = s.to_freeze[ti];
-                s.frozen[k as usize] = true;
-                unfrozen_flows -= 1;
-                for &r in &self.slots[k as usize].resources {
-                    s.unfrozen[r.index()] -= 1;
+                for &k in &self.live {
+                    if !s.frozen[k as usize] {
+                        s.work[k as usize] = level;
+                    }
                 }
+                break;
             }
         }
     }
@@ -1034,6 +1073,25 @@ mod tests {
         assert!((fe.rate(k2) - mbps(50.0).as_bytes_per_sec()).abs() < 1.0);
     }
 
+    #[test]
+    fn stuck_exit_leaves_every_unfrozen_flow_at_the_level() {
+        // No finite input reaches the exit — a round's binding resource
+        // always tests as saturated — so put its threshold out of reach.
+        let (net, h) = hub_net(3, 100.0);
+        let mut fe = FairEngine::new(&net.topo, FairnessModel::MaxMin);
+        let table = ResourceTable::new(&net.topo);
+        let mut ids = Vec::new();
+        let p = net.routes.path(&net.topo, h[0], h[1]).unwrap();
+        table.intern_path(&net.topo, &p, &mut ids);
+        let k1 = fe.add_flow(&ids, None);
+        let k2 = fe.add_flow(&ids, None);
+        fe.table.freeze_eps[ids[0].index()] = -1.0;
+        fe.reallocate();
+        let half = mbps(100.0).as_bytes_per_sec() / 2.0;
+        assert_eq!(fe.rate(k1).to_bits(), half.to_bits());
+        assert_eq!(fe.rate(k2).to_bits(), half.to_bits());
+    }
+
     #[cfg(test)]
     mod properties {
         use super::*;
@@ -1061,6 +1119,27 @@ mod tests {
             let topo = b.build().unwrap();
             let routes = RouteTable::compute(&topo);
             (Net { topo, routes }, hosts)
+        }
+
+        /// After a max-min reallocate, the flows-by-resource table lists
+        /// exactly the `users[r]` live keys that cross each active resource.
+        fn members_match_users(fe: &FairEngine) -> Result<(), String> {
+            let s = &fe.scratch;
+            let mut listed = 0;
+            for &r in &fe.active {
+                let end = s.start[r.index()] as usize;
+                let run = &s.members[end - fe.users[r.index()] as usize..end];
+                listed += run.len();
+                for (i, &k) in run.iter().enumerate() {
+                    prop_assert!(fe.live.contains(&k), "{r}: dead key {k}");
+                    prop_assert!(fe.resources(k).contains(&r), "{r}: {k} does not cross it");
+                    prop_assert!(!run[..i].contains(&k), "{r}: {k} listed twice");
+                }
+            }
+            let refs: usize = fe.live.iter().map(|&k| fe.resources(k).len()).sum();
+            prop_assert_eq!(listed, refs);
+            prop_assert_eq!(s.members.len(), refs);
+            Ok(())
         }
 
         proptest! {
@@ -1149,23 +1228,44 @@ mod tests {
             }
 
             /// Differential suite: the incremental [`FairEngine`] must
-            /// produce the same per-flow rates as the from-scratch oracle
-            /// after every step of a random add/remove sequence, on random
-            /// mixed hub+switch topologies, under both sharing models.
+            /// produce the same per-flow rates, to the bit, as the
+            /// from-scratch oracle after every step of a random add/remove
+            /// sequence (up to 64 live flows), on random mixed hub+switch
+            /// topologies, under both sharing models. Half the flows are
+            /// capped between rate/8 and rate, so caps bind in rounds before
+            /// and after the hub or a port saturates; `dead` gives one
+            /// host's port (or the whole hub) zero capacity, so a round has
+            /// `delta == 0`.
             #[test]
             fn incremental_engine_matches_oracle(
                 n_each in 2usize..5,
                 rate in 10.0f64..500.0,
-                // Each op: (src pick, dst pick, cap pick, remove?). cap 0 →
-                // uncapped, otherwise a cap between rate/8 and rate Mbps.
-                // remove=true drops the oldest live flow instead of adding.
+                dead in proptest::option::of(0usize..10),
+                // Each op: (src pick, dst pick, cap pick, what). cap < 4 →
+                // uncapped, otherwise a cap of cap/8 × rate Mbps. what 0
+                // drops the oldest live flow, what 1 a flow that is some
+                // resource's only member (the resource must leave `active`
+                // and the table), anything else adds one.
                 ops in proptest::collection::vec(
-                    (0usize..12, 0usize..12, 0usize..8, proptest::bool::ANY),
-                    1..25
+                    (0usize..12, 0usize..12, 0usize..9, 0usize..10),
+                    1..160
                 ),
                 equal_share in proptest::bool::ANY,
             ) {
-                let (net, hosts) = mixed_net(n_each, rate);
+                let (mut net, hosts) = mixed_net(n_each, rate);
+                if let Some(d) = dead {
+                    let (port, _) = net.topo.neighbours(hosts[d % hosts.len()])[0];
+                    match &mut net.topo.link_mut(port).mode {
+                        LinkMode::FullDuplex { capacity_ab, capacity_ba } => {
+                            *capacity_ab = Bandwidth::ZERO;
+                            *capacity_ba = Bandwidth::ZERO;
+                        }
+                        LinkMode::Shared { medium } => {
+                            let medium = *medium;
+                            net.topo.medium_mut(medium).capacity = Bandwidth::ZERO;
+                        }
+                    }
+                }
                 let model = if equal_share {
                     FairnessModel::BottleneckEqualShare
                 } else {
@@ -1179,10 +1279,12 @@ mod tests {
                 let mut ids = Vec::new();
                 let n = hosts.len();
 
-                for (s, d, cap_pick, remove) in ops {
-                    if remove && !shadow.is_empty() {
-                        // Remove the oldest live flow.
-                        let key = fe.live_keys()[0];
+                for (s, d, cap_pick, what) in ops {
+                    if (what < 2 || shadow.len() == 64) && !shadow.is_empty() {
+                        let lone = fe.live_keys().iter().copied().find(|&k| {
+                            fe.resources(k).iter().any(|r| fe.users[r.index()] == 1)
+                        });
+                        let key = lone.filter(|_| what == 1).unwrap_or(fe.live_keys()[0]);
                         fe.remove_flow(key);
                         shadow.remove(&key);
                     } else {
@@ -1192,7 +1294,7 @@ mod tests {
                             continue;
                         }
                         let mut demand = net.demand(hosts[s], hosts[d]);
-                        if cap_pick > 0 {
+                        if cap_pick >= 4 {
                             demand.rate_cap = Some(mbps(cap_pick as f64 * rate / 8.0));
                         }
                         let p = net.routes.path(&net.topo, hosts[s], hosts[d]).unwrap();
@@ -1216,11 +1318,14 @@ mod tests {
                         let got = fe.rate(*k);
                         let want = want.as_bytes_per_sec();
                         prop_assert!(
-                            (got - want).abs() <= want.abs() * 1e-9 + 1e-9,
-                            "flow {k}: incremental {got} vs oracle {want} \
+                            got.to_bits() == want.to_bits(),
+                            "flow {k}: incremental {got:e} vs oracle {want:e} \
                              ({} flows, model {model:?})",
                             demands.len()
                         );
+                    }
+                    if model == FairnessModel::MaxMin {
+                        members_match_users(&fe)?;
                     }
                 }
             }

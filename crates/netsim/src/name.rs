@@ -7,16 +7,26 @@
 //! the firewall — designate the same machine; those are recorded here as
 //! aliases.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 
 use crate::ip::Ipv4;
+
+/// Hash state with fixed keys, for every table the simulator keeps.
+/// `clone` and `drop` walk a table of `String`s in bucket order, and where
+/// the tombstones of a churned table fall decides when it next grows, so
+/// under `RandomState` the order and sizes of allocations — and with them
+/// the heap's layout and the process's peak RSS, by 12 MiB on the
+/// 1000-host benchmark — differ from one process to the next (DESIGN §9).
+pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Forward (name→address) and reverse (address→name) resolution tables.
 #[derive(Debug, Clone, Default)]
 pub struct Dns {
-    by_name: HashMap<String, Ipv4>,
-    by_ip: HashMap<Ipv4, String>,
-    aliases: HashMap<String, BTreeSet<String>>,
+    by_name: HashMap<String, Ipv4, FixedState>,
+    by_ip: HashMap<Ipv4, String, FixedState>,
+    aliases: HashMap<String, BTreeSet<String>, FixedState>,
 }
 
 impl Dns {
@@ -111,6 +121,21 @@ mod tests {
         d.add_alias("popc.ens-lyon.fr", "popc0.popc.private");
         assert_eq!(d.aliases_of("popc.ens-lyon.fr"), vec!["popc0.popc.private".to_string()]);
         assert!(d.aliases_of("unknown").is_empty());
+    }
+
+    /// Two tables built alike clone and drop their strings in the same
+    /// order (`Debug` prints in bucket order, the order `clone` walks).
+    #[test]
+    fn bucket_order_is_the_same_in_every_table() {
+        let build = || {
+            let mut d = Dns::new();
+            for i in 0..200u8 {
+                d.register(&format!("h{i}.lab.x"), Ipv4::new(10, 0, 0, i));
+                d.add_alias(&format!("h{i}.lab.x"), &format!("h{i}.private"));
+            }
+            d
+        };
+        assert_eq!(format!("{:?}", build()), format!("{:?}", build()));
     }
 
     #[test]

@@ -178,16 +178,24 @@ impl RouteTable {
             let rows_per = c.div_ceil(threads);
             let (core, core_of) = (&core, &row_of);
             std::thread::scope(|s| {
+                let mut workers = Vec::with_capacity(threads);
                 for (chunk_idx, rows) in prev_link.chunks_mut(rows_per * c).enumerate() {
                     let first_src = chunk_idx * rows_per;
-                    s.spawn(move || {
+                    workers.push(s.spawn(move || {
                         let mut dist = vec![f64::INFINITY; c];
                         let mut heap = BinaryHeap::new();
                         for (row_idx, row) in rows.chunks_mut(c).enumerate() {
                             let src = core[first_src + row_idx];
                             dijkstra_row(topo, core_of, src, row, &mut dist, &mut heap);
                         }
-                    });
+                    }));
+                }
+                // Joined, not left to the scope, which only waits for each
+                // closure to return: a thread still exiting holds its malloc
+                // arena, and whether the caller's next thread finds that
+                // arena free or takes a new one must not be a race.
+                for w in workers {
+                    w.join().expect("routing worker panicked");
                 }
             });
         }

@@ -23,7 +23,7 @@ use std::fmt;
 use crate::error::{NetError, NetResult};
 use crate::firewall::Firewall;
 use crate::ip::Ipv4;
-use crate::name::Dns;
+use crate::name::{Dns, FixedState};
 use crate::units::{Bandwidth, Latency};
 
 /// Identifier of a node in a [`Topology`]. Indexes are dense.
@@ -232,7 +232,7 @@ impl NameId {
 /// hash lookup per *distinct* string instead of one per call.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    lookup: HashMap<String, NameId>,
+    lookup: HashMap<String, NameId, FixedState>,
     names: Vec<String>,
     owner: Vec<NodeId>,
 }
@@ -240,7 +240,7 @@ pub struct NameTable {
 impl NameTable {
     fn with_capacity(n: usize) -> Self {
         NameTable {
-            lookup: HashMap::with_capacity(n),
+            lookup: HashMap::with_capacity_and_hasher(n, FixedState::default()),
             names: Vec::with_capacity(n),
             owner: Vec::with_capacity(n),
         }

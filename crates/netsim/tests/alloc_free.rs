@@ -214,4 +214,26 @@ fn steady_state_reallocate_does_not_allocate() {
         "expected small constant allocation budget per event, got {per_event:.1} \
          ({total} allocations over ~512 events)"
     );
+
+    // --- A burst of starts is one re-level, off the heap ----------------
+    // Starting a flow books it (id map, slot) and leaves the rates stale;
+    // the one re-level the burst costs runs when the clock is asked to
+    // move, and must find every buffer it needs already grown.
+    let mut sim = Sim::new(topo.clone());
+    let burst = |sim: &mut Sim| -> Vec<FlowId> {
+        (0..128usize)
+            .map(|i| {
+                sim.start_probe_flow(hosts[i % 32], hosts[(i + 9) % 32], Bytes::kib(64)).unwrap()
+            })
+            .collect()
+    };
+    // Warm-up: scratch, flow slots and the completion heap grow to 128 flows.
+    let flows = burst(&mut sim);
+    sim.run_until_flows_done(&flows, TimeDelta::from_secs(3_600.0)).unwrap();
+    let flows = burst(&mut sim);
+    let before = allocations();
+    sim.run_until(sim.now());
+    let delta = allocations() - before;
+    assert_eq!(sim.completion_heap_len(), flows.len(), "the burst was re-levelled");
+    assert_eq!(delta, 0, "re-levelling a burst of 128 starts must not allocate, saw {delta}");
 }

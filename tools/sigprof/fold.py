@@ -3,6 +3,14 @@
 and print the functions with the largest inclusive share.
 
     python3 tools/sigprof/fold.py sigprof.out [top_n] > stacks.folded
+
+With `--lines` it prints, instead of both, the source lines with the largest
+self share. A hot loop the compiler inlined reads by function as
+`<f64>::min` or `SliceIndex::index` and says nothing; its leaf address still
+resolves (`addr2line -i`) to a chain of inlined frames, and the first of
+those under `crates/` is the line of this repository that spent the sample.
+
+    python3 tools/sigprof/fold.py sigprof.out [top_n] --lines
 """
 import collections
 import subprocess
@@ -10,8 +18,9 @@ import sys
 
 
 def main():
-    path = sys.argv[1]
-    top_n = int(sys.argv[2]) if len(sys.argv) > 2 else 40
+    args = [a for a in sys.argv[1:] if a != "--lines"]
+    path = args[0]
+    top_n = int(args[1]) if len(args) > 1 else 40
     maps, base, stacks = [], {}, []
     with open(path) as f:
         for line in f:
@@ -36,6 +45,29 @@ def main():
             if lo <= addr < hi:
                 return obj, addr - base[obj]
         return None
+
+    if "--lines" in sys.argv:
+        leaves = collections.Counter(locate(st[0], False) for st in stacks if st)
+        by_line = collections.Counter()
+        for obj in {loc[0] for loc in leaves if loc}:
+            offs = sorted(loc[1] for loc in leaves if loc and loc[0] == obj)
+            out = subprocess.run(
+                ["addr2line", "-a", "-i", "-e", obj],
+                input="\n".join(hex(o) for o in offs),
+                capture_output=True, text=True, check=True,
+            ).stdout.splitlines()
+            # `-a` heads each address's inline chain (innermost frame first)
+            # with the address itself, which no source path starts like.
+            heads = [i for i, line in enumerate(out) if line.startswith("0x")]
+            for off, lo, hi in zip(offs, heads, heads[1:] + [len(out)]):
+                frames = [f.split(" (")[0] for f in out[lo + 1:hi]]
+                ours = [f for f in frames if "/crates/" in f]
+                by_line[(ours or frames or ["?"])[0]] += leaves[(obj, off)]
+        total = max(len(stacks), 1)
+        print(f"{len(stacks)} samples; self% file:line", file=sys.stderr)
+        for line, n in by_line.most_common(top_n):
+            print(f"{100 * n / total:6.1f}  {line}", file=sys.stderr)
+        return
 
     by_obj = collections.defaultdict(set)
     for st in stacks:
