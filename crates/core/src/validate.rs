@@ -108,8 +108,9 @@ impl MeasurementSource for PostRoundSource<'_> {
 /// This is the cluster-granular engine: completeness (constraint 3) is
 /// decided per effective-network pair — O(C² + n) instead of one estimator
 /// walk per ordered host pair — and the collision check of constraint 1
-/// intersects per-clique resource footprints as bitsets over the dense
-/// `LinkId`/`MediumId` space. The original per-host-pair implementation
+/// collects each clique's resource footprint by walking its members up one
+/// another's shortest-path trees, then counts shared resources through a
+/// resource → cliques index. The original per-host-pair implementation
 /// survives as [`validate_plan_naive`], the differential-test oracle; both
 /// produce identical reports.
 pub fn validate_plan(plan: &DeploymentPlan, view: &EnvView, topo: &Topology) -> PlanReport {
@@ -129,70 +130,109 @@ pub fn validate_plan_with_routes(
     let compiled = CompiledView::new(view, plan);
 
     // --- constraint 1: collisions between cliques -------------------------
-    // Resource footprint of each clique as a bitset over the dense resource
-    // id space: bits [0, 2L) are directed full-duplex link halves, bits
-    // [2L, 2L + M) are hub mediums — the same resources
-    // `netsim::fairness::path_resources` extracts.
+    // Resources are numbered as `netsim::fairness::path_resources` sees
+    // them: [0, 2L) are directed full-duplex link halves, [2L, 2L + M) hub
+    // mediums. Clique i's footprint is the distinct resources
+    // `foot[foot_start[i]..foot_start[i + 1]]`; `last_clique[r]` keeps a
+    // resource from being listed twice under one clique.
     let link_bits = 2 * topo.link_count();
-    let words = (link_bits + topo.medium_count()).div_ceil(64);
+    let n_res = link_bits + topo.medium_count();
     let nc = plan.cliques.len();
-    let mut foot = vec![0u64; nc * words];
+    let mut foot: Vec<u32> = Vec::new();
+    let mut foot_start = vec![0u32];
+    let mut last_clique = vec![u32::MAX; n_res];
     let mut unresolved: BTreeSet<&str> = BTreeSet::new();
-    let mut node_ids: Vec<Option<NodeId>> = Vec::new();
+    // Sized for the largest clique, so it never regrows in between the
+    // growth steps of `foot`.
+    let mut members: Vec<NodeId> =
+        Vec::with_capacity(plan.cliques.iter().map(|c| c.members.len()).max().unwrap_or(0));
+    // `seen[node] == epoch`: the walk up the current source's tree has
+    // already passed `node`.
+    let mut seen = vec![0u32; topo.node_count()];
+    let mut epoch = 0u32;
     for (ci, c) in plan.cliques.iter().enumerate() {
-        node_ids.clear();
-        node_ids.extend(c.members.iter().map(|m| topo.node_by_name(m)));
         // A member is reported unresolved when it takes part in at least
         // one measured pair, i.e. when the clique has two distinct names.
-        if c.members.iter().any(|m| *m != c.members[0]) {
-            for (m, id) in c.members.iter().zip(&node_ids) {
-                if id.is_none() {
-                    unresolved.insert(m);
-                }
+        let measures = c.members.iter().any(|m| *m != c.members[0]);
+        members.clear();
+        for m in &c.members {
+            if let Some(n) = topo.node_by_name(m) {
+                members.push(n);
+            } else if measures {
+                unresolved.insert(m);
             }
         }
-        let fp = &mut foot[ci * words..(ci + 1) * words];
-        for (i, ida) in node_ids.iter().enumerate() {
-            let Some(na) = *ida else { continue };
-            for (j, idb) in node_ids.iter().enumerate() {
-                if c.members[i] == c.members[j] {
-                    continue;
-                }
-                let Some(nb) = *idb else { continue };
-                let Ok(hops) = routes.hops_rev(topo, na, nb) else { continue };
-                for (from, l) in hops {
+        // Two names of one node measure nothing between them, and a name
+        // listed twice measures nothing new.
+        members.sort_unstable();
+        members.dedup();
+        for &src in &members {
+            // `last_hop(src, _)` is one predecessor per node, so from a
+            // node an earlier walk passed the rest of the path to `src` is
+            // already in the footprint. An unreachable member stops at once.
+            epoch += 1;
+            seen[src.index()] = epoch;
+            for &dst in &members {
+                let mut cur = dst;
+                while std::mem::replace(&mut seen[cur.index()], epoch) != epoch {
+                    let Some(l) = routes.last_hop(src, cur) else { break };
                     let link = topo.link(l);
-                    let bit = match link.mode {
+                    let from = link.peer(cur).expect("route link touches its own node");
+                    let r = match link.mode {
                         LinkMode::FullDuplex { .. } => 2 * l.index() + usize::from(from == link.a),
                         LinkMode::Shared { medium } => link_bits + medium.index(),
                     };
-                    fp[bit / 64] |= 1 << (bit % 64);
+                    if std::mem::replace(&mut last_clique[r], ci as u32) != ci as u32 {
+                        foot.push(r as u32);
+                    }
+                    cur = from;
                 }
             }
         }
+        foot_start.push(foot.len() as u32);
     }
 
-    let mut disjoint = 0usize;
-    let mut colliding = Vec::new();
+    // Invert: the cliques crossing resource r, ascending, end up at
+    // `cliques_of[start[r]..start[r + 1]]` (counting sort; the fill advances
+    // `start[r + 1]` from r's first slot to r + 1's).
+    let mut start = vec![0u32; n_res + 2];
+    for &r in &foot {
+        start[r as usize + 2] += 1;
+    }
+    for r in 2..start.len() {
+        start[r] += start[r - 1];
+    }
+    let mut cliques_of = vec![0u32; foot.len()];
+    let footprint = |i: usize| &foot[foot_start[i] as usize..foot_start[i + 1] as usize];
     for i in 0..nc {
-        for j in (i + 1)..nc {
-            let shared: u32 =
-                (0..words).map(|w| (foot[i * words + w] & foot[j * words + w]).count_ones()).sum();
-            if shared == 0 {
-                disjoint += 1;
-            } else {
-                let example = format!(
-                    "{} measured pairs share {} resource(s) with {}",
-                    plan.cliques[i].name, shared, plan.cliques[j].name
-                );
-                colliding.push((
-                    plan.cliques[i].name.clone(),
-                    plan.cliques[j].name.clone(),
-                    example,
-                ));
-            }
+        for &r in footprint(i) {
+            cliques_of[start[r as usize + 1] as usize] = i as u32;
+            start[r as usize + 1] += 1;
         }
     }
+    // shared[j]: resources clique i has in common with a later clique j.
+    let mut shared = vec![0u32; nc];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut colliding = Vec::new();
+    for i in 0..nc {
+        for &r in footprint(i) {
+            let sharers = &cliques_of[start[r as usize] as usize..start[r as usize + 1] as usize];
+            for &j in sharers.iter().rev().take_while(|&&j| j as usize > i) {
+                if shared[j as usize] == 0 {
+                    touched.push(j);
+                }
+                shared[j as usize] += 1;
+            }
+        }
+        touched.sort_unstable();
+        for j in touched.drain(..) {
+            let (a, b) = (&plan.cliques[i].name, &plan.cliques[j as usize].name);
+            let n = std::mem::take(&mut shared[j as usize]);
+            let example = format!("{a} measured pairs share {n} resource(s) with {b}");
+            colliding.push((a.clone(), b.clone(), example));
+        }
+    }
+    let disjoint = nc * nc.saturating_sub(1) / 2 - colliding.len();
 
     // --- constraint 3: completeness, at cluster granularity ---------------
     // The paper defines completeness over effective networks: every member

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use gridml::Property;
 use netsim::prelude::*;
-use netsim::{Engine, RouteTable};
+use netsim::{Engine, ResourceTable, RouteTable};
 
 #[cfg(test)]
 use crate::net::NetKind;
@@ -446,13 +446,16 @@ impl<'e, M> Exec<'e, M> {
             Exec::Snapshot { topo, routes, threads, makespan } => {
                 let shared = &*jobs;
                 let per_worker = on_workers(*threads, |w| {
+                    // Interned once per worker and shared by the engines of
+                    // all its jobs.
+                    let table = Arc::new(ResourceTable::new(topo));
                     let mut out = Vec::new();
                     for (idx, job) in shared.iter().enumerate().skip(w).step_by(*threads) {
                         if job.refined.is_some() {
                             continue;
                         }
-                        let mut eng: Sim =
-                            Engine::from_snapshot(Arc::clone(topo), Arc::clone(routes));
+                        let (topo, routes) = (Arc::clone(topo), Arc::clone(routes));
+                        let mut eng: Sim = Engine::from_parts(topo, routes, Arc::clone(&table));
                         let mut st = ProbeStats::default();
                         let rcs = refine_cluster(&mut eng, master_node, &job.refs, params, &mut st);
                         out.push((idx, rcs, st, eng.now().since(SimTime::ZERO).as_secs()));
@@ -483,8 +486,14 @@ impl<'e, M> Exec<'e, M> {
 }
 
 /// Run `work(w)` for `w` in `0..threads` on scoped worker threads and
-/// return the results in worker order.
+/// return the results in worker order. A single worker is the caller: a
+/// thread of its own would buy nothing, and its malloc arena — every
+/// engine the mapping stood up — would sit idle beside the caller's heap
+/// for the rest of the process.
 fn on_workers<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads == 1 {
+        return vec![work(0)];
+    }
     std::thread::scope(|s| {
         let work = &work;
         let handles: Vec<_> = (0..threads).map(|w| s.spawn(move || work(w))).collect();

@@ -60,12 +60,12 @@ impl Parser {
         self.tokens.get(self.pos)
     }
 
+    /// Consume the next token by moving it out (nothing reads a consumed
+    /// position again), leaving an empty, allocation-free placeholder.
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let slot = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(slot, Token::Close { name: String::new() }))
     }
 
     fn expect_close(&mut self, name: &str) -> Result<(), ParseError> {

@@ -238,11 +238,14 @@ impl SimDisk {
     /// Atomically rename `from` over `to` (the `rename(2)` publish idiom).
     /// Durable for the *name*; the caller must fsync the data first if it
     /// wants the contents to survive a crash — exactly the real contract.
-    pub fn rename(&mut self, from: &str, to: &str) {
-        if let Some(f) = self.files.remove(from) {
-            self.files.insert(to.to_string(), f);
-        }
+    /// Hands back the buffer that held the durable bytes of the file `to`
+    /// named until now (empty if it named none, or if `from` does not
+    /// exist), so that a caller which publishes image after image can write
+    /// the next one into it.
+    pub fn rename(&mut self, from: &str, to: &str) -> Vec<u8> {
         self.stats.renames += 1;
+        let Some(f) = self.files.remove(from) else { return Vec::new() };
+        self.files.insert(to.to_string(), f).map_or_else(Vec::new, |old| old.synced)
     }
 
     /// Delete `file` (atomic, durable).
@@ -449,9 +452,14 @@ mod tests {
         d.fsync("snap.new");
         d.append("snap", b"v1");
         d.fsync("snap");
-        d.rename("snap.new", "snap");
+        // The replaced file's buffer comes back; a rename over nothing, or
+        // of nothing, hands back an empty one.
+        assert_eq!(d.rename("snap.new", "snap"), b"v1");
         assert_eq!(d.read("snap").unwrap(), b"v2");
         assert!(!d.exists("snap.new"));
+        assert!(d.rename("snap", "snap.old").is_empty());
+        assert!(d.rename("missing", "snap.old").is_empty());
+        assert_eq!(d.read("snap.old").unwrap(), b"v2");
     }
 
     #[test]
@@ -514,7 +522,7 @@ mod tests {
                 }
                 3 => d.fsync(name),
                 4 => d.truncate(name),
-                5 => d.rename(name, FILES[(usize::from(file) + 1) % 3]),
+                5 => drop(d.rename(name, FILES[(usize::from(file) + 1) % 3])),
                 6 => seen.push(d.read(name)),
                 _ => d.crash(),
             }

@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::error::{NetError, NetResult};
-use crate::fairness::{FairEngine, FairnessModel, ResourceId};
+use crate::fairness::{FairEngine, FairnessModel, ResourceId, ResourceTable};
 use crate::faults::LossModel;
 use crate::flow::{FlowId, FlowOutcome};
 use crate::name::FixedState;
@@ -661,14 +661,28 @@ impl<M> Engine<M> {
     }
 
     /// Build an engine over an existing shared (topology, routes) snapshot
-    /// without recomputing anything heavy — the per-worker entry point of
-    /// the parallel mapper. Cost is O(links) (the allocator's resource
-    /// interner), versus the all-pairs route computation `new` performs.
-    /// The snapshot is immutable-by-contract: mutating through
-    /// [`Engine::topo_mut`] copies-on-write, so sibling engines sharing
-    /// the `Arc`s are unaffected.
+    /// without recomputing routes. Interns the topology's resources — one
+    /// pass over its links and mediums, reading every capacity — so a caller
+    /// standing up many engines on one snapshot interns once and uses
+    /// [`Engine::from_parts`]. The snapshot is immutable-by-contract:
+    /// [`Engine::topo_mut`] and [`Engine::recompute_routes`] copy what they
+    /// change, so sibling engines sharing the `Arc`s are unaffected.
     pub fn from_snapshot(topo: Arc<Topology>, routes: Arc<RouteTable>) -> Self {
-        let fair = FairEngine::new(&topo, FairnessModel::default());
+        let table = Arc::new(ResourceTable::new(&topo));
+        Self::from_parts(topo, routes, table)
+    }
+
+    /// [`Engine::from_snapshot`] over resources interned from `topo`
+    /// beforehand and shared like the rest of the snapshot — the per-job
+    /// entry point of the parallel mapper. Cost is the allocator's zeroed
+    /// per-resource arrays.
+    pub fn from_parts(
+        topo: Arc<Topology>,
+        routes: Arc<RouteTable>,
+        table: Arc<ResourceTable>,
+    ) -> Self {
+        assert!(table.covers(&topo), "resource table interned from another topology");
+        let fair = FairEngine::with_table(table, FairnessModel::default());
         Engine {
             core: Core {
                 topo,

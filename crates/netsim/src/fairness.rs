@@ -14,6 +14,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::routing::Path;
 use crate::topology::{LinkId, LinkMode, MediumId, Topology};
@@ -283,6 +284,8 @@ pub struct ResourceTable {
     /// Precomputed freeze threshold `EPS * capacity.max(1.0)` — identical
     /// to the oracle's per-round expression.
     freeze_eps: Vec<f64>,
+    /// Mediums come first: `resources[..mediums]`, fixed at build.
+    mediums: usize,
     resources: Vec<Resource>,
 }
 
@@ -310,7 +313,7 @@ impl ResourceTable {
         let capacity: Vec<f64> =
             resources.iter().map(|r| r.capacity(topo).as_bytes_per_sec()).collect();
         let freeze_eps: Vec<f64> = capacity.iter().map(|c| EPS * c.max(1.0)).collect();
-        ResourceTable { link_dir, capacity, freeze_eps, resources }
+        ResourceTable { link_dir, capacity, freeze_eps, mediums: topo.medium_count(), resources }
     }
 
     /// Number of distinct resources in the topology.
@@ -346,9 +349,7 @@ impl ResourceTable {
     /// and medium populations). False after links were appended through
     /// the churn mutators, meaning the table must be extended.
     pub fn covers(&self, topo: &Topology) -> bool {
-        self.link_dir.len() == topo.link_count()
-            && self.resources.iter().filter(|r| matches!(r, Resource::Medium(_))).count()
-                == topo.medium_count()
+        self.link_dir.len() == topo.link_count() && self.mediums == topo.medium_count()
     }
 
     /// Extend the table over links appended to the topology since it was
@@ -363,7 +364,7 @@ impl ResourceTable {
             "links cannot be removed from a topology, only downed"
         );
         assert_eq!(
-            self.resources.iter().filter(|r| matches!(r, Resource::Medium(_))).count(),
+            self.mediums,
             topo.medium_count(),
             "mediums cannot be added or removed after build"
         );
@@ -449,7 +450,9 @@ struct Scratch {
 /// carry flows and performs zero heap allocation in steady state.
 #[derive(Debug)]
 pub struct FairEngine {
-    table: ResourceTable,
+    /// Shared by the engines of one snapshot and copied on write, so that a
+    /// sibling keeps the capacities and ids it started with.
+    table: Arc<ResourceTable>,
     model: FairnessModel,
     /// Per-resource count of live flows crossing it.
     users: Vec<u32>,
@@ -467,7 +470,12 @@ pub struct FairEngine {
 
 impl FairEngine {
     pub fn new(topo: &Topology, model: FairnessModel) -> Self {
-        let table = ResourceTable::new(topo);
+        Self::with_table(Arc::new(ResourceTable::new(topo)), model)
+    }
+
+    /// An engine over an already interned table: its own cost is the zeroed
+    /// per-resource arrays, not the interning.
+    pub fn with_table(table: Arc<ResourceTable>, model: FairnessModel) -> Self {
         let n = table.len();
         FairEngine {
             table,
@@ -512,10 +520,11 @@ impl FairEngine {
             topo.link_count(),
             "topology structure changed under the interner"
         );
-        for (i, r) in self.table.resources.iter().enumerate() {
+        let table = Arc::make_mut(&mut self.table);
+        for (i, r) in table.resources.iter().enumerate() {
             let cap = r.capacity(topo).as_bytes_per_sec();
-            self.table.capacity[i] = cap;
-            self.table.freeze_eps[i] = EPS * cap.max(1.0);
+            table.capacity[i] = cap;
+            table.freeze_eps[i] = EPS * cap.max(1.0);
         }
     }
 
@@ -531,7 +540,7 @@ impl FairEngine {
             self.refresh_capacities(topo);
             return;
         }
-        self.table.sync(topo);
+        Arc::make_mut(&mut self.table).sync(topo);
         let n = self.table.len();
         self.users.resize(n, 0);
         self.active_pos.resize(n, u32::MAX);
@@ -1085,7 +1094,7 @@ mod tests {
         table.intern_path(&net.topo, &p, &mut ids);
         let k1 = fe.add_flow(&ids, None);
         let k2 = fe.add_flow(&ids, None);
-        fe.table.freeze_eps[ids[0].index()] = -1.0;
+        Arc::make_mut(&mut fe.table).freeze_eps[ids[0].index()] = -1.0;
         fe.reallocate();
         let half = mbps(100.0).as_bytes_per_sec() / 2.0;
         assert_eq!(fe.rate(k1).to_bits(), half.to_bits());

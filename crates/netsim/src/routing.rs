@@ -231,6 +231,36 @@ impl RouteTable {
         src == dst || self.row(src, dst).is_some()
     }
 
+    /// The link over which the route `src → dst` arrives at `dst` — what
+    /// [`hops_rev`](Self::hops_rev) yields first, without the iterator.
+    /// `None` when `src == dst` or there is no route. For a fixed `src` it
+    /// maps every node to its one predecessor in `src`'s shortest-path tree.
+    #[inline]
+    pub fn last_hop(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
+        if src == dst {
+            return None;
+        }
+        let row = self.row(src, dst)?;
+        Some(self.hop_into(&self.prev_link[row * self.c..(row + 1) * self.c], src, dst))
+    }
+
+    /// The last link of the route `src → cur` (`cur ≠ src`, reachable),
+    /// given the row of `src` or of its gateway. A leaf is entered over its
+    /// access link; core nodes follow the row until its own source, which a
+    /// leaf `src` hangs off.
+    #[inline]
+    fn hop_into(&self, row: &[u32], src: NodeId, cur: NodeId) -> LinkId {
+        let raw = match self.access[cur.index()] {
+            NONE => match row[self.row_of[cur.index()] as usize] {
+                NONE => self.access[src.index()],
+                prev => prev,
+            },
+            access => access,
+        };
+        debug_assert!(raw != NONE, "reachable implies a predecessor chain");
+        LinkId::from_raw(raw)
+    }
+
     /// Walk the directed route from `src` to `dst` in reverse hop order
     /// without allocating: the iterator yields `(from_node, link)` for each
     /// traversed link, starting at the destination. The engine's flow hot
@@ -354,18 +384,7 @@ impl Iterator for HopsRev<'_> {
         if self.cur == self.src {
             return None;
         }
-        let t = self.table;
-        // A leaf destination is left over its access link; core nodes follow
-        // the row until its own source, which a leaf `src` hangs off.
-        let raw = match t.access[self.cur.index()] {
-            NONE => match self.row[t.row_of[self.cur.index()] as usize] {
-                NONE => t.access[self.src.index()],
-                prev => prev,
-            },
-            access => access,
-        };
-        debug_assert!(raw != NONE, "reachable implies a predecessor chain");
-        let l = LinkId::from_raw(raw);
+        let l = self.table.hop_into(self.row, self.src, self.cur);
         let p = self.topo.link(l).peer(self.cur).expect("route link touches its own node");
         self.cur = p;
         Some((p, l))
@@ -422,6 +441,29 @@ mod tests {
         assert_eq!(p.nodes, vec![a]);
         assert!(p.links.is_empty());
         assert_eq!(p.bottleneck(&t), Bandwidth::ZERO);
+    }
+
+    #[test]
+    fn last_hop_is_what_hops_rev_yields_first() {
+        // Leaves a and c behind r, d isolated; then c's access link down; a
+        // node id the table has never seen routes nowhere.
+        let (mut t, a, r, c, d) = line();
+        for cut in [false, true] {
+            if cut {
+                let (l, _) = t.neighbours(c)[0];
+                t.set_link_up(l, false);
+            }
+            let rt = RouteTable::compute(&t);
+            let nodes = [a, r, c, d, NodeId(99)];
+            for &src in &nodes {
+                for &dst in &nodes {
+                    let first = rt.hops_rev(&t, src, dst).ok().and_then(|mut h| h.next());
+                    let want = first.map(|(_, l)| l);
+                    assert_eq!(rt.last_hop(src, dst), want, "{src} → {dst}, cut {cut}");
+                }
+            }
+            assert_eq!(rt.last_hop(a, c).is_some(), !cut);
+        }
     }
 
     #[test]

@@ -48,6 +48,10 @@ use crate::wal::{
 /// Compact once the WAL grows past this many bytes.
 pub const DEFAULT_COMPACT_THRESHOLD: u64 = 64 * 1024;
 
+/// How many WALs' worth of growth a snapshot buffer reserves when it has
+/// to be regrown (see [`LogFiles::write_snapshot`]).
+const GROWTH_AHEAD: usize = 64;
+
 // ---------------------------------------------------------------------------
 // Shared file plumbing
 // ---------------------------------------------------------------------------
@@ -67,6 +71,10 @@ struct LogFiles {
     compact_threshold: u64,
     /// The record being framed; kept so an append allocates nothing.
     frame: Vec<u8>,
+    /// The buffer of the snapshot the last publish replaced; the next image
+    /// is built in it, so a log cycles through two buffers instead of asking
+    /// the allocator for a fresh one per compaction.
+    spare: Vec<u8>,
 }
 
 impl LogFiles {
@@ -94,6 +102,7 @@ impl LogFiles {
                 wal_bytes: 0,
                 compact_threshold: DEFAULT_COMPACT_THRESHOLD,
                 frame: Vec::new(),
+                spare: Vec::new(),
             },
             snapshot,
             records,
@@ -131,8 +140,21 @@ impl LogFiles {
     fn write_snapshot(&mut self, encode_body: impl FnOnce(&mut Vec<u8>)) -> bool {
         // The state grows by less than the WAL records that grew it, so the
         // published image plus the WAL is room enough not to regrow.
-        let room = self.disk.borrow().len(&self.snap) + self.wal_bytes as usize;
-        let Some(img) = build_snapshot(self.next_seq - 1, room, encode_body) else {
+        let mut room = self.disk.borrow().len(&self.snap) + self.wal_bytes as usize;
+        // Images only ever grow. Sized exactly, each is a little larger than
+        // every buffer freed before it, and whether the heap then grows by
+        // an image per compaction hangs on which freed neighbours happen to
+        // coalesce. So once the retired buffer is this log's own earlier
+        // image (within a factor of two of what is needed now, not the
+        // near-empty image of a fresh log), regrowing it takes room for
+        // `GROWTH_AHEAD` more WALs at once — address space, not memory,
+        // until an image reaches it.
+        let held = self.spare.capacity();
+        if held < room && 2 * held >= room {
+            room += GROWTH_AHEAD * self.wal_bytes as usize;
+        }
+        let spare = std::mem::take(&mut self.spare);
+        let Some(img) = build_snapshot(spare, self.next_seq - 1, room, encode_body) else {
             return false;
         };
         let mut d = self.disk.borrow_mut();
@@ -155,7 +177,7 @@ impl LogFiles {
     /// old snapshot + full WAL still recover. Crash after (step 3 not yet
     /// run): new snapshot + stale WAL records, skipped by seq.
     fn publish_snapshot(&mut self) {
-        self.disk.borrow_mut().rename(&self.snap_new, &self.snap);
+        self.spare = self.disk.borrow_mut().rename(&self.snap_new, &self.snap);
     }
 
     /// Compaction step 3: empty the WAL. Record seqs keep counting up —

@@ -207,15 +207,18 @@ const SNAP_MAGIC: &[u8; 8] = b"NWSSNAP2";
 const SNAP_HEADER: usize = 28;
 
 /// Build a snapshot image in one pass, as [`append_record`] frames a
-/// record, in a buffer with room for `body_hint` bytes. `None` if the body
-/// outgrew the `u32` length field: publishing that image would replace a
-/// good snapshot with one that can never verify.
+/// record, in `img` — its contents dropped, its allocation kept and grown
+/// to room for `body_hint` bytes. `None` if the body outgrew the `u32`
+/// length field: publishing that image would replace a good snapshot with
+/// one that can never verify.
 pub fn build_snapshot(
+    mut img: Vec<u8>,
     log_seq: u64,
     body_hint: usize,
     encode_body: impl FnOnce(&mut Vec<u8>),
 ) -> Option<Vec<u8>> {
-    let mut img = Vec::with_capacity(SNAP_HEADER + body_hint);
+    img.clear();
+    img.reserve(SNAP_HEADER + body_hint);
     img.resize(SNAP_HEADER, 0);
     encode_body(&mut img);
     let body_len = img.len() - SNAP_HEADER;
@@ -336,7 +339,12 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_rejects_damage() {
         let body = b"snapshot body bytes".to_vec();
-        let img = build_snapshot(41, 0, |b| b.extend_from_slice(&body)).expect("fits");
+        // Built over a buffer with something in it: the old bytes go, the
+        // allocation stays.
+        let old = vec![7u8; 64];
+        let at = old.as_ptr();
+        let img = build_snapshot(old, 41, 0, |b| b.extend_from_slice(&body)).expect("fits");
+        assert_eq!(img.as_ptr(), at);
         assert_eq!(decode_snapshot(&img), Some((41, body.clone())));
         // Truncated image: rejected.
         assert_eq!(decode_snapshot(&img[..img.len() - 1]), None);
