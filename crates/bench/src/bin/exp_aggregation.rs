@@ -10,37 +10,13 @@
 //!
 //! Run: `cargo run -p nws-bench --bin exp_aggregation`
 
-use envdeploy::{apply_plan_with, plan_deployment, Estimator, PlannerConfig};
-use netsim::prelude::*;
-use netsim::routing::RouteTable;
-use netsim::Engine;
-use nws::NwsMsg;
+use nws_bench::experiments::aggregation;
 use nws_bench::{f, map_ens_lyon, Table};
 
 fn main() {
     println!("=== E4: aggregated estimates vs direct measurements (ENS-Lyon) ===\n");
+    let a = aggregation(&map_ens_lyon());
 
-    let m = map_ens_lyon();
-    let plan = plan_deployment(&m.merged, &PlannerConfig::default());
-
-    // Deploy and run NWS on a fresh engine over the same platform. Host
-    // locking (the §6 extension, see exp_host_locking) is enabled so the
-    // segment measurements feeding the estimator are collision-free.
-    let mut eng: Engine<NwsMsg> = Engine::new(m.platform.topo.clone());
-    let sys = apply_plan_with(&mut eng, &plan, true).expect("deployment succeeds");
-    sys.run_for(&mut eng, TimeDelta::from_secs(600.0));
-
-    // Pairs without any direct measurement, spanning the tree.
-    let pairs = [
-        ("moby.cri2000.ens-lyon.fr", "sci3.popc.private"),
-        ("canaria.ens-lyon.fr", "myri1.popc.private"),
-        ("moby.cri2000.ens-lyon.fr", "popc0.popc.private"),
-        ("sci0.popc.private", "myri2.popc.private"),
-        ("canaria.ens-lyon.fr", "sci6.popc.private"),
-        ("myri1.popc.private", "sci1.popc.private"),
-    ];
-
-    let estimator = Estimator::new(&m.merged, &plan);
     let mut t = Table::new(&[
         "pair",
         "estimated bw (Mbps)",
@@ -49,38 +25,22 @@ fn main() {
         "estimated lat (ms)",
         "path rtt (ms)",
     ]);
-
-    // Ground truth comes from the routing tables: several pairs cross the
-    // firewall and cannot be probed end-to-end at all — estimating them
-    // from per-segment measurements is exactly the paper's point.
-    let routes = RouteTable::compute(eng.topo());
-    let mut worst_ratio: f64 = 1.0;
-    for (a, b) in pairs {
-        assert!(plan.clique_measuring(a, b).is_none(), "{a}/{b} must not be directly measured");
-        let est = estimator.estimate(a, b, &sys).expect("estimable");
-        let na = eng.topo().node_by_name(a).unwrap();
-        let nb = eng.topo().node_by_name(b).unwrap();
-        let fwd = routes.path(eng.topo(), na, nb).unwrap();
-        let back = routes.path(eng.topo(), nb, na).unwrap();
-        let cap = fwd.bottleneck(eng.topo()).as_mbps();
-        let rtt_ms = (fwd.latency(eng.topo()).as_secs() + back.latency(eng.topo()).as_secs()) * 1e3;
-        let ratio = est.bandwidth_mbps / cap;
-        worst_ratio = worst_ratio.max(ratio.max(1.0 / ratio));
+    for p in &a.pairs {
         t.row(vec![
-            format!("{} → {}", short(a), short(b)),
-            f(est.bandwidth_mbps, 1),
-            f(cap, 1),
-            f(ratio, 2),
-            est.latency_ms.map(|l| f(l, 2)).unwrap_or_else(|| "-".into()),
-            f(rtt_ms, 2),
+            format!("{} → {}", short(p.src), short(p.dst)),
+            f(p.estimated_mbps, 1),
+            f(p.capacity_mbps, 1),
+            f(p.ratio(), 2),
+            p.estimated_latency_ms.map(|l| f(l, 2)).unwrap_or_else(|| "-".into()),
+            f(p.rtt_ms, 2),
         ]);
     }
     t.print();
 
     println!(
         "\nworst bandwidth mis-estimate: {:.2}x -> {}",
-        worst_ratio,
-        if worst_ratio < 2.5 {
+        a.worst_ratio(),
+        if a.still_interesting() {
             "aggregation is \"less accurate but still interesting\" (REPRODUCED)"
         } else {
             "NOT REPRODUCED"

@@ -10,78 +10,41 @@
 //!
 //! Run: `cargo run -p nws-bench --bin exp_asymmetry`
 
-use envmap::{EnvConfig, EnvMapper, HostInput};
-use netsim::prelude::*;
-use netsim::scenarios::asym_pair;
-use netsim::units::Bytes;
-use netsim::Engine;
-use nws::{NwsMsg, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
+use nws_bench::experiments::asymmetry;
 use nws_bench::{f, Table};
 
 fn main() {
     println!("=== E7: ENV cannot see route asymmetry; NWS can ===\n");
-
-    let net = asym_pair();
-    let a_name = net.topo.node(net.hosts[0]).ifaces[0].name.clone().unwrap();
-    let b_name = net.topo.node(net.hosts[1]).ifaces[0].name.clone().unwrap();
-
-    // Ground truth, both directions.
-    let mut sim = Engine::<NwsMsg>::new(net.topo.clone());
-    let truth_ab =
-        sim.measure_bandwidth(net.hosts[0], net.hosts[1], Bytes::mib(1)).unwrap().as_mbps();
-    let truth_ba =
-        sim.measure_bandwidth(net.hosts[1], net.hosts[0], Bytes::mib(1)).unwrap().as_mbps();
-
-    // ENV's one-way view from a.
-    let mut eng = netsim::Sim::new(net.topo.clone());
-    let run = EnvMapper::new(EnvConfig::fast())
-        .map(&mut eng, &[HostInput::new(&a_name), HostInput::new(&b_name)], &a_name, None)
-        .expect("mapping succeeds");
-    let env_bw = run.view.find_containing(&b_name).map(|n| n.base_bw_mbps).expect("b clustered");
-
-    // A deployed NWS clique measures both directions.
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo.clone());
-    let spec = NwsSystemSpec::minimal(&a_name, &[&a_name, &b_name]);
-    let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-    sys.run_for(&mut eng, TimeDelta::from_secs(120.0));
-    let nws_ab = last(&sys, &a_name, &b_name);
-    let nws_ba = last(&sys, &b_name, &a_name);
+    let a = asymmetry();
 
     let mut t = Table::new(&["observer", "a→b (Mbps)", "b→a (Mbps)", "sees asymmetry?"]);
     t.row(vec![
         "ground truth".into(),
-        f(truth_ab, 1),
-        f(truth_ba, 1),
+        f(a.truth_ab, 1),
+        f(a.truth_ba, 1),
         "10× by construction".into(),
     ]);
     t.row(vec![
         "ENV (one-way tests)".into(),
-        f(env_bw, 1),
+        f(a.env, 1),
         "(not tested)".into(),
         "NO — single figure".into(),
     ]);
     t.row(vec![
         "deployed NWS clique".into(),
-        f(nws_ab, 1),
-        f(nws_ba, 1),
-        if nws_ba / nws_ab > 5.0 { "YES".into() } else { "no".to_string() },
+        f(a.nws_ab, 1),
+        f(a.nws_ba, 1),
+        if a.nws_sees_it() { "YES".into() } else { "no".to_string() },
     ]);
     t.print();
 
     println!(
-        "\nENV reports {env_bw:.1} Mbps for a link whose directions truly run at \
-         {truth_ab:.1} / {truth_ba:.1} Mbps."
+        "\nENV reports {:.1} Mbps for a link whose directions truly run at {:.1} / {:.1} Mbps.",
+        a.env, a.truth_ab, a.truth_ba
     );
-    let reproduced = (env_bw - truth_ab).abs() < 1.5 && nws_ba / nws_ab > 5.0;
     println!(
         "paper §4.3 limitation (\"cannot detect such problems\") and its §2.2 remedy \
          (n(n−1) directed tests): {}",
-        if reproduced { "REPRODUCED" } else { "NOT REPRODUCED" }
+        if a.env_blind_nws_not() { "REPRODUCED" } else { "NOT REPRODUCED" }
     );
-}
-
-fn last(sys: &NwsSystem, a: &str, b: &str) -> f64 {
-    sys.series(&SeriesKey::link(Resource::Bandwidth, a, b))
-        .and_then(|s| s.last().map(|(_, v)| *v))
-        .unwrap_or(f64::NAN)
 }

@@ -10,83 +10,33 @@
 //!
 //! Run: `cargo run -p nws-bench --bin exp_clique_freq`
 
-use netsim::prelude::*;
-use netsim::scenarios::star_switch;
-use netsim::Engine;
-use nws::{CliqueSpec, NwsMsg, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
+use nws_bench::experiments::clique_frequency;
 use nws_bench::{f, Table};
-
-fn names(net: &netsim::scenarios::GeneratedNet) -> Vec<String> {
-    net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect()
-}
-
-/// Mean measurement interval of the first pair for a k-host clique.
-fn interval_for(k: usize) -> f64 {
-    let net = star_switch(k, Bandwidth::mbps(100.0));
-    let n = names(&net);
-    let refs: Vec<&str> = n.iter().map(|s| s.as_str()).collect();
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-    let spec = NwsSystemSpec::minimal(&n[0], &refs);
-    let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-    sys.run_for(&mut eng, TimeDelta::from_secs(1200.0));
-    sys.measurement_interval(&SeriesKey::link(Resource::Bandwidth, &n[0], &n[1]))
-        .expect("pair measured repeatedly")
-}
-
-/// Interval when the same 8 hosts are split into two 4-host cliques.
-fn split_interval() -> f64 {
-    let net = star_switch(8, Bandwidth::mbps(100.0));
-    let n = names(&net);
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-    let refs: Vec<&str> = n.iter().map(|s| s.as_str()).collect();
-    let mut spec = NwsSystemSpec::minimal(&n[0], &refs);
-    spec.cliques = vec![
-        CliqueSpec {
-            name: "half-a".to_string(),
-            members: n[0..4].to_vec(),
-            gap: TimeDelta::from_millis(500.0),
-        },
-        CliqueSpec {
-            name: "half-b".to_string(),
-            members: n[4..8].to_vec(),
-            gap: TimeDelta::from_millis(500.0),
-        },
-    ];
-    let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-    sys.run_for(&mut eng, TimeDelta::from_secs(1200.0));
-    sys.measurement_interval(&SeriesKey::link(Resource::Bandwidth, &n[0], &n[1]))
-        .expect("pair measured repeatedly")
-}
 
 fn main() {
     println!("=== E2: measurement frequency vs clique size (paper §2.3) ===\n");
+    let m = clique_frequency();
     let mut t =
         Table::new(&["clique size", "interval between measurements (s)", "frequency (1/min)"]);
-    let mut base = None;
-    for k in [3usize, 4, 6, 8, 10] {
-        let iv = interval_for(k);
-        if k == 3 {
-            base = Some(iv);
-        }
-        t.row(vec![k.to_string(), f(iv, 1), f(60.0 / iv, 2)]);
+    for (k, iv) in &m.by_size {
+        t.row(vec![k.to_string(), f(*iv, 1), f(60.0 / iv, 2)]);
     }
     t.print();
 
     println!("\n=== sub-clique split (8 hosts) ===\n");
-    let whole = interval_for(8);
-    let split = split_interval();
     let mut t = Table::new(&["configuration", "interval (s)", "frequency (1/min)"]);
-    t.row(vec!["one 8-host clique".into(), f(whole, 1), f(60.0 / whole, 2)]);
-    t.row(vec!["two 4-host cliques".into(), f(split, 1), f(60.0 / split, 2)]);
+    for (label, iv) in [("one 8-host clique", m.interval(8)), ("two 4-host cliques", m.split)] {
+        t.row(vec![label.into(), f(iv, 1), f(60.0 / iv, 2)]);
+    }
     t.print();
 
     println!();
     println!(
         "frequency decreases with clique size: {}",
-        if interval_for(10) > base.unwrap() * 2.0 { "REPRODUCED" } else { "NOT REPRODUCED" }
+        if m.decreases() { "REPRODUCED" } else { "NOT REPRODUCED" }
     );
     println!(
         "splitting restores frequency (paper: \"cliques must then be split in sub-cliques\"): {}",
-        if split < whole / 1.8 { "REPRODUCED" } else { "NOT REPRODUCED" }
+        if m.split_restores() { "REPRODUCED" } else { "NOT REPRODUCED" }
     );
 }

@@ -10,72 +10,12 @@
 //!
 //! Run: `cargo run -p nws-bench --bin exp_collision`
 
-use netsim::prelude::*;
-use netsim::scenarios::star_hub;
-use netsim::Engine;
-use nws::{NwsMsg, NwsSystem, NwsSystemSpec, Resource, SensorMode, SensorSpec, SeriesKey};
+use nws_bench::experiments::collision;
 use nws_bench::{f, Table};
-
-fn names(net: &netsim::scenarios::GeneratedNet) -> Vec<String> {
-    net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect()
-}
-
-/// Mean of a bandwidth series.
-fn mean_bw(sys: &NwsSystem, a: &str, b: &str) -> f64 {
-    let series = sys.series(&SeriesKey::link(Resource::Bandwidth, a, b)).unwrap_or_default();
-    if series.is_empty() {
-        return f64::NAN;
-    }
-    series.iter().map(|(_, v)| v).sum::<f64>() / series.len() as f64
-}
-
-fn free_running_case() -> (f64, f64) {
-    let net = star_hub(4, Bandwidth::mbps(100.0));
-    let n = names(&net);
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-    let mut spec = NwsSystemSpec::minimal(&n[0], &[]);
-    spec.cliques.clear();
-    // Two sensor pairs with identical periods: their probes align.
-    spec.sensors = vec![
-        SensorSpec {
-            host: n[0].clone(),
-            mode: SensorMode::FreeRunning {
-                targets: vec![n[1].clone()],
-                period: TimeDelta::from_secs(5.0),
-            },
-            host_sensing: false,
-            memory: None,
-        },
-        SensorSpec {
-            host: n[2].clone(),
-            mode: SensorMode::FreeRunning {
-                targets: vec![n[3].clone()],
-                period: TimeDelta::from_secs(5.0),
-            },
-            host_sensing: false,
-            memory: None,
-        },
-    ];
-    let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-    sys.run_for(&mut eng, TimeDelta::from_secs(120.0));
-    (mean_bw(&sys, &n[0], &n[1]), mean_bw(&sys, &n[2], &n[3]))
-}
-
-fn clique_case() -> (f64, f64) {
-    let net = star_hub(4, Bandwidth::mbps(100.0));
-    let n = names(&net);
-    let refs: Vec<&str> = n.iter().map(|s| s.as_str()).collect();
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-    let spec = NwsSystemSpec::minimal(&n[0], &refs);
-    let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-    sys.run_for(&mut eng, TimeDelta::from_secs(240.0));
-    (mean_bw(&sys, &n[0], &n[1]), mean_bw(&sys, &n[2], &n[3]))
-}
 
 fn main() {
     println!("=== E1: measurement collisions on a 100 Mbps hub (paper §2.3) ===\n");
-    let (fr_a, fr_b) = free_running_case();
-    let (cl_a, cl_b) = clique_case();
+    let c = collision();
 
     let mut t = Table::new(&[
         "configuration",
@@ -84,29 +24,20 @@ fn main() {
         "error vs truth",
     ]);
     let truth = 100.0;
-    t.row(vec![
-        "free-running (no cliques)".into(),
-        f(fr_a, 1),
-        f(fr_b, 1),
-        format!("{:.0}%", 100.0 * (truth - fr_a) / truth),
-    ]);
-    t.row(vec![
-        "one NWS clique (token ring)".into(),
-        f(cl_a, 1),
-        f(cl_b, 1),
-        format!("{:.0}%", 100.0 * (truth - cl_a) / truth),
-    ]);
+    for (label, [a, b]) in
+        [("free-running (no cliques)", c.free), ("one NWS clique (token ring)", c.clique)]
+    {
+        t.row(vec![label.into(), f(a, 1), f(b, 1), format!("{:.0}%", 100.0 * (truth - a) / truth)]);
+    }
     t.print();
 
     println!();
-    let halved = (fr_a - 50.0).abs() < 10.0 && (fr_b - 50.0).abs() < 10.0;
-    let accurate = cl_a > 85.0 && cl_b > 85.0;
     println!(
         "paper claim \"about the half of the real value\" without coordination: {}",
-        if halved { "REPRODUCED" } else { "NOT REPRODUCED" }
+        if c.halved() { "REPRODUCED" } else { "NOT REPRODUCED" }
     );
     println!(
         "cliques restore accurate measurements: {}",
-        if accurate { "REPRODUCED" } else { "NOT REPRODUCED" }
+        if c.accurate() { "REPRODUCED" } else { "NOT REPRODUCED" }
     );
 }

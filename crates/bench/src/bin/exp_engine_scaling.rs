@@ -4,12 +4,11 @@
 //! a stopwatch reading is not a golden value, and the gated number is
 //! `flow_storm`'s `work_rate` in `BENCHMARK.json`.
 //!
-//! The workload matches the Criterion `flow_lifecycle` bench: a 16-host
-//! star switch, `N` concurrent 256 KiB transfers round-robining over host
-//! pairs, run to quiescence. Per completed flow the engine processes one
-//! completion, which re-levels the survivors, and one ack event; the `N`
-//! starts share an instant and cost one reallocation between them — the
-//! hot path the incremental fairness engine optimises.
+//! The workload: a 16-host star switch, `N` concurrent 256 KiB transfers
+//! round-robining over host pairs, run to quiescence. Per completed flow
+//! the engine processes one completion, which re-levels the survivors, and
+//! one ack event; the `N` starts share an instant and cost one reallocation
+//! between them — the hot path the incremental fairness engine optimises.
 //!
 //! Run: `cargo run --release -p nws-bench --bin exp_engine_scaling`
 
@@ -44,7 +43,7 @@ fn main() {
     let mut t = Table::new(&["flows", "wall ms", "events", "events/sec"]);
     for flows in [16usize, 128, 1024, 4096] {
         // Warm-up run (page cache, branch predictors), then the best of
-        // three measured runs — cheap noise rejection without Criterion.
+        // three measured runs — cheap noise rejection.
         let _ = run_point(flows);
         let (wall_s, events) = (0..3)
             .map(|_| run_point(flows))

@@ -14,50 +14,16 @@
 //!
 //! Run: `cargo run -p nws-bench --bin exp_host_locking`
 
-use envdeploy::{apply_plan_with, plan_deployment, PlannerConfig};
-use netsim::prelude::*;
-use netsim::Engine;
-use nws::{NwsMsg, NwsSystem, Resource, SeriesKey};
+use nws_bench::experiments::host_locking;
 use nws_bench::{f, map_ens_lyon, Table};
-
-struct Outcome {
-    hub2_mean: f64,
-    hub2_last: f64,
-    inter_mean: f64,
-    stores: u64,
-}
-
-fn run(host_locking: bool) -> Outcome {
-    let m = map_ens_lyon();
-    let plan = plan_deployment(&m.merged, &PlannerConfig::default());
-    let mut eng: Engine<NwsMsg> = Engine::new(m.platform.topo.clone());
-    let sys = apply_plan_with(&mut eng, &plan, host_locking).expect("deploys");
-    sys.run_for(&mut eng, TimeDelta::from_secs(600.0));
-
-    let series = |sys: &NwsSystem, a: &str, b: &str| -> Vec<f64> {
-        sys.series(&SeriesKey::link(Resource::Bandwidth, a, b))
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
-    };
-    let hub2 = series(&sys, "myri0.popc.private", "popc0.popc.private");
-    let inter = series(&sys, "canaria.ens-lyon.fr", "myri0.popc.private");
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    Outcome {
-        hub2_mean: mean(&hub2),
-        hub2_last: hub2.last().copied().unwrap_or(f64::NAN),
-        inter_mean: mean(&inter),
-        stores: sys.total_stores(),
-    }
-}
 
 fn main() {
     println!("=== E9: host-level measurement locks (the paper's §6 proposal) ===\n");
     println!("series on the 10 Mbps Hub 2 segment (true exclusive value ≈ 9.9 Mbps):\n");
 
-    let without = run(false);
-    let with = run(true);
+    let m = map_ens_lyon();
+    let without = host_locking(&m, false);
+    let with = host_locking(&m, true);
 
     let mut t = Table::new(&[
         "configuration",
@@ -66,30 +32,23 @@ fn main() {
         "inter pair mean (Mbps)",
         "total stores",
     ]);
-    t.row(vec![
-        "paper plan (no host locks)".into(),
-        f(without.hub2_mean, 2),
-        f(without.hub2_last, 2),
-        f(without.inter_mean, 2),
-        without.stores.to_string(),
-    ]);
-    t.row(vec![
-        "with §6 host locks".into(),
-        f(with.hub2_mean, 2),
-        f(with.hub2_last, 2),
-        f(with.inter_mean, 2),
-        with.stores.to_string(),
-    ]);
+    for (label, o) in [("paper plan (no host locks)", &without), ("with §6 host locks", &with)] {
+        t.row(vec![
+            label.into(),
+            f(o.hub2_mean, 2),
+            f(o.hub2_last, 2),
+            f(o.inter_mean, 2),
+            o.stores.to_string(),
+        ]);
+    }
     t.print();
 
     println!();
-    let flaw = without.hub2_mean < 7.0;
-    let fixed = with.hub2_mean > 9.0;
     println!(
         "flaw reproduced without locks (persistent ~50% collisions at the shared member): {}",
-        if flaw { "YES" } else { "NO" }
+        if without.colliding() { "YES" } else { "NO" }
     );
-    println!("locks restore accurate measurements: {}", if fixed { "YES" } else { "NO" });
+    println!("locks restore accurate measurements: {}", if with.accurate() { "YES" } else { "NO" });
     println!(
         "\n(The locking protocol costs a request/grant/release exchange per probe\n\
          and occasionally skips a peer on timeout; the store counts above show\n\

@@ -12,66 +12,10 @@
 //!
 //! Run: `cargo run -p nws-bench --bin exp_thresholds`
 
-use envmap::{merge_runs, EnvConfig, EnvMapper, EnvThresholds, EnvView, NetKind};
-use netsim::prelude::*;
-use netsim::scenarios::{ens_lyon, Calibration};
-use netsim::traffic::attach_noise;
-use netsim::Sim;
-use nws_bench::{f, gateway_aliases, inside_inputs, outside_inputs, Table};
+use envmap::EnvThresholds;
+use nws_bench::experiments::threshold_point;
+use nws_bench::Table;
 use std::sync::Mutex;
-
-/// Score a merged view against the expected ENS-Lyon truth: one point per
-/// correctly recovered network (membership and kind), out of 4.
-fn score(view: &EnvView) -> usize {
-    let mut s = 0;
-    if let Some(n) = view.find_containing("canaria.ens-lyon.fr") {
-        if n.kind == NetKind::Shared && n.hosts.len() == 2 {
-            s += 1;
-        }
-    }
-    if let Some(n) = view.find_containing("popc0.popc.private") {
-        if n.kind == NetKind::Shared && n.hosts.len() == 3 {
-            s += 1;
-        }
-    }
-    if let Some(n) = view.find_containing("myri1.popc.private") {
-        if n.kind == NetKind::Shared && n.hosts.len() == 2 {
-            s += 1;
-        }
-    }
-    if let Some(n) = view.find_containing("sci1.popc.private") {
-        if n.kind == NetKind::Switched && n.hosts.len() == 6 {
-            s += 1;
-        }
-    }
-    s
-}
-
-/// One sweep point: map ENS-Lyon with the given thresholds and noise.
-fn run_point(thresholds: EnvThresholds, noise_period_s: Option<f64>, seed: u64) -> usize {
-    let platform = ens_lyon(Calibration::Paper);
-    let mut eng = Sim::new(platform.topo.clone());
-    if let Some(period) = noise_period_s {
-        // Cross-traffic inside Hub 1 and across the bottleneck.
-        let pairs = vec![(platform.moby, platform.canaria), (platform.canaria, platform.popc0)];
-        attach_noise(&mut eng, &pairs, Bytes::mib(2), TimeDelta::from_secs(period), seed);
-    }
-    let cfg = EnvConfig { thresholds, ..EnvConfig::fast() };
-    let mapper = EnvMapper::new(cfg);
-    let Ok(outside) = mapper.map(
-        &mut eng,
-        &outside_inputs(),
-        "the-doors.ens-lyon.fr",
-        Some("well-known.example.org"),
-    ) else {
-        return 0;
-    };
-    let Ok(inside) = mapper.map(&mut eng, &inside_inputs(), "sci0.popc.private", None) else {
-        return 0;
-    };
-    let merged = merge_runs(&outside, &inside, &gateway_aliases());
-    score(&merged)
-}
 
 fn main() {
     println!("=== E6: threshold sensitivity under background traffic ===\n");
@@ -112,7 +56,7 @@ fn main() {
                 let tl = tl.to_string();
                 let nl = nl.to_string();
                 scope.spawn(move || {
-                    let s = run_point(th, np, 1000 + (ti * 10 + ni) as u64);
+                    let s = threshold_point(th, np, 1000 + (ti * 10 + ni) as u64);
                     results.lock().expect("sweep mutex").push((ti, ni, tl, nl, s));
                 });
             }
@@ -139,5 +83,4 @@ fn main() {
         "\n(Deviations under modified thresholds and load echo §4.3: the values were\n\
          \"determined experimentally and empirically\" and are platform-specific.)"
     );
-    let _ = f;
 }

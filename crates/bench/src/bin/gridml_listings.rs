@@ -4,50 +4,25 @@
 //!
 //! Run: `cargo run -p nws-bench --bin gridml_listings`
 
-use gridml::merge::merge_sites;
-use nws_bench::{gateway_aliases, map_ens_lyon};
+use nws_bench::experiments::gridml_listing;
+use nws_bench::map_ens_lyon;
 
 fn main() {
-    let m = map_ens_lyon();
+    let g = gridml_listing(&map_ens_lyon());
 
     println!("=== GridML of the outside run (lookup + structural + ENV networks) ===\n");
-    let outside_doc = m.outside.to_gridml();
-    print!("{}", outside_doc.to_xml());
+    print!("{}", g.outside_xml);
 
     println!("\n=== GridML of the inside run ===\n");
-    let inside_doc = m.inside.to_gridml();
-    print!("{}", inside_doc.to_xml());
+    print!("{}", g.inside_xml);
 
     println!(
         "\n=== merged document (paper §4.3: \"often as simple as a file concatenation\") ===\n"
     );
-    let merged = merge_sites(&[outside_doc, inside_doc], &gateway_aliases(), "Grid1");
-    let xml = merged.to_xml();
-    print!("{xml}");
+    print!("{}", g.merged_xml);
 
     println!("\npaper checkpoints:");
-    println!(
-        "  - ENV_Switched network present: {}",
-        if xml.contains("ENV_Switched") { "OK" } else { "MISMATCH" }
-    );
-    println!(
-        "  - sci network lists ENV_base_BW (paper: 32.65 Mbps): {}",
-        if xml.contains("ENV_base_BW") { "OK" } else { "MISMATCH" }
-    );
-    println!(
-        "  - gateway carries both names as aliases: {}",
-        if xml.contains(r#"<ALIAS name="myri0.popc.private" />"#)
-            || xml.contains(r#"<ALIAS name="myri.ens-lyon.fr" />"#)
-        {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
-    // Round-trip sanity.
-    let parsed = gridml::GridDoc::parse(&xml).expect("merged document parses");
-    println!(
-        "  - document round-trips through the parser: {}",
-        if parsed == merged { "OK" } else { "MISMATCH" }
-    );
+    for (what, ok) in &g.checks {
+        println!("  - {what}: {}", if *ok { "OK" } else { "MISMATCH" });
+    }
 }

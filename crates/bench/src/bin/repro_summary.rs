@@ -5,13 +5,13 @@
 //!
 //! Run: `cargo run --release -p nws-bench --bin repro_summary`
 
-use envdeploy::{apply_plan_with, plan_deployment, validate_plan, CliqueRole, PlannerConfig};
+use envdeploy::{plan_deployment, validate_plan, CliqueRole, PlannerConfig};
 use envmap::cost::naive_cost;
-use envmap::NetKind;
-use netsim::prelude::*;
-use netsim::scenarios::{asym_pair, star_hub};
-use netsim::Engine;
-use nws::{NwsMsg, NwsSystem, NwsSystemSpec, Resource, SensorMode, SensorSpec, SeriesKey};
+use envmap::{EnvThresholds, NetKind};
+use nws_bench::experiments::{
+    aggregation, asymmetry, clique_frequency, collision, gridml_listing, host_locking,
+    threshold_point,
+};
 use nws_bench::{map_ens_lyon, Table};
 
 struct Check {
@@ -101,39 +101,91 @@ fn main() {
         format!("{} overlapping clique pairs", report.colliding_clique_pairs.len()),
     );
 
+    // --- §4.2 / §4.3 listings ------------------------------------------------
+    let listing = gridml_listing(&m);
+    let missing: Vec<&str> =
+        listing.checks.iter().filter(|(_, ok)| !ok).map(|(what, _)| *what).collect();
+    check(
+        "§4.3 merged GridML shows what the paper's listings show",
+        missing.is_empty(),
+        if missing.is_empty() {
+            format!("{} of {} checks", listing.checks.len(), listing.checks.len())
+        } else {
+            format!("missing: {}", missing.join("; "))
+        },
+    );
+
     // --- E1 collisions --------------------------------------------------------
-    let (free_bw, clique_bw) = collision_case();
+    let c = collision();
     check(
         "E1 free-running halves (~50 Mbps)",
-        (free_bw - 50.0).abs() < 10.0,
-        format!("{free_bw:.1} Mbps"),
+        c.halved(),
+        format!("{:.1} and {:.1} Mbps", c.free[0], c.free[1]),
     );
     check(
         "E1 cliques restore accuracy (>85 Mbps)",
-        clique_bw > 85.0,
-        format!("{clique_bw:.1} Mbps"),
+        c.accurate(),
+        format!("{:.1} and {:.1} Mbps", c.clique[0], c.clique[1]),
+    );
+
+    // --- E2 clique frequency ----------------------------------------------------
+    let freq = clique_frequency();
+    check(
+        "E2 frequency falls with clique size",
+        freq.decreases(),
+        format!("every {:.1} s at 3 hosts, {:.1} s at 10", freq.interval(3), freq.interval(10)),
+    );
+    check(
+        "E2 splitting a clique restores frequency",
+        freq.split_restores(),
+        format!("8 hosts every {:.1} s, two halves every {:.1} s", freq.interval(8), freq.split),
     );
 
     // --- E3 naive cost ----------------------------------------------------------
     let days = naive_cost(20, 30.0).days();
     check("E3 '50 days for 20 hosts'", (days - 50.0).abs() < 1.5, format!("{days:.1} days"));
 
+    // --- E4 aggregation -----------------------------------------------------------
+    let agg = aggregation(&m);
+    check(
+        "E4 aggregated estimates within 2.5x of capacity",
+        agg.still_interesting(),
+        format!("worst {:.2}x over {} unmeasured pairs", agg.worst_ratio(), agg.pairs.len()),
+    );
+
+    // --- E6 thresholds --------------------------------------------------------------
+    let recovered = threshold_point(EnvThresholds::paper(), None, 1000);
+    check(
+        "E6 paper thresholds, quiet platform: full F1b",
+        recovered == 4,
+        format!("{recovered}/4 networks"),
+    );
+
     // --- E7 asymmetry -------------------------------------------------------------
-    let (fwd, back) = asym_truth();
+    let asym = asymmetry();
     check(
         "E7 asymmetric platform is 10x by direction",
-        back / fwd > 8.0,
-        format!("{fwd:.1} vs {back:.1} Mbps"),
+        asym.tenfold_by_direction(),
+        format!("{:.1} vs {:.1} Mbps", asym.truth_ab, asym.truth_ba),
+    );
+    check(
+        "E7 ENV reports one figure, NWS both directions",
+        asym.env_blind_nws_not(),
+        format!("ENV {:.1}; NWS {:.1} vs {:.1} Mbps", asym.env, asym.nws_ab, asym.nws_ba),
     );
 
     // --- E9 host locking ------------------------------------------------------------
-    let (unlocked, locked) = locking_case(&m);
+    let (unlocked, locked) = (host_locking(&m, false), host_locking(&m, true));
     check(
         "E9 flaw live without locks (<7 Mbps on Hub2)",
-        unlocked < 7.0,
-        format!("{unlocked:.2} Mbps"),
+        unlocked.colliding(),
+        format!("{:.2} Mbps", unlocked.hub2_mean),
     );
-    check("E9 locks restore accuracy (>9 Mbps)", locked > 9.0, format!("{locked:.2} Mbps"));
+    check(
+        "E9 locks restore accuracy (>9 Mbps)",
+        locked.accurate(),
+        format!("{:.2} Mbps", locked.hub2_mean),
+    );
 
     // --- summary ------------------------------------------------------------------
     println!();
@@ -154,76 +206,4 @@ fn main() {
     if failed > 0 {
         std::process::exit(1);
     }
-}
-
-/// E1: mean reported bandwidth free-running vs clique on a 100 Mbps hub.
-fn collision_case() -> (f64, f64) {
-    let mean_for = |use_clique: bool| -> f64 {
-        let net = star_hub(4, Bandwidth::mbps(100.0));
-        let n: Vec<String> =
-            net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
-        let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-        let spec = if use_clique {
-            let refs: Vec<&str> = n.iter().map(|s| s.as_str()).collect();
-            NwsSystemSpec::minimal(&n[0], &refs)
-        } else {
-            let mut s = NwsSystemSpec::minimal(&n[0], &[]);
-            s.cliques.clear();
-            s.sensors = vec![
-                SensorSpec {
-                    host: n[0].clone(),
-                    mode: SensorMode::FreeRunning {
-                        targets: vec![n[1].clone()],
-                        period: TimeDelta::from_secs(5.0),
-                    },
-                    host_sensing: false,
-                    memory: None,
-                },
-                SensorSpec {
-                    host: n[2].clone(),
-                    mode: SensorMode::FreeRunning {
-                        targets: vec![n[3].clone()],
-                        period: TimeDelta::from_secs(5.0),
-                    },
-                    host_sensing: false,
-                    memory: None,
-                },
-            ];
-            s
-        };
-        let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-        sys.run_for(&mut eng, TimeDelta::from_secs(120.0));
-        let series =
-            sys.series(&SeriesKey::link(Resource::Bandwidth, &n[0], &n[1])).unwrap_or_default();
-        series.iter().map(|(_, v)| v).sum::<f64>() / series.len().max(1) as f64
-    };
-    (mean_for(false), mean_for(true))
-}
-
-/// E7: ground-truth directional bandwidths on the asymmetric pair.
-fn asym_truth() -> (f64, f64) {
-    let net = asym_pair();
-    let mut sim: Engine<NwsMsg> = Engine::new(net.topo);
-    let fwd = sim.measure_bandwidth(net.hosts[0], net.hosts[1], Bytes::mib(1)).unwrap();
-    let back = sim.measure_bandwidth(net.hosts[1], net.hosts[0], Bytes::mib(1)).unwrap();
-    (fwd.as_mbps(), back.as_mbps())
-}
-
-/// E9: Hub 2 series mean without and with host locks.
-fn locking_case(m: &nws_bench::MappedEnsLyon) -> (f64, f64) {
-    let run = |locking: bool| -> f64 {
-        let plan = plan_deployment(&m.merged, &PlannerConfig::default());
-        let mut eng: Engine<NwsMsg> = Engine::new(m.platform.topo.clone());
-        let sys = apply_plan_with(&mut eng, &plan, locking).unwrap();
-        sys.run_for(&mut eng, TimeDelta::from_secs(400.0));
-        let series = sys
-            .series(&SeriesKey::link(
-                Resource::Bandwidth,
-                "myri0.popc.private",
-                "popc0.popc.private",
-            ))
-            .unwrap_or_default();
-        series.iter().map(|(_, v)| v).sum::<f64>() / series.len().max(1) as f64
-    };
-    (run(false), run(true))
 }

@@ -1,5 +1,7 @@
-//! Shared plumbing for the figure/table regeneration binaries and the
-//! Criterion benches. See DESIGN.md §3 for the experiment index.
+//! Shared plumbing for the figure/table regeneration binaries. See
+//! DESIGN.md §3 for the experiment index.
+
+pub mod experiments;
 
 use envmap::{merge_runs, EnvConfig, EnvMapper, EnvRun, EnvView, HostInput};
 use gridml::merge::GatewayAlias;
@@ -393,6 +395,7 @@ pub fn f(v: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn mapping_pipeline_runs() {
@@ -400,6 +403,36 @@ mod tests {
         assert_eq!(m.merged.network_count(), 4);
         assert_eq!(m.outside.view.networks.len(), 2);
         assert!(m.inside.stats.bw_probes > 0);
+    }
+
+    /// DESIGN.md §3 has one row per file of `src/bin/`, and every row
+    /// names something automated that reads the binary's result.
+    #[test]
+    fn wiring_table_matches_the_binaries() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let design = std::fs::read_to_string(root.join("../../DESIGN.md")).expect("DESIGN.md");
+        let section = design.split("\n## ").find(|s| s.starts_with("§3 ")).expect("DESIGN.md §3");
+        let rows: BTreeMap<&str, &str> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.strip_suffix(" |"))
+            .map(|row| {
+                let (bin, rest) = row.split_once("` | ").expect("a binary, then its class");
+                (bin, rest.rsplit(" | ").next().expect("a consumed-by cell"))
+            })
+            .collect();
+        let bins: BTreeSet<String> = std::fs::read_dir(root.join("src/bin"))
+            .expect("src/bin")
+            .map(|entry| entry.expect("a directory entry").path())
+            .map(|path| path.file_stem().expect("a file name").to_string_lossy().into_owned())
+            .collect();
+        let rowed: BTreeSet<String> = rows.keys().map(|bin| bin.to_string()).collect();
+        assert_eq!(rowed, bins, "DESIGN.md §3 rows against the files of src/bin/");
+        for (bin, consumer) in rows {
+            assert!(
+                !consumer.is_empty() && !consumer.contains("nothing automated"),
+                "{bin} is consumed by: {consumer:?}"
+            );
+        }
     }
 
     #[test]

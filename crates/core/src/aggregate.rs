@@ -16,8 +16,8 @@
 //! * **segment aggregation** — paths crossing several effective networks
 //!   combine per-segment values: latencies add, bandwidths take the min.
 
-use envmap::{EnvNet, EnvView, NetKind};
-use nws::{Resource, SeriesKey};
+use envmap::EnvView;
+use nws::SeriesKey;
 
 use crate::compiled::CompiledView;
 use crate::plan::DeploymentPlan;
@@ -78,8 +78,8 @@ pub struct Estimate {
 /// interned [`CompiledView`] engine: `new` compiles the view/plan pair
 /// once (interned host ids, flattened ancestry, clique bitsets), and
 /// `estimate` runs on dense ids. The original string-walking
-/// implementation survives unchanged as [`naive::NaiveEstimator`], the
-/// differential-test oracle.
+/// implementation survives unchanged as `naive::NaiveEstimator`, the
+/// differential-test oracle (compiled for tests only).
 pub struct Estimator<'a> {
     compiled: CompiledView<'a>,
 }
@@ -128,8 +128,11 @@ impl<'a> Estimator<'a> {
 /// The pre-interning estimator, kept verbatim as the differential-test
 /// oracle (the engine pattern of PR 1's `max_min_allocate` and PR 3's
 /// `forecast::naive`): `Estimator` must agree with it bit-for-bit.
-pub mod naive {
+#[cfg(test)]
+pub(crate) mod naive {
     use super::*;
+    use envmap::{EnvNet, NetKind};
+    use nws::Resource;
 
     /// One aggregation segment.
     #[derive(Debug, Clone)]
@@ -440,7 +443,9 @@ pub mod naive {
 mod tests {
     use super::*;
     use crate::plan::{CliqueRole, PlannedClique};
+    use envmap::{EnvNet, NetKind};
     use netsim::time::TimeDelta;
+    use nws::Resource;
     use std::collections::BTreeMap;
 
     /// Hand-built two-hub view resembling Figure 1(b):

@@ -7,8 +7,8 @@
 //! This is the third instance of the repo's engine pattern (after the
 //! fairness engine of PR 1 and the forecaster engine of PR 3): the fast
 //! interned implementation lives here, the original string-walking
-//! implementation survives as [`crate::aggregate::naive::NaiveEstimator`]
-//! and serves as the differential-test oracle.
+//! implementation survives as `crate::aggregate::naive::NaiveEstimator`,
+//! compiled for tests only, and serves as the differential-test oracle.
 //!
 //! What gets precomputed, once per (view, plan):
 //!

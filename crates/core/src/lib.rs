@@ -37,8 +37,10 @@ pub mod plan;
 pub mod planner;
 pub mod repair;
 pub mod validate;
+#[cfg(test)]
+mod validate_differential;
 
-pub use aggregate::{naive::NaiveEstimator, Estimate, Estimator, Freshness, MeasurementSource};
+pub use aggregate::{Estimate, Estimator, Freshness, MeasurementSource};
 pub use compiled::{CompiledView, DenseSource, DenseStaticSource, HostId, NetId};
 pub use manager::{
     apply_plan, apply_plan_delta, apply_plan_with, parse_config, plan_delta_to_reconfig,
@@ -47,6 +49,4 @@ pub use manager::{
 pub use plan::{diff_plans, CliqueRole, DeploymentPlan, PlanDelta, PlannedClique};
 pub use planner::{plan_deployment, PlannerConfig};
 pub use repair::{repair_plan, RepairConfig, RepairOutcome};
-pub use validate::{
-    validate_plan, validate_plan_naive, validate_plan_with_routes, PlanReport, PostRoundSource,
-};
+pub use validate::{validate_plan, validate_plan_with_routes, PlanReport, PostRoundSource};

@@ -12,11 +12,10 @@
 use std::collections::BTreeSet;
 
 use envmap::EnvView;
-use netsim::fairness::path_resources;
 use netsim::routing::RouteTable;
 use netsim::topology::{LinkMode, NodeId, Topology};
 
-use crate::aggregate::{naive::NaiveEstimator, MeasurementSource};
+use crate::aggregate::MeasurementSource;
 use crate::compiled::{CompiledView, HostId};
 use crate::plan::DeploymentPlan;
 use nws::{Resource, SeriesKey};
@@ -111,7 +110,7 @@ impl MeasurementSource for PostRoundSource<'_> {
 /// collects each clique's resource footprint by walking its members up one
 /// another's shortest-path trees, then counts shared resources through a
 /// resource → cliques index. The original per-host-pair implementation
-/// survives as [`validate_plan_naive`], the differential-test oracle; both
+/// survives as `validate_plan_naive`, the differential-test oracle; both
 /// produce identical reports.
 pub fn validate_plan(plan: &DeploymentPlan, view: &EnvView, topo: &Topology) -> PlanReport {
     let routes = RouteTable::compute(topo);
@@ -345,12 +344,18 @@ pub fn validate_plan_with_routes(
 
 /// The original per-host-pair validator, kept as the differential-test
 /// oracle: footprints by `Vec::contains` scan, completeness by one
-/// [`NaiveEstimator`] walk per ordered host pair. Reports are identical to
+/// `NaiveEstimator` walk per ordered host pair. Reports are identical to
 /// [`validate_plan`]'s (the proptest suite in
-/// `tests/validate_differential.rs` proves it over all four synth
-/// families); only the asymptotics differ.
-pub fn validate_plan_naive(plan: &DeploymentPlan, view: &EnvView, topo: &Topology) -> PlanReport {
-    use netsim::fairness::Resource as NetResource;
+/// `validate_differential.rs` proves it over all four synth families);
+/// only the asymptotics differ.
+#[cfg(test)]
+pub(crate) fn validate_plan_naive(
+    plan: &DeploymentPlan,
+    view: &EnvView,
+    topo: &Topology,
+) -> PlanReport {
+    use crate::aggregate::naive::NaiveEstimator;
+    use netsim::fairness::{path_resources, Resource as NetResource};
 
     let routes = RouteTable::compute(topo);
 

@@ -12,9 +12,10 @@
 //! interned estimator is additionally checked against the naive estimator
 //! on every ordered host pair of the unperturbed plan.
 
-use envdeploy::{
-    plan_deployment, validate_plan, validate_plan_naive, DeploymentPlan, Estimator, NaiveEstimator,
-    PlannerConfig, PostRoundSource,
+use crate::aggregate::naive::NaiveEstimator;
+use crate::validate::validate_plan_naive;
+use crate::{
+    plan_deployment, validate_plan, DeploymentPlan, Estimator, PlannerConfig, PostRoundSource,
 };
 use envmap::{EnvConfig, EnvMapper, EnvView, HostInput};
 use netsim::synth::{synth, SynthFamily, SynthScenario};

@@ -1,5 +1,5 @@
 //! A hand-rolled Rust lexer, written from scratch like the workspace's
-//! rand/proptest/criterion shims: the build environment is registry-free,
+//! rand/proptest shims: the build environment is registry-free,
 //! so pulling in `syn`/`proc-macro2` is not an option.
 //!
 //! The lexer's only job is to be *reliable about what is code and what is

@@ -5,7 +5,7 @@
 //! enforced only dynamically — by fingerprint gates and differential
 //! suites that happen to exercise the right paths. `nws-lint` adds the
 //! static layer: a registry-free lexer + rule engine (no `syn`; written
-//! from scratch like the rand/proptest/criterion shims) that walks every
+//! from scratch like the rand/proptest shims) that walks every
 //! `.rs` file in the workspace at CI time and fails the build on any
 //! unwaived violation of the determinism catalog:
 //!

@@ -170,6 +170,6 @@ fn scope_mapping_matches_crate_layout() {
     assert_eq!(scope_for(Path::new("src/lib.rs")), det);
     assert_eq!(scope_for(Path::new("tests/determinism.rs")), det);
     assert_eq!(scope_for(Path::new("crates/bench/src/bin/exp_pipeline_scaling.rs")), harness);
-    assert_eq!(scope_for(Path::new("crates/shims/criterion/src/lib.rs")), harness);
+    assert_eq!(scope_for(Path::new("crates/shims/rand/src/lib.rs")), harness);
     assert_eq!(scope_for(Path::new("crates/lint/src/lexer.rs")), harness);
 }

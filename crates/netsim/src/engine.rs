@@ -29,7 +29,7 @@ use crate::flow::{FlowId, FlowOutcome};
 use crate::name::FixedState;
 use crate::routing::RouteTable;
 use crate::time::{SimTime, TimeDelta};
-use crate::topology::{LinkId, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
 use crate::units::Bytes;
 
 /// Identifier of a process (actor) registered with an [`Engine`].
@@ -252,8 +252,6 @@ pub struct Core<M> {
     fault_rng: Option<SmallRng>,
     /// Engine-wide loss model applied to every cross-node message.
     default_loss: Option<LossModel>,
-    /// Additional per-link loss models, composed along the message's path.
-    link_loss: HashMap<LinkId, LossModel, FixedState>,
 }
 
 impl<M> Core<M> {
@@ -576,16 +574,7 @@ impl<'a, M> Ctx<'a, M> {
             let r_dup = rng.next_f64();
             let r_jit = rng.next_f64();
             let r_dup_delay = rng.next_f64();
-            let mut eff = self.core.default_loss.unwrap_or(LossModel::NONE);
-            if !self.core.link_loss.is_empty() {
-                if let Ok(hops) = self.core.routes.hops_rev(&self.core.topo, src, dst) {
-                    for (_, l) in hops {
-                        if let Some(lm) = self.core.link_loss.get(&l) {
-                            eff = eff.and(lm);
-                        }
-                    }
-                }
-            }
+            let eff = self.core.default_loss.unwrap_or(LossModel::NONE);
             if !eff.is_none() {
                 if r_drop < eff.drop_p {
                     // Silent loss: no delivery, no FIFO update, the sender
@@ -708,7 +697,6 @@ impl<M> Engine<M> {
                 last_delivery: HashMap::default(),
                 fault_rng: None,
                 default_loss: None,
-                link_loss: HashMap::default(),
             },
             procs: Vec::new(),
         }
@@ -736,23 +724,10 @@ impl<M> Engine<M> {
         self.core.fault_rng = Some(SmallRng::seed_from_u64(seed ^ 0x10_55_1e_af));
     }
 
-    /// Engine-wide loss model applied to every cross-node control message
-    /// (composed with any per-link models on the path). `None` clears it.
+    /// Engine-wide loss model applied to every cross-node control message.
+    /// `None` clears it.
     pub fn set_default_loss(&mut self, model: Option<LossModel>) {
         self.core.default_loss = model;
-    }
-
-    /// Attach (or clear) a loss model on one link. Messages whose route
-    /// crosses the link compose it into their effective model.
-    pub fn set_link_loss(&mut self, link: LinkId, model: Option<LossModel>) {
-        match model {
-            Some(m) => {
-                self.core.link_loss.insert(link, m);
-            }
-            None => {
-                self.core.link_loss.remove(&link);
-            }
-        }
     }
 
     /// Register a process on a host. Its `on_start` runs when the engine

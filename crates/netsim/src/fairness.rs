@@ -12,6 +12,7 @@
 //! A flow may additionally carry a rate cap (e.g. a TCP-window/RTT bound),
 //! modelled as a private resource.
 
+#[cfg(test)]
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -72,12 +73,13 @@ pub fn path_resources(topo: &Topology, path: &Path) -> Vec<Resource> {
     out
 }
 
-/// One flow's demand as seen by the allocator.
+/// One flow's demand as seen by the reference allocators.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct FlowDemand {
-    pub resources: Vec<Resource>,
+pub(crate) struct FlowDemand {
+    pub(crate) resources: Vec<Resource>,
     /// Optional per-flow rate ceiling (TCP window / application limit).
-    pub rate_cap: Option<Bandwidth>,
+    pub(crate) rate_cap: Option<Bandwidth>,
 }
 
 /// How concurrent flows share capacity — the fluid model underlying every
@@ -99,7 +101,12 @@ pub enum FairnessModel {
 }
 
 /// Allocate under the chosen fluid model.
-pub fn allocate(topo: &Topology, flows: &[FlowDemand], model: FairnessModel) -> Vec<Bandwidth> {
+#[cfg(test)]
+pub(crate) fn allocate(
+    topo: &Topology,
+    flows: &[FlowDemand],
+    model: FairnessModel,
+) -> Vec<Bandwidth> {
     match model {
         FairnessModel::MaxMin => max_min_allocate(topo, flows),
         FairnessModel::BottleneckEqualShare => equal_share_allocate(topo, flows),
@@ -107,7 +114,8 @@ pub fn allocate(topo: &Topology, flows: &[FlowDemand], model: FairnessModel) -> 
 }
 
 /// The naive equal-share model (see [`FairnessModel::BottleneckEqualShare`]).
-pub fn equal_share_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth> {
+#[cfg(test)]
+pub(crate) fn equal_share_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth> {
     let mut users: HashMap<Resource, u32> = HashMap::new();
     for f in flows {
         for r in &f.resources {
@@ -133,7 +141,8 @@ pub fn equal_share_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwi
 /// Panics (debug) if a flow has neither resources nor a rate cap — such a
 /// flow has unbounded rate and should be special-cased by the caller
 /// (same-host transfers never reach the allocator).
-pub fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth> {
+#[cfg(test)]
+pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth> {
     let n = flows.len();
     let mut rate = vec![0.0f64; n];
     if n == 0 {
@@ -237,10 +246,10 @@ pub fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth>
 // Incremental allocation engine
 // ---------------------------------------------------------------------------
 //
-// The reference allocators above rebuild `HashMap<Resource, _>` tables from
-// scratch for every call — fine as an oracle, quadratic-with-allocations as
-// the per-event hot path of the simulator. The types below replace them on
-// the hot path:
+// The reference allocators above (compiled for tests only) rebuild
+// `HashMap<Resource, _>` tables from scratch for every call — fine as an
+// oracle, quadratic-with-allocations as the per-event hot path of the
+// simulator. The types below replace them on the hot path:
 //
 // * [`ResourceTable`] interns every [`Resource`] of a topology into a dense
 //   [`ResourceId`] once, so per-resource state lives in flat arrays;
@@ -441,7 +450,8 @@ struct Scratch {
 }
 
 /// Incrementally-maintained fair-allocation engine: the hot-path
-/// replacement for calling [`allocate`] from scratch on every flow change.
+/// replacement for calling the test-only reference `allocate` from
+/// scratch on every flow change.
 ///
 /// Flows are registered with [`add_flow`](Self::add_flow) (which returns a
 /// dense key) and dropped with [`remove_flow`](Self::remove_flow); both
@@ -679,7 +689,7 @@ impl FairEngine {
     }
 
     /// Progressive filling over interned resources — the same rounds and
-    /// the same `delta`s as [`max_min_allocate`], walked from the resource
+    /// the same `delta`s as `max_min_allocate`, walked from the resource
     /// side. Every unfrozen flow holds the same sum of deltas, so one `level`
     /// stands for all of them. A resource with `u` unfrozen users loses
     /// `delta` `u` times a round whichever flow delivers each one, so the
@@ -796,7 +806,7 @@ impl FairEngine {
         }
     }
 
-    /// Flat-array equivalent of [`equal_share_allocate`]: every flow is
+    /// Flat-array equivalent of `equal_share_allocate`: every flow is
     /// counted on every resource it crosses.
     fn reallocate_equal_share(&mut self) {
         let s = &mut self.scratch;

@@ -1,11 +1,11 @@
-//! Lossy-network fault injection: per-link loss models on the control
+//! Lossy-network fault injection: an engine-wide loss model on the control
 //! message path, plus replayable fault schedules.
 //!
 //! The paper's §2.3 claims the NWS ships "mechanisms to handle network
 //! errors"; exercising those mechanisms needs a network that actually
 //! errs. This module supplies the two halves:
 //!
-//! * [`LossModel`] — a per-link (or engine-wide) probability model for
+//! * [`LossModel`] — an engine-wide probability model for
 //!   control-message faults: independent drop, duplication, and a uniform
 //!   extra-latency jitter. The engine applies it on [`crate::Ctx::send`]
 //!   once a fault seed is armed ([`crate::Engine::set_fault_seed`]); bulk
@@ -35,8 +35,8 @@ use crate::engine::Engine;
 use crate::time::TimeDelta;
 use crate::topology::NodeId;
 
-/// Probabilistic fault model for one link (or, as the engine default, for
-/// every cross-node message). All faults are independent per message.
+/// Probabilistic fault model for every cross-node message. All faults are
+/// independent per message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossModel {
     /// Probability the message silently vanishes.
@@ -66,16 +66,6 @@ impl LossModel {
     pub fn is_none(&self) -> bool {
         self.drop_p <= 0.0 && self.dup_p <= 0.0 && self.jitter <= TimeDelta::ZERO
     }
-
-    /// Compose two models applied in series (a path crossing both): drops
-    /// and duplications are independent per hop, jitters add.
-    pub fn and(&self, other: &LossModel) -> LossModel {
-        LossModel {
-            drop_p: 1.0 - (1.0 - self.drop_p) * (1.0 - other.drop_p),
-            dup_p: 1.0 - (1.0 - self.dup_p) * (1.0 - other.dup_p),
-            jitter: TimeDelta::from_secs(self.jitter.as_secs() + other.jitter.as_secs()),
-        }
-    }
 }
 
 /// One scheduled fault. Name-based and self-contained, like
@@ -84,7 +74,7 @@ impl LossModel {
 /// *processes by host name* — the engine does not know which pids live
 /// where, so the NWS-layer harness maps names to pids and applies them;
 /// link and loss events apply directly via [`apply_link_fault`] and the
-/// engine's loss-model setters.
+/// engine's loss-model setter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// The named host's resident process crashes (kill at the NWS layer).
@@ -266,14 +256,8 @@ mod tests {
 
     #[test]
     fn loss_model_composition() {
-        let a = LossModel::lossy(0.5);
-        let b = LossModel::degraded(0.5, 0.2, TimeDelta::from_millis(10.0));
-        let c = a.and(&b);
-        assert!((c.drop_p - 0.75).abs() < 1e-12);
-        assert!((c.dup_p - 0.2).abs() < 1e-12);
-        assert!((c.jitter.as_secs() - 0.01).abs() < 1e-12);
         assert!(LossModel::NONE.is_none());
-        assert!(!a.is_none());
+        assert!(!LossModel::lossy(0.5).is_none());
     }
 
     #[test]

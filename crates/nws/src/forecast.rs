@@ -24,15 +24,16 @@
 //! Every predictor here is **incremental**: `observe` is O(log k) in the
 //! window size (the order statistics live in a [`SortedWindow`] maintained
 //! under `f64::total_cmp`) and `predict` never replays or re-sorts history.
-//! The pre-incremental implementations survive in [`naive`] — they are the
-//! differential-test oracle (the same role `max_min_allocate` plays for the
-//! fairness engine), not production code. The sorted-window predictors are
-//! *bit-identical* to their naive counterparts: total-order-equal `f64`s
-//! are bit-equal, so the maintained sorted sequence is exactly the sequence
-//! the oracle's per-predict sort produces, and every downstream arithmetic
-//! consumes it in the same order. `RUN_AVG` (Welford) and `ADAPT_AVG`
-//! (running sum) trade bit-identity for numerical stability and O(1)
-//! predicts; they agree with their oracles to ~1e-9 relative.
+//! The pre-incremental implementations survive in `naive`, compiled for
+//! tests only — they are the differential-test oracle (the same role
+//! `max_min_allocate` plays for the fairness engine), not production code.
+//! The sorted-window predictors are *bit-identical* to their naive
+//! counterparts: total-order-equal `f64`s are bit-equal, so the maintained
+//! sorted sequence is exactly the sequence the oracle's per-predict sort
+//! produces, and every downstream arithmetic consumes it in the same
+//! order. `RUN_AVG` (Welford) and `ADAPT_AVG` (running sum) trade
+//! bit-identity for numerical stability and O(1) predicts; they agree
+//! with their oracles to ~1e-9 relative.
 //!
 //! The battery rejects non-finite observations outright, so a NaN that
 //! escapes a sensor can never reach a predictor (the panic chain this
@@ -506,7 +507,8 @@ impl Predictor for AdaptiveMean {
 /// the two mean accumulators. Their window sorts use `total_cmp` (never
 /// the old `partial_cmp().expect("finite")`), so even a hostile NaN fed
 /// directly to a naive predictor ranks instead of panicking.
-pub mod naive {
+#[cfg(test)]
+pub(crate) mod naive {
     use super::Predictor;
     use std::collections::VecDeque;
 
@@ -723,11 +725,12 @@ impl ForecasterBattery {
         Self::with_predictors(predictors)
     }
 
-    /// The classic family built from the pre-incremental [`naive`]
+    /// The classic family built from the pre-incremental `naive`
     /// predictors, predictor-for-predictor in the same order and with the
     /// same names — the replay oracle for the differential suite. Never
     /// deployed: every query through `ForecasterServer` uses `classic`.
-    pub fn classic_naive() -> Self {
+    #[cfg(test)]
+    pub(crate) fn classic_naive() -> Self {
         use naive::*;
         let predictors: Vec<Box<dyn Predictor + Send>> = vec![
             Box::new(LastValue::default()),

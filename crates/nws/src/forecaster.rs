@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use netsim::disk::DiskHandle;
+use netsim::disk::{DiskHandle, SimDisk};
 use netsim::engine::{Ctx, Process, ProcessId, TimerId};
 use netsim::prelude::*;
 
@@ -107,16 +107,32 @@ pub struct ForecasterServer {
     /// the battery was reset + the series re-fetched from scratch instead
     /// of silently forecasting across the gap.
     pub rewinds: u64,
-    /// Durable observation log, when the forecaster owns a disk.
-    log: Option<ForecastLog>,
+    /// Durable observation log on the forecaster's disk.
+    log: ForecastLog,
 }
 
 impl ForecasterServer {
+    /// A forecaster on a fresh disk of its own that nothing else can
+    /// reach; supervised deployments hand [`ForecasterServer::durable`]
+    /// the host's disk.
     pub fn new(name: &str, ns: ProcessId) -> Self {
+        Self::durable(name, ns, SimDisk::new(name))
+    }
+
+    /// Battery state and delta-fetch watermarks are recovered from `disk`
+    /// (snapshot + WAL replay, empty disk ⇒ cold start) and every
+    /// observation is logged back to it. Memory pids are not part of the
+    /// durable state — recovered series re-resolve their memory through
+    /// the name server on the next query.
+    pub fn durable(name: &str, ns: ProcessId, disk: DiskHandle) -> Self {
+        let (recovered, log) = ForecastLog::recover(disk, "forecaster");
         ForecasterServer {
             name: name.to_string(),
             ns,
-            state: BTreeMap::new(),
+            state: recovered
+                .into_iter()
+                .map(|(k, core)| (k, Tracked { core, memory: None }))
+                .collect(),
             waiting: BTreeMap::new(),
             query_timeout: TimeDelta::from_secs(5.0),
             next_timeout_tag: 0,
@@ -128,30 +144,13 @@ impl ForecasterServer {
             batches: BTreeMap::new(),
             next_batch: 0,
             rewinds: 0,
-            log: None,
+            log,
         }
     }
 
-    /// A durable forecaster: battery state and delta-fetch watermarks are
-    /// recovered from `disk` (snapshot + WAL replay, empty disk ⇒ cold
-    /// start) and every observation is logged back to it. Memory pids are
-    /// not part of the durable state — recovered series re-resolve their
-    /// memory through the name server on the next query.
-    pub fn durable(name: &str, ns: ProcessId, disk: DiskHandle) -> Self {
-        let (recovered, log) = ForecastLog::recover(disk, "forecaster");
-        let mut fc = ForecasterServer::new(name, ns);
-        fc.state =
-            recovered.into_iter().map(|(k, core)| (k, Tracked { core, memory: None })).collect();
-        fc.log = Some(log);
-        fc
-    }
-
-    /// Tune the durable WAL's compaction threshold (bytes). No-op on a
-    /// volatile forecaster.
+    /// Tune the WAL's compaction threshold (bytes).
     pub fn set_compact_threshold(&mut self, bytes: u64) {
-        if let Some(log) = &mut self.log {
-            log.set_compact_threshold(bytes);
-        }
+        self.log.set_compact_threshold(bytes);
     }
 
     fn arm_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
@@ -320,10 +319,8 @@ impl Process<NwsMsg> for ForecasterServer {
                     // re-fetch's reply will answer the waiting clients.
                     st.core.rewind();
                     self.rewinds += 1;
-                    if let Some(log) = self.log.as_mut() {
-                        log.log_rewind(&key);
-                        log.sync();
-                    }
+                    self.log.log_rewind(&key);
+                    self.log.sync();
                     self.send_fetch_since(ctx, &key);
                     return;
                 }
@@ -332,18 +329,14 @@ impl Process<NwsMsg> for ForecasterServer {
                     // duplicate or reordered reply; only the points it
                     // takes are logged (replay fidelity).
                     if st.core.observe(t, v) {
-                        if let Some(log) = self.log.as_mut() {
-                            log.log_observe(&key, t, v);
-                        }
+                        self.log.log_observe(&key, t, v);
                     }
                 }
-                if let Some(log) = self.log.as_mut() {
-                    log.sync();
-                    if log.needs_compact() {
-                        log.compact(
-                            self.state.iter().map(|(k, s)| (k, s.core.battery(), s.core.last_t())),
-                        );
-                    }
+                self.log.sync();
+                if self.log.needs_compact() {
+                    self.log.compact(
+                        self.state.iter().map(|(k, s)| (k, s.core.battery(), s.core.last_t())),
+                    );
                 }
                 let forecast = self.state[&key].core.forecast();
                 self.clear_timeout(ctx, &key);

@@ -12,11 +12,11 @@
 //!   relative, same sample count, including streams with injected
 //!   non-finite values (both batteries sanitize identically).
 
-use nws::forecast::naive::{
+use crate::forecast::naive::{
     NaiveAdaptiveMean, NaiveRunningMean, NaiveSlidingMedian, NaiveTrimmedMean,
 };
-use nws::forecast::{AdaptiveMean, Predictor, RunningMean, SlidingMedian, TrimmedMean};
-use nws::ForecasterBattery;
+use crate::forecast::{AdaptiveMean, Predictor, RunningMean, SlidingMedian, TrimmedMean};
+use crate::ForecasterBattery;
 use proptest::prelude::*;
 
 fn close(a: f64, b: f64, tol: f64) -> bool {

@@ -28,6 +28,8 @@
 pub mod clique;
 pub mod forecast;
 pub mod forecaster;
+#[cfg(test)]
+mod forecaster_differential;
 pub mod hostload;
 pub mod memory;
 pub mod msg;

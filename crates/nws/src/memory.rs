@@ -1,8 +1,8 @@
 //! The NWS memory server: "store the results on disk for further use"
 //! (paper §2.1).
 //!
-//! Sensors `Store` measurements here; forecasters `Fetch` histories. On
-//! the first store of a series the memory registers itself as that
+//! Sensors `Store` measurements here; forecasters `FetchSince` histories.
+//! On the first store of a series the memory registers itself as that
 //! series' home with the name server, which is how the forecaster's
 //! directory lookup (step 2 of §2.1) finds the right memory.
 //!
@@ -11,12 +11,12 @@
 //! rejected — an ack means *received*), and a seq seen before is counted
 //! in [`MemoryStore::dup_stores`] without touching `stores` or the series.
 //!
-//! A memory built via [`MemoryServer::recover`] is **durable**: every
-//! store is written to a checksummed WAL on the host's [`SimDisk`] and
-//! fsynced *before* the ack goes out, so an acked store is on stable
-//! storage by the time the sensor releases its buffer slot — a crash plus
-//! a sensor retry still cannot double-count, because the dedup ledger is
-//! replayed along with the points (see [`crate::persist`]).
+//! Every memory server is **durable**: each store is written to a
+//! checksummed WAL on the host's [`SimDisk`] and fsynced *before* the ack
+//! goes out, so an acked store is on stable storage by the time the sensor
+//! releases its buffer slot — a crash plus a sensor retry still cannot
+//! double-count, because the dedup ledger is replayed along with the
+//! points (see [`crate::persist`]).
 //!
 //! [`SimDisk`]: netsim::disk::SimDisk
 
@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use netsim::disk::DiskHandle;
+use netsim::disk::{DiskHandle, SimDisk};
 use netsim::engine::{Ctx, Process, ProcessId};
 use netsim::error::NetError;
 
@@ -166,37 +166,23 @@ pub struct MemoryServer {
     ns: ProcessId,
     capacity: usize,
     store: MemoryHandle,
-    /// Durable WAL + snapshot state, when the server owns a disk. `None`
-    /// for volatile servers ([`MemoryServer::new`] / test seams).
-    log: Option<MemoryLog>,
+    /// Durable WAL + snapshot state on the server's disk.
+    log: MemoryLog,
 }
 
 impl MemoryServer {
-    /// A volatile memory server: state lives in RAM only and dies with
-    /// the process. Unit tests and single-epoch experiments use this;
-    /// supervised deployments use [`MemoryServer::recover`].
+    /// A memory server on a fresh disk of its own that nothing else can
+    /// reach: its state dies with the process, as far as any observer can
+    /// tell. Unit tests and single-epoch experiments use this; supervised
+    /// deployments hand [`MemoryServer::recover`] the host's disk.
     pub fn new(name: &str, ns: ProcessId, capacity: usize) -> (Self, MemoryHandle) {
-        let store = Rc::new(RefCell::new(MemoryStore::default()));
-        (
-            MemoryServer { name: name.to_string(), ns, capacity, store: store.clone(), log: None },
-            store,
-        )
+        Self::recover(name, ns, capacity, SimDisk::new(name))
     }
 
-    /// **Test seam only.** Rebuild a volatile server around a store the
-    /// caller already holds — useful for staging a specific pre-state
-    /// (e.g. a deliberately rolled-back store for the forecaster-rewind
-    /// regression test). Production recovery must go through
-    /// [`MemoryServer::recover`]: a real restart has no surviving RAM to
-    /// smuggle a [`MemoryHandle`] out of.
-    pub fn with_store(name: &str, ns: ProcessId, capacity: usize, store: MemoryHandle) -> Self {
-        MemoryServer { name: name.to_string(), ns, capacity, store, log: None }
-    }
-
-    /// A durable memory server: rebuild the store from `disk` (snapshot +
-    /// WAL replay, empty disk ⇒ empty store) and keep logging to it. This
-    /// is both the cold-start and the crash-recovery constructor — the
-    /// two are the same code path on purpose.
+    /// Rebuild the store from `disk` (snapshot + WAL replay, empty disk ⇒
+    /// empty store) and keep logging to it. This is both the cold-start
+    /// and the crash-recovery constructor — the two are the same code path
+    /// on purpose.
     ///
     /// The on-disk file names are fixed (`memory.wal` / `memory.snap`),
     /// not derived from `name`: display names embed a deployment index
@@ -210,24 +196,12 @@ impl MemoryServer {
     ) -> (Self, MemoryHandle) {
         let (store, log) = MemoryLog::recover(disk, "memory", capacity);
         let store = Rc::new(RefCell::new(store));
-        (
-            MemoryServer {
-                name: name.to_string(),
-                ns,
-                capacity,
-                store: store.clone(),
-                log: Some(log),
-            },
-            store,
-        )
+        (MemoryServer { name: name.to_string(), ns, capacity, store: store.clone(), log }, store)
     }
 
-    /// Tune the durable WAL's compaction threshold (bytes). No-op on a
-    /// volatile server.
+    /// Tune the WAL's compaction threshold (bytes).
     pub fn set_compact_threshold(&mut self, bytes: u64) {
-        if let Some(log) = &mut self.log {
-            log.set_compact_threshold(bytes);
-        }
+        self.log.set_compact_threshold(bytes);
     }
 }
 
@@ -251,14 +225,12 @@ impl Process<NwsMsg> for MemoryServer {
             NwsMsg::Store { key, seq, t, value } => {
                 let out =
                     self.store.borrow_mut().apply_store(from, seq, &key, t, value, self.capacity);
-                if let Some(log) = &mut self.log {
-                    // Log every copy — duplicates included, so replay
-                    // reproduces `dup_stores` — and fsync before the ack:
-                    // an acked store is on stable storage, which is what
-                    // keeps a crash + sensor retry from double-counting.
-                    log.log_store(from, seq, &key, t, value);
-                    log.maybe_compact(&self.store.borrow());
-                }
+                // Log every copy — duplicates included, so replay
+                // reproduces `dup_stores` — and fsync before the ack: an
+                // acked store is on stable storage, which is what keeps a
+                // crash + sensor retry from double-counting.
+                self.log.log_store(from, seq, &key, t, value);
+                self.log.maybe_compact(&self.store.borrow());
                 // Ack in every case — including duplicates and rejected
                 // points — so the sender releases its buffer slot; without
                 // the dup-ack a sensor whose first ack was lost would
@@ -277,25 +249,6 @@ impl Process<NwsMsg> for MemoryServer {
                 let size = pong.wire_size();
                 let _ = ctx.send(from, size, pong);
             }
-            NwsMsg::Fetch { key } => {
-                let (points, latest) = {
-                    let mut st = self.store.borrow_mut();
-                    let points = st.series.get(&key).map(Series::to_pairs).unwrap_or_default();
-                    let latest = st
-                        .series
-                        .get(&key)
-                        .and_then(Series::last)
-                        .map_or(f64::NEG_INFINITY, |p| p.t);
-                    st.apply_fetch(points.len() as u64);
-                    (points, latest)
-                };
-                if let Some(log) = &mut self.log {
-                    log.log_fetch(points.len() as u64);
-                }
-                let reply = NwsMsg::FetchReply { key, points, latest };
-                let size = reply.wire_size();
-                let _ = ctx.send(from, size, reply);
-            }
             NwsMsg::FetchSince { key, after } => {
                 let (points, latest) = {
                     let mut st = self.store.borrow_mut();
@@ -309,9 +262,7 @@ impl Process<NwsMsg> for MemoryServer {
                     st.apply_fetch(points.len() as u64);
                     (points, latest)
                 };
-                if let Some(log) = &mut self.log {
-                    log.log_fetch(points.len() as u64);
-                }
+                self.log.log_fetch(points.len() as u64);
                 let reply = NwsMsg::FetchReply { key, points, latest };
                 let size = reply.wire_size();
                 let _ = ctx.send(from, size, reply);
@@ -327,9 +278,7 @@ impl Process<NwsMsg> for MemoryServer {
         // Store from a restarted sensor arrives under a fresh pid and seq
         // space, so dropping this reply cannot wedge anyone.
         self.store.borrow_mut().apply_reply_failure();
-        if let Some(log) = &mut self.log {
-            log.log_reply_failure();
-        }
+        self.log.log_reply_failure();
     }
 }
 
@@ -370,7 +319,7 @@ mod tests {
                 let size = m.wire_size();
                 ctx.send(self.memory, size, m).unwrap();
             }
-            let f = NwsMsg::Fetch { key };
+            let f = NwsMsg::FetchSince { key, after: f64::NEG_INFINITY };
             let size = f.wire_size();
             ctx.send(self.memory, size, f).unwrap();
         }
@@ -417,7 +366,8 @@ mod tests {
         }
         impl Process<NwsMsg> for FetchOnly {
             fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-                let f = NwsMsg::Fetch { key: SeriesKey::host(Resource::CpuLoad, "nope") };
+                let key = SeriesKey::host(Resource::CpuLoad, "nope");
+                let f = NwsMsg::FetchSince { key, after: f64::NEG_INFINITY };
                 let size = f.wire_size();
                 ctx.send(self.memory, size, f).unwrap();
             }

@@ -170,19 +170,16 @@ pub enum NwsMsg {
     Ping,
     /// Liveness reply.
     Pong,
-    /// A forecaster fetches the history of a series (step 3).
-    Fetch {
-        key: SeriesKey,
-    },
-    /// Delta fetch: only the points with `t > after`. A forecaster holding
-    /// persistent battery state for the series asks for the measurements
-    /// it has not yet observed, so a steady-state query ships O(Δ) wire
-    /// bytes instead of the whole ring.
+    /// A forecaster fetches the history of a series (step 3): only the
+    /// points with `t > after`. A forecaster holding persistent battery
+    /// state for the series asks for the measurements it has not yet
+    /// observed, so a steady-state query ships O(Δ) wire bytes instead of
+    /// the whole ring; `after = NEG_INFINITY` asks for the whole ring.
     FetchSince {
         key: SeriesKey,
         after: f64,
     },
-    /// Reply to both `Fetch` (full ring) and `FetchSince` (suffix).
+    /// Reply to `FetchSince`.
     /// `latest` is the timestamp of the newest point the memory holds for
     /// this series (`NEG_INFINITY` when it holds none): a forecaster whose
     /// delta-fetch watermark is *ahead* of `latest` is talking to a store
@@ -258,7 +255,6 @@ impl NwsMsg {
             NwsMsg::StoreAck { .. } => 24,
             NwsMsg::RetargetMemory { .. } => 24,
             NwsMsg::Ping | NwsMsg::Pong => 16,
-            NwsMsg::Fetch { .. } => 64,
             NwsMsg::FetchSince { .. } => 72,
             NwsMsg::FetchReply { points, .. } => 72 + 16 * points.len(),
             NwsMsg::Token { .. } => 32,

@@ -105,8 +105,7 @@ impl ShardState {
     }
 }
 
-/// Serving-plane counters, exported as one structured snapshot alongside
-/// the bench JSON (ROADMAP item 4's metrics-export remainder).
+/// Serving-plane counters, exported as one structured snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Current publication epoch.
@@ -135,40 +134,6 @@ pub struct MetricsSnapshot {
     pub stale_served: u64,
     /// Keys absent from the snapshot entirely.
     pub misses: u64,
-}
-
-impl MetricsSnapshot {
-    /// Hand-rolled JSON object (the bench-harness idiom; no serde in the
-    /// registry-free workspace).
-    pub fn to_json(&self) -> String {
-        let list = |v: &[usize]| -> String {
-            let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", items.join(", "))
-        };
-        let list_u64 = |v: &[u64]| -> String {
-            let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", items.join(", "))
-        };
-        format!(
-            "{{\"epoch\": {}, \"epochs_published\": {}, \"shards\": {}, \"series\": {}, \
-             \"per_shard_series\": {}, \"per_shard_queries\": {}, \"queue_depths\": {}, \
-             \"snapshot_epoch_lag\": {}, \"batches\": {}, \"queries\": {}, \"max_batch\": {}, \
-             \"stale_served\": {}, \"misses\": {}}}",
-            self.epoch,
-            self.epochs_published,
-            self.shards,
-            self.series,
-            list(&self.per_shard_series),
-            list_u64(&self.per_shard_queries),
-            list(&self.queue_depths),
-            self.snapshot_epoch_lag,
-            self.batches,
-            self.queries,
-            self.max_batch,
-            self.stale_served,
-            self.misses,
-        )
-    }
 }
 
 /// The sharded query-serving plane. See the module docs for the
@@ -568,12 +533,5 @@ mod tests {
         assert_eq!(m.batches, 1);
         assert_eq!(m.max_batch, 3);
         assert_eq!(m.per_shard_queries.iter().sum::<u64>(), 3);
-        // JSON export mentions every field group.
-        let j = m.to_json();
-        for field in
-            ["per_shard_queries", "queue_depths", "snapshot_epoch_lag", "stale_served", "misses"]
-        {
-            assert!(j.contains(field), "{j}");
-        }
     }
 }

@@ -283,8 +283,7 @@ fn memory_host_crash_recovers_from_disk_alone() {
 /// Regression test for the forecaster watermark-desync bug: a memory
 /// restored to an *older* state than the forecaster has already observed
 /// (staged here by swapping a rolled-back store into the live server's
-/// shared [`nws::memory::MemoryHandle`] — see the
-/// `MemoryServer::with_store` test seam) must trigger a watermark rewind
+/// shared [`nws::memory::MemoryHandle`]) must trigger a watermark rewind
 /// — battery reset + full re-fetch — instead of silently forecasting
 /// across the gap from a stale watermark.
 #[test]
