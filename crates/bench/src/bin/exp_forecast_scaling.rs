@@ -41,9 +41,7 @@ struct Injector {
 impl Process<NwsMsg> for Injector {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         for (seq, (key, t, value)) in self.batch.drain(..).enumerate() {
-            let m = NwsMsg::Store { key, seq: seq as u64 + 1, t, value };
-            let size = m.wire_size();
-            let _ = ctx.send(self.memory, size, m);
+            NwsMsg::Store { key, seq: seq as u64 + 1, t, value }.send(ctx, self.memory);
         }
     }
 }
@@ -67,9 +65,7 @@ impl Storm {
         }
         let key = self.keys[self.issued % self.keys.len()].clone();
         self.issued += 1;
-        let q = NwsMsg::Query { key };
-        let size = q.wire_size();
-        let _ = ctx.send(self.forecaster, size, q);
+        NwsMsg::Query { key }.send(ctx, self.forecaster);
     }
 }
 

@@ -5,6 +5,7 @@
 //! Run: `cargo run -p nws-bench --bin exp_naive_cost`
 
 use envmap::cost::{env_experiments_for_cluster, naive_cost};
+use envmap::refine::JAM_REPEATS;
 use envmap::{EnvConfig, EnvMapper, HostInput};
 use netsim::scenarios::star_hub;
 use netsim::units::Bandwidth;
@@ -49,7 +50,7 @@ fn main() {
     ]);
     for n in [5usize, 10, 15, 20] {
         // Model: n-1 slaves in one cluster plus a traceroute per host.
-        let model = env_experiments_for_cluster((n - 1) as u64, 5) + n as u64;
+        let model = env_experiments_for_cluster((n - 1) as u64, JAM_REPEATS as u64) + n as u64;
         // Measured: actually run the mapper on an n-host hub.
         let net = star_hub(n, Bandwidth::mbps(100.0));
         let hostnames: Vec<HostInput> = net

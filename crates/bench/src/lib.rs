@@ -435,6 +435,50 @@ mod tests {
         }
     }
 
+    /// DESIGN.md §13 has one row per `pub` field of every config struct it
+    /// names, and every row's "second value set by" cell names a file that
+    /// exists and mentions the field: a new knob has to say who needs it.
+    #[test]
+    fn config_table_matches_the_structs() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |path: &str| {
+            std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+        };
+        fn path(cell: &str) -> &str {
+            cell.split('`').nth(1).expect("a path in backticks")
+        }
+        let design = read("DESIGN.md");
+        let section = design.split("\n## ").find(|s| s.starts_with("§13 ")).expect("DESIGN.md §13");
+        // (struct, declaring file) → the fields the table gives it.
+        let mut tabled: BTreeMap<(&str, &str), BTreeSet<&str>> = BTreeMap::new();
+        for row in section.lines().filter_map(|l| l.strip_prefix("| `")?.strip_suffix(" |")) {
+            let cells: Vec<&str> = row.split(" | ").collect();
+            let [knob, declared, _default, setter] = cells[..] else { continue };
+            let (name, field) = knob.trim_end_matches('`').split_once('.').expect("Struct.field");
+            tabled.entry((name, path(declared))).or_default().insert(field);
+            assert!(
+                read(path(setter)).contains(field),
+                "{} never mentions {name}.{field}",
+                path(setter)
+            );
+        }
+        assert_eq!(tabled.len(), 9, "config structs in the table");
+        for ((name, file), fields) in tabled {
+            let source = read(file);
+            let body = source
+                .split_once(&format!("pub struct {name} {{\n"))
+                .and_then(|(_, rest)| rest.split_once("\n}"))
+                .unwrap_or_else(|| panic!("{file} declares no struct {name}"))
+                .0;
+            let declared: BTreeSet<&str> = body
+                .lines()
+                .filter_map(|l| l.trim().strip_prefix("pub ")?.split_once(':'))
+                .map(|(field, _)| field)
+                .collect();
+            assert_eq!(declared, fields, "{name}'s pub fields against its DESIGN.md §13 rows");
+        }
+    }
+
     #[test]
     fn table_renders_aligned() {
         let mut t = Table::new(&["n", "value"]);

@@ -19,9 +19,12 @@ use netsim::engine::Engine;
 use netsim::error::{NetError, NetResult};
 use netsim::time::TimeDelta;
 
+use nws::persist::wal_compact_bytes;
 use nws::{CliqueSpec, NwsMsg, NwsSystem, NwsSystemSpec, ReconfigSpec, SensorMode, SensorSpec};
 
-use crate::plan::{CliqueRole, DeploymentPlan, PlanDelta, PlannedClique};
+use crate::plan::{
+    CliqueRole, DeploymentPlan, PlanDelta, PlannedClique, DEFAULT_GAP_S, DEFAULT_WAL_COMPACT_KIB,
+};
 
 /// Serialize a plan to the shared manager configuration.
 pub fn render_config(plan: &DeploymentPlan) -> String {
@@ -32,7 +35,9 @@ pub fn render_config(plan: &DeploymentPlan) -> String {
     s.push_str(&format!("nameserver = {}\n", plan.nameserver));
     s.push_str(&format!("forecaster = {}\n", plan.forecaster));
     s.push_str(&format!("memories = {}\n", plan.memories.join(", ")));
-    s.push_str(&format!("gap_ms = {}\n", plan.gap.as_millis()));
+    // Seconds, the unit `TimeDelta` holds: `{}` prints the shortest decimal
+    // that parses back to the same bits, and no unit conversion sits between.
+    s.push_str(&format!("gap_s = {}\n", plan.gap.as_secs()));
     s.push_str(&format!("wal_compact_kib = {}\n", plan.wal_compact_kib));
     s.push_str(&format!("hosts = {}\n", plan.hosts.join(", ")));
     s.push('\n');
@@ -65,8 +70,8 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
     let mut nameserver = None;
     let mut forecaster = None;
     let mut memories = Vec::new();
-    let mut gap_ms = 500.0f64;
-    let mut wal_compact_kib = crate::plan::DEFAULT_WAL_COMPACT_KIB;
+    let mut gap = TimeDelta::from_secs(DEFAULT_GAP_S);
+    let mut wal_compact_kib = DEFAULT_WAL_COMPACT_KIB;
     let mut hosts = Vec::new();
     let mut cliques: Vec<PlannedClique> = Vec::new();
     let mut representatives = BTreeMap::new();
@@ -119,17 +124,22 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
                 "nameserver" => nameserver = Some(value.to_string()),
                 "forecaster" => forecaster = Some(value.to_string()),
                 "memories" => memories = list(value),
-                "gap_ms" => {
-                    gap_ms = value
+                "gap_s" => {
+                    gap = value
                         .parse()
                         .ok()
-                        .filter(|ms: &f64| ms.is_finite() && *ms >= 0.0)
-                        .ok_or_else(|| format!("line {}: bad gap_ms", lineno + 1))?
+                        .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+                        .map(TimeDelta::from_secs)
+                        .ok_or_else(|| format!("line {}: bad gap_s", lineno + 1))?
                 }
                 "wal_compact_kib" => {
+                    // A threshold whose byte count overflows is refused
+                    // here, not wrapped (or panicked on) at deployment.
                     wal_compact_kib = value
                         .parse()
-                        .map_err(|_| format!("line {}: bad wal_compact_kib", lineno + 1))?
+                        .ok()
+                        .filter(|kib| wal_compact_bytes(*kib).is_some())
+                        .ok_or_else(|| format!("line {}: bad wal_compact_kib", lineno + 1))?
                 }
                 "hosts" => hosts = list(value),
                 _ => return Err(format!("line {}: unknown global key {key:?}", lineno + 1)),
@@ -170,7 +180,7 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
         memories,
         forecaster: forecaster.ok_or("missing forecaster")?,
         representatives,
-        gap: TimeDelta::from_millis(gap_ms),
+        gap,
         hosts,
         memory_of,
         wal_compact_kib,
@@ -219,45 +229,40 @@ pub fn plan_to_spec(plan: &DeploymentPlan) -> NwsSystemSpec {
     plan_to_spec_with(plan, false)
 }
 
+/// The sensor `plan` puts on `host`: a clique member that also senses its
+/// host and stores to the memory the plan assigns it.
+fn sensor_spec(plan: &DeploymentPlan, host: &str) -> SensorSpec {
+    SensorSpec {
+        host: host.to_string(),
+        mode: SensorMode::Clique,
+        host_sensing: true,
+        memory: Some(plan.memory_for(host).to_string()),
+    }
+}
+
+/// The clique at index `i` of `plan`. The token gaps are staggered by
+/// index so independent cliques do not phase-lock: with identical periods,
+/// a clique overlapping another's medium (the §6 caveat) would collide on
+/// *every* round instead of occasionally.
+fn clique_spec(plan: &DeploymentPlan, i: usize, c: &PlannedClique) -> CliqueSpec {
+    CliqueSpec {
+        name: c.name.clone(),
+        members: c.members.clone(),
+        gap: plan.gap * (1.0 + 0.137 * i as f64),
+    }
+}
+
 /// As [`plan_to_spec`], optionally enabling the §6 host-locking extension
 /// (the paper's proposed fix for inter-clique collisions at shared hosts).
 pub fn plan_to_spec_with(plan: &DeploymentPlan, host_locking: bool) -> NwsSystemSpec {
-    let sensors: Vec<SensorSpec> = plan
-        .hosts
-        .iter()
-        .map(|h| SensorSpec {
-            host: h.clone(),
-            mode: SensorMode::Clique,
-            host_sensing: true,
-            memory: Some(plan.memory_for(h).to_string()),
-        })
-        .collect();
-    // Stagger the token gaps so independent cliques do not phase-lock:
-    // with identical periods, a clique overlapping another's medium (the
-    // §6 caveat) would collide on *every* round instead of occasionally.
-    let cliques: Vec<CliqueSpec> = plan
-        .cliques
-        .iter()
-        .enumerate()
-        .map(|(i, c)| CliqueSpec {
-            name: c.name.clone(),
-            members: c.members.clone(),
-            gap: plan.gap * (1.0 + 0.137 * i as f64),
-        })
-        .collect();
     NwsSystemSpec {
-        nameserver_host: plan.nameserver.clone(),
         memory_hosts: plan.memories.clone(),
         forecaster_host: plan.forecaster.clone(),
-        sensors,
-        cliques,
-        probe_bytes: netsim::probes::BANDWIDTH_PROBE_BYTES,
-        series_capacity: nws::Series::DEFAULT_CAPACITY,
-        watchdog: TimeDelta::from_secs(30.0),
-        host_sense_period: TimeDelta::from_secs(10.0),
-        seed: 42,
+        sensors: plan.hosts.iter().map(|h| sensor_spec(plan, h)).collect(),
+        cliques: plan.cliques.iter().enumerate().map(|(i, c)| clique_spec(plan, i, c)).collect(),
         host_locking,
         wal_compact_kib: plan.wal_compact_kib,
+        ..NwsSystemSpec::minimal(&plan.nameserver, &[])
     }
 }
 
@@ -280,11 +285,7 @@ pub fn plan_delta_to_reconfig(
         let i = *index_of
             .get(c.name.as_str())
             .ok_or_else(|| NetError::NameNotFound(format!("clique {} in the new plan", c.name)))?;
-        Ok(CliqueSpec {
-            name: c.name.clone(),
-            members: c.members.clone(),
-            gap: new_plan.gap * (1.0 + 0.137 * i as f64),
-        })
+        Ok(clique_spec(new_plan, i, c))
     };
     Ok(ReconfigSpec {
         cliques_to_stop: delta.cliques_to_stop.clone(),
@@ -294,16 +295,7 @@ pub fn plan_delta_to_reconfig(
             .chain(&delta.cliques_to_restart)
             .map(to_spec)
             .collect::<NetResult<_>>()?,
-        sensors_to_add: delta
-            .sensors_to_add
-            .iter()
-            .map(|h| SensorSpec {
-                host: h.clone(),
-                mode: SensorMode::Clique,
-                host_sensing: true,
-                memory: Some(new_plan.memory_for(h).to_string()),
-            })
-            .collect(),
+        sensors_to_add: delta.sensors_to_add.iter().map(|h| sensor_spec(new_plan, h)).collect(),
         sensors_to_remove: delta.sensors_to_remove.clone(),
         memories_to_add: delta.memories_to_add.clone(),
         memories_to_remove: delta.memories_to_remove.clone(),
@@ -344,6 +336,7 @@ pub fn apply_plan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn sample_plan() -> DeploymentPlan {
@@ -379,13 +372,20 @@ mod tests {
 
     #[test]
     fn config_round_trips() {
-        let plan = sample_plan();
+        let mut plan = sample_plan();
         let text = render_config(&plan);
         let parsed = parse_config(&text).unwrap();
         assert_eq!(plan, parsed);
-        // The retired shard-count key is rejected like any unknown one.
-        let old = text.replace("hosts =", "serve_shards = 4\nhosts =");
-        assert!(parse_config(&old).unwrap_err().contains("unknown global key \"serve_shards\""));
+        // A gap that `s * 1e3` then `ms / 1e3` brings back one ulp off.
+        plan.gap = TimeDelta::from_secs(0.05808157514973589);
+        assert_eq!(parse_config(&render_config(&plan)), Ok(plan));
+        // Retired keys are rejected like any unknown one.
+        for key in ["serve_shards", "gap_ms"] {
+            let old = text.replace("hosts =", &format!("{key} = 4\nhosts ="));
+            assert!(parse_config(&old)
+                .unwrap_err()
+                .contains(&format!("unknown global key {key:?}")));
+        }
     }
 
     #[test]
@@ -406,10 +406,19 @@ mod tests {
         assert!(parse_config("[global]\nbroken line\n").is_err());
         for gap in ["NaN", "inf", "-1"] {
             assert_eq!(
-                parse_config(&format!("[global]\nmaster = m\ngap_ms = {gap}\n")),
-                Err("line 3: bad gap_ms".to_string())
+                parse_config(&format!("[global]\nmaster = m\ngap_s = {gap}\n")),
+                Err("line 3: bad gap_s".to_string())
             );
         }
+        // 2^54 KiB is the first threshold whose byte count overflows a u64.
+        for kib in [(1u64 << 54).to_string(), u64::MAX.to_string(), "-1".to_string()] {
+            assert_eq!(
+                parse_config(&format!("[global]\nwal_compact_kib = {kib}\n")),
+                Err("line 2: bad wal_compact_kib".to_string())
+            );
+        }
+        assert!(parse_config(&format!("[global]\nwal_compact_kib = {}\n", (1u64 << 54) - 1))
+            .is_err_and(|e| e == "missing master"));
         assert!(parse_config(
             "[representative x]\npair = only-one\n[global]\nmaster=m\nnameserver=n\nforecaster=f\n"
         )
@@ -521,5 +530,63 @@ mod tests {
         assert!(matches!(twice, Err(NetError::InvalidTopology(_))), "{twice:?}");
         let twice = deploy(config("h0.hub.net, h0.hub.net", "h1.hub.net, h2.hub.net"));
         assert!(matches!(twice, Err(NetError::InvalidTopology(_))), "{twice:?}");
+    }
+
+    const NAME: &str = "[a-z][a-z0-9.\\-]{0,11}";
+
+    fn names() -> impl Strategy<Value = Vec<String>> {
+        collection::vec(NAME, 0..4)
+    }
+
+    prop_compose! {
+        fn arb_clique()(
+            name in NAME,
+            members in names(),
+            role in 0usize..4,
+            network in proptest::option::of(NAME),
+        ) -> PlannedClique {
+            use CliqueRole::*;
+            let role = [SharedLocal, SwitchedLocal, UndeterminedLocal, Inter][role];
+            PlannedClique { name, members, role, network }
+        }
+    }
+
+    prop_compose! {
+        /// Any plan the INI can carry: names free of its separators, every
+        /// finite non-negative gap (by bit pattern, subnormals included),
+        /// every compaction threshold whose byte count fits.
+        fn arb_plan()(
+            (master, nameserver, forecaster) in (NAME, NAME, NAME),
+            (memories, hosts) in (names(), names()),
+            cliques in collection::vec(arb_clique(), 0..4),
+            representatives in collection::vec((NAME, (NAME, NAME)), 0..3),
+            memory_of in collection::vec((NAME, NAME), 0..4),
+            gap_bits in 0..=f64::MAX.to_bits(),
+            wal_compact_kib in 0u64..1 << 54,
+        ) -> DeploymentPlan {
+            DeploymentPlan {
+                master,
+                cliques,
+                nameserver,
+                memories,
+                forecaster,
+                representatives: representatives.into_iter().collect(),
+                gap: TimeDelta::from_secs(f64::from_bits(gap_bits)),
+                hosts,
+                memory_of: memory_of.into_iter().collect(),
+                wal_compact_kib,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// §5.2: the shared file *is* the deployment, so it must carry every
+        /// plan back bit for bit.
+        #[test]
+        fn every_plan_round_trips_through_the_config(plan in arb_plan()) {
+            prop_assert_eq!(parse_config(&render_config(&plan)), Ok(plan));
+        }
     }
 }

@@ -84,9 +84,11 @@ impl PlannedClique {
     }
 }
 
-/// Default durable-state WAL compaction threshold (KiB) carried by plans
-/// that do not override it.
-pub const DEFAULT_WAL_COMPACT_KIB: u64 = 64;
+// What a plan carries unless its configuration file says otherwise: the
+// token-hold gap (seconds) and the WAL compaction threshold (KiB). Both
+// are NWS's own defaults, named here, not declared again.
+pub use nws::persist::DEFAULT_WAL_COMPACT_KIB;
+pub use nws::system::DEFAULT_GAP_S;
 
 /// A complete NWS deployment plan.
 #[derive(Debug, Clone, PartialEq)]

@@ -26,31 +26,14 @@ use envmap::{EnvNet, EnvView, NetKind};
 
 use netsim::time::TimeDelta;
 
-use crate::plan::{CliqueRole, DeploymentPlan, PlannedClique};
+use crate::plan::{CliqueRole, DeploymentPlan, PlannedClique, DEFAULT_GAP_S};
 
 /// Planner knobs. Defaults follow the paper.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlannerConfig {
-    /// Token-hold gap, controlling measurement frequency (constraint 2).
-    pub gap: TimeDelta,
-    /// Include the ENV master in the inter-network clique. The paper's
-    /// Figure 3 leaves the master out (its connectivity is estimated from
-    /// the representatives on its own network); setting this adds fresh
-    /// master-relative measurements at the cost of one more member.
-    pub include_master_in_inter: bool,
     /// Place one memory server per top-level network (hierarchical
     /// storage) instead of a single one on the master.
     pub memory_per_top_network: bool,
-}
-
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            gap: TimeDelta::from_millis(500.0),
-            include_master_in_inter: false,
-            memory_per_top_network: false,
-        }
-    }
 }
 
 /// Derive a deployment plan from an effective view (paper §5.1).
@@ -130,15 +113,10 @@ pub fn plan_deployment(view: &EnvView, config: &PlannerConfig) -> DeploymentPlan
     // between these hubs". Any member is an equal-cost choice on a shared
     // medium; the tie is broken by name (lexicographic minimum), never by
     // container iteration order, so repeated runs emit identical plans.
-    let mut inter: Vec<String> =
+    // The master stays out, as in Figure 3: its connectivity is estimated
+    // from the representatives on its own network.
+    let inter: Vec<String> =
         view.networks.iter().filter_map(|n| n.hosts.iter().min().cloned()).collect();
-    if config.include_master_in_inter {
-        inter.insert(0, view.master.clone());
-        if !hosts.contains(&view.master) {
-            hosts.push(view.master.clone());
-            hosts.sort();
-        }
-    }
     if inter.len() >= 2 {
         cliques.push(PlannedClique {
             name: "inter-top".to_string(),
@@ -200,7 +178,7 @@ pub fn plan_deployment(view: &EnvView, config: &PlannerConfig) -> DeploymentPlan
         memories,
         forecaster: view.master.clone(),
         representatives,
-        gap: config.gap,
+        gap: TimeDelta::from_secs(DEFAULT_GAP_S),
         hosts,
         memory_of,
         wal_compact_kib: crate::plan::DEFAULT_WAL_COMPACT_KIB,
@@ -362,19 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn master_can_join_inter_clique() {
-        let view = ens_lyon_view();
-        let cfg = PlannerConfig { include_master_in_inter: true, ..Default::default() };
-        let plan = plan_deployment(&view, &cfg);
-        let inter = plan.cliques.iter().find(|c| c.role == CliqueRole::Inter).unwrap();
-        assert!(inter.members.contains(&"the-doors.ens-lyon.fr".to_string()));
-        assert!(plan.hosts.contains(&"the-doors.ens-lyon.fr".to_string()));
-    }
-
-    #[test]
     fn memory_per_top_network_strategy() {
         let view = ens_lyon_view();
-        let cfg = PlannerConfig { memory_per_top_network: true, ..Default::default() };
+        let cfg = PlannerConfig { memory_per_top_network: true };
         let plan = plan_deployment(&view, &cfg);
         // Master + one per top-level network (hub1 rep, hub2 rep) + the
         // two nested-network gateways; dedup keeps myri0 single.
@@ -578,21 +546,15 @@ mod properties {
         /// process placement included.
         #[test]
         fn planner_is_deterministic_across_runs(view in arb_view()) {
-            for include_master in [false, true] {
-                for memory_per_top in [false, true] {
-                    let cfg = PlannerConfig {
-                        include_master_in_inter: include_master,
-                        memory_per_top_network: memory_per_top,
-                        ..PlannerConfig::default()
-                    };
-                    let first = plan_deployment(&view, &cfg);
-                    for _ in 0..3 {
-                        prop_assert_eq!(&first, &plan_deployment(&view, &cfg));
-                    }
-                    // A deep-cloned view plans identically too (no hidden
-                    // address- or allocation-order dependence).
-                    prop_assert_eq!(&first, &plan_deployment(&view.clone(), &cfg));
+            for memory_per_top_network in [false, true] {
+                let cfg = PlannerConfig { memory_per_top_network };
+                let first = plan_deployment(&view, &cfg);
+                for _ in 0..3 {
+                    prop_assert_eq!(&first, &plan_deployment(&view, &cfg));
                 }
+                // A deep-cloned view plans identically too (no hidden
+                // address- or allocation-order dependence).
+                prop_assert_eq!(&first, &plan_deployment(&view.clone(), &cfg));
             }
         }
 

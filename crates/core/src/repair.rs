@@ -81,30 +81,20 @@ pub fn repair_plan(old: &DeploymentPlan, new_view: &EnvView, cfg: &RepairConfig)
                 CliqueRole::Inter => {
                     // Keep each top-level network's old delegate while it
                     // is still a member; positions follow the fresh
-                    // clique's order (one slot per top-level network, the
-                    // master prefix untouched).
+                    // clique's order (one slot per top-level network).
                     let Some(old_inter) =
                         old.cliques.iter().find(|oc| oc.role == CliqueRole::Inter)
                     else {
                         continue;
                     };
                     // The planner contributes one slot per non-empty
-                    // top-level network (plus an optional master prefix).
-                    let tops: Vec<&EnvNet> =
-                        new_view.networks.iter().filter(|n| !n.hosts.is_empty()).collect();
-                    let offset = c.members.len() - tops.len();
-                    for (slot, net) in tops.iter().enumerate() {
-                        // Skip candidates already in the prefix (with
-                        // `include_master_in_inter` the old inter clique
-                        // leads with the master, which is also a member of
-                        // its own network — copying it into a delegate
-                        // slot would duplicate it in the ring).
-                        if let Some(delegate) = old_inter
-                            .members
-                            .iter()
-                            .find(|m| net.hosts.contains(m) && !c.members[..offset].contains(m))
+                    // top-level network.
+                    let tops = new_view.networks.iter().filter(|n| !n.hosts.is_empty());
+                    for (slot, net) in c.members.iter_mut().zip(tops) {
+                        if let Some(delegate) =
+                            old_inter.members.iter().find(|m| net.hosts.contains(m))
                         {
-                            c.members[offset + slot] = delegate.clone();
+                            *slot = delegate.clone();
                         }
                     }
                 }
@@ -244,33 +234,6 @@ mod tests {
             assert!(report.complete, "{}", report.render());
             assert!(report.unresolved_hosts.is_empty());
         }
-    }
-
-    /// With `include_master_in_inter`, the old inter clique leads with the
-    /// master; delegate preservation must not copy it into its own
-    /// network's slot (that would duplicate it in the ring).
-    #[test]
-    fn preserved_inter_delegates_never_duplicate_the_master() {
-        let planner = PlannerConfig { include_master_in_inter: true, ..PlannerConfig::default() };
-        // The master's network: "m.x" is a member but NOT the lexicographic
-        // minimum, so the fresh delegate differs from the master.
-        let v1 = view(vec![
-            net("a", NetKind::Shared, &["a1.x", "m.x"]),
-            net("b", NetKind::Shared, &["b1.x", "b2.x"]),
-        ]);
-        let old = plan_deployment(&v1, &planner);
-        let v2 = view(vec![
-            net("a", NetKind::Shared, &["a1.x", "a2.x", "m.x"]),
-            net("b", NetKind::Shared, &["b1.x", "b2.x"]),
-        ]);
-        let cfg = RepairConfig { planner, preserve_representatives: true };
-        let out = repair_plan(&old, &v2, &cfg);
-        let inter = out.plan.cliques.iter().find(|c| c.role == CliqueRole::Inter).unwrap();
-        let masters = inter.members.iter().filter(|m| *m == "m.x").count();
-        assert_eq!(masters, 1, "master duplicated in inter ring: {:?}", inter.members);
-        // The old delegates are still preserved.
-        assert!(inter.members.contains(&"a1.x".to_string()), "{:?}", inter.members);
-        assert!(inter.members.contains(&"b1.x".to_string()), "{:?}", inter.members);
     }
 
     #[test]

@@ -21,6 +21,8 @@ use netsim::fairness::{path_resources, Resource};
 use netsim::prelude::*;
 use netsim::Engine;
 
+use crate::refine::{settle, PROBE_BYTES};
+
 /// Greedy first-fit partition of pairs into mutually disjoint batches.
 ///
 /// `footprints[i]` is the resource set of pair `i` (`None` when the pair
@@ -65,22 +67,19 @@ fn footprints<M>(eng: &Engine<M>, pairs: &[(NodeId, NodeId)]) -> Vec<Option<Vec<
 
 /// Measure every pair's bandwidth, co-scheduling resource-disjoint pairs.
 /// Results come back in input order; each entry is exactly what the serial
-/// `measure_bandwidth` would have returned for that pair. `settle` runs
-/// once before each batch (the network must stabilise between experiments,
-/// §4.3 — batch members start on an idle network together).
+/// `measure_bandwidth` would have returned for that pair. The settle pause
+/// runs once before each batch (the network must stabilise between
+/// experiments, §4.3 — batch members start on an idle network together).
 pub fn measure_pairs_batched<M>(
     eng: &mut Engine<M>,
     pairs: &[(NodeId, NodeId)],
-    bytes: Bytes,
-    settle: TimeDelta,
 ) -> Vec<NetResult<Bandwidth>> {
     let plan = plan_batches(&footprints(eng, pairs));
     let mut out: Vec<Option<NetResult<Bandwidth>>> = vec![None; pairs.len()];
     for batch in plan {
-        let t = eng.now() + settle;
-        eng.run_until(t);
+        settle(eng);
         let batch_pairs: Vec<(NodeId, NodeId)> = batch.iter().map(|&i| pairs[i]).collect();
-        let results = eng.measure_bandwidth_concurrent(&batch_pairs, bytes);
+        let results = eng.measure_bandwidth_concurrent(&batch_pairs, PROBE_BYTES);
         for (&i, r) in batch.iter().zip(results) {
             out[i] = Some(r);
         }
@@ -144,18 +143,16 @@ mod tests {
             (net.hosts[2], net.hosts[3]),
             (net.hosts[4], net.hosts[5]),
         ];
-        let settle = TimeDelta::from_millis(10.0);
         let mut serial_eng = Sim::new(net.topo.clone());
         let serial: Vec<f64> = pairs
             .iter()
             .map(|(s, d)| {
-                let t = serial_eng.now() + settle;
-                serial_eng.run_until(t);
-                serial_eng.measure_bandwidth(*s, *d, Bytes::kib(512)).unwrap().as_mbps()
+                settle(&mut serial_eng);
+                serial_eng.measure_bandwidth(*s, *d, PROBE_BYTES).unwrap().as_mbps()
             })
             .collect();
         let mut eng = Sim::new(net.topo.clone());
-        let batched = measure_pairs_batched(&mut eng, &pairs, Bytes::kib(512), settle);
+        let batched = measure_pairs_batched(&mut eng, &pairs);
         for (s, b) in serial.iter().zip(&batched) {
             let b = b.as_ref().unwrap().as_mbps();
             assert!((s - b).abs() < 1e-9, "serial {s} vs batched {b}");
@@ -175,12 +172,7 @@ mod tests {
         }
         b.firewall_deny_between(&[h0], &[h1]);
         let mut eng = Sim::new(b.build().unwrap());
-        let res = measure_pairs_batched(
-            &mut eng,
-            &[(h0, h1), (h2, h3)],
-            Bytes::kib(64),
-            TimeDelta::from_millis(1.0),
-        );
+        let res = measure_pairs_batched(&mut eng, &[(h0, h1), (h2, h3)]);
         assert!(matches!(res[0], Err(NetError::Firewalled { .. })));
         assert!(res[1].is_ok());
     }

@@ -6,14 +6,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use gridml::Property;
 use netsim::prelude::*;
 use netsim::{Engine, ResourceTable, RouteTable};
 
 #[cfg(test)]
 use crate::net::NetKind;
 use crate::net::{EnvNet, EnvView, FlatNet};
-use crate::refine::{refine_cluster, RefHost, RefineParams, RefinedCluster};
+use crate::refine::{refine_cluster, RefHost, RefinedCluster};
 use crate::structural::{build_tree_from_chains, clusters_with_gateways, hop_key, StructNode};
 use crate::thresholds::EnvThresholds;
 
@@ -45,68 +44,27 @@ impl ProbeStats {
     }
 }
 
-/// Mapper configuration.
-#[derive(Debug, Clone)]
+/// Mapper configuration: the two things a caller varies. Everything else
+/// an experiment needs is a constant in [`crate::refine`].
+#[derive(Debug, Clone, Default)]
 pub struct EnvConfig {
     pub thresholds: EnvThresholds,
-    /// Payload of each bandwidth experiment.
-    pub probe_bytes: Bytes,
-    /// Jam transfers are `jam_flow_factor ×` the probe size.
-    pub jam_flow_factor: u64,
-    /// Pause between experiments.
-    pub settle: TimeDelta,
-    pub jam_repeats: usize,
-    pub internal_pair_cap: Option<usize>,
     /// Issue resource-disjoint refinement probes concurrently (see
     /// [`crate::batch`]); off by default, matching ENV's strictly serial
     /// schedule. The jammed-bandwidth experiment always stays serial.
     pub batch_probes: bool,
-    /// Extra per-host properties to embed in the GridML (stands in for
-    /// ENV's host-information phase, §4.2.1.2).
-    pub host_properties: BTreeMap<String, Vec<Property>>,
-}
-
-impl Default for EnvConfig {
-    fn default() -> Self {
-        EnvConfig {
-            thresholds: EnvThresholds::paper(),
-            probe_bytes: Bytes::mib(1),
-            jam_flow_factor: 4,
-            settle: TimeDelta::from_millis(500.0),
-            jam_repeats: 5,
-            internal_pair_cap: None,
-            batch_probes: false,
-            host_properties: BTreeMap::new(),
-        }
-    }
 }
 
 impl EnvConfig {
-    /// A configuration with short settle times, for tests and benches.
+    /// The paper's thresholds on ENV's serial schedule (same as `Default`).
     pub fn fast() -> Self {
-        EnvConfig {
-            settle: TimeDelta::from_millis(10.0),
-            probe_bytes: Bytes::kib(512),
-            ..EnvConfig::default()
-        }
+        EnvConfig::default()
     }
 
     /// [`EnvConfig::fast`] with batched probe scheduling — the pipeline
     /// scaling harness's configuration.
     pub fn fast_batched() -> Self {
         EnvConfig { batch_probes: true, ..EnvConfig::fast() }
-    }
-
-    fn refine_params(&self) -> RefineParams {
-        RefineParams {
-            thresholds: self.thresholds,
-            probe_bytes: self.probe_bytes,
-            jam_flow_factor: self.jam_flow_factor,
-            settle: self.settle,
-            jam_repeats: self.jam_repeats,
-            internal_pair_cap: self.internal_pair_cap,
-            batch_probes: self.batch_probes,
-        }
     }
 }
 
@@ -325,7 +283,7 @@ impl EnvMapper {
         let mut jobs = plan_clusters(&machines, &master_rec, &structural, |refs| {
             reuse.as_ref().and_then(|r| r.splice(refs))
         });
-        exec.refine(master_rec.node, &mut jobs, &self.config.refine_params(), &mut stats);
+        exec.refine(master_rec.node, &mut jobs, &self.config, &mut stats);
         let mut flat: Vec<FlatCluster> = Vec::new();
         for job in jobs {
             for rc in job.refined.expect("the executor refines every job not spliced") {
@@ -434,13 +392,13 @@ impl<'e, M> Exec<'e, M> {
         &mut self,
         master_node: NodeId,
         jobs: &mut [ClusterJob],
-        params: &RefineParams,
+        config: &EnvConfig,
         stats: &mut ProbeStats,
     ) {
         match self {
             Exec::Live { eng, .. } => {
                 for job in jobs.iter_mut().filter(|j| j.refined.is_none()) {
-                    job.refined = Some(refine_cluster(eng, master_node, &job.refs, params, stats));
+                    job.refined = Some(refine_cluster(eng, master_node, &job.refs, config, stats));
                 }
             }
             Exec::Snapshot { topo, routes, threads, makespan } => {
@@ -457,7 +415,7 @@ impl<'e, M> Exec<'e, M> {
                         let (topo, routes) = (Arc::clone(topo), Arc::clone(routes));
                         let mut eng: Sim = Engine::from_parts(topo, routes, Arc::clone(&table));
                         let mut st = ProbeStats::default();
-                        let rcs = refine_cluster(&mut eng, master_node, &job.refs, params, &mut st);
+                        let rcs = refine_cluster(&mut eng, master_node, &job.refs, config, &mut st);
                         out.push((idx, rcs, st, eng.now().since(SimTime::ZERO).as_secs()));
                     }
                     out

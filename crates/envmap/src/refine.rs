@@ -18,9 +18,8 @@
 use netsim::prelude::*;
 use netsim::Engine;
 
-use crate::mapper::ProbeStats;
+use crate::mapper::{EnvConfig, ProbeStats};
 use crate::net::NetKind;
-use crate::thresholds::EnvThresholds;
 
 /// A host under refinement: its input name and resolved node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,44 +28,16 @@ pub struct RefHost {
     pub node: NodeId,
 }
 
-/// Everything the refinement experiments need to know.
-#[derive(Debug, Clone)]
-pub struct RefineParams {
-    pub thresholds: EnvThresholds,
-    /// Payload of a single bandwidth experiment.
-    pub probe_bytes: Bytes,
-    /// The jamming transfer is this many times larger than the probe so it
-    /// spans the whole measurement.
-    pub jam_flow_factor: u64,
-    /// Pause between experiments ("the network needs to stabilize between
-    /// each experiments", §4.3).
-    pub settle: TimeDelta,
-    /// Number of jammed-bandwidth repetitions (paper: 5).
-    pub jam_repeats: usize,
-    /// Cap on the number of routable member pairs the internal phase
-    /// schedules (`None` = all pairs, as ENV does; a cap trades accuracy
-    /// for time on large clusters).
-    pub internal_pair_cap: Option<usize>,
-    /// Co-schedule resource-disjoint internal probes (see [`crate::batch`])
-    /// instead of running every experiment strictly serially. Disjointness
-    /// guarantees the measured values match the serial schedule; the jam
-    /// experiment is never batched.
-    pub batch_probes: bool,
-}
-
-impl Default for RefineParams {
-    fn default() -> Self {
-        RefineParams {
-            thresholds: EnvThresholds::paper(),
-            probe_bytes: Bytes::mib(1),
-            jam_flow_factor: 4,
-            settle: TimeDelta::from_millis(500.0),
-            jam_repeats: 5,
-            internal_pair_cap: None,
-            batch_probes: false,
-        }
-    }
-}
+/// Payload of a single bandwidth experiment.
+pub const PROBE_BYTES: Bytes = Bytes::kib(512);
+/// The jamming transfer is this many times larger than the probe so it
+/// spans the whole measurement.
+pub const JAM_FLOW_FACTOR: u64 = 4;
+/// Pause between experiments ("the network needs to stabilize between
+/// each experiments", §4.3), in milliseconds.
+pub const SETTLE_MS: f64 = 10.0;
+/// Number of jammed-bandwidth repetitions (paper: 5).
+pub const JAM_REPEATS: usize = 5;
 
 /// A refined cluster with its measurements.
 #[derive(Debug, Clone)]
@@ -109,8 +80,8 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-fn settle<M>(eng: &mut Engine<M>, params: &RefineParams) {
-    let t = eng.now() + params.settle;
+pub(crate) fn settle<M>(eng: &mut Engine<M>) {
+    let t = eng.now() + TimeDelta::from_millis(SETTLE_MS);
     eng.run_until(t);
 }
 
@@ -121,14 +92,14 @@ pub fn refine_cluster<M>(
     eng: &mut Engine<M>,
     master: NodeId,
     hosts: &[RefHost],
-    params: &RefineParams,
+    config: &EnvConfig,
     stats: &mut ProbeStats,
 ) -> Vec<RefinedCluster> {
     // ---- phase 1: host-to-host bandwidth --------------------------------
     let mut rated: Vec<(RefHost, f64)> = Vec::with_capacity(hosts.len());
     for h in hosts {
-        settle(eng, params);
-        match eng.measure_bandwidth(master, h.node, params.probe_bytes) {
+        settle(eng);
+        match eng.measure_bandwidth(master, h.node, PROBE_BYTES) {
             Ok(bw) => {
                 stats.bw_probes += 1;
                 // A zero-elapsed probe reports a non-finite rate; treat it
@@ -154,7 +125,7 @@ pub fn refine_cluster<M>(
         match groups.last_mut() {
             Some(g) => {
                 let prev = g.last().expect("groups are non-empty").1;
-                if bw <= 0.0 || prev / bw.max(f64::MIN_POSITIVE) > params.thresholds.h2h_split_ratio
+                if bw <= 0.0 || prev / bw.max(f64::MIN_POSITIVE) > config.thresholds.h2h_split_ratio
                 {
                     groups.push(vec![(h, bw)]);
                 } else {
@@ -168,7 +139,7 @@ pub fn refine_cluster<M>(
     // ---- phases 2–4 per bandwidth group ----------------------------------
     let mut out = Vec::new();
     for group in groups {
-        out.extend(refine_group(eng, master, group, params, stats));
+        out.extend(refine_group(eng, master, group, config, stats));
     }
     out
 }
@@ -178,7 +149,7 @@ fn refine_group<M>(
     eng: &mut Engine<M>,
     master: NodeId,
     group: Vec<(RefHost, f64)>,
-    params: &RefineParams,
+    config: &EnvConfig,
     stats: &mut ProbeStats,
 ) -> Vec<RefinedCluster> {
     let k = group.len();
@@ -199,10 +170,10 @@ fn refine_group<M>(
     let mut dependent = vec![vec![false; k]; k];
     for i in 0..k {
         for j in (i + 1)..k {
-            settle(eng, params);
+            settle(eng);
             let results = eng.measure_bandwidth_concurrent(
                 &[(master, group[i].0.node), (master, group[j].0.node)],
-                params.probe_bytes,
+                PROBE_BYTES,
             );
             stats.concurrent_experiments += 1;
             let paired_i = results[0].as_ref().map(|b| b.as_mbps()).unwrap_or(0.0);
@@ -212,8 +183,8 @@ fn refine_group<M>(
             // A and B interfere when either transfer slowed by ≥ the
             // threshold (the paper states the rule for A; interference is
             // symmetric under the fluid model).
-            let dep = ratio_i >= params.thresholds.pairwise_dependent_ratio
-                || ratio_j >= params.thresholds.pairwise_dependent_ratio;
+            let dep = ratio_i >= config.thresholds.pairwise_dependent_ratio
+                || ratio_j >= config.thresholds.pairwise_dependent_ratio;
             dependent[i][j] = dep;
             dependent[j][i] = dep;
         }
@@ -223,7 +194,7 @@ fn refine_group<M>(
     let mut out = Vec::new();
     for comp in components {
         let members: Vec<(RefHost, f64)> = comp.iter().map(|&i| group[i].clone()).collect();
-        out.push(classify_component(eng, master, members, params, stats));
+        out.push(classify_component(eng, master, members, config, stats));
     }
     out
 }
@@ -233,7 +204,7 @@ fn classify_component<M>(
     eng: &mut Engine<M>,
     master: NodeId,
     mut members: Vec<(RefHost, f64)>,
-    params: &RefineParams,
+    config: &EnvConfig,
     stats: &mut ProbeStats,
 ) -> RefinedCluster {
     members.sort_by(|a, b| a.0.name.cmp(&b.0.name));
@@ -253,41 +224,24 @@ fn classify_component<M>(
     }
 
     // ---- phase 3: internal host bandwidth --------------------------------
-    // One pair schedule for both the serial and batched paths: the cap
-    // counts *routable pairs scheduled* (an unroutable pair yields no
-    // sample either way and must not consume budget), so the two schedules
-    // select the identical list and the batched view matches the serial
-    // one. Without a cap no route pre-check is needed — unroutable pairs
-    // simply error at measure time, in either path.
+    // One pair schedule for both the serial and batched paths; unroutable
+    // pairs simply error at measure time, in either path.
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    'outer: for i in 0..k {
+    for i in 0..k {
         for j in (i + 1)..k {
-            let (a, b) = (members[i].0.node, members[j].0.node);
-            if let Some(cap) = params.internal_pair_cap {
-                if pairs.len() >= cap {
-                    break 'outer;
-                }
-                if !(eng.topo().allows(a, b) && eng.routes().path(eng.topo(), a, b).is_ok()) {
-                    continue;
-                }
-            }
-            pairs.push((a, b));
+            pairs.push((members[i].0.node, members[j].0.node));
         }
     }
     let mut locals = Vec::new();
-    if params.batch_probes {
-        for bw in
-            crate::batch::measure_pairs_batched(eng, &pairs, params.probe_bytes, params.settle)
-                .into_iter()
-                .flatten()
-        {
+    if config.batch_probes {
+        for bw in crate::batch::measure_pairs_batched(eng, &pairs).into_iter().flatten() {
             stats.bw_probes += 1;
             locals.push(bw.as_mbps());
         }
     } else {
         for (a, b) in pairs {
-            settle(eng, params);
-            if let Ok(bw) = eng.measure_bandwidth(a, b, params.probe_bytes) {
+            settle(eng);
+            if let Ok(bw) = eng.measure_bandwidth(a, b, PROBE_BYTES) {
                 stats.bw_probes += 1;
                 locals.push(bw.as_mbps());
             }
@@ -297,20 +251,20 @@ fn classify_component<M>(
 
     // ---- phase 4: jammed bandwidth ---------------------------------------
     let (kind, jam_ratio) = if k >= 3 {
-        let mut ratios = Vec::with_capacity(params.jam_repeats);
-        for r in 0..params.jam_repeats {
+        let mut ratios = Vec::with_capacity(JAM_REPEATS);
+        for r in 0..JAM_REPEATS {
             // Rotate target and jam pair deterministically.
             let a = r % k;
             let b = (a + 1) % k;
             let c = (a + 2) % k;
-            settle(eng, params);
+            settle(eng);
             // Launch the jam transfer first (sized to outlast the probe),
             // then measure the master→A bandwidth while it runs — "the
             // bandwidth to the master is measured while a transfer between
             // two other hosts of that cluster occurs" (§4.2.2.4).
-            let jam_bytes = Bytes::new(params.probe_bytes.as_u64() * params.jam_flow_factor);
+            let jam_bytes = Bytes::new(PROBE_BYTES.as_u64() * JAM_FLOW_FACTOR);
             let jam = eng.start_probe_flow(members[b].0.node, members[c].0.node, jam_bytes).ok();
-            let probed = eng.measure_bandwidth(master, members[a].0.node, params.probe_bytes);
+            let probed = eng.measure_bandwidth(master, members[a].0.node, PROBE_BYTES);
             stats.concurrent_experiments += 1;
             if let Some(jam) = jam {
                 // Let the jam transfer drain before the next experiment.
@@ -332,9 +286,9 @@ fn classify_component<M>(
             (NetKind::Undetermined, None)
         } else {
             let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
-            let kind = if avg < params.thresholds.jam_shared_below {
+            let kind = if avg < config.thresholds.jam_shared_below {
                 NetKind::Shared
-            } else if avg > params.thresholds.jam_switched_above {
+            } else if avg > config.thresholds.jam_switched_above {
                 NetKind::Switched
             } else {
                 NetKind::Undetermined
@@ -400,21 +354,13 @@ mod tests {
             .collect()
     }
 
-    fn quick_params() -> RefineParams {
-        RefineParams {
-            settle: TimeDelta::from_millis(10.0),
-            probe_bytes: Bytes::kib(512),
-            ..RefineParams::default()
-        }
-    }
-
     #[test]
     fn hub_cluster_is_shared() {
         let net = star_hub(5, Bandwidth::mbps(100.0));
         let mut eng = Sim::new(net.topo.clone());
         let hosts = hosts_of(&net, true);
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, net.master, &hosts, &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, net.master, &hosts, &EnvConfig::fast(), &mut stats);
         assert_eq!(refined.len(), 1, "hub must stay one cluster");
         assert_eq!(refined[0].kind, NetKind::Shared);
         assert!(refined[0].jam_ratio.unwrap() < 0.7);
@@ -428,7 +374,7 @@ mod tests {
         let mut eng = Sim::new(net.topo.clone());
         let hosts = hosts_of(&net, true);
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, net.master, &hosts, &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, net.master, &hosts, &EnvConfig::fast(), &mut stats);
         // The master's own port makes pairwise transfers interfere, which
         // keeps the cluster together; the jam test then reveals the switch.
         assert_eq!(refined.len(), 1, "switch must stay one cluster");
@@ -468,7 +414,7 @@ mod tests {
             )
             .collect();
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, master, &hosts, &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, master, &hosts, &EnvConfig::fast(), &mut stats);
         let names: Vec<Vec<&str>> =
             refined.iter().map(|c| c.hosts.iter().map(|h| h.name.as_str()).collect()).collect();
         // The h2h threshold separates fast from slow; the fast pair stays
@@ -498,7 +444,7 @@ mod tests {
         let hosts =
             vec![RefHost { name: "a.x".into(), node: a }, RefHost { name: "c.x".into(), node: c }];
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, m, &hosts, &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, m, &hosts, &EnvConfig::fast(), &mut stats);
         assert_eq!(refined.len(), 2);
         assert!(refined.iter().all(|c| c.kind == NetKind::Single));
     }
@@ -510,7 +456,7 @@ mod tests {
         let hosts = hosts_of(&net, true);
         assert_eq!(hosts.len(), 2);
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, net.master, &hosts, &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, net.master, &hosts, &EnvConfig::fast(), &mut stats);
         assert_eq!(refined.len(), 1);
         assert_eq!(refined[0].kind, NetKind::Shared);
         assert_eq!(refined[0].jam_ratio, None);
@@ -523,23 +469,9 @@ mod tests {
         let mut eng = Sim::new(net.topo.clone());
         let hosts = hosts_of(&net, true);
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, net.master, &hosts, &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, net.master, &hosts, &EnvConfig::fast(), &mut stats);
         let local = refined[0].local_bw_mbps.unwrap();
         assert!((local - 100.0).abs() < 5.0, "local = {local}");
-    }
-
-    #[test]
-    fn internal_pair_cap_limits_probes() {
-        let net = star_hub(6, Bandwidth::mbps(100.0));
-        let mut eng = Sim::new(net.topo.clone());
-        let hosts = hosts_of(&net, true);
-        let mut p = quick_params();
-        p.internal_pair_cap = Some(2);
-        let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, net.master, &hosts, &p, &mut stats);
-        // 5 h2h probes + 2 capped internal probes.
-        assert_eq!(stats.bw_probes, 5 + 2);
-        assert!(refined[0].local_bw_mbps.is_some());
     }
 
     #[test]
@@ -547,7 +479,7 @@ mod tests {
         let net = star_hub(2, Bandwidth::mbps(100.0));
         let mut eng = Sim::new(net.topo.clone());
         let mut stats = ProbeStats::default();
-        let refined = refine_cluster(&mut eng, net.master, &[], &quick_params(), &mut stats);
+        let refined = refine_cluster(&mut eng, net.master, &[], &EnvConfig::fast(), &mut stats);
         assert!(refined.is_empty());
     }
 
@@ -572,10 +504,9 @@ mod tests {
             let mut stats_s = ProbeStats::default();
             let mut eng = Sim::new(net.topo.clone());
             let serial =
-                refine_cluster(&mut eng, net.master, &hosts, &quick_params(), &mut stats_s);
+                refine_cluster(&mut eng, net.master, &hosts, &EnvConfig::fast(), &mut stats_s);
 
-            let mut p = quick_params();
-            p.batch_probes = true;
+            let p = EnvConfig::fast_batched();
             let mut stats_b = ProbeStats::default();
             let mut eng = Sim::new(net.topo.clone());
             let batched = refine_cluster(&mut eng, net.master, &hosts, &p, &mut stats_b);

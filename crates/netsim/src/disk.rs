@@ -39,7 +39,7 @@
 //! The engine's processes handle each event atomically; a blocking disk
 //! would need coroutine machinery the actor model deliberately avoids.
 //! Instead the disk *accounts* time: every operation charges a
-//! [`DiskProfile`]-derived cost to [`DiskStats::busy_s`], so experiments
+//! cost ([`FSYNC_S`], [`PER_BYTE_S`]) to [`DiskStats::busy_s`], so experiments
 //! can report how much I/O time a protocol would have spent (and compare
 //! fsync-heavy against lazy policies) without perturbing event order.
 
@@ -50,22 +50,13 @@ use std::rc::Rc;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
-/// Cost model for the time accounting (seconds).
-#[derive(Debug, Clone, Copy)]
-pub struct DiskProfile {
-    /// Fixed cost per fsync (head seek + cache flush barrier).
-    pub fsync_s: f64,
-    /// Transfer cost per byte moved (append, read, or flush).
-    pub per_byte_s: f64,
-}
-
-impl Default for DiskProfile {
-    /// A commodity 2003-era IDE disk: ~5 ms per fsync barrier, ~40 MB/s
-    /// sequential transfer — the hardware under the paper's testbed hosts.
-    fn default() -> Self {
-        DiskProfile { fsync_s: 5e-3, per_byte_s: 1.0 / 40.0e6 }
-    }
-}
+/// Fixed cost per fsync, seconds (head seek + cache flush barrier): ~5 ms
+/// on a commodity 2003-era IDE disk, the hardware under the paper's
+/// testbed hosts.
+pub const FSYNC_S: f64 = 5e-3;
+/// Transfer cost per byte moved, seconds (append, read, or flush): ~40 MB/s
+/// sequential on the same disk.
+pub const PER_BYTE_S: f64 = 1.0 / 40.0e6;
 
 /// Operation counters and accounted I/O time for one disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -100,7 +91,6 @@ struct SimFile {
 pub struct SimDisk {
     host: String,
     files: BTreeMap<String, SimFile>,
-    profile: DiskProfile,
     stats: DiskStats,
     /// Armed fault stream for torn tails. `None` = crashes keep no
     /// unsynced bytes at all (the conservative default).
@@ -124,13 +114,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 impl SimDisk {
-    /// A fresh, empty disk for `host`, with the default cost profile and
-    /// no fault stream armed.
+    /// A fresh, empty disk for `host`, with no fault stream armed.
     pub fn new(host: &str) -> DiskHandle {
         Rc::new(RefCell::new(SimDisk {
             host: host.to_string(),
             files: BTreeMap::new(),
-            profile: DiskProfile::default(),
             stats: DiskStats::default(),
             rng: None,
         }))
@@ -138,10 +126,6 @@ impl SimDisk {
 
     pub fn host(&self) -> &str {
         &self.host
-    }
-
-    pub fn set_profile(&mut self, profile: DiskProfile) {
-        self.profile = profile;
     }
 
     /// Arm the torn-tail fault stream. The stream is derived from the
@@ -182,7 +166,7 @@ impl SimDisk {
     fn account_append(&mut self, n: usize) {
         self.stats.appends += 1;
         self.stats.bytes_appended += n as u64;
-        self.stats.busy_s += n as f64 * self.profile.per_byte_s;
+        self.stats.busy_s += n as f64 * PER_BYTE_S;
     }
 
     /// Flush `file`'s cached tail to stable storage. A no-op (beyond the
@@ -197,7 +181,7 @@ impl SimDisk {
         }
         self.stats.fsyncs += 1;
         self.stats.bytes_synced += n as u64;
-        self.stats.busy_s += self.profile.fsync_s + n as f64 * self.profile.per_byte_s;
+        self.stats.busy_s += FSYNC_S + n as f64 * PER_BYTE_S;
     }
 
     /// Full current contents of `file` — durable prefix plus cached tail —
@@ -208,7 +192,7 @@ impl SimDisk {
         out.extend_from_slice(&f.unsynced);
         self.stats.reads += 1;
         self.stats.bytes_read += out.len() as u64;
-        self.stats.busy_s += out.len() as f64 * self.profile.per_byte_s;
+        self.stats.busy_s += out.len() as f64 * PER_BYTE_S;
         Some(out)
     }
 
@@ -493,10 +477,9 @@ mod tests {
     fn time_accounting_accumulates() {
         let d = SimDisk::new("h0");
         let mut d = d.borrow_mut();
-        d.set_profile(DiskProfile { fsync_s: 1.0, per_byte_s: 0.5 });
-        d.append("wal", b"ab"); // 2 bytes * 0.5
-        d.fsync("wal"); // 1.0 + 2 * 0.5
-        assert!((d.stats().busy_s - 3.0).abs() < 1e-12);
+        d.append("wal", b"ab");
+        d.fsync("wal");
+        assert!((d.stats().busy_s - (FSYNC_S + 4.0 * PER_BYTE_S)).abs() < 1e-12);
     }
 
     /// Run `ops` — `(kind, file, length)` triples — on a fresh disk with an

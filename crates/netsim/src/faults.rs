@@ -26,7 +26,7 @@
 //! so the random stream consumed is a function of the message sequence
 //! alone. Two runs with the same engine seed, fault seed and plan are
 //! bit-identical in every observable, including the drop/duplicate
-//! counters in [`crate::EngineStats`].
+//! counters in [`crate::engine::EngineStats`].
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

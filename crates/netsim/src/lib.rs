@@ -72,7 +72,7 @@ pub mod topology;
 pub mod traffic;
 pub mod units;
 
-pub use disk::{DiskHandle, DiskProfile, DiskRegistry, DiskStats, SimDisk};
+pub use disk::{DiskHandle, DiskRegistry, DiskStats, SimDisk};
 pub use engine::{Ctx, Engine, NoMsg, Process, ProcessId, Sim};
 pub use error::{NetError, NetResult};
 pub use fairness::{FairEngine, FairnessModel, ResourceId, ResourceTable};

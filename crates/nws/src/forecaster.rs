@@ -12,8 +12,13 @@ use netsim::prelude::*;
 
 use crate::forecast::Forecast;
 use crate::msg::{NwsMsg, SeriesKey, ServerKind};
-use crate::persist::ForecastLog;
+use crate::persist::{ForecastLog, DEFAULT_COMPACT_THRESHOLD};
 use crate::series_state::SeriesState;
+
+/// How long an in-flight lookup/fetch may go unanswered before the waiting
+/// clients are served from the persistent battery, flagged stale, instead
+/// of hanging (outage tolerance).
+const QUERY_TIMEOUT_S: f64 = 5.0;
 
 /// What the forecaster keeps per series: the shared [`SeriesState`] core
 /// plus the memory server that stores the series (cached from the first
@@ -80,10 +85,6 @@ pub struct ForecasterServer {
     ns: ProcessId,
     state: BTreeMap<SeriesKey, Tracked>,
     waiting: BTreeMap<SeriesKey, Waiting>,
-    /// How long an in-flight lookup/fetch may go unanswered before the
-    /// waiting clients are served from the persistent battery, flagged
-    /// stale, instead of hanging (outage tolerance).
-    pub query_timeout: TimeDelta,
     next_timeout_tag: u64,
     /// In-flight request timeouts, both directions: key → armed timer and
     /// timer tag → key (timer tags are plain u64s, so the reverse map
@@ -116,16 +117,18 @@ impl ForecasterServer {
     /// reach; supervised deployments hand [`ForecasterServer::durable`]
     /// the host's disk.
     pub fn new(name: &str, ns: ProcessId) -> Self {
-        Self::durable(name, ns, SimDisk::new(name))
+        Self::durable(name, ns, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD)
     }
 
     /// Battery state and delta-fetch watermarks are recovered from `disk`
     /// (snapshot + WAL replay, empty disk ⇒ cold start) and every
-    /// observation is logged back to it. Memory pids are not part of the
+    /// observation is logged back to it, the log compacting once its WAL
+    /// outgrows `compact_threshold` bytes. Memory pids are not part of the
     /// durable state — recovered series re-resolve their memory through
     /// the name server on the next query.
-    pub fn durable(name: &str, ns: ProcessId, disk: DiskHandle) -> Self {
-        let (recovered, log) = ForecastLog::recover(disk, "forecaster");
+    pub fn durable(name: &str, ns: ProcessId, disk: DiskHandle, compact_threshold: u64) -> Self {
+        let (recovered, mut log) = ForecastLog::recover(disk, "forecaster");
+        log.set_compact_threshold(compact_threshold);
         ForecasterServer {
             name: name.to_string(),
             ns,
@@ -134,7 +137,6 @@ impl ForecasterServer {
                 .map(|(k, core)| (k, Tracked { core, memory: None }))
                 .collect(),
             waiting: BTreeMap::new(),
-            query_timeout: TimeDelta::from_secs(5.0),
             next_timeout_tag: 0,
             timeout_by_key: BTreeMap::new(),
             key_by_tag: BTreeMap::new(),
@@ -148,18 +150,13 @@ impl ForecasterServer {
         }
     }
 
-    /// Tune the WAL's compaction threshold (bytes).
-    pub fn set_compact_threshold(&mut self, bytes: u64) {
-        self.log.set_compact_threshold(bytes);
-    }
-
     fn arm_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
         if self.timeout_by_key.contains_key(key) {
             return; // one timeout covers the whole lookup+fetch round trip
         }
         let tag = self.next_timeout_tag;
         self.next_timeout_tag += 1;
-        let id = ctx.set_timer(self.query_timeout, tag);
+        let id = ctx.set_timer(TimeDelta::from_secs(QUERY_TIMEOUT_S), tag);
         self.timeout_by_key.insert(key.clone(), (id, tag));
         self.key_by_tag.insert(tag, key.clone());
     }
@@ -174,15 +171,11 @@ impl ForecasterServer {
     fn send_fetch_since(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
         let st = &self.state[key];
         let Some(memory) = st.memory else { return };
-        let f = NwsMsg::FetchSince { key: key.clone(), after: st.core.last_t() };
-        let size = f.wire_size();
-        let _ = ctx.send(memory, size, f);
+        NwsMsg::FetchSince { key: key.clone(), after: st.core.last_t() }.send(ctx, memory);
     }
 
     fn send_where_is(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        let q = NwsMsg::WhereIs { key: key.clone() };
-        let size = q.wire_size();
-        let _ = ctx.send(self.ns, size, q);
+        NwsMsg::WhereIs { key: key.clone() }.send(ctx, self.ns);
     }
 
     /// Park a waiter on `key`, starting a lookup/fetch round trip only if
@@ -218,9 +211,7 @@ impl ForecasterServer {
     ) {
         match w {
             Waiter::Client(c) => {
-                let r = NwsMsg::QueryReply { key: key.clone(), forecast: f.clone() };
-                let size = r.wire_size();
-                let _ = ctx.send(c, size, r);
+                NwsMsg::QueryReply { key: key.clone(), forecast: f.clone() }.send(ctx, c);
             }
             Waiter::BatchSlot { batch, slot } => {
                 let Some(b) = self.batches.get_mut(&batch) else { return };
@@ -228,9 +219,7 @@ impl ForecasterServer {
                 b.remaining -= 1;
                 if b.remaining == 0 {
                     let b = self.batches.remove(&batch).expect("pending batch");
-                    let r = NwsMsg::QueryBatchReply { id: b.id, forecasts: b.answers };
-                    let size = r.wire_size();
-                    let _ = ctx.send(b.client, size, r);
+                    NwsMsg::QueryBatchReply { id: b.id, forecasts: b.answers }.send(ctx, b.client);
                     self.batches_served += 1;
                 }
             }
@@ -241,8 +230,7 @@ impl ForecasterServer {
 impl Process<NwsMsg> for ForecasterServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         let reg = NwsMsg::Register { name: self.name.clone(), kind: ServerKind::Forecaster };
-        let size = reg.wire_size();
-        let _ = ctx.send(self.ns, size, reg);
+        reg.send(ctx, self.ns);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
@@ -252,9 +240,7 @@ impl Process<NwsMsg> for ForecasterServer {
             }
             NwsMsg::QueryBatch { id, keys } => {
                 if keys.is_empty() {
-                    let r = NwsMsg::QueryBatchReply { id, forecasts: Vec::new() };
-                    let size = r.wire_size();
-                    let _ = ctx.send(from, size, r);
+                    NwsMsg::QueryBatchReply { id, forecasts: Vec::new() }.send(ctx, from);
                     self.batches_served += 1;
                     return;
                 }
@@ -347,9 +333,7 @@ impl Process<NwsMsg> for ForecasterServer {
                 }
             }
             NwsMsg::Ping => {
-                let pong = NwsMsg::Pong;
-                let size = pong.wire_size();
-                let _ = ctx.send(from, size, pong);
+                NwsMsg::Pong.send(ctx, from);
             }
             _ => {}
         }
@@ -391,9 +375,7 @@ pub struct Client {
 
 impl Process<NwsMsg> for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let q = NwsMsg::Query { key: self.key.clone() };
-        let size = q.wire_size();
-        let _ = ctx.send(self.forecaster, size, q);
+        NwsMsg::Query { key: self.key.clone() }.send(ctx, self.forecaster);
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
@@ -416,9 +398,7 @@ pub struct BatchClient {
 
 impl Process<NwsMsg> for BatchClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let q = NwsMsg::QueryBatch { id: 0, keys: self.keys.clone() };
-        let size = q.wire_size();
-        let _ = ctx.send(self.forecaster, size, q);
+        NwsMsg::QueryBatch { id: 0, keys: self.keys.clone() }.send(ctx, self.forecaster);
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {

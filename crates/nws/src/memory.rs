@@ -29,7 +29,7 @@ use netsim::engine::{Ctx, Process, ProcessId};
 use netsim::error::NetError;
 
 use crate::msg::{NwsMsg, SeriesKey, ServerKind};
-use crate::persist::MemoryLog;
+use crate::persist::{MemoryLog, DEFAULT_COMPACT_THRESHOLD};
 use crate::series::Series;
 
 /// Per-sender record of which store sequence numbers have been received:
@@ -176,11 +176,12 @@ impl MemoryServer {
     /// tell. Unit tests and single-epoch experiments use this; supervised
     /// deployments hand [`MemoryServer::recover`] the host's disk.
     pub fn new(name: &str, ns: ProcessId, capacity: usize) -> (Self, MemoryHandle) {
-        Self::recover(name, ns, capacity, SimDisk::new(name))
+        Self::recover(name, ns, capacity, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD)
     }
 
     /// Rebuild the store from `disk` (snapshot + WAL replay, empty disk ⇒
-    /// empty store) and keep logging to it. This is both the cold-start
+    /// empty store) and keep logging to it, compacting once the WAL
+    /// outgrows `compact_threshold` bytes. This is both the cold-start
     /// and the crash-recovery constructor — the two are the same code path
     /// on purpose.
     ///
@@ -193,30 +194,23 @@ impl MemoryServer {
         ns: ProcessId,
         capacity: usize,
         disk: DiskHandle,
+        compact_threshold: u64,
     ) -> (Self, MemoryHandle) {
-        let (store, log) = MemoryLog::recover(disk, "memory", capacity);
+        let (store, mut log) = MemoryLog::recover(disk, "memory", capacity);
+        log.set_compact_threshold(compact_threshold);
         let store = Rc::new(RefCell::new(store));
         (MemoryServer { name: name.to_string(), ns, capacity, store: store.clone(), log }, store)
-    }
-
-    /// Tune the WAL's compaction threshold (bytes).
-    pub fn set_compact_threshold(&mut self, bytes: u64) {
-        self.log.set_compact_threshold(bytes);
     }
 }
 
 impl Process<NwsMsg> for MemoryServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let reg = NwsMsg::Register { name: self.name.clone(), kind: ServerKind::Memory };
-        let size = reg.wire_size();
-        let _ = ctx.send(self.ns, size, reg);
+        NwsMsg::Register { name: self.name.clone(), kind: ServerKind::Memory }.send(ctx, self.ns);
         // Restarted under a fresh pid: re-claim every series read off disk
         // so directory lookups stop pointing at the dead predecessor.
         let keys: Vec<SeriesKey> = self.store.borrow().series.keys().cloned().collect();
         for key in keys {
-            let reg = NwsMsg::RegisterSeries { key, memory: ctx.me() };
-            let size = reg.wire_size();
-            let _ = ctx.send(self.ns, size, reg);
+            NwsMsg::RegisterSeries { key, memory: ctx.me() }.send(ctx, self.ns);
         }
     }
 
@@ -235,19 +229,13 @@ impl Process<NwsMsg> for MemoryServer {
                 // points — so the sender releases its buffer slot; without
                 // the dup-ack a sensor whose first ack was lost would
                 // retry forever.
-                let ack = NwsMsg::StoreAck { seq };
-                let size = ack.wire_size();
-                let _ = ctx.send(from, size, ack);
+                NwsMsg::StoreAck { seq }.send(ctx, from);
                 if out.first_time && out.new_key {
-                    let reg = NwsMsg::RegisterSeries { key, memory: ctx.me() };
-                    let size = reg.wire_size();
-                    let _ = ctx.send(self.ns, size, reg);
+                    NwsMsg::RegisterSeries { key, memory: ctx.me() }.send(ctx, self.ns);
                 }
             }
             NwsMsg::Ping => {
-                let pong = NwsMsg::Pong;
-                let size = pong.wire_size();
-                let _ = ctx.send(from, size, pong);
+                NwsMsg::Pong.send(ctx, from);
             }
             NwsMsg::FetchSince { key, after } => {
                 let (points, latest) = {
@@ -263,9 +251,7 @@ impl Process<NwsMsg> for MemoryServer {
                     (points, latest)
                 };
                 self.log.log_fetch(points.len() as u64);
-                let reply = NwsMsg::FetchReply { key, points, latest };
-                let size = reply.wire_size();
-                let _ = ctx.send(from, size, reply);
+                NwsMsg::FetchReply { key, points, latest }.send(ctx, from);
             }
             _ => {}
         }

@@ -5,6 +5,7 @@
 //! passed to the simulator approximate the real payloads so control traffic
 //! has realistic latency.
 
+use netsim::engine::{Ctx, ProcessId};
 use netsim::units::Bytes;
 
 use crate::clique::CliqueRetarget;
@@ -268,6 +269,14 @@ impl NwsMsg {
             NwsMsg::QueryBatchReply { forecasts, .. } => 24 + 128 * forecasts.len(),
         };
         Bytes::new(b as u64)
+    }
+
+    /// Send `self` to `to` at its own wire size. The result is dropped: a
+    /// dead or unknown destination is a lost message, which every
+    /// conversation here already survives (retries, timeouts, watchdogs).
+    pub fn send(self, ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId) {
+        let size = self.wire_size();
+        let _ = ctx.send(to, size, self);
     }
 }
 

@@ -45,8 +45,21 @@ use crate::wal::{
     scan_wal, ByteReader,
 };
 
-/// Compact once the WAL grows past this many bytes.
-pub const DEFAULT_COMPACT_THRESHOLD: u64 = 64 * 1024;
+/// Compact once the WAL grows past this many KiB, unless the deployment
+/// says otherwise (`NwsSystemSpec::wal_compact_kib`, the plan's
+/// `wal_compact_kib` key).
+pub const DEFAULT_WAL_COMPACT_KIB: u64 = 64;
+
+/// The compaction threshold in bytes for the KiB a spec or a plan carries;
+/// `None` when it does not fit a `u64`.
+pub const fn wal_compact_bytes(kib: u64) -> Option<u64> {
+    kib.checked_mul(1024)
+}
+
+/// [`DEFAULT_WAL_COMPACT_KIB`] in bytes: what a log compacts at until told
+/// otherwise.
+pub const DEFAULT_COMPACT_THRESHOLD: u64 =
+    wal_compact_bytes(DEFAULT_WAL_COMPACT_KIB).expect("64 KiB fits a u64");
 
 /// How many WALs' worth of growth a snapshot buffer reserves when it has
 /// to be regrown (see [`LogFiles::write_snapshot`]).
@@ -367,7 +380,7 @@ impl MemoryLog {
     }
 
     /// Compaction, as three separately-callable steps so crash tests can
-    /// land between them (see [`LogFiles`] docs on each step's crash
+    /// land between them (see `LogFiles`' docs on each step's crash
     /// safety). `false` if no image was written: do not publish.
     pub fn write_snapshot(&mut self, store: &MemoryStore) -> bool {
         self.files.write_snapshot(|b| encode_memory_store(b, store, self.capacity))

@@ -56,9 +56,7 @@ impl Process<NwsMsg> for NameServer {
                     st.lookups += 1;
                     st.series.get(&key).copied()
                 };
-                let reply = NwsMsg::WhereIsReply { key, memory };
-                let size = reply.wire_size();
-                let _ = ctx.send(from, size, reply);
+                NwsMsg::WhereIsReply { key, memory }.send(ctx, from);
             }
             _ => {}
         }

@@ -31,7 +31,6 @@ use netsim::error::NetError;
 use netsim::flow::FlowOutcome;
 use netsim::time::TimeDelta;
 use netsim::topology::NodeId;
-use netsim::units::Bytes;
 
 use crate::clique::{CliqueMembership, CliqueRetarget};
 use crate::hostload::HostLoadModel;
@@ -53,62 +52,36 @@ pub struct FreeRun {
     pub period: TimeDelta,
 }
 
-/// Host-resource sensing configuration.
-#[derive(Debug, Clone)]
-pub struct HostSense {
-    pub period: TimeDelta,
-    pub seed: u64,
-}
+/// Period of the host-resource (CPU / free memory) samples.
+const HOST_SENSE_PERIOD_S: f64 = 10.0;
+/// Delay before ring member 0 injects the initial token, milliseconds.
+const INITIAL_TOKEN_DELAY_MS: f64 = 200.0;
+/// How long a holder waits for a peer's lock grant before skipping it.
+const LOCK_TIMEOUT_S: f64 = 2.0;
+/// Safety expiry on a grant (in case the holder dies mid-probe).
+const GRANT_TIMEOUT_S: f64 = 10.0;
+/// First store-retry backoff; doubles per attempt up to [`RETRY_MAX_S`].
+const RETRY_INITIAL_S: f64 = 1.0;
+const RETRY_MAX_S: f64 = 30.0;
+/// Unacked stores buffered while the memory is unreachable; beyond this
+/// the oldest measurement is shed (newest data wins — NWS series are
+/// rings for the same reason).
+const UNACKED_CAP: usize = 1024;
 
-/// Static sensor configuration.
+/// What differs from one sensor to the next.
 #[derive(Debug, Clone)]
 pub struct SensorConfig {
     /// The host name this sensor reports under (series key component).
     pub host_name: String,
     pub ns: ProcessId,
     pub memory: ProcessId,
-    /// Bandwidth experiment payload (NWS: 64 KiB).
-    pub probe_bytes: Bytes,
     pub free_run: Option<FreeRun>,
-    pub host_sense: Option<HostSense>,
-    /// Delay before ring member 0 injects the initial token.
-    pub initial_token_delay: TimeDelta,
+    /// Sample the synthetic host-load model too, seeded with this.
+    pub host_sense: Option<u64>,
     /// Seed for the token-gap jitter.
     pub seed: u64,
     /// Enable the §6 host-locking extension.
     pub host_locking: bool,
-    /// How long a holder waits for a peer's lock grant before skipping it.
-    pub lock_timeout: TimeDelta,
-    /// Safety expiry on a grant (in case the holder dies mid-probe).
-    pub grant_timeout: TimeDelta,
-    /// First store-retry backoff; doubles per attempt up to `retry_max`.
-    pub retry_initial: TimeDelta,
-    pub retry_max: TimeDelta,
-    /// Unacked stores buffered while the memory is unreachable; beyond
-    /// this the oldest measurement is shed (newest data wins — NWS series
-    /// are rings for the same reason).
-    pub unacked_cap: usize,
-}
-
-impl SensorConfig {
-    pub fn new(host_name: &str, ns: ProcessId, memory: ProcessId) -> Self {
-        SensorConfig {
-            host_name: host_name.to_string(),
-            ns,
-            memory,
-            probe_bytes: netsim::probes::BANDWIDTH_PROBE_BYTES,
-            free_run: None,
-            host_sense: None,
-            initial_token_delay: TimeDelta::from_millis(200.0),
-            seed: 0,
-            host_locking: false,
-            lock_timeout: TimeDelta::from_secs(2.0),
-            grant_timeout: TimeDelta::from_secs(10.0),
-            retry_initial: TimeDelta::from_secs(1.0),
-            retry_max: TimeDelta::from_secs(30.0),
-            unacked_cap: 1024,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,10 +159,10 @@ pub struct Sensor {
 
 impl Sensor {
     pub fn new(cfg: SensorConfig, memberships: Vec<CliqueMembership>) -> Self {
-        let load = cfg.host_sense.as_ref().map(|h| HostLoadModel::new(h.seed));
+        let load = cfg.host_sense.map(HostLoadModel::new);
         let n = memberships.len();
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5e4_50e5);
-        let retry_backoff = cfg.retry_initial;
+        let retry_backoff = TimeDelta::from_secs(RETRY_INITIAL_S);
         Sensor {
             cfg,
             memberships,
@@ -242,14 +215,12 @@ impl Sensor {
         self.next_store_seq += 1;
         let seq = self.next_store_seq;
         let t = ctx.now().as_secs();
-        if self.unacked.len() >= self.cfg.unacked_cap {
+        if self.unacked.len() >= UNACKED_CAP {
             self.unacked.pop_first();
             self.stores_shed += 1;
         }
         self.unacked.insert(seq, (key.clone(), t, value));
-        let msg = NwsMsg::Store { key, seq, t, value };
-        let size = msg.wire_size();
-        let _ = ctx.send(self.cfg.memory, size, msg);
+        NwsMsg::Store { key, seq, t, value }.send(ctx, self.cfg.memory);
         self.arm_retry(ctx);
     }
 
@@ -263,27 +234,17 @@ impl Sensor {
     /// and schedule the next attempt. No-op when the buffer is empty.
     fn resend_unacked(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         if self.unacked.is_empty() {
-            self.retry_backoff = self.cfg.retry_initial;
+            self.retry_backoff = TimeDelta::from_secs(RETRY_INITIAL_S);
             return;
         }
         let resend: Vec<(u64, SeriesKey, f64, f64)> =
             self.unacked.iter().map(|(s, (k, t, v))| (*s, k.clone(), *t, *v)).collect();
         self.store_retries += resend.len() as u64;
         for (seq, key, t, value) in resend {
-            let msg = NwsMsg::Store { key, seq, t, value };
-            let size = msg.wire_size();
-            let _ = ctx.send(self.cfg.memory, size, msg);
+            NwsMsg::Store { key, seq, t, value }.send(ctx, self.cfg.memory);
         }
-        self.retry_backoff = self.retry_backoff * 2.0;
-        if self.retry_backoff > self.cfg.retry_max {
-            self.retry_backoff = self.cfg.retry_max;
-        }
+        self.retry_backoff = (self.retry_backoff * 2.0).min(TimeDelta::from_secs(RETRY_MAX_S));
         self.retry_timer = Some(ctx.set_timer(self.retry_backoff, TAG_RETRY));
-    }
-
-    fn send_small(&self, ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, msg: NwsMsg) {
-        let size = msg.wire_size();
-        let _ = ctx.send(to, size, msg);
     }
 
     /// Record a token acceptance and either start its experiments or queue
@@ -339,9 +300,9 @@ impl Sensor {
             if self.cfg.host_locking {
                 if let Some(peer_pid) = pid {
                     self.waiting_grant = Some((Some(peer_pid), peer, node));
-                    self.send_small(ctx, peer_pid, NwsMsg::LockRequest);
+                    NwsMsg::LockRequest.send(ctx, peer_pid);
                     self.lock_wait_timer =
-                        Some(ctx.set_timer(self.cfg.lock_timeout, TAG_LOCK_TIMEOUT));
+                        Some(ctx.set_timer(TimeDelta::from_secs(LOCK_TIMEOUT_S), TAG_LOCK_TIMEOUT));
                     return;
                 }
             }
@@ -386,7 +347,7 @@ impl Sensor {
             }
             Err(_) => {
                 if let Some(p) = pid {
-                    self.send_small(ctx, p, NwsMsg::LockRelease);
+                    NwsMsg::LockRelease.send(ctx, p);
                 }
                 self.start_next_probe(ctx);
             }
@@ -400,8 +361,9 @@ impl Sensor {
         }
         if let Some(h) = self.grant_queue.pop_front() {
             self.granted_to = Some(h);
-            self.grant_expiry = Some(ctx.set_timer(self.cfg.grant_timeout, TAG_GRANT_EXPIRY));
-            self.send_small(ctx, h, NwsMsg::LockGrant);
+            self.grant_expiry =
+                Some(ctx.set_timer(TimeDelta::from_secs(GRANT_TIMEOUT_S), TAG_GRANT_EXPIRY));
+            NwsMsg::LockGrant.send(ctx, h);
         }
     }
 
@@ -435,9 +397,7 @@ impl Sensor {
         let membership = &self.memberships[m];
         let next = membership.next_member();
         let round = round + u64::from(membership.pass_completes_round());
-        let msg = NwsMsg::Token { clique: membership.clique.clone(), seq: seq + 1, round };
-        let size = msg.wire_size();
-        let _ = ctx.send(next, size, msg);
+        NwsMsg::Token { clique: membership.clique.clone(), seq: seq + 1, round }.send(ctx, next);
         // Re-arm the watchdog for the token's return.
         let delay = membership.watchdog_delay();
         if let Some(t) = self.watchdogs[m].take() {
@@ -507,8 +467,10 @@ impl Sensor {
             let delay = self.memberships[m].watchdog_delay();
             self.watchdogs[m] = Some(ctx.set_timer(delay, TAG_WATCHDOG + m as u64));
             if r.start_token && self.memberships[m].me_idx == 0 {
-                self.initial_timers[m] =
-                    Some(ctx.set_timer(self.cfg.initial_token_delay, TAG_INITIAL + m as u64));
+                self.initial_timers[m] = Some(ctx.set_timer(
+                    TimeDelta::from_millis(INITIAL_TOKEN_DELAY_MS),
+                    TAG_INITIAL + m as u64,
+                ));
             }
         }
     }
@@ -539,11 +501,10 @@ impl Process<NwsMsg> for Sensor {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         let reg = NwsMsg::Register { name: self.cfg.host_name.clone(), kind: ServerKind::Sensor };
-        let size = reg.wire_size();
-        let _ = ctx.send(self.cfg.ns, size, reg);
+        reg.send(ctx, self.cfg.ns);
 
-        if let Some(hs) = &self.cfg.host_sense {
-            ctx.set_timer(hs.period, TAG_HOST_SENSE);
+        if self.cfg.host_sense.is_some() {
+            ctx.set_timer(TimeDelta::from_secs(HOST_SENSE_PERIOD_S), TAG_HOST_SENSE);
         }
         if let Some(fr) = &self.cfg.free_run {
             ctx.set_timer(fr.period, TAG_FREE_RUN);
@@ -552,8 +513,10 @@ impl Process<NwsMsg> for Sensor {
             let delay = self.memberships[m].watchdog_delay();
             self.watchdogs[m] = Some(ctx.set_timer(delay, TAG_WATCHDOG + m as u64));
             if self.memberships[m].me_idx == 0 {
-                self.initial_timers[m] =
-                    Some(ctx.set_timer(self.cfg.initial_token_delay, TAG_INITIAL + m as u64));
+                self.initial_timers[m] = Some(ctx.set_timer(
+                    TimeDelta::from_millis(INITIAL_TOKEN_DELAY_MS),
+                    TAG_INITIAL + m as u64,
+                ));
             }
         }
     }
@@ -576,7 +539,7 @@ impl Process<NwsMsg> for Sensor {
             NwsMsg::StoreAck { seq } => {
                 self.unacked.remove(&seq);
                 if self.unacked.is_empty() {
-                    self.retry_backoff = self.cfg.retry_initial;
+                    self.retry_backoff = TimeDelta::from_secs(RETRY_INITIAL_S);
                     if let Some(t) = self.retry_timer.take() {
                         ctx.cancel_timer(t);
                     }
@@ -586,23 +549,24 @@ impl Process<NwsMsg> for Sensor {
                 // The supervisor restarted our memory under a new pid:
                 // drain the outage buffer to it right away.
                 self.cfg.memory = memory;
-                self.retry_backoff = self.cfg.retry_initial;
+                self.retry_backoff = TimeDelta::from_secs(RETRY_INITIAL_S);
                 if let Some(t) = self.retry_timer.take() {
                     ctx.cancel_timer(t);
                 }
                 self.resend_unacked(ctx);
             }
             NwsMsg::Ping => {
-                self.send_small(ctx, from, NwsMsg::Pong);
+                NwsMsg::Pong.send(ctx, from);
             }
             NwsMsg::LockRequest => {
                 if self.engaged() {
                     self.grant_queue.push_back(from);
                 } else {
                     self.granted_to = Some(from);
-                    self.grant_expiry =
-                        Some(ctx.set_timer(self.cfg.grant_timeout, TAG_GRANT_EXPIRY));
-                    self.send_small(ctx, from, NwsMsg::LockGrant);
+                    self.grant_expiry = Some(
+                        ctx.set_timer(TimeDelta::from_secs(GRANT_TIMEOUT_S), TAG_GRANT_EXPIRY),
+                    );
+                    NwsMsg::LockGrant.send(ctx, from);
                 }
             }
             NwsMsg::LockGrant => {
@@ -623,8 +587,8 @@ impl Process<NwsMsg> for Sensor {
         match tag {
             TAG_HOST_SENSE => {
                 self.sense_host(ctx);
-                if let Some(hs) = &self.cfg.host_sense {
-                    ctx.set_timer(hs.period, TAG_HOST_SENSE);
+                if self.cfg.host_sense.is_some() {
+                    ctx.set_timer(TimeDelta::from_secs(HOST_SENSE_PERIOD_S), TAG_HOST_SENSE);
                 }
             }
             TAG_FREE_RUN => {
@@ -701,13 +665,13 @@ impl Process<NwsMsg> for Sensor {
                     1.5 * rtt_ms,
                 );
                 // Follow with the bandwidth experiment to the same peer.
-                match ctx.start_flow(probe.node, self.cfg.probe_bytes, 0) {
+                match ctx.start_flow(probe.node, netsim::probes::BANDWIDTH_PROBE_BYTES, 0) {
                     Ok(_) => {
                         self.active = Some(ActiveProbe { kind: ProbeKind::Bandwidth, ..probe });
                     }
                     Err(_) => {
                         if let Some(p) = probe.locked {
-                            self.send_small(ctx, p, NwsMsg::LockRelease);
+                            NwsMsg::LockRelease.send(ctx, p);
                         }
                         self.start_next_probe(ctx);
                     }
@@ -720,7 +684,7 @@ impl Process<NwsMsg> for Sensor {
                     outcome.throughput().as_mbps(),
                 );
                 if let Some(p) = probe.locked {
-                    self.send_small(ctx, p, NwsMsg::LockRelease);
+                    NwsMsg::LockRelease.send(ctx, p);
                 }
                 self.start_next_probe(ctx);
             }
@@ -748,6 +712,20 @@ mod tests {
     use netsim::units::{Bandwidth, Latency};
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// A bare sensor's configuration with host locking on.
+    fn locking_cfg() -> SensorConfig {
+        let nobody = ProcessId::from_raw(999);
+        SensorConfig {
+            host_name: "h0.x".to_string(),
+            ns: nobody,
+            memory: nobody,
+            free_run: None,
+            host_sense: None,
+            seed: 0,
+            host_locking: true,
+        }
+    }
 
     fn hub3() -> (Engine<NwsMsg>, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
@@ -798,9 +776,7 @@ mod tests {
     fn lock_grants_are_serialized() {
         let (mut eng, hosts) = hub3();
         // A bare sensor with locking on, no cliques, no probes of its own.
-        let mut cfg = SensorConfig::new("h0.x", ProcessId::from_raw(999), ProcessId::from_raw(999));
-        cfg.host_locking = true;
-        let sensor = eng.add_process(hosts[0], Box::new(Sensor::new(cfg, vec![])));
+        let sensor = eng.add_process(hosts[0], Box::new(Sensor::new(locking_cfg(), vec![])));
 
         let log_a = Rc::new(RefCell::new(Vec::new()));
         let log_b = Rc::new(RefCell::new(Vec::new()));
@@ -849,10 +825,7 @@ mod tests {
         }
 
         let (mut eng, hosts) = hub3();
-        let mut cfg = SensorConfig::new("h0.x", ProcessId::from_raw(999), ProcessId::from_raw(999));
-        cfg.host_locking = true;
-        cfg.grant_timeout = TimeDelta::from_secs(5.0);
-        let sensor = eng.add_process(hosts[0], Box::new(Sensor::new(cfg, vec![])));
+        let sensor = eng.add_process(hosts[0], Box::new(Sensor::new(locking_cfg(), vec![])));
 
         let got_hog = Rc::new(RefCell::new(false));
         eng.add_process(hosts[1], Box::new(Hog { target: sensor, got: got_hog.clone() }));

@@ -111,11 +111,9 @@ impl SupervisorProc {
             targets
         };
         for pid in targets {
-            let ping = NwsMsg::Ping;
-            let size = ping.wire_size();
             // A synchronous failure (already-dead pid) is fine: the pong
             // simply never comes and the miss counter does its job.
-            let _ = ctx.send(pid, size, ping);
+            NwsMsg::Ping.send(ctx, pid);
         }
         ctx.set_timer(self.cfg.period, TAG_BEAT);
     }
@@ -175,9 +173,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
             if let NwsMsg::Ping = msg {
                 if !*self.deaf.borrow() {
-                    let pong = NwsMsg::Pong;
-                    let size = pong.wire_size();
-                    let _ = ctx.send(from, size, pong);
+                    NwsMsg::Pong.send(ctx, from);
                 }
             }
         }

@@ -16,8 +16,9 @@ use crate::forecast::Forecast;
 use crate::forecaster::{BatchClient, Client, ForecasterServer};
 use crate::memory::{MemoryHandle, MemoryServer};
 use crate::msg::{NwsMsg, SeriesKey};
+use crate::persist::{wal_compact_bytes, DEFAULT_WAL_COMPACT_KIB};
 use crate::registry::{NameServer, RegistryHandle};
-use crate::sensor::{FreeRun, HostSense, Sensor, SensorConfig};
+use crate::sensor::{FreeRun, Sensor, SensorConfig};
 use crate::series::Series;
 use crate::supervisor::{SupervisorConfig, SupervisorHandle, SupervisorProc, SupervisorState};
 
@@ -56,6 +57,16 @@ impl SensorSpec {
     }
 }
 
+/// The token-hold gap of a clique nobody tuned, seconds: what
+/// [`NwsSystemSpec::minimal`] deploys and what a plan carries by default.
+pub const DEFAULT_GAP_S: f64 = 0.5;
+
+/// Minimum spacing between restarts of the same host, seconds. A host that
+/// is unreachable (link down) rather than dead keeps missing heartbeats
+/// after a restart; throttling re-heals keeps the supervisor from burning
+/// its outage buffer over and over in a restart storm.
+const REHEAL_BACKOFF_S: f64 = 15.0;
+
 /// One measurement clique (paper §2.3).
 #[derive(Debug, Clone)]
 pub struct CliqueSpec {
@@ -74,13 +85,10 @@ pub struct NwsSystemSpec {
     pub forecaster_host: String,
     pub sensors: Vec<SensorSpec>,
     pub cliques: Vec<CliqueSpec>,
-    /// Bandwidth probe payload (NWS default 64 KiB).
-    pub probe_bytes: Bytes,
     pub series_capacity: usize,
     /// Watchdog base: how long a member waits for the token before
     /// regenerating it.
     pub watchdog: TimeDelta,
-    pub host_sense_period: TimeDelta,
     pub seed: u64,
     /// Enable the §6 host-locking extension on every sensor.
     pub host_locking: bool,
@@ -101,16 +109,28 @@ impl NwsSystemSpec {
             cliques: vec![CliqueSpec {
                 name: "clique0".to_string(),
                 members: hosts.iter().map(|h| h.to_string()).collect(),
-                gap: TimeDelta::from_millis(500.0),
+                gap: TimeDelta::from_secs(DEFAULT_GAP_S),
             }],
-            probe_bytes: netsim::probes::BANDWIDTH_PROBE_BYTES,
             series_capacity: Series::DEFAULT_CAPACITY,
             watchdog: TimeDelta::from_secs(30.0),
-            host_sense_period: TimeDelta::from_secs(10.0),
             seed: 42,
             host_locking: false,
-            wal_compact_kib: 64,
+            wal_compact_kib: DEFAULT_WAL_COMPACT_KIB,
         }
+    }
+
+    /// The memory host `s` stores to: the one it names, else the first.
+    fn memory_host_of<'a>(&'a self, s: &'a SensorSpec) -> Option<&'a String> {
+        s.memory.as_ref().or(self.memory_hosts.first())
+    }
+
+    /// `wal_compact_kib` in bytes; a value no `u64` byte count can hold is
+    /// a malformed spec, not a wrapped (tiny) threshold.
+    fn wal_compact_bytes(&self) -> NetResult<u64> {
+        let kib = self.wal_compact_kib;
+        wal_compact_bytes(kib).ok_or_else(|| {
+            NetError::InvalidTopology(format!("wal_compact_kib {kib} overflows a byte count"))
+        })
     }
 }
 
@@ -141,8 +161,7 @@ struct Reconfigurer {
 impl Process<NwsMsg> for Reconfigurer {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         for (to, msg) in self.sends.drain(..) {
-            let size = msg.wire_size();
-            let _ = ctx.send(to, size, msg);
+            msg.send(ctx, to);
         }
     }
 }
@@ -161,27 +180,24 @@ fn spawn_memory(
     host: &str,
 ) -> NetResult<(ProcessId, MemoryHandle)> {
     let node = eng.topo().resolve_host(host)?;
-    let (mut mem, handle) = MemoryServer::recover(
+    let (mem, handle) = MemoryServer::recover(
         &format!("memory{idx}@{host}"),
         nameserver,
         spec.series_capacity,
         disks.disk(host),
+        spec.wal_compact_bytes()?,
     );
-    mem.set_compact_threshold(spec.wal_compact_kib * 1024);
     Ok((eng.add_process(node, Box::new(mem)), handle))
 }
 
-/// The memory server `s` stores to: the one it names, else the first
-/// memory host of the spec.
+/// The pid of the memory server `s` stores to.
 fn memory_for(
     memories: &BTreeMap<String, (ProcessId, MemoryHandle)>,
-    memory_hosts: &[String],
+    spec: &NwsSystemSpec,
     s: &SensorSpec,
 ) -> NetResult<ProcessId> {
-    let host = s
-        .memory
-        .as_ref()
-        .or(memory_hosts.first())
+    let host = spec
+        .memory_host_of(s)
         .ok_or_else(|| NetError::NameNotFound("no memory hosts".to_string()))?;
     memories
         .get(host)
@@ -200,24 +216,25 @@ fn sensor_config(
     seed_ord: u64,
     sense_ord: u64,
 ) -> NetResult<SensorConfig> {
-    let mut cfg = SensorConfig::new(&s.host, nameserver, memory);
-    cfg.probe_bytes = spec.probe_bytes;
-    cfg.seed = spec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(seed_ord);
-    cfg.host_locking = spec.host_locking;
-    if let SensorMode::FreeRunning { targets, period } = &s.mode {
-        let targets: Vec<(String, NodeId)> = targets
-            .iter()
-            .map(|t| Ok((t.clone(), topo.resolve_host(t)?)))
-            .collect::<NetResult<_>>()?;
-        cfg.free_run = Some(FreeRun { targets, period: *period });
-    }
-    if s.host_sensing {
-        cfg.host_sense = Some(HostSense {
-            period: spec.host_sense_period,
-            seed: spec.seed.wrapping_add(sense_ord),
-        });
-    }
-    Ok(cfg)
+    let free_run = match &s.mode {
+        SensorMode::Clique => None,
+        SensorMode::FreeRunning { targets, period } => {
+            let targets: Vec<(String, NodeId)> = targets
+                .iter()
+                .map(|t| Ok((t.clone(), topo.resolve_host(t)?)))
+                .collect::<NetResult<_>>()?;
+            Some(FreeRun { targets, period: *period })
+        }
+    };
+    Ok(SensorConfig {
+        host_name: s.host.clone(),
+        ns: nameserver,
+        memory,
+        free_run,
+        host_sense: s.host_sensing.then(|| spec.seed.wrapping_add(sense_ord)),
+        seed: spec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(seed_ord),
+        host_locking: spec.host_locking,
+    })
 }
 
 /// Clique `c`'s ring, built once for all its members to share. `locate`
@@ -255,11 +272,6 @@ pub struct NwsSystem {
     /// The heartbeat supervisor, when attached: its pid and the shared
     /// liveness ledger [`NwsSystem::heal`] drains.
     supervisor: Option<(ProcessId, SupervisorHandle)>,
-    /// Minimum spacing between restarts of the same host. A host that is
-    /// unreachable (link down) rather than dead keeps missing heartbeats
-    /// after a restart; throttling re-heals keeps the supervisor from
-    /// burning its outage buffer over and over in a restart storm.
-    pub reheal_backoff: TimeDelta,
     /// host → instant of its last restart, for the re-heal throttle.
     healed_at: BTreeMap<String, SimTime>,
     /// Per-host simulated disks: the durable state plane. Every memory
@@ -293,12 +305,12 @@ impl NwsSystem {
 
         // Forecaster (durable, same disk plane).
         let fc_node = eng.topo().resolve_host(&spec.forecaster_host)?;
-        let mut fc = ForecasterServer::durable(
+        let fc = ForecasterServer::durable(
             &format!("forecaster@{}", spec.forecaster_host),
             ns_pid,
             disks.disk(&spec.forecaster_host),
+            spec.wal_compact_bytes()?,
         );
-        fc.set_compact_threshold(spec.wal_compact_kib * 1024);
         let fc_pid = eng.add_process(fc_node, Box::new(fc));
 
         // Sensors, in spec order. Rings name every member's pid, so work out
@@ -335,7 +347,7 @@ impl NwsSystem {
 
         let mut sensors = BTreeMap::new();
         for (idx, (s, memberships)) in spec.sensors.iter().zip(memberships).enumerate() {
-            let memory = memory_for(&memories, &spec.memory_hosts, s)?;
+            let memory = memory_for(&memories, spec, s)?;
             let ord = idx as u64;
             let cfg = sensor_config(eng.topo(), spec, ns_pid, memory, s, ord, ord)?;
             let pid = eng.add_process(nodes[idx], Box::new(Sensor::new(cfg, memberships)));
@@ -354,7 +366,6 @@ impl NwsSystem {
             spec: spec.clone(),
             sensors_spawned,
             supervisor: None,
-            reheal_backoff: TimeDelta::from_secs(15.0),
             healed_at: BTreeMap::new(),
             disks,
         })
@@ -435,7 +446,7 @@ impl NwsSystem {
                 continue;
             }
             let node = eng.topo().resolve_host(&s.host)?;
-            let memory = memory_for(&self.memories, &self.spec.memory_hosts, s)?;
+            let memory = memory_for(&self.memories, &self.spec, s)?;
             let ord = self.sensors_spawned as u64;
             // (n, n + 1) where deploy passes (idx, idx): kept as is, the pinned
             // event counts of every churn join and sensor heal depend on it.
@@ -539,7 +550,7 @@ impl NwsSystem {
             let sensor_host = self.sensors.iter().find(|(_, p)| **p == pid).map(|(h, _)| h.clone());
             if let Some(host) = sensor_host {
                 if let Some(&at) = self.healed_at.get(&host) {
-                    if now.since(at) < self.reheal_backoff {
+                    if now.since(at) < TimeDelta::from_secs(REHEAL_BACKOFF_S) {
                         continue;
                     }
                 }
@@ -570,7 +581,7 @@ impl NwsSystem {
                 self.memories.iter().find(|(_, (p, _))| *p == pid).map(|(h, _)| h.clone());
             if let Some(host) = memory_host {
                 if let Some(&at) = self.healed_at.get(&host) {
-                    if now.since(at) < self.reheal_backoff {
+                    if now.since(at) < TimeDelta::from_secs(REHEAL_BACKOFF_S) {
                         continue;
                     }
                 }
@@ -623,11 +634,9 @@ impl NwsSystem {
         self.memories.insert(host.to_string(), (new_pid, store));
         // Every sensor that stores to this memory drains its buffer to the
         // replacement.
-        let default_host = self.spec.memory_hosts.first().cloned().unwrap_or_default();
         let mut sends: Vec<(ProcessId, NwsMsg)> = Vec::new();
         for s in &self.spec.sensors {
-            let mh = s.memory.as_ref().unwrap_or(&default_host);
-            if mh == host {
+            if self.spec.memory_host_of(s).is_some_and(|mh| mh == host) {
                 if let Some(&spid) = self.sensors.get(&s.host) {
                     sends.push((spid, NwsMsg::RetargetMemory { memory: new_pid }));
                 }
@@ -883,9 +892,8 @@ mod tests {
             host_sensing: true,
             memory: None,
         }];
-        spec.host_sense_period = TimeDelta::from_secs(2.0);
         let sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-        sys.run_for(&mut eng, TimeDelta::from_secs(61.0));
+        sys.run_for(&mut eng, TimeDelta::from_secs(301.0));
 
         let cpu = sys.series(&SeriesKey::host(Resource::CpuLoad, &names[0])).expect("cpu series");
         assert!(cpu.len() >= 29, "got {} samples", cpu.len());
@@ -1176,6 +1184,12 @@ mod tests {
         let mut twice = NwsSystemSpec::minimal(&names[0], &[&names[0], &names[1]]);
         twice.memory_hosts.push(names[0].clone());
         assert!(matches!(NwsSystem::deploy(&mut eng, &twice), Err(NetError::InvalidTopology(_))));
+
+        // And a compaction threshold whose byte count overflows: an error in
+        // debug and release alike, not a panic or a wrap to a tiny one.
+        let mut huge = NwsSystemSpec::minimal(&names[0], &[&names[0], &names[1]]);
+        huge.wal_compact_kib = 1 << 54;
+        assert!(matches!(NwsSystem::deploy(&mut eng, &huge), Err(NetError::InvalidTopology(_))));
     }
 
     /// Every ring entry names the sensor that runs on the member's node,

@@ -454,7 +454,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element count for [`vec`]: a half-open range or an exact size.
+    /// Element count for [`vec()`]: a half-open range or an exact size.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

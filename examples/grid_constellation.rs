@@ -51,7 +51,7 @@ fn main() {
     println!("{}", run.view.render());
 
     // Hierarchical deployment: one memory server per top-level network.
-    let cfg = PlannerConfig { memory_per_top_network: true, ..Default::default() };
+    let cfg = PlannerConfig { memory_per_top_network: true };
     let plan = plan_deployment(&run.view, &cfg);
     println!("{}", plan.render());
 

@@ -80,7 +80,7 @@ fn constellation_deploys_and_operates() {
         .map(&mut eng, &inputs, &master, Some("well-known.example.org"))
         .expect("constellation maps");
 
-    let cfg = PlannerConfig { memory_per_top_network: true, ..Default::default() };
+    let cfg = PlannerConfig { memory_per_top_network: true };
     let plan = plan_deployment(&run.view, &cfg);
     let sys = apply_plan_with(&mut eng, &plan, true).expect("constellation deploys");
     sys.run_for(&mut eng, TimeDelta::from_secs(300.0));
