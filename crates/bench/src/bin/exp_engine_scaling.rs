@@ -23,6 +23,7 @@ use nws_bench::{f, Table};
 fn run_point(flows: usize) -> (f64, u64) {
     let net = star_switch(16, Bandwidth::mbps(100.0));
     let mut sim = Sim::new(net.topo);
+    #[expect(clippy::disallowed_methods, reason = "D1: a printed stopwatch, never a golden value")]
     let start = Instant::now();
     let ids: Vec<FlowId> = (0..flows)
         .map(|i| {

@@ -6,16 +6,15 @@
 //!
 //! The sweep re-runs the ENS-Lyon mapping under varied thresholds and
 //! background cross-traffic and scores the result against ground truth
-//! (the 4 expected networks with their kinds). Sweep points run on worker
-//! threads (each builds its own platform), results collect in a shared
-//! table.
+//! (the 4 expected networks with their kinds). Sweep points run on scoped
+//! worker threads (each builds its own platform) and are read back from
+//! their join handles in spawn order.
 //!
 //! Run: `cargo run -p nws-bench --bin exp_thresholds`
 
 use envmap::EnvThresholds;
 use nws_bench::experiments::threshold_point;
 use nws_bench::Table;
-use std::sync::Mutex;
 
 fn main() {
     println!("=== E6: threshold sensitivity under background traffic ===\n");
@@ -46,34 +45,23 @@ fn main() {
     let noise_levels: Vec<(&str, Option<f64>)> =
         vec![("quiet", None), ("light (10 s)", Some(10.0)), ("heavy (2 s)", Some(2.0))];
 
-    let results = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for (ti, (tl, th)) in threshold_sets.iter().enumerate() {
-            for (ni, (nl, np)) in noise_levels.iter().enumerate() {
-                let results = &results;
-                let th = *th;
-                let np = *np;
-                let tl = tl.to_string();
-                let nl = nl.to_string();
-                scope.spawn(move || {
-                    let s = threshold_point(th, np, 1000 + (ti * 10 + ni) as u64);
-                    results.lock().expect("sweep mutex").push((ti, ni, tl, nl, s));
-                });
+    let rows: Vec<(&str, &str, _)> = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for (ti, &(tl, th)) in threshold_sets.iter().enumerate() {
+            for (ni, &(nl, np)) in noise_levels.iter().enumerate() {
+                let seed = 1000 + (ti * 10 + ni) as u64;
+                handles.push((tl, nl, scope.spawn(move || threshold_point(th, np, seed))));
             }
         }
+        handles.into_iter().map(|(tl, nl, h)| (tl, nl, h.join().expect("sweep point"))).collect()
     });
 
-    let mut rows = results.into_inner().expect("sweep mutex");
-    rows.sort_by_key(|(ti, ni, _, _, _)| (*ti, *ni));
     let mut t = Table::new(&["thresholds", "traffic", "recovered networks (of 4)"]);
-    let mut paper_quiet = 0;
-    for (ti, ni, tl, nl, s) in &rows {
-        if *ti == 0 && *ni == 0 {
-            paper_quiet = *s;
-        }
-        t.row(vec![tl.clone(), nl.clone(), format!("{s}/4")]);
+    for (tl, nl, s) in &rows {
+        t.row(vec![tl.to_string(), nl.to_string(), format!("{s}/4")]);
     }
     t.print();
+    let paper_quiet = rows[0].2;
 
     println!(
         "\npaper thresholds on a quiet platform recover the full Figure 1(b): {}",

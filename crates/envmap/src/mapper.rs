@@ -225,7 +225,7 @@ impl EnvMapper {
     /// actually need re-probing are dispatched to workers. Dirty hosts'
     /// traceroutes fan out per host; clean hosts reuse their previous
     /// chains at zero cost, exactly like the serial incremental path.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "`remap`'s arguments plus the worker count")]
     pub fn remap_parallel<M>(
         &self,
         eng: &Engine<M>,

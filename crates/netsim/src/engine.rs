@@ -62,7 +62,7 @@ pub enum NoMsg {}
 /// All callbacks receive a [`Ctx`] for interacting with the engine. Default
 /// implementations ignore the event, so implementors override only what
 /// they need.
-#[allow(unused_variables)]
+#[expect(unused_variables, reason = "default callbacks ignore their arguments")]
 pub trait Process<M> {
     /// Called once when the simulation starts (or when the process is added
     /// to a running simulation).
@@ -761,7 +761,10 @@ impl<M> Engine<M> {
         if let Some(slot) = self.procs.get_mut(pid.index()) {
             *slot = None;
         }
-        // lint: allow(D2) — retain's predicate is pure, so the surviving set is visit-order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D2: retain's predicate is pure, so the surviving set is visit-order-independent"
+        )]
         self.core.last_delivery.retain(|&(s, r), _| s != pid && r != pid);
     }
 

@@ -151,7 +151,7 @@ pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Ban
 
     // Remaining capacity and unfrozen-flow count per resource. BTreeMap,
     // not HashMap: the bottleneck scan below iterates this table, and the
-    // oracle's visit order must not depend on the hash seed (lint rule D2).
+    // oracle's visit order must not depend on the hash seed (rule D2).
     // `delta` is a pure min-fold so the result would be identical anyway,
     // but the oracle is the yardstick every differential suite compares
     // against — it stays canonically ordered.

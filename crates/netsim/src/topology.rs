@@ -835,7 +835,10 @@ impl TopologyBuilder {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one private constructor every public link builder funnels into"
+    )]
     fn push_link(
         &mut self,
         a: NodeId,

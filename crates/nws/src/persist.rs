@@ -93,7 +93,7 @@ struct LogFiles {
 impl LogFiles {
     /// Read the file set for `name`: the decoded snapshot (if one is
     /// present and verifies) and the valid WAL record prefix.
-    #[allow(clippy::type_complexity)]
+    #[expect(clippy::type_complexity, reason = "private; the three parts recovery reads")]
     fn open(disk: DiskHandle, name: &str) -> (Self, Option<(u64, Vec<u8>)>, Vec<(u64, Vec<u8>)>) {
         let wal = format!("{name}.wal");
         let snap = format!("{name}.snap");

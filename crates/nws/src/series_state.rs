@@ -93,16 +93,19 @@ impl SeriesState {
         let last_t = r.f64()?;
         let samples = r.u64()?;
         let n = r.u32()? as usize;
-        let mut sq = Vec::with_capacity(n);
-        let mut ab = Vec::with_capacity(n);
-        let mut ns = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
+        // A count the bytes left cannot back must not size a reservation;
+        // a predictor's entry is at least `sq, ab, ns, len` = 28 bytes.
+        let cap = n.min(r.remaining() / 28);
+        let mut sq = Vec::with_capacity(cap);
+        let mut ab = Vec::with_capacity(cap);
+        let mut ns = Vec::with_capacity(cap);
+        let mut states = Vec::with_capacity(cap);
         for _ in 0..n {
             sq.push(r.f64()?);
             ab.push(r.f64()?);
             ns.push(r.u64()?);
             let len = r.u32()? as usize;
-            let mut state = Vec::with_capacity(len);
+            let mut state = Vec::with_capacity(len.min(r.remaining() / 8));
             for _ in 0..len {
                 state.push(r.f64()?);
             }
@@ -118,6 +121,7 @@ impl SeriesState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bits(s: &SeriesState) -> Vec<u8> {
         let mut b = Vec::new();
@@ -180,5 +184,48 @@ mod tests {
         let empty = bits(&SeriesState::fresh());
         let back = SeriesState::decode(&mut ByteReader::new(&empty)).expect("decodes");
         assert_eq!(bits(&back), empty);
+    }
+
+    #[test]
+    fn a_hostile_predictor_count_is_refused_without_reserving_for_it() {
+        // `last_t`, `samples`, then u32::MAX predictors (4 × 32 GiB to
+        // reserve) with twelve bytes behind them.
+        let mut image = Vec::new();
+        put_f64(&mut image, 1.0);
+        put_u64(&mut image, 3);
+        put_u32(&mut image, u32::MAX);
+        image.extend_from_slice(&[0; 12]);
+        assert!(SeriesState::decode(&mut ByteReader::new(&image)).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary and corrupted bytes decode to a state or `None`, never
+        /// a panic or an abort; a valid image re-encodes to itself, and
+        /// every strict prefix of it is refused.
+        #[test]
+        fn decode_never_panics_and_round_trips(
+            noise in collection::vec(0u8..=255, 0..64),
+            points in collection::vec((0.0f64..1e3, -1e3f64..1e3), 0..48),
+            at in 0usize..1 << 16,
+        ) {
+            let _ = SeriesState::decode(&mut ByteReader::new(&noise));
+            let mut s = SeriesState::fresh();
+            for (t, v) in points {
+                s.observe(t, v);
+            }
+            let image = bits(&s);
+            let back = SeriesState::decode(&mut ByteReader::new(&image)).map(|b| bits(&b));
+            prop_assert_eq!(back.as_ref(), Some(&image));
+            for cut in 0..image.len() {
+                prop_assert!(SeriesState::decode(&mut ByteReader::new(&image[..cut])).is_none());
+            }
+            let mut spliced = image;
+            let at = at % spliced.len();
+            let end = (at + noise.len()).min(spliced.len());
+            spliced[at..end].copy_from_slice(&noise[..end - at]);
+            let _ = SeriesState::decode(&mut ByteReader::new(&spliced));
+        }
     }
 }

@@ -16,7 +16,8 @@
 //!   one immutable [`Arc<ShardSnapshot>`] per dirty shard — the PR-7
 //!   `Engine::from_snapshot` precedent applied to forecaster state.
 //!   Readers holding the previous `Arc` keep a consistent view; nothing
-//!   is locked, ever (lint rule D8 bans `Mutex`/`RwLock` here).
+//!   is locked, ever (rule D8 of the root `clippy.toml` bans
+//!   `Mutex`/`RwLock`).
 //! * **Concurrent serving**: [`ServingPlane::serve_batches`] fans a slice
 //!   of batched multi-series queries across a scoped worker pool. Workers
 //!   share the snapshots read-only and keep *local* counters that are

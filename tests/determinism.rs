@@ -125,3 +125,37 @@ fn generated_platforms_are_seed_deterministic() {
     let names_b: Vec<_> = b.topo.nodes().map(|n| n.label.clone()).collect();
     assert_eq!(names_a, names_b);
 }
+
+/// The determinism lints' canary (DESIGN.md §10): one never-run reference
+/// per root `clippy.toml` entry, each expecting its lint. An entry that is
+/// misspelt, stops resolving on a new toolchain or is deleted leaves its
+/// expectation unfulfilled, and CI's clippy gate fails — clippy itself
+/// only warns about a config path it cannot resolve.
+#[test]
+fn every_clippy_toml_entry_still_fires() {
+    use std::collections::{HashMap, HashSet};
+    use std::time::{Instant, SystemTime};
+    use std::{fs, thread};
+    macro_rules! canary {
+        (methods: $($call:expr),+) => {$(
+            #[expect(clippy::disallowed_methods, reason = "canary")]
+            let _ = || { let _ = $call; };
+        )+};
+        (types: $($ty:ty),+) => {$(
+            #[expect(clippy::disallowed_types, reason = "canary")]
+            let _: Option<&$ty> = None;
+        )+};
+    }
+    let (mut m, mut s) = (HashMap::<u8, u8>::new(), HashSet::<u8>::new());
+    canary!(methods: Instant::now(), SystemTime::now(),
+        m.iter(), m.iter_mut(), m.keys(), m.values(), m.values_mut(), m.clone().into_keys(),
+        m.clone().into_values(), m.drain(), m.retain(|_, _| true), m.extract_if(|_, _| true),
+        s.iter(), s.drain(), s.retain(|_| true), s.extract_if(|_| true),
+        s.union(&s), s.intersection(&s), s.difference(&s), s.symmetric_difference(&s),
+        thread::spawn(|| ()), thread::Builder::new().spawn(|| ()),
+        fs::read(""), fs::read_to_string(""), fs::read_dir(""), fs::write("", ""),
+        fs::create_dir(""), fs::create_dir_all(""), fs::remove_file(""), fs::remove_dir(""),
+        fs::remove_dir_all(""), fs::rename("", ""), fs::copy("", ""), fs::metadata(""));
+    canary!(types: std::fs::File, std::fs::OpenOptions, dyn std::io::Write,
+        std::sync::Mutex<u8>, std::sync::RwLock<u8>);
+}
