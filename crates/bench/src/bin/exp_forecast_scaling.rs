@@ -25,7 +25,7 @@ use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
 use netsim::synth::{synth, SynthFamily};
 use nws::msg::NwsMsg;
-use nws::{Forecast, ForecasterBattery, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
+use nws::{Forecast, ForecasterBattery, NwsSystem, NwsSystemSpec, Resource, SeriesId, SeriesKey};
 use nws_bench::{Cell, Golden, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,24 +35,24 @@ const SEED: u64 = 2004;
 /// Bulk-injects measurement points as `Store` messages.
 struct Injector {
     memory: ProcessId,
-    batch: Vec<(SeriesKey, f64, f64)>,
+    batch: Vec<(SeriesId, f64, f64)>,
 }
 
 impl Process<NwsMsg> for Injector {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        for (seq, (key, t, value)) in self.batch.drain(..).enumerate() {
-            NwsMsg::Store { key, seq: seq as u64 + 1, t, value }.send(ctx, self.memory);
+        for (seq, (series, t, value)) in self.batch.drain(..).enumerate() {
+            NwsMsg::Store { series, seq: seq as u64 + 1, t, value }.send(ctx, self.memory);
         }
     }
 }
 
-type Latest = Rc<RefCell<BTreeMap<SeriesKey, Option<Forecast>>>>;
+type Latest = Rc<RefCell<BTreeMap<SeriesId, Option<Forecast>>>>;
 
 /// Issues `total` queries round-robin over `keys`, one in flight at a
 /// time, recording the latest forecast per key.
 struct Storm {
     forecaster: ProcessId,
-    keys: Vec<SeriesKey>,
+    keys: Vec<SeriesId>,
     total: usize,
     issued: usize,
     latest: Latest,
@@ -63,9 +63,9 @@ impl Storm {
         if self.issued == self.total {
             return;
         }
-        let key = self.keys[self.issued % self.keys.len()].clone();
+        let series = self.keys[self.issued % self.keys.len()];
         self.issued += 1;
-        NwsMsg::Query { key }.send(ctx, self.forecaster);
+        NwsMsg::Query { series }.send(ctx, self.forecaster);
     }
 }
 
@@ -74,8 +74,8 @@ impl Process<NwsMsg> for Storm {
         self.next(ctx);
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
-        if let NwsMsg::QueryReply { key, forecast } = msg {
-            self.latest.borrow_mut().insert(key, forecast);
+        if let NwsMsg::QueryReply { series, forecast } = msg {
+            self.latest.borrow_mut().insert(series, forecast.map(|f| *f));
             self.next(ctx);
         }
     }
@@ -86,7 +86,7 @@ fn run_storm(
     eng: &mut Engine<NwsMsg>,
     node: NodeId,
     forecaster: ProcessId,
-    keys: &[SeriesKey],
+    keys: &[SeriesId],
     total: usize,
     latest: &Latest,
 ) {
@@ -146,17 +146,18 @@ fn run_storm_tier(t: &mut Table, family: SynthFamily, hosts: usize, points: usiz
             ]
         })
         .collect();
+    let ids: Vec<SeriesId> = keys.iter().map(|k| sys.series_ids.borrow_mut().intern(k)).collect();
 
     // Prime: inject `points` measurements per series.
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0xf0f0);
     let mut batch = Vec::with_capacity(keys.len() * points);
-    let mut streams: BTreeMap<SeriesKey, Vec<f64>> = BTreeMap::new();
-    for key in &keys {
+    let mut streams: Vec<Vec<f64>> = Vec::with_capacity(keys.len());
+    for &id in &ids {
         let values = series_values(&mut rng, points + 1);
         for (i, v) in values[..points].iter().enumerate() {
-            batch.push((key.clone(), i as f64, *v));
+            batch.push((id, i as f64, *v));
         }
-        streams.insert(key.clone(), values);
+        streams.push(values);
     }
     eng.add_process(client_node, Box::new(Injector { memory: *memory, batch }));
     eng.run_until(eng.now() + TimeDelta::from_secs(1e7));
@@ -166,23 +167,23 @@ fn run_storm_tier(t: &mut Table, family: SynthFamily, hosts: usize, points: usiz
 
     // Cold sweep: first query per series pays the directory lookup and
     // the full-ring fetch.
-    run_storm(&mut eng, client_node, sys.forecaster, &keys, keys.len(), &latest);
+    run_storm(&mut eng, client_node, sys.forecaster, &ids, keys.len(), &latest);
     let served_cold = handle.borrow().points_served;
     assert_eq!(served_cold, (keys.len() * points) as u64, "cold sweep ships every ring");
 
     // Steady-state storm: no new measurements → every query is a zero-
     // point delta fetch, independent of how long the rings are.
-    run_storm(&mut eng, client_node, sys.forecaster, &keys, queries, &latest);
+    run_storm(&mut eng, client_node, sys.forecaster, &ids, queries, &latest);
     let steady_points_served = handle.borrow().points_served - served_cold;
     assert_eq!(steady_points_served, 0, "steady-state queries must ship zero history");
 
     // Delta phase: one fresh point per series, then one more sweep.
-    let batch: Vec<(SeriesKey, f64, f64)> =
-        keys.iter().map(|k| (k.clone(), points as f64, streams[k][points])).collect();
+    let batch: Vec<(SeriesId, f64, f64)> =
+        ids.iter().zip(&streams).map(|(&id, s)| (id, points as f64, s[points])).collect();
     eng.add_process(client_node, Box::new(Injector { memory: *memory, batch }));
     eng.run_until(eng.now() + TimeDelta::from_secs(1e7));
     let before_delta = handle.borrow().points_served;
-    run_storm(&mut eng, client_node, sys.forecaster, &keys, keys.len(), &latest);
+    run_storm(&mut eng, client_node, sys.forecaster, &ids, keys.len(), &latest);
     let delta_served = handle.borrow().points_served - before_delta;
     assert_eq!(delta_served, keys.len() as u64, "delta sweep ships exactly Δ = 1 per series");
 
@@ -195,10 +196,10 @@ fn run_storm_tier(t: &mut Table, family: SynthFamily, hosts: usize, points: usiz
     let store = handle.borrow();
     let latest = latest.borrow();
     let mut oracle_identical = true;
-    for key in &keys {
+    for (key, id) in keys.iter().zip(&ids) {
         let mut oracle = ForecasterBattery::classic();
-        oracle.observe_all(store.series[key].iter().map(|p| p.value));
-        let served = latest[key].clone();
+        oracle.observe_all(store.series[*id].iter().map(|p| p.value));
+        let served = latest[id].clone();
         if oracle.forecast() != served {
             oracle_identical = false;
             eprintln!("MISMATCH {key}: {:?} vs {:?}", oracle.forecast(), served);

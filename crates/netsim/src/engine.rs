@@ -168,28 +168,32 @@ enum EventKind<M> {
     FlowAck { flow: FlowId },
 }
 
-struct QEntry<M> {
+/// A queued event's place in the order: `(time, seq)`, and the slab slot
+/// its payload waits in. The heap sifts these 24 bytes, never the payload —
+/// a message can be many times that size and is moved once in and once out.
+#[derive(Clone, Copy)]
+struct QEntry {
     time: SimTime,
     seq: u64,
-    kind: EventKind<M>,
+    slot: u32,
 }
 
-impl<M> PartialEq for QEntry<M> {
+impl PartialEq for QEntry {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<M> Eq for QEntry<M> {}
+impl Eq for QEntry {}
 
-impl<M> Ord for QEntry<M> {
+impl Ord for QEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
         other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-impl<M> PartialOrd for QEntry<M> {
+impl PartialOrd for QEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -207,7 +211,11 @@ pub struct Core<M> {
     routes: Arc<RouteTable>,
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<QEntry<M>>,
+    queue: BinaryHeap<QEntry>,
+    /// Payloads of the queued events, by [`QEntry::slot`]; a popped
+    /// event's slot goes on `free_slots` for the next push to reuse.
+    slab: Vec<Option<EventKind<M>>>,
+    free_slots: Vec<u32>,
     /// Flow id → fairness-engine key (also the `flow_slots` index).
     flows: BTreeMap<FlowId, u32>,
     /// Active flow state, indexed by fairness-engine key. Slots are
@@ -258,7 +266,24 @@ impl<M> Core<M> {
     fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(QEntry { time, seq, kind });
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 queued events")
+            }
+        };
+        self.queue.push(QEntry { time, seq, slot });
+    }
+
+    /// Pop the earliest event's payload.
+    fn pop_event(&mut self) -> Option<EventKind<M>> {
+        let slot = self.queue.pop()?.slot;
+        self.free_slots.push(slot);
+        self.slab[slot as usize].take()
     }
 
     /// Advance the clock to instant `t`. Flows drain lazily (their
@@ -679,6 +704,8 @@ impl<M> Engine<M> {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
+                slab: Vec::new(),
+                free_slots: Vec::new(),
                 flows: BTreeMap::new(),
                 flow_slots: Vec::new(),
                 fair,
@@ -929,9 +956,9 @@ impl<M> Engine<M> {
                         return false;
                     }
                     self.core.advance_to(te);
-                    let entry = self.core.queue.pop().expect("peeked above");
+                    let kind = self.core.pop_event().expect("peeked above");
                     self.core.stats.events_processed += 1;
-                    self.dispatch(entry.kind);
+                    self.dispatch(kind);
                 }
                 true
             }

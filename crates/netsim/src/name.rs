@@ -19,7 +19,57 @@ use crate::ip::Ipv4;
 /// under `RandomState` the order and sizes of allocations — and with them
 /// the heap's layout and the process's peak RSS, by 12 MiB on the
 /// 1000-host benchmark — differ from one process to the next (DESIGN §9).
-pub(crate) type FixedState = BuildHasherDefault<DefaultHasher>;
+pub type FixedState = BuildHasherDefault<DefaultHasher>;
+
+/// The workspace's one string → dense id core: each distinct string is
+/// stored once and numbered in first-seen order, so the ids are a pure
+/// function of the order strings were first offered. The topology's
+/// [`crate::topology::NameTable`] and the NWS series table are both built
+/// on it.
+#[derive(Debug, Clone, Default)]
+pub struct Interner {
+    lookup: HashMap<String, u32, FixedState>,
+    names: Vec<String>,
+}
+
+impl Interner {
+    pub fn with_capacity(n: usize) -> Self {
+        Interner {
+            lookup: HashMap::with_capacity_and_hasher(n, FixedState::default()),
+            names: Vec::with_capacity(n),
+        }
+    }
+
+    /// The id of `name`, minting the next one the first time it is seen;
+    /// the flag says whether it was minted now.
+    pub fn intern(&mut self, name: &str) -> (u32, bool) {
+        if let Some(&id) = self.lookup.get(name) {
+            return (id, false);
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 interned names");
+        self.lookup.insert(name.to_string(), id);
+        self.names.push(name.to_string());
+        (id, true)
+    }
+
+    /// The id of `name`, if it was interned.
+    pub fn get(&self, name: &str) -> Option<u32> {
+        self.lookup.get(name).copied()
+    }
+
+    /// The string behind an id this interner minted.
+    pub fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+}
 
 /// Forward (name→address) and reverse (address→name) resolution tables.
 #[derive(Debug, Clone, Default)]
@@ -136,6 +186,16 @@ mod tests {
             d
         };
         assert_eq!(format!("{:?}", build()), format!("{:?}", build()));
+    }
+
+    #[test]
+    fn interner_numbers_in_first_seen_order() {
+        let mut n = Interner::default();
+        assert_eq!(n.intern("b.x"), (0, true));
+        assert_eq!(n.intern("a.x"), (1, true));
+        assert_eq!(n.intern("b.x"), (0, false));
+        assert_eq!((n.get("a.x"), n.get("c.x")), (Some(1), None));
+        assert_eq!((n.name(0), n.name(1), n.len()), ("b.x", "a.x", 2));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::fmt;
 use crate::error::{NetError, NetResult};
 use crate::firewall::Firewall;
 use crate::ip::Ipv4;
-use crate::name::{Dns, FixedState};
+use crate::name::{Dns, Interner};
 use crate::units::{Bandwidth, Latency};
 
 /// Identifier of a node in a [`Topology`]. Indexes are dense.
@@ -232,34 +232,26 @@ impl NameId {
 /// hash lookup per *distinct* string instead of one per call.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    lookup: HashMap<String, NameId, FixedState>,
-    names: Vec<String>,
+    names: Interner,
     owner: Vec<NodeId>,
 }
 
 impl NameTable {
     fn with_capacity(n: usize) -> Self {
-        NameTable {
-            lookup: HashMap::with_capacity_and_hasher(n, FixedState::default()),
-            names: Vec::with_capacity(n),
-            owner: Vec::with_capacity(n),
-        }
+        NameTable { names: Interner::with_capacity(n), owner: Vec::with_capacity(n) }
     }
 
     /// Intern `name` as owned by `node`. First registration wins, so ties
     /// resolve to the lowest node id — the order the builder walks nodes.
     fn insert(&mut self, name: &str, node: NodeId) {
-        if !self.lookup.contains_key(name) {
-            let id = NameId(self.names.len() as u32);
-            self.lookup.insert(name.to_string(), id);
-            self.names.push(name.to_string());
+        if self.names.intern(name).1 {
             self.owner.push(node);
         }
     }
 
     /// The dense id of a name, if it is registered.
     pub fn get(&self, name: &str) -> Option<NameId> {
-        self.lookup.get(name).copied()
+        self.names.get(name).map(NameId)
     }
 
     /// The node owning an interned name.
@@ -269,7 +261,7 @@ impl NameTable {
 
     /// The interned string of a dense id.
     pub fn name(&self, id: NameId) -> &str {
-        &self.names[id.index()]
+        self.names.name(id.0)
     }
 
     /// One-shot resolution (`get` + `owner`).

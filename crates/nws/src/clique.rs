@@ -22,13 +22,15 @@ use netsim::engine::ProcessId;
 use netsim::time::TimeDelta;
 use netsim::topology::NodeId;
 
-/// A clique's ring: (sensor pid, host name, host node) per member, in ring
-/// order. Built once per clique and shared by every member's
+use crate::ids::HostId;
+
+/// A clique's ring: (sensor pid, interned host name, host node) per
+/// member, in ring order. Built once per clique and shared by every member's
 /// [`CliqueMembership`] and every [`CliqueRetarget`] that carries it — a
 /// ring is never mutated after construction (a changed clique gets a new
 /// ring) and the engine is single-threaded, so an `Rc` is all the sharing
 /// needs. Per-member copies would cost Σ|c|² entries per deployment.
-pub type Ring = Rc<[(ProcessId, String, NodeId)]>;
+pub type Ring = Rc<[(ProcessId, HostId, NodeId)]>;
 
 /// One sensor's view of one clique it belongs to.
 #[derive(Debug, Clone)]
@@ -142,10 +144,15 @@ pub struct CliqueRetarget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SeriesTable;
 
     fn membership(k: usize, me: usize) -> CliqueMembership {
+        let table = SeriesTable::new();
         let members: Ring = (0..k)
-            .map(|i| (ProcessId::from_raw(i as u32), format!("h{i}.x"), NodeId::from_raw(i as u32)))
+            .map(|i| {
+                let host = table.borrow_mut().host(&format!("h{i}.x"));
+                (ProcessId::from_raw(i as u32), host, NodeId::from_raw(i as u32))
+            })
             .collect();
         CliqueMembership::new(
             "c0",
@@ -197,8 +204,9 @@ mod tests {
 
     #[test]
     fn non_member_rejected() {
+        let host = SeriesTable::new().borrow_mut().host("a");
         let members: Ring =
-            [(ProcessId::from_raw(0), "a".to_string(), NodeId::from_raw(0))].into_iter().collect();
+            [(ProcessId::from_raw(0), host, NodeId::from_raw(0))].into_iter().collect();
         let m = CliqueMembership::new(
             "c",
             members,

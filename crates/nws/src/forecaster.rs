@@ -11,7 +11,8 @@ use netsim::engine::{Ctx, Process, ProcessId, TimerId};
 use netsim::prelude::*;
 
 use crate::forecast::Forecast;
-use crate::msg::{NwsMsg, SeriesKey, ServerKind};
+use crate::ids::{IdMap, SeriesId, SeriesTableHandle};
+use crate::msg::{NwsMsg, ServerKind};
 use crate::persist::{ForecastLog, DEFAULT_COMPACT_THRESHOLD};
 use crate::series_state::SeriesState;
 
@@ -20,33 +21,16 @@ use crate::series_state::SeriesState;
 /// of hanging (outage tolerance).
 const QUERY_TIMEOUT_S: f64 = 5.0;
 
-/// What the forecaster keeps per series: the shared [`SeriesState`] core
-/// plus the memory server that stores the series (cached from the first
-/// directory lookup). The memory pid is `None` right after a recovery
-/// from disk — pids do not survive restarts and are not durable state, so
-/// a recovered series re-resolves its home through the name server on the
-/// next query.
-struct Tracked {
-    core: SeriesState,
-    memory: Option<ProcessId>,
-}
-
-impl Tracked {
-    fn fresh() -> Self {
-        Tracked { core: SeriesState::fresh(), memory: None }
-    }
-}
-
-/// One party waiting for a key to resolve: a single-query client (owed a
+/// One party waiting for a series to resolve: a single-query client (owed a
 /// `QueryReply`) or one slot of a pending [`NwsMsg::QueryBatch`].
 enum Waiter {
     Client(ProcessId),
     BatchSlot { batch: u64, slot: usize },
 }
 
-/// The single-flight table entry for one key: every pending query —
+/// The single-flight table entry for one series: every pending query —
 /// single or batched — parks here while at most **one** lookup/fetch
-/// round trip is in flight for the key. `asked` is the waiter prefix
+/// round trip is in flight for the series. `asked` is the waiter prefix
 /// covered by that round trip; only that prefix may be answered from a
 /// negative directory reply — a waiter that queued *after* the `WhereIs`
 /// left may be asking about a series registered in the meantime, so its
@@ -57,14 +41,14 @@ struct Waiting {
     asked: usize,
 }
 
-/// A client's in-progress `QueryBatch`: answer slots fill in as each key
+/// A client's in-progress `QueryBatch`: answer slots fill in as each series
 /// resolves (shared with any concurrent single queries through the
 /// single-flight table); when `remaining` hits zero, one
 /// `QueryBatchReply` carries every slot back.
 struct PendingBatch {
     client: ProcessId,
     id: u64,
-    answers: Vec<(SeriesKey, Option<Forecast>)>,
+    answers: Vec<Option<Forecast>>,
     remaining: usize,
 }
 
@@ -83,14 +67,19 @@ struct PendingBatch {
 pub struct ForecasterServer {
     name: String,
     ns: ProcessId,
-    state: BTreeMap<SeriesKey, Tracked>,
-    waiting: BTreeMap<SeriesKey, Waiting>,
-    next_timeout_tag: u64,
-    /// In-flight request timeouts, both directions: key → armed timer and
-    /// timer tag → key (timer tags are plain u64s, so the reverse map
-    /// routes `on_timer` back to the series).
-    timeout_by_key: BTreeMap<SeriesKey, (TimerId, u64)>,
-    key_by_tag: BTreeMap<u64, SeriesKey>,
+    /// The shared [`SeriesState`] core of every series queried so far or
+    /// recovered from disk.
+    cores: IdMap<SeriesState>,
+    /// The memory server that stores each series, cached from the first
+    /// directory lookup. Absent right after a recovery from disk — pids do
+    /// not survive restarts and are not durable state, so a recovered
+    /// series re-resolves its home through the name server on the next
+    /// query.
+    memory: IdMap<ProcessId>,
+    waiting: IdMap<Waiting>,
+    /// The armed timeout of each series with a request in flight. A
+    /// timer's tag is its series' index, which routes `on_timer` back.
+    timeouts: IdMap<TimerId>,
     /// Stale forecasts served during outages (for tests/benches).
     pub stale_served: u64,
     /// Queries that joined an already in-flight lookup/fetch instead of
@@ -116,8 +105,8 @@ impl ForecasterServer {
     /// A forecaster on a fresh disk of its own that nothing else can
     /// reach; supervised deployments hand [`ForecasterServer::durable`]
     /// the host's disk.
-    pub fn new(name: &str, ns: ProcessId) -> Self {
-        Self::durable(name, ns, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD)
+    pub fn new(name: &str, ns: ProcessId, ids: &SeriesTableHandle) -> Self {
+        Self::durable(name, ns, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD, ids)
     }
 
     /// Battery state and delta-fetch watermarks are recovered from `disk`
@@ -126,20 +115,22 @@ impl ForecasterServer {
     /// outgrows `compact_threshold` bytes. Memory pids are not part of the
     /// durable state — recovered series re-resolve their memory through
     /// the name server on the next query.
-    pub fn durable(name: &str, ns: ProcessId, disk: DiskHandle, compact_threshold: u64) -> Self {
-        let (recovered, mut log) = ForecastLog::recover(disk, "forecaster");
+    pub fn durable(
+        name: &str,
+        ns: ProcessId,
+        disk: DiskHandle,
+        compact_threshold: u64,
+        ids: &SeriesTableHandle,
+    ) -> Self {
+        let (cores, mut log) = ForecastLog::recover(disk, "forecaster", ids);
         log.set_compact_threshold(compact_threshold);
         ForecasterServer {
             name: name.to_string(),
             ns,
-            state: recovered
-                .into_iter()
-                .map(|(k, core)| (k, Tracked { core, memory: None }))
-                .collect(),
-            waiting: BTreeMap::new(),
-            next_timeout_tag: 0,
-            timeout_by_key: BTreeMap::new(),
-            key_by_tag: BTreeMap::new(),
+            cores,
+            memory: IdMap::new(),
+            waiting: IdMap::new(),
+            timeouts: IdMap::new(),
             stale_served: 0,
             coalesced: 0,
             batches_served: 0,
@@ -150,72 +141,68 @@ impl ForecasterServer {
         }
     }
 
-    fn arm_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        if self.timeout_by_key.contains_key(key) {
+    fn arm_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, series: SeriesId) {
+        if self.timeouts.contains(series) {
             return; // one timeout covers the whole lookup+fetch round trip
         }
-        let tag = self.next_timeout_tag;
-        self.next_timeout_tag += 1;
-        let id = ctx.set_timer(TimeDelta::from_secs(QUERY_TIMEOUT_S), tag);
-        self.timeout_by_key.insert(key.clone(), (id, tag));
-        self.key_by_tag.insert(tag, key.clone());
+        let timer = ctx.set_timer(TimeDelta::from_secs(QUERY_TIMEOUT_S), series.index() as u64);
+        self.timeouts.insert(series, timer);
     }
 
-    fn clear_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        if let Some((id, tag)) = self.timeout_by_key.remove(key) {
-            ctx.cancel_timer(id);
-            self.key_by_tag.remove(&tag);
+    fn clear_timeout(&mut self, ctx: &mut Ctx<'_, NwsMsg>, series: SeriesId) {
+        if let Some(timer) = self.timeouts.remove(series) {
+            ctx.cancel_timer(timer);
         }
     }
 
-    fn send_fetch_since(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        let st = &self.state[key];
-        let Some(memory) = st.memory else { return };
-        NwsMsg::FetchSince { key: key.clone(), after: st.core.last_t() }.send(ctx, memory);
+    fn send_fetch_since(&self, ctx: &mut Ctx<'_, NwsMsg>, series: SeriesId) {
+        let Some(&memory) = self.memory.get(series) else { return };
+        NwsMsg::FetchSince { series, after: self.cores[series].last_t() }.send(ctx, memory);
     }
 
-    fn send_where_is(&self, ctx: &mut Ctx<'_, NwsMsg>, key: &SeriesKey) {
-        NwsMsg::WhereIs { key: key.clone() }.send(ctx, self.ns);
+    fn send_where_is(&self, ctx: &mut Ctx<'_, NwsMsg>, series: SeriesId) {
+        NwsMsg::WhereIs { series }.send(ctx, self.ns);
     }
 
-    /// Park a waiter on `key`, starting a lookup/fetch round trip only if
-    /// none is in flight (the single-flight discipline). A known series
-    /// goes straight to its memory for the delta; a never-seen key — or
+    /// Park a waiter on `series`, starting a lookup/fetch round trip only
+    /// if none is in flight (the single-flight discipline). A known series
+    /// goes straight to its memory for the delta; a never-seen series — or
     /// one recovered from disk with no cached memory pid — pays the
     /// directory round trip.
-    fn enqueue(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: SeriesKey, waiter: Waiter) {
-        let w = self.waiting.entry(key.clone()).or_default();
+    fn enqueue(&mut self, ctx: &mut Ctx<'_, NwsMsg>, series: SeriesId, waiter: Waiter) {
+        let w = self.waiting.get_or_insert_with(series, Waiting::default);
         w.waiters.push_back(waiter);
         if w.asked == 0 {
             w.asked = w.waiters.len();
-            if self.state.get(&key).is_some_and(|st| st.memory.is_some()) {
-                self.send_fetch_since(ctx, &key);
+            if self.memory.contains(series) {
+                self.send_fetch_since(ctx, series);
             } else {
-                self.send_where_is(ctx, &key);
+                self.send_where_is(ctx, series);
             }
-            self.arm_timeout(ctx, &key);
+            self.arm_timeout(ctx, series);
         } else {
             self.coalesced += 1;
         }
     }
 
-    /// Deliver one key's answer to one waiter: a client gets its
+    /// Deliver one series' answer to one waiter: a client gets its
     /// `QueryReply` immediately; a batch slot fills in, and the batch
     /// replies once its last slot resolves.
     fn answer(
         &mut self,
         ctx: &mut Ctx<'_, NwsMsg>,
-        key: &SeriesKey,
+        series: SeriesId,
         w: Waiter,
         f: &Option<Forecast>,
     ) {
         match w {
             Waiter::Client(c) => {
-                NwsMsg::QueryReply { key: key.clone(), forecast: f.clone() }.send(ctx, c);
+                let forecast = f.clone().map(Box::new);
+                NwsMsg::QueryReply { series, forecast }.send(ctx, c);
             }
             Waiter::BatchSlot { batch, slot } => {
                 let Some(b) = self.batches.get_mut(&batch) else { return };
-                b.answers[slot].1 = f.clone();
+                b.answers[slot] = f.clone();
                 b.remaining -= 1;
                 if b.remaining == 0 {
                     let b = self.batches.remove(&batch).expect("pending batch");
@@ -235,35 +222,35 @@ impl Process<NwsMsg> for ForecasterServer {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
         match msg {
-            NwsMsg::Query { key } => {
-                self.enqueue(ctx, key, Waiter::Client(from));
+            NwsMsg::Query { series } => {
+                self.enqueue(ctx, series, Waiter::Client(from));
             }
-            NwsMsg::QueryBatch { id, keys } => {
-                if keys.is_empty() {
+            NwsMsg::QueryBatch { id, series } => {
+                if series.is_empty() {
                     NwsMsg::QueryBatchReply { id, forecasts: Vec::new() }.send(ctx, from);
                     self.batches_served += 1;
                     return;
                 }
                 let batch = self.next_batch;
                 self.next_batch += 1;
-                let remaining = keys.len();
-                let answers: Vec<(SeriesKey, Option<Forecast>)> =
-                    keys.iter().map(|k| (k.clone(), None)).collect();
+                let remaining = series.len();
+                let answers = vec![None; remaining];
                 self.batches.insert(batch, PendingBatch { client: from, id, answers, remaining });
-                // Duplicate keys in one batch share a single-flight entry
+                // Duplicate series in one batch share a single-flight entry
                 // (and any in-flight fetch from other queries) like every
                 // other waiter.
-                for (slot, key) in keys.into_iter().enumerate() {
-                    self.enqueue(ctx, key, Waiter::BatchSlot { batch, slot });
+                for (slot, s) in series.into_iter().enumerate() {
+                    self.enqueue(ctx, s, Waiter::BatchSlot { batch, slot });
                 }
             }
-            NwsMsg::WhereIsReply { key, memory } => match memory {
+            NwsMsg::WhereIsReply { series, memory } => match memory {
                 Some(mem) => {
                     // No prefix accounting here: the eventual FetchReply
                     // forecast is fresh enough for every waiting client,
                     // including post-lookup joiners, and answers them all.
-                    self.state.entry(key.clone()).or_insert_with(Tracked::fresh).memory = Some(mem);
-                    self.send_fetch_since(ctx, &key);
+                    self.cores.get_or_insert_with(series, SeriesState::fresh);
+                    self.memory.insert(series, mem);
+                    self.send_fetch_since(ctx, series);
                 }
                 None => {
                     // Unknown series: the negative only answers the waiters
@@ -271,28 +258,28 @@ impl Process<NwsMsg> for ForecasterServer {
                     // afterwards re-asks — the series may have been
                     // registered while the reply was in flight.
                     let mut covered = Vec::new();
-                    if let Some(w) = self.waiting.get_mut(&key) {
+                    if let Some(w) = self.waiting.get_mut(series) {
                         for _ in 0..w.asked {
                             let Some(c) = w.waiters.pop_front() else { break };
                             covered.push(c);
                         }
                         if w.waiters.is_empty() {
-                            self.waiting.remove(&key);
-                            self.clear_timeout(ctx, &key);
+                            self.waiting.remove(series);
+                            self.clear_timeout(ctx, series);
                         } else {
                             w.asked = w.waiters.len();
-                            self.send_where_is(ctx, &key);
+                            self.send_where_is(ctx, series);
                         }
                     }
                     for c in covered {
-                        self.answer(ctx, &key, c, &None);
+                        self.answer(ctx, series, c, &None);
                     }
                 }
             },
-            NwsMsg::FetchReply { key, points, latest } => {
-                let st = self.state.entry(key.clone()).or_insert_with(Tracked::fresh);
-                st.memory = Some(from);
-                if st.core.restored_older_than(latest) {
+            NwsMsg::FetchReply { series, points, latest } => {
+                self.memory.insert(series, from);
+                let core = self.cores.get_or_insert_with(series, SeriesState::fresh);
+                if core.restored_older_than(latest) {
                     // The memory holds *less* than we have already
                     // observed: it was restored to an older state (a crash
                     // lost the unsynced tail). Our battery has consumed
@@ -303,32 +290,31 @@ impl Process<NwsMsg> for ForecasterServer {
                     // the rewind, the watermark can never again exceed
                     // `latest`. The timeout stays armed; the full
                     // re-fetch's reply will answer the waiting clients.
-                    st.core.rewind();
+                    core.rewind();
                     self.rewinds += 1;
-                    self.log.log_rewind(&key);
+                    self.log.log_rewind(series);
                     self.log.sync();
-                    self.send_fetch_since(ctx, &key);
+                    self.send_fetch_since(ctx, series);
                     return;
                 }
                 for (t, v) in points {
                     // `observe` takes each point exactly once even from a
                     // duplicate or reordered reply; only the points it
                     // takes are logged (replay fidelity).
-                    if st.core.observe(t, v) {
-                        self.log.log_observe(&key, t, v);
+                    if core.observe(t, v) {
+                        self.log.log_observe(series, t, v);
                     }
                 }
+                let forecast = core.forecast();
                 self.log.sync();
                 if self.log.needs_compact() {
-                    self.log.compact(
-                        self.state.iter().map(|(k, s)| (k, s.core.battery(), s.core.last_t())),
-                    );
+                    let cores = &self.cores;
+                    self.log.compact(|id| cores.get(id).map(|s| (s.battery(), s.last_t())));
                 }
-                let forecast = self.state[&key].core.forecast();
-                self.clear_timeout(ctx, &key);
-                if let Some(w) = self.waiting.remove(&key) {
+                self.clear_timeout(ctx, series);
+                if let Some(w) = self.waiting.remove(series) {
                     for c in w.waiters {
-                        self.answer(ctx, &key, c, &forecast);
+                        self.answer(ctx, series, c, &forecast);
                     }
                 }
             }
@@ -340,28 +326,30 @@ impl Process<NwsMsg> for ForecasterServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NwsMsg>, tag: u64) {
-        let Some(key) = self.key_by_tag.remove(&tag) else { return };
-        self.timeout_by_key.remove(&key);
+        let series = SeriesId::from_index(tag as usize);
+        if self.timeouts.remove(series).is_none() {
+            return;
+        }
         // The series' memory (or the name server) went quiet mid-request.
         // Answer the waiting clients from the persistent battery — a stale
         // prediction beats an error during an outage — then re-resolve the
         // series' home through the directory: a memory restarted by the
         // supervisor re-registers under its new pid, so the lookup heals
-        // the cached `Tracked::memory` for the next query.
-        let stale = self.state.get(&key).and_then(|st| st.core.forecast()).map(|mut f| {
+        // the cached memory pid for the next query.
+        let stale = self.cores.get(series).and_then(SeriesState::forecast).map(|mut f| {
             f.stale = true;
             f
         });
-        if let Some(w) = self.waiting.remove(&key) {
+        if let Some(w) = self.waiting.remove(series) {
             for c in w.waiters {
                 if stale.is_some() {
                     self.stale_served += 1;
                 }
-                self.answer(ctx, &key, c, &stale);
+                self.answer(ctx, series, c, &stale);
             }
         }
-        if self.state.contains_key(&key) {
-            self.send_where_is(ctx, &key);
+        if self.cores.contains(series) {
+            self.send_where_is(ctx, series);
         }
     }
 }
@@ -369,36 +357,37 @@ impl Process<NwsMsg> for ForecasterServer {
 /// A one-shot client: queries one series and stashes the reply.
 pub struct Client {
     pub(crate) forecaster: ProcessId,
-    pub(crate) key: SeriesKey,
+    pub(crate) series: SeriesId,
     pub(crate) result: Rc<RefCell<Option<Option<Forecast>>>>,
 }
 
 impl Process<NwsMsg> for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        NwsMsg::Query { key: self.key.clone() }.send(ctx, self.forecaster);
+        NwsMsg::Query { series: self.series }.send(ctx, self.forecaster);
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
         if let NwsMsg::QueryReply { forecast, .. } = msg {
-            *self.result.borrow_mut() = Some(forecast);
+            *self.result.borrow_mut() = Some(forecast.map(|f| *f));
         }
     }
 }
 
 /// The answer list carried by a `QueryBatchReply`, slot-aligned with the
-/// request's keys.
-pub type BatchAnswers = Vec<(SeriesKey, Option<Forecast>)>;
+/// request's series.
+pub type BatchAnswers = Vec<Option<Forecast>>;
 
 /// A one-shot batch client: sends one `QueryBatch` and stashes the reply.
 pub struct BatchClient {
     pub(crate) forecaster: ProcessId,
-    pub(crate) keys: Vec<SeriesKey>,
+    pub(crate) series: Vec<SeriesId>,
     pub(crate) result: Rc<RefCell<Option<BatchAnswers>>>,
 }
 
 impl Process<NwsMsg> for BatchClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        NwsMsg::QueryBatch { id: 0, keys: self.keys.clone() }.send(ctx, self.forecaster);
+        let series = std::mem::take(&mut self.series);
+        NwsMsg::QueryBatch { id: 0, series }.send(ctx, self.forecaster);
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {

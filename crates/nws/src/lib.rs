@@ -31,6 +31,7 @@ pub mod forecaster;
 #[cfg(test)]
 mod forecaster_differential;
 pub mod hostload;
+pub mod ids;
 pub mod memory;
 pub mod msg;
 pub mod persist;
@@ -46,6 +47,7 @@ pub mod wal;
 
 pub use clique::CliqueRetarget;
 pub use forecast::{Forecast, ForecasterBattery};
+pub use ids::{HostId, IdMap, SeriesId, SeriesTable, SeriesTableHandle};
 pub use msg::{NwsMsg, Resource, SeriesKey};
 pub use persist::{ForecastLog, MemoryLog};
 pub use series::{Series, SeriesPoint};

@@ -4,7 +4,8 @@
 //! Sensors `Store` measurements here; forecasters `FetchSince` histories.
 //! On the first store of a series the memory registers itself as that
 //! series' home with the name server, which is how the forecaster's
-//! directory lookup (step 2 of §2.1) finds the right memory.
+//! directory lookup (step 2 of §2.1) finds the right memory. Series are
+//! held by [`SeriesId`]; the durable log spells their keys out.
 //!
 //! Stores are acknowledged and deduplicated: every `Store` carries a
 //! per-sender sequence number, the memory acks it (even when the point is
@@ -28,7 +29,8 @@ use netsim::disk::{DiskHandle, SimDisk};
 use netsim::engine::{Ctx, Process, ProcessId};
 use netsim::error::NetError;
 
-use crate::msg::{NwsMsg, SeriesKey, ServerKind};
+use crate::ids::{IdMap, SeriesId, SeriesTableHandle};
+use crate::msg::{NwsMsg, ServerKind};
 use crate::persist::{MemoryLog, DEFAULT_COMPACT_THRESHOLD};
 use crate::series::Series;
 
@@ -73,14 +75,14 @@ impl SeenSeqs {
 pub struct StoreOutcome {
     /// First time this (sender, seq) was seen — the point was counted.
     pub first_time: bool,
-    /// The store created the series (its key should be registered).
+    /// The store created the series (it should be registered).
     pub new_key: bool,
 }
 
 /// The stored series, shared with the harness for direct inspection.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    pub series: BTreeMap<SeriesKey, Series>,
+    pub series: IdMap<Series>,
     pub stores: u64,
     pub fetches: u64,
     /// Stores recognized as retries or network duplicates by the
@@ -104,10 +106,6 @@ pub struct MemoryStore {
 }
 
 impl MemoryStore {
-    pub fn series_len(&self, key: &SeriesKey) -> usize {
-        self.series.get(key).map(Series::len).unwrap_or(0)
-    }
-
     /// Apply one store: dedup via the per-sender seq ledger, then count
     /// and push. This is the **single** mutation path for stores — the
     /// live message handler and the WAL replay both call it, which is
@@ -117,7 +115,7 @@ impl MemoryStore {
         &mut self,
         sender: ProcessId,
         seq: u64,
-        key: &SeriesKey,
+        id: SeriesId,
         t: f64,
         value: f64,
         capacity: usize,
@@ -126,16 +124,11 @@ impl MemoryStore {
         let mut new_key = false;
         if first_time {
             self.stores += 1;
-            let stored = match self.series.get_mut(key) {
-                Some(series) => series.push(t, value),
-                None => {
-                    new_key = true;
-                    let mut series = Series::new(capacity);
-                    let stored = series.push(t, value);
-                    self.series.insert(key.clone(), series);
-                    stored
-                }
-            };
+            let series = self.series.get_or_insert_with(id, || {
+                new_key = true;
+                Series::new(capacity)
+            });
+            let stored = series.push(t, value);
             if !stored {
                 self.rejected += 1;
             }
@@ -168,6 +161,7 @@ pub struct MemoryServer {
     store: MemoryHandle,
     /// Durable WAL + snapshot state on the server's disk.
     log: MemoryLog,
+    ids: SeriesTableHandle,
 }
 
 impl MemoryServer {
@@ -175,8 +169,13 @@ impl MemoryServer {
     /// reach: its state dies with the process, as far as any observer can
     /// tell. Unit tests and single-epoch experiments use this; supervised
     /// deployments hand [`MemoryServer::recover`] the host's disk.
-    pub fn new(name: &str, ns: ProcessId, capacity: usize) -> (Self, MemoryHandle) {
-        Self::recover(name, ns, capacity, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD)
+    pub fn new(
+        name: &str,
+        ns: ProcessId,
+        capacity: usize,
+        ids: &SeriesTableHandle,
+    ) -> (Self, MemoryHandle) {
+        Self::recover(name, ns, capacity, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD, ids)
     }
 
     /// Rebuild the store from `disk` (snapshot + WAL replay, empty disk ⇒
@@ -195,11 +194,20 @@ impl MemoryServer {
         capacity: usize,
         disk: DiskHandle,
         compact_threshold: u64,
+        ids: &SeriesTableHandle,
     ) -> (Self, MemoryHandle) {
-        let (store, mut log) = MemoryLog::recover(disk, "memory", capacity);
+        let (store, mut log) = MemoryLog::recover(disk, "memory", capacity, ids);
         log.set_compact_threshold(compact_threshold);
         let store = Rc::new(RefCell::new(store));
-        (MemoryServer { name: name.to_string(), ns, capacity, store: store.clone(), log }, store)
+        let server = MemoryServer {
+            name: name.to_string(),
+            ns,
+            capacity,
+            store: store.clone(),
+            log,
+            ids: ids.clone(),
+        };
+        (server, store)
     }
 }
 
@@ -207,23 +215,26 @@ impl Process<NwsMsg> for MemoryServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
         NwsMsg::Register { name: self.name.clone(), kind: ServerKind::Memory }.send(ctx, self.ns);
         // Restarted under a fresh pid: re-claim every series read off disk
-        // so directory lookups stop pointing at the dead predecessor.
-        let keys: Vec<SeriesKey> = self.store.borrow().series.keys().cloned().collect();
-        for key in keys {
-            NwsMsg::RegisterSeries { key, memory: ctx.me() }.send(ctx, self.ns);
+        // so directory lookups stop pointing at the dead predecessor. In key
+        // order, not id order: the burst is one event per series, so its
+        // order is part of every run's event sequence.
+        let order = self.ids.borrow_mut().in_key_order();
+        let store = self.store.borrow();
+        for &series in order.iter().filter(|&&id| store.series.contains(id)) {
+            NwsMsg::RegisterSeries { series, memory: ctx.me() }.send(ctx, self.ns);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
         match msg {
-            NwsMsg::Store { key, seq, t, value } => {
+            NwsMsg::Store { series, seq, t, value } => {
                 let out =
-                    self.store.borrow_mut().apply_store(from, seq, &key, t, value, self.capacity);
+                    self.store.borrow_mut().apply_store(from, seq, series, t, value, self.capacity);
                 // Log every copy — duplicates included, so replay
                 // reproduces `dup_stores` — and fsync before the ack: an
                 // acked store is on stable storage, which is what keeps a
                 // crash + sensor retry from double-counting.
-                self.log.log_store(from, seq, &key, t, value);
+                self.log.log_store(from, seq, series, t, value);
                 self.log.maybe_compact(&self.store.borrow());
                 // Ack in every case — including duplicates and rejected
                 // points — so the sender releases its buffer slot; without
@@ -231,27 +242,23 @@ impl Process<NwsMsg> for MemoryServer {
                 // retry forever.
                 NwsMsg::StoreAck { seq }.send(ctx, from);
                 if out.first_time && out.new_key {
-                    NwsMsg::RegisterSeries { key, memory: ctx.me() }.send(ctx, self.ns);
+                    NwsMsg::RegisterSeries { series, memory: ctx.me() }.send(ctx, self.ns);
                 }
             }
             NwsMsg::Ping => {
                 NwsMsg::Pong.send(ctx, from);
             }
-            NwsMsg::FetchSince { key, after } => {
+            NwsMsg::FetchSince { series, after } => {
                 let (points, latest) = {
                     let mut st = self.store.borrow_mut();
-                    let points =
-                        st.series.get(&key).map(|s| s.pairs_since(after)).unwrap_or_default();
-                    let latest = st
-                        .series
-                        .get(&key)
-                        .and_then(Series::last)
-                        .map_or(f64::NEG_INFINITY, |p| p.t);
+                    let held = st.series.get(series);
+                    let points = held.map(|s| s.pairs_since(after)).unwrap_or_default();
+                    let latest = held.and_then(Series::last).map_or(f64::NEG_INFINITY, |p| p.t);
                     st.apply_fetch(points.len() as u64);
                     (points, latest)
                 };
                 self.log.log_fetch(points.len() as u64);
-                NwsMsg::FetchReply { key, points, latest }.send(ctx, from);
+                NwsMsg::FetchReply { series, points, latest }.send(ctx, from);
             }
             _ => {}
         }
@@ -271,7 +278,8 @@ impl Process<NwsMsg> for MemoryServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Resource;
+    use crate::ids::SeriesTable;
+    use crate::msg::{Resource, SeriesKey};
     use crate::registry::NameServer;
     use netsim::prelude::*;
     use netsim::Engine;
@@ -291,23 +299,31 @@ mod tests {
         (Engine::new(b.build().unwrap()), hosts)
     }
 
+    /// The series every test stores to, as `ids` numbers it.
+    fn ab(ids: &SeriesTableHandle) -> SeriesId {
+        ids.borrow_mut().intern(&SeriesKey::link(Resource::Bandwidth, "a.x", "b.x"))
+    }
+
+    fn send(ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, m: NwsMsg) {
+        let size = m.wire_size();
+        ctx.send(to, size, m).unwrap();
+    }
+
     /// Stores three values, then fetches them back.
     struct StoreFetch {
         memory: ProcessId,
+        series: SeriesId,
         got: GotPoints,
     }
 
     impl Process<NwsMsg> for StoreFetch {
         fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-            let key = SeriesKey::link(Resource::Bandwidth, "a.x", "b.x");
+            let series = self.series;
             for (seq, (t, v)) in [(1.0, 90.0), (2.0, 95.0), (3.0, 92.0)].iter().enumerate() {
-                let m = NwsMsg::Store { key: key.clone(), seq: seq as u64 + 1, t: *t, value: *v };
-                let size = m.wire_size();
-                ctx.send(self.memory, size, m).unwrap();
+                let m = NwsMsg::Store { series, seq: seq as u64 + 1, t: *t, value: *v };
+                send(ctx, self.memory, m);
             }
-            let f = NwsMsg::FetchSince { key, after: f64::NEG_INFINITY };
-            let size = f.wire_size();
-            ctx.send(self.memory, size, f).unwrap();
+            send(ctx, self.memory, NwsMsg::FetchSince { series, after: f64::NEG_INFINITY });
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _f: ProcessId, msg: NwsMsg) {
             if let NwsMsg::FetchReply { points, .. } = msg {
@@ -319,12 +335,17 @@ mod tests {
     #[test]
     fn store_then_fetch() {
         let (mut eng, hosts) = net3();
+        let ids = SeriesTable::new();
         let (ns, ns_state) = NameServer::new();
         let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-        let (mem, store) = MemoryServer::new("mem0", ns_pid, 128);
+        let (mem, store) = MemoryServer::new("mem0", ns_pid, 128, &ids);
         let mem_pid = eng.add_process(hosts[1], Box::new(mem));
         let got = Rc::new(RefCell::new(None));
-        eng.add_process(hosts[2], Box::new(StoreFetch { memory: mem_pid, got: got.clone() }));
+        let series = ab(&ids);
+        eng.add_process(
+            hosts[2],
+            Box::new(StoreFetch { memory: mem_pid, series, got: got.clone() }),
+        );
         eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
 
         let points = got.borrow().clone().expect("fetch replied");
@@ -332,82 +353,82 @@ mod tests {
         assert_eq!(store.borrow().stores, 3);
         assert_eq!(store.borrow().fetches, 1);
         // The series was registered with the name server exactly once.
-        let key = SeriesKey::link(Resource::Bandwidth, "a.x", "b.x");
-        assert_eq!(ns_state.borrow().series.get(&key), Some(&mem_pid));
+        assert_eq!(ns_state.borrow().series.get(series), Some(&mem_pid));
         // The memory registered itself as a server too.
         assert!(ns_state.borrow().servers.contains_key("mem0"));
     }
 
-    #[test]
-    fn fetch_of_unknown_series_is_empty() {
+    /// Sends each of `steps` to `memory` at start; records every reply.
+    struct Sender {
+        memory: ProcessId,
+        steps: Vec<NwsMsg>,
+        got: GotPoints,
+        acks: Rc<RefCell<Vec<u64>>>,
+    }
+
+    impl Process<NwsMsg> for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
+            for m in std::mem::take(&mut self.steps) {
+                send(ctx, self.memory, m);
+            }
+        }
+        fn on_message(&mut self, _c: &mut Ctx<'_, NwsMsg>, _f: ProcessId, msg: NwsMsg) {
+            match msg {
+                NwsMsg::FetchReply { points, .. } => *self.got.borrow_mut() = Some(points),
+                NwsMsg::StoreAck { seq } => self.acks.borrow_mut().push(seq),
+                _ => {}
+            }
+        }
+    }
+
+    /// What a [`Sender`] run leaves: the memory's store, the last fetch
+    /// reply and the acks in arrival order.
+    struct Sent {
+        store: MemoryHandle,
+        got: Option<Vec<(f64, f64)>>,
+        acks: Vec<u64>,
+    }
+
+    /// Runs `steps` against a fresh memory.
+    fn run_sender(ids: &SeriesTableHandle, steps: Vec<NwsMsg>) -> Sent {
         let (mut eng, hosts) = net3();
         let (ns, _) = NameServer::new();
         let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-        let (mem, _store) = MemoryServer::new("mem0", ns_pid, 128);
-        let mem_pid = eng.add_process(hosts[1], Box::new(mem));
-
-        struct FetchOnly {
-            memory: ProcessId,
-            got: GotPoints,
-        }
-        impl Process<NwsMsg> for FetchOnly {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-                let key = SeriesKey::host(Resource::CpuLoad, "nope");
-                let f = NwsMsg::FetchSince { key, after: f64::NEG_INFINITY };
-                let size = f.wire_size();
-                ctx.send(self.memory, size, f).unwrap();
-            }
-            fn on_message(&mut self, _c: &mut Ctx<'_, NwsMsg>, _f: ProcessId, msg: NwsMsg) {
-                if let NwsMsg::FetchReply { points, .. } = msg {
-                    *self.got.borrow_mut() = Some(points);
-                }
-            }
-        }
+        let (mem, store) = MemoryServer::new("mem0", ns_pid, 128, ids);
+        let memory = eng.add_process(hosts[1], Box::new(mem));
         let got = Rc::new(RefCell::new(None));
-        eng.add_process(hosts[2], Box::new(FetchOnly { memory: mem_pid, got: got.clone() }));
+        let acks = Rc::new(RefCell::new(Vec::new()));
+        let sender = Sender { memory, steps, got: got.clone(), acks: acks.clone() };
+        eng.add_process(hosts[2], Box::new(sender));
         eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
-        assert_eq!(got.borrow().clone().unwrap(), vec![]);
+        let (got, acks) = (got.borrow().clone(), acks.borrow().clone());
+        Sent { store, got, acks }
+    }
+
+    #[test]
+    fn fetch_of_unknown_series_is_empty() {
+        let ids = SeriesTable::new();
+        let series = ids.borrow_mut().intern(&SeriesKey::host(Resource::CpuLoad, "nope"));
+        let fetch = NwsMsg::FetchSince { series, after: f64::NEG_INFINITY };
+        assert_eq!(run_sender(&ids, vec![fetch]).got.unwrap(), vec![]);
     }
 
     #[test]
     fn fetch_since_serves_only_the_delta() {
-        let (mut eng, hosts) = net3();
-        let (ns, _) = NameServer::new();
-        let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-        let (mem, store) = MemoryServer::new("mem0", ns_pid, 128);
-        let mem_pid = eng.add_process(hosts[1], Box::new(mem));
-
-        struct DeltaFetch {
-            memory: ProcessId,
-            got: GotPoints,
-        }
-        impl Process<NwsMsg> for DeltaFetch {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-                let key = SeriesKey::link(Resource::Bandwidth, "a.x", "b.x");
-                let points = [(1.0, 90.0), (2.0, 95.0), (3.0, 92.0), (f64::NAN, 88.0)];
-                for (seq, (t, v)) in points.iter().enumerate() {
-                    let m =
-                        NwsMsg::Store { key: key.clone(), seq: seq as u64 + 1, t: *t, value: *v };
-                    let size = m.wire_size();
-                    ctx.send(self.memory, size, m).unwrap();
-                }
-                let f = NwsMsg::FetchSince { key, after: 1.0 };
-                let size = f.wire_size();
-                ctx.send(self.memory, size, f).unwrap();
-            }
-            fn on_message(&mut self, _c: &mut Ctx<'_, NwsMsg>, _f: ProcessId, msg: NwsMsg) {
-                if let NwsMsg::FetchReply { points, .. } = msg {
-                    *self.got.borrow_mut() = Some(points);
-                }
-            }
-        }
-        let got = Rc::new(RefCell::new(None));
-        eng.add_process(hosts[2], Box::new(DeltaFetch { memory: mem_pid, got: got.clone() }));
-        eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
+        let ids = SeriesTable::new();
+        let series = ab(&ids);
+        let points = [(1.0, 90.0), (2.0, 95.0), (3.0, 92.0), (f64::NAN, 88.0)];
+        let mut steps: Vec<NwsMsg> = points
+            .iter()
+            .enumerate()
+            .map(|(seq, (t, v))| NwsMsg::Store { series, seq: seq as u64 + 1, t: *t, value: *v })
+            .collect();
+        steps.push(NwsMsg::FetchSince { series, after: 1.0 });
+        let sent = run_sender(&ids, steps);
 
         // Strict suffix only; the NaN-timestamped store was rejected.
-        assert_eq!(got.borrow().clone().unwrap(), vec![(2.0, 95.0), (3.0, 92.0)]);
-        let st = store.borrow();
+        assert_eq!(sent.got.unwrap(), vec![(2.0, 95.0), (3.0, 92.0)]);
+        let st = sent.store.borrow();
         assert_eq!(st.stores, 4);
         assert_eq!(st.rejected, 1);
         assert_eq!(st.points_served, 2);
@@ -419,62 +440,97 @@ mod tests {
     /// would have produced — and every copy is still acked.
     #[test]
     fn duplicate_and_retried_stores_are_idempotent() {
-        struct Retrier {
-            memory: ProcessId,
-            acks: Rc<RefCell<Vec<u64>>>,
-        }
-        impl Process<NwsMsg> for Retrier {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-                let key = SeriesKey::link(Resource::Bandwidth, "a.x", "b.x");
-                // seqs 1,2,3 delivered; 2 and 3 retried out of order; a
-                // late duplicate of 1; then fresh 4.
-                let sends = [(1, 1.0), (2, 2.0), (3, 3.0), (3, 3.0), (2, 2.0), (1, 1.0), (4, 4.0)];
-                for (seq, t) in sends {
-                    let m = NwsMsg::Store { key: key.clone(), seq, t, value: 90.0 + t };
-                    let size = m.wire_size();
-                    ctx.send(self.memory, size, m).unwrap();
-                }
-            }
-            fn on_message(&mut self, _c: &mut Ctx<'_, NwsMsg>, _f: ProcessId, msg: NwsMsg) {
-                if let NwsMsg::StoreAck { seq } = msg {
-                    self.acks.borrow_mut().push(seq);
-                }
-            }
-        }
+        let ids = SeriesTable::new();
+        let series = ab(&ids);
+        // seqs 1,2,3 delivered; 2 and 3 retried out of order; a late
+        // duplicate of 1; then fresh 4.
+        let sends = [(1, 1.0), (2, 2.0), (3, 3.0), (3, 3.0), (2, 2.0), (1, 1.0), (4, 4.0)];
+        let steps = sends
+            .iter()
+            .map(|&(seq, t)| NwsMsg::Store { series, seq, t, value: 90.0 + t })
+            .collect();
+        let sent = run_sender(&ids, steps);
 
-        let (mut eng, hosts) = net3();
-        let (ns, _) = NameServer::new();
-        let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-        let (mem, store) = MemoryServer::new("mem0", ns_pid, 128);
-        let mem_pid = eng.add_process(hosts[1], Box::new(mem));
-        let acks = Rc::new(RefCell::new(Vec::new()));
-        eng.add_process(hosts[2], Box::new(Retrier { memory: mem_pid, acks: acks.clone() }));
-        eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
-
-        let st = store.borrow();
+        let st = sent.store.borrow();
         assert_eq!(st.stores, 4, "each unique seq counted exactly once");
         assert_eq!(st.dup_stores, 3);
         assert_eq!(st.rejected, 0);
-        let key = SeriesKey::link(Resource::Bandwidth, "a.x", "b.x");
-        let pairs = st.series[&key].to_pairs();
+        let pairs = st.series[series].to_pairs();
         assert_eq!(pairs, vec![(1.0, 91.0), (2.0, 92.0), (3.0, 93.0), (4.0, 94.0)]);
         // Every copy — duplicate or not — was acked.
-        assert_eq!(*acks.borrow(), vec![1, 2, 3, 3, 2, 1, 4]);
+        assert_eq!(sent.acks, vec![1, 2, 3, 3, 2, 1, 4]);
     }
 
     #[test]
     fn capacity_bounds_series() {
         let (mut eng, hosts) = net3();
+        let ids = SeriesTable::new();
         let (ns, _) = NameServer::new();
         let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-        let (mem, store) = MemoryServer::new("mem0", ns_pid, 2);
+        let (mem, store) = MemoryServer::new("mem0", ns_pid, 2, &ids);
         let mem_pid = eng.add_process(hosts[1], Box::new(mem));
         let got = Rc::new(RefCell::new(None));
-        eng.add_process(hosts[2], Box::new(StoreFetch { memory: mem_pid, got: got.clone() }));
+        let series = ab(&ids);
+        eng.add_process(
+            hosts[2],
+            Box::new(StoreFetch { memory: mem_pid, series, got: got.clone() }),
+        );
         eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
         // Capacity 2: only the last two of three stores survive.
         assert_eq!(got.borrow().clone().unwrap(), vec![(2.0, 95.0), (3.0, 92.0)]);
-        let key = SeriesKey::link(Resource::Bandwidth, "a.x", "b.x");
-        assert_eq!(store.borrow().series_len(&key), 2);
+        assert_eq!(store.borrow().series[series].len(), 2);
+    }
+
+    /// Records the series of every `RegisterSeries` it receives, in order.
+    struct Directory(Rc<RefCell<Vec<SeriesId>>>);
+
+    impl Process<NwsMsg> for Directory {
+        fn on_message(&mut self, _c: &mut Ctx<'_, NwsMsg>, _f: ProcessId, msg: NwsMsg) {
+            if let NwsMsg::RegisterSeries { series, .. } = msg {
+                self.0.borrow_mut().push(series);
+            }
+        }
+    }
+
+    /// A memory restarted on its disk re-claims its series in key order,
+    /// whatever order their ids were minted in: the burst is one event per
+    /// series, so its order is part of every run's event sequence.
+    #[test]
+    fn a_restarted_memory_registers_its_series_in_key_order() {
+        let (mut eng, hosts) = net3();
+        let ids = SeriesTable::new();
+        let mut keys: Vec<SeriesKey> = (0..6)
+            .map(|i| SeriesKey::link(Resource::Latency, &format!("s{i}.x"), "d.x"))
+            .chain([SeriesKey::host(Resource::CpuLoad, "s3.x")])
+            .collect();
+        // Minted in reverse key order, stored in minting order.
+        keys.sort();
+        let minted: Vec<SeriesId> = keys.iter().rev().map(|k| ids.borrow_mut().intern(k)).collect();
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let ns = eng.add_process(hosts[0], Box::new(Directory(got.clone())));
+        let disk = SimDisk::new("h1.x");
+        let spawn = |eng: &mut Engine<NwsMsg>| {
+            let (mem, _) = MemoryServer::recover("mem0", ns, 8, disk.clone(), 1 << 20, &ids);
+            eng.add_process(hosts[1], Box::new(mem))
+        };
+        let memory = spawn(&mut eng);
+        let steps = minted
+            .iter()
+            .enumerate()
+            .map(|(i, &series)| NwsMsg::Store { series, seq: i as u64 + 1, t: 1.0, value: 2.0 })
+            .collect();
+        let pending = Rc::new(RefCell::new(None));
+        let acks = Rc::new(RefCell::new(Vec::new()));
+        eng.add_process(hosts[2], Box::new(Sender { memory, steps, got: pending, acks }));
+        eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
+        assert_eq!(*got.borrow(), minted, "first stores register as they arrive");
+
+        eng.kill_process(memory);
+        got.borrow_mut().clear();
+        spawn(&mut eng);
+        eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
+        let t = ids.borrow();
+        let burst: Vec<SeriesKey> = got.borrow().iter().map(|&id| t.key(id)).collect();
+        assert_eq!(burst, keys);
     }
 }

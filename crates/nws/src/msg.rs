@@ -10,6 +10,7 @@ use netsim::units::Bytes;
 
 use crate::clique::CliqueRetarget;
 use crate::forecast::Forecast;
+use crate::ids::SeriesId;
 
 /// What a series measures — the NWS resource kinds of §2 (network link
 /// characteristics plus host resources).
@@ -118,7 +119,10 @@ pub enum ServerKind {
     Forecaster,
 }
 
-/// Messages between NWS processes.
+/// Messages between NWS processes. Series travel as the [`SeriesId`] the
+/// deployment's [`crate::ids::SeriesTable`] gave them, never as a
+/// [`SeriesKey`]: every event the engine queues carries one of these, so
+/// the enum stays a few words (`msg_stays_small` pins it).
 #[derive(Debug, Clone)]
 pub enum NwsMsg {
     // ---- name server directory -----------------------------------------
@@ -129,15 +133,15 @@ pub enum NwsMsg {
     },
     /// A series announces which memory server stores it.
     RegisterSeries {
-        key: SeriesKey,
+        series: SeriesId,
         memory: netsim::ProcessId,
     },
-    /// Where is the memory in charge of `key`? (step 2)
+    /// Where is the memory in charge of `series`? (step 2)
     WhereIs {
-        key: SeriesKey,
+        series: SeriesId,
     },
     WhereIsReply {
-        key: SeriesKey,
+        series: SeriesId,
         memory: Option<netsim::ProcessId>,
     },
 
@@ -147,7 +151,7 @@ pub enum NwsMsg {
     /// deduplicate retries and network-duplicated copies; a sensor buffers
     /// the store until the matching [`NwsMsg::StoreAck`] arrives.
     Store {
-        key: SeriesKey,
+        series: SeriesId,
         seq: u64,
         t: f64,
         value: f64,
@@ -177,7 +181,7 @@ pub enum NwsMsg {
     /// observed, so a steady-state query ships O(Δ) wire bytes instead of
     /// the whole ring; `after = NEG_INFINITY` asks for the whole ring.
     FetchSince {
-        key: SeriesKey,
+        series: SeriesId,
         after: f64,
     },
     /// Reply to `FetchSince`.
@@ -187,7 +191,7 @@ pub enum NwsMsg {
     /// that was restored to an older state, and must rewind rather than
     /// silently serve across the gap.
     FetchReply {
-        key: SeriesKey,
+        series: SeriesId,
         points: Vec<(f64, f64)>,
         latest: f64,
     },
@@ -221,27 +225,29 @@ pub enum NwsMsg {
 
     // ---- client query path (steps 1 and 4) --------------------------------
     Query {
-        key: SeriesKey,
+        series: SeriesId,
     },
+    /// The forecast is boxed: it is 96 bytes and rides one message in a
+    /// thousand, so inline it would size every other one.
     QueryReply {
-        key: SeriesKey,
-        forecast: Option<Forecast>,
+        series: SeriesId,
+        forecast: Option<Box<Forecast>>,
     },
     /// Batched multi-series query: one message, one shard-fanout on the
     /// forecaster, one reply. `id` is a client-chosen correlation handle
-    /// echoed in the reply; duplicate keys are allowed and each slot is
-    /// answered. Keys resolving to the same unresolved series share one
+    /// echoed in the reply; duplicate series are allowed and each slot is
+    /// answered. Slots naming the same unresolved series share one
     /// in-flight directory lookup/fetch (single flight) with every other
     /// pending query, batched or single.
     QueryBatch {
         id: u64,
-        keys: Vec<SeriesKey>,
+        series: Vec<SeriesId>,
     },
     /// Reply to [`NwsMsg::QueryBatch`]: forecasts in slot order, aligned
-    /// with the request's `keys`.
+    /// with the request's `series`.
     QueryBatchReply {
         id: u64,
-        forecasts: Vec<(SeriesKey, Option<Forecast>)>,
+        forecasts: Vec<Option<Forecast>>,
     },
 }
 
@@ -265,7 +271,7 @@ impl NwsMsg {
             NwsMsg::LockRequest | NwsMsg::LockGrant | NwsMsg::LockRelease => 16,
             NwsMsg::Query { .. } => 64,
             NwsMsg::QueryReply { .. } => 128,
-            NwsMsg::QueryBatch { keys, .. } => 24 + 64 * keys.len(),
+            NwsMsg::QueryBatch { series, .. } => 24 + 64 * series.len(),
             NwsMsg::QueryBatchReply { forecasts, .. } => 24 + 128 * forecasts.len(),
         };
         Bytes::new(b as u64)
@@ -283,6 +289,7 @@ impl NwsMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SeriesTable;
 
     #[test]
     fn series_key_display() {
@@ -303,21 +310,25 @@ mod tests {
 
     #[test]
     fn wire_sizes_scale_with_history() {
-        let small = NwsMsg::FetchReply {
-            key: SeriesKey::host(Resource::CpuLoad, "a"),
-            points: vec![],
-            latest: f64::NEG_INFINITY,
-        };
-        let big = NwsMsg::FetchReply {
-            key: SeriesKey::host(Resource::CpuLoad, "a"),
-            points: vec![(0.0, 0.0); 100],
-            latest: 99.0,
-        };
+        let series =
+            SeriesTable::new().borrow_mut().intern(&SeriesKey::host(Resource::CpuLoad, "a"));
+        let small = NwsMsg::FetchReply { series, points: vec![], latest: f64::NEG_INFINITY };
+        let big = NwsMsg::FetchReply { series, points: vec![(0.0, 0.0); 100], latest: 99.0 };
         assert!(big.wire_size() > small.wire_size());
         assert_eq!(
             NwsMsg::Token { clique: "c".into(), seq: 0, round: 0 }.wire_size(),
             Bytes::new(32)
         );
+    }
+
+    /// Every queued event carries an `NwsMsg` by value through the engine's
+    /// heap, so a `String` or `Forecast` field added inline would re-inflate
+    /// every one of them.
+    #[test]
+    fn msg_stays_small() {
+        fn copy<T: Copy>() {}
+        copy::<SeriesId>();
+        assert!(std::mem::size_of::<NwsMsg>() <= 56, "{} bytes", std::mem::size_of::<NwsMsg>());
     }
 
     #[test]

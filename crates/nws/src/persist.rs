@@ -30,14 +30,13 @@
 //!
 //! [`SimDisk`]: netsim::disk::SimDisk
 
-use std::collections::BTreeMap;
-
 use netsim::disk::DiskHandle;
 use netsim::engine::ProcessId;
 
 use crate::forecast::ForecasterBattery;
+use crate::ids::{IdMap, SeriesId, SeriesTable, SeriesTableHandle};
 use crate::memory::{MemoryStore, SeenSeqs};
-use crate::msg::{Resource, SeriesKey};
+use crate::msg::Resource;
 use crate::series::Series;
 use crate::series_state::SeriesState;
 use crate::wal::{
@@ -205,17 +204,21 @@ impl LogFiles {
 // Codec helpers
 // ---------------------------------------------------------------------------
 
-fn put_key(b: &mut Vec<u8>, key: &SeriesKey) {
-    put_u8(b, key.resource.index() as u8);
-    put_str(b, &key.src);
-    put_str(b, &key.dst);
+/// A series as the WAL and snapshots spell it: its whole key, never the
+/// id, which is only a name within one run's table.
+fn put_key(b: &mut Vec<u8>, ids: &SeriesTable, id: SeriesId) {
+    let (resource, src, dst) = ids.parts(id);
+    put_u8(b, resource.index() as u8);
+    put_str(b, ids.host_name(src));
+    put_str(b, ids.host_name(dst));
 }
 
-fn read_key(r: &mut ByteReader<'_>) -> Option<SeriesKey> {
+/// Read a spelled-out key and intern it: the decode boundary.
+fn read_key(r: &mut ByteReader<'_>, ids: &mut SeriesTable) -> Option<SeriesId> {
     let resource = Resource::from_index(r.u8()? as usize)?;
-    let src = r.str()?;
-    let dst = r.str()?;
-    Some(SeriesKey { resource, src, dst })
+    let (src, dst) = (r.str()?, r.str()?);
+    let (src, dst) = (ids.host(src), ids.host(dst));
+    Some(ids.id(resource, src, dst))
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +230,15 @@ const REC_STORE: u8 = 1;
 const REC_FETCH: u8 = 2;
 const REC_REPLY_FAILURE: u8 = 3;
 
-fn encode_memory_store(b: &mut Vec<u8>, store: &MemoryStore, capacity: usize) {
+/// The memory snapshot body. Series go in key order, whatever order their
+/// ids were minted in: the image's bytes are a contract (`bytes_synced`
+/// counts them, recovery reads them), and ids are a name within one run.
+fn encode_memory_store(
+    b: &mut Vec<u8>,
+    store: &MemoryStore,
+    capacity: usize,
+    ids: &mut SeriesTable,
+) {
     put_u32(b, capacity as u32);
     put_u64(b, store.stores);
     put_u64(b, store.fetches);
@@ -236,8 +247,9 @@ fn encode_memory_store(b: &mut Vec<u8>, store: &MemoryStore, capacity: usize) {
     put_u64(b, store.rejected);
     put_u64(b, store.points_served);
     put_u32(b, store.series.len() as u32);
-    for (key, s) in &store.series {
-        put_key(b, key);
+    let order = ids.in_key_order();
+    for (id, s) in order.iter().filter_map(|&id| Some((id, store.series.get(id)?))) {
+        put_key(b, ids, id);
         put_u32(b, s.capacity() as u32);
         put_u32(b, s.len() as u32);
         s.encode_points(b);
@@ -253,7 +265,7 @@ fn encode_memory_store(b: &mut Vec<u8>, store: &MemoryStore, capacity: usize) {
     }
 }
 
-fn decode_memory_store(body: &[u8]) -> Option<(MemoryStore, usize)> {
+fn decode_memory_store(body: &[u8], ids: &mut SeriesTable) -> Option<(MemoryStore, usize)> {
     let mut r = ByteReader::new(body);
     let capacity = r.u32()? as usize;
     let mut store = MemoryStore {
@@ -267,7 +279,7 @@ fn decode_memory_store(body: &[u8]) -> Option<(MemoryStore, usize)> {
     };
     let n_series = r.u32()?;
     for _ in 0..n_series {
-        let key = read_key(&mut r)?;
+        let id = read_key(&mut r, ids)?;
         let cap = r.u32()? as usize;
         let n = r.u32()?;
         let mut s = Series::new(cap.max(1));
@@ -279,7 +291,7 @@ fn decode_memory_store(body: &[u8]) -> Option<(MemoryStore, usize)> {
             // re-pushing reproduces the ring bit-for-bit.
             s.push(t, v);
         }
-        store.series.insert(key, s);
+        store.series.insert(id, s);
     }
     let n_seen = r.u32()?;
     for _ in 0..n_seen {
@@ -296,17 +308,22 @@ fn decode_memory_store(body: &[u8]) -> Option<(MemoryStore, usize)> {
     r.done().then_some((store, capacity))
 }
 
-fn apply_memory_record(store: &mut MemoryStore, payload: &[u8], capacity: usize) {
+fn apply_memory_record(
+    store: &mut MemoryStore,
+    payload: &[u8],
+    capacity: usize,
+    ids: &mut SeriesTable,
+) {
     let mut r = ByteReader::new(payload);
     let Some(tag) = r.u8() else { return };
     match tag {
         REC_STORE => {
-            let (Some(sender), Some(seq), Some(key), Some(t), Some(v)) =
-                (r.u32(), r.u64(), read_key(&mut r), r.f64(), r.f64())
+            let (Some(sender), Some(seq), Some(id), Some(t), Some(v)) =
+                (r.u32(), r.u64(), read_key(&mut r, ids), r.f64(), r.f64())
             else {
                 return;
             };
-            store.apply_store(ProcessId::from_raw(sender), seq, &key, t, v, capacity);
+            store.apply_store(ProcessId::from_raw(sender), seq, id, t, v, capacity);
         }
         REC_FETCH => {
             if let Some(served) = r.u64() {
@@ -318,11 +335,33 @@ fn apply_memory_record(store: &mut MemoryStore, payload: &[u8], capacity: usize)
     }
 }
 
+/// What a memory recovers from its files: the snapshot (or an empty store
+/// when there is none or it does not decode), then every WAL record past
+/// it, through the live server's apply functions. Returns the store and
+/// the ring capacity it was saved with.
+fn replay_memory(
+    snapshot: Option<(u64, Vec<u8>)>,
+    records: &[(u64, Vec<u8>)],
+    capacity: usize,
+    ids: &mut SeriesTable,
+) -> (MemoryStore, usize) {
+    let (mut store, cap, snap_seq) = snapshot
+        .and_then(|(seq, body)| decode_memory_store(&body, ids).map(|(st, cap)| (st, cap, seq)))
+        .unwrap_or_else(|| (MemoryStore::default(), capacity, 0));
+    for (seq, payload) in records {
+        if *seq > snap_seq {
+            apply_memory_record(&mut store, payload, cap, ids);
+        }
+    }
+    (store, cap)
+}
+
 /// Durable state of one memory server.
 #[derive(Debug)]
 pub struct MemoryLog {
     files: LogFiles,
     capacity: usize,
+    ids: SeriesTableHandle,
 }
 
 impl MemoryLog {
@@ -331,21 +370,15 @@ impl MemoryLog {
     /// with a compaction: the recovered state becomes the new snapshot
     /// and the WAL restarts empty, so any crash-torn bytes at its old
     /// tail can never precede fresh appends.
-    pub fn recover(disk: DiskHandle, name: &str, capacity: usize) -> (MemoryStore, MemoryLog) {
+    pub fn recover(
+        disk: DiskHandle,
+        name: &str,
+        capacity: usize,
+        ids: &SeriesTableHandle,
+    ) -> (MemoryStore, MemoryLog) {
         let (files, snapshot, records) = LogFiles::open(disk, name);
-        let (mut store, cap, snap_seq) = match snapshot {
-            Some((seq, body)) => match decode_memory_store(&body) {
-                Some((st, cap)) => (st, cap, seq),
-                None => (MemoryStore::default(), capacity, 0),
-            },
-            None => (MemoryStore::default(), capacity, 0),
-        };
-        for (seq, payload) in &records {
-            if *seq > snap_seq {
-                apply_memory_record(&mut store, payload, cap);
-            }
-        }
-        let mut log = MemoryLog { files, capacity: cap };
+        let (store, cap) = replay_memory(snapshot, &records, capacity, &mut ids.borrow_mut());
+        let mut log = MemoryLog { files, capacity: cap, ids: ids.clone() };
         log.compact(&store);
         (store, log)
     }
@@ -353,12 +386,13 @@ impl MemoryLog {
     /// Log one store record — duplicate copies included, so replay
     /// reproduces the dedup split — and fsync: the caller acks only
     /// after this returns, making "acked" imply "durable".
-    pub fn log_store(&mut self, sender: ProcessId, seq: u64, key: &SeriesKey, t: f64, value: f64) {
+    pub fn log_store(&mut self, sender: ProcessId, seq: u64, id: SeriesId, t: f64, value: f64) {
+        let ids = self.ids.borrow();
         self.files.append(true, |p| {
             put_u8(p, REC_STORE);
             put_u32(p, sender.index() as u32);
             put_u64(p, seq);
-            put_key(p, key);
+            put_key(p, &ids, id);
             put_f64(p, t);
             put_f64(p, value);
         });
@@ -383,7 +417,8 @@ impl MemoryLog {
     /// land between them (see `LogFiles`' docs on each step's crash
     /// safety). `false` if no image was written: do not publish.
     pub fn write_snapshot(&mut self, store: &MemoryStore) -> bool {
-        self.files.write_snapshot(|b| encode_memory_store(b, store, self.capacity))
+        let mut ids = self.ids.borrow_mut();
+        self.files.write_snapshot(|b| encode_memory_store(b, store, self.capacity, &mut ids))
     }
 
     pub fn publish_snapshot(&mut self) {
@@ -396,7 +431,8 @@ impl MemoryLog {
 
     /// All three compaction steps in order.
     pub fn compact(&mut self, store: &MemoryStore) {
-        self.files.compact(|b| encode_memory_store(b, store, self.capacity));
+        let mut ids = self.ids.borrow_mut();
+        self.files.compact(|b| encode_memory_store(b, store, self.capacity, &mut ids));
     }
 
     /// Compact if the WAL has outgrown the threshold.
@@ -428,43 +464,31 @@ const REC_REWIND: u8 = 0x12;
 #[derive(Debug)]
 pub struct ForecastLog {
     files: LogFiles,
+    ids: SeriesTableHandle,
 }
 
 impl ForecastLog {
     /// Rebuild every series' battery + watermark from `disk`. Same shape
     /// as [`MemoryLog::recover`], including the trailing compaction.
-    pub fn recover(disk: DiskHandle, name: &str) -> (BTreeMap<SeriesKey, SeriesState>, Self) {
+    pub fn recover(
+        disk: DiskHandle,
+        name: &str,
+        ids: &SeriesTableHandle,
+    ) -> (IdMap<SeriesState>, Self) {
         let (files, snapshot, records) = LogFiles::open(disk, name);
-        let mut state: BTreeMap<SeriesKey, SeriesState> = BTreeMap::new();
-        let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        if let Some((_, body)) = snapshot {
-            let mut r = ByteReader::new(&body);
-            if let Some(n) = r.u32() {
-                for _ in 0..n {
-                    let (Some(key), Some(series)) = (read_key(&mut r), SeriesState::decode(&mut r))
-                    else {
-                        break;
-                    };
-                    state.insert(key, series);
-                }
-            }
-        }
-        for (seq, payload) in &records {
-            if *seq > snap_seq {
-                apply_forecast_record(&mut state, payload);
-            }
-        }
-        let mut log = ForecastLog { files };
-        log.compact(state.iter().map(|(k, s)| (k, s.battery(), s.last_t())));
+        let state = replay_forecasts(snapshot, &records, &mut ids.borrow_mut());
+        let mut log = ForecastLog { files, ids: ids.clone() };
+        log.compact(|id| state.get(id).map(|s| (s.battery(), s.last_t())));
         (state, log)
     }
 
     /// Log one observed point (battery fed a value, watermark advanced).
     /// Lazy append; call [`ForecastLog::sync`] once per fetch-reply batch.
-    pub fn log_observe(&mut self, key: &SeriesKey, t: f64, v: f64) {
+    pub fn log_observe(&mut self, id: SeriesId, t: f64, v: f64) {
+        let ids = self.ids.borrow();
         self.files.append(false, |p| {
             put_u8(p, REC_OBSERVE);
-            put_key(p, key);
+            put_key(p, &ids, id);
             put_f64(p, t);
             put_f64(p, v);
         });
@@ -472,10 +496,11 @@ impl ForecastLog {
 
     /// Log a watermark rewind (battery reset because the memory came back
     /// with an older store than we had observed).
-    pub fn log_rewind(&mut self, key: &SeriesKey) {
+    pub fn log_rewind(&mut self, id: SeriesId) {
+        let ids = self.ids.borrow();
         self.files.append(false, |p| {
             put_u8(p, REC_REWIND);
-            put_key(p, key);
+            put_key(p, &ids, id);
         });
     }
 
@@ -487,19 +512,16 @@ impl ForecastLog {
         self.files.needs_compact()
     }
 
-    /// Snapshot the full per-series state and truncate the WAL.
-    pub fn compact<'a, I>(&mut self, series: I)
-    where
-        I: Iterator<Item = (&'a SeriesKey, &'a ForecasterBattery, f64)>,
-    {
-        self.files.compact(|body| {
-            let items: Vec<_> = series.collect();
-            put_u32(body, items.len() as u32);
-            for (key, battery, last_t) in items {
-                put_key(body, key);
-                SeriesState::encode(body, battery, last_t);
-            }
-        });
+    /// Snapshot the full per-series state and truncate the WAL. `series`
+    /// gives the battery and watermark of every series the forecaster
+    /// tracks (`None` for the others); they are written in key order, the
+    /// image's contract, whatever order their ids were minted in.
+    pub fn compact<'a>(
+        &mut self,
+        series: impl Fn(SeriesId) -> Option<(&'a ForecasterBattery, f64)>,
+    ) {
+        let mut ids = self.ids.borrow_mut();
+        self.files.compact(|body| encode_forecasts(body, &mut ids, series));
     }
 
     pub fn set_compact_threshold(&mut self, bytes: u64) {
@@ -507,24 +529,68 @@ impl ForecastLog {
     }
 }
 
+/// The forecaster snapshot body: `n`, then `n` × (key, [`SeriesState`]).
+fn encode_forecasts<'a>(
+    body: &mut Vec<u8>,
+    ids: &mut SeriesTable,
+    series: impl Fn(SeriesId) -> Option<(&'a ForecasterBattery, f64)>,
+) {
+    let order = ids.in_key_order();
+    let items: Vec<_> = order.iter().filter_map(|&id| Some((id, series(id)?))).collect();
+    put_u32(body, items.len() as u32);
+    for (id, (battery, last_t)) in items {
+        put_key(body, ids, id);
+        SeriesState::encode(body, battery, last_t);
+    }
+}
+
+/// What a forecaster recovers from its files: the snapshot's series up to
+/// the first that does not decode, then every WAL record past it.
+fn replay_forecasts(
+    snapshot: Option<(u64, Vec<u8>)>,
+    records: &[(u64, Vec<u8>)],
+    ids: &mut SeriesTable,
+) -> IdMap<SeriesState> {
+    let mut state = IdMap::new();
+    let snap_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
+    if let Some((_, body)) = snapshot {
+        let mut r = ByteReader::new(&body);
+        if let Some(n) = r.u32() {
+            for _ in 0..n {
+                let (Some(id), Some(series)) = (read_key(&mut r, ids), SeriesState::decode(&mut r))
+                else {
+                    break;
+                };
+                state.insert(id, series);
+            }
+        }
+    }
+    for (seq, payload) in records {
+        if *seq > snap_seq {
+            apply_forecast_record(&mut state, payload, ids);
+        }
+    }
+    state
+}
+
 /// Replay one forecaster WAL record through the same [`SeriesState`]
 /// calls the live `FetchReply` handler makes. Observe records are written
 /// post-guard (watermark-advancing points only) and a rewind record
 /// resets the watermark before the re-fetched older points follow, so the
 /// guarded `observe` takes every replayed point exactly as live did.
-fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, SeriesState>, payload: &[u8]) {
+fn apply_forecast_record(state: &mut IdMap<SeriesState>, payload: &[u8], ids: &mut SeriesTable) {
     let mut r = ByteReader::new(payload);
     let Some(tag) = r.u8() else { return };
     match tag {
         REC_OBSERVE => {
-            let (Some(key), Some(t), Some(v)) = (read_key(&mut r), r.f64(), r.f64()) else {
+            let (Some(id), Some(t), Some(v)) = (read_key(&mut r, ids), r.f64(), r.f64()) else {
                 return;
             };
-            state.entry(key).or_insert_with(SeriesState::fresh).observe(t, v);
+            state.get_or_insert_with(id, SeriesState::fresh).observe(t, v);
         }
         REC_REWIND => {
-            let Some(key) = read_key(&mut r) else { return };
-            state.entry(key).or_insert_with(SeriesState::fresh).rewind();
+            let Some(id) = read_key(&mut r, ids) else { return };
+            state.get_or_insert_with(id, SeriesState::fresh).rewind();
         }
         _ => {}
     }
@@ -533,39 +599,53 @@ fn apply_forecast_record(state: &mut BTreeMap<SeriesKey, SeriesState>, payload: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::SeriesKey;
+    use crate::wal::append_record;
     use netsim::disk::SimDisk;
+    use proptest::prelude::*;
 
     fn key(i: u8) -> SeriesKey {
         SeriesKey::link(Resource::Bandwidth, &format!("s{i}.x"), "d.x")
     }
 
-    fn snapshot_bits(store: &MemoryStore, cap: usize) -> Vec<u8> {
+    /// A table holding `key(0..n)`, minted in reverse key order, and the
+    /// ids in key order.
+    fn table(n: u8) -> (SeriesTableHandle, Vec<SeriesId>) {
+        let ids = SeriesTable::new();
+        let mut minted: Vec<SeriesId> =
+            (0..n).rev().map(|i| ids.borrow_mut().intern(&key(i))).collect();
+        minted.reverse();
+        (ids, minted)
+    }
+
+    fn snapshot_bits(store: &MemoryStore, cap: usize, ids: &SeriesTableHandle) -> Vec<u8> {
         let mut b = Vec::new();
-        encode_memory_store(&mut b, store, cap);
+        encode_memory_store(&mut b, store, cap, &mut ids.borrow_mut());
         b
     }
 
     #[test]
     fn memory_store_codec_round_trips_bit_for_bit() {
+        let (ids, k) = table(2);
         let mut store = MemoryStore::default();
         let a = ProcessId::from_raw(7);
         let b = ProcessId::from_raw(9);
         for seq in 1..=40u64 {
-            store.apply_store(a, seq, &key(0), seq as f64, 90.0 + seq as f64, 16);
+            store.apply_store(a, seq, k[0], seq as f64, 90.0 + seq as f64, 16);
         }
         // Out-of-order seqs leave a sparse `above` set; a duplicate and a
         // rejected (stale-t) store exercise the counters.
-        store.apply_store(b, 5, &key(1), 1.0, 1.0, 16);
-        store.apply_store(b, 2, &key(1), 2.0, 2.0, 16);
-        store.apply_store(b, 2, &key(1), 2.0, 2.0, 16); // dup
-        store.apply_store(b, 7, &key(1), 0.5, 3.0, 16); // rejected: t regressed
+        store.apply_store(b, 5, k[1], 1.0, 1.0, 16);
+        store.apply_store(b, 2, k[1], 2.0, 2.0, 16);
+        store.apply_store(b, 2, k[1], 2.0, 2.0, 16); // dup
+        store.apply_store(b, 7, k[1], 0.5, 3.0, 16); // rejected: t regressed
         store.apply_fetch(12);
         store.apply_reply_failure();
 
-        let body = snapshot_bits(&store, 16);
-        let (decoded, cap) = decode_memory_store(&body).expect("decodes");
+        let body = snapshot_bits(&store, 16, &ids);
+        let (decoded, cap) = decode_memory_store(&body, &mut ids.borrow_mut()).expect("decodes");
         assert_eq!(cap, 16);
-        assert_eq!(snapshot_bits(&decoded, cap), body, "re-encode must be bit-identical");
+        assert_eq!(snapshot_bits(&decoded, cap, &ids), body, "re-encode must be bit-identical");
         assert_eq!(decoded.stores, store.stores);
         assert_eq!(decoded.dup_stores, store.dup_stores);
         assert_eq!(decoded.rejected, store.rejected);
@@ -574,7 +654,7 @@ mod tests {
         assert_eq!(decoded.reply_failures, store.reply_failures);
         // The dedup ledger survives: a replayed duplicate is still a dup.
         let mut replayed = decoded;
-        let out = replayed.apply_store(b, 5, &key(1), 9.0, 9.0, 16);
+        let out = replayed.apply_store(b, 5, k[1], 9.0, 9.0, 16);
         assert!(!out.first_time, "seq 5 must still be remembered after decode");
     }
 
@@ -582,7 +662,8 @@ mod tests {
     fn a_hostile_element_count_is_refused_without_reserving_for_it() {
         // An empty store's body, then one ledger entry whose `above` claims
         // u32::MAX seqs (32 GiB to reserve) with two behind it.
-        let mut body = snapshot_bits(&MemoryStore::default(), 16);
+        let ids = SeriesTable::new();
+        let mut body = snapshot_bits(&MemoryStore::default(), 16, &ids);
         let n_seen_at = body.len() - 4;
         body[n_seen_at..].copy_from_slice(&1u32.to_le_bytes());
         put_u32(&mut body, 7); // pid
@@ -590,13 +671,13 @@ mod tests {
         put_u32(&mut body, u32::MAX);
         put_u64(&mut body, 3);
         put_u64(&mut body, 4);
-        assert!(decode_memory_store(&body).is_none());
+        assert!(decode_memory_store(&body, &mut ids.borrow_mut()).is_none());
     }
 
     #[test]
     fn recover_from_empty_disk_is_an_empty_store() {
         let disk = SimDisk::new("h");
-        let (store, _log) = MemoryLog::recover(disk.clone(), "mem0", 32);
+        let (store, _log) = MemoryLog::recover(disk.clone(), "mem0", 32, &SeriesTable::new());
         assert_eq!(store.stores, 0);
         assert!(store.series.is_empty());
         // Recovery's trailing compaction published an (empty) snapshot.
@@ -605,18 +686,19 @@ mod tests {
 
     #[test]
     fn wal_replay_equals_live_after_host_crash() {
+        let (ids, k) = table(1);
         let disk = SimDisk::new("h");
-        let (mut live, mut log) = MemoryLog::recover(disk.clone(), "mem0", 32);
+        let (mut live, mut log) = MemoryLog::recover(disk.clone(), "mem0", 32, &ids);
         let sender = ProcessId::from_raw(3);
         for seq in 1..=25u64 {
-            live.apply_store(sender, seq, &key(0), seq as f64, 50.0, 32);
-            log.log_store(sender, seq, &key(0), seq as f64, 50.0);
+            live.apply_store(sender, seq, k[0], seq as f64, 50.0, 32);
+            log.log_store(sender, seq, k[0], seq as f64, 50.0);
         }
         // Host crash: every store was fsynced pre-ack, so recovery must
         // reproduce the live store exactly.
         disk.borrow_mut().crash();
-        let (recovered, _log2) = MemoryLog::recover(disk, "mem0", 32);
-        assert_eq!(snapshot_bits(&recovered, 32), snapshot_bits(&live, 32));
+        let (recovered, _log2) = MemoryLog::recover(disk, "mem0", 32, &ids);
+        assert_eq!(snapshot_bits(&recovered, 32, &ids), snapshot_bits(&live, 32, &ids));
     }
 
     #[test]
@@ -624,69 +706,78 @@ mod tests {
         // Crash after publish but before truncate: the WAL still holds
         // every record, the snapshot already folds them in — replay must
         // skip them by seq, not re-apply.
+        let (ids, k) = table(1);
         let disk = SimDisk::new("h");
-        let (mut live, mut log) = MemoryLog::recover(disk.clone(), "mem0", 32);
+        let (mut live, mut log) = MemoryLog::recover(disk.clone(), "mem0", 32, &ids);
         let sender = ProcessId::from_raw(3);
         for seq in 1..=10u64 {
-            live.apply_store(sender, seq, &key(0), seq as f64, 50.0, 32);
-            log.log_store(sender, seq, &key(0), seq as f64, 50.0);
+            live.apply_store(sender, seq, k[0], seq as f64, 50.0, 32);
+            log.log_store(sender, seq, k[0], seq as f64, 50.0);
         }
         log.write_snapshot(&live);
         log.publish_snapshot();
         // (no truncate) — crash here
         disk.borrow_mut().crash();
-        let (recovered, _) = MemoryLog::recover(disk.clone(), "mem0", 32);
-        assert_eq!(snapshot_bits(&recovered, 32), snapshot_bits(&live, 32));
+        let (recovered, _) = MemoryLog::recover(disk.clone(), "mem0", 32, &ids);
+        assert_eq!(snapshot_bits(&recovered, 32, &ids), snapshot_bits(&live, 32, &ids));
 
         // Crash after write_snapshot but before publish: the stale-named
         // side file is ignored; old snapshot + WAL replay still match.
         let disk2 = SimDisk::new("h2");
-        let (mut live2, mut log2) = MemoryLog::recover(disk2.clone(), "mem0", 32);
+        let (mut live2, mut log2) = MemoryLog::recover(disk2.clone(), "mem0", 32, &ids);
         for seq in 1..=10u64 {
-            live2.apply_store(sender, seq, &key(0), seq as f64, 50.0, 32);
-            log2.log_store(sender, seq, &key(0), seq as f64, 50.0);
+            live2.apply_store(sender, seq, k[0], seq as f64, 50.0, 32);
+            log2.log_store(sender, seq, k[0], seq as f64, 50.0);
         }
         log2.write_snapshot(&live2);
         disk2.borrow_mut().crash();
-        let (recovered2, _) = MemoryLog::recover(disk2, "mem0", 32);
-        assert_eq!(snapshot_bits(&recovered2, 32), snapshot_bits(&live2, 32));
+        let (recovered2, _) = MemoryLog::recover(disk2, "mem0", 32, &ids);
+        assert_eq!(snapshot_bits(&recovered2, 32, &ids), snapshot_bits(&live2, 32, &ids));
     }
 
     #[test]
     fn lazy_fetch_records_may_roll_back_but_stores_never_do() {
+        let (ids, k) = table(1);
         let disk = SimDisk::new("h");
-        let (mut live, mut log) = MemoryLog::recover(disk.clone(), "mem0", 32);
+        let (mut live, mut log) = MemoryLog::recover(disk.clone(), "mem0", 32, &ids);
         let sender = ProcessId::from_raw(3);
-        live.apply_store(sender, 1, &key(0), 1.0, 50.0, 32);
-        log.log_store(sender, 1, &key(0), 1.0, 50.0);
+        live.apply_store(sender, 1, k[0], 1.0, 50.0, 32);
+        log.log_store(sender, 1, k[0], 1.0, 50.0);
         live.apply_fetch(1);
         log.log_fetch(1); // lazy: not fsynced
         disk.borrow_mut().crash(); // no fault stream: cache lost entirely
-        let (recovered, _) = MemoryLog::recover(disk, "mem0", 32);
+        let (recovered, _) = MemoryLog::recover(disk, "mem0", 32, &ids);
         assert_eq!(recovered.stores, 1, "acked store survives");
         assert_eq!(recovered.fetches, 0, "unsynced fetch counter rolls back");
     }
 
+    /// The `ForecastLog::compact` view of a live state map.
+    fn state_view<'a>(
+        state: &'a IdMap<SeriesState>,
+    ) -> impl Fn(SeriesId) -> Option<(&'a ForecasterBattery, f64)> + 'a {
+        move |id| state.get(id).map(|s| (s.battery(), s.last_t()))
+    }
+
     #[test]
     fn forecast_log_round_trips_battery_and_watermark() {
+        let (ids, k) = table(1);
         let disk = SimDisk::new("h");
-        let (state, mut log) = ForecastLog::recover(disk.clone(), "fc");
+        let (state, mut log) = ForecastLog::recover(disk.clone(), "fc", &ids);
         assert!(state.is_empty());
-        let mut live: BTreeMap<SeriesKey, SeriesState> = BTreeMap::new();
-        let k = key(0);
+        let mut live: IdMap<SeriesState> = IdMap::new();
         for i in 1..=60 {
             let (t, v) = (i as f64, 40.0 + (i % 7) as f64);
-            live.entry(k.clone()).or_insert_with(SeriesState::fresh).observe(t, v);
-            log.log_observe(&k, t, v);
+            live.get_or_insert_with(k[0], SeriesState::fresh).observe(t, v);
+            log.log_observe(k[0], t, v);
             if i == 30 {
                 // Mid-stream compaction: snapshot + truncate.
-                log.compact(live.iter().map(|(k, s)| (k, s.battery(), s.last_t())));
+                log.compact(state_view(&live));
             }
         }
         log.sync();
         disk.borrow_mut().crash();
-        let (recovered, _) = ForecastLog::recover(disk, "fc");
-        let (a, b) = (&recovered[&k], &live[&k]);
+        let (recovered, _) = ForecastLog::recover(disk, "fc", &ids);
+        let (a, b) = (&recovered[k[0]], &live[k[0]]);
         assert_eq!(a.last_t(), b.last_t());
         assert_eq!(a.battery().save_states(), b.battery().save_states());
         assert_eq!(
@@ -698,18 +789,147 @@ mod tests {
 
     #[test]
     fn forecast_rewind_record_resets_on_replay() {
+        let (ids, k) = table(1);
         let disk = SimDisk::new("h");
-        let (_, mut log) = ForecastLog::recover(disk.clone(), "fc");
-        let k = key(0);
+        let (_, mut log) = ForecastLog::recover(disk.clone(), "fc", &ids);
         for i in 1..=5 {
-            log.log_observe(&k, i as f64, 10.0);
+            log.log_observe(k[0], i as f64, 10.0);
         }
-        log.log_rewind(&k);
-        log.log_observe(&k, 1.0, 11.0); // post-rewind re-fetch of older data
+        log.log_rewind(k[0]);
+        log.log_observe(k[0], 1.0, 11.0); // post-rewind re-fetch of older data
         log.sync();
-        let (state, _) = ForecastLog::recover(disk, "fc");
-        let s = &state[&k];
+        let (state, _) = ForecastLog::recover(disk, "fc", &ids);
+        let s = &state[k[0]];
         assert_eq!(s.last_t(), 1.0);
         assert_eq!(s.battery().scores().3, 1, "battery restarted after rewind");
+    }
+
+    /// `image` with `noise` written over it from `at` (wrapping), so the
+    /// damage lands anywhere, headers and counts included.
+    fn splice(image: &[u8], noise: &[u8], at: usize) -> Vec<u8> {
+        let mut out = image.to_vec();
+        if !out.is_empty() {
+            let at = at % out.len();
+            let end = (at + noise.len()).min(out.len());
+            out[at..end].copy_from_slice(&noise[..end - at]);
+        }
+        out
+    }
+
+    /// A WAL image of `records`, framed as the live log frames them.
+    fn wal_image(records: &[Vec<u8>]) -> Vec<u8> {
+        let mut wal = Vec::new();
+        for (i, payload) in records.iter().enumerate() {
+            append_record(&mut wal, i as u64 + 1, |b| b.extend_from_slice(payload));
+        }
+        wal
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The memory server's two decoders — a snapshot body, and a WAL
+        /// scanned into records and applied — answer arbitrary bytes and
+        /// valid images with noise spliced in with a store or nothing,
+        /// never a panic; a valid image decodes to the store that wrote
+        /// it, byte for byte.
+        #[test]
+        fn memory_decoders_never_panic_and_round_trip(
+            noise in collection::vec(0u8..=255, 0..96),
+            stores in collection::vec((0u8..3, 0u8..6, 0u8..=254u8), 0..40),
+            at in 0usize..1 << 16,
+        ) {
+            let (ids, k) = table(6);
+            let mut t = ids.borrow_mut();
+            let _ = decode_memory_store(&noise, &mut t);
+            let mut noisy = MemoryStore::default();
+            for (_, payload) in scan_wal(&noise).records {
+                apply_memory_record(&mut noisy, &payload, 8, &mut t);
+            }
+            apply_memory_record(&mut noisy, &noise, 8, &mut t);
+
+            // The same stores, applied live and as the WAL records that
+            // log them.
+            let mut live = MemoryStore::default();
+            let mut records = Vec::new();
+            for (i, &(sender, key_i, arg)) in stores.iter().enumerate() {
+                let sender = ProcessId::from_raw(u32::from(sender));
+                let (seq, tv) = (u64::from(arg % 9), f64::from(i as u32));
+                live.apply_store(sender, seq, k[usize::from(key_i)], tv, f64::from(arg), 8);
+                let mut p = Vec::new();
+                put_u8(&mut p, REC_STORE);
+                put_u32(&mut p, sender.index() as u32);
+                put_u64(&mut p, seq);
+                put_key(&mut p, &t, k[usize::from(key_i)]);
+                put_f64(&mut p, tv);
+                put_f64(&mut p, f64::from(arg));
+                records.push(p);
+            }
+            let mut body = Vec::new();
+            encode_memory_store(&mut body, &live, 8, &mut t);
+            let (back, cap) = decode_memory_store(&body, &mut t).expect("a valid image decodes");
+            let mut again = Vec::new();
+            encode_memory_store(&mut again, &back, cap, &mut t);
+            prop_assert_eq!(&again, &body);
+
+            let wal = wal_image(&records);
+            let scanned = scan_wal(&wal).records;
+            let (replayed, cap) = replay_memory(None, &scanned, 8, &mut t);
+            let mut replayed_body = Vec::new();
+            encode_memory_store(&mut replayed_body, &replayed, cap, &mut t);
+            prop_assert_eq!(&replayed_body, &body, "WAL replay rebuilds the live store");
+
+            let _ = decode_memory_store(&splice(&body, &noise, at), &mut t);
+            let torn = scan_wal(&splice(&wal, &noise, at)).records;
+            let _ = replay_memory(Some((0, splice(&body, &noise, at))), &torn, 8, &mut t);
+        }
+
+        /// The forecaster's recovery decode — snapshot body, then WAL
+        /// records — the same way.
+        #[test]
+        fn forecast_decode_never_panics_and_round_trips(
+            noise in collection::vec(0u8..=255, 0..96),
+            points in collection::vec((0u8..6, 0u8..=254u8), 0..40),
+            at in 0usize..1 << 16,
+        ) {
+            let (ids, k) = table(6);
+            let mut t = ids.borrow_mut();
+            let _ = replay_forecasts(Some((0, noise.clone())), &scan_wal(&noise).records, &mut t);
+            let _ = replay_forecasts(None, &[(1, noise.clone())], &mut t);
+
+            let mut live = IdMap::new();
+            let mut records = Vec::new();
+            for (i, &(key_i, arg)) in points.iter().enumerate() {
+                let (id, tv, v) = (k[usize::from(key_i)], f64::from(i as u32), f64::from(arg));
+                let mut p = Vec::new();
+                if arg % 13 == 0 {
+                    live.get_or_insert_with(id, SeriesState::fresh).rewind();
+                    put_u8(&mut p, REC_REWIND);
+                    put_key(&mut p, &t, id);
+                } else {
+                    live.get_or_insert_with(id, SeriesState::fresh).observe(tv, v);
+                    put_u8(&mut p, REC_OBSERVE);
+                    put_key(&mut p, &t, id);
+                    put_f64(&mut p, tv);
+                    put_f64(&mut p, v);
+                }
+                records.push(p);
+            }
+            let mut body = Vec::new();
+            encode_forecasts(&mut body, &mut t, state_view(&live));
+            let back = replay_forecasts(Some((0, body.clone())), &[], &mut t);
+            let mut again = Vec::new();
+            encode_forecasts(&mut again, &mut t, state_view(&back));
+            prop_assert_eq!(&again, &body);
+
+            let wal = wal_image(&records);
+            let replayed = replay_forecasts(None, &scan_wal(&wal).records, &mut t);
+            let mut replayed_body = Vec::new();
+            encode_forecasts(&mut replayed_body, &mut t, state_view(&replayed));
+            prop_assert_eq!(&replayed_body, &body, "WAL replay rebuilds the live batteries");
+
+            let torn = scan_wal(&splice(&wal, &noise, at)).records;
+            let _ = replay_forecasts(Some((0, splice(&body, &noise, at))), &torn, &mut t);
+        }
     }
 }

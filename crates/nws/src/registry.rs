@@ -7,7 +7,8 @@ use std::rc::Rc;
 
 use netsim::engine::{Ctx, Process, ProcessId};
 
-use crate::msg::{NwsMsg, SeriesKey, ServerKind};
+use crate::ids::IdMap;
+use crate::msg::{NwsMsg, ServerKind};
 
 /// Directory contents, shared with the test/bench harness for
 /// introspection.
@@ -16,7 +17,7 @@ pub struct RegistryState {
     /// Registered servers: name → (kind, pid).
     pub servers: BTreeMap<String, (ServerKind, ProcessId)>,
     /// Which memory server stores each series.
-    pub series: BTreeMap<SeriesKey, ProcessId>,
+    pub series: IdMap<ProcessId>,
     /// Directory request counters.
     pub lookups: u64,
     pub registrations: u64,
@@ -45,18 +46,18 @@ impl Process<NwsMsg> for NameServer {
                 st.servers.insert(name, (kind, from));
                 st.registrations += 1;
             }
-            NwsMsg::RegisterSeries { key, memory } => {
+            NwsMsg::RegisterSeries { series, memory } => {
                 let mut st = self.state.borrow_mut();
-                st.series.insert(key, memory);
+                st.series.insert(series, memory);
                 st.registrations += 1;
             }
-            NwsMsg::WhereIs { key } => {
+            NwsMsg::WhereIs { series } => {
                 let memory = {
                     let mut st = self.state.borrow_mut();
                     st.lookups += 1;
-                    st.series.get(&key).copied()
+                    st.series.get(series).copied()
                 };
-                NwsMsg::WhereIsReply { key, memory }.send(ctx, from);
+                NwsMsg::WhereIsReply { series, memory }.send(ctx, from);
             }
             _ => {}
         }
@@ -66,23 +67,28 @@ impl Process<NwsMsg> for NameServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::Resource;
+    use crate::ids::{SeriesId, SeriesTable};
+    use crate::msg::{Resource, SeriesKey};
     use netsim::prelude::*;
     use netsim::Engine;
 
     /// Sends a registration, then a lookup; records the reply.
     struct Prober {
         ns: ProcessId,
+        series: SeriesId,
         got: Rc<RefCell<Option<Option<ProcessId>>>>,
+    }
+
+    fn series(host: &str) -> SeriesId {
+        SeriesTable::new().borrow_mut().intern(&SeriesKey::host(Resource::CpuLoad, host))
     }
 
     impl Process<NwsMsg> for Prober {
         fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-            let key = SeriesKey::host(Resource::CpuLoad, "a.x");
-            let reg = NwsMsg::RegisterSeries { key: key.clone(), memory: ctx.me() };
+            let reg = NwsMsg::RegisterSeries { series: self.series, memory: ctx.me() };
             let size = reg.wire_size();
             ctx.send(self.ns, size, reg).unwrap();
-            let q = NwsMsg::WhereIs { key };
+            let q = NwsMsg::WhereIs { series: self.series };
             let size = q.wire_size();
             ctx.send(self.ns, size, q).unwrap();
         }
@@ -106,7 +112,10 @@ mod tests {
         let (ns, state) = NameServer::new();
         let ns_pid = eng.add_process(a, Box::new(ns));
         let got = Rc::new(RefCell::new(None));
-        let prober = eng.add_process(c, Box::new(Prober { ns: ns_pid, got: got.clone() }));
+        let prober = eng.add_process(
+            c,
+            Box::new(Prober { ns: ns_pid, series: series("a.x"), got: got.clone() }),
+        );
         eng.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
 
         assert_eq!(got.borrow().expect("reply arrived"), Some(prober));
@@ -132,7 +141,7 @@ mod tests {
         }
         impl Process<NwsMsg> for AskOnly {
             fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-                let q = NwsMsg::WhereIs { key: SeriesKey::host(Resource::CpuLoad, "ghost") };
+                let q = NwsMsg::WhereIs { series: series("ghost") };
                 let size = q.wire_size();
                 ctx.send(self.ns, size, q).unwrap();
             }

@@ -34,7 +34,8 @@ use netsim::topology::NodeId;
 
 use crate::clique::{CliqueMembership, CliqueRetarget};
 use crate::hostload::HostLoadModel;
-use crate::msg::{NwsMsg, Resource, SeriesKey, ServerKind};
+use crate::ids::{HostId, SeriesId, SeriesTableHandle};
+use crate::msg::{NwsMsg, Resource, ServerKind};
 
 const TAG_HOST_SENSE: u64 = 0;
 const TAG_FREE_RUN: u64 = 1;
@@ -48,7 +49,7 @@ const TAG_INITIAL: u64 = 300;
 /// Free-running (uncoordinated) measurement configuration.
 #[derive(Debug, Clone)]
 pub struct FreeRun {
-    pub targets: Vec<(String, NodeId)>,
+    pub targets: Vec<(HostId, NodeId)>,
     pub period: TimeDelta,
 }
 
@@ -90,9 +91,9 @@ enum ProbeKind {
     Bandwidth,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ActiveProbe {
-    peer: String,
+    peer: HostId,
     node: NodeId,
     kind: ProbeKind,
     /// The peer's sensor, when we hold a lock on it to release afterwards.
@@ -100,8 +101,8 @@ struct ActiveProbe {
 }
 
 /// A pending probe target: the peer's sensor pid (None for free-run
-/// targets without one), name and host node.
-type Target = (Option<ProcessId>, String, NodeId);
+/// targets without one), host and host node.
+type Target = (Option<ProcessId>, HostId, NodeId);
 
 /// Token work: membership index, accepted sequence, round counter.
 type TokenWork = (usize, u64, u64);
@@ -109,6 +110,12 @@ type TokenWork = (usize, u64, u64);
 /// The sensor process.
 pub struct Sensor {
     cfg: SensorConfig,
+    /// The deployment's series table: a measurement's series id is minted
+    /// from this host's and the peer's interned names.
+    ids: SeriesTableHandle,
+    host: HostId,
+    /// The CPU and free-memory series of this host, when it samples them.
+    host_series: Option<[SeriesId; 2]>,
     memberships: Vec<CliqueMembership>,
     /// Slots retired by a `Retarget`: membership indexes are baked into
     /// timer tags, so slots are never removed — a retired slot ignores
@@ -148,7 +155,7 @@ pub struct Sensor {
     next_store_seq: u64,
     /// Sent-but-unacked stores, by seq: the outage buffer, drained in seq
     /// order on every retry or memory retarget.
-    unacked: BTreeMap<u64, (SeriesKey, f64, f64)>,
+    unacked: BTreeMap<u64, (SeriesId, f64, f64)>,
     retry_timer: Option<TimerId>,
     retry_backoff: TimeDelta,
     /// Stores resent by the retry machinery (for tests/benches).
@@ -158,13 +165,28 @@ pub struct Sensor {
 }
 
 impl Sensor {
-    pub fn new(cfg: SensorConfig, memberships: Vec<CliqueMembership>) -> Self {
+    pub fn new(
+        cfg: SensorConfig,
+        memberships: Vec<CliqueMembership>,
+        ids: &SeriesTableHandle,
+    ) -> Self {
         let load = cfg.host_sense.map(HostLoadModel::new);
         let n = memberships.len();
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5e4_50e5);
         let retry_backoff = TimeDelta::from_secs(RETRY_INITIAL_S);
+        let (host, host_series) = {
+            let mut t = ids.borrow_mut();
+            let host = t.host(&cfg.host_name);
+            let host_series = load.is_some().then(|| {
+                [t.id(Resource::CpuLoad, host, host), t.id(Resource::FreeMemory, host, host)]
+            });
+            (host, host_series)
+        };
         Sensor {
             cfg,
+            ids: ids.clone(),
+            host,
+            host_series,
             memberships,
             retired: vec![false; n],
             watchdogs: vec![None; n],
@@ -211,7 +233,7 @@ impl Sensor {
     /// it, with [`Sensor::resend_unacked`] retrying on a backoff timer. A
     /// send that fails outright (memory dead or unreachable) leaves the
     /// point in the buffer to drain on recovery.
-    fn store(&mut self, ctx: &mut Ctx<'_, NwsMsg>, key: SeriesKey, value: f64) {
+    fn store(&mut self, ctx: &mut Ctx<'_, NwsMsg>, series: SeriesId, value: f64) {
         self.next_store_seq += 1;
         let seq = self.next_store_seq;
         let t = ctx.now().as_secs();
@@ -219,9 +241,15 @@ impl Sensor {
             self.unacked.pop_first();
             self.stores_shed += 1;
         }
-        self.unacked.insert(seq, (key.clone(), t, value));
-        NwsMsg::Store { key, seq, t, value }.send(ctx, self.cfg.memory);
+        self.unacked.insert(seq, (series, t, value));
+        NwsMsg::Store { series, seq, t, value }.send(ctx, self.cfg.memory);
         self.arm_retry(ctx);
+    }
+
+    /// Store one measurement of `resource` on the link to `peer`.
+    fn store_link(&mut self, ctx: &mut Ctx<'_, NwsMsg>, resource: Resource, peer: HostId, v: f64) {
+        let series = self.ids.borrow_mut().id(resource, self.host, peer);
+        self.store(ctx, series, v);
     }
 
     fn arm_retry(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
@@ -237,11 +265,9 @@ impl Sensor {
             self.retry_backoff = TimeDelta::from_secs(RETRY_INITIAL_S);
             return;
         }
-        let resend: Vec<(u64, SeriesKey, f64, f64)> =
-            self.unacked.iter().map(|(s, (k, t, v))| (*s, k.clone(), *t, *v)).collect();
-        self.store_retries += resend.len() as u64;
-        for (seq, key, t, value) in resend {
-            NwsMsg::Store { key, seq, t, value }.send(ctx, self.cfg.memory);
+        self.store_retries += self.unacked.len() as u64;
+        for (&seq, &(series, t, value)) in &self.unacked {
+            NwsMsg::Store { series, seq, t, value }.send(ctx, self.cfg.memory);
         }
         self.retry_backoff = (self.retry_backoff * 2.0).min(TimeDelta::from_secs(RETRY_MAX_S));
         self.retry_timer = Some(ctx.set_timer(self.retry_backoff, TAG_RETRY));
@@ -279,7 +305,7 @@ impl Sensor {
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != self.memberships[m].me_idx)
-            .map(|(_, (pid, name, node))| (Some(*pid), name.clone(), *node))
+            .map(|(_, &(pid, host, node))| (Some(pid), host, node))
             .collect();
         self.holds += 1;
         self.start_next_probe(ctx);
@@ -480,17 +506,19 @@ impl Sensor {
         if self.busy() {
             return; // skip this period rather than stack up probes
         }
-        self.queue = fr.targets.iter().map(|(n, node)| (None, n.clone(), *node)).collect();
+        self.queue = fr.targets.iter().map(|&(host, node)| (None, host, node)).collect();
         self.start_next_probe(ctx);
     }
 
     fn sense_host(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let Some(load) = &mut self.load else { return };
+        let (Some(load), Some([cpu_series, mem_series])) = (&mut self.load, self.host_series)
+        else {
+            return;
+        };
         let cpu = load.sample();
         let mem = load.sample_memory();
-        let host = self.cfg.host_name.clone();
-        self.store(ctx, SeriesKey::host(Resource::CpuLoad, &host), cpu);
-        self.store(ctx, SeriesKey::host(Resource::FreeMemory, &host), mem);
+        self.store(ctx, cpu_series, cpu);
+        self.store(ctx, mem_series, mem);
     }
 }
 
@@ -652,18 +680,13 @@ impl Process<NwsMsg> for Sensor {
 
     fn on_flow_complete(&mut self, ctx: &mut Ctx<'_, NwsMsg>, outcome: &FlowOutcome) {
         let Some(probe) = self.active.take() else { return };
-        let host = self.cfg.host_name.clone();
         match probe.kind {
             ProbeKind::Latency => {
                 let rtt_ms = outcome.duration().as_millis();
-                self.store(ctx, SeriesKey::link(Resource::Latency, &host, &probe.peer), rtt_ms);
+                self.store_link(ctx, Resource::Latency, probe.peer, rtt_ms);
                 // Connect time derived as 1.5 RTT (three-way handshake)
                 // instead of a third probe.
-                self.store(
-                    ctx,
-                    SeriesKey::link(Resource::ConnectTime, &host, &probe.peer),
-                    1.5 * rtt_ms,
-                );
+                self.store_link(ctx, Resource::ConnectTime, probe.peer, 1.5 * rtt_ms);
                 // Follow with the bandwidth experiment to the same peer.
                 match ctx.start_flow(probe.node, netsim::probes::BANDWIDTH_PROBE_BYTES, 0) {
                     Ok(_) => {
@@ -678,11 +701,8 @@ impl Process<NwsMsg> for Sensor {
                 }
             }
             ProbeKind::Bandwidth => {
-                self.store(
-                    ctx,
-                    SeriesKey::link(Resource::Bandwidth, &host, &probe.peer),
-                    outcome.throughput().as_mbps(),
-                );
+                let mbps = outcome.throughput().as_mbps();
+                self.store_link(ctx, Resource::Bandwidth, probe.peer, mbps);
                 if let Some(p) = probe.locked {
                     NwsMsg::LockRelease.send(ctx, p);
                 }
@@ -707,6 +727,7 @@ impl Process<NwsMsg> for Sensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SeriesTable;
     use netsim::engine::Engine;
     use netsim::topology::TopologyBuilder;
     use netsim::units::{Bandwidth, Latency};
@@ -776,7 +797,10 @@ mod tests {
     fn lock_grants_are_serialized() {
         let (mut eng, hosts) = hub3();
         // A bare sensor with locking on, no cliques, no probes of its own.
-        let sensor = eng.add_process(hosts[0], Box::new(Sensor::new(locking_cfg(), vec![])));
+        let sensor = eng.add_process(
+            hosts[0],
+            Box::new(Sensor::new(locking_cfg(), vec![], &SeriesTable::new())),
+        );
 
         let log_a = Rc::new(RefCell::new(Vec::new()));
         let log_b = Rc::new(RefCell::new(Vec::new()));
@@ -825,7 +849,10 @@ mod tests {
         }
 
         let (mut eng, hosts) = hub3();
-        let sensor = eng.add_process(hosts[0], Box::new(Sensor::new(locking_cfg(), vec![])));
+        let sensor = eng.add_process(
+            hosts[0],
+            Box::new(Sensor::new(locking_cfg(), vec![], &SeriesTable::new())),
+        );
 
         let got_hog = Rc::new(RefCell::new(false));
         eng.add_process(hosts[1], Box::new(Hog { target: sensor, got: got_hog.clone() }));

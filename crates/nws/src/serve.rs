@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::forecast::Forecast;
+use crate::ids::SeriesTable;
 use crate::memory::MemoryStore;
 use crate::msg::SeriesKey;
 use crate::series_state::SeriesState;
@@ -80,7 +81,7 @@ impl ShardSnapshot {
 struct ShardState {
     slots: BTreeMap<SeriesKey, SeriesState>,
     /// Points ingested since the last publish, in ingest order (memory
-    /// stores iterate key-sorted, so this order is deterministic).
+    /// stores iterate in series-id order, so this order is deterministic).
     pending: Vec<(SeriesKey, Vec<(f64, f64)>)>,
     pending_points: usize,
 }
@@ -207,19 +208,21 @@ impl ServingPlane {
     }
 
     /// Pull every series' new points (O(Δ) per series) out of one memory
-    /// store. Single-threaded by design: stores are actor-local
-    /// (`Rc<RefCell<..>>`); only battery observation parallelizes.
-    pub fn ingest_store(&mut self, store: &MemoryStore) {
-        for (key, series) in &store.series {
-            let mark = self.ingest_mark.get(key).copied().unwrap_or(f64::NEG_INFINITY);
+    /// store, whose series `ids` names. Single-threaded by design: stores
+    /// are actor-local (`Rc<RefCell<..>>`); only battery observation
+    /// parallelizes.
+    pub fn ingest_store(&mut self, store: &MemoryStore, ids: &SeriesTable) {
+        for (id, series) in store.series.iter() {
+            let key = ids.key(id);
+            let mark = self.ingest_mark.get(&key).copied().unwrap_or(f64::NEG_INFINITY);
             let delta = series.pairs_since(mark);
             let Some(&(newest, _)) = delta.last() else { continue };
             self.ingest_mark.insert(key.clone(), newest);
-            let shard = self.map.shard_of(key);
+            let shard = self.map.shard_of(&key);
             let st = &mut self.shards[shard];
             st.pending_points += delta.len();
             st.pending.push((key.clone(), delta));
-            self.pending_keys.insert(key.clone());
+            self.pending_keys.insert(key);
         }
     }
 

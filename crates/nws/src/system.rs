@@ -14,6 +14,7 @@ use netsim::prelude::*;
 use crate::clique::{CliqueMembership, CliqueRetarget, Ring};
 use crate::forecast::Forecast;
 use crate::forecaster::{BatchClient, Client, ForecasterServer};
+use crate::ids::{SeriesTable, SeriesTableHandle};
 use crate::memory::{MemoryHandle, MemoryServer};
 use crate::msg::{NwsMsg, SeriesKey};
 use crate::persist::{wal_compact_bytes, DEFAULT_WAL_COMPACT_KIB};
@@ -175,6 +176,7 @@ fn spawn_memory(
     eng: &mut Engine<NwsMsg>,
     spec: &NwsSystemSpec,
     disks: &mut DiskRegistry,
+    ids: &SeriesTableHandle,
     nameserver: ProcessId,
     idx: usize,
     host: &str,
@@ -186,6 +188,7 @@ fn spawn_memory(
         spec.series_capacity,
         disks.disk(host),
         spec.wal_compact_bytes()?,
+        ids,
     );
     Ok((eng.add_process(node, Box::new(mem)), handle))
 }
@@ -207,9 +210,11 @@ fn memory_for(
 
 /// The [`SensorConfig`] for `s` under `spec`; the two ordinals seed its
 /// probe jitter and its host-load model.
+#[expect(clippy::too_many_arguments, reason = "private; one call per spawn site")]
 fn sensor_config(
     topo: &Topology,
     spec: &NwsSystemSpec,
+    ids: &mut SeriesTable,
     nameserver: ProcessId,
     memory: ProcessId,
     s: &SensorSpec,
@@ -219,9 +224,9 @@ fn sensor_config(
     let free_run = match &s.mode {
         SensorMode::Clique => None,
         SensorMode::FreeRunning { targets, period } => {
-            let targets: Vec<(String, NodeId)> = targets
+            let targets = targets
                 .iter()
-                .map(|t| Ok((t.clone(), topo.resolve_host(t)?)))
+                .map(|t| Ok((ids.host(t), topo.resolve_host(t)?)))
                 .collect::<NetResult<_>>()?;
             Some(FreeRun { targets, period: *period })
         }
@@ -237,10 +242,12 @@ fn sensor_config(
     })
 }
 
-/// Clique `c`'s ring, built once for all its members to share. `locate`
-/// gives the sensor pid and node of a member host.
+/// Clique `c`'s ring, built once for all its members to share: the one
+/// place a member's host name is interned. `locate` gives the sensor pid
+/// and node of a member host.
 fn build_ring(
     c: &CliqueSpec,
+    ids: &mut SeriesTable,
     locate: impl Fn(&str) -> Option<(ProcessId, NodeId)>,
 ) -> NetResult<Ring> {
     c.members
@@ -248,7 +255,7 @@ fn build_ring(
         .map(|m| {
             let (pid, node) =
                 locate(m).ok_or_else(|| NetError::NameNotFound(format!("clique member {m}")))?;
-            Ok((pid, m.clone(), node))
+            Ok((pid, ids.host(m), node))
         })
         .collect()
 }
@@ -278,6 +285,8 @@ pub struct NwsSystem {
     /// server and the forecaster log to their host's disk; recovery after
     /// a crash reads **only** from here — there is no in-RAM handoff.
     pub disks: DiskRegistry,
+    /// The series table every process of this system names series by.
+    pub series_ids: SeriesTableHandle,
 }
 
 impl NwsSystem {
@@ -288,6 +297,7 @@ impl NwsSystem {
         // identically seeded deployments tear identical file tails.
         let mut disks = DiskRegistry::new();
         disks.set_fault_seed(spec.seed);
+        let ids = SeriesTable::new();
 
         // Name server.
         let ns_node = eng.topo().resolve_host(&spec.nameserver_host)?;
@@ -300,7 +310,8 @@ impl NwsSystem {
             if memories.contains_key(host) {
                 return Err(NetError::InvalidTopology(format!("duplicate memory host {host}")));
             }
-            memories.insert(host.clone(), spawn_memory(eng, spec, &mut disks, ns_pid, i, host)?);
+            let memory = spawn_memory(eng, spec, &mut disks, &ids, ns_pid, i, host)?;
+            memories.insert(host.clone(), memory);
         }
 
         // Forecaster (durable, same disk plane).
@@ -310,6 +321,7 @@ impl NwsSystem {
             ns_pid,
             disks.disk(&spec.forecaster_host),
             spec.wal_compact_bytes()?,
+            &ids,
         );
         let fc_pid = eng.add_process(fc_node, Box::new(fc));
 
@@ -333,7 +345,9 @@ impl NwsSystem {
         // being shared rather than copied per member.
         let mut memberships: Vec<Vec<CliqueMembership>> = vec![Vec::new(); spec.sensors.len()];
         for c in &spec.cliques {
-            let ring = build_ring(c, |m| index_of.get(m).map(|&i| (sensor_pid_of(i), nodes[i])))?;
+            let ring = build_ring(c, &mut ids.borrow_mut(), |m| {
+                index_of.get(m).map(|&i| (sensor_pid_of(i), nodes[i]))
+            })?;
             for (pos, (pid, _, _)) in ring.iter().enumerate() {
                 let mine = &mut memberships[pid.index() - first_sensor];
                 // A host listed twice in one clique holds one membership,
@@ -349,8 +363,18 @@ impl NwsSystem {
         for (idx, (s, memberships)) in spec.sensors.iter().zip(memberships).enumerate() {
             let memory = memory_for(&memories, spec, s)?;
             let ord = idx as u64;
-            let cfg = sensor_config(eng.topo(), spec, ns_pid, memory, s, ord, ord)?;
-            let pid = eng.add_process(nodes[idx], Box::new(Sensor::new(cfg, memberships)));
+            let cfg = sensor_config(
+                eng.topo(),
+                spec,
+                &mut ids.borrow_mut(),
+                ns_pid,
+                memory,
+                s,
+                ord,
+                ord,
+            )?;
+            let sensor = Sensor::new(cfg, memberships, &ids);
+            let pid = eng.add_process(nodes[idx], Box::new(sensor));
             assert_eq!(pid, sensor_pid_of(idx), "sensor pid prediction broke");
             sensors.insert(s.host.clone(), pid);
         }
@@ -368,6 +392,7 @@ impl NwsSystem {
             supervisor: None,
             healed_at: BTreeMap::new(),
             disks,
+            series_ids: ids,
         })
     }
 
@@ -431,7 +456,15 @@ impl NwsSystem {
                 continue;
             }
             let idx = self.memories.len();
-            let mem = spawn_memory(eng, &self.spec, &mut self.disks, self.nameserver, idx, host)?;
+            let mem = spawn_memory(
+                eng,
+                &self.spec,
+                &mut self.disks,
+                &self.series_ids,
+                self.nameserver,
+                idx,
+                host,
+            )?;
             self.memories.insert(host.clone(), mem);
             self.spec.memory_hosts.push(host.clone());
         }
@@ -450,12 +483,21 @@ impl NwsSystem {
             let ord = self.sensors_spawned as u64;
             // (n, n + 1) where deploy passes (idx, idx): kept as is, the pinned
             // event counts of every churn join and sensor heal depend on it.
-            let cfg =
-                sensor_config(eng.topo(), &self.spec, self.nameserver, memory, s, ord, ord + 1)?;
+            let cfg = sensor_config(
+                eng.topo(),
+                &self.spec,
+                &mut self.series_ids.borrow_mut(),
+                self.nameserver,
+                memory,
+                s,
+                ord,
+                ord + 1,
+            )?;
             self.sensors_spawned += 1;
             // Memberships arrive via Retarget once every member's pid is
             // known; the sensor starts bare.
-            let pid = eng.add_process(node, Box::new(Sensor::new(cfg, Vec::new())));
+            let sensor = Sensor::new(cfg, Vec::new(), &self.series_ids);
+            let pid = eng.add_process(node, Box::new(sensor));
             self.sensors.insert(s.host.clone(), pid);
             self.spec.sensors.push(s.clone());
         }
@@ -463,8 +505,9 @@ impl NwsSystem {
         // --- clique retargets ----------------------------------------------
         for c in &re.cliques_to_upsert {
             let started = self.spec.cliques.iter().any(|old| old.name == c.name);
-            let ring =
-                build_ring(c, |m| self.sensors.get(m).map(|&pid| (pid, eng.process_node(pid))))?;
+            let ring = build_ring(c, &mut self.series_ids.borrow_mut(), |m| {
+                self.sensors.get(m).map(|&pid| (pid, eng.process_node(pid)))
+            })?;
             for m in &c.members {
                 retargets.entry(m.clone()).or_default().0.push(CliqueRetarget {
                     clique: c.name.clone(),
@@ -629,8 +672,15 @@ impl NwsSystem {
             .ok_or_else(|| NetError::NameNotFound(format!("memory host {host}")))?;
         eng.kill_process(old_pid); // no-op when it already crashed
         let idx = self.spec.memory_hosts.iter().position(|h| h == host).unwrap_or(0);
-        let (new_pid, store) =
-            spawn_memory(eng, &self.spec, &mut self.disks, self.nameserver, idx, host)?;
+        let (new_pid, store) = spawn_memory(
+            eng,
+            &self.spec,
+            &mut self.disks,
+            &self.series_ids,
+            self.nameserver,
+            idx,
+            host,
+        )?;
         self.memories.insert(host.to_string(), (new_pid, store));
         // Every sensor that stores to this memory drains its buffer to the
         // replacement.
@@ -662,17 +712,19 @@ impl NwsSystem {
     }
 
     /// Issue a client query through the full §2.1 path and wait (up to
-    /// `patience` simulated seconds) for the reply.
+    /// `patience` simulated seconds) for the reply. The query boundary:
+    /// `key` enters the simulation as its series id.
     pub fn query(
         &self,
         eng: &mut Engine<NwsMsg>,
         key: SeriesKey,
         patience: TimeDelta,
     ) -> Option<Forecast> {
+        let series = self.series_ids.borrow_mut().intern(&key);
         let result = Rc::new(RefCell::new(None));
         eng.add_process(
             self.client_node,
-            Box::new(Client { forecaster: self.forecaster, key, result: result.clone() }),
+            Box::new(Client { forecaster: self.forecaster, series, result: result.clone() }),
         );
         let deadline = eng.now() + patience;
         eng.run_until(deadline);
@@ -682,22 +734,27 @@ impl NwsSystem {
 
     /// Issue one batched multi-series query through the full §2.1 path —
     /// one `QueryBatch` message, one reply — and wait (up to `patience`
-    /// simulated seconds) for it. Answers come back in request order.
+    /// simulated seconds) for it. Answers come back in request order, each
+    /// with its key; none at all if the reply did not arrive in time.
     pub fn query_batch(
         &self,
         eng: &mut Engine<NwsMsg>,
         keys: Vec<SeriesKey>,
         patience: TimeDelta,
     ) -> Vec<(SeriesKey, Option<Forecast>)> {
+        let series = {
+            let mut ids = self.series_ids.borrow_mut();
+            keys.iter().map(|k| ids.intern(k)).collect()
+        };
         let result = Rc::new(RefCell::new(None));
         eng.add_process(
             self.client_node,
-            Box::new(BatchClient { forecaster: self.forecaster, keys, result: result.clone() }),
+            Box::new(BatchClient { forecaster: self.forecaster, series, result: result.clone() }),
         );
         let deadline = eng.now() + patience;
         eng.run_until(deadline);
-        let out = result.borrow_mut().take();
-        out.unwrap_or_default()
+        let answers = result.borrow_mut().take();
+        answers.map(|a| keys.into_iter().zip(a).collect()).unwrap_or_default()
     }
 
     /// A fresh out-of-sim serving plane for this system: `shards`
@@ -715,32 +772,30 @@ impl NwsSystem {
     /// observe + snapshot the shards in parallel on `workers` scoped
     /// threads. Returns the published epoch number.
     pub fn publish_epoch(&self, plane: &mut crate::serve::ServingPlane, workers: usize) -> u64 {
+        let ids = self.series_ids.borrow();
         for (_, handle) in self.memories.values() {
-            plane.ingest_store(&handle.borrow());
+            plane.ingest_store(&handle.borrow(), &ids);
         }
         plane.publish(workers)
     }
 
+    /// `f` of the stored series `key`, from the first memory holding it.
+    fn with_series<T>(&self, key: &SeriesKey, f: impl FnOnce(&Series) -> T) -> Option<T> {
+        let id = self.series_ids.borrow().get(key)?;
+        let handle =
+            self.memories.values().map(|(_, h)| h).find(|h| h.borrow().series.contains(id))?;
+        let store = handle.borrow();
+        Some(f(&store.series[id]))
+    }
+
     /// Direct (out-of-band) view of a stored series, across all memories.
     pub fn series(&self, key: &SeriesKey) -> Option<Vec<(f64, f64)>> {
-        for (_, handle) in self.memories.values() {
-            let store = handle.borrow();
-            if let Some(s) = store.series.get(key) {
-                return Some(s.to_pairs());
-            }
-        }
-        None
+        self.with_series(key, Series::to_pairs)
     }
 
     /// Mean interval between measurements of a series, if known.
     pub fn measurement_interval(&self, key: &SeriesKey) -> Option<f64> {
-        for (_, handle) in self.memories.values() {
-            let store = handle.borrow();
-            if let Some(s) = store.series.get(key) {
-                return s.mean_interval();
-            }
-        }
-        None
+        self.with_series(key, Series::mean_interval).flatten()
     }
 
     /// Total measurements stored so far.
@@ -748,15 +803,16 @@ impl NwsSystem {
         self.memories.values().map(|(_, h)| h.borrow().stores).sum()
     }
 
-    /// All stored series keys.
+    /// All stored series keys, in key order.
     pub fn series_keys(&self) -> Vec<SeriesKey> {
-        let mut keys = Vec::new();
-        for (_, handle) in self.memories.values() {
-            keys.extend(handle.borrow().series.keys().cloned());
-        }
-        keys.sort();
-        keys.dedup();
-        keys
+        let order = self.series_ids.borrow_mut().in_key_order();
+        let ids = self.series_ids.borrow();
+        let stores: Vec<_> = self.memories.values().map(|(_, h)| h.borrow()).collect();
+        order
+            .iter()
+            .filter(|&&id| stores.iter().any(|s| s.series.contains(id)))
+            .map(|&id| ids.key(id))
+            .collect()
     }
 }
 
@@ -1204,11 +1260,13 @@ mod tests {
         for host in &names {
             let sensor = sys.sensor(&eng, host).expect("deployed");
             let m = sensor.memberships().next().expect("in clique0");
-            assert_eq!(m.members[m.me_idx].1, *host);
-            for (pid, name, node) in m.members.iter() {
-                assert_eq!(*pid, sys.sensors[name]);
-                assert_eq!(eng.process_node(*pid), *node);
-                assert_eq!(eng.topo().resolve_host(name), Ok(*node));
+            let ids = sys.series_ids.borrow();
+            assert_eq!(ids.host_name(m.members[m.me_idx].1), host);
+            for &(pid, name, node) in m.members.iter() {
+                let name = ids.host_name(name);
+                assert_eq!(pid, sys.sensors[name]);
+                assert_eq!(eng.process_node(pid), node);
+                assert_eq!(eng.topo().resolve_host(name), Ok(node));
             }
         }
     }

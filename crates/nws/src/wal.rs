@@ -100,10 +100,9 @@ impl<'a> ByteReader<'a> {
         self.u64().map(f64::from_bits)
     }
 
-    pub fn str(&mut self) -> Option<String> {
+    pub fn str(&mut self) -> Option<&'a str> {
         let n = self.u32()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).ok()
+        std::str::from_utf8(self.take(n)?).ok()
     }
 
     /// All input consumed, nothing left over?
@@ -280,7 +279,7 @@ mod tests {
         assert_eq!(r.u64(), Some(u64::MAX - 1));
         assert_eq!(r.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert_eq!(r.f64(), Some(f64::NEG_INFINITY));
-        assert_eq!(r.str().as_deref(), Some("bandwidthTcp:a.x/b.x"));
+        assert_eq!(r.str(), Some("bandwidthTcp:a.x/b.x"));
         assert!(r.done());
         assert_eq!(r.u8(), None, "underrun reports None");
     }

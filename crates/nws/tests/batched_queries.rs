@@ -15,13 +15,14 @@ use nws::msg::{NwsMsg, SeriesKey};
 use nws::registry::{NameServer, RegistryHandle};
 use nws::serve::ServingPlane;
 use nws::shard::ShardMap;
-use nws::{Forecast, NwsSystem, NwsSystemSpec, Resource};
+use nws::{Forecast, NwsSystem, NwsSystemSpec, Resource, SeriesTable, SeriesTableHandle};
 use proptest::prelude::*;
 
 /// Four hosts on a switch with 5 ms port latency (the `query_serving`
 /// rig): long enough round trips to schedule deterministic interleavings.
 struct Rig {
     eng: Engine<NwsMsg>,
+    ids: SeriesTableHandle,
     ns_state: RegistryHandle,
     memory: ProcessId,
     store: MemoryHandle,
@@ -40,12 +41,13 @@ fn rig() -> Rig {
         })
         .collect();
     let mut eng: Engine<NwsMsg> = Engine::new(b.build().unwrap());
+    let ids = SeriesTable::new();
     let (ns, ns_state) = NameServer::new();
     let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-    let forecaster = eng.add_process(hosts[1], Box::new(ForecasterServer::new("fc", ns_pid)));
-    let (mem, store) = MemoryServer::new("mem0", ns_pid, 512);
+    let forecaster = eng.add_process(hosts[1], Box::new(ForecasterServer::new("fc", ns_pid, &ids)));
+    let (mem, store) = MemoryServer::new("mem0", ns_pid, 512, &ids);
     let memory = eng.add_process(hosts[2], Box::new(mem));
-    Rig { eng, ns_state, memory, store, forecaster, client_node: hosts[3] }
+    Rig { eng, ids, ns_state, memory, store, forecaster, client_node: hosts[3] }
 }
 
 fn send(ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, msg: NwsMsg) {
@@ -63,8 +65,9 @@ enum Action {
 }
 
 /// Drives scripted stores/queries/batches by timer; single replies and
-/// batch replies are recorded in arrival order.
+/// batch replies are recorded in arrival order, each answer with its key.
 struct Script {
+    ids: SeriesTableHandle,
     forecaster: ProcessId,
     memory: ProcessId,
     steps: Vec<(TimeDelta, Action)>,
@@ -79,30 +82,33 @@ impl Process<NwsMsg> for Script {
         }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NwsMsg>, tag: u64) {
+        let mut ids = self.ids.borrow_mut();
         match &self.steps[tag as usize].1 {
             Action::Store { key, t, value } => {
                 let seq = tag + 1; // unique per step, which is all dedup needs
-                send(
-                    ctx,
-                    self.memory,
-                    NwsMsg::Store { key: key.clone(), seq, t: *t, value: *value },
-                );
+                let series = ids.intern(key);
+                send(ctx, self.memory, NwsMsg::Store { series, seq, t: *t, value: *value });
             }
             Action::Query { key } => {
-                send(ctx, self.forecaster, NwsMsg::Query { key: key.clone() });
+                send(ctx, self.forecaster, NwsMsg::Query { series: ids.intern(key) });
             }
             Action::Batch { keys } => {
-                send(ctx, self.forecaster, NwsMsg::QueryBatch { id: tag, keys: keys.clone() });
+                let series = keys.iter().map(|k| ids.intern(k)).collect();
+                send(ctx, self.forecaster, NwsMsg::QueryBatch { id: tag, series });
             }
         }
     }
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
         match msg {
-            NwsMsg::QueryReply { key, forecast } => {
-                self.singles.borrow_mut().push((key, forecast));
+            NwsMsg::QueryReply { series, forecast } => {
+                let key = self.ids.borrow().key(series);
+                self.singles.borrow_mut().push((key, forecast.map(|f| *f)));
             }
-            NwsMsg::QueryBatchReply { forecasts, .. } => {
-                self.batches.borrow_mut().push(forecasts);
+            NwsMsg::QueryBatchReply { id, forecasts } => {
+                let Action::Batch { keys } = &self.steps[id as usize].1 else {
+                    panic!("reply to step {id}, which sent no batch")
+                };
+                self.batches.borrow_mut().push(keys.iter().cloned().zip(forecasts).collect());
             }
             _ => {}
         }
@@ -119,6 +125,7 @@ fn run_script(mut r: Rig, steps: Vec<(TimeDelta, Action)>) -> Run {
     let singles: Singles = Rc::new(RefCell::new(Vec::new()));
     let batches: Batches = Rc::new(RefCell::new(Vec::new()));
     let script = Script {
+        ids: r.ids.clone(),
         forecaster: r.forecaster,
         memory: r.memory,
         steps,
@@ -215,13 +222,14 @@ fn empty_batch_replies_immediately() {
 /// kill processes between phases).
 struct BatchOnce {
     forecaster: ProcessId,
-    keys: Vec<SeriesKey>,
-    result: Batches,
+    series: Vec<nws::SeriesId>,
+    result: Rc<RefCell<Vec<Vec<Option<Forecast>>>>>,
 }
 
 impl Process<NwsMsg> for BatchOnce {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        send(ctx, self.forecaster, NwsMsg::QueryBatch { id: 7, keys: self.keys.clone() });
+        let series = self.series.clone();
+        send(ctx, self.forecaster, NwsMsg::QueryBatch { id: 7, series });
     }
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
         if let NwsMsg::QueryBatchReply { forecasts, .. } = msg {
@@ -248,14 +256,11 @@ fn timeout_under_batching_serves_stale_with_flag() {
 
     // Phase 2: kill the memory, then batch {warmed, unknown}.
     r.rig.eng.kill_process(r.rig.memory);
-    let result: Batches = Rc::new(RefCell::new(Vec::new()));
+    let result = Rc::new(RefCell::new(Vec::new()));
+    let series = [&k, &ghost].map(|key| r.rig.ids.borrow_mut().intern(key)).to_vec();
     r.rig.eng.add_process(
         r.rig.client_node,
-        Box::new(BatchOnce {
-            forecaster: r.rig.forecaster,
-            keys: vec![k.clone(), ghost.clone()],
-            result: result.clone(),
-        }),
+        Box::new(BatchOnce { forecaster: r.rig.forecaster, series, result: result.clone() }),
     );
     let deadline = r.rig.eng.now() + TimeDelta::from_secs(10.0);
     r.rig.eng.run_until(deadline);
@@ -263,10 +268,10 @@ fn timeout_under_batching_serves_stale_with_flag() {
     let batches = result.borrow().clone();
     assert_eq!(batches.len(), 1, "batch completes despite the dead memory");
     let slots = &batches[0];
-    let stale = slots[0].1.clone().expect("stale forecast beats an error");
+    let stale = slots[0].clone().expect("stale forecast beats an error");
     assert!(stale.stale, "timeout answers carry the stale flag");
     assert_eq!(stale.samples, warm.samples, "served from the warmed battery");
-    assert!(slots[1].1.is_none(), "unknown key resolves through the live directory");
+    assert!(slots[1].is_none(), "unknown key resolves through the live directory");
 }
 
 /// Shard-count invariance, end to end: planes over {1, 2, 4, 8} shards
@@ -288,7 +293,7 @@ fn plane_answers_are_shard_invariant_and_match_the_sim() {
     let mut baseline: Option<Vec<(SeriesKey, Option<Forecast>)>> = None;
     for shards in [1usize, 2, 4, 8] {
         let mut plane = ServingPlane::new(ShardMap::hashed(shards));
-        plane.ingest_store(&r.rig.store.borrow());
+        plane.ingest_store(&r.rig.store.borrow(), &r.rig.ids.borrow());
         plane.publish(shards);
         let got = plane.serve_batch(&keys);
         match &baseline {

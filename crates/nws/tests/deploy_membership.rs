@@ -121,11 +121,19 @@ proptest! {
         let sys = NwsSystem::deploy(&mut eng, &spec).expect("deploys");
         let first_pid = (sys.nameserver.index() + 1 + n_memories + 1) as u32;
         let expected = memberships_by_scanning(&spec, eng.topo(), first_pid);
+        let ids = sys.series_ids.borrow();
         for (s, expected) in spec.sensors.iter().zip(&expected) {
             let sensor = sys.sensor(&eng, &s.host).expect("deployed");
             let got: Vec<Expected> = sensor
                 .memberships()
-                .map(|m| (m.clique.clone(), m.members.to_vec(), m.me_idx, m.gap))
+                .map(|m| {
+                    let ring = m
+                        .members
+                        .iter()
+                        .map(|&(pid, host, node)| (pid, ids.host_name(host).to_string(), node))
+                        .collect();
+                    (m.clique.clone(), ring, m.me_idx, m.gap)
+                })
                 .collect();
             prop_assert_eq!(&got, expected, "sensor {}", s.host);
             prop_assert!(sensor.memberships().all(|m| m.watchdog_base == spec.watchdog));

@@ -20,10 +20,14 @@
 //!
 //! The last section pins the bytes: the one-pass image builder against a
 //! test-local reference that encodes the body into its own buffer and
-//! copies it behind a header, and the checksum against every single-bit
-//! flip, truncation and same-position pair of flips.
+//! copies it behind a header — with series ids minted in first-seen order
+//! and in reverse key order, since an image lists series in key order
+//! whatever their ids — and the checksum against every single-bit flip,
+//! truncation and same-position pair of flips.
 //!
 //! [`SimDisk`]: netsim::disk::SimDisk
+
+use std::collections::BTreeMap;
 
 use netsim::disk::{DiskHandle, SimDisk};
 use netsim::engine::ProcessId;
@@ -31,7 +35,7 @@ use nws::memory::MemoryStore;
 use nws::msg::{Resource, SeriesKey};
 use nws::persist::{ForecastLog, MemoryLog};
 use nws::wal::{append_record, checksum, decode_snapshot, scan_wal};
-use nws::ForecasterBattery;
+use nws::{ForecasterBattery, IdMap, SeriesId, SeriesTable, SeriesTableHandle};
 use proptest::prelude::*;
 
 const CAP: usize = 16;
@@ -40,8 +44,8 @@ fn key(i: u8) -> SeriesKey {
     SeriesKey::link(Resource::Bandwidth, &format!("s{}.x", i % 3), "d.x")
 }
 
-/// One series as `(key, capacity, points-as-raw-bits)`.
-type SeriesBits = (SeriesKey, usize, Vec<(u64, u64)>);
+/// One series as `(id, capacity, points-as-raw-bits)`.
+type SeriesBits = (SeriesId, usize, Vec<(u64, u64)>);
 
 /// Everything the store-durability contract covers, with floats as raw
 /// bit patterns so "equal" means bit-identical.
@@ -62,12 +66,8 @@ fn fingerprint(store: &MemoryStore) -> DurableFingerprint {
         series: store
             .series
             .iter()
-            .map(|(k, s)| {
-                (
-                    k.clone(),
-                    s.capacity(),
-                    s.iter().map(|p| (p.t.to_bits(), p.value.to_bits())).collect(),
-                )
+            .map(|(id, s)| {
+                (id, s.capacity(), s.iter().map(|p| (p.t.to_bits(), p.value.to_bits())).collect())
             })
             .collect(),
         seen: store
@@ -82,6 +82,7 @@ fn fingerprint(store: &MemoryStore) -> DurableFingerprint {
 /// per-sender sequence counters a sensor fleet would hold.
 struct MemHarness {
     disk: DiskHandle,
+    ids: SeriesTableHandle,
     live: MemoryStore,
     log: MemoryLog,
     next_seq: [u64; 3],
@@ -92,11 +93,16 @@ impl MemHarness {
     fn new(fault_seed: u64) -> Self {
         let disk = SimDisk::new("h0");
         disk.borrow_mut().set_fault_seed(fault_seed);
-        let (live, mut log) = MemoryLog::recover(disk.clone(), "memory", CAP);
+        let ids = SeriesTable::new();
+        let (live, mut log) = MemoryLog::recover(disk.clone(), "memory", CAP, &ids);
         // Small threshold so ~100-op schedules cross it repeatedly and
         // compaction interleaves with stores organically.
         log.set_compact_threshold(512);
-        MemHarness { disk, live, log, next_seq: [0; 3], next_t: 0.0 }
+        MemHarness { disk, ids, live, log, next_seq: [0; 3], next_t: 0.0 }
+    }
+
+    fn id(&self, arg: u8) -> SeriesId {
+        self.ids.borrow_mut().intern(&key(arg))
     }
 
     fn store(&mut self, arg: u8) {
@@ -116,17 +122,17 @@ impl MemHarness {
             self.next_t += 1.0;
             self.next_t
         };
-        let k = key(arg);
+        let k = self.id(arg);
         let v = 40.0 + f64::from(arg);
-        self.live.apply_store(sender, seq, &k, t, v, CAP);
-        self.log.log_store(sender, seq, &k, t, v);
+        self.live.apply_store(sender, seq, k, t, v, CAP);
+        self.log.log_store(sender, seq, k, t, v);
         self.log.maybe_compact(&self.live);
     }
 
     /// Recover from disk and swap the recovered state in as the new live
     /// state, exactly as a restarted server would.
     fn recover(&mut self) -> &MemoryStore {
-        let (store, log) = MemoryLog::recover(self.disk.clone(), "memory", CAP);
+        let (store, log) = MemoryLog::recover(self.disk.clone(), "memory", CAP, &self.ids);
         let mut log = log;
         log.set_compact_threshold(512);
         self.live = store;
@@ -206,7 +212,8 @@ proptest! {
                 continue;
             }
             let sender = ProcessId::from_raw(100 + i as u32);
-            let out = h.live.apply_store(sender, seq, &key(i as u8), 1e9, 1.0, CAP);
+            let k = h.id(i as u8);
+            let out = h.live.apply_store(sender, seq, k, 1e9, 1.0, CAP);
             prop_assert!(!out.first_time, "acked seq {} re-counted after recovery", seq);
         }
     }
@@ -235,35 +242,33 @@ proptest! {
     ) {
         let disk = SimDisk::new("fh");
         disk.borrow_mut().set_fault_seed(fault_seed);
-        let (_, mut log) = ForecastLog::recover(disk.clone(), "forecaster");
+        let ids = SeriesTable::new();
+        let (_, mut log) = ForecastLog::recover(disk.clone(), "forecaster", &ids);
         log.set_compact_threshold(512);
-        let mut shadow: std::collections::BTreeMap<SeriesKey, (ForecasterBattery, f64)> =
-            std::collections::BTreeMap::new();
+        let mut shadow: IdMap<(ForecasterBattery, f64)> = IdMap::new();
         let mut next_t = 0.0f64;
         for (op, arg) in ops {
+            let k = ids.borrow_mut().intern(&key(arg));
             match op {
                 // Observations dominate, as fetch replies do live.
                 0..=6 => {
-                    let k = key(arg);
                     next_t += 1.0;
                     let v = 40.0 + f64::from(arg % 17);
                     let s = shadow
-                        .entry(k.clone())
-                        .or_insert_with(|| (ForecasterBattery::classic(), f64::NEG_INFINITY));
+                        .get_or_insert_with(k, || (ForecasterBattery::classic(), f64::NEG_INFINITY));
                     s.0.observe(v);
                     s.1 = next_t;
-                    log.log_observe(&k, next_t, v);
+                    log.log_observe(k, next_t, v);
                 }
                 7 => {
-                    let k = key(arg);
-                    if let Some(s) = shadow.get_mut(&k) {
+                    if let Some(s) = shadow.get_mut(k) {
                         s.0 = ForecasterBattery::classic();
                         s.1 = f64::NEG_INFINITY;
-                        log.log_rewind(&k);
+                        log.log_rewind(k);
                     }
                 }
                 8 => {
-                    log.compact(shadow.iter().map(|(k, s)| (k, &s.0, s.1)));
+                    log.compact(|id| shadow.get(id).map(|s| (&s.0, s.1)));
                 }
                 9 => {
                     // Sync, then crash the host (the forecaster syncs once
@@ -271,11 +276,11 @@ proptest! {
                     // the steady-state crash point), then recover.
                     log.sync();
                     disk.borrow_mut().crash();
-                    let (rec, new_log) = ForecastLog::recover(disk.clone(), "forecaster");
+                    let (rec, new_log) = ForecastLog::recover(disk.clone(), "forecaster", &ids);
                     log = new_log;
                     log.set_compact_threshold(512);
                     prop_assert_eq!(rec.len(), shadow.len());
-                    for (k, s) in &shadow {
+                    for (k, s) in shadow.iter() {
                         let r = rec.get(k).expect("series survives");
                         prop_assert_eq!(r.last_t().to_bits(), s.1.to_bits());
                         prop_assert_eq!(battery_bits(r.battery()), battery_bits(&s.0));
@@ -307,8 +312,9 @@ fn ref_key(b: &mut Vec<u8>, key: &SeriesKey) {
     }
 }
 
-/// The memory snapshot body, one field and one point at a time.
-fn ref_memory_body(store: &MemoryStore, capacity: usize) -> Vec<u8> {
+/// The memory snapshot body, one field and one point at a time, its series
+/// sorted by key here rather than by the encoder.
+fn ref_memory_body(store: &MemoryStore, capacity: usize, ids: &SeriesTableHandle) -> Vec<u8> {
     let mut b = Vec::new();
     ref_u32(&mut b, capacity);
     for counter in [
@@ -321,8 +327,11 @@ fn ref_memory_body(store: &MemoryStore, capacity: usize) -> Vec<u8> {
     ] {
         ref_u64(&mut b, counter);
     }
-    ref_u32(&mut b, store.series.len());
-    for (key, s) in &store.series {
+    let ids = ids.borrow();
+    let by_key: BTreeMap<SeriesKey, _> =
+        store.series.iter().map(|(id, s)| (ids.key(id), s)).collect();
+    ref_u32(&mut b, by_key.len());
+    for (key, s) in &by_key {
         ref_key(&mut b, key);
         ref_u32(&mut b, s.capacity());
         ref_u32(&mut b, s.len());
@@ -344,7 +353,8 @@ fn ref_memory_body(store: &MemoryStore, capacity: usize) -> Vec<u8> {
     b
 }
 
-/// The forecaster snapshot body, from the battery's public state.
+/// The forecaster snapshot body, from the battery's public state, in the
+/// order given.
 fn ref_forecast_body<'a>(
     series: impl ExactSizeIterator<Item = (&'a SeriesKey, &'a ForecasterBattery, f64)>,
 ) -> Vec<u8> {
@@ -406,12 +416,22 @@ proptest! {
     /// only store was rejected (an empty ring), out-of-order seqs (a sparse
     /// `above`), no series at all — snapshot to exactly the reference
     /// image, and `decode_snapshot` gives back `log_seq` and the body.
+    /// With `reversed`, every series id is minted up front in reverse key
+    /// order; without, in the order the stores first name them.
     #[test]
     fn memory_image_equals_the_copying_reference(
         log_seq in 0u64..40,
         capacity in 1usize..=16,
         ops in collection::vec((0u8..4, 0u8..9, 0u8..6, 0u8..=254u8), 0..160),
+        reversed in proptest::bool::ANY,
     ) {
+        let ids = SeriesTable::new();
+        let key = |key_i: u8| SeriesKey::link(Resource::Latency, &format!("s{key_i}.x"), "d.x");
+        if reversed {
+            for key_i in (0..6).rev() {
+                ids.borrow_mut().intern(&key(key_i));
+            }
+        }
         let mut store = MemoryStore::default();
         let mut next_seq = [0u64; 4];
         let mut t = 0.0f64;
@@ -423,20 +443,20 @@ proptest! {
             t += 1.0;
             // A series first seen with a NaN is created and left empty.
             let v = if arg.is_multiple_of(29) { f64::NAN } else { f64::from(arg) };
-            let key = SeriesKey::link(Resource::Latency, &format!("s{key_i}.x"), "d.x");
+            let id = ids.borrow_mut().intern(&key(key_i));
             // The ring bound is fixed at the series' first store.
             let cap = 1 + (usize::from(key_i) * 5) % capacity;
-            store.apply_store(sender, next_seq[sender_i as usize], &key, t, v, cap);
+            store.apply_store(sender, next_seq[sender_i as usize], id, t, v, cap);
         }
 
         let disk = SimDisk::new("h0");
-        let (_, mut log) = MemoryLog::recover(disk.clone(), "memory", capacity);
+        let (_, mut log) = MemoryLog::recover(disk.clone(), "memory", capacity, &ids);
         for _ in 0..log_seq {
             log.log_fetch(1);
         }
         prop_assert!(log.write_snapshot(&store));
         let img = disk.borrow_mut().read("memory.snap.new").expect("written");
-        let body = ref_memory_body(&store, capacity);
+        let body = ref_memory_body(&store, capacity, &ids);
         prop_assert_eq!(&img, &ref_image(log_seq, &body));
         prop_assert_eq!(decode_snapshot(&img), Some((log_seq, body)));
     }
@@ -445,20 +465,32 @@ proptest! {
     #[test]
     fn forecast_image_equals_the_copying_reference(
         points in collection::vec((0u8..5, 0u8..=254u8), 0..80),
+        reversed in proptest::bool::ANY,
     ) {
         let disk = SimDisk::new("fh");
-        let (_, mut log) = ForecastLog::recover(disk.clone(), "forecaster");
-        let mut state: std::collections::BTreeMap<SeriesKey, (ForecasterBattery, f64)> =
-            std::collections::BTreeMap::new();
+        let ids = SeriesTable::new();
+        if reversed {
+            for key_i in (0..5).rev() {
+                ids.borrow_mut().intern(&key(key_i));
+            }
+        }
+        let (_, mut log) = ForecastLog::recover(disk.clone(), "forecaster", &ids);
+        let mut state: BTreeMap<SeriesKey, (ForecasterBattery, f64)> = BTreeMap::new();
+        let mut by_id: IdMap<(ForecasterBattery, f64)> = IdMap::new();
         for (i, (key_i, arg)) in points.iter().enumerate() {
             let k = key(*key_i);
+            let id = ids.borrow_mut().intern(&k);
             let (t, v) = (i as f64, 40.0 + f64::from(*arg));
-            let s = state.entry(k.clone()).or_insert_with(|| (ForecasterBattery::classic(), t));
-            s.0.observe(v);
-            s.1 = t;
-            log.log_observe(&k, t, v);
+            for s in [
+                state.entry(k).or_insert_with(|| (ForecasterBattery::classic(), t)),
+                by_id.get_or_insert_with(id, || (ForecasterBattery::classic(), t)),
+            ] {
+                s.0.observe(v);
+                s.1 = t;
+            }
+            log.log_observe(id, t, v);
         }
-        log.compact(state.iter().map(|(k, s)| (k, &s.0, s.1)));
+        log.compact(|id| by_id.get(id).map(|s| (&s.0, s.1)));
         let img = disk.borrow_mut().read("forecaster.snap").expect("published");
         let log_seq = points.len() as u64;
         let body = ref_forecast_body(state.iter().map(|(k, s)| (k, &s.0, s.1)));
@@ -526,12 +558,14 @@ fn every_torn_or_flipped_record_is_rejected() {
 
 #[test]
 fn every_torn_or_flipped_image_is_rejected() {
+    let ids = SeriesTable::new();
     let mut store = MemoryStore::default();
     for seq in 1..=12u64 {
-        store.apply_store(ProcessId::from_raw(3), seq, &key(seq as u8), seq as f64, 7.5, 4);
+        let id = ids.borrow_mut().intern(&key(seq as u8));
+        store.apply_store(ProcessId::from_raw(3), seq, id, seq as f64, 7.5, 4);
     }
     let disk = SimDisk::new("h0");
-    let (_, mut log) = MemoryLog::recover(disk.clone(), "memory", 4);
+    let (_, mut log) = MemoryLog::recover(disk.clone(), "memory", 4, &ids);
     log.compact(&store);
     let img = disk.borrow_mut().read("memory.snap").expect("published");
     assert!(decode_snapshot(&img).is_some());

@@ -11,13 +11,14 @@ use nws::forecaster::ForecasterServer;
 use nws::memory::{MemoryHandle, MemoryServer};
 use nws::msg::{NwsMsg, SeriesKey};
 use nws::registry::{NameServer, RegistryHandle};
-use nws::{Forecast, ForecasterBattery, Resource};
+use nws::{Forecast, ForecasterBattery, Resource, SeriesTable, SeriesTableHandle};
 
 /// Four hosts on a switch with 5 ms port latency: host→host one-way is
 /// ~10 ms, which makes the directory/fetch round trips long enough to
 /// schedule deterministic interleavings with millisecond timers.
 struct Rig {
     eng: Engine<NwsMsg>,
+    ids: SeriesTableHandle,
     ns_state: RegistryHandle,
     memory: ProcessId,
     store: MemoryHandle,
@@ -36,12 +37,13 @@ fn rig() -> Rig {
         })
         .collect();
     let mut eng: Engine<NwsMsg> = Engine::new(b.build().unwrap());
+    let ids = SeriesTable::new();
     let (ns, ns_state) = NameServer::new();
     let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-    let forecaster = eng.add_process(hosts[1], Box::new(ForecasterServer::new("fc", ns_pid)));
-    let (mem, store) = MemoryServer::new("mem0", ns_pid, 512);
+    let forecaster = eng.add_process(hosts[1], Box::new(ForecasterServer::new("fc", ns_pid, &ids)));
+    let (mem, store) = MemoryServer::new("mem0", ns_pid, 512, &ids);
     let memory = eng.add_process(hosts[2], Box::new(mem));
-    Rig { eng, ns_state, memory, store, forecaster, client_node: hosts[3] }
+    Rig { eng, ids, ns_state, memory, store, forecaster, client_node: hosts[3] }
 }
 
 fn send(ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, msg: NwsMsg) {
@@ -54,6 +56,7 @@ type Replies = Rc<RefCell<Vec<Option<Forecast>>>>;
 /// Drives a scripted sequence of stores and queries via timers; every
 /// `QueryReply` forecast is recorded in arrival order.
 struct Script {
+    ids: SeriesTableHandle,
     forecaster: ProcessId,
     memory: ProcessId,
     /// (delay, action) pairs; actions are dispatched by timer tag.
@@ -73,31 +76,34 @@ impl Process<NwsMsg> for Script {
         }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, NwsMsg>, tag: u64) {
+        let mut ids = self.ids.borrow_mut();
         match &self.steps[tag as usize].1 {
             Action::Store { key, t, value } => {
                 let seq = tag + 1; // unique per step, which is all dedup needs
-                send(
-                    ctx,
-                    self.memory,
-                    NwsMsg::Store { key: key.clone(), seq, t: *t, value: *value },
-                );
+                let series = ids.intern(key);
+                send(ctx, self.memory, NwsMsg::Store { series, seq, t: *t, value: *value });
             }
             Action::Query { key } => {
-                send(ctx, self.forecaster, NwsMsg::Query { key: key.clone() });
+                send(ctx, self.forecaster, NwsMsg::Query { series: ids.intern(key) });
             }
         }
     }
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
         if let NwsMsg::QueryReply { forecast, .. } = msg {
-            self.replies.borrow_mut().push(forecast);
+            self.replies.borrow_mut().push(forecast.map(|f| *f));
         }
     }
 }
 
 fn run_script(mut r: Rig, steps: Vec<(TimeDelta, Action)>) -> (Rig, Vec<Option<Forecast>>) {
     let replies: Replies = Rc::new(RefCell::new(Vec::new()));
-    let script =
-        Script { forecaster: r.forecaster, memory: r.memory, steps, replies: replies.clone() };
+    let script = Script {
+        ids: r.ids.clone(),
+        forecaster: r.forecaster,
+        memory: r.memory,
+        steps,
+        replies: replies.clone(),
+    };
     r.eng.add_process(r.client_node, Box::new(script));
     r.eng.run_until_quiescent(TimeDelta::from_secs(60.0)).unwrap();
     let out = replies.borrow().clone();
@@ -202,7 +208,8 @@ fn delta_fetch_is_incremental_and_matches_replay() {
     // the persistent battery's answer bit for bit.
     let store = r.store.borrow();
     let mut oracle = ForecasterBattery::classic();
-    oracle.observe_all(store.series[&key].iter().map(|p| p.value));
+    let id = r.ids.borrow().get(&key).expect("stored");
+    oracle.observe_all(store.series[id].iter().map(|p| p.value));
     assert_eq!(oracle.forecast(), Some(f3));
 
     // O(Δ) wire contract: 5 points on the cold fetch, 2 on the delta,

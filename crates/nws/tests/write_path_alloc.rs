@@ -2,8 +2,8 @@
 //!
 //! * a series ring grows on demand — a default-capacity series holding a
 //!   few points costs tens of bytes, not its 8 KiB bound;
-//! * a store to an existing series allocates nothing (no `SeriesKey` clone,
-//!   so no `String`);
+//! * a store to an existing series allocates nothing (it is named by a
+//!   `SeriesId`, so there is no key to clone);
 //! * a compaction builds its image once and hands it to the disk: about
 //!   one image's worth of bytes in a handful of blocks, where encoding a
 //!   body, copying it to checksum it, copying it behind a header and
@@ -21,7 +21,7 @@ use netsim::engine::ProcessId;
 use nws::memory::MemoryStore;
 use nws::msg::{Resource, SeriesKey};
 use nws::persist::MemoryLog;
-use nws::Series;
+use nws::{Series, SeriesId, SeriesTable};
 
 struct CountingAlloc;
 
@@ -91,8 +91,8 @@ fn sender() -> ProcessId {
 const CAP: usize = 16;
 
 /// One store per key, applied and logged as the live server does both.
-fn store_and_log(store: &mut MemoryStore, log: &mut MemoryLog, keys: &[SeriesKey], seq: &mut u64) {
-    for key in keys {
+fn store_and_log(store: &mut MemoryStore, log: &mut MemoryLog, keys: &[SeriesId], seq: &mut u64) {
+    for &key in keys {
         *seq += 1;
         store.apply_store(sender(), *seq, key, *seq as f64, 0.5, CAP);
         log.log_store(sender(), *seq, key, *seq as f64, 0.5);
@@ -117,18 +117,23 @@ fn the_write_path_stays_inside_its_heap_budgets() {
     // A 2 000-series store, every store logged as the live server logs it;
     // past the ring bound, so every ring is full and has wrapped.
     let disk = SimDisk::new("m0");
-    let (mut store, mut log) = MemoryLog::recover(disk.clone(), "memory", CAP);
-    let keys: Vec<SeriesKey> = (0..2000)
-        .map(|i| SeriesKey::link(Resource::Bandwidth, &format!("host{i}.site.x"), "sink.site.x"))
+    let ids = SeriesTable::new();
+    let (mut store, mut log) = MemoryLog::recover(disk.clone(), "memory", CAP, &ids);
+    let keys: Vec<SeriesId> = (0..2000)
+        .map(|i| {
+            let key =
+                SeriesKey::link(Resource::Bandwidth, &format!("host{i}.site.x"), "sink.site.x");
+            ids.borrow_mut().intern(&key)
+        })
         .collect();
     let mut seq = 0;
     for _ in 0..CAP + 3 {
         store_and_log(&mut store, &mut log, &keys, &mut seq);
     }
 
-    // A store to a series that exists: no key clone, nothing at all.
+    // A store to a series that exists: nothing at all.
     let (blocks, bytes) = allocated(|| {
-        for key in &keys {
+        for &key in &keys {
             seq += 1;
             let outcome = store.apply_store(sender(), seq, key, seq as f64, 0.5, CAP);
             assert!(outcome.first_time && !outcome.new_key);

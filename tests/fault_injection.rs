@@ -309,8 +309,9 @@ fn forecaster_rewinds_after_memory_restores_older_state() {
     let old_values = [12.0, 14.0, 13.0];
     let mut rolled_back = MemoryStore::default();
     let sensor = sys.sensors[&names[1]];
+    let id = sys.series_ids.borrow().get(&key).expect("measured");
     for (i, v) in old_values.iter().enumerate() {
-        rolled_back.apply_store(sensor, i as u64 + 1, &key, 10.0 * (i as f64 + 1.0), *v, 64);
+        rolled_back.apply_store(sensor, i as u64 + 1, id, 10.0 * (i as f64 + 1.0), *v, 64);
     }
     *sys.memories[&names[0]].1.borrow_mut() = rolled_back;
 

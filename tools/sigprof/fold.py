@@ -11,10 +11,46 @@ resolves (`addr2line -i`) to a chain of inlined frames, and the first of
 those under `crates/` is the line of this repository that spent the sample.
 
     python3 tools/sigprof/fold.py sigprof.out [top_n] --lines
+
+An address outside every symbol's extent is named `<object+0xoffset>`:
+addr2line would give it the nearest exported name before it, and in a
+stripped libc that is some unrelated function (`__nss_database_lookup`
+stood for the private memcpy variants). The function table is followed by
+those leaves' share, grouped by the nearest caller frame under `crates/` —
+who asked for the copy.
 """
+import bisect
 import collections
+import os
 import subprocess
 import sys
+
+
+def symbol_spans(obj):
+    """Disjoint, sorted `(start, end)` extents of the sized symbols of
+    `obj`: its static table, or the dynamic one if it is stripped."""
+    for flags in (["--defined-only"], ["-D", "--defined-only"]):
+        out = subprocess.run(["nm", "-S", *flags, obj], capture_output=True, text=True).stdout
+        spans = []
+        for line in out.splitlines():
+            parts = line.split()
+            if len(parts) >= 4 and int(parts[1], 16) > 0:
+                lo = int(parts[0], 16)
+                spans.append((lo, lo + int(parts[1], 16)))
+        if spans:
+            merged = []
+            for lo, hi in sorted(spans):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+                else:
+                    merged.append((lo, hi))
+            return merged
+    return []
+
+
+def inside(spans, off):
+    i = bisect.bisect_right(spans, (off, float("inf"))) - 1
+    return i >= 0 and spans[i][0] <= off < spans[i][1]
 
 
 def main():
@@ -75,7 +111,7 @@ def main():
             loc = locate(a, i > 0)
             if loc:
                 by_obj[loc[0]].add(loc[1])
-    names = {}
+    names, files, unnamed = {}, {}, set()
     for obj, offs in by_obj.items():
         offs = sorted(offs)
         out = subprocess.run(
@@ -83,8 +119,12 @@ def main():
             input="\n".join(hex(o) for o in offs),
             capture_output=True, text=True, check=True,
         ).stdout.splitlines()
-        for o, fn in zip(offs, out[0::2]):
-            names[(obj, o)] = fn
+        spans = symbol_spans(obj)
+        for o, fn, src in zip(offs, out[0::2], out[1::2]):
+            names[(obj, o)], files[(obj, o)] = fn, src
+            if spans and not inside(spans, o):
+                names[(obj, o)] = f"<{os.path.basename(obj)}+{hex(o)}>"
+                unnamed.add((obj, o))
 
     folded, inclusive, self_time = collections.Counter(), collections.Counter(), collections.Counter()
     for st in stacks:
@@ -101,6 +141,20 @@ def main():
     print(f"{len(stacks)} samples; inclusive% self% function", file=sys.stderr)
     for fn, n in inclusive.most_common(top_n):
         print(f"{100 * n / total:6.1f} {100 * self_time[fn] / total:6.1f}  {fn}", file=sys.stderr)
+
+    # Leaves outside every symbol, by the nearest caller under crates/.
+    callers = collections.Counter()
+    for st in stacks:
+        if not st or locate(st[0], False) not in unnamed:
+            continue
+        locs = [locate(a, True) for a in st[1:]]
+        ours = [names[loc] for loc in locs if "/crates/" in files.get(loc, "")]
+        callers[ours[0] if ours else "?"] += 1
+    share = 100 * sum(callers.values()) / total
+    print(f"{share:.1f}% of samples end outside every symbol; by nearest crates/ frame:",
+          file=sys.stderr)
+    for fn, n in callers.most_common(top_n):
+        print(f"{100 * n / total:6.1f}  {fn}", file=sys.stderr)
 
 
 if __name__ == "__main__":
