@@ -237,11 +237,6 @@ impl SimDisk {
         self.files.remove(file);
     }
 
-    /// Sorted list of file names.
-    pub fn file_names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
-    }
-
     /// Host/power failure: every file keeps its synced bytes plus a random
     /// prefix of its cached tail. Consumes exactly one uniform draw per
     /// file, in sorted name order, even for files with an empty cache —

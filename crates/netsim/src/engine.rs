@@ -548,10 +548,6 @@ impl<'a, M> Ctx<'a, M> {
         &self.core.topo
     }
 
-    pub fn node_of(&self, pid: ProcessId) -> NodeId {
-        self.core.proc_nodes[pid.index()]
-    }
-
     /// Send a control message to another process. Delivery takes the
     /// one-way path latency plus serialization at the path bottleneck;
     /// control messages are small and do not compete with bulk flows.
@@ -654,15 +650,6 @@ impl<'a, M> Ctx<'a, M> {
     /// Cancel a pending timer (no-op if it already fired).
     pub fn cancel_timer(&mut self, timer: TimerId) {
         self.core.cancelled_timers.insert(timer);
-    }
-
-    /// Measured RTT estimate from the routing tables (a cheap local
-    /// computation, *not* a probe — sensors use flows for real probes).
-    pub fn static_rtt(&self, dst: NodeId) -> NetResult<TimeDelta> {
-        let src = self.my_node();
-        let fwd = self.core.routes.latency(&self.core.topo, src, dst)?;
-        let back = self.core.routes.latency(&self.core.topo, dst, src)?;
-        Ok(TimeDelta::from_secs(fwd.as_secs() + back.as_secs()))
     }
 }
 

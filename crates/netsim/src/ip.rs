@@ -40,10 +40,6 @@ impl Ipv4 {
         Ipv4(raw)
     }
 
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     pub fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }

@@ -51,10 +51,6 @@ impl TimeDelta {
         Self::from_secs(ms / 1e3)
     }
 
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us / 1e6)
-    }
-
     pub fn as_secs(self) -> f64 {
         self.0
     }
