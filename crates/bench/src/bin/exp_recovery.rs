@@ -26,81 +26,32 @@
 //! Run: `cargo run --release -p nws-bench --bin exp_recovery [out.json]`.
 //! `BENCH_recovery.json` is a golden file: CI regenerates and `cmp`s it.
 
-use netsim::disk::DiskStats;
 use netsim::faults::LossModel;
-use netsim::scenarios::star_hub;
-use netsim::time::{SimTime, TimeDelta};
-use netsim::units::Bandwidth;
-use netsim::Engine;
-use nws::supervisor::SupervisorConfig;
-use nws::{NwsMsg, NwsSystem, NwsSystemSpec};
-use nws_bench::{
-    dump_series, prefix_intact, supervised_until, Cell, Golden, SeriesDump, StoredRecord, Table,
-    GAP_FACTOR,
-};
+use netsim::time::SimTime;
+use nws::schedule::{Event, Schedule};
+use nws_bench::{supervised_star, Cell, Golden, Table, GAP_FACTOR, STAR_HOSTS};
 
 const SEED: u64 = 2027;
-const HOSTS: usize = 6;
 const WARMUP_S: f64 = 60.0;
 const WINDOW_S: f64 = 300.0;
 const COOLDOWN_S: f64 = 60.0;
 const LOSS_PCT: f64 = 5.0;
+/// A small `wal_compact_kib` so the window crosses it several times:
+/// recovery replays a snapshot *plus* a WAL suffix, not one giant log.
+const WAL_COMPACT_KIB: u64 = 16;
 
-/// Everything one run observes; the determinism gate compares two whole.
-#[derive(PartialEq)]
-struct Run {
-    record: StoredRecord,
-    crashes: Vec<(Option<String>, f64)>,
-    healed: usize,
-    disk: DiskStats,
-    prefix_intact: bool,
-}
-
-fn run_tier(crashes: usize) -> Run {
-    let net = star_hub(HOSTS, Bandwidth::mbps(100.0));
-    let names: Vec<String> =
-        net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
-    let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-    let mut spec = NwsSystemSpec::minimal(&names[0], &refs);
-    spec.seed = SEED;
-    // A small compaction threshold so the window crosses it several
-    // times: recovery replays a snapshot *plus* a WAL suffix, not one
-    // giant log.
-    spec.wal_compact_kib = 16;
-    // A host-level heal restarts the co-located sensor too, killing the
-    // clique token; an aggressive watchdog regenerates it quickly, so
-    // recovery latency measures the state plane, not the token timeout.
-    spec.watchdog = TimeDelta::from_secs(8.0);
-    let mut sys = NwsSystem::deploy(&mut eng, &spec).unwrap();
-    sys.attach_supervisor(
-        &mut eng,
-        SupervisorConfig { period: TimeDelta::from_secs(1.0), miss_threshold: 3 },
-    );
-    eng.set_fault_seed(SEED.wrapping_add(crashes as u64));
-    eng.set_default_loss(Some(LossModel::lossy(LOSS_PCT / 100.0)));
-
-    let mut healed = supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S));
-
-    // Crashes evenly spaced through the window, each preceded by a
-    // witness snapshot of the whole stored record.
-    let mut witnesses: Vec<SeriesDump> = Vec::new();
-    let mut crash_times = Vec::new();
+/// Loss over the warm-up and the window, and `crashes` memory-host
+/// crashes evenly spaced through the window.
+fn crashes_in_window(crashes: usize, names: &[String]) -> Schedule {
+    let mut schedule = Schedule::default();
+    let loss = LossModel::lossy(LOSS_PCT / 100.0);
+    schedule.push(SimTime::ZERO, Event::LossStart { model: loss });
     for i in 0..crashes {
         let t = WARMUP_S + WINDOW_S * (i as f64 + 1.0) / (crashes as f64 + 1.0);
-        healed += supervised_until(&mut eng, &mut sys, SimTime::from_secs(t));
-        witnesses.push(dump_series(&sys));
-        crash_times.push((None, eng.now().as_secs()));
-        sys.crash_memory(&mut eng, &names[0]);
+        schedule.push(SimTime::from_secs(t), Event::MemoryCrash { host: names[0].clone() });
     }
-    healed += supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S + WINDOW_S));
-    eng.set_default_loss(None);
-    healed +=
-        supervised_until(&mut eng, &mut sys, SimTime::from_secs(WARMUP_S + WINDOW_S + COOLDOWN_S));
-
-    let record = StoredRecord::of(&eng, &sys);
-    let prefix_intact = witnesses.iter().all(|w| prefix_intact(w, &record.series));
-    Run { record, crashes: crash_times, healed, disk: sys.disks.total_stats(), prefix_intact }
+    schedule.push(SimTime::from_secs(WARMUP_S + WINDOW_S), Event::LossEnd);
+    schedule
 }
 
 fn main() {
@@ -123,16 +74,18 @@ fn main() {
         "deterministic",
     ]);
     for crashes in [0usize, 1, 3, 6] {
-        let run = run_tier(crashes);
+        let until = SimTime::from_secs(WARMUP_S + WINDOW_S + COOLDOWN_S);
+        let run = supervised_star(
+            &format!("{crashes} crashes"),
+            SEED,
+            SEED.wrapping_add(crashes as u64),
+            WAL_COMPACT_KIB,
+            until,
+            |names| crashes_in_window(crashes, names),
+        );
         let (rec, availability) = (&run.record, run.record.availability());
 
-        // Hard gates — a regression in the durable state plane fails the bench.
-        assert!(run == run_tier(crashes), "{crashes} crashes: two identical runs diverged");
-        assert_eq!(
-            rec.double_counted, 0,
-            "{crashes} crashes: a replayed or retried store was counted twice"
-        );
-        assert!(run.prefix_intact, "{crashes} crashes: recovery rewrote stored history");
+        // This bin's own gates; `supervised_star` asserted the shared ones.
         assert!(run.healed >= crashes, "{crashes} crashes: not every crash healed");
         if crashes > 0 {
             assert!(run.disk.bytes_read > 0, "{crashes} crashes: recovery never read the disk");
@@ -163,7 +116,7 @@ fn main() {
         file: "BENCH_recovery.json",
         seed: SEED,
         config: vec![
-            ("hosts", HOSTS.into()),
+            ("hosts", STAR_HOSTS.into()),
             ("loss_pct", Cell::Fixed(LOSS_PCT, 0)),
             (
                 "schedule",

@@ -5,10 +5,14 @@ pub mod experiments;
 
 use envmap::{merge_runs, EnvConfig, EnvMapper, EnvRun, EnvView, HostInput};
 use gridml::merge::GatewayAlias;
-use netsim::scenarios::{ens_lyon, Calibration, EnsLyon};
+use netsim::disk::DiskStats;
+use netsim::scenarios::{ens_lyon, star_hub, Calibration, EnsLyon};
 use netsim::time::{SimTime, TimeDelta};
-use netsim::{Engine, Sim};
-use nws::{NwsMsg, NwsSystem, SeriesKey};
+use netsim::units::Bandwidth;
+use netsim::{Engine, NodeId, Sim};
+use nws::schedule::{Event, Schedule};
+use nws::supervisor::SupervisorConfig;
+use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
 
 /// The six public hosts of the outside ENV run (paper §4.2).
 pub fn outside_inputs() -> Vec<HostInput> {
@@ -191,16 +195,91 @@ impl StoredRecord {
 /// mean cadence (clique rotations make short gaps routine).
 pub const GAP_FACTOR: f64 = 4.0;
 
-/// Run `eng` to `t` in one-second steps, healing whatever the supervisor
-/// reports dead after each; returns how many processes were healed.
-pub fn supervised_until(eng: &mut Engine<NwsMsg>, sys: &mut NwsSystem, t: SimTime) -> usize {
-    let mut healed = 0;
-    while eng.now() < t {
-        let next = (eng.now() + TimeDelta::from_secs(1.0)).min(t);
-        eng.run_until(next);
-        healed += sys.heal(eng).expect("heal succeeds").len();
-    }
-    healed
+/// Hosts of the star [`supervised_star`] deploys.
+pub const STAR_HOSTS: usize = 6;
+
+/// Everything one [`supervised_star`] run observes; the run-twice gate
+/// compares two whole.
+#[derive(PartialEq)]
+pub struct Run {
+    pub record: StoredRecord,
+    /// `(host, t)` of every sensor crash, and `(None, t)` of every memory
+    /// host crash (any series' next point is its recovery). A memory kill
+    /// keeps the page cache and is not scored.
+    pub crashes: Vec<(Option<String>, f64)>,
+    pub healed: usize,
+    pub disk: DiskStats,
+    /// Whether the stored record as it stood before each memory kill or
+    /// crash is a byte-identical prefix of the final one.
+    pub prefix_intact: bool,
+}
+
+/// Deploy a supervised NWS on a [`STAR_HOSTS`]-host star (the first host
+/// runs the name server and the memory), arm the fault stream with
+/// `fault_seed`, and run the schedule `schedule` draws over the host names
+/// to `until` in one-second supervisor sweeps. Runs it twice and asserts
+/// the gates every fault run shares, naming `tier` on failure: the two
+/// runs are identical, no store is counted twice, and every pre-crash
+/// record is a prefix of the final one.
+pub fn supervised_star(
+    tier: &str,
+    seed: u64,
+    fault_seed: u64,
+    wal_compact_kib: u64,
+    until: SimTime,
+    schedule: impl Fn(&[String]) -> Schedule,
+) -> Run {
+    let once = || {
+        let net = star_hub(STAR_HOSTS, Bandwidth::mbps(100.0));
+        let name = |h: &NodeId| net.topo.node(*h).ifaces[0].name.clone().expect("a named host");
+        let names: Vec<String> = net.hosts.iter().map(name).collect();
+        let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+        let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
+        let mut spec = NwsSystemSpec::minimal(&names[0], &refs);
+        spec.seed = seed;
+        spec.wal_compact_kib = wal_compact_kib;
+        // A supervised deployment can afford an aggressive token watchdog:
+        // false regenerations are cheap (the clique dedups token seqs), slow
+        // ones stall every series behind a dead token holder — and a memory
+        // host's heal restarts its co-located sensor, killing the token.
+        spec.watchdog = TimeDelta::from_secs(8.0);
+        let mut sys = NwsSystem::deploy(&mut eng, &spec).expect("the star deploys");
+        sys.attach_supervisor(
+            &mut eng,
+            SupervisorConfig { period: TimeDelta::from_secs(1.0), miss_threshold: 3 },
+        );
+        eng.set_fault_seed(fault_seed);
+
+        let (mut crashes, mut witnesses) = (Vec::new(), Vec::new());
+        let on_event = |eng: &Engine<NwsMsg>, sys: &NwsSystem, event: &Event| {
+            let t = eng.now().as_secs();
+            match event {
+                Event::Crash { host } => crashes.push((Some(host.clone()), t)),
+                Event::MemoryCrash { .. } => {
+                    witnesses.push(dump_series(sys));
+                    crashes.push((None, t));
+                }
+                Event::MemoryKill { .. } => witnesses.push(dump_series(sys)),
+                _ => {}
+            }
+        };
+        let healed = sys
+            .run_schedule(&mut eng, &schedule(&names), until, TimeDelta::from_secs(1.0), on_event)
+            .expect("every scheduled host resolves and every heal succeeds")
+            .len();
+
+        let record = StoredRecord::of(&eng, &sys);
+        let prefix_intact = witnesses.iter().all(|w| prefix_intact(w, &record.series));
+        Run { record, crashes, healed, disk: sys.disks.total_stats(), prefix_intact }
+    };
+    let run = once();
+    assert!(run == once(), "{tier}: two identical runs diverged");
+    assert_eq!(
+        run.record.double_counted, 0,
+        "{tier}: a retried or replayed store was counted twice"
+    );
+    assert!(run.prefix_intact, "{tier}: a restart rewrote stored history");
+    run
 }
 
 /// One typed table cell. A cell reads the same on stdout and in a golden
@@ -465,7 +544,7 @@ mod tests {
                 path(setter)
             );
         }
-        assert_eq!(tabled.len(), 9, "config structs in the table");
+        assert_eq!(tabled.len(), 8, "config structs in the table");
         for ((name, file), fields) in tabled {
             let source = read(file);
             let body = source

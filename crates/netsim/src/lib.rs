@@ -76,7 +76,7 @@ pub use disk::{DiskHandle, DiskRegistry, DiskStats, SimDisk};
 pub use engine::{Ctx, Engine, NoMsg, Process, ProcessId, Sim};
 pub use error::{NetError, NetResult};
 pub use fairness::{FairEngine, FairnessModel, ResourceId, ResourceTable};
-pub use faults::{FaultEvent, FaultPlan, LossModel, ScheduledFault, StormConfig};
+pub use faults::LossModel;
 pub use flow::{FlowId, FlowOutcome};
 pub use ip::Ipv4;
 pub use routing::{Path, RouteTable};

@@ -132,11 +132,6 @@ impl Node {
         matches!(self.kind, NodeKind::Router)
             || (matches!(self.kind, NodeKind::Host) && self.forwards)
     }
-
-    /// True for transparent layer-2 devices.
-    pub fn is_l2(&self) -> bool {
-        matches!(self.kind, NodeKind::Switch | NodeKind::Hub)
-    }
 }
 
 /// How a link's capacity is provisioned.

@@ -36,6 +36,7 @@ pub mod memory;
 pub mod msg;
 pub mod persist;
 pub mod registry;
+pub mod schedule;
 pub mod sensor;
 pub mod series;
 pub mod series_state;
@@ -50,6 +51,7 @@ pub use forecast::{Forecast, ForecasterBattery};
 pub use ids::{HostId, IdMap, SeriesId, SeriesTable, SeriesTableHandle};
 pub use msg::{NwsMsg, Resource, SeriesKey};
 pub use persist::{ForecastLog, MemoryLog};
+pub use schedule::Schedule;
 pub use series::{Series, SeriesPoint};
 pub use series_state::SeriesState;
 pub use serve::{MetricsSnapshot, ServingPlane, ShardSnapshot};

@@ -339,7 +339,7 @@ fn apply_memory_record(
 /// when there is none or it does not decode), then every WAL record past
 /// it, through the live server's apply functions. Returns the store and
 /// the ring capacity it was saved with.
-fn replay_memory(
+fn recovered_store(
     snapshot: Option<(u64, Vec<u8>)>,
     records: &[(u64, Vec<u8>)],
     capacity: usize,
@@ -377,7 +377,7 @@ impl MemoryLog {
         ids: &SeriesTableHandle,
     ) -> (MemoryStore, MemoryLog) {
         let (files, snapshot, records) = LogFiles::open(disk, name);
-        let (store, cap) = replay_memory(snapshot, &records, capacity, &mut ids.borrow_mut());
+        let (store, cap) = recovered_store(snapshot, &records, capacity, &mut ids.borrow_mut());
         let mut log = MemoryLog { files, capacity: cap, ids: ids.clone() };
         log.compact(&store);
         (store, log)
@@ -476,7 +476,7 @@ impl ForecastLog {
         ids: &SeriesTableHandle,
     ) -> (IdMap<SeriesState>, Self) {
         let (files, snapshot, records) = LogFiles::open(disk, name);
-        let state = replay_forecasts(snapshot, &records, &mut ids.borrow_mut());
+        let state = recovered_forecasts(snapshot, &records, &mut ids.borrow_mut());
         let mut log = ForecastLog { files, ids: ids.clone() };
         log.compact(|id| state.get(id).map(|s| (s.battery(), s.last_t())));
         (state, log)
@@ -546,7 +546,7 @@ fn encode_forecasts<'a>(
 
 /// What a forecaster recovers from its files: the snapshot's series up to
 /// the first that does not decode, then every WAL record past it.
-fn replay_forecasts(
+fn recovered_forecasts(
     snapshot: Option<(u64, Vec<u8>)>,
     records: &[(u64, Vec<u8>)],
     ids: &mut SeriesTable,
@@ -874,14 +874,14 @@ mod tests {
 
             let wal = wal_image(&records);
             let scanned = scan_wal(&wal).records;
-            let (replayed, cap) = replay_memory(None, &scanned, 8, &mut t);
+            let (replayed, cap) = recovered_store(None, &scanned, 8, &mut t);
             let mut replayed_body = Vec::new();
             encode_memory_store(&mut replayed_body, &replayed, cap, &mut t);
             prop_assert_eq!(&replayed_body, &body, "WAL replay rebuilds the live store");
 
             let _ = decode_memory_store(&splice(&body, &noise, at), &mut t);
             let torn = scan_wal(&splice(&wal, &noise, at)).records;
-            let _ = replay_memory(Some((0, splice(&body, &noise, at))), &torn, 8, &mut t);
+            let _ = recovered_store(Some((0, splice(&body, &noise, at))), &torn, 8, &mut t);
         }
 
         /// The forecaster's recovery decode — snapshot body, then WAL
@@ -894,8 +894,8 @@ mod tests {
         ) {
             let (ids, k) = table(6);
             let mut t = ids.borrow_mut();
-            let _ = replay_forecasts(Some((0, noise.clone())), &scan_wal(&noise).records, &mut t);
-            let _ = replay_forecasts(None, &[(1, noise.clone())], &mut t);
+            let _ = recovered_forecasts(Some((0, noise.clone())), &scan_wal(&noise).records, &mut t);
+            let _ = recovered_forecasts(None, &[(1, noise.clone())], &mut t);
 
             let mut live = IdMap::new();
             let mut records = Vec::new();
@@ -917,19 +917,19 @@ mod tests {
             }
             let mut body = Vec::new();
             encode_forecasts(&mut body, &mut t, state_view(&live));
-            let back = replay_forecasts(Some((0, body.clone())), &[], &mut t);
+            let back = recovered_forecasts(Some((0, body.clone())), &[], &mut t);
             let mut again = Vec::new();
             encode_forecasts(&mut again, &mut t, state_view(&back));
             prop_assert_eq!(&again, &body);
 
             let wal = wal_image(&records);
-            let replayed = replay_forecasts(None, &scan_wal(&wal).records, &mut t);
+            let replayed = recovered_forecasts(None, &scan_wal(&wal).records, &mut t);
             let mut replayed_body = Vec::new();
             encode_forecasts(&mut replayed_body, &mut t, state_view(&replayed));
             prop_assert_eq!(&replayed_body, &body, "WAL replay rebuilds the live batteries");
 
             let torn = scan_wal(&splice(&wal, &noise, at)).records;
-            let _ = replay_forecasts(Some((0, splice(&body, &noise, at))), &torn, &mut t);
+            let _ = recovered_forecasts(Some((0, splice(&body, &noise, at))), &torn, &mut t);
         }
     }
 }

@@ -64,15 +64,6 @@ impl ShardMap {
             None => (fnv1a64(key.src.as_bytes()) % self.shards as u64) as usize,
         }
     }
-
-    /// Hosts pinned per shard (diagnostics / balance checks).
-    pub fn hosts_per_shard(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.shards];
-        for &s in self.host_shard.values() {
-            out[s as usize] += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]

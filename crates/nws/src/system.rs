@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use netsim::disk::DiskRegistry;
 use netsim::engine::{Ctx, Engine, Process, ProcessId};
+use netsim::faults::apply_link_fault;
 use netsim::prelude::*;
 
 use crate::clique::{CliqueMembership, CliqueRetarget, Ring};
@@ -19,6 +20,7 @@ use crate::memory::{MemoryHandle, MemoryServer};
 use crate::msg::{NwsMsg, SeriesKey};
 use crate::persist::{wal_compact_bytes, DEFAULT_WAL_COMPACT_KIB};
 use crate::registry::{NameServer, RegistryHandle};
+use crate::schedule::{Event, Schedule};
 use crate::sensor::{FreeRun, Sensor, SensorConfig};
 use crate::series::Series;
 use crate::supervisor::{SupervisorConfig, SupervisorHandle, SupervisorProc, SupervisorState};
@@ -641,24 +643,75 @@ impl NwsSystem {
     }
 
     /// Run for `d`, sweeping the supervisor's suspect list every
-    /// `check_every` and restarting whatever it flagged. Returns every
-    /// healed host name in restart order. Worst-case recovery is therefore
-    /// `miss_threshold × period + check_every` plus the Retarget /
-    /// `RetargetMemory` delivery.
+    /// `check_every` and restarting whatever it flagged: an empty
+    /// [`NwsSystem::run_schedule`].
     pub fn run_supervised(
         &mut self,
         eng: &mut Engine<NwsMsg>,
         d: TimeDelta,
         check_every: TimeDelta,
     ) -> NetResult<Vec<String>> {
-        let deadline = eng.now() + d;
+        let until = eng.now() + d;
+        self.run_schedule(eng, &Schedule::default(), until, check_every, |_, _, _| {})
+    }
+
+    /// Apply `schedule` and run on to `until`, sweeping the supervisor's
+    /// suspect list every `check_every` and restarting whatever it
+    /// flagged. The sweeps stop at each event's instant, so every instant
+    /// is a sweep boundary; there `before` sees the event, and then it
+    /// applies. An event that names a host no sensor or memory (for a
+    /// link, no node) answers to is `NameNotFound` when it comes due; an
+    /// event due after `until` still applies. Returns every healed host
+    /// name in restart order; worst-case
+    /// recovery is `miss_threshold × period + check_every` plus the
+    /// Retarget / `RetargetMemory` delivery.
+    pub fn run_schedule(
+        &mut self,
+        eng: &mut Engine<NwsMsg>,
+        schedule: &Schedule,
+        until: SimTime,
+        check_every: TimeDelta,
+        mut before: impl FnMut(&Engine<NwsMsg>, &NwsSystem, &Event),
+    ) -> NetResult<Vec<String>> {
         let mut healed = Vec::new();
-        while eng.now() < deadline {
-            let next = (eng.now() + check_every).min(deadline);
-            eng.run_until(next);
-            healed.extend(self.heal(eng)?);
+        let stops = schedule.events().iter().map(|e| (e.at, Some(&e.event)));
+        for (at, event) in stops.chain([(until, None)]) {
+            while eng.now() < at {
+                let next = (eng.now() + check_every).min(at);
+                eng.run_until(next);
+                healed.extend(self.heal(eng)?);
+            }
+            if let Some(event) = event {
+                before(eng, self, event);
+                self.apply(eng, event)?;
+            }
         }
         Ok(healed)
+    }
+
+    fn apply(&mut self, eng: &mut Engine<NwsMsg>, event: &Event) -> NetResult<()> {
+        let sensor = |host: &String| {
+            self.sensors.get(host).copied().ok_or_else(|| NetError::NameNotFound(host.clone()))
+        };
+        let memory = |host: &String| {
+            self.memories.get(host).map(|m| m.0).ok_or_else(|| NetError::NameNotFound(host.clone()))
+        };
+        match event {
+            Event::Crash { host } => eng.kill_process(sensor(host)?),
+            Event::Restart { host } => {
+                sensor(host)?; // the restart itself is the supervisor's job
+            }
+            Event::LinkDown { host } => apply_link_fault(eng, host, false)?,
+            Event::LinkUp { host } => apply_link_fault(eng, host, true)?,
+            Event::LossStart { model } => eng.set_default_loss(Some(*model)),
+            Event::LossEnd => eng.set_default_loss(None),
+            Event::MemoryKill { host } => eng.kill_process(memory(host)?),
+            Event::MemoryCrash { host } => {
+                memory(host)?;
+                self.crash_memory(eng, host);
+            }
+        }
+        Ok(())
     }
 
     /// Restart the memory server on `host` from the host's simulated disk

@@ -4,9 +4,10 @@
 //! measurement record intact through all of it.
 
 use netsim::engine::Engine;
-use netsim::faults::{apply_link_fault, FaultEvent, FaultPlan, LossModel, StormConfig};
+use netsim::faults::LossModel;
 use netsim::prelude::*;
 use netsim::scenarios::star_hub;
+use nws::schedule::{Event, Schedule};
 use nws::supervisor::SupervisorConfig;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
 use proptest::prelude::*;
@@ -23,99 +24,84 @@ fn deploy(n: usize, seed: u64) -> (Engine<NwsMsg>, NwsSystem, Vec<String>) {
     (eng, sys, names)
 }
 
-/// Replay a fault plan against a live system, then run out the horizon.
-/// Crash victims are killed at the NWS layer (sensor pid of the named
-/// host); `Restart` events are skipped when `supervised` — detection and
-/// repair is the supervisor's job — and applied as a no-op otherwise
-/// (this harness exercises *loss*, not unsupervised restarts).
-fn replay(
-    eng: &mut Engine<NwsMsg>,
-    sys: &mut NwsSystem,
-    plan: &FaultPlan,
-    horizon: f64,
-    supervised: bool,
-) {
-    let step = TimeDelta::from_secs(2.0);
-    for ev in &plan.events {
-        let t = SimTime::from_secs(ev.t);
-        if supervised {
-            while eng.now() < t {
-                let next = (eng.now() + step).min(t);
-                eng.run_until(next);
-                sys.heal(eng).unwrap();
-            }
-        } else {
-            eng.run_until(t);
-        }
-        match &ev.event {
-            FaultEvent::Crash { host } => {
-                if let Some(&pid) = sys.sensors.get(host) {
-                    eng.kill_process(pid);
-                }
-            }
-            FaultEvent::Restart { .. } => {}
-            FaultEvent::LinkDown { host } => {
-                apply_link_fault(eng, host, false);
-            }
-            FaultEvent::LinkUp { host } => {
-                apply_link_fault(eng, host, true);
-            }
-            FaultEvent::LossStart { model } => eng.set_default_loss(Some(*model)),
-            FaultEvent::LossEnd => eng.set_default_loss(None),
-        }
-    }
-    let deadline = SimTime::from_secs(horizon);
-    if supervised {
-        while eng.now() < deadline {
-            let next = (eng.now() + step).min(deadline);
-            eng.run_until(next);
-            sys.heal(eng).unwrap();
-        }
-    } else {
-        eng.run_until(deadline);
-    }
-}
+/// Every stored series, in key order.
+type Series = Vec<(SeriesKey, Vec<(f64, f64)>)>;
 
 /// Everything a run observes, for bit-for-bit comparison.
-type Observation = (u64, u64, u64, Vec<(SeriesKey, Vec<(f64, f64)>)>);
+type Observation = (u64, u64, u64, Series);
 
-fn observe(eng: &Engine<NwsMsg>, sys: &NwsSystem) -> Observation {
-    let stats = eng.stats();
-    let series: Vec<(SeriesKey, Vec<(f64, f64)>)> = sys
-        .series_keys()
+fn snapshot(sys: &NwsSystem) -> Series {
+    sys.series_keys()
         .into_iter()
         .map(|k| {
             let pts = sys.series(&k).unwrap_or_default();
             (k, pts)
         })
-        .collect();
-    (sys.total_stores(), stats.messages_dropped, stats.messages_duplicated, series)
+        .collect()
+}
+
+fn observe(eng: &Engine<NwsMsg>, sys: &NwsSystem) -> Observation {
+    let stats = eng.stats();
+    (sys.total_stores(), stats.messages_dropped, stats.messages_duplicated, snapshot(sys))
+}
+
+/// `stores − Σ len(series) − rejected` over the memory servers: a store
+/// counted twice (retried, duplicated or replayed) shows up here.
+fn double_counted(sys: &NwsSystem) -> i64 {
+    sys.memories
+        .values()
+        .map(|(_, handle)| {
+            let st = handle.borrow();
+            let in_series: u64 = st.series.values().map(|s| s.len() as u64).sum();
+            st.stores as i64 - in_series as i64 - st.rejected as i64
+        })
+        .sum()
 }
 
 proptest! {
     // Each case is two full 240 s storm runs; keep the count modest.
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// The whole faulted stack is a deterministic function of the seed:
-    /// same seed → same drops, same dups, same stored series, bit for bit.
+    /// The planes composed through `run_schedule`: a seeded loss storm
+    /// with a sensor crash, a link flap and a torn-disk crash of the
+    /// memory host. The whole faulted stack is a deterministic function of
+    /// the seed — same drops, same dups, same stored series, bit for bit —
+    /// no store is counted twice, and the record as it stood before the
+    /// crash survives as a prefix.
     #[test]
     fn fault_storms_are_deterministic_per_seed(seed in 0u64..10_000) {
         let run = |seed: u64| {
             let (mut eng, mut sys, names) = deploy(4, 7);
             eng.set_fault_seed(seed);
-            let hosts: Vec<String> = names[1..].to_vec();
-            let cfg = StormConfig::new(240.0, LossModel::lossy(0.05), 1);
-            let plan = FaultPlan::storm(seed, &hosts, &cfg);
+            let (storm, loss) = (TimeDelta::from_secs(240.0), LossModel::lossy(0.05));
+            let mut schedule = Schedule::storm(seed, &names[1..], SimTime::ZERO, storm, loss, 1);
+            let flapped = names[1 + seed as usize % 3].clone();
+            schedule.push(SimTime::from_secs(100.0), Event::LinkDown { host: flapped.clone() });
+            schedule.push(SimTime::from_secs(130.0), Event::LinkUp { host: flapped });
+            schedule.push(SimTime::from_secs(160.0), Event::MemoryCrash { host: names[0].clone() });
             sys.attach_supervisor(
                 &mut eng,
                 SupervisorConfig { period: TimeDelta::from_secs(2.0), miss_threshold: 3 },
             );
-            replay(&mut eng, &mut sys, &plan, 240.0, true);
-            observe(&eng, &sys)
+            let mut witness = Vec::new();
+            let until = SimTime::from_secs(240.0);
+            sys.run_schedule(&mut eng, &schedule, until, TimeDelta::from_secs(2.0), |_, sys, ev| {
+                if matches!(ev, Event::MemoryCrash { .. }) {
+                    witness = snapshot(sys);
+                }
+            })
+            .unwrap();
+            (observe(&eng, &sys), witness, double_counted(&sys))
         };
         let a = run(seed);
-        let b = run(seed);
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(&a, &run(seed));
+        let ((_, _, _, series), witness, double_counted) = a;
+        prop_assert_eq!(double_counted, 0, "a store was counted twice");
+        prop_assert!(!witness.is_empty(), "the memory crash never came due");
+        for (key, before) in &witness {
+            let after = &series.iter().find(|(k, _)| k == key).expect("series survives").1;
+            prop_assert!(after.starts_with(before), "{:?}: history rewritten", key);
+        }
     }
 }
 
@@ -187,8 +173,7 @@ fn supervisor_restarts_a_memory_and_buffers_drain() {
 
     let mem_host = names[0].clone();
     let (old_pid, _) = sys.memories[&mem_host].clone();
-    let snapshot: Vec<(SeriesKey, Vec<(f64, f64)>)> =
-        sys.series_keys().into_iter().map(|k| (k.clone(), sys.series(&k).unwrap())).collect();
+    let before_crash = snapshot(&sys);
     let stores_before = sys.total_stores();
     eng.kill_process(old_pid);
 
@@ -199,7 +184,7 @@ fn supervisor_restarts_a_memory_and_buffers_drain() {
     assert_ne!(sys.memories[&mem_host].0, old_pid);
 
     assert!(sys.total_stores() > stores_before, "stores resumed after memory restart");
-    for (key, before) in &snapshot {
+    for (key, before) in &before_crash {
         let after = sys.series(key).expect("series survives the memory restart");
         assert!(after.len() >= before.len());
         assert_eq!(&after[..before.len()], &before[..], "{key:?}: history rewritten");
@@ -211,10 +196,7 @@ fn supervisor_restarts_a_memory_and_buffers_drain() {
     }
     // No measurement counted twice: every accepted store is either in a
     // series or in the rejected tally.
-    let (_, handle) = &sys.memories[&mem_host];
-    let st = handle.borrow();
-    let in_series: u64 = st.series.values().map(|s| s.len() as u64).sum();
-    assert_eq!(st.stores, in_series + st.rejected, "stores double-counted");
+    assert_eq!(double_counted(&sys), 0, "stores double-counted");
 }
 
 /// Kill a memory at the host/power level mid-epoch, under 5% message
@@ -238,8 +220,7 @@ fn memory_host_crash_recovers_from_disk_alone() {
 
         let mem_host = names[0].clone();
         let old_pid = sys.memories[&mem_host].0;
-        let witness: Vec<(SeriesKey, Vec<(f64, f64)>)> =
-            sys.series_keys().into_iter().map(|k| (k.clone(), sys.series(&k).unwrap())).collect();
+        let witness = snapshot(&sys);
         assert!(witness.iter().any(|(_, pts)| !pts.is_empty()), "witness must have data");
 
         // Host crash: process dies AND the disk tears its unsynced tail.
@@ -267,11 +248,7 @@ fn memory_host_crash_recovers_from_disk_alone() {
         assert!(sys.total_stores() > witness.iter().map(|(_, p)| p.len() as u64).sum::<u64>());
 
         // No measurement counted twice across crash + retry + replay.
-        let (_, handle) = &sys.memories[&mem_host];
-        let st = handle.borrow();
-        let in_series: u64 = st.series.values().map(|s| s.len() as u64).sum();
-        assert_eq!(st.stores, in_series + st.rejected, "stores double-counted");
-        drop(st);
+        assert_eq!(double_counted(&sys), 0, "stores double-counted");
 
         observe(&eng, &sys)
     };
@@ -358,4 +335,47 @@ fn dead_memory_serves_stale_forecasts() {
         .query(&mut eng, key, TimeDelta::from_secs(12.0))
         .expect("outage must degrade the answer, not erase it");
     assert!(stale.stale, "forecast served during an outage must be tagged stale");
+}
+
+/// Run a one-event schedule naming a host nothing answers to.
+fn misspelt(event: impl Fn(String) -> Event) -> NetResult<Vec<String>> {
+    let (mut eng, mut sys, _) = deploy(4, 7);
+    let mut schedule = Schedule::default();
+    schedule.push(SimTime::from_secs(10.0), event("h1.hbu.net".to_string()));
+    let until = SimTime::from_secs(20.0);
+    sys.run_schedule(&mut eng, &schedule, until, TimeDelta::from_secs(2.0), |_, _, _| {})
+}
+
+fn name_not_found() -> NetResult<Vec<String>> {
+    Err(NetError::NameNotFound("h1.hbu.net".to_string()))
+}
+
+#[test]
+fn a_crash_of_a_misspelt_host_is_name_not_found() {
+    assert_eq!(misspelt(|host| Event::Crash { host }), name_not_found());
+}
+
+#[test]
+fn a_restart_of_a_misspelt_host_is_name_not_found() {
+    assert_eq!(misspelt(|host| Event::Restart { host }), name_not_found());
+}
+
+#[test]
+fn a_link_down_of_a_misspelt_host_is_name_not_found() {
+    assert_eq!(misspelt(|host| Event::LinkDown { host }), name_not_found());
+}
+
+#[test]
+fn a_link_up_of_a_misspelt_host_is_name_not_found() {
+    assert_eq!(misspelt(|host| Event::LinkUp { host }), name_not_found());
+}
+
+#[test]
+fn a_memory_kill_of_a_misspelt_host_is_name_not_found() {
+    assert_eq!(misspelt(|host| Event::MemoryKill { host }), name_not_found());
+}
+
+#[test]
+fn a_memory_crash_of_a_misspelt_host_is_name_not_found() {
+    assert_eq!(misspelt(|host| Event::MemoryCrash { host }), name_not_found());
 }
