@@ -1,61 +1,25 @@
-//! Shared plumbing for the figure/table regeneration binaries. See
-//! DESIGN.md §3 for the experiment index.
+//! Shared plumbing for `repro_summary` (whose experiments are
+//! [`experiments`]), the golden-file generators and the timing sweep. See
+//! DESIGN.md §3 for the binaries and the experiment ids.
 
 pub mod experiments;
 
 use envmap::{merge_runs, EnvConfig, EnvMapper, EnvRun, EnvView, HostInput};
 use gridml::merge::GatewayAlias;
 use netsim::disk::DiskStats;
-use netsim::scenarios::{ens_lyon, star_hub, Calibration, EnsLyon};
+use netsim::scenarios::{
+    ens_lyon, star_hub, Calibration, EnsLyon, ENS_LYON_GATEWAYS, ENS_LYON_INSIDE, ENS_LYON_OUTSIDE,
+};
 use netsim::time::{SimTime, TimeDelta};
 use netsim::units::Bandwidth;
-use netsim::{Engine, NodeId, Sim};
+use netsim::{Engine, NetResult, NodeId, Sim};
 use nws::schedule::{Event, Schedule};
 use nws::supervisor::SupervisorConfig;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
 
-/// The six public hosts of the outside ENV run (paper §4.2).
-pub fn outside_inputs() -> Vec<HostInput> {
-    [
-        "the-doors.ens-lyon.fr",
-        "canaria.ens-lyon.fr",
-        "moby.cri2000.ens-lyon.fr",
-        "myri.ens-lyon.fr",
-        "popc.ens-lyon.fr",
-        "sci.ens-lyon.fr",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect()
-}
-
-/// The eleven private hosts of the inside ENV run.
-pub fn inside_inputs() -> Vec<HostInput> {
-    [
-        "popc0.popc.private",
-        "myri0.popc.private",
-        "sci0.popc.private",
-        "myri1.popc.private",
-        "myri2.popc.private",
-        "sci1.popc.private",
-        "sci2.popc.private",
-        "sci3.popc.private",
-        "sci4.popc.private",
-        "sci5.popc.private",
-        "sci6.popc.private",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect()
-}
-
 /// The gateway aliases the user supplies for the merge (paper §4.3).
-pub fn gateway_aliases() -> Vec<GatewayAlias> {
-    vec![
-        GatewayAlias::new("popc.ens-lyon.fr", "popc0.popc.private"),
-        GatewayAlias::new("myri.ens-lyon.fr", "myri0.popc.private"),
-        GatewayAlias::new("sci.ens-lyon.fr", "sci0.popc.private"),
-    ]
+pub fn gateway_aliases() -> [GatewayAlias; 3] {
+    ENS_LYON_GATEWAYS.map(|(public, private)| GatewayAlias::new(public, private))
 }
 
 /// Outcome of the full §4 mapping pipeline on ENS-Lyon.
@@ -66,19 +30,31 @@ pub struct MappedEnsLyon {
     pub merged: EnvView,
 }
 
+/// Run both ENV passes of paper §4 under `config` on `platform`, which
+/// `eng` simulates, and merge them across the firewall.
+pub fn map_platform(
+    platform: EnsLyon,
+    eng: &mut Sim,
+    config: EnvConfig,
+) -> NetResult<MappedEnsLyon> {
+    let mapper = EnvMapper::new(config);
+    let outside = mapper.map(
+        eng,
+        &ENS_LYON_OUTSIDE.map(HostInput::new),
+        "the-doors.ens-lyon.fr",
+        Some("well-known.example.org"),
+    )?;
+    let inside =
+        mapper.map(eng, &ENS_LYON_INSIDE.map(HostInput::new), "sci0.popc.private", None)?;
+    let merged = merge_runs(&outside, &inside, &gateway_aliases());
+    Ok(MappedEnsLyon { platform, outside, inside, merged })
+}
+
 /// Run both ENV passes and the merge on a fresh ENS-Lyon platform.
 pub fn map_ens_lyon() -> MappedEnsLyon {
     let platform = ens_lyon(Calibration::Paper);
     let mut eng = Sim::new(platform.topo.clone());
-    let mapper = EnvMapper::new(EnvConfig::fast());
-    let outside = mapper
-        .map(&mut eng, &outside_inputs(), "the-doors.ens-lyon.fr", Some("well-known.example.org"))
-        .expect("outside run succeeds");
-    let inside = mapper
-        .map(&mut eng, &inside_inputs(), "sci0.popc.private", None)
-        .expect("inside run succeeds");
-    let merged = merge_runs(&outside, &inside, &gateway_aliases());
-    MappedEnsLyon { platform, outside, inside, merged }
+    map_platform(platform, &mut eng, EnvConfig::fast()).expect("both ENV runs succeed")
 }
 
 /// Every stored series, in key order, each as its `(t, value)` points.
@@ -485,30 +461,40 @@ mod tests {
         assert!(m.inside.stats.bw_probes > 0);
     }
 
-    /// DESIGN.md §3 has one row per file of `src/bin/`, and every row
-    /// names something automated that reads the binary's result.
+    /// DESIGN.md §3 has one row per file of `src/bin/`, each naming
+    /// something automated that reads the binary's result, and exactly one
+    /// row per experiment id of `repro_summary`; the ids are unique.
     #[test]
     #[expect(clippy::disallowed_methods, reason = "D7: the test reads the repository's sources")]
     fn wiring_table_matches_the_binaries() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         let design = std::fs::read_to_string(root.join("../../DESIGN.md")).expect("DESIGN.md");
         let section = design.split("\n## ").find(|s| s.starts_with("§3 ")).expect("DESIGN.md §3");
-        let rows: BTreeMap<&str, &str> = section
+        // (first cell, last cell) of every row that starts with a code span.
+        let rows: Vec<(&str, &str)> = section
             .lines()
             .filter_map(|line| line.strip_prefix("| `")?.strip_suffix(" |"))
             .map(|row| {
-                let (bin, rest) = row.split_once("` | ").expect("a binary, then its class");
-                (bin, rest.rsplit(" | ").next().expect("a consumed-by cell"))
+                let (key, rest) = row.split_once("` | ").expect("a code span, then more cells");
+                (key, rest.rsplit(" | ").next().expect("a last cell"))
             })
             .collect();
+        let ids: BTreeSet<&str> = experiments::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids.len(), experiments::EXPERIMENTS.len(), "experiment ids repeat");
+        for id in &ids {
+            let n = rows.iter().filter(|(key, _)| key == id).count();
+            assert_eq!(n, 1, "DESIGN.md §3 rows for experiment {id}");
+        }
+        let bin_rows: BTreeMap<&str, &str> =
+            rows.into_iter().filter(|(key, _)| !ids.contains(key)).collect();
         let bins: BTreeSet<String> = std::fs::read_dir(root.join("src/bin"))
             .expect("src/bin")
             .map(|entry| entry.expect("a directory entry").path())
             .map(|path| path.file_stem().expect("a file name").to_string_lossy().into_owned())
             .collect();
-        let rowed: BTreeSet<String> = rows.keys().map(|bin| bin.to_string()).collect();
+        let rowed: BTreeSet<String> = bin_rows.keys().map(|bin| bin.to_string()).collect();
         assert_eq!(rowed, bins, "DESIGN.md §3 rows against the files of src/bin/");
-        for (bin, consumer) in rows {
+        for (bin, consumer) in bin_rows {
             assert!(
                 !consumer.is_empty() && !consumer.contains("nothing automated"),
                 "{bin} is consumed by: {consumer:?}"

@@ -190,7 +190,9 @@ mod tests {
     use super::*;
     use envmap::{merge_runs, EnvConfig, EnvMapper, HostInput};
     use gridml::merge::GatewayAlias;
-    use netsim::scenarios::{ens_lyon, Calibration};
+    use netsim::scenarios::{
+        ens_lyon, Calibration, ENS_LYON_GATEWAYS, ENS_LYON_INSIDE, ENS_LYON_OUTSIDE,
+    };
     use netsim::Sim;
 
     /// Build the merged ENS-Lyon view (outside + inside runs).
@@ -198,45 +200,16 @@ mod tests {
         let net = ens_lyon(Calibration::Paper);
         let mut eng = Sim::new(net.topo.clone());
         let mapper = EnvMapper::new(EnvConfig::fast());
-        let outside_hosts: Vec<HostInput> = [
-            "the-doors.ens-lyon.fr",
-            "canaria.ens-lyon.fr",
-            "moby.cri2000.ens-lyon.fr",
-            "myri.ens-lyon.fr",
-            "popc.ens-lyon.fr",
-            "sci.ens-lyon.fr",
-        ]
-        .iter()
-        .map(|s| HostInput::new(s))
-        .collect();
+        let outside_hosts = ENS_LYON_OUTSIDE.map(HostInput::new);
         let outside = mapper
             .map(&mut eng, &outside_hosts, "the-doors.ens-lyon.fr", Some("well-known.example.org"))
             .unwrap();
-        let inside_hosts: Vec<HostInput> = [
-            "popc0.popc.private",
-            "myri0.popc.private",
-            "sci0.popc.private",
-            "myri1.popc.private",
-            "myri2.popc.private",
-            "sci1.popc.private",
-            "sci2.popc.private",
-            "sci3.popc.private",
-            "sci4.popc.private",
-            "sci5.popc.private",
-            "sci6.popc.private",
-        ]
-        .iter()
-        .map(|s| HostInput::new(s))
-        .collect();
+        let inside_hosts = ENS_LYON_INSIDE.map(HostInput::new);
         let inside = mapper.map(&mut eng, &inside_hosts, "sci0.popc.private", None).unwrap();
         merge_runs(
             &outside,
             &inside,
-            &[
-                GatewayAlias::new("popc.ens-lyon.fr", "popc0.popc.private"),
-                GatewayAlias::new("myri.ens-lyon.fr", "myri0.popc.private"),
-                GatewayAlias::new("sci.ens-lyon.fr", "sci0.popc.private"),
-            ],
+            &ENS_LYON_GATEWAYS.map(|(public, private)| GatewayAlias::new(public, private)),
         )
     }
 

@@ -175,6 +175,8 @@ mod tests {
     fn inside_run() -> crate::mapper::EnvRun {
         let net = ens_lyon(Calibration::Paper);
         let mut eng = Sim::new(net.topo.clone());
+        // `netsim::scenarios::ENS_LYON_INSIDE` without the myri cluster:
+        // the listings under test are the sci network's and the gateways'.
         let inputs: Vec<HostInput> = [
             "popc0.popc.private",
             "myri0.popc.private",

@@ -786,21 +786,13 @@ fn attach_under(nets: &mut [EnvNet], gw: &str, net: EnvNet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::scenarios::{ens_lyon, random_campus, Calibration, CampusParams};
+    use netsim::scenarios::{
+        ens_lyon, random_campus, Calibration, CampusParams, ENS_LYON_INSIDE, ENS_LYON_OUTSIDE,
+    };
     use netsim::Sim;
 
-    fn outside_inputs() -> Vec<HostInput> {
-        [
-            "the-doors.ens-lyon.fr",
-            "canaria.ens-lyon.fr",
-            "moby.cri2000.ens-lyon.fr",
-            "myri.ens-lyon.fr",
-            "popc.ens-lyon.fr",
-            "sci.ens-lyon.fr",
-        ]
-        .iter()
-        .map(|s| HostInput::new(s))
-        .collect()
+    fn outside_inputs() -> [HostInput; 6] {
+        ENS_LYON_OUTSIDE.map(HostInput::new)
     }
 
     /// The paper's outside run: master the-doors, six public hosts.
@@ -844,22 +836,7 @@ mod tests {
     fn ens_lyon_inside_run_discovers_private_structure() {
         let net = ens_lyon(Calibration::Paper);
         let mut eng = Sim::new(net.topo.clone());
-        let inputs: Vec<HostInput> = [
-            "popc0.popc.private",
-            "myri0.popc.private",
-            "sci0.popc.private",
-            "myri1.popc.private",
-            "myri2.popc.private",
-            "sci1.popc.private",
-            "sci2.popc.private",
-            "sci3.popc.private",
-            "sci4.popc.private",
-            "sci5.popc.private",
-            "sci6.popc.private",
-        ]
-        .iter()
-        .map(|s| HostInput::new(s))
-        .collect();
+        let inputs = ENS_LYON_INSIDE.map(HostInput::new);
         let mapper = EnvMapper::new(EnvConfig::fast());
         let run = mapper.map(&mut eng, &inputs, "sci0.popc.private", None).unwrap();
 

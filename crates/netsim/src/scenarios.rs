@@ -97,6 +97,41 @@ impl EnsLyon {
     }
 }
 
+/// The six public hosts the outside ENV run of paper §4.2 maps from
+/// the-doors, in the order the mapper visits them.
+pub const ENS_LYON_OUTSIDE: [&str; 6] = [
+    "the-doors.ens-lyon.fr",
+    "canaria.ens-lyon.fr",
+    "moby.cri2000.ens-lyon.fr",
+    "myri.ens-lyon.fr",
+    "popc.ens-lyon.fr",
+    "sci.ens-lyon.fr",
+];
+
+/// The eleven private hosts the inside ENV run maps from sci0, in the
+/// order the mapper visits them.
+pub const ENS_LYON_INSIDE: [&str; 11] = [
+    "popc0.popc.private",
+    "myri0.popc.private",
+    "sci0.popc.private",
+    "myri1.popc.private",
+    "myri2.popc.private",
+    "sci1.popc.private",
+    "sci2.popc.private",
+    "sci3.popc.private",
+    "sci4.popc.private",
+    "sci5.popc.private",
+    "sci6.popc.private",
+];
+
+/// The gateway aliases the user supplies for the merge of paper §4.3:
+/// each dual-homed gateway's public name, then its private one.
+pub const ENS_LYON_GATEWAYS: [(&str, &str); 3] = [
+    ("popc.ens-lyon.fr", "popc0.popc.private"),
+    ("myri.ens-lyon.fr", "myri0.popc.private"),
+    ("sci.ens-lyon.fr", "sci0.popc.private"),
+];
+
 /// Build the ENS-Lyon platform.
 pub fn ens_lyon(cal: Calibration) -> EnsLyon {
     let mut b = TopologyBuilder::new();
@@ -440,6 +475,18 @@ mod tests {
         assert_eq!(net.public_hosts().len(), 6);
         assert_eq!(net.private_hosts().len(), 11);
         assert_eq!(net.topo.hosts().count(), 14);
+
+        // The run sets name exactly those hosts, and each gateway alias
+        // names one machine twice.
+        let node = |name: &str| net.topo.node_by_name(name).expect("an ENS-Lyon name");
+        assert_eq!(ENS_LYON_INSIDE.map(node).to_vec(), net.private_hosts());
+        let (mut outside, mut public) = (ENS_LYON_OUTSIDE.map(node).to_vec(), net.public_hosts());
+        outside.sort();
+        public.sort();
+        assert_eq!(outside, public);
+        for (public, private) in ENS_LYON_GATEWAYS {
+            assert_eq!(node(public), node(private));
+        }
     }
 
     #[test]

@@ -59,24 +59,9 @@ fn assert_views_match(serial: &EnvView, batched: &EnvView, context: &str) {
 
 #[test]
 fn batched_mapper_matches_serial_on_ens_lyon() {
-    use netsim::scenarios::{ens_lyon, Calibration};
+    use netsim::scenarios::{ens_lyon, Calibration, ENS_LYON_INSIDE};
     let net = ens_lyon(Calibration::Paper);
-    let inputs: Vec<HostInput> = [
-        "popc0.popc.private",
-        "myri0.popc.private",
-        "sci0.popc.private",
-        "myri1.popc.private",
-        "myri2.popc.private",
-        "sci1.popc.private",
-        "sci2.popc.private",
-        "sci3.popc.private",
-        "sci4.popc.private",
-        "sci5.popc.private",
-        "sci6.popc.private",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect();
+    let inputs = ENS_LYON_INSIDE.map(HostInput::new);
     // The inside run exercises nested clusters, the firewall and the sci
     // switch whose internal phase is where batching actually kicks in.
     let serial = map_with(&net.topo, &inputs, "sci0.popc.private", None, EnvConfig::fast());

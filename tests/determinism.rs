@@ -6,7 +6,9 @@ use envdeploy::{plan_deployment, PlannerConfig};
 use envmap::{merge_runs, EnvConfig, EnvMapper, HostInput};
 use gridml::merge::GatewayAlias;
 use netsim::prelude::*;
-use netsim::scenarios::{ens_lyon, random_campus, Calibration, CampusParams};
+use netsim::scenarios::{
+    ens_lyon, random_campus, Calibration, CampusParams, ENS_LYON_GATEWAYS, ENS_LYON_OUTSIDE,
+};
 use netsim::Engine;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec};
 
@@ -14,20 +16,12 @@ fn map_and_plan() -> (String, String, u64) {
     let platform = ens_lyon(Calibration::Paper);
     let mut eng = netsim::Sim::new(platform.topo.clone());
     let mapper = EnvMapper::new(EnvConfig::fast());
-    let outside_hosts: Vec<HostInput> = [
-        "the-doors.ens-lyon.fr",
-        "canaria.ens-lyon.fr",
-        "moby.cri2000.ens-lyon.fr",
-        "myri.ens-lyon.fr",
-        "popc.ens-lyon.fr",
-        "sci.ens-lyon.fr",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect();
+    let outside_hosts = ENS_LYON_OUTSIDE.map(HostInput::new);
     let outside = mapper
         .map(&mut eng, &outside_hosts, "the-doors.ens-lyon.fr", Some("well-known.example.org"))
         .unwrap();
+    // Six of `ENS_LYON_INSIDE`'s eleven hosts (no myri cluster, three sci
+    // nodes): nested clusters and the firewall, at half the mapping cost.
     let inside_hosts: Vec<HostInput> = [
         "popc0.popc.private",
         "myri0.popc.private",
@@ -43,11 +37,7 @@ fn map_and_plan() -> (String, String, u64) {
     let merged = merge_runs(
         &outside,
         &inside,
-        &[
-            GatewayAlias::new("popc.ens-lyon.fr", "popc0.popc.private"),
-            GatewayAlias::new("myri.ens-lyon.fr", "myri0.popc.private"),
-            GatewayAlias::new("sci.ens-lyon.fr", "sci0.popc.private"),
-        ],
+        &ENS_LYON_GATEWAYS.map(|(public, private)| GatewayAlias::new(public, private)),
     );
     let plan = plan_deployment(&merged, &PlannerConfig::default());
     (merged.render(), plan.render(), outside.stats.total_experiments())

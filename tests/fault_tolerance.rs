@@ -6,7 +6,9 @@ use envdeploy::{apply_plan_with, plan_deployment, PlannerConfig};
 use envmap::{merge_runs, EnvConfig, EnvMapper, HostInput};
 use gridml::merge::GatewayAlias;
 use netsim::prelude::*;
-use netsim::scenarios::{dumbbell, ens_lyon, star_switch, Calibration};
+use netsim::scenarios::{
+    dumbbell, ens_lyon, star_switch, Calibration, ENS_LYON_GATEWAYS, ENS_LYON_OUTSIDE,
+};
 use netsim::Engine;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec, Resource, SeriesKey};
 
@@ -131,17 +133,9 @@ fn deployed_system_survives_gateway_sensor_death() {
     let platform = ens_lyon(Calibration::Paper);
     let mut eng: Engine<NwsMsg> = Engine::new(platform.topo.clone());
     let mapper = EnvMapper::new(EnvConfig::fast());
-    let outside_hosts: Vec<HostInput> = [
-        "the-doors.ens-lyon.fr",
-        "canaria.ens-lyon.fr",
-        "moby.cri2000.ens-lyon.fr",
-        "myri.ens-lyon.fr",
-        "popc.ens-lyon.fr",
-        "sci.ens-lyon.fr",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect();
+    let outside_hosts = ENS_LYON_OUTSIDE.map(HostInput::new);
+    // Six of `ENS_LYON_INSIDE`'s eleven hosts (no myri cluster, three sci
+    // nodes): enough for the sci clique the dead sensor belongs to.
     let inside_hosts: Vec<HostInput> = [
         "popc0.popc.private",
         "myri0.popc.private",
@@ -160,11 +154,7 @@ fn deployed_system_survives_gateway_sensor_death() {
     let merged = merge_runs(
         &outside,
         &inside,
-        &[
-            GatewayAlias::new("popc.ens-lyon.fr", "popc0.popc.private"),
-            GatewayAlias::new("myri.ens-lyon.fr", "myri0.popc.private"),
-            GatewayAlias::new("sci.ens-lyon.fr", "sci0.popc.private"),
-        ],
+        &ENS_LYON_GATEWAYS.map(|(public, private)| GatewayAlias::new(public, private)),
     );
     let plan = plan_deployment(&merged, &PlannerConfig::default());
     let sys = apply_plan_with(&mut eng, &plan, false).unwrap();

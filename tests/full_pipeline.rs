@@ -10,49 +10,22 @@ use envdeploy::{
 use envmap::{merge_runs, EnvConfig, EnvMapper, HostInput, NetKind};
 use gridml::merge::GatewayAlias;
 use netsim::prelude::*;
-use netsim::scenarios::{ens_lyon, Calibration};
+use netsim::scenarios::{
+    ens_lyon, Calibration, ENS_LYON_GATEWAYS, ENS_LYON_INSIDE, ENS_LYON_OUTSIDE,
+};
 use netsim::Engine;
 use nws::{NwsMsg, Resource, SeriesKey};
 
-fn outside_inputs() -> Vec<HostInput> {
-    [
-        "the-doors.ens-lyon.fr",
-        "canaria.ens-lyon.fr",
-        "moby.cri2000.ens-lyon.fr",
-        "myri.ens-lyon.fr",
-        "popc.ens-lyon.fr",
-        "sci.ens-lyon.fr",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect()
+fn outside_inputs() -> [HostInput; 6] {
+    ENS_LYON_OUTSIDE.map(HostInput::new)
 }
 
-fn inside_inputs() -> Vec<HostInput> {
-    [
-        "popc0.popc.private",
-        "myri0.popc.private",
-        "sci0.popc.private",
-        "myri1.popc.private",
-        "myri2.popc.private",
-        "sci1.popc.private",
-        "sci2.popc.private",
-        "sci3.popc.private",
-        "sci4.popc.private",
-        "sci5.popc.private",
-        "sci6.popc.private",
-    ]
-    .iter()
-    .map(|s| HostInput::new(s))
-    .collect()
+fn inside_inputs() -> [HostInput; 11] {
+    ENS_LYON_INSIDE.map(HostInput::new)
 }
 
-fn aliases() -> Vec<GatewayAlias> {
-    vec![
-        GatewayAlias::new("popc.ens-lyon.fr", "popc0.popc.private"),
-        GatewayAlias::new("myri.ens-lyon.fr", "myri0.popc.private"),
-        GatewayAlias::new("sci.ens-lyon.fr", "sci0.popc.private"),
-    ]
+fn aliases() -> [GatewayAlias; 3] {
+    ENS_LYON_GATEWAYS.map(|(public, private)| GatewayAlias::new(public, private))
 }
 
 #[test]
