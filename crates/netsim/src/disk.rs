@@ -12,9 +12,10 @@
 //! not a *host* crash). The primitives are the ones a write-ahead log
 //! needs:
 //!
-//! * [`SimDisk::append`] / [`SimDisk::append_owned`] — buffered write to
-//!   the tail of a file,
+//! * [`SimDisk::append`] — buffered write to the tail of a file,
 //! * [`SimDisk::fsync`] — flush a file's cached tail to stable storage,
+//! * [`SimDisk::write_image`] — replace a file's contents with a
+//!   [`DiskImage`] and fsync it: one call for a snapshot,
 //! * [`SimDisk::read`] — read the full current contents (cache included),
 //! * [`SimDisk::truncate`] / [`SimDisk::rename`] / [`SimDisk::remove`] —
 //!   metadata operations, modeled atomic and immediately durable, as on a
@@ -42,6 +43,16 @@
 //! cost ([`FSYNC_S`], [`PER_BYTE_S`]) to [`DiskStats::busy_s`], so experiments
 //! can report how much I/O time a protocol would have spent (and compare
 //! fsync-heavy against lazy policies) without perturbing event order.
+//!
+//! ## Deferred images
+//!
+//! A file written by [`SimDisk::write_image`] holds the image itself, not
+//! its bytes: the disk asks the image for them ([`DiskImage::write_to`])
+//! only when something reads the file (or appends to it), and keeps them
+//! from then on. Its length, a rename, a removal and a crash need no
+//! bytes. The accounting is the bytes' — [`DiskStats`] cannot tell a
+//! deferred image from `truncate`, `append` and `fsync` of what it
+//! produces.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -76,11 +87,58 @@ pub struct DiskStats {
     pub busy_s: f64,
 }
 
-/// One file: the durable prefix and the cached (unsynced) tail.
-#[derive(Debug, Default, Clone)]
+/// Durable content whose bytes are produced only when they are read (see
+/// the module doc).
+pub trait DiskImage: std::fmt::Debug {
+    /// The number of bytes [`DiskImage::write_to`] appends.
+    fn len(&self) -> usize;
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append the image's bytes to `out`: exactly [`DiskImage::len`] of
+    /// them.
+    fn write_to(&self, out: &mut Vec<u8>);
+}
+
+/// An image already encoded.
+impl DiskImage for Vec<u8> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+/// One file: the durable prefix and the cached (unsynced) tail. While
+/// `image` is set its bytes are the durable prefix, and both buffers are
+/// empty.
+#[derive(Debug, Default)]
 struct SimFile {
+    image: Option<Rc<dyn DiskImage>>,
     synced: Vec<u8>,
     unsynced: Vec<u8>,
+}
+
+impl SimFile {
+    fn len(&self) -> usize {
+        self.image.as_ref().map_or(0, |img| img.len()) + self.synced.len() + self.unsynced.len()
+    }
+
+    /// Produce a deferred image's bytes as the durable prefix; from here on
+    /// the file is plain bytes.
+    fn materialize(&mut self) -> &mut SimFile {
+        if let Some(img) = self.image.take() {
+            let n = img.len();
+            self.synced.reserve_exact(n);
+            img.write_to(&mut self.synced);
+            assert_eq!(self.synced.len(), n, "a disk image wrote other than its length");
+        }
+        self
+    }
 }
 
 /// One host's simulated local filesystem. Usually handled through a
@@ -146,21 +204,8 @@ impl SimDisk {
     /// Buffered write to the tail of `file` (created if absent). The bytes
     /// land in the cache: they survive a process crash, not a host crash.
     pub fn append(&mut self, file: &str, data: &[u8]) {
-        self.file_mut(file).unsynced.extend_from_slice(data);
+        self.file_mut(file).materialize().unsynced.extend_from_slice(data);
         self.account_append(data.len());
-    }
-
-    /// [`SimDisk::append`] of a buffer the caller is done with: an empty
-    /// cached tail adopts it instead of copying. Same bytes, same stats.
-    pub fn append_owned(&mut self, file: &str, mut data: Vec<u8>) {
-        let n = data.len();
-        let tail = &mut self.file_mut(file).unsynced;
-        if tail.is_empty() {
-            *tail = data;
-        } else {
-            tail.append(&mut data);
-        }
-        self.account_append(n);
     }
 
     fn account_append(&mut self, n: usize) {
@@ -172,22 +217,39 @@ impl SimDisk {
     /// Flush `file`'s cached tail to stable storage. A no-op (beyond the
     /// barrier cost) when there is nothing to flush.
     pub fn fsync(&mut self, file: &str) {
-        let f = self.file_mut(file);
+        let f = self.file_mut(file).materialize();
         let n = f.unsynced.len();
         if f.synced.is_empty() {
             std::mem::swap(&mut f.synced, &mut f.unsynced);
         } else {
             f.synced.append(&mut f.unsynced);
         }
+        self.account_fsync(n);
+    }
+
+    fn account_fsync(&mut self, n: usize) {
         self.stats.fsyncs += 1;
         self.stats.bytes_synced += n as u64;
         self.stats.busy_s += FSYNC_S + n as f64 * PER_BYTE_S;
     }
 
+    /// Replace `file`'s contents (created if absent) with `image` and fsync
+    /// it: a `truncate`, an `append` of the image's bytes and an `fsync`,
+    /// with exactly their stats, but the bytes are produced only if
+    /// something reads them (see the module doc).
+    pub fn write_image(&mut self, file: &str, image: Rc<dyn DiskImage>) {
+        let n = image.len();
+        *self.file_mut(file) = SimFile { image: Some(image), ..SimFile::default() };
+        self.stats.truncates += 1;
+        self.account_append(n);
+        self.account_fsync(n);
+    }
+
     /// Full current contents of `file` — durable prefix plus cached tail —
-    /// or `None` if it does not exist.
+    /// or `None` if it does not exist. A deferred image produces its bytes
+    /// here, once.
     pub fn read(&mut self, file: &str) -> Option<Vec<u8>> {
-        let f = self.files.get(file)?;
+        let f = self.files.get_mut(file)?.materialize();
         let mut out = f.synced.clone();
         out.extend_from_slice(&f.unsynced);
         self.stats.reads += 1;
@@ -198,7 +260,7 @@ impl SimDisk {
 
     /// Current length of `file` (0 if absent).
     pub fn len(&self, file: &str) -> usize {
-        self.files.get(file).map_or(0, |f| f.synced.len() + f.unsynced.len())
+        self.files.get(file).map_or(0, SimFile::len)
     }
 
     pub fn exists(&self, file: &str) -> bool {
@@ -214,6 +276,7 @@ impl SimDisk {
     /// (journaled-filesystem semantics), creates the file if absent.
     pub fn truncate(&mut self, file: &str) {
         let f = self.file_mut(file);
+        f.image = None;
         f.synced.clear();
         f.unsynced.clear();
         self.stats.truncates += 1;
@@ -222,14 +285,10 @@ impl SimDisk {
     /// Atomically rename `from` over `to` (the `rename(2)` publish idiom).
     /// Durable for the *name*; the caller must fsync the data first if it
     /// wants the contents to survive a crash — exactly the real contract.
-    /// Hands back the buffer that held the durable bytes of the file `to`
-    /// named until now (empty if it named none, or if `from` does not
-    /// exist), so that a caller which publishes image after image can write
-    /// the next one into it.
-    pub fn rename(&mut self, from: &str, to: &str) -> Vec<u8> {
+    pub fn rename(&mut self, from: &str, to: &str) {
         self.stats.renames += 1;
-        let Some(f) = self.files.remove(from) else { return Vec::new() };
-        self.files.insert(to.to_string(), f).map_or_else(Vec::new, |old| old.synced)
+        let Some(f) = self.files.remove(from) else { return };
+        self.files.insert(to.to_string(), f);
     }
 
     /// Delete `file` (atomic, durable).
@@ -431,14 +490,13 @@ mod tests {
         d.fsync("snap.new");
         d.append("snap", b"v1");
         d.fsync("snap");
-        // The replaced file's buffer comes back; a rename over nothing, or
-        // of nothing, hands back an empty one.
-        assert_eq!(d.rename("snap.new", "snap"), b"v1");
+        d.rename("snap.new", "snap");
         assert_eq!(d.read("snap").unwrap(), b"v2");
         assert!(!d.exists("snap.new"));
-        assert!(d.rename("snap", "snap.old").is_empty());
-        assert!(d.rename("missing", "snap.old").is_empty());
+        d.rename("snap", "snap.old");
+        d.rename("missing", "snap.old");
         assert_eq!(d.read("snap.old").unwrap(), b"v2");
+        assert_eq!(d.stats().renames, 3);
     }
 
     #[test]
@@ -477,10 +535,74 @@ mod tests {
         assert!((d.stats().busy_s - (FSYNC_S + 4.0 * PER_BYTE_S)).abs() < 1e-12);
     }
 
+    /// An image of `len` copies of `byte` that counts its `write_to` calls.
+    #[derive(Debug)]
+    struct Counted {
+        len: usize,
+        byte: u8,
+        writes: Rc<std::cell::Cell<u32>>,
+    }
+
+    impl DiskImage for Counted {
+        fn len(&self) -> usize {
+            self.len
+        }
+
+        fn write_to(&self, out: &mut Vec<u8>) {
+            self.writes.set(self.writes.get() + 1);
+            out.resize(out.len() + self.len, self.byte);
+        }
+    }
+
+    #[test]
+    fn an_image_produces_its_bytes_only_when_read_and_only_once() {
+        let writes = Rc::new(std::cell::Cell::new(0));
+        let d = SimDisk::new("h0");
+        let mut d = d.borrow_mut();
+        d.set_fault_seed(5);
+        d.append("snap.new", b"stale");
+        d.write_image("snap.new", Rc::new(Counted { len: 300, byte: 7, writes: writes.clone() }));
+        assert_eq!(d.len("snap.new"), 300);
+        d.rename("snap.new", "snap");
+        assert_eq!(d.len("snap"), 300);
+        d.crash();
+        d.append("wal", b"x");
+        d.remove("wal");
+        assert_eq!(writes.get(), 0, "len, rename, crash and remove produce no bytes");
+        assert_eq!(d.stats().bytes_torn, 0, "an image has no cached tail to tear");
+        assert_eq!(d.read("snap").unwrap(), vec![7; 300]);
+        assert_eq!(d.read("snap").unwrap(), vec![7; 300]);
+        assert_eq!(writes.get(), 1, "two reads produce the bytes once");
+        let s = d.stats();
+        assert_eq!((s.truncates, s.appends, s.bytes_appended), (1, 3, 306));
+        assert_eq!((s.fsyncs, s.bytes_synced, s.reads, s.bytes_read), (1, 300, 2, 600));
+    }
+
+    #[test]
+    #[should_panic(expected = "a disk image wrote other than its length")]
+    fn an_image_that_writes_other_than_its_length_is_refused() {
+        #[derive(Debug)]
+        struct Short;
+        impl DiskImage for Short {
+            fn len(&self) -> usize {
+                4
+            }
+            fn write_to(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(b"abc");
+            }
+        }
+        let d = SimDisk::new("h0");
+        let mut d = d.borrow_mut();
+        d.write_image("snap", Rc::new(Short));
+        d.read("snap");
+    }
+
     /// Run `ops` — `(kind, file, length)` triples — on a fresh disk with an
-    /// armed fault stream, appending by value iff `owned`; every byte any
-    /// `read` returned, then the final stats.
-    fn run_ops(ops: &[(u8, u8, u8)], owned: bool) -> (Vec<Option<Vec<u8>>>, DiskStats) {
+    /// armed fault stream; kind 2 replaces the file with `length` bytes,
+    /// by [`SimDisk::write_image`] iff `images`, else by `truncate`,
+    /// `append` and `fsync`. Every byte any `read` returned, then the final
+    /// stats.
+    fn run_ops(ops: &[(u8, u8, u8)], images: bool) -> (Vec<Option<Vec<u8>>>, DiskStats) {
         const FILES: [&str; 3] = ["a.wal", "a.snap", "a.snap.new"];
         let d = SimDisk::new("h0");
         let mut d = d.borrow_mut();
@@ -488,20 +610,21 @@ mod tests {
         let mut seen = Vec::new();
         for (i, &(kind, file, len)) in ops.iter().enumerate() {
             let name = FILES[usize::from(file) % 3];
+            let data = vec![i as u8; usize::from(len)];
             match kind {
-                0..=2 => {
-                    let data = vec![i as u8; usize::from(len)];
-                    // Kind 2 appends by value on the `owned` run only.
-                    if owned && kind == 2 {
-                        d.append_owned(name, data);
-                    } else {
-                        d.append(name, &data);
-                    }
+                0 | 1 => d.append(name, &data),
+                2 if images => d.write_image(name, Rc::new(data)),
+                2 => {
+                    d.truncate(name);
+                    d.append(name, &data);
+                    d.fsync(name);
                 }
                 3 => d.fsync(name),
                 4 => d.truncate(name),
-                5 => drop(d.rename(name, FILES[(usize::from(file) + 1) % 3])),
+                5 => d.rename(name, FILES[(usize::from(file) + 1) % 3]),
                 6 => seen.push(d.read(name)),
+                7 => seen.push(Some(vec![0; d.len(name)])),
+                8 => d.remove(name),
                 _ => d.crash(),
             }
         }
@@ -512,18 +635,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Adopting a buffer (and swapping it into an empty durable image)
-        /// is invisible: the same reads, the same torn tails, the same
-        /// stats down to `busy_s`'s bits as copying it.
+        /// A deferred image is invisible: the same reads and lengths, the
+        /// same torn tails after it is appended to, renamed or crashed
+        /// over, the same stats down to `busy_s`'s bits as writing and
+        /// syncing its bytes.
         #[test]
-        fn append_by_value_is_append_by_reference(
-            ops in proptest::collection::vec((0u8..8, 0u8..3, 0u8..40), 0..60),
+        fn an_image_is_its_bytes_written_and_synced(
+            ops in proptest::collection::vec((0u8..10, 0u8..3, 0u8..40), 0..60),
         ) {
-            let (by_ref, ref_stats) = run_ops(&ops, false);
-            let (by_val, val_stats) = run_ops(&ops, true);
-            prop_assert_eq!(by_ref, by_val);
-            prop_assert_eq!(ref_stats, val_stats);
-            prop_assert_eq!(ref_stats.busy_s.to_bits(), val_stats.busy_s.to_bits());
+            let (bytes, byte_stats) = run_ops(&ops, false);
+            let (images, image_stats) = run_ops(&ops, true);
+            prop_assert_eq!(bytes, images);
+            prop_assert_eq!(byte_stats, image_stats);
+            prop_assert_eq!(byte_stats.busy_s.to_bits(), image_stats.busy_s.to_bits());
         }
     }
 }

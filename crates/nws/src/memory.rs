@@ -80,9 +80,12 @@ pub struct StoreOutcome {
 }
 
 /// The stored series, shared with the harness for direct inspection.
-#[derive(Debug, Default)]
+///
+/// A clone shares every ring with its original (a compaction's snapshot
+/// image is one): each side copies a ring only when it next stores to it.
+#[derive(Debug, Default, Clone)]
 pub struct MemoryStore {
-    pub series: IdMap<Series>,
+    pub series: IdMap<Rc<Series>>,
     pub stores: u64,
     pub fetches: u64,
     /// Stores recognized as retries or network duplicates by the
@@ -126,9 +129,9 @@ impl MemoryStore {
             self.stores += 1;
             let series = self.series.get_or_insert_with(id, || {
                 new_key = true;
-                Series::new(capacity)
+                Rc::new(Series::new(capacity))
             });
-            let stored = series.push(t, value);
+            let stored = Rc::make_mut(series).push(t, value);
             if !stored {
                 self.rejected += 1;
             }
@@ -253,7 +256,7 @@ impl Process<NwsMsg> for MemoryServer {
                     let mut st = self.store.borrow_mut();
                     let held = st.series.get(series);
                     let points = held.map(|s| s.pairs_since(after)).unwrap_or_default();
-                    let latest = held.and_then(Series::last).map_or(f64::NEG_INFINITY, |p| p.t);
+                    let latest = held.and_then(|s| s.last()).map_or(f64::NEG_INFINITY, |p| p.t);
                     st.apply_fetch(points.len() as u64);
                     (points, latest)
                 };

@@ -30,7 +30,9 @@
 //!
 //! [`SimDisk`]: netsim::disk::SimDisk
 
-use netsim::disk::DiskHandle;
+use std::rc::Rc;
+
+use netsim::disk::{DiskHandle, DiskImage};
 use netsim::engine::ProcessId;
 
 use crate::forecast::ForecasterBattery;
@@ -41,7 +43,7 @@ use crate::series::Series;
 use crate::series_state::SeriesState;
 use crate::wal::{
     append_record, build_snapshot, decode_snapshot, put_f64, put_str, put_u32, put_u64, put_u8,
-    scan_wal, ByteReader,
+    scan_wal, snapshot_len, ByteReader,
 };
 
 /// Compact once the WAL grows past this many KiB, unless the deployment
@@ -59,10 +61,6 @@ pub const fn wal_compact_bytes(kib: u64) -> Option<u64> {
 /// otherwise.
 pub const DEFAULT_COMPACT_THRESHOLD: u64 =
     wal_compact_bytes(DEFAULT_WAL_COMPACT_KIB).expect("64 KiB fits a u64");
-
-/// How many WALs' worth of growth a snapshot buffer reserves when it has
-/// to be regrown (see [`LogFiles::write_snapshot`]).
-const GROWTH_AHEAD: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Shared file plumbing
@@ -83,15 +81,13 @@ struct LogFiles {
     compact_threshold: u64,
     /// The record being framed; kept so an append allocates nothing.
     frame: Vec<u8>,
-    /// The buffer of the snapshot the last publish replaced; the next image
-    /// is built in it, so a log cycles through two buffers instead of asking
-    /// the allocator for a fresh one per compaction.
-    spare: Vec<u8>,
 }
 
 impl LogFiles {
     /// Read the file set for `name`: the decoded snapshot (if one is
-    /// present and verifies) and the valid WAL record prefix.
+    /// present and verifies) and the valid WAL record prefix. Reading a
+    /// memory image the disk has not produced yet borrows the series
+    /// table, so no caller may hold it borrowed across this.
     #[expect(clippy::type_complexity, reason = "private; the three parts recovery reads")]
     fn open(disk: DiskHandle, name: &str) -> (Self, Option<(u64, Vec<u8>)>, Vec<(u64, Vec<u8>)>) {
         let wal = format!("{name}.wal");
@@ -114,7 +110,6 @@ impl LogFiles {
                 wal_bytes: 0,
                 compact_threshold: DEFAULT_COMPACT_THRESHOLD,
                 frame: Vec::new(),
-                spare: Vec::new(),
             },
             snapshot,
             records,
@@ -143,43 +138,26 @@ impl LogFiles {
         self.wal_bytes > self.compact_threshold
     }
 
-    /// Compaction step 1: build the snapshot image around the body
-    /// `encode_body` writes, hand it to the side file and fsync it. Crash
-    /// here: the half-written `.snap.new` is never read by recovery (only
-    /// the published name is), so it is harmless. `false`, with the disk
-    /// untouched, if the image cannot be sealed: the caller must then keep
-    /// the old snapshot and the WAL.
-    fn write_snapshot(&mut self, encode_body: impl FnOnce(&mut Vec<u8>)) -> bool {
-        // The state grows by less than the WAL records that grew it, so the
-        // published image plus the WAL is room enough not to regrow.
-        let mut room = self.disk.borrow().len(&self.snap) + self.wal_bytes as usize;
-        // Images only ever grow. Sized exactly, each is a little larger than
-        // every buffer freed before it, and whether the heap then grows by
-        // an image per compaction hangs on which freed neighbours happen to
-        // coalesce. So once the retired buffer is this log's own earlier
-        // image (within a factor of two of what is needed now, not the
-        // near-empty image of a fresh log), regrowing it takes room for
-        // `GROWTH_AHEAD` more WALs at once — address space, not memory,
-        // until an image reaches it.
-        let held = self.spare.capacity();
-        if held < room && 2 * held >= room {
-            room += GROWTH_AHEAD * self.wal_bytes as usize;
-        }
-        let spare = std::mem::take(&mut self.spare);
-        let Some(img) = build_snapshot(spare, self.next_seq - 1, room, encode_body) else {
-            return false;
-        };
-        let mut d = self.disk.borrow_mut();
-        d.truncate(&self.snap_new);
-        d.append_owned(&self.snap_new, img);
-        d.fsync(&self.snap_new);
+    /// The seq of the last record a snapshot taken now folds in.
+    fn log_seq(&self) -> u64 {
+        self.next_seq - 1
+    }
+
+    /// Compaction step 1: write the snapshot image to the side file and
+    /// fsync it. Crash here: the half-written `.snap.new` is never read by
+    /// recovery (only the published name is), so it is harmless. `false`,
+    /// with the disk untouched, if there is no image — it could not be
+    /// sealed: the caller must then keep the old snapshot and the WAL.
+    fn write_snapshot(&mut self, image: Option<Rc<dyn DiskImage>>) -> bool {
+        let Some(image) = image else { return false };
+        self.disk.borrow_mut().write_image(&self.snap_new, image);
         true
     }
 
     /// All three compaction steps in order; a refused step 1 skips the
     /// other two, so nothing is lost.
-    fn compact(&mut self, encode_body: impl FnOnce(&mut Vec<u8>)) {
-        if self.write_snapshot(encode_body) {
+    fn compact(&mut self, image: Option<Rc<dyn DiskImage>>) {
+        if self.write_snapshot(image) {
             self.publish_snapshot();
             self.truncate_wal();
         }
@@ -189,7 +167,7 @@ impl LogFiles {
     /// old snapshot + full WAL still recover. Crash after (step 3 not yet
     /// run): new snapshot + stale WAL records, skipped by seq.
     fn publish_snapshot(&mut self) {
-        self.spare = self.disk.borrow_mut().rename(&self.snap_new, &self.snap);
+        self.disk.borrow_mut().rename(&self.snap_new, &self.snap);
     }
 
     /// Compaction step 3: empty the WAL. Record seqs keep counting up —
@@ -239,7 +217,9 @@ fn encode_memory_store(
     capacity: usize,
     ids: &mut SeriesTable,
 ) {
-    put_u32(b, capacity as u32);
+    let capacity =
+        u32::try_from(capacity).expect("a ring bound past u32::MAX is refused at deploy");
+    put_u32(b, capacity);
     put_u64(b, store.stores);
     put_u64(b, store.fetches);
     put_u64(b, store.dup_stores);
@@ -262,6 +242,48 @@ fn encode_memory_store(
         for s in seen.above() {
             put_u64(b, s);
         }
+    }
+}
+
+/// The length of [`encode_memory_store`]'s body, counted without encoding
+/// it.
+fn memory_body_len(store: &MemoryStore, ids: &SeriesTable) -> usize {
+    let key_len = |id| {
+        let (_, src, dst) = ids.parts(id);
+        1 + 4 + ids.host_name(src).len() + 4 + ids.host_name(dst).len()
+    };
+    let series: usize = store.series.iter().map(|(id, s)| key_len(id) + 8 + 16 * s.len()).sum();
+    let seen: usize = store.seen.values().map(|s| 16 + 8 * s.above().len()).sum();
+    4 + 6 * 8 + 4 + series + 4 + seen
+}
+
+/// A memory snapshot as of one compaction: the store frozen — its rings
+/// shared with the live store until the live store next writes to them —
+/// and what its bytes need, which [`SimDisk`] asks for only if something
+/// reads the file.
+///
+/// [`SimDisk`]: netsim::disk::SimDisk
+#[derive(Debug)]
+struct MemoryImage {
+    store: MemoryStore,
+    log_seq: u64,
+    capacity: usize,
+    ids: SeriesTableHandle,
+    body_len: usize,
+}
+
+impl DiskImage for MemoryImage {
+    fn len(&self) -> usize {
+        snapshot_len(self.body_len)
+    }
+
+    /// Borrows the series table, as the encoder needs it.
+    fn write_to(&self, out: &mut Vec<u8>) {
+        let mut ids = self.ids.borrow_mut();
+        let sealed = build_snapshot(out, self.log_seq, |b| {
+            encode_memory_store(b, &self.store, self.capacity, &mut ids);
+        });
+        assert!(sealed, "the body's length was checked when the image was frozen");
     }
 }
 
@@ -291,7 +313,7 @@ fn decode_memory_store(body: &[u8], ids: &mut SeriesTable) -> Option<(MemoryStor
             // re-pushing reproduces the ring bit-for-bit.
             s.push(t, v);
         }
-        store.series.insert(id, s);
+        store.series.insert(id, Rc::new(s));
     }
     let n_seen = r.u32()?;
     for _ in 0..n_seen {
@@ -413,12 +435,27 @@ impl MemoryLog {
         self.files.append(false, |p| put_u8(p, REC_REPLY_FAILURE));
     }
 
+    /// `store` frozen as a snapshot image: a copy of its counters and
+    /// ledger, and of a pointer per series. `None` if its body would not
+    /// fit the image's `u32` length field.
+    fn freeze(&self, store: &MemoryStore) -> Option<Rc<dyn DiskImage>> {
+        let body_len = memory_body_len(store, &self.ids.borrow());
+        u32::try_from(body_len).ok()?;
+        Some(Rc::new(MemoryImage {
+            store: store.clone(),
+            log_seq: self.files.log_seq(),
+            capacity: self.capacity,
+            ids: self.ids.clone(),
+            body_len,
+        }))
+    }
+
     /// Compaction, as three separately-callable steps so crash tests can
     /// land between them (see `LogFiles`' docs on each step's crash
     /// safety). `false` if no image was written: do not publish.
     pub fn write_snapshot(&mut self, store: &MemoryStore) -> bool {
-        let mut ids = self.ids.borrow_mut();
-        self.files.write_snapshot(|b| encode_memory_store(b, store, self.capacity, &mut ids))
+        let image = self.freeze(store);
+        self.files.write_snapshot(image)
     }
 
     pub fn publish_snapshot(&mut self) {
@@ -431,8 +468,8 @@ impl MemoryLog {
 
     /// All three compaction steps in order.
     pub fn compact(&mut self, store: &MemoryStore) {
-        let mut ids = self.ids.borrow_mut();
-        self.files.compact(|b| encode_memory_store(b, store, self.capacity, &mut ids));
+        let image = self.freeze(store);
+        self.files.compact(image);
     }
 
     /// Compact if the WAL has outgrown the threshold.
@@ -520,8 +557,11 @@ impl ForecastLog {
         &mut self,
         series: impl Fn(SeriesId) -> Option<(&'a ForecasterBattery, f64)>,
     ) {
-        let mut ids = self.ids.borrow_mut();
-        self.files.compact(|body| encode_forecasts(body, &mut ids, series));
+        let mut image = Vec::new();
+        let sealed = build_snapshot(&mut image, self.files.log_seq(), |body| {
+            encode_forecasts(body, &mut self.ids.borrow_mut(), series);
+        });
+        self.files.compact(sealed.then(|| Rc::new(image) as Rc<dyn DiskImage>));
     }
 
     pub fn set_compact_threshold(&mut self, bytes: u64) {

@@ -127,6 +127,19 @@ impl NwsSystemSpec {
         s.memory.as_ref().or(self.memory_hosts.first())
     }
 
+    /// `series_capacity`, if a ring can have it: 0 would fail the first
+    /// store, and a bound past `u32::MAX` cannot be saved in a snapshot,
+    /// so a recovered ring would evict at a different one.
+    fn series_capacity(&self) -> NetResult<usize> {
+        let cap = self.series_capacity;
+        if cap == 0 || u32::try_from(cap).is_err() {
+            return Err(NetError::InvalidTopology(format!(
+                "series_capacity {cap} is out of range"
+            )));
+        }
+        Ok(cap)
+    }
+
     /// `wal_compact_kib` in bytes; a value no `u64` byte count can hold is
     /// a malformed spec, not a wrapped (tiny) threshold.
     fn wal_compact_bytes(&self) -> NetResult<u64> {
@@ -187,7 +200,7 @@ fn spawn_memory(
     let (mem, handle) = MemoryServer::recover(
         &format!("memory{idx}@{host}"),
         nameserver,
-        spec.series_capacity,
+        spec.series_capacity()?,
         disks.disk(host),
         spec.wal_compact_bytes()?,
         ids,
@@ -1299,6 +1312,16 @@ mod tests {
         let mut huge = NwsSystemSpec::minimal(&names[0], &[&names[0], &names[1]]);
         huge.wal_compact_kib = 1 << 54;
         assert!(matches!(NwsSystem::deploy(&mut eng, &huge), Err(NetError::InvalidTopology(_))));
+
+        // And a ring bound no ring can have (0 fails the first store) or no
+        // snapshot can save (past u32::MAX, a recovered ring would evict at
+        // another bound).
+        for cap in [0, u32::MAX as usize + 1] {
+            let mut bad = NwsSystemSpec::minimal(&names[0], &[&names[0], &names[1]]);
+            bad.series_capacity = cap;
+            let got = NwsSystem::deploy(&mut eng, &bad);
+            assert!(matches!(got, Err(NetError::InvalidTopology(_))), "capacity {cap}");
+        }
     }
 
     /// Every ring entry names the sensor that runs on the member's node,

@@ -24,13 +24,15 @@
 //!
 //! `crc` is [`checksum`] over `log_seq` and the body; [`build_snapshot`]
 //! encodes the body behind a reserved header and seals it in place, so an
-//! image is written once and never copied. `log_seq` is the sequence
-//! number of the last log record folded into the snapshot: replay applies
-//! only records with `seq > log_seq`, which makes the pair (snapshot, log
-//! suffix) insensitive to a crash *after* snapshot publication but *before*
-//! log truncation — the stale prefix is skipped by seq, not by luck. A
-//! snapshot that fails magic/len/crc verification (torn by a crash
-//! mid-write, before the atomic rename published it) is treated as absent.
+//! image is written once and never copied, and [`snapshot_len`] is its
+//! length for a body of known length, without encoding it. `log_seq` is
+//! the sequence number of the last log record folded into the snapshot:
+//! replay applies only records with `seq > log_seq`, which makes the pair
+//! (snapshot, log suffix) insensitive to a crash *after* snapshot
+//! publication but *before* log truncation — the stale prefix is skipped
+//! by seq, not by luck. A snapshot that fails magic/len/crc verification
+//! (torn by a crash mid-write, before the atomic rename published it) is
+//! treated as absent.
 
 // ---------------------------------------------------------------------------
 // Primitive little-endian codec
@@ -205,23 +207,30 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
 const SNAP_MAGIC: &[u8; 8] = b"NWSSNAP2";
 const SNAP_HEADER: usize = 28;
 
-/// Build a snapshot image in one pass, as [`append_record`] frames a
-/// record, in `img` — its contents dropped, its allocation kept and grown
-/// to room for `body_hint` bytes. `None` if the body outgrew the `u32`
-/// length field: publishing that image would replace a good snapshot with
-/// one that can never verify.
+/// The length of the image [`build_snapshot`] writes around a body of
+/// `body_len` bytes.
+pub const fn snapshot_len(body_len: usize) -> usize {
+    SNAP_HEADER + body_len
+}
+
+/// Build a snapshot image in one pass onto the end of `out`, as
+/// [`append_record`] frames a record. `false`, with `out` as it was, if
+/// the body outgrew the `u32` length field: publishing that image would
+/// replace a good snapshot with one that can never verify.
 pub fn build_snapshot(
-    mut img: Vec<u8>,
+    out: &mut Vec<u8>,
     log_seq: u64,
-    body_hint: usize,
     encode_body: impl FnOnce(&mut Vec<u8>),
-) -> Option<Vec<u8>> {
-    img.clear();
-    img.reserve(SNAP_HEADER + body_hint);
-    img.resize(SNAP_HEADER, 0);
-    encode_body(&mut img);
-    let body_len = img.len() - SNAP_HEADER;
-    seal_snapshot(&mut img, log_seq, body_len).then_some(img)
+) -> bool {
+    let start = out.len();
+    out.resize(start + SNAP_HEADER, 0);
+    encode_body(out);
+    let body_len = out.len() - start - SNAP_HEADER;
+    let sealed = seal_snapshot(&mut out[start..], log_seq, body_len);
+    if !sealed {
+        out.truncate(start);
+    }
+    sealed
 }
 
 /// Fill in `img`'s header for a body of `body_len` bytes (always the rest
@@ -338,12 +347,12 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_rejects_damage() {
         let body = b"snapshot body bytes".to_vec();
-        // Built over a buffer with something in it: the old bytes go, the
-        // allocation stays.
-        let old = vec![7u8; 64];
-        let at = old.as_ptr();
-        let img = build_snapshot(old, 41, 0, |b| b.extend_from_slice(&body)).expect("fits");
-        assert_eq!(img.as_ptr(), at);
+        // Built behind bytes already in the buffer, which stay.
+        let mut out = vec![7u8; 5];
+        assert!(build_snapshot(&mut out, 41, |b| b.extend_from_slice(&body)));
+        assert_eq!(out[..5], [7; 5]);
+        let img = out.split_off(5);
+        assert_eq!(img.len(), snapshot_len(body.len()));
         assert_eq!(decode_snapshot(&img), Some((41, body.clone())));
         // Truncated image: rejected.
         assert_eq!(decode_snapshot(&img[..img.len() - 1]), None);

@@ -418,15 +418,26 @@ proptest! {
     /// image, and `decode_snapshot` gives back `log_seq` and the body.
     /// With `reversed`, every series id is minted up front in reverse key
     /// order; without, in the order the stores first name them.
+    ///
+    /// The image is frozen, not encoded: between writing it and reading it
+    /// back, the store keeps taking stores into the rings it shares with
+    /// the image (and one into a series minted after it), and the bytes
+    /// read are still the reference body computed at write time. The
+    /// disk's length of the unread image — one host name is multi-byte
+    /// UTF-8, so it must count bytes — is the length read.
     #[test]
     fn memory_image_equals_the_copying_reference(
         log_seq in 0u64..40,
         capacity in 1usize..=16,
         ops in collection::vec((0u8..4, 0u8..9, 0u8..6, 0u8..=254u8), 0..160),
+        later in collection::vec((0u8..7, 0u8..=254u8), 0..24),
         reversed in proptest::bool::ANY,
     ) {
         let ids = SeriesTable::new();
-        let key = |key_i: u8| SeriesKey::link(Resource::Latency, &format!("s{key_i}.x"), "d.x");
+        let key = |key_i: u8| {
+            let src = if key_i == 4 { "hôte-4.ü.x".to_string() } else { format!("s{key_i}.x") };
+            SeriesKey::link(Resource::Latency, &src, "d.x")
+        };
         if reversed {
             for key_i in (0..6).rev() {
                 ids.borrow_mut().intern(&key(key_i));
@@ -455,8 +466,20 @@ proptest! {
             log.log_fetch(1);
         }
         prop_assert!(log.write_snapshot(&store));
-        let img = disk.borrow_mut().read("memory.snap.new").expect("written");
         let body = ref_memory_body(&store, capacity, &ids);
+        let len = disk.borrow().len("memory.snap.new");
+
+        // Key 6 is first named here, after the image was frozen.
+        let sender = ProcessId::from_raw(90);
+        for (seq, (key_i, arg)) in later.into_iter().enumerate() {
+            t += 1.0;
+            let id = ids.borrow_mut().intern(&key(key_i));
+            let cap = 1 + (usize::from(key_i) * 5) % capacity;
+            store.apply_store(sender, seq as u64 + 1, id, t, f64::from(arg), cap);
+        }
+
+        let img = disk.borrow_mut().read("memory.snap.new").expect("written");
+        prop_assert_eq!(len, img.len());
         prop_assert_eq!(&img, &ref_image(log_seq, &body));
         prop_assert_eq!(decode_snapshot(&img), Some((log_seq, body)));
     }

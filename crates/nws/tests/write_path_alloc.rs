@@ -2,18 +2,20 @@
 //!
 //! * a series ring grows on demand — a default-capacity series holding a
 //!   few points costs tens of bytes, not its 8 KiB bound;
-//! * a store to an existing series allocates nothing (it is named by a
-//!   `SeriesId`, so there is no key to clone);
-//! * a compaction builds its image once and hands it to the disk: about
-//!   one image's worth of bytes in a handful of blocks, where encoding a
-//!   body, copying it to checksum it, copying it behind a header and
-//!   copying that into the disk cost several images.
+//! * a store to a series no snapshot image shares allocates nothing (it
+//!   is named by a `SeriesId`, so there is no key to clone);
+//! * a compaction freezes the store instead of encoding it: a pointer per
+//!   series plus the counters and the ledger, in a handful of blocks — the
+//!   disk produces the image's bytes only if something reads them;
+//! * the first store after a compaction into a ring the image shares
+//!   copies that one ring, and the second copies nothing.
 //!
 //! Everything runs inside a single #[test] so no concurrent test pollutes
 //! the global allocation counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use netsim::disk::SimDisk;
@@ -131,7 +133,8 @@ fn the_write_path_stays_inside_its_heap_budgets() {
         store_and_log(&mut store, &mut log, &keys, &mut seq);
     }
 
-    // A store to a series that exists: nothing at all.
+    // A store to a series no image shares: nothing at all. (Recovery's
+    // compaction froze the store while it was empty.)
     let (blocks, bytes) = allocated(|| {
         for &key in &keys {
             seq += 1;
@@ -139,18 +142,32 @@ fn the_write_path_stays_inside_its_heap_budgets() {
             assert!(outcome.first_time && !outcome.new_key);
         }
     });
-    assert_eq!((blocks, bytes), (0, 0), "stores to existing series allocated");
+    assert_eq!((blocks, bytes), (0, 0), "stores to unshared series allocated");
 
-    // The first compaction sizes the next; some stores later, the second
-    // builds its image in one buffer, which the disk then adopts.
-    log.compact(&store);
-    store_and_log(&mut store, &mut log, &keys[..200], &mut seq);
+    // A compaction freezes the store: at most 16 B a series, in a handful
+    // of blocks, for an image whose bytes the disk has not produced.
     let (blocks, bytes) = allocated(|| log.compact(&store));
     let image = disk.borrow().len("memory.snap") as u64;
     assert!(image > 200_000, "a {image}-byte image is too small to measure");
-    assert!(
-        4 * bytes <= 5 * image,
-        "compacting into a {image}-byte image allocated {bytes} B (over 1.25x)"
-    );
+    let per_series = 16 * keys.len() as u64;
+    assert!(bytes <= per_series, "compacting {} series allocated {bytes} B", keys.len());
     assert!(blocks <= 8, "compaction allocated {blocks} blocks");
+
+    // The first store into a ring the image shares copies that ring — the
+    // series' `Rc` and its full buffer, two blocks — and the second
+    // copies nothing.
+    let mut store_once = || {
+        allocated(|| {
+            seq += 1;
+            store.apply_store(sender(), seq, keys[0], seq as f64, 0.5, CAP);
+        })
+    };
+    let (blocks, bytes) = store_once();
+    let ring = (CAP * size_of::<(f64, f64)>()) as u64;
+    assert_eq!(blocks, 2, "the first store after a compaction allocated {blocks} blocks");
+    assert!(
+        (ring..ring + 128).contains(&bytes),
+        "the first store after a compaction allocated {bytes} B for a {ring}-byte ring"
+    );
+    assert_eq!(store_once(), (0, 0), "the second store after a compaction allocated");
 }
