@@ -14,7 +14,6 @@ use envmap::{EnvConfig, EnvMapper, EnvNet, EnvThresholds, EnvView, HostInput, Ne
 use gridml::merge::{merge_sites, AliasResolver};
 use netsim::fairness::FairnessModel;
 use netsim::prelude::*;
-use netsim::routing::RouteTable;
 use netsim::scenarios::{
     asym_pair, ens_lyon, random_campus, star_hub, star_switch, Calibration, CampusParams,
     GeneratedNet, ENS_LYON_GATEWAYS,
@@ -545,8 +544,7 @@ fn e4_aggregation(m: &MappedEnsLyon) -> Report {
     // Ground truth comes from the routing tables: several pairs cross the
     // firewall and cannot be probed end-to-end at all — estimating them
     // from per-segment measurements is exactly the paper's point.
-    let topo = eng.topo();
-    let routes = RouteTable::compute(topo);
+    let (topo, routes) = (eng.topo(), eng.routes());
 
     let mut r = Report::default();
     say!(r, "=== E4: aggregated estimates vs direct measurements (ENS-Lyon) ===\n");

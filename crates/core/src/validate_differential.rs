@@ -34,8 +34,8 @@ fn map_scenario(sc: &SynthScenario) -> EnvView {
 
 /// Names the plan-side ops draw awkward clique members from.
 struct Names {
-    /// One name per forwarding node: a member that is a core node of the
-    /// route table, with no access link.
+    /// One name per forwarding node: a member that other members' routes
+    /// pass through, not only end at.
     routers: Vec<String>,
     /// Two different names of one node (a dual-homed gateway).
     aliases: Vec<(String, String)>,

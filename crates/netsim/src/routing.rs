@@ -97,96 +97,221 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Sentinel in the tables below: no predecessor (the source's own entry, or
-/// an unreachable node), no row, no access link.
+/// Sentinel in the tables below: no link, no parent, no row entry (the
+/// source's own, or an unreachable node's).
 const NONE: u32 = u32::MAX;
 
-/// All-sources shortest-path trees, precomputed at simulator start.
+/// Tag bit of [`Slot::up`]: the node is in the 2-core, and the low bits are
+/// its row and column in `prev_link`.
+const IN_K: u32 = 1 << 31;
+
+/// Flag bits of [`Slot::root`], above the root's node id.
+const BLOCKED: u32 = 1 << 31;
+const FORWARDS: u32 = 1 << 30;
+/// The root's node id, below the flag bits.
+const ID: u32 = FORWARDS - 1;
+
+/// One node's place in the forest of trees hanging off the 2-core: what a
+/// walk reads at each hop, in 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The node id of the root of the node's tree (itself for a root),
+    /// `| FORWARDS` when the node forwards, `| BLOCKED` when some proper
+    /// ancestor does not.
+    root: u32,
+    /// A tree node's link toward its parent; `IN_K | index` for a node of
+    /// the 2-core; `NONE` for the root of a component without a 2-core.
+    up: u32,
+    /// Euler-tour interval `[tin, tout)`: entry times of the node's subtree.
+    tin: u32,
+    tout: u32,
+}
+
+impl Slot {
+    /// The node's row and column in `prev_link`, if it is in K.
+    #[inline]
+    fn k(&self) -> Option<usize> {
+        (self.up != NONE && self.up & IN_K != 0).then_some((self.up & !IN_K) as usize)
+    }
+
+    /// Whether the node entered at `t` is this node or below it.
+    #[inline]
+    fn holds(&self, t: u32) -> bool {
+        self.tin <= t && t < self.tout
+    }
+}
+
+/// Shortest-path routes for every ordered node pair, precomputed at
+/// simulator start: Dijkstra rows where the graph has cycles, parent links
+/// everywhere else.
 ///
-/// Only **core** nodes own a tree: every node that forwards, has ≠ 1
-/// neighbour, or whose only neighbour does not forward. Storage is one flat
-/// `u32` per ordered core pair: the dense id of the last link on the best
-/// path `src → node` (`NONE` for the source itself and for unreachable
-/// nodes). The predecessor *node* is not stored — it is recovered as
-/// `link.peer(cur)`, which is why the walking accessors take the topology.
+/// Repeatedly removing every node with at most one live link (parallel links
+/// count separately, so they form a cycle) leaves the **2-core** K. Every
+/// removed node hangs in a tree rooted at the one node of K it was attached
+/// through, or, in a component whose 2-core is empty, at the node removed
+/// last. A tree node keeps its parent and the link to it, its root, and its
+/// Euler-tour interval; children are stored in one CSR array in entry-time
+/// order. The child of `x` toward `v` is a few parent steps up from `v`,
+/// or, when `x` is far above, a binary search over `x`'s children. Only K
+/// owns rows: one `u32` per ordered K pair, the dense id
+/// of the last link on the best path within K (`NONE` for the source
+/// itself and for unreachable nodes). Memory is O(n + |K|²); every platform
+/// the repo synthesises is a tree, so K is empty and the campus-5000 table
+/// is 0.17 MiB where per-forwarder rows took 7.9 MiB.
 ///
-/// A **leaf** — non-forwarding, exactly one link, to a forwarder: every
-/// plain host — keeps only that access link and borrows its gateway's row.
-/// A route is composed as *dst access link → walk of the source gateway's
-/// row → src access link*, so the table costs C² entries for C core nodes
-/// instead of n² (campus-5000: n = 6 439, C = 1 438, 158 MiB → 8 MiB), and
-/// per-source rows are computed on independent workers.
+/// A route is *parent links up from `dst` to its root → the row of `src`'s
+/// root → children down to `src`*, or, when both ends hang in one tree, up
+/// from `dst` to the lowest common ancestor and down to `src`. Intermediate
+/// nodes must forward: in K that is the Dijkstra rule; in a tree a node
+/// with no non-forwarding ancestor is clear at once, and otherwise its side
+/// of the path is checked up to the common ancestor. The predecessor
+/// *node* of a hop is recovered as `link.peer(cur)`, which is why the
+/// walking accessors take the topology.
 ///
-/// The composition equals a Dijkstra from the leaf itself because routing
-/// weights are finite and ≥ 0 ([`TopologyBuilder::build`] rejects anything
-/// else): the leaf's tree is its gateway's tree with every distance offset
-/// by the one access weight, and nothing relaxes back through the leaf.
-/// With integer weights (all this repo ships) the offset is exact in `f64`,
-/// so order, ties and every strict `<` are preserved and the routes are
-/// identical. With non-integer weights both answers are still shortest
-/// paths; only a near-tie inside one rounding error may break differently.
+/// Every answer equals a Dijkstra from the source over the whole graph. A
+/// tree path is the only simple path between its ends, so weights cannot
+/// pick another. A shortest path between two K nodes never enters a tree
+/// (it would have to leave over the link it came in by), and tree nodes
+/// never shorten a K distance, so the K-only Dijkstra pops and relaxes the
+/// K nodes in the same order as the whole-graph run — ties included, since
+/// both break them by node id. A source in a tree reaches K through its
+/// root, so its distances to K are the root's offset by the weight of its
+/// tree path: routing weights are finite and ≥ 0 ([`TopologyBuilder::build`]
+/// rejects anything else), and with integer weights (all this repo ships)
+/// the offset is exact in `f64`, so order, ties and every strict `<` are
+/// preserved and the routes are identical. With non-integer weights both
+/// answers are still shortest paths; only a near-tie inside one rounding
+/// error may break differently.
 ///
 /// [`TopologyBuilder::build`]: crate::topology::TopologyBuilder::build
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    /// Number of core nodes: rows and columns of `prev_link`.
-    c: usize,
-    /// `row_of[node]`: a core node's own index, a leaf's gateway's, or
-    /// `NONE` for a leaf whose access link was down.
-    row_of: Vec<u32>,
-    /// `access[node]`: a leaf's only link, or `NONE` for a core node.
-    access: Vec<u32>,
-    /// `prev_link[row * c + core index]` = dense link id, or `NONE`.
+    /// Number of 2-core nodes: rows and columns of `prev_link`.
+    k: usize,
+    /// `prev_link[row * k + col]` = dense link id, or `NONE`.
     prev_link: Vec<u32>,
+    /// One [`Slot`] per node the table was computed for.
+    slots: Vec<Slot>,
+    /// `parent[v]`: a tree node's parent, `NONE` for a root.
+    parent: Vec<u32>,
+    /// The children of node `v` are `child[child_off[v]..child_off[v + 1]]`,
+    /// in ascending entry time.
+    child_off: Vec<u32>,
+    child: Vec<u32>,
 }
 
 impl RouteTable {
-    /// Run Dijkstra from every core node. Weights are the links' directed
-    /// routing weights; intermediate nodes must be forwarders. Uses every
-    /// core the process is allowed (see
+    /// Routes over every node. Weights are the links' directed routing
+    /// weights; intermediate nodes must be forwarders. Uses every core the
+    /// process is allowed for the 2-core's rows (see
     /// [`compute_with_threads`](Self::compute_with_threads)).
     pub fn compute(topo: &Topology) -> Self {
         let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         Self::compute_with_threads(topo, threads)
     }
 
-    /// [`compute`](Self::compute) with an explicit worker count. Per-source
-    /// trees are independent, so the table is bit-identical for every
-    /// `threads` value — workers own disjoint row ranges of the flat table.
+    /// [`compute`](Self::compute) with an explicit worker count for the
+    /// 2-core's Dijkstra rows. Per-source rows are independent, so the table
+    /// is bit-identical for every `threads` value — workers own disjoint row
+    /// ranges of the flat table. The trees are built on the calling thread.
     pub fn compute_with_threads(topo: &Topology, threads: usize) -> Self {
+        const PEELED: u32 = u32::MAX;
         let n = topo.node_count();
-        let mut row_of = vec![NONE; n];
-        let mut access = vec![NONE; n];
-        // Core indices ascend with node ids, so the heap's node-id
-        // tie-break orders core nodes exactly as a whole-graph run would.
-        let mut core = Vec::new();
-        for u in (0..n as u32).map(NodeId) {
-            match *topo.neighbours(u) {
-                [(l, gw)] if !topo.node(u).forwards && topo.node(gw).forwards => {
-                    access[u.index()] = l.raw();
-                }
-                _ => {
-                    row_of[u.index()] = core.len() as u32;
-                    core.push(u);
+        let live = |v: usize| {
+            let links = topo.neighbours(NodeId(v as u32)).iter();
+            links.filter(|&&(l, _)| topo.link(l).up).map(|&(l, u)| (l.raw(), u.index()))
+        };
+        // Peel nodes with at most one live link until only K is left. `deg`
+        // counts a node's live links to nodes not yet peeled (`PEELED` once
+        // it is); a peeled node's one remaining neighbour is its parent.
+        let mut slots = vec![Slot { root: NONE, up: NONE, tin: 0, tout: 0 }; n];
+        let mut parent = vec![NONE; n];
+        let mut deg: Vec<u32> = (0..n).map(|v| live(v).count() as u32).collect();
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| deg[v as usize] <= 1).collect();
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            deg[v as usize] = PEELED;
+            if let Some((l, p)) = live(v as usize).find(|&(_, p)| deg[p] != PEELED) {
+                (slots[v as usize].up, parent[v as usize]) = (l, p as u32);
+                deg[p] -= 1;
+                if deg[p] == 1 {
+                    queue.push(p as u32);
                 }
             }
         }
-        let c = core.len();
-        let mut prev_link = vec![NONE; c * c];
-        let threads = threads.clamp(1, c.max(1));
-        if c > 0 {
-            let rows_per = c.div_ceil(threads);
-            let (core, core_of) = (&core, &row_of);
+        let mut k = 0;
+        for (slot, _) in slots.iter_mut().zip(&deg).filter(|&(_, &d)| d != PEELED) {
+            slot.up = IN_K | k;
+            k += 1;
+        }
+        drop((deg, queue));
+
+        // Children in CSR, ascending node id under each parent: counts land
+        // at `child_off[p + 2]`, and the fill advances `child_off[p + 1]`
+        // from p's first slot to p + 1's.
+        let mut child_off = vec![0u32; n + 2];
+        for &p in parent.iter().filter(|&&p| p != NONE) {
+            child_off[p as usize + 2] += 1;
+        }
+        for i in 2..child_off.len() {
+            child_off[i] += child_off[i - 1];
+        }
+        let mut child = vec![0u32; child_off[n + 1] as usize];
+        for (v, &p) in parent.iter().enumerate().filter(|&(_, &p)| p != NONE) {
+            let next = &mut child_off[p as usize + 1];
+            child[*next as usize] = v as u32;
+            *next += 1;
+        }
+        child_off.pop();
+
+        // Depth-first from every root: entry times, and each node's root
+        // and flags.
+        let forwards = |v: usize| if topo.node(NodeId(v as u32)).forwards { FORWARDS } else { 0 };
+        let mut stack: Vec<(usize, u32)> = Vec::new();
+        let mut t = 0;
+        for r in 0..n {
+            if parent[r] != NONE {
+                continue;
+            }
+            slots[r].root = r as u32 | forwards(r);
+            slots[r].tin = t;
+            t += 1;
+            stack.push((r, child_off[r]));
+            while let Some(&(v, pos)) = stack.last() {
+                if pos == child_off[v + 1] {
+                    slots[v].tout = t;
+                    stack.pop();
+                    continue;
+                }
+                stack.last_mut().expect("just read").1 += 1;
+                let c = child[pos as usize] as usize;
+                let up = slots[v].root & (BLOCKED | FORWARDS);
+                let blocked = if up == FORWARDS { 0 } else { BLOCKED };
+                (slots[c].root, slots[c].tin) = (r as u32 | blocked | forwards(c), t);
+                t += 1;
+                stack.push((c, child_off[c]));
+            }
+        }
+
+        let k = k as usize;
+        let mut prev_link = vec![NONE; k * k];
+        let threads = threads.clamp(1, k.max(1));
+        if k > 0 {
+            let core: Vec<NodeId> =
+                (0..n as u32).map(NodeId).filter(|v| slots[v.index()].k().is_some()).collect();
+            let rows_per = k.div_ceil(threads);
+            let (core, slots) = (&core, &slots);
             std::thread::scope(|s| {
                 let mut workers = Vec::with_capacity(threads);
-                for (chunk_idx, rows) in prev_link.chunks_mut(rows_per * c).enumerate() {
+                for (chunk_idx, rows) in prev_link.chunks_mut(rows_per * k).enumerate() {
                     let first_src = chunk_idx * rows_per;
                     workers.push(s.spawn(move || {
-                        let mut dist = vec![f64::INFINITY; c];
+                        let mut dist = vec![f64::INFINITY; k];
                         let mut heap = BinaryHeap::new();
-                        for (row_idx, row) in rows.chunks_mut(c).enumerate() {
+                        for (row_idx, row) in rows.chunks_mut(k).enumerate() {
                             let src = core[first_src + row_idx];
-                            dijkstra_row(topo, core_of, src, row, &mut dist, &mut heap);
+                            dijkstra_row(topo, slots, src, row, &mut dist, &mut heap);
                         }
                     }));
                 }
@@ -199,36 +324,86 @@ impl RouteTable {
                 }
             });
         }
-        // A leaf whose access link is up borrows its gateway's row.
-        for (u, &l) in access.iter().enumerate().filter(|&(_, &l)| l != NONE) {
-            let link = topo.link(LinkId::from_raw(l));
-            if link.up {
-                let gw = link.peer(NodeId(u as u32)).expect("access link touches its leaf");
-                row_of[u] = row_of[gw.index()];
+        RouteTable { k, prev_link, slots, parent, child_off, child }
+    }
+
+    /// Bytes held by the table (rows, per-node slots and the child index).
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.prev_link[..])
+            + std::mem::size_of_val(&self.slots[..])
+            + std::mem::size_of_val(&self.parent[..])
+            + std::mem::size_of_val(&self.child_off[..])
+            + std::mem::size_of_val(&self.child[..])
+    }
+
+    /// The child of `x` on the way down to `v` (`x` a proper ancestor of
+    /// `v`): parent steps up from `v` when `x` is near, else a binary
+    /// search over `x`'s children by entry time.
+    #[inline]
+    fn child_toward(&self, x: usize, v: usize) -> usize {
+        let mut c = v;
+        for _ in 0..SHALLOW {
+            match self.parent[c] as usize {
+                p if p == x => return c,
+                p => c = p,
             }
         }
-        RouteTable { c, row_of, access, prev_link }
+        let kids = &self.child[self.child_off[x] as usize..self.child_off[x + 1] as usize];
+        let t = self.slots[v].tin;
+        kids[kids.partition_point(|&c| self.slots[c as usize].tin <= t) - 1] as usize
     }
 
-    /// Bytes held by the table (rows plus the per-node maps).
-    pub fn table_bytes(&self) -> usize {
-        (self.prev_link.len() + self.row_of.len() + self.access.len()) * std::mem::size_of::<u32>()
+    /// Whether every node strictly inside `v`'s side of the tree path
+    /// `v → w` forwards: from `v`'s parent up to their lowest common
+    /// ancestor, which counts unless it is `w`. Cost: that side's length.
+    fn relays(&self, v: usize, w: usize) -> bool {
+        let t = self.slots[w].tin;
+        if self.slots[v].holds(t) {
+            return true;
+        }
+        let mut a = self.parent[v] as usize;
+        while !self.slots[a].holds(t) {
+            if self.slots[a].root & FORWARDS == 0 {
+                return false;
+            }
+            a = self.parent[a] as usize;
+        }
+        a == w || self.slots[a].root & FORWARDS != 0
     }
 
-    /// The row that routes `src → dst` (`src ≠ dst`), if there is a route; a
-    /// node the table has never seen is routed to nothing.
-    fn row(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        let row = *self.row_of.get(src.index())?;
-        let col = *self.row_of.get(dst.index())?;
-        let routed = row != NONE
-            && col != NONE
-            && (row == col || self.prev_link[row as usize * self.c + col as usize] != NONE);
-        routed.then_some(row as usize)
+    /// The row a route `src → dst` (`src ≠ dst`) walks through K — empty
+    /// when both ends hang in one tree — or `None` when there is no route.
+    /// A node the table has never seen is routed to nothing.
+    #[inline]
+    fn route(&self, src: NodeId, dst: NodeId) -> Option<&[u32]> {
+        let (rs, rd) = (self.slots.get(src.index())?.root, self.slots.get(dst.index())?.root);
+        // One tree and every ancestor forwards: every synth platform's case.
+        if (rs ^ rd) & ID == 0 && (rs | rd) & BLOCKED == 0 {
+            return Some(&[]);
+        }
+        self.route_across(src.index(), dst.index(), rs, rd)
+    }
+
+    /// [`route`](Self::route) for ends in two trees, or where a
+    /// non-forwarding ancestor may cut the path; `rs` and `rd` are their
+    /// slots' `root` words.
+    #[inline(never)]
+    fn route_across(&self, s: usize, d: usize, rs: u32, rd: u32) -> Option<&[u32]> {
+        if (rs ^ rd) & ID == 0 {
+            let clear = |r: u32, v, w| r & BLOCKED == 0 || self.relays(v, w);
+            return (clear(rs, s, d) && clear(rd, d, s)).then_some(&[][..]);
+        }
+        if (rs | rd) & BLOCKED != 0 {
+            return None;
+        }
+        let (ks, kd) = (self.slots[(rs & ID) as usize].k()?, self.slots[(rd & ID) as usize].k()?);
+        let row = &self.prev_link[ks * self.k..(ks + 1) * self.k];
+        (row[kd] != NONE).then_some(row)
     }
 
     /// Whether a physical route exists (ignores firewall rules).
     pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
-        src == dst || self.row(src, dst).is_some()
+        src == dst || self.route(src, dst).is_some()
     }
 
     /// The link over which the route `src → dst` arrives at `dst` — what
@@ -240,22 +415,21 @@ impl RouteTable {
         if src == dst {
             return None;
         }
-        let row = self.row(src, dst)?;
-        Some(self.hop_into(&self.prev_link[row * self.c..(row + 1) * self.c], src, dst))
+        let row = self.route(src, dst)?;
+        Some(self.hop_into(row, src, dst))
     }
 
     /// The last link of the route `src → cur` (`cur ≠ src`, reachable),
-    /// given the row of `src` or of its gateway. A leaf is entered over its
-    /// access link; core nodes follow the row until its own source, which a
-    /// leaf `src` hangs off.
+    /// given the row the route walks. Above `src` in its own tree the route
+    /// comes up from the child toward `src`; elsewhere a node of K is
+    /// entered over its row's link and a tree node from its parent.
     #[inline]
     fn hop_into(&self, row: &[u32], src: NodeId, cur: NodeId) -> LinkId {
-        let raw = match self.access[cur.index()] {
-            NONE => match row[self.row_of[cur.index()] as usize] {
-                NONE => self.access[src.index()],
-                prev => prev,
-            },
-            access => access,
+        let c = &self.slots[cur.index()];
+        let raw = if c.holds(self.slots[src.index()].tin) {
+            self.slots[self.child_toward(cur.index(), src.index())].up
+        } else {
+            c.k().map_or(c.up, |k| row[k])
         };
         debug_assert!(raw != NONE, "reachable implies a predecessor chain");
         LinkId::from_raw(raw)
@@ -275,8 +449,7 @@ impl RouteTable {
         let row = if src == dst {
             &[][..]
         } else {
-            let row = self.row(src, dst).ok_or(NetError::Unreachable { src, dst })?;
-            &self.prev_link[row * self.c..(row + 1) * self.c]
+            self.route(src, dst).ok_or(NetError::Unreachable { src, dst })?
         };
         Ok(HopsRev { topo, table: self, row, src, cur: dst })
     }
@@ -326,24 +499,25 @@ impl RouteTable {
     }
 }
 
-/// One core source's Dijkstra tree over the core nodes, written into its
-/// flat row of the table (`core_of` is `NONE` for a leaf, which never
-/// relays). `dist` and `heap` are caller-owned scratch reused across rows.
+/// One K source's Dijkstra tree over K, written into its flat row of the
+/// table (tree nodes never relay between K nodes and are skipped). `dist`
+/// and `heap` are caller-owned scratch reused across rows.
 fn dijkstra_row(
     topo: &Topology,
-    core_of: &[u32],
+    slots: &[Slot],
     src: NodeId,
     row: &mut [u32],
     dist: &mut [f64],
     heap: &mut BinaryHeap<HeapEntry>,
 ) {
+    let k_of = |v: NodeId| slots[v.index()].k();
     dist.fill(f64::INFINITY);
     heap.clear();
-    dist[core_of[src.index()] as usize] = 0.0;
+    dist[k_of(src).expect("rows belong to K")] = 0.0;
     heap.push(HeapEntry { dist: Dist(0.0), node: src });
 
     while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if d.0 > dist[core_of[u.index()] as usize] {
+        if d.0 > dist[k_of(u).expect("only K is queued")] {
             continue;
         }
         // Traffic may only be relayed through forwarding nodes.
@@ -351,27 +525,28 @@ fn dijkstra_row(
             continue;
         }
         for &(link_id, v) in topo.neighbours(u) {
-            let (cv, link) = (core_of[v.index()] as usize, topo.link(link_id));
-            // A leaf relays nothing: its routes are composed from this row.
-            if cv == NONE as usize || !link.up {
-                continue;
-            }
-            let w = link.weight_from(u);
-            let nd = d.0 + w;
-            if nd < dist[cv] {
-                dist[cv] = nd;
-                row[cv] = link_id.raw();
+            let link = topo.link(link_id);
+            // A tree node relays nothing between nodes of K.
+            let Some(kv) = k_of(v).filter(|_| link.up) else { continue };
+            let nd = d.0 + link.weight_from(u);
+            if nd < dist[kv] {
+                dist[kv] = nd;
+                row[kv] = link_id.raw();
                 heap.push(HeapEntry { dist: Dist(nd), node: v });
             }
         }
     }
 }
 
+/// Tree distance up to which parent steps find the child toward a node
+/// faster than a binary search over the children.
+const SHALLOW: usize = 16;
+
 /// Allocation-free reverse walk of one route (see [`RouteTable::hops_rev`]).
 pub struct HopsRev<'a> {
     topo: &'a Topology,
     table: &'a RouteTable,
-    /// The source's (or its gateway's) row of the table.
+    /// The K row of the source's root, if the route crosses K.
     row: &'a [u32],
     src: NodeId,
     cur: NodeId,

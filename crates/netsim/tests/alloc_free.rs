@@ -4,8 +4,9 @@
 //! simulator must stay within a small constant allocation budget per event
 //! (map bookkeeping), never the old O(flows) clones.
 //!
-//! The route table's walks are held to the same bar: leaf and core endpoints
-//! alike, `hops_rev` and a flow start over it must not allocate.
+//! The route table's walks are held to the same bar: through trees and
+//! through the 2-core alike, `hops_rev` and a flow start over it must not
+//! allocate.
 //!
 //! Everything runs inside a single #[test] so no concurrent test pollutes
 //! the global allocation counter.
@@ -144,12 +145,11 @@ fn steady_state_reallocate_does_not_allocate() {
     );
 
     // --- Route walks: strictly zero allocations -------------------------
-    // A leaf borrows its gateway's row of the route table, so a walk is
-    // composed: dst access link, core row, src access link. Each shape of
-    // walk, and the flow start the engine builds from it (intern every hop,
-    // admit, re-level), must stay off the heap.
-    // In a dumbbell the hosts are leaves of the table; the two switches and
-    // the two routers between them are its core.
+    // A walk is composed: parent links up from dst, a row of the 2-core,
+    // children down to src. Each shape of walk, and the flow start the
+    // engine builds from it (intern every hop, admit, re-level), must stay
+    // off the heap.
+    // A dumbbell is a tree, so its walks go through a common ancestor.
     let net = dumbbell(4, 4, Bandwidth::mbps(1000.0));
     let (topo, left, right) = (net.topo, net.hosts[0], net.hosts[7]);
     let (_, left_switch) = topo.neighbours(left)[0];
@@ -186,6 +186,38 @@ fn steady_state_reallocate_does_not_allocate() {
         "route walks and flow starts over them must not allocate, saw {delta} \
          allocations over 100 rounds"
     );
+
+    // The same through a 2-core: hosts on a ring of four routers, each
+    // walk host → ring row → host.
+    let mut b = TopologyBuilder::new();
+    let ring: Vec<NodeId> =
+        (0..4).map(|r| b.router(&format!("r{r}.ring"), &format!("10.{r}.0.1"))).collect();
+    let ends: Vec<NodeId> = (0..4)
+        .map(|r| {
+            b.link(ring[r], ring[(r + 1) % 4], Bandwidth::mbps(1000.0), Latency::micros(10.0));
+            let host = b.host(&format!("h{r}.ring"), &format!("10.{r}.0.2"));
+            b.link(host, ring[r], Bandwidth::mbps(100.0), Latency::micros(10.0));
+            host
+        })
+        .collect();
+    let topo = b.build().unwrap();
+    let routes = RouteTable::compute(&topo);
+    let walk_all = || {
+        let mut hops = 0;
+        for &src in &ends {
+            for &dst in &ends {
+                hops += routes.hops_rev(&topo, src, dst).unwrap().count();
+            }
+        }
+        assert_eq!(hops, 4 * (3 + 4 + 3));
+    };
+    walk_all();
+    let before = allocations();
+    for _ in 0..100 {
+        walk_all();
+    }
+    let delta = allocations() - before;
+    assert_eq!(delta, 0, "walks through the 2-core must not allocate, saw {delta} allocations");
 
     // --- Full simulator: small constant budget per event ---------------
     // The engine proper still does id-map and outcome bookkeeping per

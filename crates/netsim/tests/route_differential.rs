@@ -1,8 +1,9 @@
-//! Differential test of the core/leaf [`RouteTable`] against the layout it
-//! replaced: one Dijkstra from *every* node and one predecessor link per
+//! Differential test of the 2-core/tree [`RouteTable`] against the plainest
+//! layout: one Dijkstra from *every* node and one predecessor link per
 //! ordered node pair. That n×n table lives on here, test-local, as the
 //! oracle; every ordered pair of every platform below must get the same
-//! `reachable`, the same `path` and the same `latency_and_bottleneck`.
+//! `reachable`, the same `last_hop`, the same `path` and the same
+//! `latency_and_bottleneck`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -85,11 +86,13 @@ fn assert_same_routes(topo: &Topology, table: &RouteTable) {
             let Some(hops) = oracle.hops_rev(topo, src, dst) else {
                 let no_route = NetError::Unreachable { src, dst };
                 assert!(!table.reachable(src, dst), "{src} → {dst}");
+                assert_eq!(table.last_hop(src, dst), None, "{src} → {dst}");
                 assert_eq!(table.path(topo, src, dst), Err(no_route.clone()));
                 assert_eq!(table.latency_and_bottleneck(topo, src, dst), Err(no_route));
                 continue;
             };
             assert!(table.reachable(src, dst), "{src} → {dst}");
+            assert_eq!(table.last_hop(src, dst), hops.first().map(|&(_, l)| l), "{src} → {dst}");
 
             let mut path = Path { nodes: vec![dst], links: Vec::new() };
             let mut secs = 0.0;
@@ -121,7 +124,7 @@ fn synth_families_route_as_the_all_sources_table() {
             let table = RouteTable::compute(&topo);
             assert!(
                 table.table_bytes() < topo.node_count() * topo.node_count(),
-                "{}: most nodes of a synth platform are leaves",
+                "{}: most nodes of a synth platform hang in trees",
                 family.name()
             );
             assert_same_routes(&topo, &table);
@@ -150,13 +153,55 @@ fn table_is_the_same_for_every_worker_count() {
 }
 
 #[test]
-fn campus_5000_table_fits_in_16_mib() {
+fn campus_5000_table_is_linear_in_nodes() {
     let topo = synth_campus(2004, 5000).net.topo;
     let table = RouteTable::compute(&topo);
-    let mib = table.table_bytes() as f64 / (1024.0 * 1024.0);
-    assert!(mib <= 16.0, "campus-5000 route table is {mib:.1} MiB");
+    let (bytes, n) = (table.table_bytes(), topo.node_count());
+    assert!(bytes <= 32 * n, "campus-5000 route table is {bytes} bytes for {n} nodes");
     // The all-sources layout would have been 4·n² bytes.
-    assert!(4 * topo.node_count() * topo.node_count() > 150 << 20);
+    assert!(4 * n * n > 150 << 20);
+}
+
+/// A 50 000-host campus, about 64 k nodes. Synthesising it is too slow for
+/// the debug profile; CI runs this file under `--release` as well.
+#[cfg(not(debug_assertions))]
+#[test]
+fn campus_50000_table_fits_in_16_mib() {
+    let sc = synth_campus(2004, 50_000);
+    let (topo, hosts) = (&sc.net.topo, &sc.net.hosts);
+    let table = RouteTable::compute(topo);
+    let mib = table.table_bytes() as f64 / (1024.0 * 1024.0);
+    assert!(mib <= 16.0, "campus-50000 route table is {mib:.1} MiB");
+    for &h in &hosts[1..] {
+        assert!(table.reachable(hosts[0], h) && table.reachable(h, hosts[0]), "{h}");
+    }
+}
+
+/// A chain of 70 routers with a host on each, hung off a two-router cycle
+/// (the tree below it is 71 levels deep) and standing alone.
+#[test]
+fn deep_chain_routes_as_the_all_sources_table() {
+    let (fast, lat) = (Bandwidth::mbps(1000.0), Latency::micros(100.0));
+    for with_cycle in [true, false] {
+        let mut b = TopologyBuilder::new();
+        let mut above = b.router("r0.chain", "10.0.0.1");
+        if with_cycle {
+            let peer = b.router("peer.chain", "10.1.0.1");
+            b.link(above, peer, fast, lat);
+            b.link(peer, above, fast, lat);
+            let host = b.host("h.peer.chain", "10.1.0.2");
+            b.link(host, peer, fast, lat);
+        }
+        for depth in 1..=70 {
+            let router = b.router(&format!("r{depth}.chain"), &format!("10.0.{depth}.1"));
+            b.link(router, above, fast, lat);
+            let host = b.host(&format!("h{depth}.chain"), &format!("10.0.{depth}.2"));
+            b.link(host, router, fast, lat);
+            above = router;
+        }
+        let topo = b.build().unwrap();
+        assert_same_routes(&topo, &RouteTable::compute(&topo));
+    }
 }
 
 #[test]
@@ -198,12 +243,14 @@ fn churn_then_recompute_routes_as_the_all_sources_table() {
     }
 }
 
-/// A small platform mixing every attachment the core/leaf rule has to
-/// classify: routers on a weighted ring (asymmetric weights, ties), hub and
-/// switch LANs of plain hosts, a multi-homed host, a forwarding gateway
-/// host with a private LAN behind it, two hosts on a direct link, a host
-/// hanging off a plain host, an isolated host — then some links downed,
-/// among them the only link of a leaf.
+/// A small platform mixing every attachment the 2-core/tree rule has to
+/// place: routers on a weighted ring (asymmetric weights, ties) and a
+/// router joined to it by two parallel zero-weight links, hub and switch
+/// LANs of plain hosts, a multi-homed host, a forwarding gateway host with
+/// a private LAN behind it and a second forwarding host behind that, two
+/// hosts on a direct link, a host hanging off a plain host, a tree five
+/// levels below a router with a plain host in its middle, an isolated
+/// host — then some links downed, among them the only link of a leaf.
 fn platform(lans: &[usize], dice: &[usize]) -> Topology {
     const WEIGHTS: [f64; 5] = [1.0, 5.0, 10.0, 50.0, 100.0];
     let mut dice = dice.iter().copied().cycle();
@@ -258,6 +305,38 @@ fn platform(lans: &[usize], dice: &[usize]) -> Topology {
     links.push(b.attach(near, infra[roll(infra.len())]));
     links.push(b.link(near, far, fast, lat));
     b.host("alone.x", "10.203.0.1");
+    // A switch behind a switch behind a LAN router, a host on each; behind
+    // the plain host `mid` on the inner one, a switch of two hosts, which
+    // reach `mid` and each other but nothing beyond it.
+    let outer = b.switch("outer", Bandwidth::mbps(100.0), lat);
+    let inner = b.switch("inner", Bandwidth::mbps(100.0), lat);
+    links.push(b.attach(routers[roll(routers.len())], outer));
+    links.push(b.attach(inner, outer));
+    let on_outer = b.host("o.x", "10.204.0.1");
+    leaf_ports.push(b.attach(on_outer, outer));
+    let mid = b.host("mid.x", "10.204.0.2");
+    links.push(b.attach(mid, inner));
+    let under = b.switch("under", Bandwidth::mbps(100.0), lat);
+    links.push(b.link(mid, under, fast, lat));
+    for h in 0..2 {
+        let host = b.host(&format!("u{h}.x"), &format!("10.204.1.{}", h + 1));
+        leaf_ports.push(b.attach(host, under));
+    }
+    // A forwarding host behind the gateway host, with a host behind it.
+    let gw2 = b.host("gw2.private", "192.168.0.20");
+    b.set_forwards(gw2, true);
+    links.push(b.attach(gw2, private));
+    let behind2 = b.host("behind2.private", "192.168.1.2");
+    leaf_ports.push(b.link(behind2, gw2, fast, lat));
+    // Two parallel zero-weight links: a cycle of weight 0, so ties.
+    let (rz, ring) = (b.router("rz.x", "10.205.0.1"), routers[roll(routers.len())]);
+    for _ in 0..2 {
+        let l = b.link(ring, rz, fast, lat);
+        b.set_weights(l, 0.0, 0.0);
+        links.push(l);
+    }
+    let hz = b.host("hz.x", "10.205.0.2");
+    leaf_ports.push(b.link(hz, rz, fast, lat));
 
     let mut topo = b.build().unwrap();
     for _ in 0..roll(4) {
