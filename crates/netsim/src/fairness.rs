@@ -447,6 +447,114 @@ struct Scratch {
     saturated: Vec<ResourceId>,
     /// Slots whose committed rate changed in the last reallocate.
     changed: Vec<u32>,
+
+    // The last max-min fill's log, which the next fill resumes from when
+    // flows have only departed since (see `FairEngine::resume_round`).
+    /// Whether the log describes the live flows minus `departed`: false
+    /// after an admission, a capacity or model change, a stuck exit or an
+    /// equal-share fill.
+    resumable: bool,
+    /// Keys removed since the last fill.
+    departed: Vec<u32>,
+    /// Per-slot round in which the flow froze.
+    freeze_round: Vec<u32>,
+    /// Per-round `delta`; a round's `level` is their sum so far, added in
+    /// order as the fill added them.
+    deltas: Vec<f64>,
+    /// Checkpoint `c` (1-based) is `remaining` at the top of round
+    /// `c * CHECKPOINT_ROUNDS` of every resource still in the round list,
+    /// at `ck_rem[slot * ck_stride + ck_row[r]]` with `slot = c %
+    /// CHECKPOINTS`, the slot holding it while `ck_block[slot] == c`.
+    ck_rem: Vec<f64>,
+    ck_block: [usize; CHECKPOINTS],
+    /// Per-resource row: its position in the round list at checkpoint 1,
+    /// which lists every resource a later checkpoint does.
+    ck_row: Vec<u32>,
+    ck_stride: usize,
+    /// The departed flows' resources, one entry per (flow, resource).
+    patch: Vec<ResourceId>,
+    /// Per-round count of one resource's members that froze in that round.
+    hist: Vec<u32>,
+    /// The round each max-min fill started from.
+    #[cfg(test)]
+    starts: Vec<usize>,
+}
+
+/// Rounds between two checkpoints of the fill log. A resume re-runs on
+/// average half an interval below the departed flow's freeze round, and
+/// the log stores one checkpoint per interval, so the interval trades
+/// rounds re-run against checkpoint memory; DESIGN.md §2 has the figures.
+const CHECKPOINT_ROUNDS: usize = 8;
+
+/// Checkpoints kept: the last ones written. A departing flow is one of the
+/// fastest, so it froze in the fill's last rounds; one below them costs a
+/// fill from round 0.
+const CHECKPOINTS: usize = 4;
+
+impl Scratch {
+    /// Where checkpoint `c` starts in `ck_rem`, if it is still kept.
+    fn checkpoint(&self, c: usize) -> Option<usize> {
+        let slot = c % CHECKPOINTS;
+        (self.ck_block[slot] == c).then_some(slot * self.ck_stride)
+    }
+
+    /// Replay resource `r` through rounds `0..from` of the logged fill,
+    /// twice from its capacity: with the `gone` departed flows, as the
+    /// logged fill saw it, and with the `users` members it has now. Writes
+    /// the second into every kept checkpoint up to `from`. False when either
+    /// share is not strictly above a round's `delta` (it could have been,
+    /// or could become, the binding term) or the resource would saturate.
+    fn replay(
+        &mut self,
+        table: &ResourceTable,
+        r: ResourceId,
+        users: u32,
+        gone: u32,
+        from: usize,
+    ) -> bool {
+        let ri = r.index();
+        // `hist[t]`: members now crossing `r` that froze in round `t`.
+        self.hist.clear();
+        self.hist.resize(from, 0);
+        let end = self.start[ri] as usize;
+        for m in end - users as usize..end {
+            let round = self.freeze_round[self.members[m] as usize] as usize;
+            if round < from {
+                self.hist[round] += 1;
+            }
+        }
+        let (mut logged, mut now) = (table.capacity[ri], table.capacity[ri]);
+        let mut unfrozen = users;
+        for t in 0..from {
+            let delta = self.deltas[t];
+            if logged / (unfrozen + gone) as f64 <= delta {
+                return false;
+            }
+            for _ in 0..unfrozen + gone {
+                logged -= delta;
+            }
+            if unfrozen > 0 {
+                if now / unfrozen as f64 <= delta {
+                    return false;
+                }
+                for _ in 0..unfrozen {
+                    now -= delta;
+                }
+                if now <= table.freeze_eps[ri] {
+                    return false;
+                }
+                unfrozen -= self.hist[t];
+            }
+            // The departed flows kept `r` in the round list up to `from`,
+            // so it has a row.
+            if (t + 1).is_multiple_of(CHECKPOINT_ROUNDS) {
+                if let Some(base) = self.checkpoint((t + 1) / CHECKPOINT_ROUNDS) {
+                    self.ck_rem[base + self.ck_row[ri] as usize] = now;
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Incrementally-maintained fair-allocation engine: the hot-path
@@ -500,6 +608,7 @@ impl FairEngine {
                 remaining: vec![0.0; n],
                 unfrozen: vec![0; n],
                 start: vec![0; n],
+                ck_row: vec![0; n],
                 ..Scratch::default()
             },
         }
@@ -517,6 +626,7 @@ impl FairEngine {
     /// the from-scratch path did.
     pub fn set_model(&mut self, model: FairnessModel) {
         self.model = model;
+        self.scratch.resumable = false;
     }
 
     /// Re-read resource capacities from the topology (whose structure must
@@ -536,6 +646,7 @@ impl FairEngine {
             table.capacity[i] = cap;
             table.freeze_eps[i] = EPS * cap.max(1.0);
         }
+        self.scratch.resumable = false;
     }
 
     /// Bring the engine in sync with a topology that may have *grown* (new
@@ -557,6 +668,8 @@ impl FairEngine {
         self.scratch.remaining.resize(n, 0.0);
         self.scratch.unfrozen.resize(n, 0);
         self.scratch.start.resize(n, 0);
+        self.scratch.ck_row.resize(n, 0);
+        self.scratch.resumable = false;
     }
 
     pub fn flow_count(&self) -> usize {
@@ -623,6 +736,8 @@ impl FairEngine {
         slot.rate = 0.0;
         slot.alive = true;
         self.live.push(key);
+        self.scratch.resumable = false;
+        self.scratch.departed.clear();
         for i in 0..self.slots[key as usize].resources.len() {
             let r = self.slots[key as usize].resources[i];
             self.users[r.index()] += 1;
@@ -653,6 +768,7 @@ impl FairEngine {
         // flows (and bit-for-bit agreement with the oracle's demand order).
         self.live.remove(pos);
         self.free.push(key);
+        self.scratch.departed.push(key);
     }
 
     /// Keys whose committed rate changed in the last
@@ -665,19 +781,40 @@ impl FairEngine {
     /// committed rate changed are readable via [`changed`](Self::changed).
     /// Allocation-free once scratch has grown to the high-water flow count.
     pub fn reallocate(&mut self) {
-        // Grow per-slot scratch to the slot high-water mark (no-ops in
-        // steady state).
-        let n_slots = self.slots.len();
-        if self.scratch.work.len() < n_slots {
-            self.scratch.work.resize(n_slots, 0.0);
-            self.scratch.frozen.resize(n_slots, false);
+        // Grow scratch to the high-water marks (no-ops in steady state): per
+        // slot, and the fill log with it, since a fill runs at most one
+        // round per live flow; the checkpoints by active resources; the
+        // departed flows' resource list by their paths. Only an admission
+        // raises the first two, and an admission discards the log, so the
+        // checkpoints are replaced rather than copied.
+        fn reserve<T>(v: &mut Vec<T>, cap: usize) {
+            v.reserve(cap.saturating_sub(v.len()));
         }
+        let s = &mut self.scratch;
+        let n_slots = self.slots.len();
+        if s.work.len() < n_slots {
+            s.work.resize(n_slots, 0.0);
+            s.frozen.resize(n_slots, false);
+            s.freeze_round.resize(n_slots, 0);
+            reserve(&mut s.departed, n_slots);
+            reserve(&mut s.deltas, n_slots);
+            reserve(&mut s.hist, n_slots);
+        }
+        let ck = CHECKPOINTS * self.active.len();
+        if s.ck_rem.capacity() < ck {
+            s.ck_rem = Vec::with_capacity(ck);
+            s.resumable = false;
+        }
+        let refs = s.departed.iter().map(|&k| self.slots[k as usize].resources.len()).sum();
+        reserve(&mut s.patch, refs);
+
         match self.model {
             FairnessModel::MaxMin => self.reallocate_max_min(),
             FairnessModel::BottleneckEqualShare => self.reallocate_equal_share(),
         }
         // Commit, collecting changed flows.
         let s = &mut self.scratch;
+        s.departed.clear();
         s.changed.clear();
         for &k in &self.live {
             let slot = &mut self.slots[k as usize];
@@ -696,10 +833,15 @@ impl FairEngine {
     /// chain of subtractions runs in a register — repeated, never
     /// `u * delta`, which rounds differently. And a resource that saturates
     /// freezes its own members through the flows-by-resource table.
+    ///
+    /// The fill starts from round 0, or, when flows have only departed
+    /// since the last fill, from the checkpoint `resume_round` picks: the
+    /// rounds below it are the last fill's.
     fn reallocate_max_min(&mut self) {
-        fn freeze(s: &mut Scratch, slot: &FlowSlot, k: u32, level: f64) {
+        fn freeze(s: &mut Scratch, slot: &FlowSlot, k: u32, level: f64, round: usize) {
             s.frozen[k as usize] = true;
             s.work[k as usize] = level;
+            s.freeze_round[k as usize] = round as u32;
             for &r in &slot.resources {
                 s.unfrozen[r.index()] -= 1;
             }
@@ -712,8 +854,6 @@ impl FairEngine {
             s.start[r.index()] = total;
             total += self.users[r.index()];
         }
-        s.round.clear();
-        s.round.extend_from_slice(&self.active);
         // Counting sort: each flow drops its key at its resources' cursors,
         // which end up one past each resource's run of members.
         s.members.resize(total as usize, 0);
@@ -727,11 +867,44 @@ impl FairEngine {
                 s.start[r.index()] += 1;
             }
         }
+
+        let from = self.resume_round();
+        let s = &mut self.scratch;
+        #[cfg(test)]
+        s.starts.push(from);
         let mut level = 0.0f64;
         let mut unfrozen_flows = self.live.len();
+        s.round.clear();
+        if from == 0 {
+            s.round.extend_from_slice(&self.active);
+            s.deltas.clear();
+            s.ck_block = [0; CHECKPOINTS];
+        } else {
+            // Restore the flows frozen below the checkpoint, then the
+            // resources their freezes leave in the round list.
+            level = s.deltas[..from].iter().fold(0.0, |level, delta| level + delta);
+            s.deltas.truncate(from);
+            for &k in &self.live {
+                if (s.freeze_round[k as usize] as usize) < from {
+                    s.frozen[k as usize] = true;
+                    for &r in &self.slots[k as usize].resources {
+                        s.unfrozen[r.index()] -= 1;
+                    }
+                    unfrozen_flows -= 1;
+                }
+            }
+            let base = s.checkpoint(from / CHECKPOINT_ROUNDS).expect("resume_round checked");
+            for &r in &self.active {
+                if s.unfrozen[r.index()] > 0 {
+                    s.remaining[r.index()] = s.ck_rem[base + s.ck_row[r.index()] as usize];
+                    s.round.push(r);
+                }
+            }
+        }
 
         // Each round freezes at least one flow (or bails on numerical
         // stagnation), so this terminates in <= live.len() rounds.
+        let mut t = from;
         while unfrozen_flows > 0 {
             // The uniform increment all unfrozen flows can still take,
             // scanning only resources that still carry unfrozen users.
@@ -747,6 +920,21 @@ impl FairEngine {
                 delta = delta.min(s.remaining[r.index()] / u as f64);
                 i += 1;
             }
+            if t.is_multiple_of(CHECKPOINT_ROUNDS) && t > from {
+                let c = t / CHECKPOINT_ROUNDS;
+                if c == 1 {
+                    for (i, &r) in s.round.iter().enumerate() {
+                        s.ck_row[r.index()] = i as u32;
+                    }
+                    s.ck_stride = s.round.len();
+                    s.ck_rem.resize(CHECKPOINTS * s.ck_stride, 0.0);
+                }
+                let base = c % CHECKPOINTS * s.ck_stride;
+                for &r in &s.round {
+                    s.ck_rem[base + s.ck_row[r.index()] as usize] = s.remaining[r.index()];
+                }
+                s.ck_block[c % CHECKPOINTS] = c;
+            }
             if any_cap {
                 for &k in &self.live {
                     if !s.frozen[k as usize] {
@@ -757,6 +945,7 @@ impl FairEngine {
             debug_assert!(delta.is_finite(), "unfrozen flow with no binding constraint");
             let delta = delta.max(0.0);
             level += delta;
+            s.deltas.push(delta);
 
             // Saturation is decided for every resource before any flow
             // freezes: a freeze lowers `unfrozen` on the flow's other
@@ -779,7 +968,7 @@ impl FairEngine {
                 for m in end - self.users[r] as usize..end {
                     let k = s.members[m];
                     if !s.frozen[k as usize] {
-                        freeze(s, &self.slots[k as usize], k, level);
+                        freeze(s, &self.slots[k as usize], k, level, t);
                         unfrozen_flows -= 1;
                     }
                 }
@@ -788,22 +977,85 @@ impl FairEngine {
                 for &k in &self.live {
                     let slot = &self.slots[k as usize];
                     if !s.frozen[k as usize] && level + EPS >= slot.cap {
-                        freeze(s, slot, k, level);
+                        freeze(s, slot, k, level, t);
                         unfrozen_flows -= 1;
                     }
                 }
             }
             if unfrozen_flows == before {
                 // delta was 0 without progress — numerically stuck; stop
-                // raising rates (everything keeps its current share).
+                // raising rates (everything keeps its current share). The
+                // flows left unfrozen have no freeze round to resume from.
                 for &k in &self.live {
                     if !s.frozen[k as usize] {
                         s.work[k as usize] = level;
                     }
                 }
-                break;
+                s.resumable = false;
+                return;
+            }
+            t += 1;
+        }
+        s.resumable = true;
+    }
+
+    /// The round this fill starts from. Round 0 unless the last fill's log
+    /// still holds and only departures followed it. Then every round below
+    /// the earliest freeze round `j` of a departed flow repeats: the
+    /// departed flows were unfrozen throughout, so each such round had the
+    /// same binding resource — unless a departed flow's own cap or
+    /// resource was the binding term, which the replay below rules out —
+    /// the same `delta`, and the same subtractions on every resource no
+    /// departed flow crosses. Those are in the checkpoint at or below `j`;
+    /// the departed flows' resources are replayed from capacity without
+    /// them and written into it and every older checkpoint. Any doubt — a
+    /// replayed share not strictly above the logged `delta`, or a replayed
+    /// resource down to its freeze threshold — answers round 0.
+    fn resume_round(&mut self) -> usize {
+        let s = &mut self.scratch;
+        if !s.resumable || s.deltas.is_empty() {
+            return 0;
+        }
+        let last = s.deltas.len() - 1;
+        let j =
+            s.departed.iter().map(|&k| s.freeze_round[k as usize] as usize).fold(last, usize::min);
+        let mut c = j / CHECKPOINT_ROUNDS;
+        while c > 0 && s.checkpoint(c).is_none() {
+            c -= 1;
+        }
+        let from = c * CHECKPOINT_ROUNDS;
+        if from == 0 {
+            return 0;
+        }
+        // A departed flow's cap must not have bound any round below `from`.
+        for &k in &s.departed {
+            let cap = self.slots[k as usize].cap;
+            if cap.is_infinite() {
+                continue;
+            }
+            let mut level = 0.0;
+            for t in 0..from {
+                if cap - level <= s.deltas[t] {
+                    return 0;
+                }
+                level += s.deltas[t];
             }
         }
+        s.patch.clear();
+        for &k in &s.departed {
+            s.patch.extend_from_slice(&self.slots[k as usize].resources);
+        }
+        s.patch.sort_unstable();
+        let mut i = 0;
+        while i < s.patch.len() {
+            let r = s.patch[i];
+            let run = s.patch[i..].iter().take_while(|&&x| x == r).count();
+            i += run;
+            if !s.replay(&self.table, r, self.users[r.index()], run as u32, from) {
+                return 0;
+            }
+        }
+        from
     }
 
     /// Flat-array equivalent of `equal_share_allocate`: every flow is
@@ -1140,6 +1392,76 @@ mod tests {
             (Net { topo, routes }, hosts)
         }
 
+        /// Give a host's port — or, behind a hub, the whole hub — a new
+        /// capacity.
+        fn set_port(net: &mut Net, host: NodeId, bw: Bandwidth) {
+            let (port, _) = net.topo.neighbours(host)[0];
+            match &mut net.topo.link_mut(port).mode {
+                LinkMode::FullDuplex { capacity_ab, capacity_ba } => {
+                    *capacity_ab = bw;
+                    *capacity_ba = bw;
+                }
+                LinkMode::Shared { medium } => {
+                    let medium = *medium;
+                    net.topo.medium_mut(medium).capacity = bw;
+                }
+            }
+        }
+
+        /// Admit a flow `src → dst` to the engine and its demand to the
+        /// shadow state.
+        fn admit(
+            net: &Net,
+            fe: &mut FairEngine,
+            shadow: &mut HashMap<u32, FlowDemand>,
+            (src, dst): (NodeId, NodeId),
+            cap: Option<Bandwidth>,
+        ) {
+            let mut demand = net.demand(src, dst);
+            demand.rate_cap = cap;
+            let p = net.routes.path(&net.topo, src, dst).unwrap();
+            let mut ids = Vec::new();
+            fe.table().intern_path(&net.topo, &p, &mut ids);
+            let key = fe.add_flow(&ids, cap.map(|c| c.as_bytes_per_sec()));
+            shadow.insert(key, demand);
+        }
+
+        /// Live keys by committed rate, ties by key.
+        fn by_rate(fe: &FairEngine) -> Vec<u32> {
+            let mut keys = fe.live_keys().to_vec();
+            keys.sort_by(|a, b| fe.rate(*a).total_cmp(&fe.rate(*b)).then(a.cmp(b)));
+            keys
+        }
+
+        /// Reallocate, then compare every live rate with the oracle's, to
+        /// the bit.
+        fn matches_oracle(
+            net: &Net,
+            fe: &mut FairEngine,
+            shadow: &HashMap<u32, FlowDemand>,
+        ) -> Result<(), String> {
+            fe.reallocate();
+            let demands: Vec<FlowDemand> =
+                fe.live_keys().iter().map(|k| shadow[k].clone()).collect();
+            let model = fe.model();
+            let oracle = allocate(&net.topo, &demands, model);
+            for (k, want) in fe.live_keys().iter().zip(&oracle) {
+                let got = fe.rate(*k);
+                let want = want.as_bytes_per_sec();
+                prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "flow {k}: incremental {got:e} vs oracle {want:e} \
+                     ({} flows, model {model:?}, fill from round {:?})",
+                    demands.len(),
+                    fe.scratch.starts.last()
+                );
+            }
+            if model == FairnessModel::MaxMin {
+                members_match_users(fe)?;
+            }
+            Ok(())
+        }
+
         /// After a max-min reallocate, the flows-by-resource table lists
         /// exactly the `users[r]` live keys that cross each active resource.
         fn members_match_users(fe: &FairEngine) -> Result<(), String> {
@@ -1254,7 +1576,11 @@ mod tests {
             /// capped between rate/8 and rate, so caps bind in rounds before
             /// and after the hub or a port saturates; `dead` gives one
             /// host's port (or the whole hub) zero capacity, so a round has
-            /// `delta == 0`.
+            /// `delta == 0`. A step removes one to three flows — the oldest,
+            /// a resource's only member, or by committed rate the highest,
+            /// lowest or median — so the next fill resumes from the last
+            /// one's log, or removes and admits, changes a port's capacity
+            /// or switches the model, after which it must start at round 0.
             #[test]
             fn incremental_engine_matches_oracle(
                 n_each in 2usize..5,
@@ -1262,28 +1588,21 @@ mod tests {
                 dead in proptest::option::of(0usize..10),
                 // Each op: (src pick, dst pick, cap pick, what). cap < 4 →
                 // uncapped, otherwise a cap of cap/8 × rate Mbps. what 0
-                // drops the oldest live flow, what 1 a flow that is some
+                // drops the oldest live flow, 1 a flow that is some
                 // resource's only member (the resource must leave `active`
-                // and the table), anything else adds one.
+                // and the table), 2, 3 and 4 the highest-, lowest- and
+                // median-rate flow, 5 the two or three fastest, 6 the
+                // median-rate flow while admitting one, 7 sets a port's
+                // capacity, 8 switches the model; anything else adds one.
                 ops in proptest::collection::vec(
-                    (0usize..12, 0usize..12, 0usize..9, 0usize..10),
+                    (0usize..12, 0usize..12, 0usize..9, 0usize..20),
                     1..160
                 ),
                 equal_share in proptest::bool::ANY,
             ) {
                 let (mut net, hosts) = mixed_net(n_each, rate);
                 if let Some(d) = dead {
-                    let (port, _) = net.topo.neighbours(hosts[d % hosts.len()])[0];
-                    match &mut net.topo.link_mut(port).mode {
-                        LinkMode::FullDuplex { capacity_ab, capacity_ba } => {
-                            *capacity_ab = Bandwidth::ZERO;
-                            *capacity_ba = Bandwidth::ZERO;
-                        }
-                        LinkMode::Shared { medium } => {
-                            let medium = *medium;
-                            net.topo.medium_mut(medium).capacity = Bandwidth::ZERO;
-                        }
-                    }
+                    set_port(&mut net, hosts[d % hosts.len()], Bandwidth::ZERO);
                 }
                 let model = if equal_share {
                     FairnessModel::BottleneckEqualShare
@@ -1291,62 +1610,102 @@ mod tests {
                     FairnessModel::MaxMin
                 };
                 let mut fe = FairEngine::new(&net.topo, model);
-                let table = ResourceTable::new(&net.topo);
                 // Shadow state, keyed in the engine's live order.
-                let mut shadow: std::collections::HashMap<u32, FlowDemand> =
-                    std::collections::HashMap::new();
-                let mut ids = Vec::new();
+                let mut shadow: HashMap<u32, FlowDemand> = HashMap::new();
                 let n = hosts.len();
 
                 for (s, d, cap_pick, what) in ops {
-                    if (what < 2 || shadow.len() == 64) && !shadow.is_empty() {
-                        let lone = fe.live_keys().iter().copied().find(|&k| {
-                            fe.resources(k).iter().any(|r| fe.users[r.index()] == 1)
+                    let cap = (cap_pick >= 4).then(|| mbps(cap_pick as f64 * rate / 8.0));
+                    let pair = (hosts[s % n], hosts[d % n]);
+                    let removes = !shadow.is_empty() && (what < 7 || shadow.len() == 64 && what > 8);
+                    let mut from_scratch = false;
+                    if removes {
+                        let keys = by_rate(&fe);
+                        let fastest = keys.len() - 1;
+                        let victims = match what {
+                            1 => fe.live_keys().iter().copied().find(|&k| {
+                                fe.resources(k).iter().any(|r| fe.users[r.index()] == 1)
+                            }).into_iter().collect(),
+                            2 => vec![keys[fastest]],
+                            3 => vec![keys[0]],
+                            4 | 6 => vec![keys[keys.len() / 2]],
+                            5 => keys.iter().rev().take(2 + s % 2).copied().collect(),
+                            _ => vec![fe.live_keys()[0]],
+                        };
+                        for key in victims {
+                            fe.remove_flow(key);
+                            shadow.remove(&key);
+                        }
+                        if what == 6 && pair.0 != pair.1 {
+                            admit(&net, &mut fe, &mut shadow, pair, cap);
+                            from_scratch = true;
+                        }
+                    } else if what == 7 {
+                        set_port(&mut net, pair.0, mbps(rate * (1 + cap_pick) as f64 / 4.0));
+                        fe.refresh_capacities(&net.topo);
+                        from_scratch = true;
+                    } else if what == 8 {
+                        fe.set_model(match fe.model() {
+                            FairnessModel::MaxMin => FairnessModel::BottleneckEqualShare,
+                            FairnessModel::BottleneckEqualShare => FairnessModel::MaxMin,
                         });
-                        let key = lone.filter(|_| what == 1).unwrap_or(fe.live_keys()[0]);
-                        fe.remove_flow(key);
-                        shadow.remove(&key);
-                    } else {
-                        let s = s % n;
-                        let d = d % n;
-                        if s == d {
-                            continue;
-                        }
-                        let mut demand = net.demand(hosts[s], hosts[d]);
-                        if cap_pick >= 4 {
-                            demand.rate_cap = Some(mbps(cap_pick as f64 * rate / 8.0));
-                        }
-                        let p = net.routes.path(&net.topo, hosts[s], hosts[d]).unwrap();
-                        table.intern_path(&net.topo, &p, &mut ids);
-                        let key = fe.add_flow(
-                            &ids,
-                            demand.rate_cap.map(|c| c.as_bytes_per_sec()),
-                        );
-                        shadow.insert(key, demand);
+                        from_scratch = true;
+                    } else if pair.0 != pair.1 {
+                        admit(&net, &mut fe, &mut shadow, pair, cap);
+                        from_scratch = true;
                     }
-                    fe.reallocate();
-
-                    // Oracle demands in the engine's allocation order.
-                    let demands: Vec<FlowDemand> = fe
-                        .live_keys()
-                        .iter()
-                        .map(|k| shadow[k].clone())
-                        .collect();
-                    let oracle = allocate(&net.topo, &demands, model);
-                    for (k, want) in fe.live_keys().iter().zip(&oracle) {
-                        let got = fe.rate(*k);
-                        let want = want.as_bytes_per_sec();
-                        prop_assert!(
-                            got.to_bits() == want.to_bits(),
-                            "flow {k}: incremental {got:e} vs oracle {want:e} \
-                             ({} flows, model {model:?})",
-                            demands.len()
-                        );
-                    }
-                    if model == FairnessModel::MaxMin {
-                        members_match_users(&fe)?;
+                    let fills = fe.scratch.starts.len();
+                    matches_oracle(&net, &mut fe, &shadow)?;
+                    if from_scratch && fe.scratch.starts.len() > fills {
+                        prop_assert_eq!(fe.scratch.starts[fills], 0);
                     }
                 }
+            }
+
+            /// Fills long enough to resume: every flow between two hosts of
+            /// a switch carries its own cap, from 40 distinct values well
+            /// under a port's share, so each cap binds in a round of its
+            /// own and a fill runs more than three checkpoint intervals.
+            /// The fastest flows leave first, as they do in a drain, and
+            /// the fills after them must resume above round 0 and still
+            /// match the oracle to the bit.
+            #[test]
+            fn long_fills_resume_and_match_oracle(
+                rate in 10.0f64..500.0,
+                pairs in proptest::collection::vec((0usize..16, 1usize..16), 40..64),
+                // (which, how many): which 0 and 1 the fastest, 2 the
+                // slowest, 3 the median-rate flows; one to three at once.
+                removals in proptest::collection::vec((0usize..4, 1usize..4), 4..24),
+            ) {
+                let (net, hosts) = switch_net(16, rate);
+                let mut fe = FairEngine::new(&net.topo, FairnessModel::MaxMin);
+                let mut shadow: HashMap<u32, FlowDemand> = HashMap::new();
+                for (i, &(s, hop)) in pairs.iter().enumerate() {
+                    // Flow i's cap is one of 40 values; every sixth flow is
+                    // uncapped, so ports saturate between the caps.
+                    let cap = (i % 6 != 5).then(|| mbps(rate * (1 + i % 40) as f64 / 256.0));
+                    admit(&net, &mut fe, &mut shadow, (hosts[s], hosts[(s + hop) % 16]), cap);
+                }
+                matches_oracle(&net, &mut fe, &shadow)?;
+                prop_assert!(
+                    fe.scratch.deltas.len() > 3 * CHECKPOINT_ROUNDS,
+                    "the first fill ran {} rounds", fe.scratch.deltas.len()
+                );
+                for (which, count) in removals {
+                    for _ in 0..count.min(fe.flow_count()) {
+                        let keys = by_rate(&fe);
+                        let key = match which {
+                            0 | 1 => keys[keys.len() - 1],
+                            2 => keys[0],
+                            _ => keys[keys.len() / 2],
+                        };
+                        fe.remove_flow(key);
+                        shadow.remove(&key);
+                    }
+                    matches_oracle(&net, &mut fe, &shadow)?;
+                }
+                let resumed = fe.scratch.starts.iter().filter(|&&r| r > 0).count();
+                prop_assert!(resumed > 0, "no fill resumed: {:?}", fe.scratch.starts);
             }
 
             /// Interned path extraction agrees with [`path_resources`] on

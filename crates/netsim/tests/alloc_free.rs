@@ -144,6 +144,46 @@ fn steady_state_reallocate_does_not_allocate() {
          over 100 remove/add rounds"
     );
 
+    // Departures resume the fill from a checkpoint. Caps at 48 distinct
+    // rates, all well under a port's share, each bind in a round of their
+    // own, so a fill runs over 40 rounds; the fastest flow is an uncapped
+    // one that froze in the last, and removing it resumes near the top. The
+    // fill log, the checkpoints and the replay's buffers are sized by the
+    // flow and resource high-water marks, which the first fill reaches.
+    let mut fe = FairEngine::new(&topo, FairnessModel::MaxMin);
+    for i in 0..96usize {
+        let p = routes.path(&topo, hosts[i % 32], hosts[(i + 5) % 32]).unwrap();
+        table.intern_path(&topo, &p, &mut ids);
+        let cap = (i % 8 != 7).then_some(50_000.0 * (1 + i % 48) as f64);
+        fe.add_flow(&ids, cap);
+    }
+    fe.reallocate();
+    let mut depart_and_return = |fe: &mut FairEngine| {
+        let fastest = *fe
+            .live_keys()
+            .iter()
+            .max_by(|a, b| fe.rate(**a).total_cmp(&fe.rate(**b)))
+            .expect("flows are live");
+        ids.clear();
+        ids.extend_from_slice(fe.resources(fastest));
+        let cap = fe.rate_cap(fastest);
+        fe.remove_flow(fastest);
+        fe.reallocate();
+        fe.add_flow(&ids, cap);
+        fe.reallocate();
+    };
+    depart_and_return(&mut fe);
+    let before = allocations();
+    for _ in 0..100 {
+        depart_and_return(&mut fe);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "departures that resume from a checkpoint must not allocate, saw {delta} \
+         allocations over 100 departures and returns"
+    );
+
     // --- Route walks: strictly zero allocations -------------------------
     // A walk is composed: parent links up from dst, a row of the 2-core,
     // children down to src. Each shape of walk, and the flow start the
