@@ -1,6 +1,6 @@
 //! Engine-scaling sweep: events/sec and wall time of the flow simulator's
 //! `flow_lifecycle` workload at 16 / 128 / 1024 / 4096 concurrent flows —
-//! the flow-count sweep ROADMAP item 19 is judged by. Printed, not written:
+//! the flow-count sweep ROADMAP item 1(b) is judged by. Printed, not written:
 //! a stopwatch reading is not a golden value, and the gated number is
 //! `flow_storm`'s `work_rate` in `BENCHMARK.json`.
 //!

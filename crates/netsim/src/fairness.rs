@@ -419,6 +419,8 @@ struct FlowSlot {
     /// `f64::INFINITY` when uncapped.
     cap: f64,
     rate: f64,
+    /// Admission sequence number: `live` is in ascending `seq` order.
+    seq: u64,
     alive: bool,
 }
 
@@ -427,25 +429,34 @@ struct FlowSlot {
 /// (per-slot arrays), after which reallocation performs no heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Per-resource remaining capacity; only entries of active resources
-    /// are (re)initialised each call.
+    /// Per-resource remaining capacity: a fill from round 0 resets the
+    /// active resources' entries, a resume loads its thawed flows' from
+    /// the checkpoint.
     remaining: Vec<f64>,
-    /// Per-resource count of *unfrozen* users this call.
+    /// Per-resource count of *unfrozen* users this call; 0 on every
+    /// resource once a fill completes.
     unfrozen: Vec<u32>,
     /// Resources still participating in the current progressive-filling
     /// rounds; pruned as their last user freezes.
     round: Vec<ResourceId>,
-    /// Flows by resource, rebuilt by counting sort each call: once built,
-    /// the live keys crossing `r` are `members[start[r] - users[r]..start[r]]`.
-    start: Vec<u32>,
+    /// Flows by resource, rebuilt by counting sort after an admission: the
+    /// keys crossing `r` are `members[run_begin[r]..run_end[r]]`. A key
+    /// that departed since stays in its runs and reads as frozen.
+    run_begin: Vec<u32>,
+    run_end: Vec<u32>,
     members: Vec<u32>,
+    /// Whether `members` lists every live key: false after an admission. A
+    /// growing `sync_topology` appends resources no live flow crosses, so
+    /// the runs stay valid.
+    sorted: bool,
     /// Per-slot working rate, written when the flow freezes.
     work: Vec<f64>,
-    /// Per-slot frozen flag.
+    /// Per-slot frozen flag; true for every dead key.
     frozen: Vec<bool>,
     /// Resources that saturated in the current round.
     saturated: Vec<ResourceId>,
-    /// Slots whose committed rate changed in the last reallocate.
+    /// Slots whose committed rate changed in the last reallocate, in live
+    /// order.
     changed: Vec<u32>,
 
     // The last max-min fill's log, which the next fill resumes from when
@@ -458,6 +469,10 @@ struct Scratch {
     departed: Vec<u32>,
     /// Per-slot round in which the flow froze.
     freeze_round: Vec<u32>,
+    /// Keys in the order they froze, and per round the length of `order`
+    /// after it: a resume from round `t` thaws `order[round_end[t - 1]..]`.
+    order: Vec<u32>,
+    round_end: Vec<u32>,
     /// Per-round `delta`; a round's `level` is their sum so far, added in
     /// order as the fill added them.
     deltas: Vec<f64>,
@@ -478,6 +493,9 @@ struct Scratch {
     /// The round each max-min fill started from.
     #[cfg(test)]
     starts: Vec<usize>,
+    /// Counting sorts of the flows-by-resource table.
+    #[cfg(test)]
+    sorts: usize,
 }
 
 /// Rounds between two checkpoints of the fill log. A resume re-runs on
@@ -507,6 +525,7 @@ impl Scratch {
     fn replay(
         &mut self,
         table: &ResourceTable,
+        slots: &[FlowSlot],
         r: ResourceId,
         users: u32,
         gone: u32,
@@ -516,10 +535,10 @@ impl Scratch {
         // `hist[t]`: members now crossing `r` that froze in round `t`.
         self.hist.clear();
         self.hist.resize(from, 0);
-        let end = self.start[ri] as usize;
-        for m in end - users as usize..end {
-            let round = self.freeze_round[self.members[m] as usize] as usize;
-            if round < from {
+        for m in self.run_begin[ri] as usize..self.run_end[ri] as usize {
+            let k = self.members[m] as usize;
+            let round = self.freeze_round[k] as usize;
+            if slots[k].alive && round < from {
                 self.hist[round] += 1;
             }
         }
@@ -583,6 +602,10 @@ pub struct FairEngine {
     /// Live keys in insertion order — the order rates are filled, matching
     /// the oracle's demand-vector order for differential testing.
     live: Vec<u32>,
+    /// The next admission's `FlowSlot::seq`.
+    next_seq: u64,
+    /// Live flows with a finite rate cap.
+    capped: usize,
     scratch: Scratch,
 }
 
@@ -604,10 +627,13 @@ impl FairEngine {
             slots: Vec::new(),
             free: Vec::new(),
             live: Vec::new(),
+            next_seq: 0,
+            capped: 0,
             scratch: Scratch {
                 remaining: vec![0.0; n],
                 unfrozen: vec![0; n],
-                start: vec![0; n],
+                run_begin: vec![0; n],
+                run_end: vec![0; n],
                 ck_row: vec![0; n],
                 ..Scratch::default()
             },
@@ -667,7 +693,8 @@ impl FairEngine {
         self.active_pos.resize(n, u32::MAX);
         self.scratch.remaining.resize(n, 0.0);
         self.scratch.unfrozen.resize(n, 0);
-        self.scratch.start.resize(n, 0);
+        self.scratch.run_begin.resize(n, 0);
+        self.scratch.run_end.resize(n, 0);
         self.scratch.ck_row.resize(n, 0);
         self.scratch.resumable = false;
     }
@@ -734,9 +761,13 @@ impl FairEngine {
         slot.resources.dedup();
         slot.cap = rate_cap.unwrap_or(f64::INFINITY);
         slot.rate = 0.0;
+        slot.seq = self.next_seq;
         slot.alive = true;
+        self.next_seq += 1;
+        self.capped += usize::from(slot.cap.is_finite());
         self.live.push(key);
         self.scratch.resumable = false;
+        self.scratch.sorted = false;
         self.scratch.departed.clear();
         for i in 0..self.slots[key as usize].resources.len() {
             let r = self.slots[key as usize].resources[i];
@@ -755,6 +786,8 @@ impl FairEngine {
         assert!(slot.alive, "removing dead flow {key}");
         slot.alive = false;
         slot.rate = 0.0;
+        let seq = slot.seq;
+        self.capped -= usize::from(slot.cap.is_finite());
         for i in 0..self.slots[key as usize].resources.len() {
             let r = self.slots[key as usize].resources[i];
             self.users[r.index()] -= 1;
@@ -762,17 +795,24 @@ impl FairEngine {
                 self.deactivate(r);
             }
         }
-        let pos =
-            self.live.iter().position(|&k| k == key).expect("live list contains every alive flow");
+        let pos = self
+            .live
+            .binary_search_by_key(&seq, |&k| self.slots[k as usize].seq)
+            .expect("live list contains every alive flow");
         // Ordered removal keeps allocation order stable for the remaining
         // flows (and bit-for-bit agreement with the oracle's demand order).
         self.live.remove(pos);
         self.free.push(key);
+        // The key stays in the flows-by-resource runs until the next sort.
+        if let Some(frozen) = self.scratch.frozen.get_mut(key as usize) {
+            *frozen = true;
+        }
         self.scratch.departed.push(key);
     }
 
     /// Keys whose committed rate changed in the last
-    /// [`reallocate`](Self::reallocate) (for completion-time invalidation).
+    /// [`reallocate`](Self::reallocate), in [`live_keys`](Self::live_keys)
+    /// order (for completion-time invalidation).
     pub fn changed(&self) -> &[u32] {
         &self.scratch.changed
     }
@@ -798,6 +838,8 @@ impl FairEngine {
             s.freeze_round.resize(n_slots, 0);
             reserve(&mut s.departed, n_slots);
             reserve(&mut s.deltas, n_slots);
+            reserve(&mut s.order, n_slots);
+            reserve(&mut s.round_end, n_slots);
             reserve(&mut s.hist, n_slots);
         }
         let ck = CHECKPOINTS * self.active.len();
@@ -808,20 +850,32 @@ impl FairEngine {
         let refs = s.departed.iter().map(|&k| self.slots[k as usize].resources.len()).sum();
         reserve(&mut s.patch, refs);
 
-        match self.model {
+        let thawed = match self.model {
             FairnessModel::MaxMin => self.reallocate_max_min(),
-            FairnessModel::BottleneckEqualShare => self.reallocate_equal_share(),
-        }
-        // Commit, collecting changed flows.
-        let s = &mut self.scratch;
-        s.departed.clear();
-        s.changed.clear();
-        for &k in &self.live {
-            let slot = &mut self.slots[k as usize];
-            if s.work[k as usize] != slot.rate {
-                slot.rate = s.work[k as usize];
-                s.changed.push(k);
+            FairnessModel::BottleneckEqualShare => {
+                self.reallocate_equal_share();
+                None
             }
+        };
+        // Commit, collecting changed flows in live order. A resumed fill
+        // changed only the keys it thawed; every other live key still holds
+        // its committed rate.
+        let Scratch { departed, changed, work, order, .. } = &mut self.scratch;
+        departed.clear();
+        changed.clear();
+        let keys = match thawed {
+            Some(i) => &order[i..],
+            None => &self.live[..],
+        };
+        for &k in keys {
+            let slot = &mut self.slots[k as usize];
+            if work[k as usize] != slot.rate {
+                slot.rate = work[k as usize];
+                changed.push(k);
+            }
+        }
+        if thawed.is_some() {
+            changed.sort_unstable_by_key(|&k| self.slots[k as usize].seq);
         }
     }
 
@@ -836,74 +890,100 @@ impl FairEngine {
     ///
     /// The fill starts from round 0, or, when flows have only departed
     /// since the last fill, from the checkpoint `resume_round` picks: the
-    /// rounds below it are the last fill's.
-    fn reallocate_max_min(&mut self) {
+    /// rounds below it are the last fill's, and only the flows that froze
+    /// from it on are thawed. Returns where those keys start in `order`,
+    /// or `None` when every live key may have moved.
+    fn reallocate_max_min(&mut self) -> Option<usize> {
         fn freeze(s: &mut Scratch, slot: &FlowSlot, k: u32, level: f64, round: usize) {
             s.frozen[k as usize] = true;
             s.work[k as usize] = level;
             s.freeze_round[k as usize] = round as u32;
+            s.order.push(k);
             for &r in &slot.resources {
                 s.unfrozen[r.index()] -= 1;
             }
         }
-        let s = &mut self.scratch;
-        let mut total = 0;
-        for &r in &self.active {
-            s.remaining[r.index()] = self.table.capacity[r.index()];
-            s.unfrozen[r.index()] = self.users[r.index()];
-            s.start[r.index()] = total;
-            total += self.users[r.index()];
-        }
-        // Counting sort: each flow drops its key at its resources' cursors,
-        // which end up one past each resource's run of members.
-        s.members.resize(total as usize, 0);
-        let mut any_cap = false;
-        for &k in &self.live {
-            let slot = &self.slots[k as usize];
-            s.frozen[k as usize] = false;
-            any_cap |= slot.cap.is_finite();
-            for &r in &slot.resources {
-                s.members[s.start[r.index()] as usize] = k;
-                s.start[r.index()] += 1;
-            }
-        }
-
         let from = self.resume_round();
         let s = &mut self.scratch;
         #[cfg(test)]
         s.starts.push(from);
         let mut level = 0.0f64;
-        let mut unfrozen_flows = self.live.len();
+        let mut unfrozen_flows = 0;
         s.round.clear();
-        if from == 0 {
+        let thawed = if from == 0 {
+            // After an admission, rebuild the flows-by-resource table by
+            // counting sort: each flow drops its key at its resources'
+            // cursors, which end up one past each resource's run.
+            let sort = !s.sorted;
+            let mut total = 0;
+            for &r in &self.active {
+                let ri = r.index();
+                s.remaining[ri] = self.table.capacity[ri];
+                s.unfrozen[ri] = self.users[ri];
+                if sort {
+                    s.run_begin[ri] = total;
+                    s.run_end[ri] = total;
+                    total += self.users[ri];
+                }
+            }
+            if sort {
+                s.members.resize(total as usize, 0);
+                s.sorted = true;
+                #[cfg(test)]
+                {
+                    s.sorts += 1;
+                }
+            }
+            for &k in &self.live {
+                s.frozen[k as usize] = false;
+                if sort {
+                    for &r in &self.slots[k as usize].resources {
+                        s.members[s.run_end[r.index()] as usize] = k;
+                        s.run_end[r.index()] += 1;
+                    }
+                }
+            }
+            unfrozen_flows = self.live.len();
             s.round.extend_from_slice(&self.active);
             s.deltas.clear();
+            s.order.clear();
+            s.round_end.clear();
             s.ck_block = [0; CHECKPOINTS];
+            None
         } else {
-            // Restore the flows frozen below the checkpoint, then the
-            // resources their freezes leave in the round list.
+            // The last fill ended with every live flow frozen, so every
+            // `unfrozen[r]` is 0. Thaw the live flows that froze from round
+            // `from` on; the first to cross `r` puts it back in the round
+            // list with its checkpointed `remaining`.
             level = s.deltas[..from].iter().fold(0.0, |level, delta| level + delta);
             s.deltas.truncate(from);
-            for &k in &self.live {
-                if (s.freeze_round[k as usize] as usize) < from {
-                    s.frozen[k as usize] = true;
-                    for &r in &self.slots[k as usize].resources {
-                        s.unfrozen[r.index()] -= 1;
-                    }
-                    unfrozen_flows -= 1;
-                }
-            }
+            s.round_end.truncate(from);
+            let thawed = s.round_end[from - 1] as usize;
             let base = s.checkpoint(from / CHECKPOINT_ROUNDS).expect("resume_round checked");
-            for &r in &self.active {
-                if s.unfrozen[r.index()] > 0 {
-                    s.remaining[r.index()] = s.ck_rem[base + s.ck_row[r.index()] as usize];
-                    s.round.push(r);
+            for i in thawed..s.order.len() {
+                let k = s.order[i];
+                let slot = &self.slots[k as usize];
+                if !slot.alive {
+                    continue;
                 }
+                s.frozen[k as usize] = false;
+                for &r in &slot.resources {
+                    let ri = r.index();
+                    if s.unfrozen[ri] == 0 {
+                        s.remaining[ri] = s.ck_rem[base + s.ck_row[ri] as usize];
+                        s.round.push(r);
+                    }
+                    s.unfrozen[ri] += 1;
+                }
+                unfrozen_flows += 1;
             }
-        }
+            s.order.truncate(thawed);
+            Some(thawed)
+        };
 
         // Each round freezes at least one flow (or bails on numerical
         // stagnation), so this terminates in <= live.len() rounds.
+        let any_cap = self.capped > 0;
         let mut t = from;
         while unfrozen_flows > 0 {
             // The uniform increment all unfrozen flows can still take,
@@ -964,8 +1044,7 @@ impl FairEngine {
             let before = unfrozen_flows;
             for i in 0..s.saturated.len() {
                 let r = s.saturated[i].index();
-                let end = s.start[r] as usize;
-                for m in end - self.users[r] as usize..end {
+                for m in s.run_begin[r] as usize..s.run_end[r] as usize {
                     let k = s.members[m];
                     if !s.frozen[k as usize] {
                         freeze(s, &self.slots[k as usize], k, level, t);
@@ -985,18 +1064,21 @@ impl FairEngine {
             if unfrozen_flows == before {
                 // delta was 0 without progress — numerically stuck; stop
                 // raising rates (everything keeps its current share). The
-                // flows left unfrozen have no freeze round to resume from.
+                // flows left unfrozen have no freeze round to resume from,
+                // and are not in `order` to be committed from.
                 for &k in &self.live {
                     if !s.frozen[k as usize] {
                         s.work[k as usize] = level;
                     }
                 }
                 s.resumable = false;
-                return;
+                return None;
             }
+            s.round_end.push(s.order.len() as u32);
             t += 1;
         }
         s.resumable = true;
+        thawed
     }
 
     /// The round this fill starts from. Round 0 unless the last fill's log
@@ -1051,7 +1133,7 @@ impl FairEngine {
             let r = s.patch[i];
             let run = s.patch[i..].iter().take_while(|&&x| x == r).count();
             i += run;
-            if !s.replay(&self.table, r, self.users[r.index()], run as u32, from) {
+            if !s.replay(&self.table, &self.slots, r, self.users[r.index()], run as u32, from) {
                 return 0;
             }
         }
@@ -1361,6 +1443,16 @@ mod tests {
         let half = mbps(100.0).as_bytes_per_sec() / 2.0;
         assert_eq!(fe.rate(k1).to_bits(), half.to_bits());
         assert_eq!(fe.rate(k2).to_bits(), half.to_bits());
+
+        // The exit left both flows unfrozen. A departure keeps the sorted
+        // table, so the departed key stays in the medium's run and must
+        // read frozen, or the next fill freezes it a second time.
+        fe.refresh_capacities(&net.topo);
+        fe.remove_flow(k1);
+        assert!(fe.scratch.frozen[k1 as usize], "a departed key reads frozen");
+        fe.reallocate();
+        assert_eq!(fe.scratch.sorts, 1, "a departure does not re-sort");
+        assert_eq!(fe.rate(k2).to_bits(), mbps(100.0).as_bytes_per_sec().to_bits());
     }
 
     #[cfg(test)]
@@ -1434,12 +1526,13 @@ mod tests {
         }
 
         /// Reallocate, then compare every live rate with the oracle's, to
-        /// the bit.
+        /// the bit, and `changed()` with the live keys whose rate moved.
         fn matches_oracle(
             net: &Net,
             fe: &mut FairEngine,
             shadow: &HashMap<u32, FlowDemand>,
         ) -> Result<(), String> {
+            let before: Vec<f64> = fe.live_keys().iter().map(|&k| fe.rate(k)).collect();
             fe.reallocate();
             let demands: Vec<FlowDemand> =
                 fe.live_keys().iter().map(|k| shadow[k].clone()).collect();
@@ -1456,31 +1549,82 @@ mod tests {
                     fe.scratch.starts.last()
                 );
             }
+            let moved: Vec<u32> = fe
+                .live_keys()
+                .iter()
+                .zip(&before)
+                .filter(|&(&k, &was)| fe.rate(k) != was)
+                .map(|(&k, _)| k)
+                .collect();
+            prop_assert_eq!(
+                fe.changed(),
+                &moved[..],
+                "fill from round {:?}",
+                fe.scratch.starts.last()
+            );
             if model == FairnessModel::MaxMin {
                 members_match_users(fe)?;
             }
             Ok(())
         }
 
-        /// After a max-min reallocate, the flows-by-resource table lists
-        /// exactly the `users[r]` live keys that cross each active resource.
+        /// After a max-min reallocate, the live keys in each active
+        /// resource's run of the flows-by-resource table are exactly the
+        /// `users[r]` that cross it, and every dead key left in a run reads
+        /// frozen.
         fn members_match_users(fe: &FairEngine) -> Result<(), String> {
             let s = &fe.scratch;
+            prop_assert!(s.sorted, "a max-min fill leaves the table sorted");
             let mut listed = 0;
             for &r in &fe.active {
-                let end = s.start[r.index()] as usize;
-                let run = &s.members[end - fe.users[r.index()] as usize..end];
-                listed += run.len();
+                let ri = r.index();
+                let run = &s.members[s.run_begin[ri] as usize..s.run_end[ri] as usize];
+                let mut live = 0;
                 for (i, &k) in run.iter().enumerate() {
-                    prop_assert!(fe.live.contains(&k), "{r}: dead key {k}");
                     prop_assert!(fe.resources(k).contains(&r), "{r}: {k} does not cross it");
                     prop_assert!(!run[..i].contains(&k), "{r}: {k} listed twice");
+                    if fe.slots[k as usize].alive {
+                        live += 1;
+                    } else {
+                        prop_assert!(s.frozen[k as usize], "{r}: dead key {k} reads unfrozen");
+                    }
                 }
+                prop_assert_eq!(live, fe.users[ri], "{}: live keys in its run", r);
+                listed += live as usize;
             }
             let refs: usize = fe.live.iter().map(|&k| fe.resources(k).len()).sum();
             prop_assert_eq!(listed, refs);
-            prop_assert_eq!(s.members.len(), refs);
             Ok(())
+        }
+
+        /// A topology that grows under live traffic keeps the
+        /// flows-by-resource table: the appended resources carry no flow
+        /// until an admission, so the fills after the growth — from round
+        /// 0, then resumed — sort nothing and still match the oracle.
+        #[test]
+        fn growth_under_live_flows_keeps_the_sorted_table() {
+            let rate = 100.0;
+            let (mut net, hosts) = switch_net(16, rate);
+            let mut fe = FairEngine::new(&net.topo, FairnessModel::MaxMin);
+            let mut shadow = HashMap::new();
+            for i in 0..48 {
+                let cap = (i % 6 != 5).then(|| mbps(rate * (1 + i % 40) as f64 / 256.0));
+                let pair = (hosts[i % 16], hosts[(i + 1 + i / 16) % 16]);
+                admit(&net, &mut fe, &mut shadow, pair, cap);
+            }
+            matches_oracle(&net, &mut fe, &shadow).unwrap();
+            let before = fe.table().len();
+            net.topo.add_host_like("late.x", "10.0.9.9".parse().unwrap(), hosts[0]).unwrap();
+            fe.sync_topology(&net.topo);
+            assert_eq!(fe.table().len(), before + 2, "the new access link's two directions");
+            for _ in 0..12 {
+                let fastest = *by_rate(&fe).last().unwrap();
+                fe.remove_flow(fastest);
+                shadow.remove(&fastest);
+                matches_oracle(&net, &mut fe, &shadow).unwrap();
+            }
+            assert_eq!(fe.scratch.sorts, 1);
+            assert!(fe.scratch.starts.iter().any(|&r| r > 0), "{:?}", fe.scratch.starts);
         }
 
         proptest! {
@@ -1691,6 +1835,7 @@ mod tests {
                     fe.scratch.deltas.len() > 3 * CHECKPOINT_ROUNDS,
                     "the first fill ran {} rounds", fe.scratch.deltas.len()
                 );
+                prop_assert_eq!(fe.scratch.sorts, 1);
                 for (which, count) in removals {
                     for _ in 0..count.min(fe.flow_count()) {
                         let keys = by_rate(&fe);
@@ -1706,6 +1851,8 @@ mod tests {
                 }
                 let resumed = fe.scratch.starts.iter().filter(|&&r| r > 0).count();
                 prop_assert!(resumed > 0, "no fill resumed: {:?}", fe.scratch.starts);
+                // Departures alone never re-sort the flows-by-resource table.
+                prop_assert_eq!(fe.scratch.sorts, 1);
             }
 
             /// Interned path extraction agrees with [`path_resources`] on
