@@ -18,7 +18,7 @@ use nws::supervisor::SupervisorConfig;
 use nws::{NwsMsg, NwsSystem, NwsSystemSpec, SeriesKey};
 
 /// The gateway aliases the user supplies for the merge (paper §4.3).
-pub fn gateway_aliases() -> [GatewayAlias; 3] {
+pub(crate) fn gateway_aliases() -> [GatewayAlias; 3] {
     ENS_LYON_GATEWAYS.map(|(public, private)| GatewayAlias::new(public, private))
 }
 
@@ -32,7 +32,7 @@ pub struct MappedEnsLyon {
 
 /// Run both ENV passes of paper §4 under `config` on `platform`, which
 /// `eng` simulates, and merge them across the firewall.
-pub fn map_platform(
+pub(crate) fn map_platform(
     platform: EnsLyon,
     eng: &mut Sim,
     config: EnvConfig,
@@ -61,7 +61,7 @@ pub fn map_ens_lyon() -> MappedEnsLyon {
 pub type SeriesDump = Vec<(SeriesKey, Vec<(f64, f64)>)>;
 
 /// The whole stored record of `sys`, as it stands now.
-pub fn dump_series(sys: &NwsSystem) -> SeriesDump {
+pub(crate) fn dump_series(sys: &NwsSystem) -> SeriesDump {
     sys.series_keys()
         .into_iter()
         .map(|k| {
@@ -73,7 +73,7 @@ pub fn dump_series(sys: &NwsSystem) -> SeriesDump {
 
 /// Whether every series of `before` is a byte-identical prefix of the
 /// same series in `after`.
-pub fn prefix_intact(before: &SeriesDump, after: &SeriesDump) -> bool {
+pub(crate) fn prefix_intact(before: &SeriesDump, after: &SeriesDump) -> bool {
     before.iter().all(|(key, old)| {
         after.iter().any(|(k, new)| k == key && new.len() >= old.len() && new[..old.len()] == **old)
     })
@@ -95,7 +95,7 @@ pub struct StoredRecord {
 }
 
 impl StoredRecord {
-    pub fn of(eng: &Engine<NwsMsg>, sys: &NwsSystem) -> StoredRecord {
+    pub(crate) fn of(eng: &Engine<NwsMsg>, sys: &NwsSystem) -> StoredRecord {
         let (mut dup_stores, mut rejected, mut double_counted) = (0u64, 0u64, 0i64);
         for (_, handle) in sys.memories.values() {
             let st = handle.borrow();
@@ -392,7 +392,7 @@ impl Table {
         self.rows.push(cells.into_iter().map(Into::into).collect());
     }
 
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, c) in widths.iter_mut().zip(row) {
@@ -545,6 +545,56 @@ mod tests {
                 .collect();
             assert_eq!(declared, fields, "{name}'s pub fields against its DESIGN.md §13 rows");
         }
+    }
+
+    /// Every row of DESIGN.md §1's test-seam table names an item its file
+    /// still declares `pub`, and test files that exist and mention it.
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "D7: the test reads the repository's sources")]
+    fn test_seams_table_matches_the_code() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |path: &str| {
+            std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+        };
+        let design = read("DESIGN.md");
+        let section = design.split("\n## ").find(|s| s.starts_with("§1 ")).expect("DESIGN.md §1");
+        let table = section.split_once("### Test seams").expect("a test-seam table").1;
+        let mut rows = 0;
+        for row in table.lines().filter_map(|l| l.strip_prefix("| `")?.strip_suffix(" |")) {
+            let cells: Vec<&str> = row.split(" | ").collect();
+            let [item, declared, callers] = cells[..] else { panic!("three cells: {row}") };
+            let item = item.trim_end_matches('`');
+            let (ty, name) = item.rsplit_once("::").map_or((None, item), |(t, n)| (Some(t), n));
+            let source = read(declared.trim_matches('`'));
+            let declares = |prefix: &str| {
+                source.lines().any(|l| {
+                    l.trim_start()
+                        .strip_prefix(prefix)
+                        .and_then(|rest| rest.strip_prefix(name))
+                        .is_some_and(|rest| rest.starts_with(['(', '<', ':']))
+                })
+            };
+            assert!(
+                ["pub fn ", "pub const fn ", "pub const "].into_iter().any(declares),
+                "{declared} declares no pub {item}"
+            );
+            if let Some(ty) = ty {
+                assert!(source.contains(ty), "{declared} never mentions {ty}");
+            }
+            for caller in callers.split(", ") {
+                let text = read(caller.trim_matches('`'));
+                let mentions = match ty {
+                    Some(ty) => {
+                        text.contains(&format!(".{name}("))
+                            || text.contains(&format!("{ty}::{name}"))
+                    }
+                    None => text.contains(&format!("{name}(")),
+                };
+                assert!(mentions, "{caller} never mentions {item}");
+            }
+            rows += 1;
+        }
+        assert!(rows > 0, "the test-seam table has rows");
     }
 
     #[test]

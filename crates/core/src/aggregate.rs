@@ -34,7 +34,8 @@ pub trait MeasurementSource {
 pub struct StaticSource(pub std::collections::BTreeMap<SeriesKey, f64>);
 
 impl StaticSource {
-    pub fn set(&mut self, key: SeriesKey, value: f64) {
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, key: SeriesKey, value: f64) {
         self.0.insert(key, value);
     }
 }
@@ -89,17 +90,6 @@ impl<'a> Estimator<'a> {
         Estimator { compiled: CompiledView::new(view, plan) }
     }
 
-    /// [`Estimator::new`] over a pre-flattened forest — callers already
-    /// holding `view.flatten()` skip the re-flatten and re-intern (see
-    /// [`CompiledView::from_flat`]).
-    pub fn from_flat(
-        view: &'a EnvView,
-        flat: &[envmap::FlatNet<'a>],
-        plan: &'a DeploymentPlan,
-    ) -> Self {
-        Estimator { compiled: CompiledView::from_flat(view, flat, plan) }
-    }
-
     /// Estimate connectivity from `src` to `dst`.
     ///
     /// Returns `None` only when the pair cannot be located in the view at
@@ -116,12 +106,6 @@ impl<'a> Estimator<'a> {
         let d = self.compiled.host_id(dst)?;
         let adapter = self.compiled.adapt(source);
         self.compiled.estimate_ids(s, d, &adapter)
-    }
-
-    /// The interned engine, for callers that want dense-id queries (e.g.
-    /// the plan validator) without recompiling the view.
-    pub fn compiled(&self) -> &CompiledView<'a> {
-        &self.compiled
     }
 }
 
@@ -152,7 +136,7 @@ pub(crate) mod naive {
     }
 
     impl<'a> NaiveEstimator<'a> {
-        pub fn new(view: &'a EnvView, plan: &'a DeploymentPlan) -> Self {
+        pub(crate) fn new(view: &'a EnvView, plan: &'a DeploymentPlan) -> Self {
             NaiveEstimator { view, plan }
         }
 
@@ -160,7 +144,7 @@ pub(crate) mod naive {
         ///
         /// Returns `None` only when the pair cannot be located in the view
         /// at all (unknown hosts).
-        pub fn estimate(
+        pub(crate) fn estimate(
             &self,
             src: &str,
             dst: &str,

@@ -36,7 +36,7 @@ use crate::aggregate::{Estimate, Freshness, MeasurementSource};
 use crate::plan::DeploymentPlan;
 use nws::SeriesKey;
 
-/// Dense id of an interned host name (index into [`CompiledView::host_name`]).
+/// Dense id of an interned host name (index into `CompiledView::host_name`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
@@ -52,30 +52,6 @@ const NONE: u32 = u32::MAX;
 /// `(resource, src, dst)`" without ever materialising a [`SeriesKey`].
 pub trait DenseSource {
     fn latest(&self, resource: Resource, src: HostId, dst: HostId) -> Option<f64>;
-}
-
-/// A dense static table: the interned counterpart of
-/// [`crate::aggregate::StaticSource`], keyed by
-/// ([`Resource::index`], src, dst).
-#[derive(Debug, Default)]
-pub struct DenseStaticSource(HashMap<(usize, u32, u32), f64>);
-
-impl DenseStaticSource {
-    /// Pre-size for `n` entries (e.g. a post-round table: two resources
-    /// per measured pair).
-    pub fn with_capacity(n: usize) -> Self {
-        DenseStaticSource(HashMap::with_capacity(n))
-    }
-
-    pub fn set(&mut self, resource: Resource, src: HostId, dst: HostId, value: f64) {
-        self.0.insert((resource.index(), src.0, dst.0), value);
-    }
-}
-
-impl DenseSource for DenseStaticSource {
-    fn latest(&self, resource: Resource, src: HostId, dst: HostId) -> Option<f64> {
-        self.0.get(&(resource.index(), src.0, dst.0)).copied()
-    }
 }
 
 /// The post-round source over dense ids: "has" both link resources for
@@ -161,7 +137,7 @@ pub struct CompiledView<'a> {
 }
 
 impl<'a> CompiledView<'a> {
-    pub fn new(view: &'a EnvView, plan: &'a DeploymentPlan) -> Self {
+    pub(crate) fn new(view: &'a EnvView, plan: &'a DeploymentPlan) -> Self {
         Self::from_flat(view, &view.flatten(), plan)
     }
 
@@ -171,7 +147,11 @@ impl<'a> CompiledView<'a> {
     /// re-flatten; every table is pre-sized from the forest and plan, so
     /// interning never rehashes. [`CompiledView::new`] is this with a
     /// fresh flatten.
-    pub fn from_flat(view: &'a EnvView, flat: &[FlatNet<'a>], plan: &'a DeploymentPlan) -> Self {
+    pub(crate) fn from_flat(
+        view: &'a EnvView,
+        flat: &[FlatNet<'a>],
+        plan: &'a DeploymentPlan,
+    ) -> Self {
         // Upper bound on distinct names: master + every member and `via`
         // of every net + everything the plan names. Duplicates only make
         // the tables slightly oversized, never undersized.
@@ -297,40 +277,36 @@ impl<'a> CompiledView<'a> {
     }
 
     /// Resolve a host name, if the view or plan ever mentions it.
-    pub fn host_id(&self, name: &str) -> Option<HostId> {
+    pub(crate) fn host_id(&self, name: &str) -> Option<HostId> {
         self.index.get(name).map(|&i| HostId(i))
     }
 
-    pub fn host_name(&self, id: HostId) -> &'a str {
+    pub(crate) fn host_name(&self, id: HostId) -> &'a str {
         self.names[id.0 as usize]
     }
 
-    pub fn master_id(&self) -> HostId {
+    pub(crate) fn master_id(&self) -> HostId {
         HostId(self.master)
     }
 
-    pub fn host_count(&self) -> usize {
-        self.names.len()
-    }
-
     /// Whether the view locates this host (member of some effective net).
-    pub fn is_located(&self, h: HostId) -> bool {
+    pub(crate) fn is_located(&self, h: HostId) -> bool {
         self.net_of[h.0 as usize] != NONE
     }
 
     /// The effective net directly containing `h` (first pre-order match).
-    pub fn net_of(&self, h: HostId) -> Option<NetId> {
+    pub(crate) fn net_of(&self, h: HostId) -> Option<NetId> {
         let n = self.net_of[h.0 as usize];
         (n != NONE).then_some(NetId(n))
     }
 
-    pub fn net_count(&self) -> usize {
+    pub(crate) fn net_count(&self) -> usize {
         self.nets.len()
     }
 
     /// Whether some clique measures the ordered pair directly — the word-AND
     /// replacement for `DeploymentPlan::clique_measuring(..).is_some()`.
-    pub fn cliques_intersect(&self, a: HostId, b: HostId) -> bool {
+    pub(crate) fn cliques_intersect(&self, a: HostId, b: HostId) -> bool {
         let (a, b) = (a.0 as usize, b.0 as usize);
         let wa = &self.clique_bits[a * self.clique_words..(a + 1) * self.clique_words];
         let wb = &self.clique_bits[b * self.clique_words..(b + 1) * self.clique_words];
@@ -338,12 +314,15 @@ impl<'a> CompiledView<'a> {
     }
 
     /// The post-round measurement state over dense ids (O(1) to build).
-    pub fn post_round_source(&self) -> PostRoundDense<'_, 'a> {
+    pub(crate) fn post_round_source(&self) -> PostRoundDense<'_, 'a> {
         PostRoundDense { compiled: self }
     }
 
     /// Wrap a legacy string-keyed source for use with [`Self::estimate_ids`].
-    pub fn adapt<'s>(&self, inner: &'s dyn MeasurementSource) -> StringSourceAdapter<'_, 'a, 's> {
+    pub(crate) fn adapt<'s>(
+        &self,
+        inner: &'s dyn MeasurementSource,
+    ) -> StringSourceAdapter<'_, 'a, 's> {
         StringSourceAdapter { compiled: self, inner }
     }
 
@@ -359,7 +338,7 @@ impl<'a> CompiledView<'a> {
     /// depends only on (is `src` the master / located, is `dst` the master
     /// / located, does a clique measure the pair directly) — a per-cluster
     /// property, not a per-host one.
-    pub fn estimable_ids(&self, src: HostId, dst: HostId) -> bool {
+    pub(crate) fn estimable_ids(&self, src: HostId, dst: HostId) -> bool {
         if src == dst {
             return false;
         }
@@ -375,7 +354,7 @@ impl<'a> CompiledView<'a> {
 
     /// Estimate connectivity from `src` to `dst` — the interned port of the
     /// naive estimator; returns bit-identical [`Estimate`]s.
-    pub fn estimate_ids(
+    pub(crate) fn estimate_ids(
         &self,
         src: HostId,
         dst: HostId,

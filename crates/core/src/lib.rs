@@ -41,11 +41,8 @@ pub mod validate;
 mod validate_differential;
 
 pub use aggregate::{Estimate, Estimator, Freshness, MeasurementSource};
-pub use compiled::{CompiledView, DenseSource, DenseStaticSource, HostId, NetId};
-pub use manager::{
-    apply_plan, apply_plan_delta, apply_plan_with, parse_config, plan_delta_to_reconfig,
-    plan_to_spec, plan_to_spec_with, render_config,
-};
+pub use compiled::{CompiledView, DenseSource, HostId, NetId};
+pub use manager::{apply_plan, apply_plan_delta, apply_plan_with, parse_config, render_config};
 pub use plan::{diff_plans, CliqueRole, DeploymentPlan, PlanDelta, PlannedClique};
 pub use planner::{plan_deployment, PlannerConfig};
 pub use repair::{repair_plan, RepairConfig, RepairOutcome};

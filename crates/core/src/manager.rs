@@ -187,48 +187,6 @@ pub fn parse_config(text: &str) -> Result<DeploymentPlan, String> {
     })
 }
 
-/// The local actions the manager performs on one host (paper §5.2:
-/// "applying the local parts on each hosts").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocalAction {
-    StartNameServer,
-    StartMemory,
-    StartForecaster,
-    /// Start a sensor joining the named cliques.
-    StartSensor {
-        cliques: Vec<String>,
-    },
-}
-
-/// What the manager would do on `host` given the shared configuration.
-pub fn local_actions(plan: &DeploymentPlan, host: &str) -> Vec<LocalAction> {
-    let mut actions = Vec::new();
-    if plan.nameserver == host {
-        actions.push(LocalAction::StartNameServer);
-    }
-    if plan.memories.iter().any(|m| m == host) {
-        actions.push(LocalAction::StartMemory);
-    }
-    if plan.forecaster == host {
-        actions.push(LocalAction::StartForecaster);
-    }
-    let cliques: Vec<String> = plan
-        .cliques
-        .iter()
-        .filter(|c| c.members.iter().any(|m| m == host))
-        .map(|c| c.name.clone())
-        .collect();
-    if !cliques.is_empty() || plan.hosts.iter().any(|h| h == host) {
-        actions.push(LocalAction::StartSensor { cliques });
-    }
-    actions
-}
-
-/// Convert a plan to the deployable NWS system specification.
-pub fn plan_to_spec(plan: &DeploymentPlan) -> NwsSystemSpec {
-    plan_to_spec_with(plan, false)
-}
-
 /// The sensor `plan` puts on `host`: a clique member that also senses its
 /// host and stores to the memory the plan assigns it.
 fn sensor_spec(plan: &DeploymentPlan, host: &str) -> SensorSpec {
@@ -254,7 +212,7 @@ fn clique_spec(plan: &DeploymentPlan, i: usize, c: &PlannedClique) -> CliqueSpec
 
 /// As [`plan_to_spec`], optionally enabling the §6 host-locking extension
 /// (the paper's proposed fix for inter-clique collisions at shared hosts).
-pub fn plan_to_spec_with(plan: &DeploymentPlan, host_locking: bool) -> NwsSystemSpec {
+pub(crate) fn plan_to_spec_with(plan: &DeploymentPlan, host_locking: bool) -> NwsSystemSpec {
     NwsSystemSpec {
         memory_hosts: plan.memories.clone(),
         forecaster_host: plan.forecaster.clone(),
@@ -274,7 +232,7 @@ pub fn plan_to_spec_with(plan: &DeploymentPlan, host_locking: bool) -> NwsSystem
 /// fresh deployment, so a reconfigured system and a freshly deployed one
 /// agree on measurement frequency. A delta that starts or restarts a
 /// clique `new_plan` does not hold has no gap to give it and is an error.
-pub fn plan_delta_to_reconfig(
+pub(crate) fn plan_delta_to_reconfig(
     delta: &PlanDelta,
     new_plan: &DeploymentPlan,
 ) -> NetResult<ReconfigSpec> {
@@ -426,64 +384,9 @@ mod tests {
     }
 
     #[test]
-    fn local_actions_per_host() {
-        let plan = sample_plan();
-        let m = local_actions(&plan, "m.x");
-        assert!(m.contains(&LocalAction::StartNameServer));
-        assert!(m.contains(&LocalAction::StartMemory));
-        assert!(m.contains(&LocalAction::StartForecaster));
-
-        let a = local_actions(&plan, "a.x");
-        assert_eq!(
-            a,
-            vec![LocalAction::StartSensor {
-                cliques: vec!["local-hub".to_string(), "inter-top".to_string()]
-            }]
-        );
-
-        let b = local_actions(&plan, "b.x");
-        assert_eq!(b, vec![LocalAction::StartSensor { cliques: vec!["local-hub".to_string()] }]);
-
-        assert!(local_actions(&plan, "stranger.x").is_empty());
-    }
-
-    /// The per-host actions (§5.2) and the global spec must agree: a host
-    /// gets a sensor action iff the spec deploys a sensor there, and its
-    /// clique list matches the cliques it belongs to.
-    #[test]
-    fn local_actions_agree_with_global_spec() {
-        let plan = sample_plan();
-        let spec = plan_to_spec(&plan);
-        let mut all_hosts: Vec<String> = plan.hosts.clone();
-        all_hosts.push(plan.master.clone());
-        all_hosts.push("unrelated.host".to_string());
-        for host in &all_hosts {
-            let actions = local_actions(&plan, host);
-            let has_sensor_action =
-                actions.iter().any(|a| matches!(a, LocalAction::StartSensor { .. }));
-            let spec_has_sensor = spec.sensors.iter().any(|s| &s.host == host);
-            assert_eq!(has_sensor_action, spec_has_sensor, "host {host}");
-            if let Some(LocalAction::StartSensor { cliques }) =
-                actions.iter().find(|a| matches!(a, LocalAction::StartSensor { .. }))
-            {
-                let from_spec: Vec<&str> = spec
-                    .cliques
-                    .iter()
-                    .filter(|c| c.members.iter().any(|m| m == host))
-                    .map(|c| c.name.as_str())
-                    .collect();
-                let from_actions: Vec<&str> = cliques.iter().map(|c| c.as_str()).collect();
-                assert_eq!(from_actions, from_spec, "host {host}");
-            }
-            let memory_action = actions.contains(&LocalAction::StartMemory);
-            assert_eq!(memory_action, spec.memory_hosts.contains(host), "host {host}");
-        }
-    }
-
-    #[test]
     fn spec_carries_cliques_and_sensors() {
         let plan = sample_plan();
-        let spec = plan_to_spec(&plan);
+        let spec = plan_to_spec_with(&plan, false);
         assert_eq!(spec.sensors.len(), 3);
         assert_eq!(spec.cliques.len(), 2);
         assert_eq!(spec.nameserver_host, "m.x");
@@ -498,7 +401,7 @@ mod tests {
         let mut delta =
             PlanDelta { cliques_to_restart: vec![plan.cliques[1].clone()], ..PlanDelta::default() };
         let re = plan_delta_to_reconfig(&delta, &plan).unwrap();
-        assert_eq!(re.cliques_to_upsert[0].gap, plan_to_spec(&plan).cliques[1].gap);
+        assert_eq!(re.cliques_to_upsert[0].gap, plan_to_spec_with(&plan, false).cliques[1].gap);
 
         delta.cliques_to_start.push(PlannedClique {
             name: "not-in-plan".into(),

@@ -23,7 +23,7 @@ pub enum CliqueRole {
 }
 
 impl CliqueRole {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CliqueRole::SharedLocal => "shared-local",
             CliqueRole::SwitchedLocal => "switched-local",
@@ -32,7 +32,7 @@ impl CliqueRole {
         }
     }
 
-    pub fn from_str_opt(s: &str) -> Option<Self> {
+    pub(crate) fn from_str_opt(s: &str) -> Option<Self> {
         match s {
             "shared-local" => Some(CliqueRole::SharedLocal),
             "switched-local" => Some(CliqueRole::SwitchedLocal),
@@ -71,7 +71,7 @@ impl PlannedClique {
     }
 
     /// `measured_pairs().len()` without materialising the pairs.
-    pub fn measured_pair_count(&self) -> usize {
+    pub(crate) fn measured_pair_count(&self) -> usize {
         let mut count = 0;
         for (i, a) in self.members.iter().enumerate() {
             for (j, b) in self.members.iter().enumerate() {
@@ -125,19 +125,19 @@ pub struct DeploymentPlan {
 impl DeploymentPlan {
     /// Total directed pairs measured by all cliques (the intrusiveness
     /// numerator of constraint 4).
-    pub fn measured_pair_count(&self) -> usize {
+    pub(crate) fn measured_pair_count(&self) -> usize {
         self.cliques.iter().map(|c| c.measured_pair_count()).sum()
     }
 
     /// Full-mesh pair count over the covered hosts (the denominator:
     /// "given a set of n computers, there is n × (n − 1) links to test").
-    pub fn full_mesh_pair_count(&self) -> usize {
+    pub(crate) fn full_mesh_pair_count(&self) -> usize {
         let n = self.hosts.len();
         n * n.saturating_sub(1)
     }
 
     /// The memory server a sensor reports to (the master's by default).
-    pub fn memory_for(&self, host: &str) -> &str {
+    pub(crate) fn memory_for(&self, host: &str) -> &str {
         self.memory_of
             .get(host)
             .map(|s| s.as_str())
@@ -149,11 +149,6 @@ impl DeploymentPlan {
         self.cliques
             .iter()
             .find(|c| c.members.iter().any(|m| m == a) && c.members.iter().any(|m| m == b))
-    }
-
-    /// Cliques a given host belongs to.
-    pub fn cliques_of(&self, host: &str) -> Vec<&PlannedClique> {
-        self.cliques.iter().filter(|c| c.members.iter().any(|m| m == host)).collect()
     }
 
     /// ASCII rendering in the spirit of Figure 3.
@@ -188,6 +183,13 @@ impl DeploymentPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DeploymentPlan {
+        /// Cliques a given host belongs to.
+        fn cliques_of(&self, host: &str) -> Vec<&PlannedClique> {
+            self.cliques.iter().filter(|c| c.members.iter().any(|m| m == host)).collect()
+        }
+    }
 
     fn sample() -> DeploymentPlan {
         DeploymentPlan {

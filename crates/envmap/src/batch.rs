@@ -29,7 +29,7 @@ use crate::refine::{settle, PROBE_BYTES};
 /// has no route — such pairs get their own batch so their error surfaces
 /// exactly as it would serially). Returns batches of input indices; the
 /// concatenation of all batches is a permutation of `0..footprints.len()`.
-pub fn plan_batches(footprints: &[Option<Vec<Resource>>]) -> Vec<Vec<usize>> {
+pub(crate) fn plan_batches(footprints: &[Option<Vec<Resource>>]) -> Vec<Vec<usize>> {
     let mut batches: Vec<(Vec<Resource>, Vec<usize>)> = Vec::new();
     for (i, fp) in footprints.iter().enumerate() {
         match fp {
@@ -70,7 +70,7 @@ fn footprints<M>(eng: &Engine<M>, pairs: &[(NodeId, NodeId)]) -> Vec<Option<Vec<
 /// `measure_bandwidth` would have returned for that pair. The settle pause
 /// runs once before each batch (the network must stabilise between
 /// experiments, §4.3 — batch members start on an idle network together).
-pub fn measure_pairs_batched<M>(
+pub(crate) fn measure_pairs_batched<M>(
     eng: &mut Engine<M>,
     pairs: &[(NodeId, NodeId)],
 ) -> Vec<NetResult<Bandwidth>> {

@@ -8,8 +8,6 @@ use crate::mapper::EnvRun;
 use crate::net::{EnvNet, NetKind};
 use crate::structural::StructNode;
 
-pub use self::view_from_gridml as import_view;
-
 fn structural_to_network(node: &StructNode) -> Network {
     let mut net = Network::new(None);
     if node.key != "(root)" && node.key != "(local)" {

@@ -103,7 +103,7 @@ pub struct EnvRun {
 
 impl EnvRun {
     /// Assemble a run, building the machine name/alias index.
-    pub fn new(
+    pub(crate) fn new(
         view: EnvView,
         structural: StructNode,
         machines: Vec<MachineRecord>,
@@ -123,7 +123,7 @@ impl EnvRun {
 
     /// The record owning `name` (input name or alias) — O(1) via the index
     /// built at construction.
-    pub fn machine(&self, name: &str) -> Option<&MachineRecord> {
+    pub(crate) fn machine(&self, name: &str) -> Option<&MachineRecord> {
         self.machine_index.get(name).map(|&i| &self.machines[i])
     }
 }

@@ -59,12 +59,12 @@ pub struct EnvNet {
 
 impl EnvNet {
     /// Number of networks in this subtree (including self).
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         1 + self.children.iter().map(EnvNet::count).sum::<usize>()
     }
 
     /// All host names in this subtree.
-    pub fn hosts_recursive(&self) -> Vec<&str> {
+    pub(crate) fn hosts_recursive(&self) -> Vec<&str> {
         let mut out: Vec<&str> = self.hosts.iter().map(|s| s.as_str()).collect();
         for c in &self.children {
             out.extend(c.hosts_recursive());
@@ -74,7 +74,7 @@ impl EnvNet {
 
     /// Depth-first search for the network containing `host` as a direct
     /// member.
-    pub fn find_containing(&self, host: &str) -> Option<&EnvNet> {
+    pub(crate) fn find_containing(&self, host: &str) -> Option<&EnvNet> {
         if self.hosts.iter().any(|h| h == host) {
             return Some(self);
         }
@@ -88,7 +88,7 @@ impl EnvNet {
     /// floating-point noise (a fluid drain at clock 80 s rounds differently
     /// than the same drain at clock 0), so two runs of the *same* schedule
     /// at different simulation times agree to ~1e-12 but not bit-for-bit.
-    pub fn approx_eq(&self, other: &EnvNet, tol: f64) -> bool {
+    pub(crate) fn approx_eq(&self, other: &EnvNet, tol: f64) -> bool {
         fn close(a: f64, b: f64, tol: f64) -> bool {
             (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
         }
@@ -151,7 +151,7 @@ impl EnvView {
         self.networks.iter().find_map(|n| n.find_containing(host))
     }
 
-    /// See [`EnvNet::approx_eq`]: exact structure, measurements within
+    /// See `EnvNet::approx_eq`: exact structure, measurements within
     /// `tol` relative — the equality the churn differential suites assert.
     pub fn approx_eq(&self, other: &EnvView, tol: f64) -> bool {
         self.master == other.master
@@ -180,55 +180,6 @@ impl EnvView {
         for n in &self.networks {
             rec(n, None, 0, &mut out);
         }
-        out
-    }
-
-    /// Graphviz (DOT) rendering of the effective tree — a Figure 1(b)-style
-    /// picture via `dot -Tsvg`.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph effective_view {\n  rankdir=TB;\n");
-        let esc = |s: &str| s.replace('"', "\\\"");
-        let _ = writeln!(out, "  master [label=\"{}\",shape=box,style=bold];", esc(&self.master));
-        fn rec(
-            out: &mut String,
-            net: &EnvNet,
-            parent: &str,
-            idx: &mut usize,
-            esc: &dyn Fn(&str) -> String,
-        ) {
-            use std::fmt::Write as _;
-            let id = format!("net{}", *idx);
-            *idx += 1;
-            let fill = match net.kind {
-                NetKind::Shared => "lightyellow",
-                NetKind::Switched => "lightblue",
-                NetKind::Undetermined => "lightgray",
-                NetKind::Single => "white",
-            };
-            let _ = writeln!(
-                out,
-                "  {id} [label=\"{} [{}]\\n{:.1} Mbps\",shape=ellipse,style=filled,fillcolor={fill}];",
-                esc(&net.label),
-                net.kind,
-                net.base_bw_mbps
-            );
-            let via = net.via.as_deref().map(esc).unwrap_or_default();
-            let _ = writeln!(out, "  {parent} -> {id} [label=\"{via}\"];");
-            for h in &net.hosts {
-                let short = h.split('.').next().unwrap_or(h);
-                let _ = writeln!(out, "  \"{}\" [shape=box];", esc(short));
-                let _ = writeln!(out, "  {id} -> \"{}\";", esc(short));
-            }
-            for c in &net.children {
-                rec(out, c, &id, idx, esc);
-            }
-        }
-        let mut idx = 0usize;
-        for n in &self.networks {
-            rec(&mut out, n, "master", &mut idx, &esc);
-        }
-        out.push_str("}\n");
         out
     }
 
@@ -313,22 +264,6 @@ mod tests {
         assert!(s.contains("Effective view from m"));
         assert!(s.contains("  [shared] hub2"));
         assert!(s.contains("    [switched] inner"));
-    }
-
-    #[test]
-    fn dot_export_contains_networks_and_hosts() {
-        let mut hub2 = leaf("hub2", NetKind::Shared, &["myri0.popc.private", "popc0.popc.private"]);
-        let mut sw = leaf("sci0", NetKind::Switched, &["sci1.popc.private"]);
-        sw.via = Some("sci0.popc.private".to_string());
-        hub2.children.push(sw);
-        let view = EnvView { master: "the-doors".to_string(), networks: vec![hub2] };
-        let dot = view.to_dot();
-        assert!(dot.starts_with("digraph effective_view {"));
-        assert!(dot.contains("the-doors"));
-        assert!(dot.contains("lightyellow"), "shared nets are yellow");
-        assert!(dot.contains("lightblue"), "switched nets are blue");
-        assert!(dot.contains("\"myri0\""), "short host labels");
-        assert!(dot.ends_with("}\n"));
     }
 
     #[test]

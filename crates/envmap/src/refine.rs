@@ -29,13 +29,13 @@ pub struct RefHost {
 }
 
 /// Payload of a single bandwidth experiment.
-pub const PROBE_BYTES: Bytes = Bytes::kib(512);
+pub(crate) const PROBE_BYTES: Bytes = Bytes::kib(512);
 /// The jamming transfer is this many times larger than the probe so it
 /// spans the whole measurement.
-pub const JAM_FLOW_FACTOR: u64 = 4;
+pub(crate) const JAM_FLOW_FACTOR: u64 = 4;
 /// Pause between experiments ("the network needs to stabilize between
 /// each experiments", §4.3), in milliseconds.
-pub const SETTLE_MS: f64 = 10.0;
+pub(crate) const SETTLE_MS: f64 = 10.0;
 /// Number of jammed-bandwidth repetitions (paper: 5).
 pub const JAM_REPEATS: usize = 5;
 
@@ -88,7 +88,7 @@ pub(crate) fn settle<M>(eng: &mut Engine<M>) {
 /// Refine one structural cluster into one or more classified clusters.
 ///
 /// `master` must not be a member of `hosts`.
-pub fn refine_cluster<M>(
+pub(crate) fn refine_cluster<M>(
     eng: &mut Engine<M>,
     master: NodeId,
     hosts: &[RefHost],

@@ -38,7 +38,7 @@ impl StructNode {
 
     /// All leaf clusters (host groups sharing an identical path) with the
     /// hop chain leading to them, outermost hop first.
-    pub fn clusters(&self) -> Vec<(Vec<String>, Vec<String>)> {
+    pub(crate) fn clusters(&self) -> Vec<(Vec<String>, Vec<String>)> {
         fn rec(
             node: &StructNode,
             chain: &mut Vec<String>,
@@ -78,7 +78,7 @@ impl StructNode {
 }
 
 /// The display key of a traceroute hop.
-pub fn hop_key(hop: &TracerouteHop) -> String {
+pub(crate) fn hop_key(hop: &TracerouteHop) -> String {
     match (&hop.name, hop.ip) {
         (Some(n), _) => n.clone(),
         (None, Some(ip)) => ip.to_string(),
@@ -86,35 +86,17 @@ pub fn hop_key(hop: &TracerouteHop) -> String {
     }
 }
 
-/// Build the structural tree from per-host traceroutes.
-///
-/// `paths` maps each host name to its hop list toward the external
-/// destination, in probe order (nearest hop first). The tree is rooted at
-/// the *outermost* hop; hosts whose traceroute saw no hops at all cluster
-/// under a synthetic `(local)` root child.
-pub fn build_tree(paths: &[(String, Vec<TracerouteHop>)]) -> StructNode {
-    let chains: Vec<(String, Vec<String>)> = paths
-        .iter()
-        .map(|(host, hops)| {
-            let mut keys: Vec<String> = hops.iter().map(hop_key).collect();
-            keys.reverse(); // outermost first
-            (host.clone(), keys)
-        })
-        .collect();
-    build_tree_from_chains(&chains)
-}
-
 /// Build the structural tree from per-host *key chains* (outermost hop
 /// first; an empty chain clusters under the synthetic `(local)` root
 /// child, and a leading `(root)` marker — as produced by
 /// [`StructNode::clusters`] on an uncollapsed tree — is ignored).
 ///
-/// This is [`build_tree`] with the hop→key conversion already done: the
+/// The chains are [`hop_key`]s of the hosts' traceroutes, reversed: the
 /// incremental re-mapper reuses the chains recorded in a previous run's
 /// tree for clean hosts and re-traceroutes only dirty ones, then rebuilds
 /// the tree from the merged chain set — bit-identical to a full rebuild
 /// over the same paths.
-pub fn build_tree_from_chains(chains: &[(String, Vec<String>)]) -> StructNode {
+pub(crate) fn build_tree_from_chains(chains: &[(String, Vec<String>)]) -> StructNode {
     // A virtual super-root lets several distinct outermost hops coexist.
     let mut root = StructNode::new("(root)");
 
@@ -161,7 +143,7 @@ fn sort_hosts(n: &mut StructNode) {
 /// Group clusters by the chain of *gateway* hops (hops that are themselves
 /// mapped hosts). Returns per cluster: (gateway chain from master side,
 /// router-only chain, hosts).
-pub fn clusters_with_gateways(
+pub(crate) fn clusters_with_gateways(
     tree: &StructNode,
     is_mapped_host: impl Fn(&str) -> bool,
 ) -> Vec<(Vec<String>, Vec<String>, Vec<String>)> {
@@ -189,6 +171,20 @@ pub fn clusters_with_gateways(
 mod tests {
     use super::*;
     use netsim::Ipv4;
+
+    /// Build the structural tree from per-host traceroutes (nearest hop
+    /// first), as the mapper does after `hop_key`.
+    fn build_tree(paths: &[(String, Vec<TracerouteHop>)]) -> StructNode {
+        let chains: Vec<(String, Vec<String>)> = paths
+            .iter()
+            .map(|(host, hops)| {
+                let mut keys: Vec<String> = hops.iter().map(hop_key).collect();
+                keys.reverse(); // outermost first
+                (host.clone(), keys)
+            })
+            .collect();
+        build_tree_from_chains(&chains)
+    }
 
     fn hop(name: Option<&str>, ip: &str) -> TracerouteHop {
         TracerouteHop { ip: Some(ip.parse::<Ipv4>().unwrap()), name: name.map(str::to_string) }

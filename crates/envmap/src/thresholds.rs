@@ -39,37 +39,39 @@ impl EnvThresholds {
     pub fn paper() -> Self {
         Self::default()
     }
-
-    /// Validate ordering invariants (shared < switched, ratios > 1).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.h2h_split_ratio <= 1.0 {
-            return Err(format!("h2h_split_ratio must be > 1, got {}", self.h2h_split_ratio));
-        }
-        if self.pairwise_dependent_ratio <= 1.0 {
-            return Err(format!(
-                "pairwise_dependent_ratio must be > 1, got {}",
-                self.pairwise_dependent_ratio
-            ));
-        }
-        if !(0.0 < self.jam_shared_below && self.jam_shared_below < self.jam_switched_above) {
-            return Err(format!(
-                "need 0 < jam_shared_below ({}) < jam_switched_above ({})",
-                self.jam_shared_below, self.jam_switched_above
-            ));
-        }
-        if self.jam_switched_above > 1.5 {
-            return Err(format!(
-                "jam_switched_above of {} is not a plausible ratio",
-                self.jam_switched_above
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EnvThresholds {
+        /// Validate ordering invariants (shared < switched, ratios > 1).
+        fn validate(&self) -> Result<(), String> {
+            if self.h2h_split_ratio <= 1.0 {
+                return Err(format!("h2h_split_ratio must be > 1, got {}", self.h2h_split_ratio));
+            }
+            if self.pairwise_dependent_ratio <= 1.0 {
+                return Err(format!(
+                    "pairwise_dependent_ratio must be > 1, got {}",
+                    self.pairwise_dependent_ratio
+                ));
+            }
+            if !(0.0 < self.jam_shared_below && self.jam_shared_below < self.jam_switched_above) {
+                return Err(format!(
+                    "need 0 < jam_shared_below ({}) < jam_switched_above ({})",
+                    self.jam_shared_below, self.jam_switched_above
+                ));
+            }
+            if self.jam_switched_above > 1.5 {
+                return Err(format!(
+                    "jam_switched_above of {} is not a plausible ratio",
+                    self.jam_switched_above
+                ));
+            }
+            Ok(())
+        }
+    }
 
     #[test]
     fn paper_values() {

@@ -61,7 +61,7 @@ pub struct Machine {
 }
 
 impl Machine {
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         Machine { name: name.to_string(), ..Default::default() }
     }
 
@@ -70,11 +70,12 @@ impl Machine {
     }
 
     /// All names this machine answers to (primary + aliases).
-    pub fn all_names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn all_names(&self) -> impl Iterator<Item = &str> {
         std::iter::once(self.name.as_str()).chain(self.aliases.iter().map(|s| s.as_str()))
     }
 
-    pub fn property(&self, name: &str) -> Option<&Property> {
+    #[cfg(test)]
+    pub(crate) fn property(&self, name: &str) -> Option<&Property> {
         self.properties.iter().find(|p| p.name == name)
     }
 }
@@ -93,7 +94,7 @@ pub enum NetworkType {
 }
 
 impl NetworkType {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             NetworkType::Structural => "Structural",
             NetworkType::EnvSwitched => "ENV_Switched",
@@ -102,7 +103,7 @@ impl NetworkType {
         }
     }
 
-    pub fn from_str_opt(s: &str) -> Option<Self> {
+    pub(crate) fn from_str_opt(s: &str) -> Option<Self> {
         match s {
             "Structural" => Some(NetworkType::Structural),
             "ENV_Switched" => Some(NetworkType::EnvSwitched),
@@ -141,17 +142,9 @@ impl Network {
         }
     }
 
-    /// Machines in this network and all nested ones, in document order.
-    pub fn machines_recursive(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.machines.iter().map(|s| s.as_str()).collect();
-        for sub in &self.subnets {
-            out.extend(sub.machines_recursive());
-        }
-        out
-    }
-
     /// Count of networks in this subtree (including self).
-    pub fn network_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn network_count(&self) -> usize {
         1 + self.subnets.iter().map(Network::network_count).sum::<usize>()
     }
 }
@@ -174,7 +167,7 @@ impl Site {
         self.machines.iter().find(|m| m.all_names().any(|n| n == name))
     }
 
-    pub fn machine_mut(&mut self, name: &str) -> Option<&mut Machine> {
+    pub(crate) fn machine_mut(&mut self, name: &str) -> Option<&mut Machine> {
         self.machines.iter_mut().find(|m| m.name == name || m.aliases.iter().any(|a| a == name))
     }
 }
@@ -187,7 +180,7 @@ pub struct GridDoc {
 }
 
 impl GridDoc {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -196,19 +189,33 @@ impl GridDoc {
     }
 
     /// Find a machine by any of its names, across all sites.
-    pub fn machine(&self, name: &str) -> Option<&Machine> {
+    #[cfg(test)]
+    pub(crate) fn machine(&self, name: &str) -> Option<&Machine> {
         self.sites.iter().find_map(|s| s.machine(name))
-    }
-
-    /// Total number of machine declarations.
-    pub fn machine_count(&self) -> usize {
-        self.sites.iter().map(|s| s.machines.len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GridDoc {
+        /// Total number of machine declarations.
+        fn machine_count(&self) -> usize {
+            self.sites.iter().map(|s| s.machines.len()).sum()
+        }
+    }
+
+    impl Network {
+        /// Machines in this network and all nested ones, in document order.
+        fn machines_recursive(&self) -> Vec<&str> {
+            let mut out: Vec<&str> = self.machines.iter().map(|s| s.as_str()).collect();
+            for sub in &self.subnets {
+                out.extend(sub.machines_recursive());
+            }
+            out
+        }
+    }
 
     fn sample_doc() -> GridDoc {
         let mut site = Site::new("ens-lyon.fr");

@@ -120,7 +120,7 @@ impl AliasResolver {
     }
 
     /// The canonical identity of `name` (itself if unknown).
-    pub fn canonical<'a>(&'a self, name: &'a str) -> &'a str {
+    pub(crate) fn canonical<'a>(&'a self, name: &'a str) -> &'a str {
         self.canon.get(name).map(|s| s.as_str()).unwrap_or(name)
     }
 
@@ -128,20 +128,22 @@ impl AliasResolver {
     pub fn same_machine(&self, a: &str, b: &str) -> bool {
         self.canonical(a) == self.canonical(b)
     }
-
-    /// Number of distinct machines known.
-    pub fn machine_count(&self) -> usize {
-        let mut roots: Vec<&str> = self.canon.values().map(|s| s.as_str()).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        roots.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Machine, Site};
+
+    impl AliasResolver {
+        /// Number of distinct machines known.
+        fn machine_count(&self) -> usize {
+            let mut roots: Vec<&str> = self.canon.values().map(|s| s.as_str()).collect();
+            roots.sort_unstable();
+            roots.dedup();
+            roots.len()
+        }
+    }
 
     fn outside_doc() -> GridDoc {
         let mut site = Site::new("ens-lyon.fr");

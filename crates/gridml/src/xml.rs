@@ -18,7 +18,7 @@ pub enum Token {
 }
 
 /// Escape a string for use inside a double-quoted attribute.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -34,7 +34,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Undo [`escape`]. Unknown entities are left verbatim.
-pub fn unescape(s: &str) -> String {
+pub(crate) fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(pos) = rest.find('&') {
@@ -55,7 +55,7 @@ pub fn unescape(s: &str) -> String {
 }
 
 /// Render an opening tag with attributes.
-pub fn open_tag(name: &str, attrs: &[(&str, &str)], self_closing: bool) -> String {
+pub(crate) fn open_tag(name: &str, attrs: &[(&str, &str)], self_closing: bool) -> String {
     let mut s = String::new();
     let _ = write!(s, "<{name}");
     for (k, v) in attrs {
@@ -82,7 +82,7 @@ impl std::error::Error for XmlError {}
 
 /// Tokenize an XML document into open/close tags, skipping text content,
 /// comments and the declaration.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, XmlError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, XmlError> {
     let bytes = input.as_bytes();
     let mut i = 0usize;
     let mut tokens = Vec::new();

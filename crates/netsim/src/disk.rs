@@ -17,7 +17,7 @@
 //! * [`SimDisk::write_image`] — replace a file's contents with a
 //!   [`DiskImage`] and fsync it: one call for a snapshot,
 //! * [`SimDisk::read`] — read the full current contents (cache included),
-//! * [`SimDisk::truncate`] / [`SimDisk::rename`] / [`SimDisk::remove`] —
+//! * [`SimDisk::truncate`] / [`SimDisk::rename`] —
 //!   metadata operations, modeled atomic and immediately durable, as on a
 //!   journaled filesystem,
 //! * [`SimDisk::crash`] — a host/power failure: every file keeps its synced
@@ -40,7 +40,7 @@
 //! The engine's processes handle each event atomically; a blocking disk
 //! would need coroutine machinery the actor model deliberately avoids.
 //! Instead the disk *accounts* time: every operation charges a
-//! cost ([`FSYNC_S`], [`PER_BYTE_S`]) to [`DiskStats::busy_s`], so experiments
+//! cost (`FSYNC_S`, `PER_BYTE_S`) to [`DiskStats::busy_s`], so experiments
 //! can report how much I/O time a protocol would have spent (and compare
 //! fsync-heavy against lazy policies) without perturbing event order.
 //!
@@ -64,10 +64,10 @@ use rand::{RngCore, SeedableRng};
 /// Fixed cost per fsync, seconds (head seek + cache flush barrier): ~5 ms
 /// on a commodity 2003-era IDE disk, the hardware under the paper's
 /// testbed hosts.
-pub const FSYNC_S: f64 = 5e-3;
+pub(crate) const FSYNC_S: f64 = 5e-3;
 /// Transfer cost per byte moved, seconds (append, read, or flush): ~40 MB/s
 /// sequential on the same disk.
-pub const PER_BYTE_S: f64 = 1.0 / 40.0e6;
+pub(crate) const PER_BYTE_S: f64 = 1.0 / 40.0e6;
 
 /// Operation counters and accounted I/O time for one disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -182,10 +182,6 @@ impl SimDisk {
         }))
     }
 
-    pub fn host(&self) -> &str {
-        &self.host
-    }
-
     /// Arm the torn-tail fault stream. The stream is derived from the
     /// given seed *and* the host name, so every disk in a deployment gets
     /// an independent — but seed-reproducible — sequence.
@@ -267,11 +263,6 @@ impl SimDisk {
         self.files.contains_key(file)
     }
 
-    /// Is the whole disk empty (no files)?
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
     /// Truncate `file` to empty. Metadata operation: atomic and durable
     /// (journaled-filesystem semantics), creates the file if absent.
     pub fn truncate(&mut self, file: &str) {
@@ -289,11 +280,6 @@ impl SimDisk {
         self.stats.renames += 1;
         let Some(f) = self.files.remove(from) else { return };
         self.files.insert(to.to_string(), f);
-    }
-
-    /// Delete `file` (atomic, durable).
-    pub fn remove(&mut self, file: &str) {
-        self.files.remove(file);
     }
 
     /// Host/power failure: every file keeps its synced bytes plus a random
@@ -356,11 +342,6 @@ impl DiskRegistry {
         d
     }
 
-    /// The disk for `host` if one has been created.
-    pub fn get(&self, host: &str) -> Option<DiskHandle> {
-        self.disks.get(host).map(Rc::clone)
-    }
-
     /// Host/power failure for `host`'s disk (no-op if it has no disk yet —
     /// an empty disk has nothing to tear).
     pub fn crash_host(&mut self, host: &str) {
@@ -388,16 +369,25 @@ impl DiskRegistry {
         }
         t
     }
-
-    pub fn hosts(&self) -> Vec<String> {
-        self.disks.keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl SimDisk {
+        /// Delete `file` (atomic, durable).
+        fn remove(&mut self, file: &str) {
+            self.files.remove(file);
+        }
+    }
+
+    impl DiskRegistry {
+        fn hosts(&self) -> Vec<String> {
+            self.disks.keys().cloned().collect()
+        }
+    }
 
     #[test]
     fn append_then_read_round_trips_without_fsync() {

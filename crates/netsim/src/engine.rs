@@ -239,9 +239,6 @@ pub struct Core<M> {
     finished: HashMap<FlowId, FlowOutcome, FixedState>,
     cancelled_timers: HashSet<TimerId, FixedState>,
     proc_nodes: Vec<NodeId>,
-    /// TCP window used to cap flow rates at `window / RTT`; `None` models
-    /// well-tuned transfers that are never window-limited.
-    tcp_window: Option<Bytes>,
     stats: EngineStats,
     /// Owners of drained-but-not-yet-acked flows, so the ack event can
     /// notify them. `None` entries are probe flows.
@@ -430,12 +427,7 @@ impl<M> Core<M> {
         res.sort_unstable();
         res.dedup();
         let ack_latency = TimeDelta::from_secs(fwd_secs + back_secs);
-        let rate_cap = self.tcp_window.map(|w| {
-            let rtt = (fwd_secs + back_secs).max(1e-9);
-            w.as_f64() / rtt
-        });
-
-        let key = self.fair.add_flow(&res, rate_cap);
+        let key = self.fair.add_flow(&res);
         self.res_scratch = res;
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
@@ -487,31 +479,6 @@ impl<M> Core<M> {
         self.push_event(ack_at, EventKind::FlowAck { flow: id });
         self.stale = true;
     }
-
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    pub fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
-    pub fn routes(&self) -> &RouteTable {
-        &self.routes
-    }
-
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    pub fn process_node(&self, pid: ProcessId) -> NodeId {
-        self.proc_nodes[pid.index()]
-    }
-
-    /// The recorded outcome of a completed flow, if it has been acked.
-    pub fn outcome(&self, id: FlowId) -> Option<&FlowOutcome> {
-        self.finished.get(&id)
-    }
 }
 
 /// The simulation engine. Generic over the message type `M` exchanged by
@@ -540,12 +507,8 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// The host this process runs on.
-    pub fn my_node(&self) -> NodeId {
+    pub(crate) fn my_node(&self) -> NodeId {
         self.core.proc_nodes[self.me.index()]
-    }
-
-    pub fn topo(&self) -> &Topology {
-        &self.core.topo
     }
 
     /// Send a control message to another process. Delivery takes the
@@ -705,7 +668,6 @@ impl<M> Engine<M> {
                 finished: HashMap::default(),
                 cancelled_timers: HashSet::default(),
                 proc_nodes: Vec::new(),
-                tcp_window: None,
                 stats: EngineStats::default(),
                 owner_of_finished: HashMap::default(),
                 last_delivery: HashMap::default(),
@@ -714,12 +676,6 @@ impl<M> Engine<M> {
             },
             procs: Vec::new(),
         }
-    }
-
-    /// Cap flow rates at `window / RTT` (TCP window modelling). `None`
-    /// disables the cap (default).
-    pub fn set_tcp_window(&mut self, window: Option<Bytes>) {
-        self.core.tcp_window = window;
     }
 
     /// Select the bandwidth-sharing model (ablation hook; max-min default).
@@ -782,21 +738,10 @@ impl<M> Engine<M> {
         self.core.last_delivery.retain(|&(s, r), _| s != pid && r != pid);
     }
 
-    /// Number of live `(sender, receiver)` FIFO clamp entries
-    /// (diagnostics: the crash-churn regression test asserts pruning).
-    pub fn last_delivery_len(&self) -> usize {
-        self.core.last_delivery.len()
-    }
-
     /// The live process behind `pid`, for inspection between events; `None`
     /// once it was killed (or for an id this engine never handed out).
     pub fn process(&self, pid: ProcessId) -> Option<&dyn Process<M>> {
         self.procs.get(pid.index())?.as_deref()
-    }
-
-    /// Whether a process is still alive.
-    pub fn process_alive(&self, pid: ProcessId) -> bool {
-        self.procs.get(pid.index()).map(|s| s.is_some()).unwrap_or(false)
     }
 
     pub fn now(&self) -> SimTime {
@@ -1002,6 +947,18 @@ mod tests {
     use crate::topology::{LinkMode, TopologyBuilder};
     use crate::units::{Bandwidth, Latency};
 
+    impl<M> Engine<M> {
+        /// Number of live `(sender, receiver)` FIFO clamp entries.
+        fn last_delivery_len(&self) -> usize {
+            self.core.last_delivery.len()
+        }
+
+        /// Whether a process is still alive.
+        fn process_alive(&self, pid: ProcessId) -> bool {
+            self.procs.get(pid.index()).map(|s| s.is_some()).unwrap_or(false)
+        }
+    }
+
     fn two_hosts_hub() -> (Topology, NodeId, NodeId) {
         let mut b = TopologyBuilder::new();
         let hub = b.hub("hub", Bandwidth::mbps(100.0), Latency::micros(50.0));
@@ -1085,26 +1042,6 @@ mod tests {
         let mut e: Sim = Engine::new(t);
         assert!(matches!(e.start_probe_flow(a, a, Bytes::kib(1)), Err(NetError::SelfProbe(_))));
         assert!(matches!(e.start_probe_flow(a, c, Bytes::ZERO), Err(NetError::EmptyTransfer)));
-    }
-
-    #[test]
-    fn tcp_window_caps_throughput() {
-        // 1 ms each way → RTT 2 ms... here: hub port latency 1 ms, two
-        // ports each way → one-way 2 ms, RTT 4 ms. 64 KiB window / 4 ms =
-        // 16 MiB/s ≈ 134 Mbps... use a smaller window to make the cap bind:
-        // 8 KiB / 4 ms = 2 MiB/s ≈ 16.8 Mbps < 100 Mbps.
-        let mut b = TopologyBuilder::new();
-        let hub = b.hub("hub", Bandwidth::mbps(100.0), Latency::millis(1.0));
-        let a = b.host("a.x", "10.0.0.1");
-        let c = b.host("c.x", "10.0.0.2");
-        b.attach(a, hub);
-        b.attach(c, hub);
-        let mut e: Sim = Engine::new(b.build().unwrap());
-        e.set_tcp_window(Some(Bytes::kib(8)));
-        let f = e.start_probe_flow(a, c, Bytes::mib(1)).unwrap();
-        e.run_until_flows_done(&[f], TimeDelta::from_secs(60.0)).unwrap();
-        let bw = e.outcome(f).unwrap().throughput().as_mbps();
-        assert!(bw < 20.0, "window cap should bind, got {bw} Mbps");
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!
 //! Progressive filling raises all unfrozen flows' rates together; whenever a
 //! resource saturates, the flows crossing it freeze at their current rate.
-//! A flow may additionally carry a rate cap (e.g. a TCP-window/RTT bound),
-//! modelled as a private resource.
 
 #[cfg(test)]
 use std::collections::{BTreeMap, HashMap};
@@ -21,9 +19,9 @@ use crate::routing::Path;
 use crate::topology::{LinkId, LinkMode, MediumId, Topology};
 use crate::units::Bandwidth;
 
-/// Relative slack under which a resource counts as saturated (and absolute
-/// slack for rate caps). Shared by the reference allocator and the
-/// incremental [`FairEngine`] so both freeze identically.
+/// Relative slack under which a resource counts as saturated. Shared by the
+/// reference allocator and the incremental [`FairEngine`] so both freeze
+/// identically.
 const EPS: f64 = 1e-7;
 
 /// A capacity-constrained entity flows compete for.
@@ -38,7 +36,7 @@ pub enum Resource {
 
 impl Resource {
     /// The resource's capacity in the given topology.
-    pub fn capacity(self, topo: &Topology) -> Bandwidth {
+    pub(crate) fn capacity(self, topo: &Topology) -> Bandwidth {
         match self {
             Resource::LinkDir { link, from_a } => match topo.link(link).mode {
                 LinkMode::FullDuplex { capacity_ab, capacity_ba } => {
@@ -78,8 +76,6 @@ pub fn path_resources(topo: &Topology, path: &Path) -> Vec<Resource> {
 #[derive(Debug, Clone)]
 pub(crate) struct FlowDemand {
     pub(crate) resources: Vec<Resource>,
-    /// Optional per-flow rate ceiling (TCP window / application limit).
-    pub(crate) rate_cap: Option<Bandwidth>,
 }
 
 /// How concurrent flows share capacity — the fluid model underlying every
@@ -125,12 +121,12 @@ pub(crate) fn equal_share_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec
     flows
         .iter()
         .map(|f| {
-            let mut rate = f.rate_cap.map(|c| c.as_bytes_per_sec()).unwrap_or(f64::INFINITY);
+            let mut rate = f64::INFINITY;
             for r in &f.resources {
                 let share = r.capacity(topo).as_bytes_per_sec() / users[r] as f64;
                 rate = rate.min(share);
             }
-            debug_assert!(rate.is_finite(), "flow without resources or cap");
+            debug_assert!(rate.is_finite(), "flow without resources");
             Bandwidth::bytes_per_sec(rate)
         })
         .collect()
@@ -138,8 +134,8 @@ pub(crate) fn equal_share_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec
 
 /// Compute the max-min fair allocation for the given flows.
 ///
-/// Panics (debug) if a flow has neither resources nor a rate cap — such a
-/// flow has unbounded rate and should be special-cased by the caller
+/// Panics (debug) if a flow has no resources — such a flow has unbounded
+/// rate and should be special-cased by the caller
 /// (same-host transfers never reach the allocator).
 #[cfg(test)]
 pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Bandwidth> {
@@ -158,10 +154,7 @@ pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Ban
     let mut remaining: BTreeMap<Resource, f64> = BTreeMap::new();
     let mut users: BTreeMap<Resource, u32> = BTreeMap::new();
     for f in flows {
-        debug_assert!(
-            !f.resources.is_empty() || f.rate_cap.is_some(),
-            "flow without resources or cap has unbounded rate"
-        );
+        debug_assert!(!f.resources.is_empty(), "flow without resources has unbounded rate");
         for r in &f.resources {
             remaining.entry(*r).or_insert_with(|| r.capacity(topo).as_bytes_per_sec());
             *users.entry(*r).or_insert(0) += 1;
@@ -182,14 +175,6 @@ pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Ban
                 delta = delta.min(*rem / u as f64);
             }
         }
-        for (i, f) in flows.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            if let Some(cap) = f.rate_cap {
-                delta = delta.min(cap.as_bytes_per_sec() - rate[i]);
-            }
-        }
         debug_assert!(delta.is_finite(), "unfrozen flow with no binding constraint");
         let delta = delta.max(0.0);
 
@@ -207,7 +192,7 @@ pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Ban
             }
         }
 
-        // Freeze flows on saturated resources or at their cap.
+        // Freeze flows on saturated resources.
         let mut to_freeze = Vec::new();
         for (i, f) in flows.iter().enumerate() {
             if frozen[i] {
@@ -217,8 +202,7 @@ pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Ban
                 .resources
                 .iter()
                 .any(|r| remaining[r] <= EPS * r.capacity(topo).as_bytes_per_sec().max(1.0));
-            let capped = f.rate_cap.map(|c| rate[i] + EPS >= c.as_bytes_per_sec()).unwrap_or(false);
-            if saturated || capped {
+            if saturated {
                 to_freeze.push(i);
             }
         }
@@ -269,7 +253,7 @@ pub(crate) fn max_min_allocate(topo: &Topology, flows: &[FlowDemand]) -> Vec<Ban
 pub struct ResourceId(u32);
 
 impl ResourceId {
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -339,16 +323,6 @@ impl ResourceTable {
         self.link_dir[link.index()][usize::from(!from_a)]
     }
 
-    /// The resource of a hub's shared medium.
-    pub fn medium(&self, m: MediumId) -> ResourceId {
-        ResourceId(m.index() as u32)
-    }
-
-    /// The interned resource's identity (for diagnostics and tests).
-    pub fn resource(&self, r: ResourceId) -> Resource {
-        self.resources[r.index()]
-    }
-
     /// Capacity in bytes/sec.
     pub fn capacity(&self, r: ResourceId) -> f64 {
         self.capacity[r.index()]
@@ -357,7 +331,7 @@ impl ResourceTable {
     /// Whether the table still covers the topology's structure (same link
     /// and medium populations). False after links were appended through
     /// the churn mutators, meaning the table must be extended.
-    pub fn covers(&self, topo: &Topology) -> bool {
+    pub(crate) fn covers(&self, topo: &Topology) -> bool {
         self.link_dir.len() == topo.link_count() && self.mediums == topo.medium_count()
     }
 
@@ -367,7 +341,7 @@ impl ResourceTable {
     /// growth stay valid — this is what makes topology churn safe under
     /// live traffic. Mediums cannot be added post-build; links cannot be
     /// removed (only administratively downed), both enforced here.
-    pub fn sync(&mut self, topo: &Topology) {
+    pub(crate) fn sync(&mut self, topo: &Topology) {
         assert!(
             self.link_dir.len() <= topo.link_count(),
             "links cannot be removed from a topology, only downed"
@@ -416,8 +390,6 @@ impl ResourceTable {
 #[derive(Debug, Default)]
 struct FlowSlot {
     resources: Vec<ResourceId>,
-    /// `f64::INFINITY` when uncapped.
-    cap: f64,
     rate: f64,
     /// Admission sequence number: `live` is in ascending `seq` order.
     seq: u64,
@@ -604,8 +576,6 @@ pub struct FairEngine {
     live: Vec<u32>,
     /// The next admission's `FlowSlot::seq`.
     next_seq: u64,
-    /// Live flows with a finite rate cap.
-    capped: usize,
     scratch: Scratch,
 }
 
@@ -628,7 +598,6 @@ impl FairEngine {
             free: Vec::new(),
             live: Vec::new(),
             next_seq: 0,
-            capped: 0,
             scratch: Scratch {
                 remaining: vec![0.0; n],
                 unfrozen: vec![0; n],
@@ -644,13 +613,9 @@ impl FairEngine {
         &self.table
     }
 
-    pub fn model(&self) -> FairnessModel {
-        self.model
-    }
-
     /// Switch the sharing model. Takes effect on the next reallocate, like
     /// the from-scratch path did.
-    pub fn set_model(&mut self, model: FairnessModel) {
+    pub(crate) fn set_model(&mut self, model: FairnessModel) {
         self.model = model;
         self.scratch.resumable = false;
     }
@@ -660,7 +625,7 @@ impl FairEngine {
     /// build). Call after mutating link or medium capacities for failure
     /// injection; like the from-scratch path, the new values take effect on
     /// the next reallocate.
-    pub fn refresh_capacities(&mut self, topo: &Topology) {
+    pub(crate) fn refresh_capacities(&mut self, topo: &Topology) {
         debug_assert_eq!(
             self.table.link_dir.len(),
             topo.link_count(),
@@ -682,7 +647,7 @@ impl FairEngine {
     /// arrays are extended to match. Safe to call with flows active — the
     /// new capacities take effect on the next reallocate, exactly like
     /// [`refresh_capacities`](Self::refresh_capacities).
-    pub fn sync_topology(&mut self, topo: &Topology) {
+    pub(crate) fn sync_topology(&mut self, topo: &Topology) {
         if self.table.covers(topo) {
             self.refresh_capacities(topo);
             return;
@@ -718,12 +683,6 @@ impl FairEngine {
         &self.slots[key as usize].resources
     }
 
-    /// Optional rate cap (bytes/sec) of a registered flow.
-    pub fn rate_cap(&self, key: u32) -> Option<f64> {
-        let cap = self.slots[key as usize].cap;
-        cap.is_finite().then_some(cap)
-    }
-
     fn activate(&mut self, r: ResourceId) {
         self.active_pos[r.index()] = self.active.len() as u32;
         self.active.push(r);
@@ -742,11 +701,8 @@ impl FairEngine {
     /// duplicates are collapsed). Returns the flow's dense key. Does not
     /// reallocate — call [`reallocate`](Self::reallocate) after the batch
     /// of changes.
-    pub fn add_flow(&mut self, resources: &[ResourceId], rate_cap: Option<f64>) -> u32 {
-        debug_assert!(
-            !resources.is_empty() || rate_cap.is_some(),
-            "flow without resources or cap has unbounded rate"
-        );
+    pub fn add_flow(&mut self, resources: &[ResourceId]) -> u32 {
+        debug_assert!(!resources.is_empty(), "flow without resources has unbounded rate");
         let key = match self.free.pop() {
             Some(k) => k,
             None => {
@@ -759,12 +715,10 @@ impl FairEngine {
         slot.resources.extend_from_slice(resources);
         slot.resources.sort_unstable();
         slot.resources.dedup();
-        slot.cap = rate_cap.unwrap_or(f64::INFINITY);
         slot.rate = 0.0;
         slot.seq = self.next_seq;
         slot.alive = true;
         self.next_seq += 1;
-        self.capped += usize::from(slot.cap.is_finite());
         self.live.push(key);
         self.scratch.resumable = false;
         self.scratch.sorted = false;
@@ -787,7 +741,6 @@ impl FairEngine {
         slot.alive = false;
         slot.rate = 0.0;
         let seq = slot.seq;
-        self.capped -= usize::from(slot.cap.is_finite());
         for i in 0..self.slots[key as usize].resources.len() {
             let r = self.slots[key as usize].resources[i];
             self.users[r.index()] -= 1;
@@ -983,7 +936,6 @@ impl FairEngine {
 
         // Each round freezes at least one flow (or bails on numerical
         // stagnation), so this terminates in <= live.len() rounds.
-        let any_cap = self.capped > 0;
         let mut t = from;
         while unfrozen_flows > 0 {
             // The uniform increment all unfrozen flows can still take,
@@ -1015,13 +967,6 @@ impl FairEngine {
                 }
                 s.ck_block[c % CHECKPOINTS] = c;
             }
-            if any_cap {
-                for &k in &self.live {
-                    if !s.frozen[k as usize] {
-                        delta = delta.min(self.slots[k as usize].cap - level);
-                    }
-                }
-            }
             debug_assert!(delta.is_finite(), "unfrozen flow with no binding constraint");
             let delta = delta.max(0.0);
             level += delta;
@@ -1052,15 +997,6 @@ impl FairEngine {
                     }
                 }
             }
-            if any_cap {
-                for &k in &self.live {
-                    let slot = &self.slots[k as usize];
-                    if !s.frozen[k as usize] && level + EPS >= slot.cap {
-                        freeze(s, slot, k, level, t);
-                        unfrozen_flows -= 1;
-                    }
-                }
-            }
             if unfrozen_flows == before {
                 // delta was 0 without progress — numerically stuck; stop
                 // raising rates (everything keeps its current share). The
@@ -1085,8 +1021,8 @@ impl FairEngine {
     /// still holds and only departures followed it. Then every round below
     /// the earliest freeze round `j` of a departed flow repeats: the
     /// departed flows were unfrozen throughout, so each such round had the
-    /// same binding resource — unless a departed flow's own cap or
-    /// resource was the binding term, which the replay below rules out —
+    /// same binding resource — unless a departed flow's own resource was
+    /// the binding term, which the replay below rules out —
     /// the same `delta`, and the same subtractions on every resource no
     /// departed flow crosses. Those are in the checkpoint at or below `j`;
     /// the departed flows' resources are replayed from capacity without
@@ -1108,20 +1044,6 @@ impl FairEngine {
         let from = c * CHECKPOINT_ROUNDS;
         if from == 0 {
             return 0;
-        }
-        // A departed flow's cap must not have bound any round below `from`.
-        for &k in &s.departed {
-            let cap = self.slots[k as usize].cap;
-            if cap.is_infinite() {
-                continue;
-            }
-            let mut level = 0.0;
-            for t in 0..from {
-                if cap - level <= s.deltas[t] {
-                    return 0;
-                }
-                level += s.deltas[t];
-            }
         }
         s.patch.clear();
         for &k in &s.departed {
@@ -1146,12 +1068,12 @@ impl FairEngine {
         let s = &mut self.scratch;
         for &k in &self.live {
             let slot = &self.slots[k as usize];
-            let mut rate = slot.cap;
+            let mut rate = f64::INFINITY;
             for &r in &slot.resources {
                 let share = self.table.capacity[r.index()] / self.users[r.index()] as f64;
                 rate = rate.min(share);
             }
-            debug_assert!(rate.is_finite(), "flow without resources or cap");
+            debug_assert!(rate.is_finite(), "flow without resources");
             s.work[k as usize] = rate;
         }
     }
@@ -1163,6 +1085,19 @@ mod tests {
     use crate::routing::RouteTable;
     use crate::topology::{NodeId, TopologyBuilder};
     use crate::units::Latency;
+
+    impl ResourceTable {
+        /// The interned resource's identity (for diagnostics and tests).
+        fn resource(&self, r: ResourceId) -> Resource {
+            self.resources[r.index()]
+        }
+    }
+
+    impl FairEngine {
+        fn model(&self) -> FairnessModel {
+            self.model
+        }
+    }
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::mbps(x)
@@ -1176,7 +1111,7 @@ mod tests {
     impl Net {
         fn demand(&self, src: NodeId, dst: NodeId) -> FlowDemand {
             let p = self.routes.path(&self.topo, src, dst).unwrap();
-            FlowDemand { resources: path_resources(&self.topo, &p), rate_cap: None }
+            FlowDemand { resources: path_resources(&self.topo, &p) }
         }
     }
 
@@ -1196,18 +1131,44 @@ mod tests {
     }
 
     fn switch_net(n_hosts: usize, rate: f64) -> (Net, Vec<NodeId>) {
+        ported_net(&vec![rate; n_hosts])
+    }
+
+    /// A switch whose host `i` has an access port of `ports[i]` Mbps.
+    fn ported_net(ports: &[f64]) -> (Net, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
-        let sw = b.switch("sw", mbps(rate), Latency::micros(10.0));
-        let hosts: Vec<NodeId> = (0..n_hosts)
-            .map(|i| {
-                let h = b.host(&format!("h{i}.x"), &format!("10.0.0.{}", i + 1));
-                b.attach(h, sw);
+        let sw = b.switch("sw", mbps(ports[0]), Latency::micros(10.0));
+        let hosts: Vec<NodeId> = ports
+            .iter()
+            .enumerate()
+            .map(|(i, &port)| {
+                let h = b.host(&format!("h{i}.x"), &format!("10.0.{}.{}", i / 250, i % 250 + 1));
+                b.attach_with_capacity(h, sw, mbps(port));
                 h
             })
             .collect();
         let topo = b.build().unwrap();
         let routes = RouteTable::compute(&topo);
         (Net { topo, routes }, hosts)
+    }
+
+    /// Fills that run tens of rounds: `servers` hosts at `rate` Mbps, then
+    /// one client per flow whose own access port is one of 40 values well
+    /// under a server port's share, so each binds in a round of its own.
+    /// Every sixth client has a full-rate port, so the server ports
+    /// saturate between those rounds.
+    fn deep_fill_net(servers: usize, clients: usize, rate: f64) -> (Net, Vec<NodeId>) {
+        let ports: Vec<f64> = (0..servers)
+            .map(|_| rate)
+            .chain((0..clients).map(|i| {
+                if i % 6 == 5 {
+                    rate
+                } else {
+                    rate * (1 + i % 40) as f64 / 256.0
+                }
+            }))
+            .collect();
+        ported_net(&ports)
     }
 
     #[test]
@@ -1275,22 +1236,12 @@ mod tests {
     }
 
     #[test]
-    fn rate_cap_binds() {
-        let (net, h) = switch_net(2, 100.0);
-        let mut d = net.demand(h[0], h[1]);
-        d.rate_cap = Some(mbps(7.0));
-        let rates = max_min_allocate(&net.topo, &[d]);
-        assert!((rates[0].as_mbps() - 7.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn capped_flow_releases_capacity_to_others() {
-        let (net, h) = switch_net(3, 100.0);
-        let mut capped = net.demand(h[0], h[1]);
-        capped.rate_cap = Some(mbps(10.0));
+        let (net, h) = ported_net(&[100.0, 10.0, 100.0]);
+        let capped = net.demand(h[0], h[1]);
         let open = net.demand(h[0], h[2]);
-        // Both flows share h0's egress port (100 Mbps): the capped flow
-        // takes 10, the other grows to 90.
+        // Both flows share h0's egress port (100 Mbps): the flow capped by
+        // h1's 10 Mbps port takes 10, the other grows to 90.
         let rates = max_min_allocate(&net.topo, &[capped, open]);
         assert!((rates[0].as_mbps() - 10.0).abs() < 1e-6);
         assert!((rates[1].as_mbps() - 90.0).abs() < 1e-6);
@@ -1351,11 +1302,8 @@ mod tests {
         // Classic difference: a flow bottlenecked elsewhere still "uses"
         // its share under equal-share, so the co-located flow gets less
         // than max-min would grant it.
-        let (net, h) = switch_net(3, 100.0);
-        let mut capped = net.demand(h[0], h[1]);
-        capped.rate_cap = Some(mbps(10.0));
-        let open = net.demand(h[0], h[2]);
-        let flows = vec![capped, open];
+        let (net, h) = ported_net(&[100.0, 10.0, 100.0]);
+        let flows = vec![net.demand(h[0], h[1]), net.demand(h[0], h[2])];
         let mm = max_min_allocate(&net.topo, &flows);
         let es = equal_share_allocate(&net.topo, &flows);
         assert!((mm[1].as_mbps() - 90.0).abs() < 1e-6, "max-min redistributes");
@@ -1408,8 +1356,8 @@ mod tests {
         let mut ids = Vec::new();
         let p = net.routes.path(&net.topo, h[0], h[1]).unwrap();
         table.intern_path(&net.topo, &p, &mut ids);
-        let k1 = fe.add_flow(&ids, None);
-        let k2 = fe.add_flow(&ids, None);
+        let k1 = fe.add_flow(&ids);
+        let k2 = fe.add_flow(&ids);
         fe.reallocate();
         // Two flows on one 100 Mbps hub medium: 50 Mbps each.
         assert!((fe.rate(k1) - mbps(50.0).as_bytes_per_sec()).abs() < 1.0);
@@ -1420,7 +1368,7 @@ mod tests {
         // The lone survivor gets the whole medium back.
         assert!((fe.rate(k2) - mbps(100.0).as_bytes_per_sec()).abs() < 1.0);
         // The freed slot is recycled.
-        let k3 = fe.add_flow(&ids, None);
+        let k3 = fe.add_flow(&ids);
         assert_eq!(k3, k1, "freelist reuses the freed key");
         fe.reallocate();
         assert!((fe.rate(k2) - mbps(50.0).as_bytes_per_sec()).abs() < 1.0);
@@ -1436,8 +1384,8 @@ mod tests {
         let mut ids = Vec::new();
         let p = net.routes.path(&net.topo, h[0], h[1]).unwrap();
         table.intern_path(&net.topo, &p, &mut ids);
-        let k1 = fe.add_flow(&ids, None);
-        let k2 = fe.add_flow(&ids, None);
+        let k1 = fe.add_flow(&ids);
+        let k2 = fe.add_flow(&ids);
         Arc::make_mut(&mut fe.table).freeze_eps[ids[0].index()] = -1.0;
         fe.reallocate();
         let half = mbps(100.0).as_bytes_per_sec() / 2.0;
@@ -1507,15 +1455,12 @@ mod tests {
             fe: &mut FairEngine,
             shadow: &mut HashMap<u32, FlowDemand>,
             (src, dst): (NodeId, NodeId),
-            cap: Option<Bandwidth>,
         ) {
-            let mut demand = net.demand(src, dst);
-            demand.rate_cap = cap;
             let p = net.routes.path(&net.topo, src, dst).unwrap();
             let mut ids = Vec::new();
             fe.table().intern_path(&net.topo, &p, &mut ids);
-            let key = fe.add_flow(&ids, cap.map(|c| c.as_bytes_per_sec()));
-            shadow.insert(key, demand);
+            let key = fe.add_flow(&ids);
+            shadow.insert(key, net.demand(src, dst));
         }
 
         /// Live keys by committed rate, ties by key.
@@ -1603,14 +1548,11 @@ mod tests {
         /// 0, then resumed — sort nothing and still match the oracle.
         #[test]
         fn growth_under_live_flows_keeps_the_sorted_table() {
-            let rate = 100.0;
-            let (mut net, hosts) = switch_net(16, rate);
+            let (mut net, hosts) = deep_fill_net(16, 48, 100.0);
             let mut fe = FairEngine::new(&net.topo, FairnessModel::MaxMin);
             let mut shadow = HashMap::new();
             for i in 0..48 {
-                let cap = (i % 6 != 5).then(|| mbps(rate * (1 + i % 40) as f64 / 256.0));
-                let pair = (hosts[i % 16], hosts[(i + 1 + i / 16) % 16]);
-                admit(&net, &mut fe, &mut shadow, pair, cap);
+                admit(&net, &mut fe, &mut shadow, (hosts[16 + i], hosts[i % 16]));
             }
             matches_oracle(&net, &mut fe, &shadow).unwrap();
             let before = fe.table().len();
@@ -1716,9 +1658,9 @@ mod tests {
             /// produce the same per-flow rates, to the bit, as the
             /// from-scratch oracle after every step of a random add/remove
             /// sequence (up to 64 live flows), on random mixed hub+switch
-            /// topologies, under both sharing models. Half the flows are
-            /// capped between rate/8 and rate, so caps bind in rounds before
-            /// and after the hub or a port saturates; `dead` gives one
+            /// topologies, under both sharing models. The switch hosts' ports
+            /// run between rate/8 and rate, so they saturate in rounds before
+            /// and after the hub does; `dead` gives one
             /// host's port (or the whole hub) zero capacity, so a round has
             /// `delta == 0`. A step removes one to three flows — the oldest,
             /// a resource's only member, or by committed rate the highest,
@@ -1729,9 +1671,9 @@ mod tests {
             fn incremental_engine_matches_oracle(
                 n_each in 2usize..5,
                 rate in 10.0f64..500.0,
+                ports in proptest::collection::vec(1usize..9, 4),
                 dead in proptest::option::of(0usize..10),
-                // Each op: (src pick, dst pick, cap pick, what). cap < 4 →
-                // uncapped, otherwise a cap of cap/8 × rate Mbps. what 0
+                // Each op: (src pick, dst pick, port pick, what). what 0
                 // drops the oldest live flow, 1 a flow that is some
                 // resource's only member (the resource must leave `active`
                 // and the table), 2, 3 and 4 the highest-, lowest- and
@@ -1745,6 +1687,9 @@ mod tests {
                 equal_share in proptest::bool::ANY,
             ) {
                 let (mut net, hosts) = mixed_net(n_each, rate);
+                for (&h, p) in hosts[n_each..].iter().zip(ports) {
+                    set_port(&mut net, h, mbps(rate * p as f64 / 8.0));
+                }
                 if let Some(d) = dead {
                     set_port(&mut net, hosts[d % hosts.len()], Bandwidth::ZERO);
                 }
@@ -1758,8 +1703,7 @@ mod tests {
                 let mut shadow: HashMap<u32, FlowDemand> = HashMap::new();
                 let n = hosts.len();
 
-                for (s, d, cap_pick, what) in ops {
-                    let cap = (cap_pick >= 4).then(|| mbps(cap_pick as f64 * rate / 8.0));
+                for (s, d, port_pick, what) in ops {
                     let pair = (hosts[s % n], hosts[d % n]);
                     let removes = !shadow.is_empty() && (what < 7 || shadow.len() == 64 && what > 8);
                     let mut from_scratch = false;
@@ -1781,11 +1725,11 @@ mod tests {
                             shadow.remove(&key);
                         }
                         if what == 6 && pair.0 != pair.1 {
-                            admit(&net, &mut fe, &mut shadow, pair, cap);
+                            admit(&net, &mut fe, &mut shadow, pair);
                             from_scratch = true;
                         }
                     } else if what == 7 {
-                        set_port(&mut net, pair.0, mbps(rate * (1 + cap_pick) as f64 / 4.0));
+                        set_port(&mut net, pair.0, mbps(rate * (1 + port_pick) as f64 / 4.0));
                         fe.refresh_capacities(&net.topo);
                         from_scratch = true;
                     } else if what == 8 {
@@ -1795,7 +1739,7 @@ mod tests {
                         });
                         from_scratch = true;
                     } else if pair.0 != pair.1 {
-                        admit(&net, &mut fe, &mut shadow, pair, cap);
+                        admit(&net, &mut fe, &mut shadow, pair);
                         from_scratch = true;
                     }
                     let fills = fe.scratch.starts.len();
@@ -1806,29 +1750,25 @@ mod tests {
                 }
             }
 
-            /// Fills long enough to resume: every flow between two hosts of
-            /// a switch carries its own cap, from 40 distinct values well
-            /// under a port's share, so each cap binds in a round of its
-            /// own and a fill runs more than three checkpoint intervals.
+            /// Fills long enough to resume: every flow leaves its own client
+            /// port for one of 16 server ports (see `deep_fill_net`), so a
+            /// fill runs more than three checkpoint intervals.
             /// The fastest flows leave first, as they do in a drain, and
             /// the fills after them must resume above round 0 and still
             /// match the oracle to the bit.
             #[test]
             fn long_fills_resume_and_match_oracle(
                 rate in 10.0f64..500.0,
-                pairs in proptest::collection::vec((0usize..16, 1usize..16), 40..64),
+                servers in proptest::collection::vec(0usize..16, 40..64),
                 // (which, how many): which 0 and 1 the fastest, 2 the
                 // slowest, 3 the median-rate flows; one to three at once.
                 removals in proptest::collection::vec((0usize..4, 1usize..4), 4..24),
             ) {
-                let (net, hosts) = switch_net(16, rate);
+                let (net, hosts) = deep_fill_net(16, servers.len(), rate);
                 let mut fe = FairEngine::new(&net.topo, FairnessModel::MaxMin);
                 let mut shadow: HashMap<u32, FlowDemand> = HashMap::new();
-                for (i, &(s, hop)) in pairs.iter().enumerate() {
-                    // Flow i's cap is one of 40 values; every sixth flow is
-                    // uncapped, so ports saturate between the caps.
-                    let cap = (i % 6 != 5).then(|| mbps(rate * (1 + i % 40) as f64 / 256.0));
-                    admit(&net, &mut fe, &mut shadow, (hosts[s], hosts[(s + hop) % 16]), cap);
+                for (i, &s) in servers.iter().enumerate() {
+                    admit(&net, &mut fe, &mut shadow, (hosts[16 + i], hosts[s]));
                 }
                 matches_oracle(&net, &mut fe, &shadow)?;
                 prop_assert!(

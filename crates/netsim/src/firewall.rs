@@ -3,98 +3,32 @@
 //! The paper's ENS-Lyon platform contains the firewalled `popc.private`
 //! domain: its inner hosts "cannot communicate with the outside world, but
 //! they are connected to sci0, popc0 and myri0, which can act as gateways"
-//! (§4.3). We model that with ordered allow/deny rules over node sets;
-//! first matching rule wins, default is allow.
+//! (§4.3). We model that with deny pairs of host sets: traffic between the
+//! two sets of a pair is blocked in both directions, everything else is
+//! allowed.
 
 use std::collections::BTreeSet;
 
 use crate::topology::NodeId;
 
-/// A set of hosts a rule applies to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HostSet {
-    All,
-    Listed(BTreeSet<NodeId>),
-}
-
-impl HostSet {
-    pub fn from_slice(nodes: &[NodeId]) -> Self {
-        HostSet::Listed(nodes.iter().copied().collect())
-    }
-
-    pub fn contains(&self, n: NodeId) -> bool {
-        match self {
-            HostSet::All => true,
-            HostSet::Listed(s) => s.contains(&n),
-        }
-    }
-}
-
-/// One firewall rule. `allow == false` blocks matching traffic.
-#[derive(Debug, Clone)]
-pub struct Rule {
-    pub src: HostSet,
-    pub dst: HostSet,
-    pub allow: bool,
-}
-
-/// An ordered rule list; first match wins, default allow.
+/// A list of deny pairs; default allow.
 #[derive(Debug, Clone, Default)]
 pub struct Firewall {
-    rules: Vec<Rule>,
+    denied: Vec<(BTreeSet<NodeId>, BTreeSet<NodeId>)>,
 }
 
 impl Firewall {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a rule.
-    pub fn add_rule(&mut self, rule: Rule) {
-        self.rules.push(rule);
-    }
-
     /// Block all traffic between the two sets, in both directions.
-    pub fn deny_between(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.rules.push(Rule {
-            src: HostSet::from_slice(a),
-            dst: HostSet::from_slice(b),
-            allow: false,
-        });
-        self.rules.push(Rule {
-            src: HostSet::from_slice(b),
-            dst: HostSet::from_slice(a),
-            allow: false,
-        });
+    pub(crate) fn deny_between(&mut self, a: &[NodeId], b: &[NodeId]) {
+        self.denied.push((a.iter().copied().collect(), b.iter().copied().collect()));
     }
 
-    /// Allow traffic between the two sets in both directions (useful as a
-    /// higher-priority exception appended *before* a deny).
-    pub fn allow_between(&mut self, a: &[NodeId], b: &[NodeId]) {
-        self.rules.push(Rule {
-            src: HostSet::from_slice(a),
-            dst: HostSet::from_slice(b),
-            allow: true,
-        });
-        self.rules.push(Rule {
-            src: HostSet::from_slice(b),
-            dst: HostSet::from_slice(a),
-            allow: true,
-        });
-    }
-
-    /// Whether `src` may send traffic to `dst`.
-    pub fn allows(&self, src: NodeId, dst: NodeId) -> bool {
-        for rule in &self.rules {
-            if rule.src.contains(src) && rule.dst.contains(dst) {
-                return rule.allow;
-            }
-        }
-        true
-    }
-
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
+    /// Whether `src` may send traffic to `dst`: true unless some deny pair
+    /// separates them.
+    pub(crate) fn allows(&self, src: NodeId, dst: NodeId) -> bool {
+        !self.denied.iter().any(|(a, b)| {
+            (a.contains(&src) && b.contains(&dst)) || (b.contains(&src) && a.contains(&dst))
+        })
     }
 }
 
@@ -108,13 +42,13 @@ mod tests {
 
     #[test]
     fn default_allows_everything() {
-        let fw = Firewall::new();
+        let fw = Firewall::default();
         assert!(fw.allows(n(0), n(1)));
     }
 
     #[test]
     fn deny_between_is_bidirectional() {
-        let mut fw = Firewall::new();
+        let mut fw = Firewall::default();
         fw.deny_between(&[n(1), n(2)], &[n(5)]);
         assert!(!fw.allows(n(1), n(5)));
         assert!(!fw.allows(n(5), n(2)));
@@ -123,31 +57,11 @@ mod tests {
     }
 
     #[test]
-    fn first_match_wins() {
-        let mut fw = Firewall::new();
-        // Exception first: gateway n(3) may cross.
-        fw.allow_between(&[n(3)], &[n(5)]);
-        fw.deny_between(&[n(1), n(2), n(3)], &[n(5)]);
-        assert!(fw.allows(n(3), n(5)));
-        assert!(fw.allows(n(5), n(3)));
-        assert!(!fw.allows(n(1), n(5)));
-    }
-
-    #[test]
-    fn all_matches_everything() {
-        let mut fw = Firewall::new();
-        fw.add_rule(Rule { src: HostSet::All, dst: HostSet::from_slice(&[n(9)]), allow: false });
-        assert!(!fw.allows(n(42), n(9)));
-        assert!(fw.allows(n(9), n(42)));
-        assert_eq!(fw.rule_count(), 1);
-    }
-
-    #[test]
     fn paper_gateway_pattern() {
         // Inner private hosts 10..13, gateways 20..22, public hosts 30..32.
         let inner: Vec<NodeId> = (10..14).map(n).collect();
         let public: Vec<NodeId> = (30..33).map(n).collect();
-        let mut fw = Firewall::new();
+        let mut fw = Firewall::default();
         fw.deny_between(&inner, &public);
         // Inner can talk to gateways (not listed in any rule).
         assert!(fw.allows(n(10), n(20)));

@@ -8,12 +8,6 @@ use crate::units::{Bandwidth, Bytes};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub(crate) u64);
 
-impl FlowId {
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// The record of a finished transfer, as observed by its initiator: the
 /// transfer is "done" when the final acknowledgment returns, which is how
 /// NWS times its 64 KiB throughput experiments (paper §2.2).

@@ -32,20 +32,16 @@ pub enum IpClass {
 }
 
 impl Ipv4 {
-    pub fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
+    pub(crate) fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Ipv4(u32::from_be_bytes([a, b, c, d]))
     }
 
-    pub fn from_u32(raw: u32) -> Self {
-        Ipv4(raw)
-    }
-
-    pub fn octets(self) -> [u8; 4] {
+    pub(crate) fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
     }
 
     /// The classful class of this address.
-    pub fn class(self) -> IpClass {
+    pub(crate) fn class(self) -> IpClass {
         let first = self.octets()[0];
         match first {
             0..=127 => IpClass::A,
@@ -58,7 +54,7 @@ impl Ipv4 {
 
     /// The network address implied by the classful class: the part ENV uses
     /// to group unnamed hosts into pseudo-domains.
-    pub fn class_network(self) -> Ipv4 {
+    pub(crate) fn class_network(self) -> Ipv4 {
         let o = self.octets();
         match self.class() {
             IpClass::A => Ipv4::new(o[0], 0, 0, 0),
@@ -69,21 +65,9 @@ impl Ipv4 {
         }
     }
 
-    /// True for RFC 1918 private ranges (10/8, 172.16/12, 192.168/16) plus
-    /// loopback and link-local — addresses that are only routable inside the
-    /// local network.
-    pub fn is_private(self) -> bool {
-        let o = self.octets();
-        o[0] == 10
-            || (o[0] == 172 && (16..=31).contains(&o[1]))
-            || (o[0] == 192 && o[1] == 168)
-            || o[0] == 127
-            || (o[0] == 169 && o[1] == 254)
-    }
-
     /// A pseudo-domain name derived from the classful network, used when DNS
     /// resolution fails (ENV's "use IP address class" fallback).
-    pub fn class_domain(self) -> String {
+    pub(crate) fn class_domain(self) -> String {
         let n = self.class_network().octets();
         match self.class() {
             IpClass::A => format!("net-{}", n[0]),
@@ -132,6 +116,20 @@ impl FromStr for Ipv4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ipv4 {
+        /// True for RFC 1918 private ranges (10/8, 172.16/12, 192.168/16) plus
+        /// loopback and link-local — addresses that are only routable inside the
+        /// local network.
+        fn is_private(self) -> bool {
+            let o = self.octets();
+            o[0] == 10
+                || (o[0] == 172 && (16..=31).contains(&o[1]))
+                || (o[0] == 192 && o[1] == 168)
+                || o[0] == 127
+                || (o[0] == 169 && o[1] == 254)
+        }
+    }
 
     #[test]
     fn parse_and_display_round_trip() {

@@ -54,7 +54,6 @@
 
 pub mod churn;
 pub mod disk;
-pub mod dot;
 pub mod engine;
 pub mod error;
 pub mod fairness;

@@ -2,7 +2,7 @@
 //!
 //! The ENV structural phase groups hosts into sites by domain name; when a
 //! machine has no name, the paper's patched ENV falls back to the classful
-//! network of its address ([`crate::ip::Ipv4::class_domain`]). The firewall
+//! network of its address (`crate::ip::Ipv4::class_domain`). The firewall
 //! merge (paper §4.3) relies on knowing that several names — one per side of
 //! the firewall — designate the same machine; those are recorded here as
 //! aliases.
@@ -33,7 +33,7 @@ pub struct Interner {
 }
 
 impl Interner {
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Interner {
             lookup: HashMap::with_capacity_and_hasher(n, FixedState::default()),
             names: Vec::with_capacity(n),
@@ -80,41 +80,36 @@ pub struct Dns {
 }
 
 impl Dns {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register `name` ⇔ `ip`. The first name registered for an address
     /// becomes its canonical reverse-resolution result.
-    pub fn register(&mut self, name: &str, ip: Ipv4) {
+    pub(crate) fn register(&mut self, name: &str, ip: Ipv4) {
         self.by_name.insert(name.to_string(), ip);
         self.by_ip.entry(ip).or_insert_with(|| name.to_string());
     }
 
     /// Record that `alias` names the same machine as `name`.
-    pub fn add_alias(&mut self, name: &str, alias: &str) {
+    pub(crate) fn add_alias(&mut self, name: &str, alias: &str) {
         self.aliases.entry(name.to_string()).or_default().insert(alias.to_string());
     }
 
     /// Forward lookup.
-    pub fn lookup(&self, name: &str) -> Option<Ipv4> {
+    pub(crate) fn lookup(&self, name: &str) -> Option<Ipv4> {
         self.by_name.get(name).copied()
     }
 
     /// Reverse lookup. `None` models a PTR record that does not exist —
     /// the "machines without hostname" case of paper §4.3.
-    pub fn reverse(&self, ip: Ipv4) -> Option<&str> {
+    pub(crate) fn reverse(&self, ip: Ipv4) -> Option<&str> {
         self.by_ip.get(&ip).map(|s| s.as_str())
-    }
-
-    /// All other names known to designate the same machine as `name`.
-    pub fn aliases_of(&self, name: &str) -> Vec<String> {
-        self.aliases.get(name).map(|s| s.iter().cloned().collect()).unwrap_or_default()
     }
 
     /// The DNS domain of a name: everything after the first dot. Returns
     /// `None` for dotless names.
-    pub fn domain_of(name: &str) -> Option<&str> {
+    pub(crate) fn domain_of(name: &str) -> Option<&str> {
         name.split_once('.').map(|(_, d)| d)
     }
 
@@ -126,20 +121,27 @@ impl Dns {
             None => ip.class_domain(),
         }
     }
-
-    /// Number of registered forward entries.
-    pub fn len(&self) -> usize {
-        self.by_name.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dns {
+        /// All other names known to designate the same machine as `name`.
+        pub(crate) fn aliases_of(&self, name: &str) -> Vec<String> {
+            self.aliases.get(name).map(|s| s.iter().cloned().collect()).unwrap_or_default()
+        }
+
+        /// Number of registered forward entries.
+        fn len(&self) -> usize {
+            self.by_name.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.by_name.is_empty()
+        }
+    }
 
     #[test]
     fn forward_and_reverse() {

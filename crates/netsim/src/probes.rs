@@ -2,14 +2,11 @@
 //! allowed to make (no SNMP, no raw sockets, no super-user privileges —
 //! paper §3).
 //!
-//! * [`Engine::measure_rtt`] — NWS's latency probe: a 4-byte transfer timed
-//!   there-and-back on an established connection (§2.2).
 //! * [`Engine::measure_bandwidth`] — NWS's throughput probe: a 64 KiB
 //!   message timed until acknowledgment (§2.2); ENV uses larger transfers.
 //! * [`Engine::measure_bandwidth_concurrent`] — several transfers launched
 //!   at the same instant; the primitive behind ENV's pairwise and jammed
 //!   experiments (§4.2.2).
-//! * [`Engine::measure_connect_time`] — TCP connect-disconnect time.
 //! * [`Engine::traceroute`] — hop discovery via TTL expiry; silent routers
 //!   yield anonymous hops, unnamed routers yield bare IPs.
 //!
@@ -46,13 +43,6 @@ pub struct TracerouteHop {
 }
 
 impl<M> Engine<M> {
-    /// Round-trip time of a 4-byte transfer (NWS latency experiment).
-    pub fn measure_rtt(&mut self, src: NodeId, dst: NodeId) -> NetResult<TimeDelta> {
-        let f = self.start_probe_flow(src, dst, LATENCY_PROBE_BYTES)?;
-        self.run_until_flows_done(&[f], probe_horizon())?;
-        Ok(self.outcome(f).expect("flow completed").duration())
-    }
-
     /// Throughput of a single timed transfer of `bytes`.
     pub fn measure_bandwidth(
         &mut self,
@@ -91,13 +81,6 @@ impl<M> Engine<M> {
             .into_iter()
             .map(|r| r.map(|id| self.outcome(id).expect("awaited above").throughput()))
             .collect()
-    }
-
-    /// TCP connect-disconnect time, modelled as 1.5 RTT (SYN, SYN-ACK,
-    /// ACK) — the third NWS network experiment (§2.2).
-    pub fn measure_connect_time(&mut self, src: NodeId, dst: NodeId) -> NetResult<TimeDelta> {
-        let rtt = self.measure_rtt(src, dst)?;
-        Ok(rtt * 1.5)
     }
 
     /// Hop discovery by TTL expiry. Reports the layer-3 hops between `src`
@@ -166,7 +149,10 @@ mod tests {
     #[test]
     fn rtt_is_round_trip_latency() {
         let (mut sim, a, c) = routed_net();
-        let rtt = sim.measure_rtt(a, c).unwrap();
+        // NWS's latency probe: a 4-byte transfer timed there and back.
+        let f = sim.start_probe_flow(a, c, LATENCY_PROBE_BYTES).unwrap();
+        sim.run_until_flows_done(&[f], probe_horizon()).unwrap();
+        let rtt = sim.outcome(f).unwrap().duration();
         // 4 port traversals each way at 100 us = 800 us, plus negligible
         // serialization of 4 bytes.
         assert!((rtt.as_secs() - 800e-6).abs() < 20e-6, "rtt = {rtt}");
@@ -177,14 +163,6 @@ mod tests {
         let (mut sim, a, c) = routed_net();
         let bw = sim.measure_bandwidth(a, c, Bytes::mib(1)).unwrap();
         assert!((bw.as_mbps() - 10.0).abs() < 0.2, "bw = {bw}");
-    }
-
-    #[test]
-    fn connect_time_is_1_5_rtt() {
-        let (mut sim, a, c) = routed_net();
-        let rtt = sim.measure_rtt(a, c).unwrap();
-        let ct = sim.measure_connect_time(a, c).unwrap();
-        assert!((ct.as_secs() - 1.5 * rtt.as_secs()).abs() < 1e-5);
     }
 
     #[test]

@@ -43,20 +43,6 @@ impl Path {
         }
         min.unwrap_or(Bandwidth::ZERO)
     }
-
-    /// Intermediate layer-3 hops (routers and forwarding hosts), excluding
-    /// the endpoints — the nodes a traceroute would reveal.
-    pub fn l3_hops(&self, topo: &Topology) -> Vec<NodeId> {
-        self.nodes[1..self.nodes.len().saturating_sub(1)]
-            .iter()
-            .copied()
-            .filter(|n| topo.node(*n).is_l3_hop())
-            .collect()
-    }
-
-    pub fn hop_count(&self) -> usize {
-        self.links.len()
-    }
 }
 
 /// Distance key for Dijkstra: weight plus deterministic tie-break.
@@ -454,15 +440,6 @@ impl RouteTable {
         Ok(HopsRev { topo, table: self, row, src, cur: dst })
     }
 
-    /// One-way latency of the directed route, computed without allocating.
-    pub fn latency(&self, topo: &Topology, src: NodeId, dst: NodeId) -> NetResult<Latency> {
-        let mut secs = 0.0;
-        for (_, l) in self.hops_rev(topo, src, dst)? {
-            secs += topo.link(l).latency.as_secs();
-        }
-        Ok(Latency::secs(secs))
-    }
-
     /// One-way latency and minimum directed capacity of the route, in one
     /// allocation-free walk (the control-message delivery hot path).
     pub fn latency_and_bottleneck(
@@ -571,6 +548,22 @@ mod tests {
     use super::*;
     use crate::topology::TopologyBuilder;
     use crate::units::{Bandwidth, Latency};
+
+    impl Path {
+        /// Intermediate layer-3 hops (routers and forwarding hosts), excluding
+        /// the endpoints — the nodes a traceroute would reveal.
+        fn l3_hops(&self, topo: &Topology) -> Vec<NodeId> {
+            self.nodes[1..self.nodes.len().saturating_sub(1)]
+                .iter()
+                .copied()
+                .filter(|n| topo.node(*n).is_l3_hop())
+                .collect()
+        }
+
+        pub(crate) fn hop_count(&self) -> usize {
+            self.links.len()
+        }
+    }
 
     fn mbps(x: f64) -> Bandwidth {
         Bandwidth::mbps(x)

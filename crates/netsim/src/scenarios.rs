@@ -67,36 +67,6 @@ pub struct EnsLyon {
     pub sci: Vec<NodeId>,
 }
 
-impl EnsLyon {
-    /// All end hosts of the platform (the machines ENV maps).
-    pub fn all_hosts(&self) -> Vec<NodeId> {
-        let mut v = vec![
-            self.the_doors,
-            self.canaria,
-            self.moby,
-            self.popc0,
-            self.myri0,
-            self.sci0,
-            self.myri1,
-            self.myri2,
-        ];
-        v.extend(&self.sci);
-        v
-    }
-
-    /// Hosts visible from the public side (the outside ENV run's input).
-    pub fn public_hosts(&self) -> Vec<NodeId> {
-        vec![self.the_doors, self.canaria, self.moby, self.popc0, self.myri0, self.sci0]
-    }
-
-    /// Hosts of the private domain (the inside ENV run's input).
-    pub fn private_hosts(&self) -> Vec<NodeId> {
-        let mut v = vec![self.popc0, self.myri0, self.sci0, self.myri1, self.myri2];
-        v.extend(&self.sci);
-        v
-    }
-}
-
 /// The six public hosts the outside ENV run of paper §4.2 maps from
 /// the-doors, in the order the mapper visits them.
 pub const ENS_LYON_OUTSIDE: [&str; 6] = [
@@ -467,6 +437,36 @@ mod tests {
     use super::*;
     use crate::engine::Sim;
     use crate::units::Bytes;
+
+    impl EnsLyon {
+        /// All end hosts of the platform (the machines ENV maps).
+        fn all_hosts(&self) -> Vec<NodeId> {
+            let mut v = vec![
+                self.the_doors,
+                self.canaria,
+                self.moby,
+                self.popc0,
+                self.myri0,
+                self.sci0,
+                self.myri1,
+                self.myri2,
+            ];
+            v.extend(&self.sci);
+            v
+        }
+
+        /// Hosts visible from the public side (the outside ENV run's input).
+        fn public_hosts(&self) -> Vec<NodeId> {
+            vec![self.the_doors, self.canaria, self.moby, self.popc0, self.myri0, self.sci0]
+        }
+
+        /// Hosts of the private domain (the inside ENV run's input).
+        fn private_hosts(&self) -> Vec<NodeId> {
+            let mut v = vec![self.popc0, self.myri0, self.sci0, self.myri1, self.myri2];
+            v.extend(&self.sci);
+            v
+        }
+    }
 
     #[test]
     fn ens_lyon_builds_and_exposes_hosts() {

@@ -8,12 +8,12 @@
 //!
 //! * [`synth_campus`] — star-of-stars campus LANs (ENS-Lyon-like): hub or
 //!   switch leaf LANs behind per-LAN routers on a backbone;
-//! * [`synth_fat_tree`] — a pod/edge fat-tree cluster with over-provisioned
+//! * `synth_fat_tree` — a pod/edge fat-tree cluster with over-provisioned
 //!   uplinks;
-//! * [`synth_grid`] — a multi-site grid whose private subnets sit behind
+//! * `synth_grid` — a multi-site grid whose private subnets sit behind
 //!   dual-homed gateway hosts, optionally firewalled like the paper's
 //!   `popc.private` domain;
-//! * [`synth_wan`] — an asymmetric WAN backbone chain with per-direction
+//! * `synth_wan` — an asymmetric WAN backbone chain with per-direction
 //!   link capacities, sites hanging off each backbone hop.
 //!
 //! ## Effective versus physical truth
@@ -212,7 +212,7 @@ pub fn synth_campus(seed: u64, hosts: usize) -> SynthScenario {
 /// any master the per-pod probes all bottleneck on the master's port, so
 /// the effective truth is one (switched) cluster per pod — see the module
 /// docs on effective vs physical truth.
-pub fn synth_fat_tree(seed: u64, hosts: usize) -> SynthScenario {
+pub(crate) fn synth_fat_tree(seed: u64, hosts: usize) -> SynthScenario {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = TopologyBuilder::new();
     let border = b.router_unnamed("192.168.254.1");
@@ -275,7 +275,7 @@ pub fn synth_fat_tree(seed: u64, hosts: usize) -> SynthScenario {
 /// Effective truth: one cluster per site-0 LAN, the foreign gateways as one
 /// cluster (they share the exit path and the master's-port bottleneck), and
 /// site 0's own gateway as a singleton.
-pub fn synth_grid(seed: u64, hosts: usize, firewalled: bool) -> SynthScenario {
+pub(crate) fn synth_grid(seed: u64, hosts: usize, firewalled: bool) -> SynthScenario {
     const SITES: usize = 6;
     assert!(hosts > 2 * SITES, "grid needs room for site-0 LANs beside the gateways");
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -406,7 +406,7 @@ pub fn synth_grid(seed: u64, hosts: usize, firewalled: bool) -> SynthScenario {
 /// time the 1.25× threshold can no longer see contention — a real ENV
 /// probe-sizing limitation (§4.3) that belongs in a dedicated experiment,
 /// not silently inside every scaling row.
-pub fn synth_wan(seed: u64, hosts: usize) -> SynthScenario {
+pub(crate) fn synth_wan(seed: u64, hosts: usize) -> SynthScenario {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = TopologyBuilder::new();
     let border = b.router_unnamed("192.168.254.1");

@@ -58,10 +58,6 @@ impl TimeDelta {
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
-
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
 }
 
 impl From<Latency> for TimeDelta {

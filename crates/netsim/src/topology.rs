@@ -214,7 +214,7 @@ pub struct Medium {
 pub struct NameId(u32);
 
 impl NameId {
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -245,31 +245,18 @@ impl NameTable {
     }
 
     /// The dense id of a name, if it is registered.
-    pub fn get(&self, name: &str) -> Option<NameId> {
+    pub(crate) fn get(&self, name: &str) -> Option<NameId> {
         self.names.get(name).map(NameId)
     }
 
     /// The node owning an interned name.
-    pub fn owner(&self, id: NameId) -> NodeId {
+    pub(crate) fn owner(&self, id: NameId) -> NodeId {
         self.owner[id.index()]
-    }
-
-    /// The interned string of a dense id.
-    pub fn name(&self, id: NameId) -> &str {
-        self.names.name(id.0)
     }
 
     /// One-shot resolution (`get` + `owner`).
     pub fn resolve(&self, name: &str) -> Option<NodeId> {
         self.get(name).map(|id| self.owner(id))
-    }
-
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 }
 
@@ -309,7 +296,7 @@ impl Topology {
         &self.nodes[id.index()]
     }
 
-    pub fn try_node(&self, id: NodeId) -> NetResult<&Node> {
+    pub(crate) fn try_node(&self, id: NodeId) -> NetResult<&Node> {
         self.nodes.get(id.index()).ok_or(NetError::UnknownNode(id))
     }
 
@@ -348,7 +335,8 @@ impl Topology {
     }
 
     /// All end hosts (kind `Host`).
-    pub fn hosts(&self) -> impl Iterator<Item = &Node> {
+    #[cfg(test)]
+    pub(crate) fn hosts(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter().filter(|n| n.kind == NodeKind::Host)
     }
 
@@ -361,12 +349,9 @@ impl Topology {
         &self.dns
     }
 
-    pub fn firewall(&self) -> &Firewall {
-        &self.firewall
-    }
-
     /// Find a node by label (exact match).
-    pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn node_by_label(&self, label: &str) -> Option<NodeId> {
         self.nodes.iter().find(|n| n.label == label).map(|n| n.id)
     }
 
@@ -402,7 +387,7 @@ impl Topology {
 
     /// The interface of node `n` bound to link `l` (used by traceroute to
     /// report the address facing the previous hop).
-    pub fn iface_on_link(&self, n: NodeId, l: LinkId) -> Option<&Iface> {
+    pub(crate) fn iface_on_link(&self, n: NodeId, l: LinkId) -> Option<&Iface> {
         let link = self.link(l);
         let idx = if link.a == n {
             link.a_iface
@@ -565,7 +550,7 @@ struct InfraSpec {
 /// b.attach(h1, sw);
 /// b.attach(h2, sw);
 /// let topo = b.build().unwrap();
-/// assert_eq!(topo.hosts().count(), 2);
+/// assert_eq!(topo.node_by_name("h2.example.net"), Some(h2));
 /// ```
 #[derive(Debug, Default)]
 pub struct TopologyBuilder {
@@ -655,7 +640,7 @@ impl TopologyBuilder {
 
     /// A router whose address does not reverse-resolve (traceroute shows
     /// the bare IP, as for 192.168.254.1 in the paper's Figure 2).
-    pub fn router_unnamed(&mut self, ip: &str) -> NodeId {
+    pub(crate) fn router_unnamed(&mut self, ip: &str) -> NodeId {
         let ip: Ipv4 = ip.parse().unwrap_or_else(|e| panic!("{e}"));
         self.push_node(Node {
             id: NodeId(0),
@@ -669,7 +654,8 @@ impl TopologyBuilder {
 
     /// Mark a router (or gateway host) as silently dropping traceroute
     /// probes (paper §4.3 "Dropped traceroute").
-    pub fn set_traceroute_silent(&mut self, n: NodeId) {
+    #[cfg(test)]
+    pub(crate) fn set_traceroute_silent(&mut self, n: NodeId) {
         self.nodes[n.index()].responds_to_traceroute = false;
     }
 
@@ -715,7 +701,7 @@ impl TopologyBuilder {
     }
 
     /// The external traceroute destination ("the Internet").
-    pub fn external(&mut self, fqdn: &str, ip: &str) -> NodeId {
+    pub(crate) fn external(&mut self, fqdn: &str, ip: &str) -> NodeId {
         let ip: Ipv4 = ip.parse().unwrap_or_else(|e| panic!("{e}"));
         self.push_node(Node {
             id: NodeId(0),
@@ -801,7 +787,7 @@ impl TopologyBuilder {
     }
 
     /// A link specifying the interface index used on each endpoint.
-    pub fn link_ifaces(
+    pub(crate) fn link_ifaces(
         &mut self,
         a: NodeId,
         a_iface: usize,
@@ -870,7 +856,8 @@ impl TopologyBuilder {
     }
 
     /// Register an additional DNS alias (`alias` resolves like `canonical`).
-    pub fn dns_alias(&mut self, alias: &str, canonical: &str) {
+    #[cfg(test)]
+    fn dns_alias(&mut self, alias: &str, canonical: &str) {
         self.extra_aliases.push((alias.to_string(), canonical.to_string()));
     }
 

@@ -70,7 +70,7 @@ pub struct PoissonTraffic {
 }
 
 impl PoissonTraffic {
-    pub fn new(dst: NodeId, bytes: Bytes, mean_interval: TimeDelta, seed: u64) -> Self {
+    pub(crate) fn new(dst: NodeId, bytes: Bytes, mean_interval: TimeDelta, seed: u64) -> Self {
         PoissonTraffic { dst, bytes, mean_interval, rng: SmallRng::seed_from_u64(seed) }
     }
 

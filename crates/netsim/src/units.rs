@@ -26,13 +26,8 @@ impl Bandwidth {
     }
 
     /// Bandwidth from bits per second.
-    pub fn bps(bits: f64) -> Self {
+    pub(crate) fn bps(bits: f64) -> Self {
         Self::bytes_per_sec(bits / 8.0)
-    }
-
-    /// Bandwidth from kilobits per second (10^3 bits/s).
-    pub fn kbps(kbits: f64) -> Self {
-        Self::bps(kbits * 1e3)
     }
 
     /// Bandwidth from megabits per second (10^6 bits/s).
@@ -40,25 +35,16 @@ impl Bandwidth {
         Self::bps(mbits * 1e6)
     }
 
-    /// Bandwidth from gigabits per second (10^9 bits/s).
-    pub fn gbps(gbits: f64) -> Self {
-        Self::bps(gbits * 1e9)
-    }
-
-    pub fn as_bytes_per_sec(self) -> f64 {
+    pub(crate) fn as_bytes_per_sec(self) -> f64 {
         self.0
     }
 
-    pub fn as_bps(self) -> f64 {
+    pub(crate) fn as_bps(self) -> f64 {
         self.0 * 8.0
     }
 
     pub fn as_mbps(self) -> f64 {
         self.as_bps() / 1e6
-    }
-
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 
     /// Scale the bandwidth by a dimensionless factor (e.g. an efficiency).
@@ -68,7 +54,8 @@ impl Bandwidth {
 
     /// Ratio of two bandwidths (dimensionless). Returns `f64::INFINITY` when
     /// dividing by zero bandwidth.
-    pub fn ratio(self, other: Bandwidth) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ratio(self, other: Bandwidth) -> f64 {
         if other.0 == 0.0 {
             f64::INFINITY
         } else {
@@ -78,14 +65,6 @@ impl Bandwidth {
 
     pub fn min(self, other: Bandwidth) -> Bandwidth {
         if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    pub fn max(self, other: Bandwidth) -> Bandwidth {
-        if self.0 >= other.0 {
             self
         } else {
             other
@@ -151,7 +130,7 @@ impl fmt::Display for Bandwidth {
 pub struct Bytes(u64);
 
 impl Bytes {
-    pub const ZERO: Bytes = Bytes(0);
+    pub(crate) const ZERO: Bytes = Bytes(0);
 
     pub const fn new(b: u64) -> Self {
         Bytes(b)
@@ -199,7 +178,7 @@ impl fmt::Display for Bytes {
 pub struct Latency(f64);
 
 impl Latency {
-    pub const ZERO: Latency = Latency(0.0);
+    pub(crate) const ZERO: Latency = Latency(0.0);
 
     pub fn secs(s: f64) -> Self {
         debug_assert!(s.is_finite() && s >= 0.0, "latency must be finite and >= 0");
@@ -218,7 +197,7 @@ impl Latency {
         self.0
     }
 
-    pub fn as_millis(self) -> f64 {
+    pub(crate) fn as_millis(self) -> f64 {
         self.0 * 1e3
     }
 }
@@ -256,6 +235,26 @@ impl fmt::Display for Latency {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Bandwidth {
+        /// Bandwidth from kilobits per second (10^3 bits/s).
+        fn kbps(kbits: f64) -> Self {
+            Self::bps(kbits * 1e3)
+        }
+
+        /// Bandwidth from gigabits per second (10^9 bits/s).
+        fn gbps(gbits: f64) -> Self {
+            Self::bps(gbits * 1e9)
+        }
+
+        fn max(self, other: Bandwidth) -> Bandwidth {
+            if self.0 >= other.0 {
+                self
+            } else {
+                other
+            }
+        }
+    }
 
     #[test]
     fn bandwidth_conversions_round_trip() {

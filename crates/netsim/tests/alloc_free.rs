@@ -71,14 +71,21 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// A star switch with `n` hosts.
+/// A star switch with `n` hosts on 100 Mbps ports.
 fn star(n: usize) -> (Topology, Vec<NodeId>) {
+    star_with_ports(&vec![Bandwidth::mbps(100.0); n])
+}
+
+/// A star switch whose host `i` has an access port of `ports[i]`.
+fn star_with_ports(ports: &[Bandwidth]) -> (Topology, Vec<NodeId>) {
     let mut b = TopologyBuilder::new();
     let sw = b.switch("sw", Bandwidth::mbps(100.0), Latency::micros(20.0));
-    let hosts: Vec<NodeId> = (0..n)
-        .map(|i| {
+    let hosts: Vec<NodeId> = ports
+        .iter()
+        .enumerate()
+        .map(|(i, &port)| {
             let h = b.host(&format!("h{i}.x"), &format!("10.0.{}.{}", i / 250, i % 250 + 1));
-            b.attach(h, sw);
+            b.attach_with_capacity(h, sw, port);
             h
         })
         .collect();
@@ -100,8 +107,7 @@ fn steady_state_reallocate_does_not_allocate() {
     for i in 0..128usize {
         let p = routes.path(&topo, hosts[i % 32], hosts[(i + 7) % 32]).unwrap();
         table.intern_path(&topo, &p, &mut ids);
-        let cap = (i % 5 == 0).then_some(2_000_000.0);
-        keys.push(fe.add_flow(&ids, cap));
+        keys.push(fe.add_flow(&ids));
     }
     // Warm-up: grows scratch to the high-water mark.
     fe.reallocate();
@@ -126,14 +132,14 @@ fn steady_state_reallocate_does_not_allocate() {
     // one-time allocation, not steady state).
     fe.remove_flow(keys[n_keys - 1]);
     fe.reallocate();
-    keys[n_keys - 1] = fe.add_flow(&ids, None);
+    keys[n_keys - 1] = fe.add_flow(&ids);
     fe.reallocate();
     let before = allocations();
     for round in 0..100 {
         let victim = keys[round % n_keys];
         fe.remove_flow(victim);
         fe.reallocate();
-        let k = fe.add_flow(&ids, None);
+        let k = fe.add_flow(&ids);
         fe.reallocate();
         keys[round % n_keys] = k;
     }
@@ -144,18 +150,28 @@ fn steady_state_reallocate_does_not_allocate() {
          over 100 remove/add rounds"
     );
 
-    // Departures resume the fill from a checkpoint. Caps at 48 distinct
-    // rates, all well under a port's share, each bind in a round of their
-    // own, so a fill runs over 40 rounds; the fastest flow is an uncapped
-    // one that froze in the last, and removing it resumes near the top. The
-    // fill log, the checkpoints and the replay's buffers are sized by the
-    // flow and resource high-water marks, which the first fill reaches.
+    // Departures resume the fill from a checkpoint. Each flow leaves its
+    // own client for one of 32 servers; the client ports run at 48
+    // distinct rates, all well under a server port's share, and each
+    // saturates in a round of its own, so a fill runs over 40 rounds. The
+    // fastest flow is one from a full-rate client that froze in the last,
+    // and removing it resumes near the top. The fill log, the checkpoints
+    // and the replay's buffers are sized by the flow and resource
+    // high-water marks, which the first fill reaches.
+    let ports: Vec<Bandwidth> = (0..128usize)
+        .map(|i| match i.checked_sub(32) {
+            Some(c) if c % 8 != 7 => Bandwidth::bytes_per_sec(50_000.0 * (1 + c % 48) as f64),
+            _ => Bandwidth::mbps(100.0),
+        })
+        .collect();
+    let (topo, hosts) = star_with_ports(&ports);
+    let routes = RouteTable::compute(&topo);
+    let table = ResourceTable::new(&topo);
     let mut fe = FairEngine::new(&topo, FairnessModel::MaxMin);
     for i in 0..96usize {
-        let p = routes.path(&topo, hosts[i % 32], hosts[(i + 5) % 32]).unwrap();
+        let p = routes.path(&topo, hosts[32 + i], hosts[(i + 5) % 32]).unwrap();
         table.intern_path(&topo, &p, &mut ids);
-        let cap = (i % 8 != 7).then_some(50_000.0 * (1 + i % 48) as f64);
-        fe.add_flow(&ids, cap);
+        fe.add_flow(&ids);
     }
     fe.reallocate();
     let mut depart_and_return = |fe: &mut FairEngine| {
@@ -166,10 +182,9 @@ fn steady_state_reallocate_does_not_allocate() {
             .expect("flows are live");
         ids.clear();
         ids.extend_from_slice(fe.resources(fastest));
-        let cap = fe.rate_cap(fastest);
         fe.remove_flow(fastest);
         fe.reallocate();
-        fe.add_flow(&ids, cap);
+        fe.add_flow(&ids);
         fe.reallocate();
     };
     depart_and_return(&mut fe);
@@ -207,7 +222,7 @@ fn steady_state_reallocate_does_not_allocate() {
             }
             assert_eq!(ids.len(), hop_count);
             ids.sort_unstable();
-            let key = fe.add_flow(&ids, None);
+            let key = fe.add_flow(&ids);
             fe.reallocate();
             fe.remove_flow(key);
             fe.reallocate();

@@ -79,7 +79,7 @@ impl Storm {
         for (from, l) in self.routes.hops_rev(&self.topo, src, dst).unwrap() {
             self.ids.push(self.table.link_dir(l, self.topo.link(l).a == from));
         }
-        let key = fe.add_flow(&self.ids, None) as usize;
+        let key = fe.add_flow(&self.ids) as usize;
         if self.left.len() <= key {
             self.left.resize(key + 1, 0.0);
         }
@@ -132,7 +132,7 @@ fn drain_matches_fresh_engines(hosts: usize, flows: usize, seed: u64, readmit: u
         assert_eq!(fe.changed(), &moved[..], "changed() after {checked} completions");
         let mut fresh = FairEngine::with_table(storm.table.clone(), FairnessModel::MaxMin);
         for &k in fe.live_keys() {
-            fresh.add_flow(fe.resources(k), fe.rate_cap(k));
+            fresh.add_flow(fe.resources(k));
         }
         fresh.reallocate();
         for (&k, &f) in fe.live_keys().iter().zip(fresh.live_keys()) {

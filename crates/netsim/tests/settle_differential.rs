@@ -24,8 +24,6 @@ use proptest::prelude::*;
 /// Something a pending re-level depends on, changed in the middle of a burst.
 #[derive(Debug, Clone, Copy)]
 enum Tweak {
-    /// `set_tcp_window`: `Some(kib)`, or `None` for kib == 0.
-    Window(u64),
     /// `set_fairness_model` to the model not in force.
     Model,
     /// Scale the capacity of a host's port (or of its hub) by `eighths / 8`
@@ -45,7 +43,6 @@ struct Burst {
 
 fn tweak() -> impl Strategy<Value = Tweak> {
     prop_oneof![
-        (0u64..3).prop_map(|k| Tweak::Window(k * 16)),
         Just(Tweak::Model),
         (0usize..64, 0usize..3)
             .prop_map(|(host, f)| Tweak::Capacity { host, eighths: [2, 4, 16][f] }),
@@ -64,7 +61,6 @@ fn bursts() -> impl Strategy<Value = Vec<Burst>> {
 
 fn apply(sim: &mut Sim, hosts: &[NodeId], tweak: Tweak, model: &mut FairnessModel) {
     match tweak {
-        Tweak::Window(kib) => sim.set_tcp_window((kib > 0).then_some(Bytes::kib(kib))),
         Tweak::Model => {
             *model = match *model {
                 FairnessModel::MaxMin => FairnessModel::BottleneckEqualShare,

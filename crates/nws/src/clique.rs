@@ -54,7 +54,7 @@ pub struct CliqueMembership {
 
 impl CliqueMembership {
     /// The membership of sensor `me`; `None` when the ring does not name it.
-    pub fn new(
+    pub(crate) fn new(
         clique: &str,
         members: Ring,
         me: ProcessId,
@@ -86,39 +86,31 @@ impl CliqueMembership {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// The next member in ring order.
-    pub fn next_member(&self) -> ProcessId {
+    pub(crate) fn next_member(&self) -> ProcessId {
         self.members[(self.me_idx + 1) % self.members.len()].0
     }
 
     /// Whether passing to the next member completes a round (the token
     /// re-enters member 0).
-    pub fn pass_completes_round(&self) -> bool {
+    pub(crate) fn pass_completes_round(&self) -> bool {
         (self.me_idx + 1).is_multiple_of(self.members.len())
     }
 
     /// Token acceptance rule: strictly newer sequences only.
-    pub fn accepts(&self, seq: u64) -> bool {
+    pub(crate) fn accepts(&self, seq: u64) -> bool {
         seq > self.last_seq
     }
 
     /// Watchdog delay for this member: a full round plus an index-scaled
     /// stagger so regeneration races have a deterministic likely winner.
-    pub fn watchdog_delay(&self) -> TimeDelta {
+    pub(crate) fn watchdog_delay(&self) -> TimeDelta {
         self.watchdog_base * (1.0 + 0.25 * self.me_idx as f64)
     }
 
     /// Sequence for a regenerated token: far enough ahead that the lost
     /// token (at most `len` hops stale) can never be accepted again.
-    pub fn regen_seq(&self) -> u64 {
+    pub(crate) fn regen_seq(&self) -> u64 {
         self.last_seq + self.members.len() as u64 + self.me_idx as u64 + 1
     }
 }

@@ -56,7 +56,7 @@ pub struct SortedWindow {
 }
 
 impl SortedWindow {
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k > 0);
         SortedWindow { arrivals: VecDeque::with_capacity(k), sorted: Vec::with_capacity(k), k }
     }
@@ -65,7 +65,7 @@ impl SortedWindow {
     /// Total-order-equal values are bit-equal, so the eviction removes
     /// exactly the bits the arrival ring drops and the sorted mirror stays
     /// a faithful permutation of the window.
-    pub fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         if self.arrivals.len() == self.k {
             let old = self.arrivals.pop_front().expect("non-empty");
             let i = self.sorted.partition_point(|x| x.total_cmp(&old).is_lt());
@@ -77,16 +77,8 @@ impl SortedWindow {
         self.sorted.insert(i, value);
     }
 
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// The window in ascending `total_cmp` order.
-    pub fn sorted(&self) -> &[f64] {
+    pub(crate) fn sorted(&self) -> &[f64] {
         &self.sorted
     }
 
@@ -95,7 +87,7 @@ impl SortedWindow {
     /// deterministic function of the arrival sequence (bit-equal values
     /// insert at bit-equal positions under `total_cmp`), so the rebuilt
     /// window is bit-identical to the saved one.
-    pub fn arrivals(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn arrivals(&self) -> impl Iterator<Item = f64> + '_ {
         self.arrivals.iter().copied()
     }
 }
@@ -201,7 +193,7 @@ pub struct SlidingMean {
 }
 
 impl SlidingMean {
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k > 0);
         SlidingMean {
             window: VecDeque::with_capacity(k),
@@ -249,7 +241,7 @@ pub struct SlidingMedian {
 }
 
 impl SlidingMedian {
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         SlidingMedian { window: SortedWindow::new(k), name: format!("MEDIAN({k})") }
     }
 }
@@ -293,7 +285,7 @@ pub struct TrimmedMean {
 }
 
 impl TrimmedMean {
-    pub fn new(k: usize, trim: f64) -> Self {
+    pub(crate) fn new(k: usize, trim: f64) -> Self {
         assert!((0.0..0.5).contains(&trim));
         TrimmedMean { window: SortedWindow::new(k), trim, name: format!("TRIM_MEAN({k},{trim})") }
     }
@@ -339,7 +331,7 @@ pub struct ExpSmooth {
 }
 
 impl ExpSmooth {
-    pub fn new(gain: f64) -> Self {
+    pub(crate) fn new(gain: f64) -> Self {
         assert!((0.0..=1.0).contains(&gain));
         ExpSmooth { state: None, gain, name: format!("EXP_SMOOTH({gain})") }
     }
@@ -382,7 +374,7 @@ pub struct HoltLinear {
 }
 
 impl HoltLinear {
-    pub fn new(alpha: f64, beta: f64) -> Self {
+    pub(crate) fn new(alpha: f64, beta: f64) -> Self {
         assert!((0.0..=1.0).contains(&alpha) && (0.0..=1.0).contains(&beta));
         HoltLinear { level: None, trend: 0.0, alpha, beta, name: format!("HOLT({alpha},{beta})") }
     }
@@ -430,7 +422,7 @@ impl Predictor for HoltLinear {
 /// 256 points per predict. A regime reset re-zeroes the accumulator, and
 /// because a jump-free stream would otherwise accumulate add/subtract
 /// rounding forever, the sum is also recomputed exactly from the window
-/// every [`AdaptiveMean::RESUM_INTERVAL`] observations (amortised O(1)),
+/// every `AdaptiveMean::RESUM_INTERVAL` observations (amortised O(1)),
 /// bounding drift on arbitrarily long steady streams.
 #[derive(Debug)]
 pub struct AdaptiveMean {
@@ -443,12 +435,12 @@ pub struct AdaptiveMean {
 impl AdaptiveMean {
     /// Window bound: an adaptive window longer than this behaves like the
     /// running mean anyway.
-    pub const MAX_WINDOW: usize = 256;
+    pub(crate) const MAX_WINDOW: usize = 256;
 
     /// Observations between exact re-sums of the window.
-    pub const RESUM_INTERVAL: u32 = 4096;
+    pub(crate) const RESUM_INTERVAL: u32 = 4096;
 
-    pub fn new(jump: f64) -> Self {
+    pub(crate) fn new(jump: f64) -> Self {
         assert!(jump > 0.0);
         AdaptiveMean { window: VecDeque::new(), sum: 0.0, jump, since_resum: 0 }
     }
@@ -542,7 +534,7 @@ pub(crate) mod naive {
     }
 
     impl NaiveSlidingMedian {
-        pub fn new(k: usize) -> Self {
+        pub(crate) fn new(k: usize) -> Self {
             assert!(k > 0);
             NaiveSlidingMedian {
                 window: VecDeque::with_capacity(k),
@@ -583,7 +575,7 @@ pub(crate) mod naive {
     }
 
     impl NaiveTrimmedMean {
-        pub fn new(k: usize, trim: f64) -> Self {
+        pub(crate) fn new(k: usize, trim: f64) -> Self {
             assert!(k > 0 && (0.0..0.5).contains(&trim));
             NaiveTrimmedMean {
                 window: VecDeque::with_capacity(k),
@@ -628,7 +620,7 @@ pub(crate) mod naive {
     }
 
     impl NaiveAdaptiveMean {
-        pub fn new(jump: f64) -> Self {
+        pub(crate) fn new(jump: f64) -> Self {
             assert!(jump > 0.0);
             NaiveAdaptiveMean { window: Vec::new(), jump }
         }
@@ -757,7 +749,7 @@ impl ForecasterBattery {
         Self::with_predictors(predictors)
     }
 
-    pub fn with_predictors(predictors: Vec<Box<dyn Predictor + Send>>) -> Self {
+    pub(crate) fn with_predictors(predictors: Vec<Box<dyn Predictor + Send>>) -> Self {
         let n = predictors.len();
         assert!(n > 0, "battery needs at least one predictor");
         ForecasterBattery {
@@ -859,7 +851,7 @@ impl ForecasterBattery {
     /// (same predictors, same order). Extra or missing vectors are
     /// ignored — a snapshot from a different family restores as much as
     /// positions line up, which for the fixed classic family is all of it.
-    pub fn restore_states(&mut self, states: &[Vec<f64>]) {
+    pub(crate) fn restore_states(&mut self, states: &[Vec<f64>]) {
         for (p, s) in self.predictors.iter_mut().zip(states) {
             p.restore(s);
         }
@@ -873,7 +865,7 @@ impl ForecasterBattery {
     /// Restore the scoring state (counterpart of
     /// [`ForecasterBattery::scores`]); slices shorter than the battery
     /// leave the tail at its reset value.
-    pub fn restore_scores(
+    pub(crate) fn restore_scores(
         &mut self,
         sq_err: &[f64],
         abs_err: &[f64],
@@ -892,9 +884,9 @@ impl ForecasterBattery {
         self.samples = samples;
     }
 
-    /// Cumulative mean squared error of every predictor, by name — the
-    /// data behind experiment E8.
-    pub fn error_table(&self) -> Vec<(String, f64, f64)> {
+    /// Mean squared and mean absolute error of every predictor, by name.
+    #[cfg(test)]
+    pub(crate) fn error_table(&self) -> Vec<(String, f64, f64)> {
         self.predictors
             .iter()
             .enumerate()
@@ -905,7 +897,8 @@ impl ForecasterBattery {
             .collect()
     }
 
-    pub fn samples(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn samples(&self) -> u64 {
         self.samples
     }
 }
@@ -1096,7 +1089,6 @@ mod tests {
         }
         // Last four arrivals: [5, 9, 2, 6].
         assert_eq!(w.sorted(), &[2.0, 5.0, 6.0, 9.0]);
-        assert_eq!(w.len(), 4);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub struct ForecasterServer {
 
 impl ForecasterServer {
     /// A forecaster on a fresh disk of its own that nothing else can
-    /// reach; supervised deployments hand [`ForecasterServer::durable`]
+    /// reach; supervised deployments hand `ForecasterServer::durable`
     /// the host's disk.
     pub fn new(name: &str, ns: ProcessId, ids: &SeriesTableHandle) -> Self {
         Self::durable(name, ns, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD, ids)
@@ -115,7 +115,7 @@ impl ForecasterServer {
     /// outgrows `compact_threshold` bytes. Memory pids are not part of the
     /// durable state — recovered series re-resolve their memory through
     /// the name server on the next query.
-    pub fn durable(
+    pub(crate) fn durable(
         name: &str,
         ns: ProcessId,
         disk: DiskHandle,

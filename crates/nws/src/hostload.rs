@@ -26,7 +26,7 @@ pub struct HostLoadModel {
 }
 
 impl HostLoadModel {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         HostLoadModel {
             rng: SmallRng::seed_from_u64(seed),
             state: 0.9,
@@ -36,13 +36,8 @@ impl HostLoadModel {
         }
     }
 
-    /// With a custom burst probability (0 disables bursts).
-    pub fn with_burst_prob(seed: u64, burst_prob: f64) -> Self {
-        HostLoadModel { burst_prob, ..Self::new(seed) }
-    }
-
     /// Next available-CPU sample.
-    pub fn sample(&mut self) -> f64 {
+    pub(crate) fn sample(&mut self) -> f64 {
         // AR(1) around 0.9 idle availability.
         let noise = self.rng.gen_range(-0.05..0.05);
         self.state = 0.9 + 0.8 * (self.state - 0.9) + noise;
@@ -60,7 +55,7 @@ impl HostLoadModel {
     }
 
     /// Free-memory fraction: slower-moving, derived from the same state.
-    pub fn sample_memory(&mut self) -> f64 {
+    pub(crate) fn sample_memory(&mut self) -> f64 {
         let noise = self.rng.gen_range(-0.01..0.01);
         (0.6 + 0.3 * (self.state - 0.9) + noise).clamp(0.05, 1.0)
     }
@@ -69,6 +64,13 @@ impl HostLoadModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HostLoadModel {
+        /// With a custom burst probability (0 disables bursts).
+        fn with_burst_prob(seed: u64, burst_prob: f64) -> Self {
+            HostLoadModel { burst_prob, ..Self::new(seed) }
+        }
+    }
 
     #[test]
     fn samples_stay_in_unit_interval() {

@@ -19,7 +19,7 @@
 //! processes through a [`SeriesTableHandle`]. Ids are numbered in
 //! first-seen order, which is deterministic but is **not** key order; the
 //! places whose iteration order is a contract go through
-//! [`SeriesTable::in_key_order`] (DESIGN.md "Series ids").
+//! `SeriesTable::in_key_order` (DESIGN.md "Series ids").
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -77,7 +77,7 @@ impl SeriesTable {
     }
 
     /// The id of host `name`, minted the first time it is seen.
-    pub fn host(&mut self, name: &str) -> HostId {
+    pub(crate) fn host(&mut self, name: &str) -> HostId {
         HostId(self.hosts.intern(name).0)
     }
 
@@ -87,7 +87,7 @@ impl SeriesTable {
 
     /// The id of the `(resource, src, dst)` series, minted the first time
     /// it is seen.
-    pub fn id(&mut self, resource: Resource, src: HostId, dst: HostId) -> SeriesId {
+    pub(crate) fn id(&mut self, resource: Resource, src: HostId, dst: HostId) -> SeriesId {
         let next = SeriesId(u32::try_from(self.parts.len()).expect("fewer than 2^32 series"));
         let id = *self.ids.entry((resource, src, dst)).or_insert(next);
         if id == next {
@@ -135,7 +135,7 @@ impl SeriesTable {
     /// host, to rank the hosts; ids are sorted once each, by rank: those
     /// minted since the last call among themselves, then merged in by
     /// binary search. With none new, this is an `Rc` clone.
-    pub fn in_key_order(&mut self) -> Rc<[SeriesId]> {
+    pub(crate) fn in_key_order(&mut self) -> Rc<[SeriesId]> {
         let sorted = self.by_key.len();
         if sorted == self.parts.len() {
             return self.by_key.clone();
@@ -169,7 +169,7 @@ impl SeriesTable {
 /// A map keyed by [`SeriesId`], stored densely: slot `i` holds id `i`'s
 /// value, so a lookup is an index. Iteration is in id order, which no
 /// output may depend on — a site whose order is a contract walks
-/// [`SeriesTable::in_key_order`] and looks each id up here.
+/// `SeriesTable::in_key_order` and looks each id up here.
 #[derive(Debug, Clone)]
 pub struct IdMap<V> {
     slots: Vec<Option<V>>,
@@ -204,7 +204,7 @@ impl<V> IdMap<V> {
         self.slots.get_mut(id.index())?.as_mut()
     }
 
-    pub fn contains(&self, id: SeriesId) -> bool {
+    pub(crate) fn contains(&self, id: SeriesId) -> bool {
         self.get(id).is_some()
     }
 
@@ -217,13 +217,13 @@ impl<V> IdMap<V> {
     }
 
     /// Set `id`'s value, returning the one it replaces.
-    pub fn insert(&mut self, id: SeriesId, value: V) -> Option<V> {
+    pub(crate) fn insert(&mut self, id: SeriesId, value: V) -> Option<V> {
         let old = self.slot(id).replace(value);
         self.len += usize::from(old.is_none());
         old
     }
 
-    pub fn remove(&mut self, id: SeriesId) -> Option<V> {
+    pub(crate) fn remove(&mut self, id: SeriesId) -> Option<V> {
         let old = self.slots.get_mut(id.index())?.take();
         self.len -= usize::from(old.is_some());
         old

@@ -66,7 +66,7 @@ impl SeenSeqs {
     }
 
     /// Reassemble a ledger from its persisted parts (snapshot decode).
-    pub fn from_parts(watermark: u64, above: impl IntoIterator<Item = u64>) -> Self {
+    pub(crate) fn from_parts(watermark: u64, above: impl IntoIterator<Item = u64>) -> Self {
         SeenSeqs { watermark, above: above.into_iter().collect() }
     }
 }
@@ -171,7 +171,7 @@ impl MemoryServer {
     /// A memory server on a fresh disk of its own that nothing else can
     /// reach: its state dies with the process, as far as any observer can
     /// tell. Unit tests and single-epoch experiments use this; supervised
-    /// deployments hand [`MemoryServer::recover`] the host's disk.
+    /// deployments hand `MemoryServer::recover` the host's disk.
     pub fn new(
         name: &str,
         ns: ProcessId,
@@ -191,7 +191,7 @@ impl MemoryServer {
     /// not derived from `name`: display names embed a deployment index
     /// that can shift across reconfigurations, and a renamed server must
     /// still find its own files.
-    pub fn recover(
+    pub(crate) fn recover(
         name: &str,
         ns: ProcessId,
         capacity: usize,

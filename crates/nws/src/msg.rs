@@ -31,7 +31,7 @@ pub enum Resource {
 impl Resource {
     /// All resource kinds, in [`Resource::index`] order — the dense axis of
     /// interned `(resource, src, dst)` series tables.
-    pub const ALL: [Resource; 5] = [
+    pub(crate) const ALL: [Resource; 5] = [
         Resource::Bandwidth,
         Resource::Latency,
         Resource::ConnectTime,
@@ -39,7 +39,7 @@ impl Resource {
         Resource::FreeMemory,
     ];
 
-    /// Dense index (0..[`Resource::ALL`]`.len()`): lets consumers key
+    /// Dense index (0..`Resource::ALL``.len()`): lets consumers key
     /// series by `(resource index, interned host id, interned host id)`
     /// instead of a [`SeriesKey`] holding two heap strings.
     pub fn index(self) -> usize {
@@ -53,11 +53,11 @@ impl Resource {
     }
 
     /// Inverse of [`Resource::index`].
-    pub fn from_index(i: usize) -> Option<Resource> {
+    pub(crate) fn from_index(i: usize) -> Option<Resource> {
         Resource::ALL.get(i).copied()
     }
 
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Resource::Bandwidth => "bandwidthTcp",
             Resource::Latency => "latencyTcp",
@@ -68,7 +68,7 @@ impl Resource {
     }
 
     /// Whether this resource concerns a host pair (true) or a single host.
-    pub fn is_link_resource(self) -> bool {
+    pub(crate) fn is_link_resource(self) -> bool {
         matches!(self, Resource::Bandwidth | Resource::Latency | Resource::ConnectTime)
     }
 }

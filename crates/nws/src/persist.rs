@@ -1,5 +1,5 @@
 //! Snapshot + write-ahead-log persistence for NWS state: the durable
-//! plane behind [`crate::memory::MemoryServer::recover`] and the durable
+//! plane behind `crate::memory::MemoryServer::recover` and the durable
 //! forecaster.
 //!
 //! Both state machines persist the same way (framing in [`crate::wal`]):
@@ -59,7 +59,7 @@ pub const fn wal_compact_bytes(kib: u64) -> Option<u64> {
 
 /// [`DEFAULT_WAL_COMPACT_KIB`] in bytes: what a log compacts at until told
 /// otherwise.
-pub const DEFAULT_COMPACT_THRESHOLD: u64 =
+pub(crate) const DEFAULT_COMPACT_THRESHOLD: u64 =
     wal_compact_bytes(DEFAULT_WAL_COMPACT_KIB).expect("64 KiB fits a u64");
 
 // ---------------------------------------------------------------------------
@@ -462,10 +462,6 @@ impl MemoryLog {
         self.files.publish_snapshot();
     }
 
-    pub fn truncate_wal(&mut self) {
-        self.files.truncate_wal();
-    }
-
     /// All three compaction steps in order.
     pub fn compact(&mut self, store: &MemoryStore) {
         let image = self.freeze(store);
@@ -481,11 +477,6 @@ impl MemoryLog {
 
     pub fn set_compact_threshold(&mut self, bytes: u64) {
         self.files.compact_threshold = bytes;
-    }
-
-    /// Bytes currently pending in the WAL since the last compaction.
-    pub fn wal_bytes(&self) -> u64 {
-        self.files.wal_bytes
     }
 }
 
@@ -545,7 +536,7 @@ impl ForecastLog {
         self.files.sync();
     }
 
-    pub fn needs_compact(&self) -> bool {
+    pub(crate) fn needs_compact(&self) -> bool {
         self.files.needs_compact()
     }
 

@@ -165,7 +165,7 @@ pub struct Sensor {
 }
 
 impl Sensor {
-    pub fn new(
+    pub(crate) fn new(
         cfg: SensorConfig,
         memberships: Vec<CliqueMembership>,
         ids: &SeriesTableHandle,

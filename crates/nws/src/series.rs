@@ -21,7 +21,7 @@ pub struct Series {
 
 impl Series {
     /// NWS's default circular-file size is a few hundred entries.
-    pub const DEFAULT_CAPACITY: usize = 512;
+    pub(crate) const DEFAULT_CAPACITY: usize = 512;
 
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "series capacity must be positive");
@@ -62,17 +62,17 @@ impl Series {
         self.points.len()
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
     /// The ring bound this series was created with (persisted by the
     /// durability plane so a recovered ring evicts identically).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    pub fn last(&self) -> Option<SeriesPoint> {
+    pub(crate) fn last(&self) -> Option<SeriesPoint> {
         self.points.back().copied()
     }
 
@@ -97,7 +97,7 @@ impl Series {
     }
 
     /// Points as `(t, value)` pairs (the FetchReply payload).
-    pub fn to_pairs(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn to_pairs(&self) -> Vec<(f64, f64)> {
         self.points.iter().map(|p| (p.t, p.value)).collect()
     }
 
@@ -114,21 +114,13 @@ impl Series {
 
     /// Mean measurement interval, if at least two points exist — the
     /// observable behind the clique-frequency experiment (E2).
-    pub fn mean_interval(&self) -> Option<f64> {
+    pub(crate) fn mean_interval(&self) -> Option<f64> {
         if self.points.len() < 2 {
             return None;
         }
         let first = self.points.front().expect("non-empty").t;
         let last = self.points.back().expect("non-empty").t;
         Some((last - first) / (self.points.len() - 1) as f64)
-    }
-
-    /// Mean of the values.
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points.iter().map(|p| p.value).sum::<f64>() / self.points.len() as f64)
     }
 }
 
@@ -141,6 +133,16 @@ impl Default for Series {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Series {
+        /// Mean of the values.
+        fn mean(&self) -> Option<f64> {
+            if self.points.is_empty() {
+                return None;
+            }
+            Some(self.points.iter().map(|p| p.value).sum::<f64>() / self.points.len() as f64)
+        }
+    }
 
     #[test]
     fn push_and_read_back() {

@@ -7,7 +7,7 @@
 //! only where the series is stored and who is waiting on it), its durable
 //! log's recovery and replay ([`crate::persist::ForecastLog`]) and the
 //! out-of-sim [`crate::serve::ServingPlane`] shards. They all mutate it
-//! through [`SeriesState::observe`] and [`SeriesState::rewind`] only, so
+//! through `SeriesState::observe` and `SeriesState::rewind` only, so
 //! "replay ≡ live" and "plane ≡ sim" hold by construction rather than by
 //! three hand-copied loops agreeing.
 
@@ -24,7 +24,7 @@ pub struct SeriesState {
 impl SeriesState {
     /// Nothing observed yet: a fresh battery whose watermark admits any
     /// finite timestamp.
-    pub fn fresh() -> Self {
+    pub(crate) fn fresh() -> Self {
         SeriesState { battery: ForecasterBattery::classic(), last_t: f64::NEG_INFINITY }
     }
 
@@ -33,7 +33,7 @@ impl SeriesState {
     /// each point counts exactly once however often it is delivered.
     /// Returns whether the point was taken — the durable forecaster logs
     /// exactly those.
-    pub fn observe(&mut self, t: f64, v: f64) -> bool {
+    pub(crate) fn observe(&mut self, t: f64, v: f64) -> bool {
         if t > self.last_t {
             self.last_t = t;
             self.battery.observe(v);
@@ -44,18 +44,18 @@ impl SeriesState {
     }
 
     /// Forget everything: the series restarts from [`SeriesState::fresh`].
-    pub fn rewind(&mut self) {
+    pub(crate) fn rewind(&mut self) {
         *self = SeriesState::fresh();
     }
 
     /// True when a store whose newest point is `latest` holds *less* than
     /// this state has already observed — it was restored to an older
     /// state, and the watermark no longer describes it.
-    pub fn restored_older_than(&self, latest: f64) -> bool {
+    pub(crate) fn restored_older_than(&self, latest: f64) -> bool {
         self.last_t > latest
     }
 
-    pub fn forecast(&self) -> Option<Forecast> {
+    pub(crate) fn forecast(&self) -> Option<Forecast> {
         self.battery.forecast()
     }
 

@@ -64,16 +64,8 @@ impl ShardSnapshot {
         ShardSnapshot { epoch: 0, entries: Vec::new() }
     }
 
-    pub fn get(&self, key: &SeriesKey) -> Option<&SeriesView> {
+    pub(crate) fn get(&self, key: &SeriesKey) -> Option<&SeriesView> {
         self.entries.binary_search_by(|(k, _)| k.cmp(key)).ok().map(|i| &self.entries[i].1)
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -184,10 +176,6 @@ impl ServingPlane {
         &self.map
     }
 
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Ingest one measurement directly (bench/test feed). Points at or
     /// below the series' ingest watermark are dropped, mirroring the
     /// store-pull path.
@@ -269,12 +257,6 @@ impl ServingPlane {
         }
         self.pending_keys.clear();
         epoch
-    }
-
-    /// The current immutable snapshot of one shard; clone the `Arc` to
-    /// keep reading it across later publishes.
-    pub fn snapshot(&self, shard: usize) -> Arc<ShardSnapshot> {
-        self.snapshots[shard].clone()
     }
 
     /// Answer one batch inline (the single-reader path).
@@ -408,6 +390,14 @@ mod tests {
     use super::*;
     use crate::forecast::ForecasterBattery;
     use crate::msg::Resource;
+
+    impl ServingPlane {
+        /// The current immutable snapshot of one shard; clone the `Arc` to
+        /// keep reading it across later publishes.
+        fn snapshot(&self, shard: usize) -> Arc<ShardSnapshot> {
+            self.snapshots[shard].clone()
+        }
+    }
 
     fn key(i: usize) -> SeriesKey {
         SeriesKey::host(Resource::CpuLoad, &format!("h{i}.x"))

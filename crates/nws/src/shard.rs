@@ -41,7 +41,7 @@ impl ShardMap {
     /// member host routes to its first clique's shard, so one clique's
     /// series co-locate. A host in several cliques follows the earliest
     /// clique that lists it.
-    pub fn clique_aligned(shards: usize, cliques: &[CliqueSpec]) -> ShardMap {
+    pub(crate) fn clique_aligned(shards: usize, cliques: &[CliqueSpec]) -> ShardMap {
         let shards = shards.max(1);
         let mut host_shard = BTreeMap::new();
         for (i, c) in cliques.iter().enumerate() {
@@ -58,7 +58,7 @@ impl ShardMap {
     }
 
     /// The shard holding `key`'s battery.
-    pub fn shard_of(&self, key: &SeriesKey) -> usize {
+    pub(crate) fn shard_of(&self, key: &SeriesKey) -> usize {
         match self.host_shard.get(&key.src) {
             Some(&s) => s as usize,
             None => (fnv1a64(key.src.as_bytes()) % self.shards as u64) as usize,

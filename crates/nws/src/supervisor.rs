@@ -65,7 +65,7 @@ pub struct SupervisorState {
 impl SupervisorState {
     /// Swap a restarted component's pid: the dead pid stops being
     /// monitored (and suspected), the replacement starts fresh.
-    pub fn replace_target(&mut self, dead: ProcessId, replacement: ProcessId) {
+    pub(crate) fn replace_target(&mut self, dead: ProcessId, replacement: ProcessId) {
         self.targets.remove(&dead);
         self.suspected.remove(&dead);
         self.misses.remove(&dead);
@@ -86,7 +86,7 @@ pub struct SupervisorProc {
 }
 
 impl SupervisorProc {
-    pub fn new(cfg: SupervisorConfig, state: SupervisorHandle) -> Self {
+    pub(crate) fn new(cfg: SupervisorConfig, state: SupervisorHandle) -> Self {
         SupervisorProc { cfg, state }
     }
 

@@ -411,11 +411,6 @@ impl NwsSystem {
         })
     }
 
-    /// The spec currently in force (reflects past reconfigurations).
-    pub fn spec(&self) -> &NwsSystemSpec {
-        &self.spec
-    }
-
     /// The live sensor process on `host`, for inspection between events.
     pub fn sensor<'e>(&self, eng: &'e Engine<NwsMsg>, host: &str) -> Option<&'e Sensor> {
         eng.process(*self.sensors.get(host)?)?.as_any()?.downcast_ref()
@@ -592,7 +587,7 @@ impl NwsSystem {
     /// Sensors are restarted through the reconfigure/Retarget machinery (a
     /// bare replacement process joins its cliques in place, token
     /// migration included); a memory server is **recovered from its
-    /// host's disk** ([`MemoryServer::recover`] — snapshot + WAL replay,
+    /// host's disk** (`MemoryServer::recover` — snapshot + WAL replay,
     /// no in-RAM handoff) and its sensors get a `RetargetMemory` burst so
     /// their outage buffers drain to the new pid. Returns the healed host
     /// names (one entry per restart).
@@ -887,6 +882,13 @@ mod tests {
     use super::*;
     use crate::msg::Resource;
     use netsim::scenarios::star_hub;
+
+    impl NwsSystem {
+        /// The spec currently in force (reflects past reconfigurations).
+        fn spec(&self) -> &NwsSystemSpec {
+            &self.spec
+        }
+    }
 
     fn hub_engine(n: usize) -> (Engine<NwsMsg>, Vec<String>) {
         let net = star_hub(n, Bandwidth::mbps(100.0));

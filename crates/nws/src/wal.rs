@@ -22,9 +22,9 @@
 //! | magic: "NWSSNAP2" | log_seq: u64 LE | len: u32 LE | crc: u64 LE | body |
 //! ```
 //!
-//! `crc` is [`checksum`] over `log_seq` and the body; [`build_snapshot`]
+//! `crc` is [`checksum`] over `log_seq` and the body; `build_snapshot`
 //! encodes the body behind a reserved header and seals it in place, so an
-//! image is written once and never copied, and [`snapshot_len`] is its
+//! image is written once and never copied, and `snapshot_len` is its
 //! length for a body of known length, without encoding it. `log_seq` is
 //! the sequence number of the last log record folded into the snapshot:
 //! replay applies only records with `seq > log_seq`, which makes the pair
@@ -38,26 +38,26 @@
 // Primitive little-endian codec
 // ---------------------------------------------------------------------------
 
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// f64 via its IEEE-754 bit pattern: round-trips NaN payloads and signed
 /// zeros exactly, which the replay-equals-live bit-identity suites require.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
 /// Length-prefixed UTF-8.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
@@ -72,7 +72,7 @@ pub struct ByteReader<'a> {
 }
 
 impl<'a> ByteReader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
@@ -86,34 +86,34 @@ impl<'a> ByteReader<'a> {
         Some(s)
     }
 
-    pub fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         self.take(1).map(|s| s[0])
     }
 
-    pub fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         self.take(4).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
     }
 
-    pub fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         self.take(8).map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
     }
 
-    pub fn f64(&mut self) -> Option<f64> {
+    pub(crate) fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
 
-    pub fn str(&mut self) -> Option<&'a str> {
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
         let n = self.u32()? as usize;
         std::str::from_utf8(self.take(n)?).ok()
     }
 
     /// All input consumed, nothing left over?
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
 
     /// Bytes not yet consumed: all a decoded count may reserve for.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 }
@@ -209,7 +209,7 @@ const SNAP_HEADER: usize = 28;
 
 /// The length of the image [`build_snapshot`] writes around a body of
 /// `body_len` bytes.
-pub const fn snapshot_len(body_len: usize) -> usize {
+pub(crate) const fn snapshot_len(body_len: usize) -> usize {
     SNAP_HEADER + body_len
 }
 
@@ -217,7 +217,7 @@ pub const fn snapshot_len(body_len: usize) -> usize {
 /// [`append_record`] frames a record. `false`, with `out` as it was, if
 /// the body outgrew the `u32` length field: publishing that image would
 /// replace a good snapshot with one that can never verify.
-pub fn build_snapshot(
+pub(crate) fn build_snapshot(
     out: &mut Vec<u8>,
     log_seq: u64,
     encode_body: impl FnOnce(&mut Vec<u8>),
