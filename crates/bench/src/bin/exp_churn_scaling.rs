@@ -13,7 +13,7 @@
 //!   must be 1.000;
 //! * `repair_plan` (representative-preserving) produces the migration
 //!   delta; the repaired plan must validate complete under the PR-4
-//!   cluster-granular `CompiledView` validator;
+//!   compiled-view validator;
 //! * `apply_plan_delta` retargets the running NWS in place; a witness
 //!   series from the master's own (never-churned) LAN must keep its
 //!   stored prefix byte-for-byte and keep growing across the transition.

@@ -75,10 +75,9 @@ pub struct Estimate {
 
 /// Estimator over a plan and the effective view it came from.
 ///
-/// Since the cluster-granular rewrite this is a thin façade over the
-/// interned [`CompiledView`] engine: `new` compiles the view/plan pair
-/// once (interned host ids, flattened ancestry, clique bitsets), and
-/// `estimate` runs on dense ids. The original string-walking
+/// A thin façade over the interned `CompiledView` engine: `new` compiles
+/// the view/plan pair once (interned host ids, flattened ancestry, clique
+/// bitsets), and `estimate` runs on dense ids. The original string-walking
 /// implementation survives unchanged as `naive::NaiveEstimator`, the
 /// differential-test oracle (compiled for tests only).
 pub struct Estimator<'a> {
@@ -104,8 +103,7 @@ impl<'a> Estimator<'a> {
         // the master, or located — exactly the naive `None` cases.
         let s = self.compiled.host_id(src)?;
         let d = self.compiled.host_id(dst)?;
-        let adapter = self.compiled.adapt(source);
-        self.compiled.estimate_ids(s, d, &adapter)
+        self.compiled.estimate_ids(s, d, source)
     }
 }
 

@@ -1,8 +1,7 @@
 //! The interned estimation engine: a [`CompiledView`] turns an
 //! [`EnvView`] + [`DeploymentPlan`] pair into dense tables so that
-//! estimability and estimation queries run on integer ids instead of
-//! `String` comparisons, `Vec::contains` scans and `BTreeMap<SeriesKey, _>`
-//! lookups.
+//! estimation queries run on integer ids instead of `String` comparisons
+//! and `Vec::contains` scans.
 //!
 //! This is the third instance of the repo's engine pattern (after the
 //! fairness engine of PR 1 and the forecaster engine of PR 3): the fast
@@ -17,7 +16,7 @@
 //!   names, representative pairs) → dense [`HostId`]s;
 //! * the flattened effective-network forest in pre-order (the order the
 //!   naive ancestry search resolves membership in) with parent, depth and
-//!   subtree-root links → dense [`NetId`]s, making ancestry chains a
+//!   subtree-root links → dense net ids, making ancestry chains a
 //!   pointer walk instead of a recursive `hosts.contains` scan;
 //! * per-net gateway (`via`), first-member, representative-substitution
 //!   pair and static-fallback bandwidths (resolved through the same
@@ -29,71 +28,18 @@
 
 use std::collections::HashMap;
 
-use envmap::{EnvView, FlatNet, NetKind};
-use nws::Resource;
+use envmap::{EnvView, NetKind};
+use nws::{Resource, SeriesKey};
 
 use crate::aggregate::{Estimate, Freshness, MeasurementSource};
 use crate::plan::DeploymentPlan;
-use nws::SeriesKey;
 
-/// Dense id of an interned host name (index into `CompiledView::host_name`).
+/// Dense id of an interned host name (index into `CompiledView::names`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HostId(pub u32);
-
-/// Dense id of an effective network in the flattened forest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NetId(pub u32);
+pub(crate) struct HostId(pub(crate) u32);
 
 /// Sentinel for "no net" / "no host" in the dense tables.
 const NONE: u32 = u32::MAX;
-
-/// Measured values keyed by dense ids — the interned counterpart of
-/// [`MeasurementSource`]. Implementations answer "latest value for
-/// `(resource, src, dst)`" without ever materialising a [`SeriesKey`].
-pub trait DenseSource {
-    fn latest(&self, resource: Resource, src: HostId, dst: HostId) -> Option<f64>;
-}
-
-/// The post-round source over dense ids: "has" both link resources for
-/// every pair some clique measures, at value 1.0 — the state after the
-/// deployed system has completed one full measurement round. Construction
-/// is O(1): it answers straight off the compiled clique bitsets instead
-/// of materialising one `SeriesKey` string pair per measured pair per
-/// resource.
-pub struct PostRoundDense<'c, 'a> {
-    compiled: &'c CompiledView<'a>,
-}
-
-impl DenseSource for PostRoundDense<'_, '_> {
-    fn latest(&self, resource: Resource, src: HostId, dst: HostId) -> Option<f64> {
-        if matches!(resource, Resource::Bandwidth | Resource::Latency)
-            && src != dst
-            && self.compiled.cliques_intersect(src, dst)
-        {
-            Some(1.0)
-        } else {
-            None
-        }
-    }
-}
-
-/// Adapter exposing a string-keyed [`MeasurementSource`] through the dense
-/// interface (for callers holding legacy sources; each lookup builds one
-/// `SeriesKey`, so prefer a native [`DenseSource`] on hot paths).
-pub struct StringSourceAdapter<'c, 'a, 's> {
-    compiled: &'c CompiledView<'a>,
-    inner: &'s dyn MeasurementSource,
-}
-
-impl DenseSource for StringSourceAdapter<'_, '_, '_> {
-    fn latest(&self, resource: Resource, src: HostId, dst: HostId) -> Option<f64> {
-        self.inner.latest(&SeriesKey::link(
-            resource,
-            self.compiled.host_name(src),
-            self.compiled.host_name(dst),
-        ))
-    }
-}
 
 /// One compiled effective network.
 #[derive(Debug)]
@@ -122,7 +68,7 @@ struct CNet<'a> {
 }
 
 /// The interned view/plan pair. Borrows both; build once, query many.
-pub struct CompiledView<'a> {
+pub(crate) struct CompiledView<'a> {
     names: Vec<&'a str>,
     index: HashMap<&'a str, u32>,
     master: u32,
@@ -137,21 +83,10 @@ pub struct CompiledView<'a> {
 }
 
 impl<'a> CompiledView<'a> {
+    /// Compile a view/plan pair. Every table is pre-sized from the
+    /// flattened forest and the plan, so interning never rehashes.
     pub(crate) fn new(view: &'a EnvView, plan: &'a DeploymentPlan) -> Self {
-        Self::from_flat(view, &view.flatten(), plan)
-    }
-
-    /// Compile from a pre-flattened forest. Callers that already hold
-    /// `view.flatten()` — the incremental mapper and the pipeline harness
-    /// both compute it — hand the dense view straight in, skipping the
-    /// re-flatten; every table is pre-sized from the forest and plan, so
-    /// interning never rehashes. [`CompiledView::new`] is this with a
-    /// fresh flatten.
-    pub(crate) fn from_flat(
-        view: &'a EnvView,
-        flat: &[FlatNet<'a>],
-        plan: &'a DeploymentPlan,
-    ) -> Self {
+        let flat = view.flatten();
         // Upper bound on distinct names: master + every member and `via`
         // of every net + everything the plan names. Duplicates only make
         // the tables slightly oversized, never undersized.
@@ -281,10 +216,6 @@ impl<'a> CompiledView<'a> {
         self.index.get(name).map(|&i| HostId(i))
     }
 
-    pub(crate) fn host_name(&self, id: HostId) -> &'a str {
-        self.names[id.0 as usize]
-    }
-
     pub(crate) fn master_id(&self) -> HostId {
         HostId(self.master)
     }
@@ -292,16 +223,6 @@ impl<'a> CompiledView<'a> {
     /// Whether the view locates this host (member of some effective net).
     pub(crate) fn is_located(&self, h: HostId) -> bool {
         self.net_of[h.0 as usize] != NONE
-    }
-
-    /// The effective net directly containing `h` (first pre-order match).
-    pub(crate) fn net_of(&self, h: HostId) -> Option<NetId> {
-        let n = self.net_of[h.0 as usize];
-        (n != NONE).then_some(NetId(n))
-    }
-
-    pub(crate) fn net_count(&self) -> usize {
-        self.nets.len()
     }
 
     /// Whether some clique measures the ordered pair directly — the word-AND
@@ -313,52 +234,20 @@ impl<'a> CompiledView<'a> {
         wa.iter().zip(wb).any(|(x, y)| x & y != 0)
     }
 
-    /// The post-round measurement state over dense ids (O(1) to build).
-    pub(crate) fn post_round_source(&self) -> PostRoundDense<'_, 'a> {
-        PostRoundDense { compiled: self }
-    }
-
-    /// Wrap a legacy string-keyed source for use with [`Self::estimate_ids`].
-    pub(crate) fn adapt<'s>(
-        &self,
-        inner: &'s dyn MeasurementSource,
-    ) -> StringSourceAdapter<'_, 'a, 's> {
-        StringSourceAdapter { compiled: self, inner }
-    }
-
-    /// Whether `src → dst` is estimable at all — the decision
-    /// [`Self::estimate_ids`] makes, without building the segment chain.
-    ///
-    /// The paper's constraint 3 is decidable at this granularity because
-    /// the chain construction cannot fail once both endpoints are located:
-    /// every located host climbs to its top-level net via gateways that
-    /// default to the first member, tops join through inter-clique
-    /// representatives (defaulting the same way), and every segment
-    /// resolves to a value or a static ENV fallback. So estimability
-    /// depends only on (is `src` the master / located, is `dst` the master
-    /// / located, does a clique measure the pair directly) — a per-cluster
-    /// property, not a per-host one.
-    pub(crate) fn estimable_ids(&self, src: HostId, dst: HostId) -> bool {
-        if src == dst {
-            return false;
-        }
-        if self.cliques_intersect(src, dst) {
-            return true;
-        }
-        if src.0 == self.master || dst.0 == self.master {
-            let other = if src.0 == self.master { dst } else { src };
-            return self.is_located(other);
-        }
-        self.is_located(src) && self.is_located(dst)
-    }
-
     /// Estimate connectivity from `src` to `dst` — the interned port of the
     /// naive estimator; returns bit-identical [`Estimate`]s.
+    ///
+    /// `None` only for `src == dst`, or when an endpoint other than the
+    /// master is unlocated and no clique measures the pair: a located host
+    /// climbs to its top-level net through gateways that default to the
+    /// first member, tops join through inter-clique representatives that
+    /// default the same way, and every segment resolves to a measured value
+    /// or a static fallback. `validate_plan_with_routes` relies on this.
     pub(crate) fn estimate_ids(
         &self,
         src: HostId,
         dst: HostId,
-        source: &dyn DenseSource,
+        source: &dyn MeasurementSource,
     ) -> Option<Estimate> {
         if src == dst {
             return None;
@@ -424,7 +313,7 @@ impl<'a> CompiledView<'a> {
     }
 
     /// Master-to-host estimates (see the naive `estimate_from_master`).
-    fn estimate_from_master(&self, other: u32, source: &dyn DenseSource) -> Option<Estimate> {
+    fn estimate_from_master(&self, other: u32, source: &dyn MeasurementSource) -> Option<Estimate> {
         let leaf = self.net_of[other as usize];
         if leaf == NONE {
             return None;
@@ -498,15 +387,16 @@ impl<'a> CompiledView<'a> {
         resource: Resource,
         a: u32,
         b: u32,
-        source: &dyn DenseSource,
+        source: &dyn MeasurementSource,
     ) -> Option<f64> {
+        let (a, b) = (self.names[a as usize], self.names[b as usize]);
         source
-            .latest(resource, HostId(a), HostId(b))
-            .or_else(|| source.latest(resource, HostId(b), HostId(a)))
+            .latest(&SeriesKey::link(resource, a, b))
+            .or_else(|| source.latest(&SeriesKey::link(resource, b, a)))
     }
 
     /// Resolve the segment chain to numbers (mirror of the naive `finish`).
-    fn finish(&self, segs: &[Seg], source: &dyn DenseSource) -> Estimate {
+    fn finish(&self, segs: &[Seg], source: &dyn MeasurementSource) -> Estimate {
         let mut bw = f64::INFINITY;
         let mut lat = Some(0.0f64);
         let mut fresh = Freshness::Measured;

@@ -31,7 +31,7 @@
 //!   applied per host (§5.2), plus actual deployment onto the simulator.
 
 pub mod aggregate;
-pub mod compiled;
+mod compiled;
 pub mod manager;
 pub mod plan;
 pub mod planner;
@@ -41,9 +41,8 @@ pub mod validate;
 mod validate_differential;
 
 pub use aggregate::{Estimate, Estimator, Freshness, MeasurementSource};
-pub use compiled::{CompiledView, DenseSource, HostId, NetId};
 pub use manager::{apply_plan, apply_plan_delta, apply_plan_with, parse_config, render_config};
 pub use plan::{diff_plans, CliqueRole, DeploymentPlan, PlanDelta, PlannedClique};
 pub use planner::{plan_deployment, PlannerConfig};
 pub use repair::{repair_plan, RepairConfig, RepairOutcome};
-pub use validate::{validate_plan, validate_plan_with_routes, PlanReport, PostRoundSource};
+pub use validate::{validate_plan, validate_plan_with_routes, PlanReport};

@@ -15,10 +15,8 @@ use envmap::EnvView;
 use netsim::routing::RouteTable;
 use netsim::topology::{LinkMode, NodeId, Topology};
 
-use crate::aggregate::MeasurementSource;
 use crate::compiled::{CompiledView, HostId};
 use crate::plan::DeploymentPlan;
-use nws::{Resource, SeriesKey};
 
 /// Validation outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,35 +79,16 @@ impl PlanReport {
     }
 }
 
-/// A measurement source that "has" every pair some clique measures —
-/// models the state after the system has run a full round. Answers
-/// straight off the plan's clique membership instead of materialising one
-/// `SeriesKey` string pair per measured pair per resource, so construction
-/// is O(1) and allocation-free.
-pub struct PostRoundSource<'a>(pub &'a DeploymentPlan);
-
-impl MeasurementSource for PostRoundSource<'_> {
-    fn latest(&self, key: &SeriesKey) -> Option<f64> {
-        if matches!(key.resource, Resource::Bandwidth | Resource::Latency)
-            && key.src != key.dst
-            && self.0.clique_measuring(&key.src, &key.dst).is_some()
-        {
-            Some(1.0)
-        } else {
-            None
-        }
-    }
-}
-
 /// Validate a plan against the effective view it came from and the ground
 /// truth topology.
 ///
-/// This is the cluster-granular engine: completeness (constraint 3) is
-/// decided per effective-network pair — O(C² + n) instead of one estimator
-/// walk per ordered host pair — and the collision check of constraint 1
-/// collects each clique's resource footprint by walking its members up one
-/// another's shortest-path trees, then counts shared resources through a
-/// resource → cliques index. The original per-host-pair implementation
+/// This is the compiled-view engine. Completeness (constraint 3) needs no
+/// estimator walk, since only hosts the view cannot locate can break it:
+/// O(n · unlocated) clique tests instead of one walk per ordered host
+/// pair. The collision check of constraint 1 collects each clique's
+/// resource footprint by walking its members up one another's
+/// shortest-path trees, then counts shared resources through a resource →
+/// cliques index. The original per-host-pair implementation
 /// survives as `validate_plan_naive`, the differential-test oracle; both
 /// produce identical reports.
 pub fn validate_plan(plan: &DeploymentPlan, view: &EnvView, topo: &Topology) -> PlanReport {
@@ -233,13 +212,12 @@ pub fn validate_plan_with_routes(
     }
     let disjoint = nc * nc.saturating_sub(1) / 2 - colliding.len();
 
-    // --- constraint 3: completeness, at cluster granularity ---------------
-    // The paper defines completeness over effective networks: every member
-    // of a cluster is estimable through the same representative/gateway
-    // chain, so estimability is a property of the (source-net, dest-net)
-    // pair, not of the host pair (see `CompiledView::estimable_ids`). We
-    // decide it per cluster pair — O(C²) — and expand to host pairs only
-    // to report counterexamples (hosts the view cannot locate).
+    // --- constraint 3: completeness -----------------------------------------
+    // Every pair of distinct hosts that are located or the master is
+    // estimable (`CompiledView::estimate_ids`, DESIGN.md §6), so only hosts
+    // the view cannot locate are counterexamples, and only when no clique
+    // measures them directly. Expansion is O(n · bad), in the oracle's
+    // row-major order.
     let master = compiled.master_id();
     let mut all: Vec<(HostId, &str)> = plan
         .hosts
@@ -254,78 +232,20 @@ pub fn validate_plan_with_routes(
     }
     let is_bad: Vec<bool> =
         all.iter().map(|&(h, _)| h != master && !compiled.is_located(h)).collect();
-
-    // One proxy pair per cluster (the master is its own pseudo-cluster):
-    // any member stands for the whole cluster.
-    let master_class = compiled.net_count();
-    let mut proxies: Vec<[Option<HostId>; 2]> = vec![[None, None]; master_class + 1];
-    for &(h, _) in &all {
-        let class = if h == master {
-            master_class
-        } else if let Some(n) = compiled.net_of(h) {
-            n.0 as usize
-        } else {
-            continue; // unlocated: the expansion below reports these
-        };
-        let p = &mut proxies[class];
-        if p[0].is_none() {
-            p[0] = Some(h);
-        } else if p[1].is_none() && p[0] != Some(h) {
-            p[1] = Some(h);
-        }
-    }
-
-    let mut cluster_ok = true;
-    'sweep: for a in 0..proxies.len() {
-        let Some(pa) = proxies[a][0] else { continue };
-        for b in 0..proxies.len() {
-            let pb = if a == b { proxies[a][1] } else { proxies[b][0] };
-            let Some(pb) = pb else { continue };
-            let ok = compiled.estimable_ids(pa, pb);
-            debug_assert_eq!(
-                ok,
-                compiled.estimate_ids(pa, pb, &compiled.post_round_source()).is_some(),
-                "estimable_ids must agree with the chain construction"
-            );
-            if !ok {
-                cluster_ok = false;
-                break 'sweep;
-            }
-        }
-    }
-
+    let bad_idx: Vec<usize> = (0..all.len()).filter(|&i| is_bad[i]).collect();
     let mut incomplete: Vec<(String, String)> = Vec::new();
-    if !cluster_ok {
-        // Defensive path (a located cluster pair failed — structurally
-        // impossible, but never report "complete" on a shortcut): full
-        // per-pair expansion, still on dense ids.
-        for &(a, an) in &all {
+    for (ai, &(a, an)) in all.iter().enumerate() {
+        if is_bad[ai] {
             for &(b, bn) in &all {
-                if a != b && !compiled.estimable_ids(a, b) {
+                if a != b && !compiled.cliques_intersect(a, b) {
                     incomplete.push((an.to_string(), bn.to_string()));
                 }
             }
-        }
-    } else {
-        // Every located pair is estimable; only hosts the view cannot
-        // locate produce counterexamples, and only when no clique measures
-        // them directly. Expansion is O(n · bad), in the oracle's order.
-        let bad_idx: Vec<usize> = (0..all.len()).filter(|&i| is_bad[i]).collect();
-        if !bad_idx.is_empty() {
-            for (ai, &(a, an)) in all.iter().enumerate() {
-                if is_bad[ai] {
-                    for &(b, bn) in &all {
-                        if a != b && !compiled.cliques_intersect(a, b) {
-                            incomplete.push((an.to_string(), bn.to_string()));
-                        }
-                    }
-                } else {
-                    for &bi in &bad_idx {
-                        let (b, bn) = all[bi];
-                        if a != b && !compiled.cliques_intersect(a, b) {
-                            incomplete.push((an.to_string(), bn.to_string()));
-                        }
-                    }
+        } else {
+            for &bi in &bad_idx {
+                let (b, bn) = all[bi];
+                if a != b && !compiled.cliques_intersect(a, b) {
+                    incomplete.push((an.to_string(), bn.to_string()));
                 }
             }
         }
@@ -354,8 +274,9 @@ pub(crate) fn validate_plan_naive(
     view: &EnvView,
     topo: &Topology,
 ) -> PlanReport {
-    use crate::aggregate::naive::NaiveEstimator;
+    use crate::aggregate::{naive::NaiveEstimator, MeasurementSource};
     use netsim::fairness::{path_resources, Resource as NetResource};
+    use nws::{Resource, SeriesKey};
 
     let routes = RouteTable::compute(topo);
 
@@ -407,7 +328,7 @@ pub(crate) fn validate_plan_naive(
     // --- constraint 3: completeness ---------------------------------------
     // The original materialised post-round table (one key per measured
     // pair per resource): O(1) lookups keep this oracle's cost honest when
-    // it is benched against the cluster-granular validator.
+    // it is benched against the compiled-view validator.
     let mut source = crate::aggregate::StaticSource::default();
     for c in &plan.cliques {
         for (a, b) in c.measured_pairs() {
@@ -538,7 +459,7 @@ mod tests {
     fn fast_and_naive_agree_on_perturbed_plans() {
         // Unresolvable clique members, a planned host the view cannot
         // locate, a dropped representative entry, a dropped clique: the
-        // cluster-granular validator must report exactly what the per-pair
+        // compiled-view validator must report exactly what the per-pair
         // oracle reports, incomplete-pair order included.
         let (view, topo) = ens_view_and_topo();
         let mut plan = plan_deployment(&view, &PlannerConfig::default());

@@ -252,6 +252,7 @@ impl EnvMapper {
         master: &str,
         external: Option<&str>,
     ) -> NetResult<EnvRun> {
+        self.config.thresholds.validate()?;
         let mut stats = ProbeStats::default();
 
         // ---- phase 1: lookup ---------------------------------------------
@@ -870,6 +871,20 @@ mod tests {
             .map(&mut eng, &[HostInput::new("ghost.example")], "ghost.example", None)
             .is_err());
         assert!(mapper.map(&mut eng, &outside_inputs(), "not-in-list.example", None).is_err());
+    }
+
+    #[test]
+    fn invalid_thresholds_are_refused_before_probing() {
+        let net = ens_lyon(Calibration::Paper);
+        let mut eng = Sim::new(net.topo.clone());
+        let mut config = EnvConfig::fast();
+        config.thresholds.h2h_split_ratio = f64::NAN;
+        let mapper = EnvMapper::new(config);
+        let master = "the-doors.ens-lyon.fr";
+        let refused = |r: NetResult<EnvRun>| matches!(r, Err(NetError::InvalidTopology(_)));
+        assert!(refused(mapper.map(&mut eng, &outside_inputs(), master, None)));
+        assert!(refused(mapper.map_parallel(&eng, &outside_inputs(), master, None, 1)));
+        assert_eq!(eng.now(), SimTime::ZERO, "no probe ran");
     }
 
     #[test]

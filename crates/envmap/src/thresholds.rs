@@ -4,6 +4,8 @@
 //! results, and where determined experimentally and empirically by the ENV
 //! authors." They are configuration here so experiment E6 can sweep them.
 
+use netsim::{NetError, NetResult};
+
 /// Threshold set controlling cluster splitting and classification.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvThresholds {
@@ -39,39 +41,50 @@ impl EnvThresholds {
     pub fn paper() -> Self {
         Self::default()
     }
+
+    /// Check the ordering invariants (ratios > 1, 0 < shared < switched ≤
+    /// 1.5) on finite values. [`crate::EnvMapper`] refuses a set that fails:
+    /// a NaN passes no comparison, so it would silently skip a split or a
+    /// classification.
+    pub(crate) fn validate(&self) -> NetResult<()> {
+        let bad = |why: String| Err(NetError::InvalidTopology(format!("ENV thresholds: {why}")));
+        let fields = [
+            ("h2h_split_ratio", self.h2h_split_ratio),
+            ("pairwise_dependent_ratio", self.pairwise_dependent_ratio),
+            ("jam_shared_below", self.jam_shared_below),
+            ("jam_switched_above", self.jam_switched_above),
+        ];
+        if let Some((name, v)) = fields.iter().find(|(_, v)| !v.is_finite()) {
+            return bad(format!("{name} must be finite, got {v}"));
+        }
+        if self.h2h_split_ratio <= 1.0 {
+            return bad(format!("h2h_split_ratio must be > 1, got {}", self.h2h_split_ratio));
+        }
+        if self.pairwise_dependent_ratio <= 1.0 {
+            return bad(format!(
+                "pairwise_dependent_ratio must be > 1, got {}",
+                self.pairwise_dependent_ratio
+            ));
+        }
+        if !(0.0 < self.jam_shared_below && self.jam_shared_below < self.jam_switched_above) {
+            return bad(format!(
+                "need 0 < jam_shared_below ({}) < jam_switched_above ({})",
+                self.jam_shared_below, self.jam_switched_above
+            ));
+        }
+        if self.jam_switched_above > 1.5 {
+            return bad(format!(
+                "jam_switched_above of {} is not a plausible ratio",
+                self.jam_switched_above
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl EnvThresholds {
-        /// Validate ordering invariants (shared < switched, ratios > 1).
-        fn validate(&self) -> Result<(), String> {
-            if self.h2h_split_ratio <= 1.0 {
-                return Err(format!("h2h_split_ratio must be > 1, got {}", self.h2h_split_ratio));
-            }
-            if self.pairwise_dependent_ratio <= 1.0 {
-                return Err(format!(
-                    "pairwise_dependent_ratio must be > 1, got {}",
-                    self.pairwise_dependent_ratio
-                ));
-            }
-            if !(0.0 < self.jam_shared_below && self.jam_shared_below < self.jam_switched_above) {
-                return Err(format!(
-                    "need 0 < jam_shared_below ({}) < jam_switched_above ({})",
-                    self.jam_shared_below, self.jam_switched_above
-                ));
-            }
-            if self.jam_switched_above > 1.5 {
-                return Err(format!(
-                    "jam_switched_above of {} is not a plausible ratio",
-                    self.jam_switched_above
-                ));
-            }
-            Ok(())
-        }
-    }
 
     #[test]
     fn paper_values() {
@@ -83,19 +96,48 @@ mod tests {
         assert!(t.validate().is_ok());
     }
 
+    /// Every value in `bad`, set into one field of the paper's set, is
+    /// refused; so are the non-finite values.
+    fn refuses(set: fn(&mut EnvThresholds, f64), bad: &[f64]) {
+        for &v in bad.iter().chain(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]) {
+            let mut t = EnvThresholds::paper();
+            set(&mut t, v);
+            assert!(
+                matches!(t.validate(), Err(NetError::InvalidTopology(_))),
+                "{v} accepted: {t:?}"
+            );
+        }
+    }
+
     #[test]
     fn validation_catches_bad_orderings() {
-        let mut t = EnvThresholds::paper();
-        t.jam_shared_below = 0.95;
-        assert!(t.validate().is_err());
-        let mut t = EnvThresholds::paper();
-        t.h2h_split_ratio = 0.5;
-        assert!(t.validate().is_err());
-        let mut t = EnvThresholds::paper();
-        t.pairwise_dependent_ratio = 1.0;
-        assert!(t.validate().is_err());
-        let mut t = EnvThresholds::paper();
-        t.jam_switched_above = 5.0;
-        assert!(t.validate().is_err());
+        for (shared, switched) in [(0.95, 0.9), (0.9, 0.9), (0.7, 0.5)] {
+            let t = EnvThresholds {
+                jam_shared_below: shared,
+                jam_switched_above: switched,
+                ..EnvThresholds::paper()
+            };
+            assert!(t.validate().is_err(), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn h2h_split_ratio_must_exceed_one() {
+        refuses(|t, v| t.h2h_split_ratio = v, &[0.5, 1.0, -3.0]);
+    }
+
+    #[test]
+    fn pairwise_dependent_ratio_must_exceed_one() {
+        refuses(|t, v| t.pairwise_dependent_ratio = v, &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn jam_shared_below_must_be_positive() {
+        refuses(|t, v| t.jam_shared_below = v, &[0.0, -0.1]);
+    }
+
+    #[test]
+    fn jam_switched_above_must_be_a_plausible_ratio() {
+        refuses(|t, v| t.jam_switched_above = v, &[1.6, 5.0]);
     }
 }

@@ -1,14 +1,14 @@
-//! A miniature DNS: forward and reverse resolution plus machine aliases.
+//! A miniature DNS: forward and reverse resolution.
 //!
 //! The ENV structural phase groups hosts into sites by domain name; when a
 //! machine has no name, the paper's patched ENV falls back to the classful
 //! network of its address (`crate::ip::Ipv4::class_domain`). The firewall
 //! merge (paper §4.3) relies on knowing that several names — one per side of
-//! the firewall — designate the same machine; those are recorded here as
-//! aliases.
+//! the firewall — designate the same machine; those are the names of one
+//! node's interfaces, which `Topology::node_by_name` resolves to that node.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 use crate::ip::Ipv4;
@@ -76,7 +76,6 @@ impl Interner {
 pub struct Dns {
     by_name: HashMap<String, Ipv4, FixedState>,
     by_ip: HashMap<Ipv4, String, FixedState>,
-    aliases: HashMap<String, BTreeSet<String>, FixedState>,
 }
 
 impl Dns {
@@ -89,16 +88,6 @@ impl Dns {
     pub(crate) fn register(&mut self, name: &str, ip: Ipv4) {
         self.by_name.insert(name.to_string(), ip);
         self.by_ip.entry(ip).or_insert_with(|| name.to_string());
-    }
-
-    /// Record that `alias` names the same machine as `name`.
-    pub(crate) fn add_alias(&mut self, name: &str, alias: &str) {
-        self.aliases.entry(name.to_string()).or_default().insert(alias.to_string());
-    }
-
-    /// Forward lookup.
-    pub(crate) fn lookup(&self, name: &str) -> Option<Ipv4> {
-        self.by_name.get(name).copied()
     }
 
     /// Reverse lookup. `None` models a PTR record that does not exist —
@@ -128,9 +117,9 @@ mod tests {
     use super::*;
 
     impl Dns {
-        /// All other names known to designate the same machine as `name`.
-        pub(crate) fn aliases_of(&self, name: &str) -> Vec<String> {
-            self.aliases.get(name).map(|s| s.iter().cloned().collect()).unwrap_or_default()
+        /// Forward lookup.
+        fn lookup(&self, name: &str) -> Option<Ipv4> {
+            self.by_name.get(name).copied()
         }
 
         /// Number of registered forward entries.
@@ -165,16 +154,6 @@ mod tests {
         assert_eq!(d.lookup("second.x"), Some(ip));
     }
 
-    #[test]
-    fn aliases() {
-        let mut d = Dns::new();
-        d.register("popc.ens-lyon.fr", Ipv4::new(140, 77, 12, 52));
-        d.register("popc0.popc.private", Ipv4::new(192, 168, 81, 51));
-        d.add_alias("popc.ens-lyon.fr", "popc0.popc.private");
-        assert_eq!(d.aliases_of("popc.ens-lyon.fr"), vec!["popc0.popc.private".to_string()]);
-        assert!(d.aliases_of("unknown").is_empty());
-    }
-
     /// Two tables built alike clone and drop their strings in the same
     /// order (`Debug` prints in bucket order, the order `clone` walks).
     #[test]
@@ -183,7 +162,7 @@ mod tests {
             let mut d = Dns::new();
             for i in 0..200u8 {
                 d.register(&format!("h{i}.lab.x"), Ipv4::new(10, 0, 0, i));
-                d.add_alias(&format!("h{i}.lab.x"), &format!("h{i}.private"));
+                d.register(&format!("h{i}.private"), Ipv4::new(192, 168, 0, i));
             }
             d
         };

@@ -208,8 +208,7 @@ pub struct Medium {
     pub label: String,
 }
 
-/// Dense id of an interned DNS-visible name (interface names and extra
-/// aliases) within a [`NameTable`].
+/// Dense id of an interned interface name within a [`NameTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
 
@@ -219,8 +218,8 @@ impl NameId {
     }
 }
 
-/// The interned name table: every name a lookup can resolve — interface
-/// FQDNs *and* extra DNS aliases — is interned once at build into a dense
+/// The interned name table: every name a lookup can resolve — the
+/// interface FQDNs — is interned once at build into a dense
 /// [`NameId`], with the owning node in a flat array. Consumers that resolve
 /// the same names repeatedly (the mapper's input resolution, plan
 /// validation) can intern once and then work entirely on dense ids; one
@@ -278,9 +277,9 @@ pub struct Topology {
     adj: Vec<(LinkId, NodeId)>,
     dns: Dns,
     firewall: Firewall,
-    /// Interned DNS-visible names (interface names and extra aliases) →
-    /// owning node, built at [`TopologyBuilder::build`]. The capacity-only
-    /// mutators ([`Topology::link_mut`], [`Topology::medium_mut`],
+    /// Interned interface names → owning node, built at
+    /// [`TopologyBuilder::build`]. The capacity-only mutators
+    /// ([`Topology::link_mut`], [`Topology::medium_mut`],
     /// [`Topology::set_link_up`]) never touch names or addresses, and the
     /// structural mutators ([`Topology::add_host_like`],
     /// [`Topology::isolate_node`]) maintain the indexes themselves — so
@@ -357,9 +356,8 @@ impl Topology {
 
     /// Find the node owning an interface with the given DNS name — one
     /// interner lookup (ties, if a name were ever duplicated, resolve to
-    /// the lowest node id, as the old linear scan did). Extra DNS aliases
-    /// resolve here too, since build interns them alongside interface
-    /// names.
+    /// the lowest node id, as the old linear scan did). Every name of a
+    /// multi-homed node resolves to that one node.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.names.resolve(name)
     }
@@ -559,7 +557,6 @@ pub struct TopologyBuilder {
     mediums: Vec<Medium>,
     infra: HashMap<NodeId, InfraSpec>,
     firewall: Firewall,
-    extra_aliases: Vec<(String, String)>,
 }
 
 impl TopologyBuilder {
@@ -855,15 +852,9 @@ impl TopologyBuilder {
         self.firewall.deny_between(a, b);
     }
 
-    /// Register an additional DNS alias (`alias` resolves like `canonical`).
-    #[cfg(test)]
-    fn dns_alias(&mut self, alias: &str, canonical: &str) {
-        self.extra_aliases.push((alias.to_string(), canonical.to_string()));
-    }
-
     /// Validate and freeze the topology.
     pub fn build(self) -> NetResult<Topology> {
-        let TopologyBuilder { nodes, links, mediums, infra: _, firewall, extra_aliases } = self;
+        let TopologyBuilder { nodes, links, mediums, infra: _, firewall } = self;
 
         for l in &links {
             for (n, iface) in [(l.a, l.a_iface), (l.b, l.b_iface)] {
@@ -936,50 +927,19 @@ impl TopologyBuilder {
             cursor[l.b.index()] += 1;
         }
 
-        let mut dns = Dns::new();
-        for n in &nodes {
-            let names: Vec<&str> = n.ifaces.iter().filter_map(|i| i.name.as_deref()).collect();
-            for i in &n.ifaces {
-                if let Some(name) = &i.name {
-                    dns.register(name, i.ip);
-                    // All names of one machine are aliases of each other —
-                    // the information the firewall merge needs (§4.3).
-                    for other in &names {
-                        if *other != name.as_str() {
-                            dns.add_alias(name, other);
-                        }
-                    }
-                }
-            }
-        }
-        for (alias, canonical) in &extra_aliases {
-            let ip =
-                dns.lookup(canonical).ok_or_else(|| NetError::NameNotFound(canonical.clone()))?;
-            dns.register(alias, ip);
-            dns.add_alias(canonical, alias);
-            dns.add_alias(alias, canonical);
-        }
-
         // The interned name table: `node_by_name` used to scan every node
         // × interface per call, which made every consumer that resolves
         // host names per pair (plan validation, the structural phase)
-        // quadratic for no reason. Interface names are interned first
-        // (lowest node id wins), then extra aliases resolve through DNS to
-        // their owning node so alias lookups hit the same table.
-        let mut names = NameTable::with_capacity(iface_count + extra_aliases.len());
+        // quadratic for no reason. The lowest node id wins a name.
+        let mut dns = Dns::new();
+        let mut names = NameTable::with_capacity(iface_count);
         for n in &nodes {
             for i in &n.ifaces {
                 if let Some(name) = &i.name {
+                    dns.register(name, i.ip);
                     names.insert(name, n.id);
                 }
             }
-        }
-        for (alias, _) in &extra_aliases {
-            let ip = dns.lookup(alias).expect("alias registered above");
-            let pos = ip_table
-                .binary_search_by_key(&ip, |&(i, _)| i)
-                .expect("alias canonical resolves to a built interface");
-            names.insert(alias, ip_table[pos].1);
         }
 
         Ok(Topology { nodes, links, mediums, adj_off, adj, dns, firewall, names, ip_table })
@@ -1044,11 +1004,12 @@ mod tests {
         );
         b.set_forwards(gw, true);
         let t = b.build().unwrap();
-        assert_eq!(t.node_by_name("popc.ens-lyon.fr"), Some(gw));
-        assert_eq!(t.node_by_name("popc0.popc.private"), Some(gw));
         assert!(t.node(gw).is_l3_hop());
-        let aliases = t.dns().aliases_of("popc.ens-lyon.fr");
-        assert!(aliases.contains(&"popc0.popc.private".to_string()));
+        let names: Vec<&str> = t.node(gw).ifaces.iter().filter_map(|i| i.name.as_deref()).collect();
+        assert_eq!(names, ["popc.ens-lyon.fr", "popc0.popc.private"]);
+        for name in names {
+            assert_eq!(t.node_by_name(name), Some(gw), "{name}");
+        }
     }
 
     #[test]
@@ -1112,23 +1073,6 @@ mod tests {
         let t = b.build().unwrap();
         assert_eq!(t.node(h).label, "192.168.81.60");
         assert!(t.node(h).ifaces[0].name.is_none());
-    }
-
-    #[test]
-    fn extra_alias_resolves() {
-        let mut b = TopologyBuilder::new();
-        b.host("a.example.net", "10.0.0.1");
-        b.dns_alias("alias.example.net", "a.example.net");
-        let t = b.build().unwrap();
-        assert_eq!(t.dns().lookup("alias.example.net"), Some("10.0.0.1".parse().unwrap()));
-    }
-
-    #[test]
-    fn alias_to_unknown_name_fails_build() {
-        let mut b = TopologyBuilder::new();
-        b.host("a.example.net", "10.0.0.1");
-        b.dns_alias("x", "missing.example.net");
-        assert!(matches!(b.build(), Err(NetError::NameNotFound(_))));
     }
 
     #[test]
