@@ -162,16 +162,26 @@ impl<'a> CompiledView<'a> {
 
         // Inter-clique representative of each top-level network: the first
         // inter-clique member (in ring order) directly listed among the
-        // net's hosts, else the first member, else the master.
-        let inter = plan.cliques.iter().find(|cl| cl.name == "inter-top");
+        // net's hosts, else the first member, else the master. That is the
+        // listed host of lowest ring position; every listed host is
+        // interned above, so the lookup mints no id.
+        let mut ring_pos: HashMap<&str, usize> = HashMap::new();
+        if let Some(inter) = plan.cliques.iter().find(|cl| cl.name == "inter-top") {
+            for (pos, m) in inter.members.iter().enumerate() {
+                ring_pos.entry(m.as_str()).or_insert(pos);
+            }
+        }
         for (i, f) in flat.iter().enumerate() {
             if c.nets[i].parent != NONE {
                 continue;
             }
-            let env = f.net;
-            let from_inter = inter.and_then(|cl| {
-                cl.members.iter().find(|m| env.hosts.contains(m)).map(|m| c.intern(m))
-            });
+            let from_inter = f
+                .net
+                .hosts
+                .iter()
+                .filter_map(|h| ring_pos.get(h.as_str()).map(|&pos| (pos, h)))
+                .min()
+                .map(|(_, h)| c.intern(h));
             let fallback =
                 if c.nets[i].first_host != NONE { c.nets[i].first_host } else { c.master };
             c.nets[i].top_rep = from_inter.unwrap_or(fallback);

@@ -432,22 +432,37 @@ struct Scratch {
     changed: Vec<u32>,
 
     // The last max-min fill's log, which the next fill resumes from when
-    // flows have only departed since (see `FairEngine::resume_round`).
-    /// Whether the log describes the live flows minus `departed`: false
-    /// after an admission, a capacity or model change, a stuck exit or an
-    /// equal-share fill.
+    // flows have only departed since (see `FairEngine::resume_round`), or
+    // which isolated changes patch (see `FairEngine::patch`).
+    /// Whether the log describes the live flows minus `departed`, plus
+    /// those admitted from `log_seq` on: false after a capacity or model
+    /// change, a stuck exit, an equal-share fill or the admission of a
+    /// departed key.
     resumable: bool,
     /// Keys removed since the last fill.
     departed: Vec<u32>,
+    /// The `FlowSlot::seq` of the first flow admitted since the last fill.
+    log_seq: u64,
     /// Per-slot round in which the flow froze.
     freeze_round: Vec<u32>,
     /// Keys in the order they froze, and per round the length of `order`
     /// after it: a resume from round `t` thaws `order[round_end[t - 1]..]`.
+    /// A patch keeps `round_end` as per-round freeze counts and leaves
+    /// `order` stale: only a resume reads it, and a patched log has no
+    /// checkpoint to resume from.
     order: Vec<u32>,
     round_end: Vec<u32>,
     /// Per-round `delta`; a round's `level` is their sum so far, added in
     /// order as the fill added them.
     deltas: Vec<f64>,
+    /// Per round below `CHECKPOINT_ROUNDS`, the resources that saturated
+    /// in it with a share equal to its `delta`. A lone user's tie always
+    /// saturates (`rem - rem` is 0), so the count holds every tie of a
+    /// resource a patch replays, and leaving out a shared resource that
+    /// tied without saturating only makes the patch refuse more.
+    ties: [u32; CHECKPOINT_ROUNDS],
+    /// How the last max-min reallocate came by its rates.
+    outcome: Patch,
     /// Checkpoint `c` (1-based) is `remaining` at the top of round
     /// `c * CHECKPOINT_ROUNDS` of every resource still in the round list,
     /// at `ck_rem[slot * ck_stride + ck_row[r]]` with `slot = c %
@@ -474,6 +489,8 @@ struct Scratch {
 /// average half an interval below the departed flow's freeze round, and
 /// the log stores one checkpoint per interval, so the interval trades
 /// rounds re-run against checkpoint memory; DESIGN.md §2 has the figures.
+/// A log no longer than one interval has no checkpoint, and is the one a
+/// patch applies to.
 const CHECKPOINT_ROUNDS: usize = 8;
 
 /// Checkpoints kept: the last ones written. A departing flow is one of the
@@ -546,6 +563,30 @@ impl Scratch {
         }
         true
     }
+}
+
+/// How the last max-min [`FairEngine::reallocate`] came by its rates:
+/// by patching the last fill's log with the changes made since, or by a
+/// fill, for the reason the patch did not apply (DESIGN.md §2, "Isolated
+/// changes").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Patch {
+    /// The changes were applied to the log; no fill ran.
+    Applied,
+    /// A changed flow shares a resource, a departed key was admitted
+    /// again, the model is not max-min, or there is no log without a
+    /// checkpoint to patch.
+    #[default]
+    Inapplicable,
+    /// An admitted flow's share fell below a kept round's `delta`.
+    NewBottleneck,
+    /// A kept round lost every resource whose share equalled its `delta`.
+    LostTie,
+    /// More than one admitted flow outlasts every other flow.
+    TwoTails,
+    /// A kept round, or the outlasting flow's own round, would freeze no
+    /// flow.
+    NoFreeze,
 }
 
 /// Incrementally-maintained fair-allocation engine: the hot-path
@@ -720,9 +761,13 @@ impl FairEngine {
         slot.alive = true;
         self.next_seq += 1;
         self.live.push(key);
-        self.scratch.resumable = false;
         self.scratch.sorted = false;
-        self.scratch.departed.clear();
+        if self.scratch.departed.contains(&key) {
+            // The departed flow's resources went with its slot, so the log
+            // can no longer be patched or resumed.
+            self.scratch.resumable = false;
+            self.scratch.departed.clear();
+        }
         for i in 0..self.slots[key as usize].resources.len() {
             let r = self.slots[key as usize].resources[i];
             self.users[r.index()] += 1;
@@ -770,6 +815,12 @@ impl FairEngine {
         &self.scratch.changed
     }
 
+    /// How the last max-min [`reallocate`](Self::reallocate) came by its
+    /// rates.
+    pub fn last_patch(&self) -> Patch {
+        self.scratch.outcome
+    }
+
     /// Recompute all rates under the configured model. The keys whose
     /// committed rate changed are readable via [`changed`](Self::changed).
     /// Allocation-free once scratch has grown to the high-water flow count.
@@ -778,8 +829,8 @@ impl FairEngine {
         // slot, and the fill log with it, since a fill runs at most one
         // round per live flow; the checkpoints by active resources; the
         // departed flows' resource list by their paths. Only an admission
-        // raises the first two, and an admission discards the log, so the
-        // checkpoints are replaced rather than copied.
+        // raises the first two; growing the checkpoints discards a log that
+        // has any rather than copying them.
         fn reserve<T>(v: &mut Vec<T>, cap: usize) {
             v.reserve(cap.saturating_sub(v.len()));
         }
@@ -798,28 +849,36 @@ impl FairEngine {
         let ck = CHECKPOINTS * self.active.len();
         if s.ck_rem.capacity() < ck {
             s.ck_rem = Vec::with_capacity(ck);
-            s.resumable = false;
+            s.resumable &= s.ck_block == [0; CHECKPOINTS];
         }
         let refs = s.departed.iter().map(|&k| self.slots[k as usize].resources.len()).sum();
         reserve(&mut s.patch, refs);
 
-        let thawed = match self.model {
-            FairnessModel::MaxMin => self.reallocate_max_min(),
+        // The keys whose rate may have moved: `live[i..]`, in live order,
+        // or a resumed fill's thawed keys `order[i..]`.
+        let (from_order, i) = match self.model {
+            FairnessModel::MaxMin => match self.patch() {
+                Ok(admitted) => {
+                    self.scratch.outcome = Patch::Applied;
+                    (false, admitted)
+                }
+                Err(why) => {
+                    self.scratch.outcome = why;
+                    self.reallocate_max_min().map_or((false, 0), |thawed| (true, thawed))
+                }
+            },
             FairnessModel::BottleneckEqualShare => {
                 self.reallocate_equal_share();
-                None
+                (false, 0)
             }
         };
-        // Commit, collecting changed flows in live order. A resumed fill
-        // changed only the keys it thawed; every other live key still holds
-        // its committed rate.
-        let Scratch { departed, changed, work, order, .. } = &mut self.scratch;
+        // Commit, collecting changed flows in live order. Every other live
+        // key still holds its committed rate.
+        let Scratch { departed, changed, work, order, log_seq, .. } = &mut self.scratch;
         departed.clear();
         changed.clear();
-        let keys = match thawed {
-            Some(i) => &order[i..],
-            None => &self.live[..],
-        };
+        *log_seq = self.next_seq;
+        let keys = if from_order { &order[i..] } else { &self.live[i..] };
         for &k in keys {
             let slot = &mut self.slots[k as usize];
             if work[k as usize] != slot.rate {
@@ -827,9 +886,162 @@ impl FairEngine {
                 changed.push(k);
             }
         }
-        if thawed.is_some() {
+        if from_order {
             changed.sort_unstable_by_key(|&k| self.slots[k as usize].seq);
         }
+    }
+
+    /// Applies the admissions and departures made since the last fill to
+    /// its log, without filling, when every changed flow is alone on each
+    /// of its resources; DESIGN.md §2, "Isolated changes", has the
+    /// argument. Such a flow's resources lose one `delta` a round and
+    /// share nothing, so every other flow repeats the logged fill as long
+    /// as the logged `delta`s do. Writes the admitted flows' rates into
+    /// `work` and returns where they start in `live` (they are its tail),
+    /// or why the log cannot be patched. Every comparison that decides is
+    /// exact, and a failure leaves a log that only a fill from round 0
+    /// reads: a log without checkpoints offers no resume.
+    fn patch(&mut self) -> Result<usize, Patch> {
+        let s = &mut self.scratch;
+        let rounds = s.deltas.len();
+        // A fill from round 0 that ran at most `CHECKPOINT_ROUNDS` rounds,
+        // so it counted every round's ties and kept no checkpoint.
+        if !s.resumable || s.ck_block != [0; CHECKPOINTS] {
+            return Err(Patch::Inapplicable);
+        }
+        let admitted = self.live.partition_point(|&k| self.slots[k as usize].seq < s.log_seq);
+
+        // Each departed flow was in the fill and alone on its resources:
+        // none has a user now, and no two departed flows share one.
+        s.patch.clear();
+        for &d in &s.departed {
+            let slot = &self.slots[d as usize];
+            if slot.seq >= s.log_seq || slot.resources.iter().any(|r| self.users[r.index()] > 0) {
+                return Err(Patch::Inapplicable);
+            }
+            s.patch.extend_from_slice(&slot.resources);
+        }
+        s.patch.sort_unstable();
+        if s.patch.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Patch::Inapplicable);
+        }
+        // Per round, the flows that froze in it, and the ties, without the
+        // departed flows: a lone user's share `rem / 1.0` is `rem`, and
+        // it loses `delta` once a round up to its freeze round.
+        let mut froze = [0u32; CHECKPOINT_ROUNDS];
+        let mut before = 0;
+        for (n, &end) in froze.iter_mut().zip(&s.round_end) {
+            *n = end - before;
+            before = end;
+        }
+        for &d in &s.departed {
+            let j = s.freeze_round[d as usize] as usize;
+            froze[j] -= 1;
+            for &r in &self.slots[d as usize].resources {
+                let mut rem = self.table.capacity[r.index()];
+                for t in 0..=j {
+                    if rem == s.deltas[t] {
+                        s.ties[t] -= 1;
+                    }
+                    rem -= s.deltas[t];
+                }
+            }
+        }
+        // The survivors freeze in the rounds they froze in, so the fill
+        // keeps the rounds up to the last of them.
+        let kept = froze[..rounds].iter().rposition(|&n| n > 0).map_or(0, |t| t + 1);
+        let mut levels = [0.0f64; CHECKPOINT_ROUNDS];
+        let mut level = 0.0;
+        for (at, &delta) in levels.iter_mut().zip(&s.deltas[..kept]) {
+            level += delta;
+            *at = level;
+        }
+
+        // Replay each admitted flow's resources from capacity through the
+        // kept rounds, as the fill would: a share below a round's `delta`
+        // would have lowered it.
+        let mut tail = None;
+        for &a in &self.live[admitted..] {
+            let resources = &self.slots[a as usize].resources;
+            if resources.iter().any(|r| self.users[r.index()] > 1) {
+                return Err(Patch::Inapplicable);
+            }
+            for r in resources {
+                s.remaining[r.index()] = self.table.capacity[r.index()];
+            }
+            let mut round = None;
+            for t in 0..kept {
+                let delta = s.deltas[t];
+                let mut saturated = false;
+                for r in resources {
+                    let rem = &mut s.remaining[r.index()];
+                    if *rem < delta {
+                        return Err(Patch::NewBottleneck);
+                    }
+                    if *rem == delta {
+                        s.ties[t] += 1;
+                    }
+                    *rem -= delta;
+                    saturated |= *rem <= self.table.freeze_eps[r.index()];
+                }
+                if saturated {
+                    round = Some(t);
+                    break;
+                }
+            }
+            match round {
+                Some(t) => {
+                    froze[t] += 1;
+                    s.freeze_round[a as usize] = t as u32;
+                    s.work[a as usize] = levels[t];
+                }
+                None if tail.is_none() => tail = Some(a),
+                None => return Err(Patch::TwoTails),
+            }
+        }
+        // The kept rounds keep their `delta` if each still has a share at
+        // it, and they stay rounds only if each still freezes a flow.
+        for (&n, &ties) in froze[..kept].iter().zip(&s.ties) {
+            if n == 0 {
+                return Err(Patch::NoFreeze);
+            }
+            if ties == 0 {
+                return Err(Patch::LostTie);
+            }
+        }
+        s.deltas.truncate(kept);
+        // A flow that outlasts all others runs one round of its own, in
+        // which its resources are the whole round list.
+        if let Some(a) = tail {
+            if kept == CHECKPOINT_ROUNDS {
+                return Err(Patch::Inapplicable);
+            }
+            let resources = &self.slots[a as usize].resources;
+            let delta =
+                resources.iter().fold(f64::INFINITY, |d, r| d.min(s.remaining[r.index()])).max(0.0);
+            let (mut ties, mut saturated) = (0, false);
+            for r in resources {
+                let rem = &mut s.remaining[r.index()];
+                ties += u32::from(*rem == delta);
+                *rem -= delta;
+                saturated |= *rem <= self.table.freeze_eps[r.index()];
+            }
+            if !saturated {
+                return Err(Patch::NoFreeze);
+            }
+            s.deltas.push(delta);
+            s.ties[kept] = ties;
+            froze[kept] = 1;
+            s.freeze_round[a as usize] = kept as u32;
+            s.work[a as usize] = level + delta;
+        }
+        s.round_end.clear();
+        let mut total = 0;
+        for &n in &froze[..s.deltas.len()] {
+            total += n;
+            s.round_end.push(total);
+        }
+        Ok(admitted)
     }
 
     /// Progressive filling over interned resources — the same rounds and
@@ -975,16 +1187,23 @@ impl FairEngine {
             // Saturation is decided for every resource before any flow
             // freezes: a freeze lowers `unfrozen` on the flow's other
             // resources, which must still lose this round's full share.
+            // A saturated resource whose share was `delta` is a tie.
             s.saturated.clear();
+            let mut ties = 0;
             for &r in &s.round {
-                let mut rem = s.remaining[r.index()];
-                for _ in 0..s.unfrozen[r.index()] {
+                let (start, users) = (s.remaining[r.index()], s.unfrozen[r.index()]);
+                let mut rem = start;
+                for _ in 0..users {
                     rem -= delta;
                 }
                 s.remaining[r.index()] = rem;
                 if rem <= self.table.freeze_eps[r.index()] {
                     s.saturated.push(r);
+                    ties += u32::from(start / users as f64 == delta);
                 }
+            }
+            if t < CHECKPOINT_ROUNDS {
+                s.ties[t] = ties;
             }
             let before = unfrozen_flows;
             for i in 0..s.saturated.len() {
@@ -1018,7 +1237,9 @@ impl FairEngine {
     }
 
     /// The round this fill starts from. Round 0 unless the last fill's log
-    /// still holds and only departures followed it. Then every round below
+    /// still holds and only departures followed the last counting sort (a
+    /// resume freezes through the flows-by-resource table, which lacks the
+    /// flows admitted since). Then every round below
     /// the earliest freeze round `j` of a departed flow repeats: the
     /// departed flows were unfrozen throughout, so each such round had the
     /// same binding resource — unless a departed flow's own resource was
@@ -1031,7 +1252,7 @@ impl FairEngine {
     /// resource down to its freeze threshold — answers round 0.
     fn resume_round(&mut self) -> usize {
         let s = &mut self.scratch;
-        if !s.resumable || s.deltas.is_empty() {
+        if !s.resumable || !s.sorted || s.deltas.is_empty() {
             return 0;
         }
         let last = s.deltas.len() - 1;
@@ -1478,6 +1699,7 @@ mod tests {
             shadow: &HashMap<u32, FlowDemand>,
         ) -> Result<(), String> {
             let before: Vec<f64> = fe.live_keys().iter().map(|&k| fe.rate(k)).collect();
+            let log_seq = fe.scratch.log_seq;
             fe.reallocate();
             let demands: Vec<FlowDemand> =
                 fe.live_keys().iter().map(|k| shadow[k].clone()).collect();
@@ -1507,16 +1729,24 @@ mod tests {
                 "fill from round {:?}",
                 fe.scratch.starts.last()
             );
-            if model == FairnessModel::MaxMin {
+            if model == FairnessModel::MaxMin && fe.last_patch() == Patch::Applied {
+                // A patch admits only flows alone on every resource.
+                for &k in fe.live_keys() {
+                    if fe.slots[k as usize].seq >= log_seq {
+                        for r in fe.resources(k) {
+                            prop_assert_eq!(fe.users[r.index()], 1, "{} admitted shared", k);
+                        }
+                    }
+                }
+            } else if model == FairnessModel::MaxMin {
                 members_match_users(fe)?;
             }
             Ok(())
         }
 
-        /// After a max-min reallocate, the live keys in each active
-        /// resource's run of the flows-by-resource table are exactly the
-        /// `users[r]` that cross it, and every dead key left in a run reads
-        /// frozen.
+        /// After a max-min fill, the live keys in each active resource's
+        /// run of the flows-by-resource table are exactly the `users[r]`
+        /// that cross it, and every dead key left in a run reads frozen.
         fn members_match_users(fe: &FairEngine) -> Result<(), String> {
             let s = &fe.scratch;
             prop_assert!(s.sorted, "a max-min fill leaves the table sorted");

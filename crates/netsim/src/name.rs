@@ -1,4 +1,5 @@
-//! A miniature DNS: forward and reverse resolution.
+//! A miniature DNS: reverse resolution (forward resolution is the topology's
+//! name table).
 //!
 //! The ENV structural phase groups hosts into sites by domain name; when a
 //! machine has no name, the paper's patched ENV falls back to the classful
@@ -71,10 +72,10 @@ impl Interner {
     }
 }
 
-/// Forward (name→address) and reverse (address→name) resolution tables.
+/// Reverse (address→name) resolution. Forward resolution is the
+/// topology's name table (`Topology::node_by_name`).
 #[derive(Debug, Clone, Default)]
 pub struct Dns {
-    by_name: HashMap<String, Ipv4, FixedState>,
     by_ip: HashMap<Ipv4, String, FixedState>,
 }
 
@@ -83,10 +84,9 @@ impl Dns {
         Self::default()
     }
 
-    /// Register `name` ⇔ `ip`. The first name registered for an address
+    /// Register `name` for `ip`. The first name registered for an address
     /// becomes its canonical reverse-resolution result.
     pub(crate) fn register(&mut self, name: &str, ip: Ipv4) {
-        self.by_name.insert(name.to_string(), ip);
         self.by_ip.entry(ip).or_insert_with(|| name.to_string());
     }
 
@@ -115,33 +115,18 @@ impl Dns {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl Dns {
-        /// Forward lookup.
-        fn lookup(&self, name: &str) -> Option<Ipv4> {
-            self.by_name.get(name).copied()
-        }
-
-        /// Number of registered forward entries.
-        fn len(&self) -> usize {
-            self.by_name.len()
-        }
-
-        fn is_empty(&self) -> bool {
-            self.by_name.is_empty()
-        }
-    }
+    use crate::topology::TopologyBuilder;
 
     #[test]
     fn forward_and_reverse() {
-        let mut d = Dns::new();
+        let mut b = TopologyBuilder::new();
+        let h = b.host("canaria.ens-lyon.fr", "140.77.13.229");
+        let topo = b.build().unwrap();
         let ip = Ipv4::new(140, 77, 13, 229);
-        d.register("canaria.ens-lyon.fr", ip);
-        assert_eq!(d.lookup("canaria.ens-lyon.fr"), Some(ip));
-        assert_eq!(d.reverse(ip), Some("canaria.ens-lyon.fr"));
-        assert_eq!(d.lookup("nothere"), None);
-        assert_eq!(d.len(), 1);
-        assert!(!d.is_empty());
+        assert_eq!(topo.node_by_name("canaria.ens-lyon.fr"), Some(h));
+        assert_eq!(topo.dns().reverse(ip), Some("canaria.ens-lyon.fr"));
+        assert_eq!(topo.node_by_name("nothere"), None);
+        assert_eq!(topo.dns().reverse(Ipv4::new(140, 77, 13, 230)), None);
     }
 
     #[test]
@@ -151,7 +136,6 @@ mod tests {
         d.register("first.x", ip);
         d.register("second.x", ip);
         assert_eq!(d.reverse(ip), Some("first.x"));
-        assert_eq!(d.lookup("second.x"), Some(ip));
     }
 
     /// Two tables built alike clone and drop their strings in the same
