@@ -16,6 +16,7 @@
 //! server) on this interface.
 
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -180,16 +181,27 @@ struct QEntry {
 
 impl PartialEq for QEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key() && self.seq == other.seq
     }
 }
 
 impl Eq for QEntry {}
 
+impl QEntry {
+    /// The integer the queue orders by. A `SimTime` is finite and
+    /// non-negative, and on those floats the IEEE-754 bit patterns order as
+    /// the values do; `+ 0.0` folds −0.0 into +0.0, the one pair of equal
+    /// values whose bits differ. So this orders exactly as `SimTime::cmp`,
+    /// without its `partial_cmp` and `expect`.
+    fn key(&self) -> u64 {
+        (self.time.as_secs() + 0.0).to_bits()
+    }
+}
+
 impl Ord for QEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
+        (other.key(), other.seq).cmp(&(self.key(), self.seq))
     }
 }
 
@@ -197,6 +209,20 @@ impl PartialOrd for QEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// The control-message state of one (sender, receiver) pair.
+struct Channel {
+    /// Last scheduled delivery: messages between two processes are FIFO,
+    /// like the TCP connections real NWS servers keep open (a short
+    /// message must not overtake a longer one sent earlier).
+    at: SimTime,
+    /// One-way route latency in seconds and bottleneck in bytes/s (at
+    /// least 1), as read at route epoch `epoch`; unread for a same-node
+    /// pair.
+    lat: f64,
+    bw: f64,
+    epoch: u64,
 }
 
 /// Everything in the engine except the boxed processes; split out so a
@@ -243,13 +269,15 @@ pub struct Core<M> {
     /// Owners of drained-but-not-yet-acked flows, so the ack event can
     /// notify them. `None` entries are probe flows.
     owner_of_finished: HashMap<FlowId, Option<ProcessId>, FixedState>,
-    /// Last scheduled delivery per (sender, receiver): control messages
-    /// between two processes are FIFO, like the TCP connections real NWS
-    /// servers keep open (a short message must not overtake a longer one
-    /// sent earlier). Entries of killed processes are pruned in
-    /// [`Engine::kill_process`] so crash/restart churn cannot grow the map
-    /// unboundedly.
-    last_delivery: HashMap<(ProcessId, ProcessId), SimTime, FixedState>,
+    /// One [`Channel`] per (sender, receiver) that has sent: the FIFO
+    /// clamp and the route it read, found with one hash per send. Entries
+    /// of killed processes are pruned in [`Engine::kill_process`] so
+    /// crash/restart churn cannot grow the map unboundedly.
+    channels: HashMap<(ProcessId, ProcessId), Channel, FixedState>,
+    /// Bumped by every way the topology or the routes can change
+    /// ([`Engine::topo_mut`], [`Engine::recompute_routes`]); a channel
+    /// whose `epoch` differs re-walks its route before use.
+    route_epoch: u64,
     /// Fault plane (see [`crate::faults`]): armed by
     /// [`Engine::set_fault_seed`]. While armed, every cross-node send
     /// draws a fixed number of uniforms so the stream stays a function of
@@ -528,42 +556,66 @@ impl<'a, M> Ctx<'a, M> {
     {
         let src = self.my_node();
         let dst = *self.core.proc_nodes.get(to.index()).ok_or(NetError::UnknownProcess(to.0))?;
-        self.core.stats.messages_sent += 1;
+        let core = &mut *self.core;
+        core.stats.messages_sent += 1;
         if src == dst {
             // Local delivery never traverses a link: the fault plane does
             // not apply (and draws nothing, keeping the random stream a
             // function of cross-node traffic only).
-            let mut at = self.core.now;
-            if let Some(prev) = self.core.last_delivery.get(&(self.me, to)) {
-                if *prev > at {
-                    at = *prev;
-                }
-            }
-            self.core.last_delivery.insert((self.me, to), at);
-            self.core.push_event(at, EventKind::Deliver { from: self.me, to, msg });
+            let now = core.now;
+            let epoch = core.route_epoch;
+            let ch = core.channels.entry((self.me, to)).or_insert(Channel {
+                at: now,
+                lat: 0.0,
+                bw: 0.0,
+                epoch,
+            });
+            ch.at = ch.at.max(now);
+            let at = ch.at;
+            core.push_event(at, EventKind::Deliver { from: self.me, to, msg });
             return Ok(());
         }
-        if !self.core.topo.allows(src, dst) {
+        if !core.topo.allows(src, dst) {
             return Err(NetError::Firewalled { src, dst });
         }
-        let (lat, bw) = self.core.routes.latency_and_bottleneck(&self.core.topo, src, dst)?;
-        let bw = bw.as_bytes_per_sec().max(1.0);
-        let mut at = self.core.now + TimeDelta::from_secs(lat.as_secs() + bytes.as_f64() / bw);
+        // The route is walked only when the channel is new or the topology
+        // or routes changed since it was last read; a walk that fails
+        // caches nothing.
+        let walk = |routes: &RouteTable, topo: &Topology| -> NetResult<(f64, f64)> {
+            let (lat, bw) = routes.latency_and_bottleneck(topo, src, dst)?;
+            Ok((lat.as_secs(), bw.as_bytes_per_sec().max(1.0)))
+        };
+        let epoch = core.route_epoch;
+        let ch = match core.channels.entry((self.me, to)) {
+            Entry::Occupied(o) => {
+                let ch = o.into_mut();
+                if ch.epoch != epoch {
+                    (ch.lat, ch.bw) = walk(&core.routes, &core.topo)?;
+                    ch.epoch = epoch;
+                }
+                ch
+            }
+            Entry::Vacant(v) => {
+                let (lat, bw) = walk(&core.routes, &core.topo)?;
+                v.insert(Channel { at: SimTime::ZERO, lat, bw, epoch })
+            }
+        };
+        let mut at = core.now + TimeDelta::from_secs(ch.lat + bytes.as_f64() / ch.bw);
         // Fault plane: fixed draw count per send (drop, dup, jitter,
         // dup-delay) so the consumed stream is deterministic regardless of
         // which faults fire.
         let mut duplicate_at = None;
-        if let Some(rng) = self.core.fault_rng.as_mut() {
+        if let Some(rng) = core.fault_rng.as_mut() {
             let r_drop = rng.next_f64();
             let r_dup = rng.next_f64();
             let r_jit = rng.next_f64();
             let r_dup_delay = rng.next_f64();
-            let eff = self.core.default_loss.unwrap_or(LossModel::NONE);
+            let eff = core.default_loss.unwrap_or(LossModel::NONE);
             if !eff.is_none() {
                 if r_drop < eff.drop_p {
                     // Silent loss: no delivery, no FIFO update, the sender
                     // is not told (recovery is the protocol layer's job).
-                    self.core.stats.messages_dropped += 1;
+                    core.stats.messages_dropped += 1;
                     return Ok(());
                 }
                 let jitter = eff.jitter.as_secs();
@@ -579,18 +631,14 @@ impl<'a, M> Ctx<'a, M> {
             }
         }
         // FIFO per process pair: model the ordered TCP connection.
-        if let Some(prev) = self.core.last_delivery.get(&(self.me, to)) {
-            if *prev > at {
-                at = *prev;
-            }
-        }
-        self.core.last_delivery.insert((self.me, to), at);
+        ch.at = ch.at.max(at);
+        let at = ch.at;
         if let Some(dup_at) = duplicate_at {
-            self.core.stats.messages_duplicated += 1;
+            core.stats.messages_duplicated += 1;
             let copy = msg.clone();
-            self.core.push_event(dup_at, EventKind::Deliver { from: self.me, to, msg: copy });
+            core.push_event(dup_at, EventKind::Deliver { from: self.me, to, msg: copy });
         }
-        self.core.push_event(at, EventKind::Deliver { from: self.me, to, msg });
+        core.push_event(at, EventKind::Deliver { from: self.me, to, msg });
         Ok(())
     }
 
@@ -670,7 +718,8 @@ impl<M> Engine<M> {
                 proc_nodes: Vec::new(),
                 stats: EngineStats::default(),
                 owner_of_finished: HashMap::default(),
-                last_delivery: HashMap::default(),
+                channels: HashMap::default(),
+                route_epoch: 0,
                 fault_rng: None,
                 default_loss: None,
             },
@@ -725,8 +774,8 @@ impl<M> Engine<M> {
     /// injection — e.g. a crashed NWS sensor whose clique must recover its
     /// token). Messages already in flight to it bounce back to their
     /// senders as [`Process::on_send_failed`] (the TCP-RST analog); its
-    /// FIFO clamp entries are pruned so crash/restart churn cannot grow
-    /// `last_delivery` unboundedly.
+    /// channels are pruned so crash/restart churn cannot grow `channels`
+    /// unboundedly.
     pub fn kill_process(&mut self, pid: ProcessId) {
         if let Some(slot) = self.procs.get_mut(pid.index()) {
             *slot = None;
@@ -735,7 +784,7 @@ impl<M> Engine<M> {
             clippy::disallowed_methods,
             reason = "D2: retain's predicate is pure, so the surviving set is visit-order-independent"
         )]
-        self.core.last_delivery.retain(|&(s, r), _| s != pid && r != pid);
+        self.core.channels.retain(|&(s, r), _| s != pid && r != pid);
     }
 
     /// The live process behind `pid`, for inspection between events; `None`
@@ -758,6 +807,7 @@ impl<M> Engine<M> {
     /// mutation clones it — sharers keep the platform they started with.
     pub fn topo_mut(&mut self) -> &mut Topology {
         self.core.settle();
+        self.core.route_epoch += 1;
         Arc::make_mut(&mut self.core.topo)
     }
 
@@ -770,6 +820,7 @@ impl<M> Engine<M> {
     pub fn recompute_routes(&mut self) {
         self.core.settle();
         self.core.routes = Arc::new(RouteTable::compute(&self.core.topo));
+        self.core.route_epoch += 1;
         // Capacity mutations through topo_mut() must reach the interned
         // tables too; like the old from-scratch allocator, they take
         // effect on the next reallocation. Structural growth (hosts and
@@ -946,11 +997,20 @@ mod tests {
     use super::*;
     use crate::topology::{LinkMode, TopologyBuilder};
     use crate::units::{Bandwidth, Latency};
+    use proptest::prelude::*;
 
     impl<M> Engine<M> {
-        /// Number of live `(sender, receiver)` FIFO clamp entries.
-        fn last_delivery_len(&self) -> usize {
-            self.core.last_delivery.len()
+        /// Number of live `(sender, receiver)` channels.
+        fn channel_count(&self) -> usize {
+            self.core.channels.len()
+        }
+
+        /// Send as `from` would from one of its callbacks.
+        fn send_as(&mut self, from: ProcessId, to: ProcessId, bytes: Bytes, msg: M) -> NetResult<()>
+        where
+            M: Clone,
+        {
+            Ctx { core: &mut self.core, me: from }.send(to, bytes, msg)
         }
 
         /// Whether a process is still alive.
@@ -1566,9 +1626,184 @@ mod tests {
         let rx = e.add_process(c, Box::new(OrderCheck { seen: seen.clone() }));
         let tx = e.add_process(a, Box::new(Sprayer { to: rx, count: 3 }));
         e.run_until_quiescent(TimeDelta::from_secs(10.0)).unwrap();
-        assert_eq!(e.last_delivery_len(), 1, "one live (tx, rx) clamp entry");
+        assert_eq!(e.channel_count(), 1, "one live (tx, rx) channel");
         e.kill_process(rx);
-        assert_eq!(e.last_delivery_len(), 0, "entries touching the corpse must go");
+        assert_eq!(e.channel_count(), 0, "channels touching the corpse must go");
         let _ = tx;
+    }
+
+    /// Records each Ping's number and arrival instant.
+    struct Arrivals {
+        log: std::rc::Rc<std::cell::RefCell<Vec<(u32, SimTime)>>>,
+    }
+    impl Process<TestMsg> for Arrivals {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, TestMsg>, _f: ProcessId, msg: TestMsg) {
+            if let TestMsg::Ping(n) = msg {
+                self.log.borrow_mut().push((n, ctx.now()));
+            }
+        }
+    }
+
+    /// A channel caches its route, so every send's delivery instant is
+    /// checked to the bit against `now + lat + bytes / bw` read fresh from
+    /// the route table, after each way the topology or the routes change.
+    #[test]
+    fn channels_see_every_topology_change() {
+        // a → r1 → c is the route; a → r2 → c the detour.
+        let mut b = TopologyBuilder::new();
+        let a = b.host("a.x", "10.0.0.1");
+        let c = b.host("c.x", "10.0.0.2");
+        let r1 = b.router("r1.x", "10.0.1.1");
+        let r2 = b.router("r2.x", "10.0.2.1");
+        let l1 = b.link(a, r1, Bandwidth::mbps(100.0), Latency::micros(100.0));
+        let l2 = b.link(r1, c, Bandwidth::mbps(100.0), Latency::micros(100.0));
+        let l3 = b.link(a, r2, Bandwidth::mbps(40.0), Latency::micros(700.0));
+        let l4 = b.link(r2, c, Bandwidth::mbps(40.0), Latency::micros(700.0));
+        b.set_weights(l3, 10.0, 10.0);
+        b.set_weights(l4, 10.0, 10.0);
+        let mut e: Engine<TestMsg> = Engine::new(b.build().unwrap());
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let rx = e.add_process(c, Box::new(Arrivals { log: log.clone() }));
+        let tx = e.add_process(a, Box::new(Arrivals { log: log.clone() }));
+        e.run_until_quiescent(TimeDelta::from_secs(1.0)).unwrap();
+        let bytes = Bytes::kib(64);
+
+        // Sends Ping(n), runs it home and returns the (latency, bottleneck)
+        // the fresh read gave, after checking the arrival against it.
+        let mut n = 0;
+        let mut check = |e: &mut Engine<TestMsg>, tx: ProcessId, rx: ProcessId| {
+            let (lat, bw) = e.routes().latency_and_bottleneck(e.topo(), a, c).unwrap();
+            let bw_s = bw.as_bytes_per_sec().max(1.0);
+            let expect = e.now() + TimeDelta::from_secs(lat.as_secs() + bytes.as_f64() / bw_s);
+            e.send_as(tx, rx, bytes, TestMsg::Ping(n)).unwrap();
+            e.run_until_quiescent(TimeDelta::from_secs(1.0)).unwrap();
+            let (got, at) = *log.borrow().last().unwrap();
+            assert_eq!(got, n);
+            assert_eq!(at.as_secs().to_bits(), expect.as_secs().to_bits(), "Ping({n}) arrival");
+            n += 1;
+            (lat.as_secs(), bw_s)
+        };
+        let (lat0, bw0) = check(&mut e, tx, rx);
+
+        // 1. A capacity cut through topo_mut, routes not recomputed.
+        if let LinkMode::FullDuplex { capacity_ab, .. } = &mut e.topo_mut().link_mut(l2).mode {
+            *capacity_ab = Bandwidth::mbps(10.0);
+        }
+        let (_, bw) = check(&mut e, tx, rx);
+        assert!(bw < bw0, "the cut must show in the fresh read");
+
+        // 2. A send between topo_mut and recompute_routes walks the old
+        // route, then the recomputed one takes the detour.
+        e.topo_mut().set_link_up(l1, false);
+        check(&mut e, tx, rx);
+        e.recompute_routes();
+        let (lat, _) = check(&mut e, tx, rx);
+        assert!(lat > lat0, "the detour is longer");
+
+        // 3. No route at all: an error, twice, and no channel for a new
+        // pair; once a route is back, the send reads it.
+        e.topo_mut().set_link_up(l3, false);
+        e.recompute_routes();
+        let rx2 = e.add_process(c, Box::new(Arrivals { log: log.clone() }));
+        e.run_until_quiescent(TimeDelta::from_secs(1.0)).unwrap();
+        let channels = e.channel_count();
+        for to in [rx, rx, rx2, rx2] {
+            assert!(matches!(
+                e.send_as(tx, to, bytes, TestMsg::Ping(99)),
+                Err(NetError::Unreachable { .. })
+            ));
+        }
+        assert_eq!(e.channel_count(), channels, "a route error caches no channel");
+        e.topo_mut().set_link_up(l1, true);
+        e.recompute_routes();
+        let (lat, _) = check(&mut e, tx, rx);
+        assert_eq!(lat, lat0, "the direct route is back");
+        check(&mut e, tx, rx2);
+
+        // 4. Kill and restart both ends: their channels go, and the
+        // replacements read the route as it is now.
+        e.kill_process(tx);
+        e.kill_process(rx);
+        assert_eq!(e.channel_count(), 0, "both channels left tx");
+        if let LinkMode::FullDuplex { capacity_ab, .. } = &mut e.topo_mut().link_mut(l1).mode {
+            *capacity_ab = Bandwidth::mbps(5.0);
+        }
+        e.recompute_routes();
+        let tx = e.add_process(a, Box::new(Arrivals { log: log.clone() }));
+        let rx = e.add_process(c, Box::new(Arrivals { log: log.clone() }));
+        e.run_until_quiescent(TimeDelta::from_secs(1.0)).unwrap();
+        check(&mut e, tx, rx);
+        check(&mut e, tx, rx2);
+        assert_eq!(e.channel_count(), 2);
+    }
+
+    /// A queued instant's integer key orders exactly as `SimTime::cmp`.
+    fn assert_key_order(a: f64, b: f64) {
+        let (ta, tb) = (SimTime::from_secs(a), SimTime::from_secs(b));
+        let qa = QEntry { time: ta, seq: 0, slot: 0 };
+        let qb = QEntry { time: tb, seq: 0, slot: 0 };
+        assert_eq!(qa.key().cmp(&qb.key()), ta.cmp(&tb), "{a:e} vs {b:e}");
+        assert_eq!(qa.cmp(&qb), tb.cmp(&ta), "{a:e} vs {b:e}: the heap order is reversed");
+    }
+
+    const KEY_EDGES: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        5e-324,
+        2.225_073_858_507_201e-308,
+        1.0,
+        1.0 + f64::EPSILON,
+        f64::MAX,
+        1e300,
+    ];
+
+    #[test]
+    fn queue_key_orders_edge_instants_like_the_clock() {
+        for a in KEY_EDGES {
+            for b in KEY_EDGES {
+                assert_key_order(a, b);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Random bit patterns, folded onto the finite non-negative floats
+        /// (sign cleared; an all-ones exponent replaced), against each
+        /// other and against the edges.
+        #[test]
+        fn queue_key_orders_like_the_clock(x in 0u64..=u64::MAX, y in 0u64..=u64::MAX, edge in 0usize..9) {
+            let finite = |bits: u64| {
+                let v = f64::from_bits(bits & !(1 << 63));
+                if v.is_finite() { v } else { f64::from_bits(bits >> 12) }
+            };
+            let (a, b) = (finite(x), finite(y));
+            assert_key_order(a, b);
+            assert_key_order(a, KEY_EDGES[edge]);
+            assert_key_order(KEY_EDGES[edge], b);
+            assert_key_order(a, a);
+        }
+    }
+
+    /// Events at +0.0 and −0.0 are one instant: they pop in push order,
+    /// and the clock each pop would set keeps the bits it was pushed with.
+    #[test]
+    fn signed_zero_events_pop_in_push_order() {
+        let mut e: Engine<TestMsg> = Engine::new(two_hosts_hub().0);
+        let times = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0];
+        for (tag, t) in times.iter().enumerate() {
+            let kind = EventKind::Timer { to: ProcessId(0), timer: TimerId(0), tag: tag as u64 };
+            e.core.push_event(SimTime::from_secs(*t), kind);
+        }
+        for (tag, t) in times.iter().enumerate() {
+            let head = e.core.queue.peek().unwrap().time;
+            assert_eq!(head.as_secs().to_bits(), t.to_bits(), "pop {tag}");
+            let Some(EventKind::Timer { tag: got, .. }) = e.core.pop_event() else {
+                panic!("a timer was pushed")
+            };
+            assert_eq!(got, tag as u64);
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! (memories).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use netsim::engine::{Ctx, Process, ProcessId};
@@ -54,10 +54,13 @@ pub struct SupervisorState {
     pub targets: BTreeSet<ProcessId>,
     /// Pids declared dead, awaiting [`crate::NwsSystem::heal`].
     pub suspected: BTreeSet<ProcessId>,
-    /// pid → consecutive missed heartbeats.
-    misses: BTreeMap<ProcessId, u32>,
-    /// Pids pinged this period that have not answered yet.
-    awaiting: BTreeSet<ProcessId>,
+    /// Consecutive missed heartbeats as of the last scoring, by pid index
+    /// (none beyond the end). Read only for a pid still awaited, so a pong
+    /// or a restart, which end the wait, need not reset it: the next
+    /// scoring does.
+    misses: Vec<u32>,
+    /// By pid index: pinged this period and not answered yet.
+    awaiting: Vec<bool>,
     pub pings_sent: u64,
     pub pongs_seen: u64,
 }
@@ -68,9 +71,56 @@ impl SupervisorState {
     pub(crate) fn replace_target(&mut self, dead: ProcessId, replacement: ProcessId) {
         self.targets.remove(&dead);
         self.suspected.remove(&dead);
-        self.misses.remove(&dead);
-        self.awaiting.remove(&dead);
+        if let Some(a) = self.awaiting.get_mut(dead.index()) {
+            *a = false;
+        }
         self.targets.insert(replacement);
+    }
+
+    /// Open a heartbeat period: score the one that ends (a target still
+    /// awaited missed it) and return the targets to ping, ascending.
+    fn score(&mut self, miss_threshold: u32) -> Vec<ProcessId> {
+        let targets: Vec<ProcessId> = self.targets.iter().copied().collect();
+        if let Some(last) = targets.last() {
+            let len = last.index() + 1;
+            if self.misses.len() < len {
+                self.misses.resize(len, 0);
+                self.awaiting.resize(len, false);
+            }
+        }
+        for pid in &targets {
+            let m = &mut self.misses[pid.index()];
+            if self.awaiting[pid.index()] {
+                *m += 1;
+                if *m >= miss_threshold {
+                    self.suspected.insert(*pid);
+                }
+            } else {
+                *m = 0;
+            }
+        }
+        // Awaited from now on: exactly this period's targets.
+        self.awaiting.fill(false);
+        for pid in &targets {
+            self.awaiting[pid.index()] = true;
+        }
+        self.pings_sent += targets.len() as u64;
+        targets
+    }
+
+    /// A heartbeat answered, by any pid. It is no longer awaited, so the
+    /// next scoring zeroes its misses.
+    fn pong(&mut self, from: ProcessId) {
+        self.pongs_seen += 1;
+        if let Some(a) = self.awaiting.get_mut(from.index()) {
+            *a = false;
+        }
+        // A late pong exonerates a target: better to tolerate a slow pid
+        // than to restart a live one over a lossy episode. Suspects are
+        // few (usually none), so they are asked first.
+        if self.suspected.contains(&from) && self.targets.contains(&from) {
+            self.suspected.remove(&from);
+        }
     }
 }
 
@@ -91,25 +141,7 @@ impl SupervisorProc {
     }
 
     fn beat(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        let targets: Vec<ProcessId> = {
-            let mut st = self.state.borrow_mut();
-            let targets: Vec<ProcessId> = st.targets.iter().copied().collect();
-            // Score the previous period: anyone still awaited missed it.
-            for pid in &targets {
-                if st.awaiting.contains(pid) {
-                    let m = st.misses.entry(*pid).or_insert(0);
-                    *m += 1;
-                    if *m >= self.cfg.miss_threshold {
-                        st.suspected.insert(*pid);
-                    }
-                } else {
-                    st.misses.insert(*pid, 0);
-                }
-            }
-            st.awaiting = targets.iter().copied().collect();
-            st.pings_sent += targets.len() as u64;
-            targets
-        };
+        let targets = self.state.borrow_mut().score(self.cfg.miss_threshold);
         for pid in targets {
             // A synchronous failure (already-dead pid) is fine: the pong
             // simply never comes and the miss counter does its job.
@@ -126,15 +158,7 @@ impl Process<NwsMsg> for SupervisorProc {
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, from: ProcessId, msg: NwsMsg) {
         if let NwsMsg::Pong = msg {
-            let mut st = self.state.borrow_mut();
-            st.pongs_seen += 1;
-            st.awaiting.remove(&from);
-            if st.targets.contains(&from) {
-                st.misses.insert(from, 0);
-                // A late pong exonerates: better to tolerate a slow pid
-                // than to restart a live one over a lossy episode.
-                st.suspected.remove(&from);
-            }
+            self.state.borrow_mut().pong(from);
         }
     }
 
@@ -151,6 +175,7 @@ mod tests {
     use netsim::engine::Engine;
     use netsim::topology::{NodeId, TopologyBuilder};
     use netsim::units::{Bandwidth, Latency};
+    use proptest::prelude::*;
 
     fn hub3() -> (Engine<NwsMsg>, Vec<NodeId>) {
         let mut b = TopologyBuilder::new();
@@ -234,5 +259,109 @@ mod tests {
         let deadline = eng.now() + TimeDelta::from_secs(3.0);
         eng.run_until(deadline);
         assert!(state.borrow().suspected.is_empty(), "a pid that answers again must be exonerated");
+    }
+
+    /// The B-tree ledger the dense one replaced, kept as the reference:
+    /// misses by pid (absent = 0), and the set of pids still awaited.
+    #[derive(Default)]
+    struct TreeLedger {
+        targets: BTreeSet<ProcessId>,
+        suspected: BTreeSet<ProcessId>,
+        misses: std::collections::BTreeMap<ProcessId, u32>,
+        awaiting: BTreeSet<ProcessId>,
+    }
+
+    impl TreeLedger {
+        fn score(&mut self, miss_threshold: u32) -> Vec<ProcessId> {
+            let targets: Vec<ProcessId> = self.targets.iter().copied().collect();
+            for pid in &targets {
+                if self.awaiting.contains(pid) {
+                    let m = self.misses.entry(*pid).or_insert(0);
+                    *m += 1;
+                    if *m >= miss_threshold {
+                        self.suspected.insert(*pid);
+                    }
+                } else {
+                    self.misses.insert(*pid, 0);
+                }
+            }
+            self.awaiting = targets.iter().copied().collect();
+            targets
+        }
+
+        fn pong(&mut self, from: ProcessId) {
+            self.awaiting.remove(&from);
+            if self.targets.contains(&from) {
+                self.misses.insert(from, 0);
+                self.suspected.remove(&from);
+            }
+        }
+
+        fn replace_target(&mut self, dead: ProcessId, replacement: ProcessId) {
+            self.targets.remove(&dead);
+            self.suspected.remove(&dead);
+            self.misses.remove(&dead);
+            self.awaiting.remove(&dead);
+            self.targets.insert(replacement);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense ledger suspects exactly what the B-tree ledger does,
+        /// after every beat, under any interleaving of beats, pongs (from
+        /// non-targets and from pids past the vectors' end too), target
+        /// inserts and removals, restarts and the harness dropping a
+        /// suspect; and it pings the same pids in the same order.
+        #[test]
+        fn dense_ledger_equals_the_btree_ledger(
+            threshold in 1u32..4,
+            initial in 0u32..12,
+            ops in collection::vec((0u8..8, 0u32..48, 0u32..48), 0..200),
+        ) {
+            let mut dense = SupervisorState::default();
+            let mut tree = TreeLedger::default();
+            for raw in 0..initial {
+                dense.targets.insert(ProcessId::from_raw(raw));
+                tree.targets.insert(ProcessId::from_raw(raw));
+            }
+            let mut beats = 0;
+            for (op, x, y) in ops {
+                let (x, y) = (ProcessId::from_raw(x), ProcessId::from_raw(y));
+                match op {
+                    0 | 1 => {
+                        beats += 1;
+                        prop_assert_eq!(dense.score(threshold), tree.score(threshold));
+                        prop_assert_eq!(&dense.suspected, &tree.suspected, "after beat {}", beats);
+                    }
+                    2 | 3 => {
+                        // Half the pongs come from the low pids, mostly
+                        // targets; the rest from anywhere.
+                        let from = if op == 2 { x } else { ProcessId::from_raw(x.index() as u32 % 16) };
+                        dense.pong(from);
+                        tree.pong(from);
+                    }
+                    4 => {
+                        dense.targets.insert(x);
+                        tree.targets.insert(x);
+                    }
+                    5 => {
+                        dense.replace_target(x, y);
+                        tree.replace_target(x, y);
+                    }
+                    6 => {
+                        dense.suspected.remove(&x);
+                        tree.suspected.remove(&x);
+                    }
+                    _ => {
+                        dense.targets.remove(&x);
+                        tree.targets.remove(&x);
+                    }
+                }
+                prop_assert_eq!(&dense.targets, &tree.targets);
+            }
+            prop_assert_eq!(&dense.suspected, &tree.suspected);
+        }
     }
 }

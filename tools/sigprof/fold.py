@@ -18,6 +18,15 @@ stripped libc that is some unrelated function (`__nss_database_lookup`
 stood for the private memcpy variants). The function table is followed by
 those leaves' share, grouped by the nearest caller frame under `crates/` —
 who asked for the copy.
+
+With `--under SYMBOL` it prints, instead of both tables, the samples whose
+stack passes through a function whose name contains SYMBOL: the inclusive
+share of every function beneath it (of all samples, and of the symbol's),
+then the hot leaves beneath it, each with its nearest caller frame under
+`crates/` — the line of this repository a library leaf (`partial_cmp`,
+`make_hash`, a B-tree search) was working for.
+
+    python3 tools/sigprof/fold.py sigprof.out [top_n] --under 'Ctx<M>::send'
 """
 import bisect
 import collections
@@ -53,8 +62,40 @@ def inside(spans, off):
     return i >= 0 and spans[i][0] <= off < spans[i][1]
 
 
+def under(stacks, frames_of, files_of, symbol, top_n):
+    """Print what the frames beneath `symbol` cost (see the module doc)."""
+    beneath, leaves, hits = collections.Counter(), collections.Counter(), 0
+    for st in stacks:
+        frames = frames_of(st)
+        # The outermost match, so a recursive symbol counts once.
+        at = max((i for i, fn in enumerate(frames) if symbol in fn), default=None)
+        if at is None:
+            continue
+        hits += 1
+        for fn in set(frames[:at]):
+            beneath[fn] += 1
+        if at > 0:
+            files = files_of(st)
+            ours = [frames[i] for i in range(1, at + 1) if "/crates/" in files[i]]
+            leaves[(frames[0], ours[0] if ours else "?")] += 1
+    total = max(len(stacks), 1)
+    print(f"{hits} of {len(stacks)} samples ({100 * hits / total:.1f}%) under {symbol!r};"
+          " inclusive% of all, % of those, function", file=sys.stderr)
+    for fn, n in beneath.most_common(top_n):
+        print(f"{100 * n / total:6.1f} {100 * n / max(hits, 1):6.1f}  {fn}", file=sys.stderr)
+    print("hot leaves beneath it: self% of all, leaf <- nearest crates/ caller", file=sys.stderr)
+    for (leaf, caller), n in leaves.most_common(top_n):
+        print(f"{100 * n / total:6.1f}  {leaf}  <-  {caller}", file=sys.stderr)
+
+
 def main():
-    args = [a for a in sys.argv[1:] if a != "--lines"]
+    argv = sys.argv[1:]
+    symbol = None
+    if "--under" in argv:
+        i = argv.index("--under")
+        symbol = argv[i + 1]
+        del argv[i:i + 2]
+    args = [a for a in argv if a != "--lines"]
     path = args[0]
     top_n = int(args[1]) if len(args) > 1 else 40
     maps, base, stacks = [], {}, []
@@ -125,6 +166,16 @@ def main():
             if spans and not inside(spans, o):
                 names[(obj, o)] = f"<{os.path.basename(obj)}+{hex(o)}>"
                 unnamed.add((obj, o))
+
+    if symbol is not None:
+        under(
+            stacks,
+            lambda st: [names.get(locate(a, i > 0), "?") for i, a in enumerate(st)],
+            lambda st: [files.get(locate(a, i > 0), "") for i, a in enumerate(st)],
+            symbol,
+            top_n,
+        )
+        return
 
     folded, inclusive, self_time = collections.Counter(), collections.Counter(), collections.Counter()
     for st in stacks:
