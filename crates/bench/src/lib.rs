@@ -547,8 +547,21 @@ mod tests {
         }
     }
 
+    /// The files of a crate's own that may make one of its items `pub`: the
+    /// three that own a `#[global_allocator]`, which a lib test binary would
+    /// share with every unit test, and a differential whose fixed proptest
+    /// cases change with its module path (DESIGN.md §1 "Test seams").
+    const OWN_TEST_SEAMS: [&str; 4] = [
+        "crates/netsim/tests/alloc_free.rs",
+        "crates/netsim/tests/settle_differential.rs",
+        "crates/nws/tests/deploy_alloc.rs",
+        "crates/nws/tests/write_path_alloc.rs",
+    ];
+
     /// Every row of DESIGN.md §1's test-seam table names an item its file
-    /// still declares `pub`, and test files that exist and mention it.
+    /// still declares `pub`, and test files that exist and mention it, at
+    /// least one of them outside the declaring crate or in
+    /// [`OWN_TEST_SEAMS`]: the crate's other tests are unit tests.
     #[test]
     #[expect(clippy::disallowed_methods, reason = "D7: the test reads the repository's sources")]
     fn test_seams_table_matches_the_code() {
@@ -581,6 +594,14 @@ mod tests {
             if let Some(ty) = ty {
                 assert!(source.contains(ty), "{declared} never mentions {ty}");
             }
+            let own = declared.trim_matches('`').split("src/").next().expect("a crate directory");
+            assert!(
+                callers
+                    .split(", ")
+                    .map(|c| c.trim_matches('`'))
+                    .any(|c| !c.starts_with(own) || OWN_TEST_SEAMS.contains(&c)),
+                "{item}: only {own}'s own tests call it; make them unit tests and narrow it"
+            );
             for caller in callers.split(", ") {
                 let text = read(caller.trim_matches('`'));
                 let mentions = match ty {

@@ -9,8 +9,8 @@
 //!
 //! * [`apply_churn`] mutates an engine's topology (any engine — the
 //!   mapping simulator and a live NWS engine can replay the same events)
-//!   through the post-build mutators ([`Topology::add_host_like`],
-//!   [`Topology::isolate_node`], capacity edits) and recomputes routes;
+//!   through the post-build mutators (`Topology::add_host_like`,
+//!   `Topology::isolate_node`, capacity edits) and recomputes routes;
 //! * [`ChurnState`] owns the bookkeeping: the current mapped host set and
 //!   the current ground-truth effective clusters, plus a seeded generator
 //!   ([`ChurnState::plan_epoch`]) that only proposes events which keep the

@@ -310,12 +310,8 @@ impl ResourceTable {
     }
 
     /// Number of distinct resources in the topology.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.resources.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.resources.is_empty()
     }
 
     /// The resource consumed by traversing `link` in the given direction.
@@ -324,7 +320,8 @@ impl ResourceTable {
     }
 
     /// Capacity in bytes/sec.
-    pub fn capacity(&self, r: ResourceId) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self, r: ResourceId) -> f64 {
         self.capacity[r.index()]
     }
 
@@ -436,8 +433,9 @@ struct Scratch {
     // which isolated changes patch (see `FairEngine::patch`).
     /// Whether the log describes the live flows minus `departed`, plus
     /// those admitted from `log_seq` on: false after a capacity or model
-    /// change, a stuck exit, an equal-share fill or the admission of a
-    /// departed key.
+    /// change, a stuck exit or an equal-share fill. A departed key is not
+    /// admitted again before the next fill commits, so its slot still
+    /// holds the resources the log read.
     resumable: bool,
     /// Keys removed since the last fill.
     departed: Vec<u32>,
@@ -570,12 +568,11 @@ impl Scratch {
 /// fill, for the reason the patch did not apply (DESIGN.md §2, "Isolated
 /// changes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Patch {
+pub(crate) enum Patch {
     /// The changes were applied to the log; no fill ran.
     Applied,
-    /// A changed flow shares a resource, a departed key was admitted
-    /// again, the model is not max-min, or there is no log without a
-    /// checkpoint to patch.
+    /// A changed flow shares a resource, the model is not max-min, or
+    /// there is no log without a checkpoint to patch.
     #[default]
     Inapplicable,
     /// An admitted flow's share fell below a kept round's `delta`.
@@ -627,7 +624,7 @@ impl FairEngine {
 
     /// An engine over an already interned table: its own cost is the zeroed
     /// per-resource arrays, not the interning.
-    pub fn with_table(table: Arc<ResourceTable>, model: FairnessModel) -> Self {
+    pub(crate) fn with_table(table: Arc<ResourceTable>, model: FairnessModel) -> Self {
         let n = table.len();
         FairEngine {
             table,
@@ -705,7 +702,8 @@ impl FairEngine {
         self.scratch.resumable = false;
     }
 
-    pub fn flow_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn flow_count(&self) -> usize {
         self.live.len()
     }
 
@@ -762,12 +760,6 @@ impl FairEngine {
         self.next_seq += 1;
         self.live.push(key);
         self.scratch.sorted = false;
-        if self.scratch.departed.contains(&key) {
-            // The departed flow's resources went with its slot, so the log
-            // can no longer be patched or resumed.
-            self.scratch.resumable = false;
-            self.scratch.departed.clear();
-        }
         for i in 0..self.slots[key as usize].resources.len() {
             let r = self.slots[key as usize].resources[i];
             self.users[r.index()] += 1;
@@ -779,7 +771,9 @@ impl FairEngine {
     }
 
     /// Drop a registered flow, releasing its resource references. The slot
-    /// (and its resource vector's capacity) is recycled by later adds.
+    /// (and its resource vector's capacity) is recycled by the adds after
+    /// the next [`reallocate`](Self::reallocate): until then the fill log
+    /// reads the departed flow's resources from it.
     pub fn remove_flow(&mut self, key: u32) {
         let slot = &mut self.slots[key as usize];
         assert!(slot.alive, "removing dead flow {key}");
@@ -800,7 +794,6 @@ impl FairEngine {
         // Ordered removal keeps allocation order stable for the remaining
         // flows (and bit-for-bit agreement with the oracle's demand order).
         self.live.remove(pos);
-        self.free.push(key);
         // The key stays in the flows-by-resource runs until the next sort.
         if let Some(frozen) = self.scratch.frozen.get_mut(key as usize) {
             *frozen = true;
@@ -811,18 +804,19 @@ impl FairEngine {
     /// Keys whose committed rate changed in the last
     /// [`reallocate`](Self::reallocate), in [`live_keys`](Self::live_keys)
     /// order (for completion-time invalidation).
-    pub fn changed(&self) -> &[u32] {
+    pub(crate) fn changed(&self) -> &[u32] {
         &self.scratch.changed
     }
 
     /// How the last max-min [`reallocate`](Self::reallocate) came by its
     /// rates.
-    pub fn last_patch(&self) -> Patch {
+    #[cfg(test)]
+    pub(crate) fn last_patch(&self) -> Patch {
         self.scratch.outcome
     }
 
     /// Recompute all rates under the configured model. The keys whose
-    /// committed rate changed are readable via [`changed`](Self::changed).
+    /// committed rate changed are readable via `changed`.
     /// Allocation-free once scratch has grown to the high-water flow count.
     pub fn reallocate(&mut self) {
         // Grow scratch to the high-water marks (no-ops in steady state): per
@@ -841,6 +835,7 @@ impl FairEngine {
             s.frozen.resize(n_slots, false);
             s.freeze_round.resize(n_slots, 0);
             reserve(&mut s.departed, n_slots);
+            reserve(&mut self.free, n_slots);
             reserve(&mut s.deltas, n_slots);
             reserve(&mut s.order, n_slots);
             reserve(&mut s.round_end, n_slots);
@@ -875,7 +870,7 @@ impl FairEngine {
         // Commit, collecting changed flows in live order. Every other live
         // key still holds its committed rate.
         let Scratch { departed, changed, work, order, log_seq, .. } = &mut self.scratch;
-        departed.clear();
+        self.free.append(departed);
         changed.clear();
         *log_seq = self.next_seq;
         let keys = if from_order { &order[i..] } else { &self.live[i..] };

@@ -11,16 +11,17 @@
 //! completion. A fourth churns flows that are mostly alone on their paths,
 //! as the deployed NWS's are, on a campus whose capacities are not
 //! integers, so most re-levels patch the last fill's log instead of
-//! filling. The 1 000- and 2 000-host cases are release-only; the debug
-//! profile runs smaller campuses.
+//! filling. A fifth removes a flow and admits one in a single call. The
+//! 1 000- and 2 000-host cases are release-only; the debug profile runs
+//! smaller campuses.
 
 use std::sync::Arc;
 
-use netsim::fairness::{FairEngine, FairnessModel, Patch, ResourceId, ResourceTable};
-use netsim::prelude::*;
-use netsim::routing::RouteTable;
-use netsim::synth::{synth, SynthFamily};
-use netsim::topology::{LinkMode, MediumId};
+use crate::fairness::{FairEngine, FairnessModel, Patch, ResourceId, ResourceTable};
+use crate::prelude::*;
+use crate::routing::RouteTable;
+use crate::synth::{synth, SynthFamily};
+use crate::topology::{LinkMode, MediumId};
 
 /// splitmix64, so the flow set is the same on every platform.
 struct Rng(u64);
@@ -320,4 +321,30 @@ fn isolated_churn_patches_like_fresh_fills() {
             assert!(count(guard) > 0, "seed {seed}: no {guard:?} in {calls} calls");
         }
     }
+}
+
+/// A flow that completes and a flow admitted in the same call, each alone
+/// on its path, patch the log: the admission must not recycle the key of
+/// the flow that departed since the last fill, whose slot the patch still
+/// reads. LAN rates are 10 or 100 Mbps, so the admitted flow's share ties
+/// a kept round's `delta` or outlasts them all.
+#[test]
+fn an_admission_after_a_removal_patches() {
+    let mut storm = Storm::new(200, 7, false);
+    let table = storm.table.clone();
+    let mut fe = FairEngine::with_table(table.clone(), FairnessModel::MaxMin);
+    for lan in 0..4 {
+        let src = storm.lans[lan][0];
+        storm.admit_from(&mut fe, src, lan);
+    }
+    fe.reallocate();
+    // The fastest flow froze in the fill's last round, so its departure
+    // drops trailing rounds only.
+    let gone = *fe.live_keys().iter().max_by(|&&a, &&b| fe.rate(a).total_cmp(&fe.rate(b))).unwrap();
+    fe.remove_flow(gone);
+    let src = storm.lans[4][0];
+    let key = storm.admit_from(&mut fe, src, 4);
+    assert_ne!(key, gone, "a key is recycled only after the next fill");
+    reallocate_like_a_fresh_engine(&mut fe, &table, "after a removal and an admission");
+    assert_eq!(fe.last_patch(), Patch::Applied);
 }

@@ -57,14 +57,20 @@ pub mod disk;
 pub mod engine;
 pub mod error;
 pub mod fairness;
+#[cfg(test)]
+mod fairness_resume;
 pub mod faults;
 pub mod firewall;
 pub mod flow;
 pub mod ip;
 pub mod name;
 pub mod probes;
+#[cfg(test)]
+mod route_differential;
 pub mod routing;
 pub mod scenarios;
+#[cfg(test)]
+mod shared_table;
 pub mod synth;
 pub mod time;
 pub mod topology;

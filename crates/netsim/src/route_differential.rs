@@ -8,11 +8,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use netsim::prelude::*;
-use netsim::routing::{Path, RouteTable};
-use netsim::scenarios::{ens_lyon, Calibration};
-use netsim::synth::{synth, synth_campus, SynthFamily};
-use netsim::topology::{LinkMode, Medium};
+use crate::prelude::*;
+use crate::routing::{Path, RouteTable};
+use crate::scenarios::{ens_lyon, Calibration};
+use crate::synth::{synth, synth_campus, SynthFamily};
+use crate::topology::{LinkMode, Medium};
 use proptest::prelude::*;
 
 const NONE: u32 = u32::MAX;

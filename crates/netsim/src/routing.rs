@@ -314,7 +314,8 @@ impl RouteTable {
     }
 
     /// Bytes held by the table (rows, per-node slots and the child index).
-    pub fn table_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn table_bytes(&self) -> usize {
         std::mem::size_of_val(&self.prev_link[..])
             + std::mem::size_of_val(&self.slots[..])
             + std::mem::size_of_val(&self.parent[..])
@@ -388,7 +389,8 @@ impl RouteTable {
     }
 
     /// Whether a physical route exists (ignores firewall rules).
-    pub fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn reachable(&self, src: NodeId, dst: NodeId) -> bool {
         src == dst || self.route(src, dst).is_some()
     }
 
@@ -442,7 +444,7 @@ impl RouteTable {
 
     /// One-way latency and minimum directed capacity of the route, in one
     /// allocation-free walk (the control-message delivery hot path).
-    pub fn latency_and_bottleneck(
+    pub(crate) fn latency_and_bottleneck(
         &self,
         topo: &Topology,
         src: NodeId,

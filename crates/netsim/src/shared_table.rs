@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 
-use netsim::churn::{apply_churn, ChurnEvent};
-use netsim::fairness::{ResourceId, ResourceTable};
-use netsim::prelude::*;
-use netsim::synth::{synth, SynthFamily, SynthScenario};
-use netsim::topology::LinkMode;
-use netsim::{Engine, RouteTable};
+use crate::churn::{apply_churn, ChurnEvent};
+use crate::fairness::{ResourceId, ResourceTable};
+use crate::prelude::*;
+use crate::synth::{synth, SynthFamily, SynthScenario};
+use crate::topology::LinkMode;
+use crate::{Engine, RouteTable};
 
 struct Shared {
     sc: SynthScenario,

@@ -6,7 +6,7 @@
 //! labels**, so mapper output can be scored automatically instead of being
 //! checked against one hand-written figure:
 //!
-//! * [`synth_campus`] — star-of-stars campus LANs (ENS-Lyon-like): hub or
+//! * `synth_campus` — star-of-stars campus LANs (ENS-Lyon-like): hub or
 //!   switch leaf LANs behind per-LAN routers on a backbone;
 //! * `synth_fat_tree` — a pod/edge fat-tree cluster with over-provisioned
 //!   uplinks;
@@ -92,7 +92,7 @@ pub struct SynthScenario {
 
 impl SynthScenario {
     /// The DNS name of a mapped host (every synth host has one).
-    pub fn host_name(&self, n: NodeId) -> String {
+    pub(crate) fn host_name(&self, n: NodeId) -> String {
         self.net.topo.node(n).ifaces[0].name.clone().expect("synth hosts are named")
     }
 
@@ -155,7 +155,7 @@ fn group_sizes(rng: &mut SmallRng, total: usize, lo: usize, hi: usize) -> Vec<us
 /// Star-of-stars campus: `hosts` end hosts over hub/switch leaf LANs, each
 /// LAN behind its own router on a gigabit backbone, with a border router
 /// and an external traceroute target. Effective truth: one cluster per LAN.
-pub fn synth_campus(seed: u64, hosts: usize) -> SynthScenario {
+pub(crate) fn synth_campus(seed: u64, hosts: usize) -> SynthScenario {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = TopologyBuilder::new();
     let border = b.router_unnamed("192.168.254.1");

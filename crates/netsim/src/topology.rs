@@ -58,7 +58,7 @@ impl LinkId {
     /// Construct from a raw index — only meaningful for ids belonging to a
     /// [`Topology`]; used by the dense route table, which stores routes as
     /// flat `u32` link ids.
-    pub fn from_raw(raw: u32) -> Self {
+    pub(crate) fn from_raw(raw: u32) -> Self {
         LinkId(raw)
     }
 
@@ -128,7 +128,7 @@ impl Node {
     }
 
     /// True for layer-3 hops: routers, and hosts that forward (gateways).
-    pub fn is_l3_hop(&self) -> bool {
+    pub(crate) fn is_l3_hop(&self) -> bool {
         matches!(self.kind, NodeKind::Router)
             || (matches!(self.kind, NodeKind::Host) && self.forwards)
     }
@@ -177,7 +177,7 @@ impl Link {
     }
 
     /// Directed routing weight from `from` across this link.
-    pub fn weight_from(&self, from: NodeId) -> f64 {
+    pub(crate) fn weight_from(&self, from: NodeId) -> f64 {
         if self.a == from {
             self.weight_ab
         } else {
@@ -186,7 +186,7 @@ impl Link {
     }
 
     /// Capacity in the direction starting at `from`.
-    pub fn capacity_from(&self, from: NodeId, mediums: &[Medium]) -> Bandwidth {
+    pub(crate) fn capacity_from(&self, from: NodeId, mediums: &[Medium]) -> Bandwidth {
         match self.mode {
             LinkMode::FullDuplex { capacity_ab, capacity_ba } => {
                 if self.a == from {
@@ -315,7 +315,7 @@ impl Topology {
         self.links.iter()
     }
 
-    pub fn mediums(&self) -> impl Iterator<Item = &Medium> {
+    pub(crate) fn mediums(&self) -> impl Iterator<Item = &Medium> {
         self.mediums.iter()
     }
 
@@ -441,7 +441,12 @@ impl Topology {
     /// (shared medium or per-port duplex) of `sibling`'s first live link,
     /// to the same hub/switch. This is how churn joins a host to an
     /// existing LAN without re-running the builder.
-    pub fn add_host_like(&mut self, fqdn: &str, ip: Ipv4, sibling: NodeId) -> NetResult<NodeId> {
+    pub(crate) fn add_host_like(
+        &mut self,
+        fqdn: &str,
+        ip: Ipv4,
+        sibling: NodeId,
+    ) -> NetResult<NodeId> {
         if self.names.get(fqdn).is_some() {
             return Err(NetError::InvalidTopology(format!("name {fqdn} already in use")));
         }
@@ -519,7 +524,7 @@ impl Topology {
     /// a host leaving the platform (or a partitioned LAN member). The node
     /// and its DNS entries remain: lookups still resolve, but nothing
     /// routes to it after `Engine::recompute_routes`.
-    pub fn isolate_node(&mut self, n: NodeId) {
+    pub(crate) fn isolate_node(&mut self, n: NodeId) {
         let links: Vec<LinkId> = self.neighbours(n).iter().map(|(l, _)| *l).collect();
         for l in links {
             self.links[l.index()].up = false;
@@ -603,7 +608,7 @@ impl TopologyBuilder {
 
     /// A multi-homed host: one interface per `(fqdn, ip)` pair. Used for
     /// the paper's firewall gateways which carry a name on each side.
-    pub fn host_multi(&mut self, label: &str, ifaces: &[(&str, &str)]) -> NodeId {
+    pub(crate) fn host_multi(&mut self, label: &str, ifaces: &[(&str, &str)]) -> NodeId {
         let ifaces = ifaces
             .iter()
             .map(|(name, ip)| Iface {
@@ -716,7 +721,7 @@ impl TopologyBuilder {
     }
 
     /// Attach `node` via a specific interface index to a hub or switch.
-    pub fn attach_iface(&mut self, node: NodeId, iface: usize, infra: NodeId) -> LinkId {
+    pub(crate) fn attach_iface(&mut self, node: NodeId, iface: usize, infra: NodeId) -> LinkId {
         let spec = *self
             .infra
             .get(&infra)
@@ -763,7 +768,7 @@ impl TopologyBuilder {
     }
 
     /// A point-to-point link with distinct capacities per direction.
-    pub fn link_asym(
+    pub(crate) fn link_asym(
         &mut self,
         a: NodeId,
         b: NodeId,

@@ -17,7 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
-    pub const ZERO: Bandwidth = Bandwidth(0.0);
+    pub(crate) const ZERO: Bandwidth = Bandwidth(0.0);
 
     /// Bandwidth from bytes per second.
     pub fn bytes_per_sec(b: f64) -> Self {
@@ -63,7 +63,7 @@ impl Bandwidth {
         }
     }
 
-    pub fn min(self, other: Bandwidth) -> Bandwidth {
+    pub(crate) fn min(self, other: Bandwidth) -> Bandwidth {
         if self.0 <= other.0 {
             self
         } else {
@@ -149,7 +149,7 @@ impl Bytes {
         self.0
     }
 
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         self.0 as f64
     }
 }
@@ -180,7 +180,7 @@ pub struct Latency(f64);
 impl Latency {
     pub(crate) const ZERO: Latency = Latency(0.0);
 
-    pub fn secs(s: f64) -> Self {
+    pub(crate) fn secs(s: f64) -> Self {
         debug_assert!(s.is_finite() && s >= 0.0, "latency must be finite and >= 0");
         Latency(s)
     }

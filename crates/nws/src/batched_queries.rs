@@ -2,146 +2,19 @@
 //! ≡ N sequential single queries, bit for bit), the single-flight lookup
 //! discipline under batching, stale/timeout answers to batch slots, and
 //! shard-count invariance of the out-of-sim serving plane against the
-//! in-sim forecaster.
+//! in-sim forecaster. The rig is `query_serving`'s.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netsim::engine::{Ctx, Engine, Process, ProcessId};
+use super::query_serving::{ms, rig, run_script, send, Action};
+use crate::msg::{NwsMsg, SeriesKey};
+use crate::serve::ServingPlane;
+use crate::shard::ShardMap;
+use crate::{Forecast, Resource, SeriesId};
+use netsim::engine::{Ctx, Process, ProcessId};
 use netsim::prelude::*;
-use nws::forecaster::ForecasterServer;
-use nws::memory::{MemoryHandle, MemoryServer};
-use nws::msg::{NwsMsg, SeriesKey};
-use nws::registry::{NameServer, RegistryHandle};
-use nws::serve::ServingPlane;
-use nws::shard::ShardMap;
-use nws::{Forecast, NwsSystem, NwsSystemSpec, Resource, SeriesTable, SeriesTableHandle};
 use proptest::prelude::*;
-
-/// Four hosts on a switch with 5 ms port latency (the `query_serving`
-/// rig): long enough round trips to schedule deterministic interleavings.
-struct Rig {
-    eng: Engine<NwsMsg>,
-    ids: SeriesTableHandle,
-    ns_state: RegistryHandle,
-    memory: ProcessId,
-    store: MemoryHandle,
-    forecaster: ProcessId,
-    client_node: NodeId,
-}
-
-fn rig() -> Rig {
-    let mut b = TopologyBuilder::new();
-    let sw = b.switch("sw", Bandwidth::mbps(100.0), Latency::millis(5.0));
-    let hosts: Vec<NodeId> = (0..4)
-        .map(|i| {
-            let h = b.host(&format!("h{i}.x"), &format!("10.0.0.{}", i + 1));
-            b.attach(h, sw);
-            h
-        })
-        .collect();
-    let mut eng: Engine<NwsMsg> = Engine::new(b.build().unwrap());
-    let ids = SeriesTable::new();
-    let (ns, ns_state) = NameServer::new();
-    let ns_pid = eng.add_process(hosts[0], Box::new(ns));
-    let forecaster = eng.add_process(hosts[1], Box::new(ForecasterServer::new("fc", ns_pid, &ids)));
-    let (mem, store) = MemoryServer::new("mem0", ns_pid, 512, &ids);
-    let memory = eng.add_process(hosts[2], Box::new(mem));
-    Rig { eng, ids, ns_state, memory, store, forecaster, client_node: hosts[3] }
-}
-
-fn send(ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, msg: NwsMsg) {
-    let size = msg.wire_size();
-    ctx.send(to, size, msg).unwrap();
-}
-
-type Singles = Rc<RefCell<Vec<(SeriesKey, Option<Forecast>)>>>;
-type Batches = Rc<RefCell<Vec<Vec<(SeriesKey, Option<Forecast>)>>>>;
-
-enum Action {
-    Store { key: SeriesKey, t: f64, value: f64 },
-    Query { key: SeriesKey },
-    Batch { keys: Vec<SeriesKey> },
-}
-
-/// Drives scripted stores/queries/batches by timer; single replies and
-/// batch replies are recorded in arrival order, each answer with its key.
-struct Script {
-    ids: SeriesTableHandle,
-    forecaster: ProcessId,
-    memory: ProcessId,
-    steps: Vec<(TimeDelta, Action)>,
-    singles: Singles,
-    batches: Batches,
-}
-
-impl Process<NwsMsg> for Script {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NwsMsg>) {
-        for (i, (delay, _)) in self.steps.iter().enumerate() {
-            ctx.set_timer(*delay, i as u64);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, NwsMsg>, tag: u64) {
-        let mut ids = self.ids.borrow_mut();
-        match &self.steps[tag as usize].1 {
-            Action::Store { key, t, value } => {
-                let seq = tag + 1; // unique per step, which is all dedup needs
-                let series = ids.intern(key);
-                send(ctx, self.memory, NwsMsg::Store { series, seq, t: *t, value: *value });
-            }
-            Action::Query { key } => {
-                send(ctx, self.forecaster, NwsMsg::Query { series: ids.intern(key) });
-            }
-            Action::Batch { keys } => {
-                let series = keys.iter().map(|k| ids.intern(k)).collect();
-                send(ctx, self.forecaster, NwsMsg::QueryBatch { id: tag, series });
-            }
-        }
-    }
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
-        match msg {
-            NwsMsg::QueryReply { series, forecast } => {
-                let key = self.ids.borrow().key(series);
-                self.singles.borrow_mut().push((key, forecast.map(|f| *f)));
-            }
-            NwsMsg::QueryBatchReply { id, forecasts } => {
-                let Action::Batch { keys } = &self.steps[id as usize].1 else {
-                    panic!("reply to step {id}, which sent no batch")
-                };
-                self.batches.borrow_mut().push(keys.iter().cloned().zip(forecasts).collect());
-            }
-            _ => {}
-        }
-    }
-}
-
-struct Run {
-    rig: Rig,
-    singles: Vec<(SeriesKey, Option<Forecast>)>,
-    batches: Vec<Vec<(SeriesKey, Option<Forecast>)>>,
-}
-
-fn run_script(mut r: Rig, steps: Vec<(TimeDelta, Action)>) -> Run {
-    let singles: Singles = Rc::new(RefCell::new(Vec::new()));
-    let batches: Batches = Rc::new(RefCell::new(Vec::new()));
-    let script = Script {
-        ids: r.ids.clone(),
-        forecaster: r.forecaster,
-        memory: r.memory,
-        steps,
-        singles: singles.clone(),
-        batches: batches.clone(),
-    };
-    r.eng.add_process(r.client_node, Box::new(script));
-    r.eng.run_until_quiescent(TimeDelta::from_secs(60.0)).unwrap();
-    let singles = singles.borrow().clone();
-    let batches = batches.borrow().clone();
-    Run { rig: r, singles, batches }
-}
-
-fn ms(v: f64) -> TimeDelta {
-    TimeDelta::from_millis(v)
-}
 
 fn link(src: &str, dst: &str) -> SeriesKey {
     SeriesKey::link(Resource::Bandwidth, src, dst)
@@ -222,7 +95,7 @@ fn empty_batch_replies_immediately() {
 /// kill processes between phases).
 struct BatchOnce {
     forecaster: ProcessId,
-    series: Vec<nws::SeriesId>,
+    series: Vec<SeriesId>,
     result: Rc<RefCell<Vec<Vec<Option<Forecast>>>>>,
 }
 
@@ -304,32 +177,6 @@ fn plane_answers_are_shard_invariant_and_match_the_sim() {
     let plane_answers = baseline.unwrap();
     for (sim, plane) in r.singles.iter().zip(&plane_answers) {
         assert_eq!(sim, plane, "in-sim forecaster and serving plane agree bit for bit");
-    }
-
-    // Third feed: a deployed system's own wiring — clique-aligned planes
-    // from `serving_plane`, filled by `publish_epoch` out of every memory
-    // — against that system's forecaster. The sensors are stopped first so
-    // both sides see the same stored points.
-    let net = netsim::scenarios::star_hub(3, Bandwidth::mbps(100.0));
-    let names: Vec<String> =
-        net.hosts.iter().map(|h| net.topo.node(*h).ifaces[0].name.clone().unwrap()).collect();
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut eng: Engine<NwsMsg> = Engine::new(net.topo);
-    let sys = NwsSystem::deploy(&mut eng, &NwsSystemSpec::minimal(&names[0], &refs)).unwrap();
-    sys.run_for(&mut eng, TimeDelta::from_secs(90.0));
-    for pid in sys.sensors.values() {
-        eng.kill_process(*pid);
-    }
-    sys.run_for(&mut eng, TimeDelta::from_secs(5.0));
-    let sys_keys = sys.series_keys();
-    assert!(sys_keys.len() >= 6, "every directed pair was measured");
-    let sim = sys.query_batch(&mut eng, sys_keys.clone(), TimeDelta::from_secs(10.0));
-    assert!(sim.iter().all(|(_, f)| f.is_some()));
-    for shards in [1usize, 2, 4, 8] {
-        let mut plane = sys.serving_plane(shards);
-        assert_eq!(plane.shard_map().shards(), shards);
-        assert_eq!(sys.publish_epoch(&mut plane, shards), 1);
-        assert_eq!(plane.serve_batch(&sys_keys), sim, "{shards} shards, system-fed");
     }
 }
 

@@ -10,11 +10,11 @@
 
 use std::rc::Rc;
 
+use crate::clique::Ring;
+use crate::{CliqueSpec, NwsMsg, NwsSystem, NwsSystemSpec, ReconfigSpec, SensorSpec};
 use netsim::engine::{Engine, ProcessId};
 use netsim::prelude::*;
 use netsim::scenarios::star_switch;
-use nws::clique::Ring;
-use nws::{CliqueSpec, NwsMsg, NwsSystem, NwsSystemSpec, ReconfigSpec, SensorSpec};
 use proptest::prelude::*;
 
 fn star_engine(n: usize) -> (Engine<NwsMsg>, Vec<String>) {

@@ -836,7 +836,7 @@ impl ForecasterBattery {
 
     /// Per-predictor opaque state vectors, in battery order — the
     /// persisted form of the battery (see [`crate::persist`]).
-    pub fn save_states(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn save_states(&self) -> Vec<Vec<f64>> {
         self.predictors
             .iter()
             .map(|p| {
@@ -858,7 +858,7 @@ impl ForecasterBattery {
     }
 
     /// The scoring state: `(sq_err, abs_err, n_scored, samples)`.
-    pub fn scores(&self) -> (&[f64], &[f64], &[u64], u64) {
+    pub(crate) fn scores(&self) -> (&[f64], &[f64], &[u64], u64) {
         (&self.sq_err, &self.abs_err, &self.n_scored, self.samples)
     }
 

@@ -6,14 +6,14 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use netsim::disk::{DiskHandle, SimDisk};
+use netsim::disk::DiskHandle;
 use netsim::engine::{Ctx, Process, ProcessId, TimerId};
 use netsim::prelude::*;
 
 use crate::forecast::Forecast;
 use crate::ids::{IdMap, SeriesId, SeriesTableHandle};
 use crate::msg::{NwsMsg, ServerKind};
-use crate::persist::{ForecastLog, DEFAULT_COMPACT_THRESHOLD};
+use crate::persist::ForecastLog;
 use crate::series_state::SeriesState;
 
 /// How long an in-flight lookup/fetch may go unanswered before the waiting
@@ -105,8 +105,15 @@ impl ForecasterServer {
     /// A forecaster on a fresh disk of its own that nothing else can
     /// reach; supervised deployments hand `ForecasterServer::durable`
     /// the host's disk.
-    pub fn new(name: &str, ns: ProcessId, ids: &SeriesTableHandle) -> Self {
-        Self::durable(name, ns, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD, ids)
+    #[cfg(test)]
+    pub(crate) fn new(name: &str, ns: ProcessId, ids: &SeriesTableHandle) -> Self {
+        Self::durable(
+            name,
+            ns,
+            netsim::disk::SimDisk::new(name),
+            crate::persist::DEFAULT_COMPACT_THRESHOLD,
+            ids,
+        )
     }
 
     /// Battery state and delta-fetch watermarks are recovered from `disk`

@@ -81,7 +81,7 @@ impl SeriesTable {
         HostId(self.hosts.intern(name).0)
     }
 
-    pub fn host_name(&self, host: HostId) -> &str {
+    pub(crate) fn host_name(&self, host: HostId) -> &str {
         self.hosts.name(host.0)
     }
 
@@ -110,7 +110,7 @@ impl SeriesTable {
     }
 
     /// The key behind an id, spelled out.
-    pub fn key(&self, id: SeriesId) -> SeriesKey {
+    pub(crate) fn key(&self, id: SeriesId) -> SeriesKey {
         let (resource, src, dst) = self.parts(id);
         SeriesKey {
             resource,
@@ -183,24 +183,25 @@ impl<V> Default for IdMap<V> {
 }
 
 impl<V> IdMap<V> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of ids holding a value.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    pub fn get(&self, id: SeriesId) -> Option<&V> {
+    pub(crate) fn get(&self, id: SeriesId) -> Option<&V> {
         self.slots.get(id.index())?.as_ref()
     }
 
-    pub fn get_mut(&mut self, id: SeriesId) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, id: SeriesId) -> Option<&mut V> {
         self.slots.get_mut(id.index())?.as_mut()
     }
 
@@ -230,7 +231,7 @@ impl<V> IdMap<V> {
     }
 
     /// `id`'s value, inserting `make()` first if it has none.
-    pub fn get_or_insert_with(&mut self, id: SeriesId, make: impl FnOnce() -> V) -> &mut V {
+    pub(crate) fn get_or_insert_with(&mut self, id: SeriesId, make: impl FnOnce() -> V) -> &mut V {
         if !self.contains(id) {
             self.insert(id, make());
         }
@@ -238,7 +239,7 @@ impl<V> IdMap<V> {
     }
 
     /// The ids holding values, with their values, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (SeriesId, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (SeriesId, &V)> {
         self.slots
             .iter()
             .enumerate()

@@ -25,7 +25,11 @@
 //! model ([`hostload`]) since the simulator has no CPUs to measure; the
 //! forecaster pipeline treats those series identically to network ones.
 
+#[cfg(test)]
+mod batched_queries;
 pub mod clique;
+#[cfg(test)]
+mod deploy_membership;
 pub mod forecast;
 pub mod forecaster;
 #[cfg(test)]
@@ -35,6 +39,10 @@ pub mod ids;
 pub mod memory;
 pub mod msg;
 pub mod persist;
+#[cfg(test)]
+mod persistence;
+#[cfg(test)]
+mod query_serving;
 pub mod registry;
 pub mod schedule;
 pub mod sensor;

@@ -25,13 +25,13 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use netsim::disk::{DiskHandle, SimDisk};
+use netsim::disk::DiskHandle;
 use netsim::engine::{Ctx, Process, ProcessId};
 use netsim::error::NetError;
 
 use crate::ids::{IdMap, SeriesId, SeriesTableHandle};
 use crate::msg::{NwsMsg, ServerKind};
-use crate::persist::{MemoryLog, DEFAULT_COMPACT_THRESHOLD};
+use crate::persist::MemoryLog;
 use crate::series::Series;
 
 /// Per-sender record of which store sequence numbers have been received:
@@ -56,12 +56,12 @@ impl SeenSeqs {
     }
 
     /// The contiguous watermark: every seq `<= watermark` has been seen.
-    pub fn watermark(&self) -> u64 {
+    pub(crate) fn watermark(&self) -> u64 {
         self.watermark
     }
 
     /// The sparse seqs above the watermark, ascending.
-    pub fn above(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+    pub(crate) fn above(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.above.iter().copied()
     }
 
@@ -142,13 +142,13 @@ impl MemoryStore {
     }
 
     /// Account one fetch that served `served` points (live and replay).
-    pub fn apply_fetch(&mut self, served: u64) {
+    pub(crate) fn apply_fetch(&mut self, served: u64) {
         self.fetches += 1;
         self.points_served += served;
     }
 
     /// Account one bounced reply (live and replay).
-    pub fn apply_reply_failure(&mut self) {
+    pub(crate) fn apply_reply_failure(&mut self) {
         self.reply_failures += 1;
     }
 }
@@ -170,15 +170,23 @@ pub struct MemoryServer {
 impl MemoryServer {
     /// A memory server on a fresh disk of its own that nothing else can
     /// reach: its state dies with the process, as far as any observer can
-    /// tell. Unit tests and single-epoch experiments use this; supervised
+    /// tell. Unit tests use this; supervised
     /// deployments hand `MemoryServer::recover` the host's disk.
-    pub fn new(
+    #[cfg(test)]
+    pub(crate) fn new(
         name: &str,
         ns: ProcessId,
         capacity: usize,
         ids: &SeriesTableHandle,
     ) -> (Self, MemoryHandle) {
-        Self::recover(name, ns, capacity, SimDisk::new(name), DEFAULT_COMPACT_THRESHOLD, ids)
+        Self::recover(
+            name,
+            ns,
+            capacity,
+            netsim::disk::SimDisk::new(name),
+            crate::persist::DEFAULT_COMPACT_THRESHOLD,
+            ids,
+        )
     }
 
     /// Rebuild the store from `disk` (snapshot + WAL replay, empty disk ⇒
@@ -284,6 +292,7 @@ mod tests {
     use crate::ids::SeriesTable;
     use crate::msg::{Resource, SeriesKey};
     use crate::registry::NameServer;
+    use netsim::disk::SimDisk;
     use netsim::prelude::*;
     use netsim::Engine;
 

@@ -42,7 +42,7 @@ impl Resource {
     /// Dense index (0..`Resource::ALL``.len()`): lets consumers key
     /// series by `(resource index, interned host id, interned host id)`
     /// instead of a [`SeriesKey`] holding two heap strings.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Resource::Bandwidth => 0,
             Resource::Latency => 1,
@@ -253,7 +253,7 @@ pub enum NwsMsg {
 
 impl NwsMsg {
     /// Approximate wire size of the message, for latency modelling.
-    pub fn wire_size(&self) -> Bytes {
+    pub(crate) fn wire_size(&self) -> Bytes {
         let b = match self {
             NwsMsg::Register { name, .. } => 64 + name.len(),
             NwsMsg::RegisterSeries { .. } => 128,

@@ -423,7 +423,7 @@ impl MemoryLog {
     /// Log one served fetch (counter replay). Lazily written: fetch
     /// counters may legitimately roll back to the last fsync on a host
     /// crash — unlike stores, nothing was promised to anyone.
-    pub fn log_fetch(&mut self, served: u64) {
+    pub(crate) fn log_fetch(&mut self, served: u64) {
         self.files.append(false, |p| {
             put_u8(p, REC_FETCH);
             put_u64(p, served);
@@ -431,7 +431,7 @@ impl MemoryLog {
     }
 
     /// Log one bounced reply (lazy, like fetches).
-    pub fn log_reply_failure(&mut self) {
+    pub(crate) fn log_reply_failure(&mut self) {
         self.files.append(false, |p| put_u8(p, REC_REPLY_FAILURE));
     }
 
@@ -453,12 +453,14 @@ impl MemoryLog {
     /// Compaction, as three separately-callable steps so crash tests can
     /// land between them (see `LogFiles`' docs on each step's crash
     /// safety). `false` if no image was written: do not publish.
-    pub fn write_snapshot(&mut self, store: &MemoryStore) -> bool {
+    #[cfg(test)]
+    pub(crate) fn write_snapshot(&mut self, store: &MemoryStore) -> bool {
         let image = self.freeze(store);
         self.files.write_snapshot(image)
     }
 
-    pub fn publish_snapshot(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn publish_snapshot(&mut self) {
         self.files.publish_snapshot();
     }
 
@@ -469,13 +471,13 @@ impl MemoryLog {
     }
 
     /// Compact if the WAL has outgrown the threshold.
-    pub fn maybe_compact(&mut self, store: &MemoryStore) {
+    pub(crate) fn maybe_compact(&mut self, store: &MemoryStore) {
         if self.files.needs_compact() {
             self.compact(store);
         }
     }
 
-    pub fn set_compact_threshold(&mut self, bytes: u64) {
+    pub(crate) fn set_compact_threshold(&mut self, bytes: u64) {
         self.files.compact_threshold = bytes;
     }
 }
@@ -498,7 +500,7 @@ pub struct ForecastLog {
 impl ForecastLog {
     /// Rebuild every series' battery + watermark from `disk`. Same shape
     /// as [`MemoryLog::recover`], including the trailing compaction.
-    pub fn recover(
+    pub(crate) fn recover(
         disk: DiskHandle,
         name: &str,
         ids: &SeriesTableHandle,
@@ -512,7 +514,7 @@ impl ForecastLog {
 
     /// Log one observed point (battery fed a value, watermark advanced).
     /// Lazy append; call [`ForecastLog::sync`] once per fetch-reply batch.
-    pub fn log_observe(&mut self, id: SeriesId, t: f64, v: f64) {
+    pub(crate) fn log_observe(&mut self, id: SeriesId, t: f64, v: f64) {
         let ids = self.ids.borrow();
         self.files.append(false, |p| {
             put_u8(p, REC_OBSERVE);
@@ -524,7 +526,7 @@ impl ForecastLog {
 
     /// Log a watermark rewind (battery reset because the memory came back
     /// with an older store than we had observed).
-    pub fn log_rewind(&mut self, id: SeriesId) {
+    pub(crate) fn log_rewind(&mut self, id: SeriesId) {
         let ids = self.ids.borrow();
         self.files.append(false, |p| {
             put_u8(p, REC_REWIND);
@@ -532,7 +534,7 @@ impl ForecastLog {
         });
     }
 
-    pub fn sync(&mut self) {
+    pub(crate) fn sync(&mut self) {
         self.files.sync();
     }
 
@@ -544,7 +546,7 @@ impl ForecastLog {
     /// gives the battery and watermark of every series the forecaster
     /// tracks (`None` for the others); they are written in key order, the
     /// image's contract, whatever order their ids were minted in.
-    pub fn compact<'a>(
+    pub(crate) fn compact<'a>(
         &mut self,
         series: impl Fn(SeriesId) -> Option<(&'a ForecasterBattery, f64)>,
     ) {
@@ -555,7 +557,7 @@ impl ForecastLog {
         self.files.compact(sealed.then(|| Rc::new(image) as Rc<dyn DiskImage>));
     }
 
-    pub fn set_compact_threshold(&mut self, bytes: u64) {
+    pub(crate) fn set_compact_threshold(&mut self, bytes: u64) {
         self.files.compact_threshold = bytes;
     }
 }

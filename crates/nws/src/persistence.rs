@@ -1,4 +1,4 @@
-//! Property tests for the durable state plane (`nws::persist`): random
+//! Property tests for the durable state plane (`persist`): random
 //! store/fetch/crash/compact schedules × disk-fault seeds, asserting the
 //! recovered state is bit-identical to the live state it replays.
 //!
@@ -29,13 +29,13 @@
 
 use std::collections::BTreeMap;
 
+use crate::memory::MemoryStore;
+use crate::msg::{Resource, SeriesKey};
+use crate::persist::{ForecastLog, MemoryLog};
+use crate::wal::{append_record, checksum, decode_snapshot, scan_wal};
+use crate::{ForecasterBattery, IdMap, SeriesId, SeriesTable, SeriesTableHandle};
 use netsim::disk::{DiskHandle, SimDisk};
 use netsim::engine::ProcessId;
-use nws::memory::MemoryStore;
-use nws::msg::{Resource, SeriesKey};
-use nws::persist::{ForecastLog, MemoryLog};
-use nws::wal::{append_record, checksum, decode_snapshot, scan_wal};
-use nws::{ForecasterBattery, IdMap, SeriesId, SeriesTable, SeriesTableHandle};
 use proptest::prelude::*;
 
 const CAP: usize = 16;

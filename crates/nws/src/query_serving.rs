@@ -1,32 +1,33 @@
-//! Integration tests for the incremental query-serving path: the
-//! NaN-store regression, the WhereIs race regression, and the delta-fetch
-//! protocol's O(Δ) + bit-identical-to-replay contract.
+//! Tests for the incremental query-serving path: the NaN-store
+//! regression, the WhereIs race regression, and the delta-fetch
+//! protocol's O(Δ) + bit-identical-to-replay contract. The rig and its
+//! scripted client are shared with `batched_queries`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::forecaster::ForecasterServer;
+use crate::memory::{MemoryHandle, MemoryServer};
+use crate::msg::{NwsMsg, SeriesKey};
+use crate::registry::{NameServer, RegistryHandle};
+use crate::{Forecast, ForecasterBattery, Resource, SeriesTable, SeriesTableHandle};
 use netsim::engine::{Ctx, Engine, Process, ProcessId};
 use netsim::prelude::*;
-use nws::forecaster::ForecasterServer;
-use nws::memory::{MemoryHandle, MemoryServer};
-use nws::msg::{NwsMsg, SeriesKey};
-use nws::registry::{NameServer, RegistryHandle};
-use nws::{Forecast, ForecasterBattery, Resource, SeriesTable, SeriesTableHandle};
 
 /// Four hosts on a switch with 5 ms port latency: host→host one-way is
 /// ~10 ms, which makes the directory/fetch round trips long enough to
 /// schedule deterministic interleavings with millisecond timers.
-struct Rig {
-    eng: Engine<NwsMsg>,
-    ids: SeriesTableHandle,
-    ns_state: RegistryHandle,
-    memory: ProcessId,
-    store: MemoryHandle,
-    forecaster: ProcessId,
-    client_node: NodeId,
+pub(super) struct Rig {
+    pub(super) eng: Engine<NwsMsg>,
+    pub(super) ids: SeriesTableHandle,
+    pub(super) ns_state: RegistryHandle,
+    pub(super) memory: ProcessId,
+    pub(super) store: MemoryHandle,
+    pub(super) forecaster: ProcessId,
+    pub(super) client_node: NodeId,
 }
 
-fn rig() -> Rig {
+pub(super) fn rig() -> Rig {
     let mut b = TopologyBuilder::new();
     let sw = b.switch("sw", Bandwidth::mbps(100.0), Latency::millis(5.0));
     let hosts: Vec<NodeId> = (0..4)
@@ -46,27 +47,29 @@ fn rig() -> Rig {
     Rig { eng, ids, ns_state, memory, store, forecaster, client_node: hosts[3] }
 }
 
-fn send(ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, msg: NwsMsg) {
+pub(super) fn send(ctx: &mut Ctx<'_, NwsMsg>, to: ProcessId, msg: NwsMsg) {
     let size = msg.wire_size();
     ctx.send(to, size, msg).unwrap();
 }
 
-type Replies = Rc<RefCell<Vec<Option<Forecast>>>>;
+type Answers = Vec<(SeriesKey, Option<Forecast>)>;
 
-/// Drives a scripted sequence of stores and queries via timers; every
-/// `QueryReply` forecast is recorded in arrival order.
+pub(super) enum Action {
+    Store { key: SeriesKey, t: f64, value: f64 },
+    Query { key: SeriesKey },
+    Batch { keys: Vec<SeriesKey> },
+}
+
+/// Drives scripted stores/queries/batches by timer; single replies and
+/// batch replies are recorded in arrival order, each answer with its key.
 struct Script {
     ids: SeriesTableHandle,
     forecaster: ProcessId,
     memory: ProcessId,
     /// (delay, action) pairs; actions are dispatched by timer tag.
     steps: Vec<(TimeDelta, Action)>,
-    replies: Replies,
-}
-
-enum Action {
-    Store { key: SeriesKey, t: f64, value: f64 },
-    Query { key: SeriesKey },
+    singles: Rc<RefCell<Answers>>,
+    batches: Rc<RefCell<Vec<Answers>>>,
 }
 
 impl Process<NwsMsg> for Script {
@@ -86,31 +89,61 @@ impl Process<NwsMsg> for Script {
             Action::Query { key } => {
                 send(ctx, self.forecaster, NwsMsg::Query { series: ids.intern(key) });
             }
+            Action::Batch { keys } => {
+                let series = keys.iter().map(|k| ids.intern(k)).collect();
+                send(ctx, self.forecaster, NwsMsg::QueryBatch { id: tag, series });
+            }
         }
     }
     fn on_message(&mut self, _ctx: &mut Ctx<'_, NwsMsg>, _from: ProcessId, msg: NwsMsg) {
-        if let NwsMsg::QueryReply { forecast, .. } = msg {
-            self.replies.borrow_mut().push(forecast.map(|f| *f));
+        match msg {
+            NwsMsg::QueryReply { series, forecast } => {
+                let key = self.ids.borrow().key(series);
+                self.singles.borrow_mut().push((key, forecast.map(|f| *f)));
+            }
+            NwsMsg::QueryBatchReply { id, forecasts } => {
+                let Action::Batch { keys } = &self.steps[id as usize].1 else {
+                    panic!("reply to step {id}, which sent no batch")
+                };
+                self.batches.borrow_mut().push(keys.iter().cloned().zip(forecasts).collect());
+            }
+            _ => {}
         }
     }
 }
 
-fn run_script(mut r: Rig, steps: Vec<(TimeDelta, Action)>) -> (Rig, Vec<Option<Forecast>>) {
-    let replies: Replies = Rc::new(RefCell::new(Vec::new()));
+pub(super) struct Run {
+    pub(super) rig: Rig,
+    pub(super) singles: Answers,
+    pub(super) batches: Vec<Answers>,
+}
+
+impl Run {
+    /// The rig, and the single queries' forecasts in arrival order.
+    fn replies(self) -> (Rig, Vec<Option<Forecast>>) {
+        (self.rig, self.singles.into_iter().map(|(_, f)| f).collect())
+    }
+}
+
+pub(super) fn run_script(mut r: Rig, steps: Vec<(TimeDelta, Action)>) -> Run {
+    let singles = Rc::new(RefCell::new(Vec::new()));
+    let batches = Rc::new(RefCell::new(Vec::new()));
     let script = Script {
         ids: r.ids.clone(),
         forecaster: r.forecaster,
         memory: r.memory,
         steps,
-        replies: replies.clone(),
+        singles: singles.clone(),
+        batches: batches.clone(),
     };
     r.eng.add_process(r.client_node, Box::new(script));
     r.eng.run_until_quiescent(TimeDelta::from_secs(60.0)).unwrap();
-    let out = replies.borrow().clone();
-    (r, out)
+    let singles = singles.take();
+    let batches = batches.take();
+    Run { rig: r, singles, batches }
 }
 
-fn ms(v: f64) -> TimeDelta {
+pub(super) fn ms(v: f64) -> TimeDelta {
     TimeDelta::from_millis(v)
 }
 
@@ -134,7 +167,8 @@ fn late_query_survives_stale_negative_lookup() {
             (ms(5.0), Action::Store { key: key.clone(), t: 1.0, value: 42.0 }),
             (ms(8.0), Action::Query { key: key.clone() }),
         ],
-    );
+    )
+    .replies();
     assert_eq!(replies.len(), 2, "both clients answered");
     assert!(replies[0].is_none(), "pre-store query sees the negative");
     let f = replies[1].clone().expect("post-store query must get a forecast");
@@ -161,7 +195,8 @@ fn nan_store_cannot_panic_the_query_path() {
             (ms(200.0), Action::Query { key: nan_only.clone() }),
             (ms(400.0), Action::Query { key: mixed.clone() }),
         ],
-    );
+    )
+    .replies();
     assert_eq!(replies.len(), 2);
     // The NaN-only series exists in the directory (it was stored) but has
     // no usable points: the reply is an orderly None, not a panic.
@@ -194,7 +229,7 @@ fn delta_fetch_is_incremental_and_matches_replay() {
     steps.push((ms(600.0), Action::Query { key: key.clone() }));
     steps.push((ms(800.0), Action::Query { key: key.clone() }));
 
-    let (r, replies) = run_script(rig(), steps);
+    let (r, replies) = run_script(rig(), steps).replies();
     assert_eq!(replies.len(), 3);
     let f1 = replies[0].clone().expect("first forecast");
     let f2 = replies[1].clone().expect("second forecast");

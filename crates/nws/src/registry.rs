@@ -32,7 +32,7 @@ pub struct NameServer {
 }
 
 impl NameServer {
-    pub fn new() -> (Self, RegistryHandle) {
+    pub(crate) fn new() -> (Self, RegistryHandle) {
         let state = Rc::new(RefCell::new(RegistryState::default()));
         (NameServer { state: state.clone() }, state)
     }

@@ -214,7 +214,8 @@ impl Sensor {
     }
 
     /// The live (non-retired) clique memberships, in slot order.
-    pub fn memberships(&self) -> impl Iterator<Item = &CliqueMembership> {
+    #[cfg(test)]
+    pub(crate) fn memberships(&self) -> impl Iterator<Item = &CliqueMembership> {
         self.memberships.iter().zip(&self.retired).filter(|(_, r)| !**r).map(|(m, _)| m)
     }
 

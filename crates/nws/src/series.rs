@@ -68,7 +68,7 @@ impl Series {
 
     /// The ring bound this series was created with (persisted by the
     /// durability plane so a recovered ring evicts identically).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 

@@ -59,11 +59,11 @@ impl SeriesState {
         self.battery.forecast()
     }
 
-    pub fn last_t(&self) -> f64 {
+    pub(crate) fn last_t(&self) -> f64 {
         self.last_t
     }
 
-    pub fn battery(&self) -> &ForecasterBattery {
+    pub(crate) fn battery(&self) -> &ForecasterBattery {
         &self.battery
     }
 

@@ -5,13 +5,13 @@
 //! Layout:
 //!
 //! * **Shards** ([`crate::shard::ShardMap`]) partition series across N
-//!   independent forecaster shards, clique-aligned so one clique's series
-//!   co-locate. Each shard owns the mutable per-series [`SeriesState`]
-//!   (20-predictor battery + delta watermark) for its keys.
-//! * **Epoch publication**: [`ServingPlane::ingest_store`] pulls only the
-//!   points newer than each series' ingest watermark (O(Δ), the PR-3
-//!   delta-fetch discipline applied out-of-sim), buffering them on the
-//!   owning shard. [`ServingPlane::publish`] then observes the buffered
+//!   independent forecaster shards by a hash of the source host. Each
+//!   shard owns the mutable per-series [`SeriesState`] (20-predictor
+//!   battery + delta watermark) for its keys.
+//! * **Epoch publication**: [`ServingPlane::ingest_point`] buffers the
+//!   points newer than each series' ingest watermark on the owning shard
+//!   (O(Δ), the forecaster's delta-fetch discipline applied out-of-sim).
+//!   [`ServingPlane::publish`] then observes the buffered
 //!   deltas shard-parallel on `std::thread::scope` workers and publishes
 //!   one immutable [`Arc<ShardSnapshot>`] per dirty shard — the PR-7
 //!   `Engine::from_snapshot` precedent applied to forecaster state.
@@ -36,8 +36,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::forecast::Forecast;
-use crate::ids::SeriesTable;
-use crate::memory::MemoryStore;
 use crate::msg::SeriesKey;
 use crate::series_state::SeriesState;
 use crate::shard::ShardMap;
@@ -172,13 +170,8 @@ impl ServingPlane {
         }
     }
 
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Ingest one measurement directly (bench/test feed). Points at or
-    /// below the series' ingest watermark are dropped, mirroring the
-    /// store-pull path.
+    /// Ingest one measurement. Points at or below the series' ingest
+    /// watermark are dropped.
     pub fn ingest_point(&mut self, key: &SeriesKey, t: f64, value: f64) {
         let mark = self.ingest_mark.get(key).copied().unwrap_or(f64::NEG_INFINITY);
         if t <= mark {
@@ -196,10 +189,14 @@ impl ServingPlane {
     }
 
     /// Pull every series' new points (O(Δ) per series) out of one memory
-    /// store, whose series `ids` names. Single-threaded by design: stores
-    /// are actor-local (`Rc<RefCell<..>>`); only battery observation
-    /// parallelizes.
-    pub fn ingest_store(&mut self, store: &MemoryStore, ids: &SeriesTable) {
+    /// store, whose series `ids` names: how the tests feed the plane what
+    /// an in-sim forecaster saw.
+    #[cfg(test)]
+    pub(crate) fn ingest_store(
+        &mut self,
+        store: &crate::memory::MemoryStore,
+        ids: &crate::ids::SeriesTable,
+    ) {
         for (id, series) in store.series.iter() {
             let key = ids.key(id);
             let mark = self.ingest_mark.get(&key).copied().unwrap_or(f64::NEG_INFINITY);
@@ -260,7 +257,8 @@ impl ServingPlane {
     }
 
     /// Answer one batch inline (the single-reader path).
-    pub fn serve_batch(&mut self, keys: &[SeriesKey]) -> Vec<(SeriesKey, Option<Forecast>)> {
+    #[cfg(test)]
+    pub(crate) fn serve_batch(&mut self, keys: &[SeriesKey]) -> Vec<(SeriesKey, Option<Forecast>)> {
         let batches = [keys.to_vec()];
         self.serve_batches(&batches, 1).pop().unwrap_or_default()
     }

@@ -412,7 +412,8 @@ impl NwsSystem {
     }
 
     /// The live sensor process on `host`, for inspection between events.
-    pub fn sensor<'e>(&self, eng: &'e Engine<NwsMsg>, host: &str) -> Option<&'e Sensor> {
+    #[cfg(test)]
+    pub(crate) fn sensor<'e>(&self, eng: &'e Engine<NwsMsg>, host: &str) -> Option<&'e Sensor> {
         eng.process(*self.sensors.get(host)?)?.as_any()?.downcast_ref()
     }
 
@@ -816,28 +817,6 @@ impl NwsSystem {
         eng.run_until(deadline);
         let answers = result.borrow_mut().take();
         answers.map(|a| keys.into_iter().zip(a).collect()).unwrap_or_default()
-    }
-
-    /// A fresh out-of-sim serving plane for this system: `shards`
-    /// forecaster shards (0 is treated as 1), clique-aligned so a clique's
-    /// series co-locate. Answers are shard-count invariant; the count
-    /// trades publication parallelism against fan-out. Feed it epochs with
-    /// [`NwsSystem::publish_epoch`].
-    pub fn serving_plane(&self, shards: usize) -> crate::serve::ServingPlane {
-        let map = crate::shard::ShardMap::clique_aligned(shards, &self.spec.cliques);
-        crate::serve::ServingPlane::new(map)
-    }
-
-    /// Publish one serving epoch: pull every memory's new points into the
-    /// plane (single-threaded — memory stores are actor-local), then
-    /// observe + snapshot the shards in parallel on `workers` scoped
-    /// threads. Returns the published epoch number.
-    pub fn publish_epoch(&self, plane: &mut crate::serve::ServingPlane, workers: usize) -> u64 {
-        let ids = self.series_ids.borrow();
-        for (_, handle) in self.memories.values() {
-            plane.ingest_store(&handle.borrow(), &ids);
-        }
-        plane.publish(workers)
     }
 
     /// `f` of the stored series `key`, from the first memory holding it.

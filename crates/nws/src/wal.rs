@@ -8,9 +8,9 @@
 //! | len: u32 LE | seq: u64 LE | crc: u64 LE | payload (len bytes) |
 //! ```
 //!
-//! `len` counts payload bytes only; `crc` is [`checksum`] over `seq` and
+//! `len` counts payload bytes only; `crc` is `checksum` over `seq` and
 //! the payload, so a record torn anywhere — length header, seq, checksum
-//! or body — fails verification. [`scan_wal`] walks records front to back
+//! or body — fails verification. `scan_wal` walks records front to back
 //! and stops at the first short or corrupt one: a crash-torn tail is
 //! *detected and cleanly truncated on replay*, never half-applied.
 //! Everything before the tear is intact by induction (each record's frame
@@ -22,7 +22,7 @@
 //! | magic: "NWSSNAP2" | log_seq: u64 LE | len: u32 LE | crc: u64 LE | body |
 //! ```
 //!
-//! `crc` is [`checksum`] over `log_seq` and the body; `build_snapshot`
+//! `crc` is `checksum` over `log_seq` and the body; `build_snapshot`
 //! encodes the body behind a reserved header and seals it in place, so an
 //! image is written once and never copied, and `snapshot_len` is its
 //! length for a body of known length, without encoding it. `log_seq` is
@@ -131,7 +131,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// leaves a flipped bit 63 where it is, so without the rotate two flips
 /// at bit 63 of different words would cancel; the rotate carries it down
 /// to where the next multiply spreads it.
-pub fn checksum(seq: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn checksum(seq: u64, bytes: &[u8]) -> u64 {
     let fold = |h: u64, w: u64| (h ^ w).rotate_left(32).wrapping_mul(FNV_PRIME);
     let mut words = bytes.chunks_exact(8);
     let mut h = fold(FNV_OFFSET, seq);
@@ -146,7 +146,7 @@ const RECORD_HEADER: usize = 20;
 /// Frame one record onto the end of `buf`: reserve the header, let
 /// `encode_payload` write the payload behind it, seal the header over the
 /// bytes where they lie. Returns the framed length (header + payload).
-pub fn append_record(
+pub(crate) fn append_record(
     buf: &mut Vec<u8>,
     seq: u64,
     encode_payload: impl FnOnce(&mut Vec<u8>),
@@ -174,7 +174,7 @@ pub struct WalScan {
 
 /// Walk `bytes` as a sequence of framed records, stopping cleanly at the
 /// first short or checksum-failing one (see module doc).
-pub fn scan_wal(bytes: &[u8]) -> WalScan {
+pub(crate) fn scan_wal(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut pos = 0usize;
     loop {
@@ -248,7 +248,7 @@ fn seal_snapshot(img: &mut [u8], log_seq: u64, body_len: usize) -> bool {
 
 /// Verify and unwrap a snapshot image. `None` means "no usable snapshot"
 /// — missing, truncated, or corrupt — and the caller starts empty.
-pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Option<(u64, Vec<u8>)> {
     if bytes.len() < SNAP_HEADER || &bytes[0..8] != SNAP_MAGIC {
         return None;
     }
